@@ -53,7 +53,7 @@ def test_fig11_rhs_codegen_variants(benchmark, spill_stats):
 def test_fig11_compiled_backend_series(benchmark):
     """Measured series for the ``compiled`` variant (PR 6): wall-clock
     time per octant for 10 full RHS evaluations of the native fused
-    kernel vs the pooled NumPy execution of the same schedule.  Unlike
+    kernel vs the NumPy kernel's execution of the same schedule.  Unlike
     the modeled A100 rows above (which would be identical for
     ``compiled`` — it lowers the staged-cse schedule verbatim, so its
     flop/spill profile is the staged-cse row), this row is real host
@@ -73,9 +73,9 @@ def test_fig11_compiled_backend_series(benchmark):
     mesh = Mesh(LinearOctree.uniform(2))
     u = mesh_puncture_state(mesh, [Puncture(1.0, [0.2, 0.1, 0.0])])
     numpy_solver = BSSNSolver(
-        mesh, pooled=True, algebra=get_algebra_kernel(COMPILED_VARIANT)
+        mesh, algebra=get_algebra_kernel(COMPILED_VARIANT)
     )
-    compiled_solver = BSSNSolver(mesh, pooled=True, backend="compiled")
+    compiled_solver = BSSNSolver(mesh, backend="compiled")
 
     def ten_rhs(solver):
         out = solver.full_rhs(u, 0.0)
@@ -98,7 +98,7 @@ def test_fig11_compiled_backend_series(benchmark):
         f"native impl: {native_impl()}",
     ]
     print("\n" + write_table("fig11_compiled_backend", lines))
-    assert t_c < t_np  # the native fused kernel must beat pooled NumPy
+    assert t_c < t_np  # the native kernel must beat the NumPy one
 
     benchmark(lambda: compiled_solver.full_rhs(u, 0.0, out=rhs_c))
 

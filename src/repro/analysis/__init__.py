@@ -5,7 +5,7 @@ The static-analysis side (``python -m repro.analysis``) has three legs:
 
 * :mod:`.dataflow`  — exact dataflow verification of generated kernel
   schedules, cross-checked against the register-allocation model;
-* :mod:`.aliasing`  — runtime buffer-aliasing audit of one pooled RK4
+* :mod:`.aliasing`  — runtime buffer-aliasing audit of one RK4
   step (arena leases, phases, RHS in/out overlap);
 * :mod:`.alloclint` — AST lint enforcing the zero-allocation discipline
   on every function registered via :func:`repro.perf.hot_path`.

@@ -269,14 +269,12 @@ class AuditingProfiler(StepProfiler):
 
 
 def audit_solver_step(solver, *, label: str | None = None) -> AliasReport:
-    """Audit one RK4 step of a pooled solver for aliasing hazards.
+    """Audit one RK4 step of a solver for aliasing hazards.
 
-    The solver must have ``pooled=True`` and initial data installed.
-    Its state, time and step count are restored afterwards, so the audit
-    is side-effect free apart from warming the workspace arena.
+    The solver must have initial data installed.  Its state, time and
+    step count are restored afterwards, so the audit is side-effect free
+    apart from warming the workspace arena.
     """
-    if not getattr(solver, "pooled", False):
-        raise ValueError("aliasing audit requires a pooled solver")
     state = getattr(solver, "state", None)
     if state is None:
         raise ValueError("solver has no state (set initial data first)")
@@ -289,9 +287,6 @@ def audit_solver_step(solver, *, label: str | None = None) -> AliasReport:
     orig_pool = ws.pool
     audited = AuditedPool(auditor).adopt(orig_pool)
     ws.pool = audited
-    orig_pd_pool = solver.pd.pool
-    if orig_pd_pool is not None:
-        solver.pd.pool = audited
 
     # register workspace + state arrays (ping-pong slots legitimately
     # alternate with the state, so the state is checked separately)
@@ -323,8 +318,6 @@ def audit_solver_step(solver, *, label: str | None = None) -> AliasReport:
         del solver.full_rhs  # restore the bound method
         solver.profiler = orig_profiler
         ws.pool = orig_pool
-        if orig_pd_pool is not None:
-            solver.pd.pool = orig_pd_pool
         solver.state, solver.t, solver.step_count = pre_state, pre_t, pre_count
 
     report = AliasReport(

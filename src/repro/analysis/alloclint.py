@@ -16,7 +16,7 @@ temporaries.  This lint walks their source ASTs and flags:
 Array-ness is inferred per function (parameters annotated ``ndarray``,
 values produced by allocators or indexing of arrays) — a deliberately
 conservative, false-positive-averse heuristic.  Intentional allocations
-(the pre-workspace baseline branches and ``out=None`` fallbacks) carry
+(poolless reference branches and ``out=None`` fallbacks) carry
 an ``# alloc-ok`` comment on the line, which suppresses findings there:
 an explicit, greppable record of every allocation the hot path is
 allowed to make.
@@ -44,7 +44,7 @@ NP_ALLOCATORS = {
 }
 
 #: repo functions/methods that allocate their result when ``out=`` is
-#: not passed (the pooled call sites always pass it)
+#: not passed (the step-path call sites always pass it)
 REPO_ALLOCATORS = {
     "unzip", "scatter_to_patches", "gather_to_patches", "allocate_patches",
     "prolong_blocks", "apply_stencil", "evaluate_algebraic",

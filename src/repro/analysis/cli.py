@@ -4,7 +4,7 @@ Runs the three analysis legs and prints a human report:
 
 * **dataflow** — verify every codegen variant's schedule (plus the
   emitted CUDA source against the verifier's symbol table);
-* **aliasing** — audit one pooled RK4 step of a WaveSolver and a
+* **aliasing** — audit one RK4 step of a WaveSolver and a
   BSSNSolver on a small uniform mesh;
 * **lint**     — the hot-path allocation lint over every registered
   function.
@@ -66,15 +66,15 @@ def _run_aliasing(report: dict) -> int:
     from repro.solver import BSSNSolver, WaveSolver
     from .aliasing import audit_solver_step
 
-    print("== aliasing: pooled RK4 step audit ==")
+    print("== aliasing: RK4 step audit ==")
 
-    wave = WaveSolver(Mesh(LinearOctree.uniform(2)), pooled=True)
+    wave = WaveSolver(Mesh(LinearOctree.uniform(2)))
     c = wave.coords()
     wave.state[0] = np.exp(-(c**2).sum(axis=-1))
     wave.state[1] = 0.0
     wave.step()  # warm the arena so the audit sees the steady state
 
-    bssn = BSSNSolver(Mesh(LinearOctree.uniform(2)), pooled=True)
+    bssn = BSSNSolver(Mesh(LinearOctree.uniform(2)))
     bssn.set_punctures([Puncture(mass=1.0, position=np.array([0.1, 0.0, 0.0]))])
     bssn.step()
 

@@ -1,13 +1,21 @@
-"""Runtime backend selection for the native RHS kernels.
+"""The chunk kernels both solvers step through, and their selection.
 
-The solvers take ``backend=``:
+A solver's ``full_rhs`` is one loop — unzip, then per octant chunk
+``kernel(...)`` → boundary → write — over a kernel object resolved once
+from ``backend=``:
 
-* ``"numpy"`` (default) — the pooled NumPy hot path, unchanged;
-* ``"compiled"`` — the fused native kernels lowered from the
-  ``compiled`` codegen variant (:mod:`repro.codegen.cbackend`);
-  raises :class:`BackendUnavailableError` when no implementation works;
-* ``"auto"`` — ``compiled`` when available, otherwise the NumPy path
-  with a single warning.
+* ``"numpy"`` (default) — :class:`NumpyBSSNRHS` / :class:`NumpyWaveRHS`:
+  einsum stencil sweeps plus ``out=`` ufunc algebra on arena buffers;
+* ``"compiled"`` — :class:`NativeBSSNRHS` / :class:`NativeWaveRHS`: the
+  single-pass native kernels lowered from the ``compiled`` codegen
+  variant (:mod:`repro.codegen.cbackend`); raises
+  :class:`BackendUnavailableError` when no implementation works;
+* ``"auto"`` — ``compiled`` when available, otherwise NumPy with a
+  single warning.
+
+The two implementations of each kernel share one call signature and
+one set of arena buffer names, so switching backends changes neither
+the solver loop nor the arena footprint.
 
 The compiled ladder is **Numba first** (``@njit(fastmath=False)`` over
 the generated Python source), then the **cffi**-loaded C build, because
@@ -28,14 +36,16 @@ from __future__ import annotations
 
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.bssn import state as S
-from repro.fd.derivatives import _h_factor
+from repro.bssn.rhs import compute_derivatives, evaluate_algebraic
+from repro.fd.derivatives import PatchDerivatives, _h_factor
 from repro.gpu.counters import publish_kernel_stats
 from repro.gpu.perfmodel import KernelStats
-from repro.perf import hot_path
+from repro.perf import NO_PROFILER, hot_path
 from .cbackend import (
     NUM_PARAMS,
     NativeLib,
@@ -134,8 +144,7 @@ def resolve_backend(backend: str) -> str:
         _WARNED_FALLBACK = True
         warnings.warn(
             "backend='auto': no compiled backend available (numba and "
-            "cffi/cc both missing) — falling back to the pooled NumPy "
-            "path",
+            "cffi/cc both missing) — falling back to the NumPy kernels",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -203,7 +212,7 @@ def _warmup(ns: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dispatchers
+# chunk kernels
 # ---------------------------------------------------------------------------
 
 #: rough structural flop count of the D stage per interior point (tap
@@ -213,8 +222,100 @@ def _warmup(ns: dict) -> None:
 DERIV_FLOPS_PER_POINT = 72 * 15 + 72 * 27 + 33 * 15 + 33 * 32 + 72 * 15
 
 
+@hot_path
+def _interior_values(patches, lo, hi, mesh, pool) -> np.ndarray:
+    """Contiguous arena copy of the chunk's ``r³`` interiors."""
+    k, r = mesh.k, mesh.r
+    interior = patches[:, lo:hi, k : k + r, k : k + r, k : k + r]
+    values = pool.get("solver.values", interior.shape)
+    np.copyto(values, interior)
+    return values
+
+
+class NumpyBSSNRHS:
+    """D + A + KO of one octant chunk as NumPy sweeps over arena buffers.
+
+    ``algebra`` swaps the hand-vectorised A component for a generated
+    kernel (:func:`repro.codegen.get_algebra_kernel`) — with the
+    ``compiled`` variant this is the NumPy execution of the very schedule
+    :class:`NativeBSSNRHS` runs, which is what the bitwise suite compares.
+    """
+
+    backend = "numpy"
+
+    def __init__(self, algebra=None):
+        self.algebra = algebra
+
+    @hot_path
+    def __call__(self, patches, lo, hi, mesh, params, faces, pool,
+                 prof=NO_PROFILER):
+        """Evaluate the RHS of octants ``lo:hi`` of ``patches``.
+
+        Returns ``(chunk_rhs, values, derivs)``: the 24 RHS blocks and,
+        valid when the chunk has physical-boundary ``faces``, the
+        interior values and an object whose ``d1[var, d]`` are the first
+        derivatives — the inputs of the Sommerfeld pass.
+        """
+        with prof.phase("deriv"):
+            derivs = compute_derivatives(
+                patches[:, lo:hi], mesh.dx[lo:hi], params,
+                PatchDerivatives(k=mesh.k, pool=pool), pool=pool,
+            )
+        with prof.phase("zip"):
+            values = _interior_values(patches, lo, hi, mesh, pool)
+        with prof.phase("algebra"):
+            if self.algebra is not None:
+                chunk_rhs = self.algebra(values, derivs, params)
+            else:
+                chunk_rhs = evaluate_algebraic(
+                    values, derivs, params,
+                    out=pool.get("solver.chunk_rhs", values.shape),
+                )
+            ko = pool.get("solver.ko_scaled", values.shape)
+            np.multiply(derivs.ko, params.ko_sigma, out=ko)
+            chunk_rhs += ko
+        return chunk_rhs, values, derivs
+
+
+class NumpyWaveRHS:
+    """Laplacian + KO of one octant chunk of the (φ, π) system."""
+
+    backend = "numpy"
+
+    @hot_path
+    def __call__(self, patches, lo, hi, mesh, c2, sigma, src, rhs, pool,
+                 prof=NO_PROFILER):
+        """Write φ̇ = π + σ·KO(φ) and π̇ = c²∇²φ + ``src`` + σ·KO(π) of
+        octants ``lo:hi`` into ``rhs`` (``src`` may be None)."""
+        k, r = mesh.k, mesh.r
+        pd = PatchDerivatives(k=k, pool=pool)
+        h = mesh.dx[lo:hi]
+        phi_p, pi_p = patches[0, lo:hi], patches[1, lo:hi]
+        rhs_phi, rhs_pi = rhs[0, lo:hi], rhs[1, lo:hi]
+        shape = (hi - lo, r, r, r)
+        with prof.phase("deriv"):
+            lap = pd.d2(phi_p, h, 0, out=pool.get("wave.lap", shape))
+            tmp = pool.get("wave.d2_dir", shape)
+            lap += pd.d2(phi_p, h, 1, out=tmp)
+            lap += pd.d2(phi_p, h, 2, out=tmp)
+            ko_phi = pd.ko_all(phi_p, h, out=pool.get("wave.ko_phi", shape))
+            ko_pi = pd.ko_all(pi_p, h, out=pool.get("wave.ko_pi", shape))
+        with prof.phase("zip"):
+            rhs_phi[...] = pi_p[:, k : k + r, k : k + r, k : k + r]
+        with prof.phase("algebra"):
+            np.multiply(lap, c2, out=rhs_pi)
+            ko_phi *= sigma
+            ko_pi *= sigma
+            if src is not None:
+                rhs_pi += src
+            rhs_phi += ko_phi
+            rhs_pi += ko_pi
+
+
 class _NativeRHSBase:
     """Shared machinery: implementation binding + telemetry."""
+
+    backend = "compiled"
 
     def __init__(self, impl: str | None = None):
         impl = impl if impl is not None else native_impl()
@@ -242,8 +343,9 @@ class _NativeRHSBase:
         self._empty = np.empty(0)
         self._compile_published = False
 
-    def _publish(self, metrics, name: str, flops: float, bytes_moved: float,
+    def _publish(self, prof, name: str, flops: float, bytes_moved: float,
                  seconds: float) -> None:
+        metrics = prof.metrics
         if metrics is None:
             return
         label = f"{name}[{self.impl}]"
@@ -258,118 +360,114 @@ class _NativeRHSBase:
 
 
 class NativeBSSNRHS(_NativeRHSBase):
-    """Fused D+A+KO evaluation of one octant chunk.
+    """Single-pass native D+A+KO evaluation of one octant chunk.
 
-    Writes the 24 RHS blocks into the pooled ``solver.chunk_rhs`` buffer
-    and, for boundary-flagged octants, exports the 72 first-derivative
-    blocks into the pooled ``rhs.d1`` layout so the NumPy Sommerfeld
-    path runs unchanged on bitwise-identical inputs.
+    Same call signature, return value and arena buffer names as
+    :class:`NumpyBSSNRHS`; for boundary-flagged octants the kernel
+    exports the 72 first-derivative blocks in the ``rhs.d1`` layout, so
+    the NumPy Sommerfeld pass runs unchanged on bitwise-identical inputs.
+    The one native call is timed under ``deriv`` — the deriv and algebra
+    phases it subsumes are not separable.
     """
-
-    #: pooled-buffer names (shared with the NumPy path where the layout
-    #: is identical, so switching backends never grows the arena)
-    POOL_RHS = "solver.chunk_rhs"
-    POOL_D1 = "rhs.d1"
 
     @hot_path
     def __call__(self, patches, lo, hi, mesh, params, faces, pool,
-                 metrics=None):
-        """Evaluate the RHS of octants ``lo:hi`` of ``patches``.
-
-        Returns ``(chunk_rhs, d1_view)`` where ``d1_view`` is a
-        variable-major view of the exported first derivatives (only
-        valid for boundary-flagged octants) or ``None`` when the chunk
-        has no physical-boundary faces.
-        """
+                 prof=NO_PROFILER):
         ntot, P = patches.shape[1], patches.shape[-1]
         r, k = mesh.r, mesh.k
         nc = hi - lo
         NP = r * r * r
-        h_arr = np.asarray(mesh.dx[lo:hi], dtype=np.float64)
-        # identical values to the per-sweep factors of the NumPy path
-        # (same _h_factor expression => same SIMD path => same bits)
-        hf1 = _h_factor(h_arr, 1).ravel()
-        hf2 = _h_factor(h_arr, 2).ravel()
-        chunk_rhs = pool.get(self.POOL_RHS, (S.NUM_VARS, nc, r, r, r))
-        pbuf = pack_params(params, pool.get("native.params", (NUM_PARAMS,)))
-        bdry = pool.get("native.bdry", (nc,), np.int64)
-        bdry[:] = 0
-        d1_buf = None
-        if faces:
-            for _ax, _side, octs in faces:
-                bdry[octs] = 1
-            d1_buf = pool.get(self.POOL_D1, (3, S.NUM_VARS, nc, r, r, r))
-        scratch = pool.get("native.scratch", (scratch_doubles(P, r),))
-        t0 = time.perf_counter()
-        if self._lib is not None:
-            lib, ptr = self._lib.lib, self._lib.ptr
-            d1_arg = ptr(d1_buf) if d1_buf is not None else self._lib.ffi.NULL
-            # alloc-ok: the native call writes only into the pooled
-            # buffers above; the ffi casts allocate no array memory
-            lib.bssn_rhs_chunk(
-                ptr(patches), ntot, lo, nc, P, r, k,
-                ptr(hf1), ptr(hf2), ptr(hf1),
-                ptr(self.w1), ptr(self.w2), ptr(self.wko),
-                ptr(self.wup), ptr(self.wun),
-                ptr(pbuf), ptr(bdry), ptr(chunk_rhs), d1_arg, ptr(scratch),
+        with prof.phase("deriv"):
+            h_arr = np.asarray(mesh.dx[lo:hi], dtype=np.float64)
+            # identical values to the per-sweep factors of the NumPy
+            # kernel (same _h_factor expression => same SIMD path =>
+            # same bits)
+            hf1 = _h_factor(h_arr, 1).ravel()
+            hf2 = _h_factor(h_arr, 2).ravel()
+            chunk_rhs = pool.get("solver.chunk_rhs", (S.NUM_VARS, nc, r, r, r))
+            pbuf = pack_params(params, pool.get("native.params", (NUM_PARAMS,)))
+            bdry = pool.get("native.bdry", (nc,), np.int64)
+            bdry[:] = 0
+            d1_buf = None
+            if faces:
+                for _ax, _side, octs in faces:
+                    bdry[octs] = 1
+                d1_buf = pool.get("rhs.d1", (3, S.NUM_VARS, nc, r, r, r))
+            scratch = pool.get("native.scratch", (scratch_doubles(P, r),))
+            t0 = time.perf_counter()
+            if self._lib is not None:
+                lib, ptr = self._lib.lib, self._lib.ptr
+                d1_arg = ptr(d1_buf) if d1_buf is not None else self._lib.ffi.NULL
+                # alloc-ok: the native call writes only into the arena
+                # buffers above; the ffi casts allocate no array memory
+                lib.bssn_rhs_chunk(
+                    ptr(patches), ntot, lo, nc, P, r, k,
+                    ptr(hf1), ptr(hf2), ptr(hf1),
+                    ptr(self.w1), ptr(self.w2), ptr(self.wko),
+                    ptr(self.wup), ptr(self.wun),
+                    ptr(pbuf), ptr(bdry), ptr(chunk_rhs), d1_arg, ptr(scratch),
+                )
+            else:
+                d1_arg = d1_buf.reshape(-1) if d1_buf is not None else self._empty
+                # alloc-ok: reshape(-1) of contiguous arena buffers is a view
+                self._kernels["bssn_rhs_chunk"](
+                    patches.reshape(-1), ntot, lo, nc, P, r, k,
+                    hf1, hf2, hf1, self.w1, self.w2, self.wko, self.wup,
+                    self.wun, pbuf, bdry, chunk_rhs.reshape(-1), d1_arg,
+                    scratch,
+                )
+            self._publish(
+                prof, "bssn_rhs_chunk",
+                (self.spec.total_flops + DERIV_FLOPS_PER_POINT) * nc * NP,
+                (S.NUM_VARS * P**3 + S.NUM_VARS * NP) * nc * 8.0,
+                time.perf_counter() - t0,
             )
-        else:
-            d1_arg = d1_buf.reshape(-1) if d1_buf is not None else self._empty
-            # alloc-ok: reshape(-1) of contiguous pool buffers is a view
-            self._kernels["bssn_rhs_chunk"](
-                patches.reshape(-1), ntot, lo, nc, P, r, k,
-                hf1, hf2, hf1, self.w1, self.w2, self.wko, self.wup,
-                self.wun, pbuf, bdry, chunk_rhs.reshape(-1), d1_arg,
-                scratch,
-            )
-        dt = time.perf_counter() - t0
-        pts = nc * NP
-        self._publish(
-            metrics, "bssn_rhs_chunk",
-            (self.spec.total_flops + DERIV_FLOPS_PER_POINT) * pts,
-            (S.NUM_VARS * P**3 + S.NUM_VARS * NP) * nc * 8.0, dt,
-        )
-        d1_view = np.swapaxes(d1_buf, 0, 1) if d1_buf is not None else None
-        return chunk_rhs, d1_view
+        if d1_buf is None:
+            return chunk_rhs, None, None
+        with prof.phase("zip"):
+            values = _interior_values(patches, lo, hi, mesh, pool)
+        return chunk_rhs, values, SimpleNamespace(d1=np.swapaxes(d1_buf, 0, 1))
 
 
 class NativeWaveRHS(_NativeRHSBase):
-    """Fused wave-equation chunk kernel (Laplacian + KO)."""
+    """Single-pass native wave-equation chunk kernel (Laplacian + KO);
+    same call signature as :class:`NumpyWaveRHS`."""
 
     @hot_path
-    def __call__(self, patches, lo, hi, mesh, c2, sigma, finalize_pi, rhs,
-                 pool, metrics=None):
-        """Write φ̇/π̇ of octants ``lo:hi`` directly into ``rhs``; returns
-        the σ-scaled KO(π) buffer (to be added after the source term
-        when ``finalize_pi`` is false)."""
+    def __call__(self, patches, lo, hi, mesh, c2, sigma, src, rhs, pool,
+                 prof=NO_PROFILER):
         ntot, P = patches.shape[1], patches.shape[-1]
         r, k = mesh.r, mesh.k
         nc = hi - lo
-        h_arr = np.asarray(mesh.dx[lo:hi], dtype=np.float64)
-        hf1 = _h_factor(h_arr, 1).ravel()
-        hf2 = _h_factor(h_arr, 2).ravel()
-        ko_pi = pool.get("wave.ko_pi", (nc, r, r, r))
-        rhs_phi = rhs[0, lo:hi]
-        rhs_pi = rhs[1, lo:hi]
-        t0 = time.perf_counter()
-        if self._lib is not None:
-            lib, ptr = self._lib.lib, self._lib.ptr
-            # alloc-ok: native call; writes only into rhs slices + pool
-            lib.wave_rhs_chunk(
-                ptr(patches), ntot, lo, nc, P, r, k, ptr(hf1), ptr(hf2),
-                ptr(self.w2), ptr(self.wko), c2, sigma,
-                1 if finalize_pi else 0,
-                ptr(rhs_phi), ptr(rhs_pi), ptr(ko_pi),
-            )
-        else:
-            # alloc-ok: reshape(-1) of contiguous buffers is a view
-            self._kernels["wave_rhs_chunk"](
-                patches.reshape(-1), ntot, lo, nc, P, r, k, hf1, hf2,
-                self.w2, self.wko, c2, sigma, 1 if finalize_pi else 0,
-                rhs_phi.reshape(-1), rhs_pi.reshape(-1), ko_pi.reshape(-1),
-            )
-        dt = time.perf_counter() - t0
-        pts = nc * r * r * r
-        self._publish(metrics, "wave_rhs_chunk", 9 * 15.0 * pts,
-                      (2 * P**3 + 3 * r**3) * nc * 8.0, dt)
-        return ko_pi
+        rhs_phi, rhs_pi = rhs[0, lo:hi], rhs[1, lo:hi]
+        # without a source the kernel adds σ·KO(π) itself; with one it
+        # must follow the source term to keep the NumPy operation order
+        finalize_pi = 1 if src is None else 0
+        with prof.phase("deriv"):
+            h_arr = np.asarray(mesh.dx[lo:hi], dtype=np.float64)
+            hf1 = _h_factor(h_arr, 1).ravel()
+            hf2 = _h_factor(h_arr, 2).ravel()
+            ko_pi = pool.get("wave.ko_pi", (nc, r, r, r))
+            t0 = time.perf_counter()
+            if self._lib is not None:
+                lib, ptr = self._lib.lib, self._lib.ptr
+                # alloc-ok: native call; writes only into rhs slices + arena
+                lib.wave_rhs_chunk(
+                    ptr(patches), ntot, lo, nc, P, r, k, ptr(hf1), ptr(hf2),
+                    ptr(self.w2), ptr(self.wko), c2, sigma, finalize_pi,
+                    ptr(rhs_phi), ptr(rhs_pi), ptr(ko_pi),
+                )
+            else:
+                # alloc-ok: reshape(-1) of contiguous buffers is a view
+                self._kernels["wave_rhs_chunk"](
+                    patches.reshape(-1), ntot, lo, nc, P, r, k, hf1, hf2,
+                    self.w2, self.wko, c2, sigma, finalize_pi,
+                    rhs_phi.reshape(-1), rhs_pi.reshape(-1), ko_pi.reshape(-1),
+                )
+            self._publish(prof, "wave_rhs_chunk", 9 * 15.0 * nc * r**3,
+                          (2 * P**3 + 3 * r**3) * nc * 8.0,
+                          time.perf_counter() - t0)
+        if src is not None:
+            with prof.phase("algebra"):
+                rhs_pi += src
+                rhs_pi += ko_pi

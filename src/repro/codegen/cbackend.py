@@ -12,7 +12,7 @@ Both kernels perform the whole D + A + KO pipeline per octant — all 72
 first derivatives, 72 upwind advective derivatives, 66 second
 derivatives, 24 summed Kreiss–Oliger terms, then the scheduled A
 component and the dissipation add — writing the 24 RHS blocks in one
-pass.  Against the pooled NumPy path this removes ~300 full-array
+pass.  Against the NumPy kernel this removes ~300 full-array
 traversals per chunk, which is where the speedup comes from on a single
 core.
 
@@ -36,7 +36,7 @@ Every operation mirrors the NumPy execution order exactly:
 * compilation disables FP contraction (``-ffp-contract=off``) so no FMA
   changes the rounding.
 
-The resulting chunk RHS is bitwise-identical to the pooled NumPy
+The resulting chunk RHS is bitwise-identical to the NumPy kernel's
 execution of the same schedule (asserted in tests/test_backends.py).
 """
 

@@ -6,17 +6,13 @@ consumes the padding on that axis; the helpers below return derivatives on
 the ``r^3`` interior, matching what the GPU RHS kernel computes into
 thread-local storage (Fig. 9).
 
-Two execution strategies:
-
-* **fused** (default) — the stencil is one contraction over a
-  sliding-window view (``np.einsum`` over the tap axis): the input is
-  read once per tap but the output is written exactly once and *no*
-  per-tap temporary is materialised.  This is the Python analogue of the
-  paper's fused GPU derivative kernels and is ~2x faster than the tap
-  loop at BSSN batch sizes.
-* **taps** (``fused=False``) — the legacy accumulation loop
-  ``out += w_j * u[view]``, kept as the pre-workspace baseline for the
-  hot-path benchmark.
+A stencil is one contraction over a sliding-window view (``np.einsum``
+over the tap axis): the input is read once per tap but the output is
+written exactly once and *no* per-tap temporary is materialised — the
+Python analogue of the paper's single-pass GPU derivative kernels.  A
+stencil whose offsets are not contiguous has no dense tap vector and
+falls back to the accumulation loop :func:`_apply_taps`, which doubles
+as the independent oracle for the einsum kernel in the tests.
 
 All entry points accept ``out=`` so a solver workspace can route every
 derivative into a preallocated buffer; a duck-typed buffer ``pool``
@@ -53,13 +49,26 @@ def _h_factor(h, h_power: int):
     return h.reshape((-1,) + (1,) * 3) ** (-h_power)
 
 
-def _dense_kernel(stencil: Stencil) -> np.ndarray | None:
-    """Stencil weights as a dense tap vector (offset-ordered), or None
-    if the offsets are not contiguous."""
+def _is_dense(stencil: Stencil) -> bool:
+    """True when the offsets are contiguous and ascending, i.e. the
+    weights already are the dense tap vector of a sliding window."""
     off = stencil.offsets
-    if not np.array_equal(off, np.arange(off.min(), off.max() + 1)):
-        return None
-    return stencil.weights
+    return np.array_equal(off, np.arange(off.min(), off.max() + 1))
+
+
+def _apply_taps(u: np.ndarray, stencil: Stencil, w: np.ndarray, axis: int,
+                out: np.ndarray) -> None:
+    """``out = Σ_j w_j · u[shifted by offset_j]`` — one shifted view and
+    one temporary per tap (the fallback for non-contiguous stencils)."""
+    m = out.shape[axis]
+    out[...] = 0.0
+    src = [slice(None)] * u.ndim
+    for off, wj in zip(stencil.offsets, w):
+        if wj == 0.0:
+            continue
+        s = int(off) + stencil.left
+        src[axis] = slice(s, s + m)
+        out += wj * u[tuple(src)]
 
 
 @hot_path
@@ -69,8 +78,6 @@ def apply_stencil(
     h,
     axis: int,
     out: np.ndarray | None = None,
-    *,
-    fused: bool = True,
 ) -> np.ndarray:
     """Apply a 1-D stencil along ``axis``; the output is shorter by the
     stencil width along that axis (other axes unchanged).
@@ -95,14 +102,11 @@ def apply_stencil(
     if out is not None and list(out.shape) != out_shape:
         raise ValueError("out has wrong shape")
 
-    kernel = _dense_kernel(stencil) if fused else None
-    if kernel is not None:
-        # fused: one contraction over the tap axis of a sliding window —
-        # output written once, no per-tap temporaries
-        if h_arr.ndim == 0:
-            kernel = stencil.scale(float(h_arr))
-        if out is None:
-            out = np.empty(out_shape, dtype=u.dtype)  # alloc-ok: out=None fallback
+    if out is None:
+        out = np.empty(out_shape, dtype=u.dtype)  # alloc-ok: out=None fallback
+    if _is_dense(stencil):
+        # one contraction over the tap axis of a sliding window — output
+        # written once, no per-tap temporaries
         win = sliding_window_view(u, left + right + 1, axis=axis)
         # Deterministic accumulation orders, mirrored exactly by the
         # compiled backend (repro.codegen.cbackend) and pinned by its
@@ -111,20 +115,9 @@ def apply_stencil(
         # taps, odd taps) and adds them once at the end; a strided tap
         # axis reduces across outer iterations, i.e. sequentially in
         # forward offset order.
-        np.einsum("...w,w->...", win, kernel, out=out)
+        np.einsum("...w,w->...", win, w, out=out)
     else:
-        # legacy tap loop: accumulate shifted views
-        if out is None:
-            out = np.zeros(out_shape, dtype=u.dtype)  # alloc-ok: out=None fallback
-        else:
-            out[...] = 0.0
-        src = [slice(None)] * u.ndim
-        for off, wj in zip(stencil.offsets, w):
-            if wj == 0.0:
-                continue
-            s = int(off) + left
-            src[axis] = slice(s, s + m)
-            out += wj * u[tuple(src)]  # alloc-ok: legacy tap-loop baseline
+        _apply_taps(u, stencil, w, axis, out)
     if hf is not None:
         out *= hf
     return out
@@ -147,14 +140,12 @@ class PatchDerivatives:
     (e.g. the 24 BSSN variables), so a whole chunk's derivatives run as
     one stencil sweep without flattening copies.
 
-    ``fused`` selects the einsum sliding-window kernels (default) vs the
-    legacy tap loop; ``pool`` (duck-typed, ``get(name, shape, dtype)``)
-    supplies reusable scratch for composed/upwind stencils, and every
-    public method takes ``out=``.
+    ``pool`` (duck-typed, ``get(name, shape, dtype)``) supplies reusable
+    scratch for composed/upwind stencils, and every public method takes
+    ``out=``.
     """
 
-    def __init__(self, k: int = 3, order: int = 6, *, fused: bool = True,
-                 pool=None):
+    def __init__(self, k: int = 3, order: int = 6, *, pool=None):
         if order == 6:
             self._d1s, self._d2s, self._kos = (
                 D1_CENTERED_6, D2_CENTERED_6, KO_DISS_6,
@@ -167,7 +158,6 @@ class PatchDerivatives:
             raise ValueError("order must be 4 or 6")
         self.order = order
         self.k = k
-        self.fused = fused
         self.pool = pool
 
     # -- helpers ---------------------------------------------------------
@@ -210,13 +200,13 @@ class PatchDerivatives:
         m_sten = v.shape[ax] - stencil.left - stencil.right
         m_int = u.shape[ax] - 2 * self.k
         if m_sten == m_int:
-            return apply_stencil(v, stencil, h, ax, out=out, fused=self.fused)
+            return apply_stencil(v, stencil, h, ax, out=out)
         shape = list(v.shape)
         shape[ax] = m_sten
         # when the caller keeps the (cropped) result, it must not alias a
         # pooled scratch buffer that the next sweep would clobber
         buf = np.empty(shape) if out is None else self._tmp(name, shape)  # alloc-ok
-        d = apply_stencil(v, stencil, h, ax, out=buf, fused=self.fused)
+        d = apply_stencil(v, stencil, h, ax, out=buf)
         c = self._crop(d, stencil.left, u.shape[ax], ax)
         if out is None:
             return c
@@ -251,20 +241,16 @@ class PatchDerivatives:
         v = _interior(u, self.k, other)
         shape = list(v.shape)
         shape[ax_a] = v.shape[ax_a] - self._d1s.left - self._d1s.right
-        d = apply_stencil(
-            v, self._d1s, h, ax_a, out=self._tmp("mix1", shape),
-            fused=self.fused,
-        )
+        d = apply_stencil(v, self._d1s, h, ax_a, out=self._tmp("mix1", shape))
         d = self._crop(d, self._d1s.left, u.shape[ax_a], ax_a)
         m_sten = d.shape[ax_b] - self._d1s.left - self._d1s.right
         m_int = u.shape[ax_b] - 2 * self.k
         if m_sten == m_int:
-            return apply_stencil(d, self._d1s, h, ax_b, out=out,
-                                 fused=self.fused)
+            return apply_stencil(d, self._d1s, h, ax_b, out=out)
         shape2 = list(d.shape)
         shape2[ax_b] = m_sten
         buf = np.empty(shape2) if out is None else self._tmp("mix2", shape2)  # alloc-ok
-        d2 = apply_stencil(d, self._d1s, h, ax_b, out=buf, fused=self.fused)
+        d2 = apply_stencil(d, self._d1s, h, ax_b, out=buf)
         c = self._crop(d2, self._d1s.left, u.shape[ax_b], ax_b)
         if out is None:
             return c
@@ -308,10 +294,7 @@ class PatchDerivatives:
         def biased(stencil, name):
             shape = list(v.shape)
             shape[ax] = v.shape[ax] - stencil.left - stencil.right
-            d = apply_stencil(
-                v, stencil, h, ax, out=self._tmp(name, shape),
-                fused=self.fused,
-            )
+            d = apply_stencil(v, stencil, h, ax, out=self._tmp(name, shape))
             # valid output index j corresponds to input index j + left;
             # the interior starts at input index k
             start = self.k - stencil.left

@@ -268,13 +268,15 @@ def find_latest_valid(directory, pattern: str = "*.npz"):
     return None
 
 
-def restore_solver(path, params=None):
+def restore_solver(path, params=None, **solver_kwargs):
     """Build a ready-to-run solver from a checkpoint.
 
     Solver configuration is restored from the file's meta (v2) unless
     ``params`` overrides it; v1 files restore with default params and a
     warning.  A persisted puncture tracker is re-attached as
-    ``solver.tracker``.
+    ``solver.tracker``.  How the solver *executes* (``backend=``,
+    ``profiler=``) is not persisted — callers re-supply it through
+    ``solver_kwargs`` from the original run configuration.
     """
     from repro.bssn import BSSNParams
     from repro.solver import BSSNSolver, PunctureTracker
@@ -294,7 +296,7 @@ def restore_solver(path, params=None):
                 f"checkpoint {path} is format v1 (no solver params); "
                 "restoring with default BSSNParams"
             )
-    solver = BSSNSolver(mesh, params, courant=meta["courant"])
+    solver = BSSNSolver(mesh, params, courant=meta["courant"], **solver_kwargs)
     solver.set_state(state)
     solver.t = meta["t"]
     solver.step_count = meta["step_count"]

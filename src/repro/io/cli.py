@@ -60,15 +60,17 @@ def bssn_main(argv=None) -> int:
     cfg = preset(args.config) if args.config in ("q1", "q2", "q4") else RunConfig.load(args.config)
     cfg.validate()
     if args.restart:
-        solver = restore_solver(args.restart, cfg.bssn_params())
+        solver = restore_solver(args.restart, cfg.bssn_params(),
+                                backend=cfg.backend)
         print(f"restarted from {args.restart} at t = {solver.t:.3f}")
     else:
         solver = cfg.build_solver()
     if args.gpu:
         from repro.codegen import get_algebra_kernel
+        from repro.codegen.backends import NumpyBSSNRHS
 
         print("generating staged+CSE kernel (GPU execution path)...")
-        solver.algebra = get_algebra_kernel("staged-cse")
+        solver.kernel = NumpyBSSNRHS(get_algebra_kernel("staged-cse"))
 
     print(f"[{cfg.name}] {solver.mesh.num_octants} octants, dt = {solver.dt:.4g}")
     n_steps = args.steps if args.steps is not None else int(

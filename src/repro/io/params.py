@@ -53,7 +53,7 @@ class RunConfig:
     chi_floor: float = 1e-4
     use_upwind: bool = True
     # execution
-    #: RHS execution backend: "numpy" (pooled NumPy), "compiled" (fused
+    #: RHS execution backend: "numpy" (NumPy kernels), "compiled" (fused
     #: native kernels; errors if unsupported), or "auto" (compiled when
     #: available).  Part of the cache key: compiled and numpy runs are
     #: bitwise-identical by construction, but keying them separately

@@ -64,10 +64,12 @@ def _build_or_resume(config: RunConfig, checkpoint_dir: pathlib.Path):
         return config.build_solver(), None
     if config.solver == "wave":
         return restore_wave_solver(path, ko_sigma=config.ko_sigma,
-                                   source=config.wave_source_fn()), path
+                                   source=config.wave_source_fn(),
+                                   backend=config.backend), path
     from repro.io import restore_solver
 
-    return restore_solver(path, config.bssn_params()), path
+    return restore_solver(path, config.bssn_params(),
+                          backend=config.backend), path
 
 
 def _make_extractor(config: RunConfig, solver, resumed_from):

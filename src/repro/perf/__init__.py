@@ -3,11 +3,12 @@ workspaces, and the per-phase step profiler (paper Alg. 1 / Fig. 20)."""
 
 from .hotpath import HOT_REGISTRY, hot_path, registered_hot_paths
 from .pool import BufferPool
-from .profiler import PHASES, StepProfiler
+from .profiler import NO_PROFILER, PHASES, StepProfiler
 from .workspace import RK4Workspace, SolverWorkspace
 
 __all__ = [
     "HOT_REGISTRY",
+    "NO_PROFILER",
     "PHASES",
     "BufferPool",
     "RK4Workspace",

@@ -9,7 +9,7 @@ materialise array temporaries.
 
 The :func:`hot_path` decorator is free at runtime — it records the
 function in :data:`HOT_REGISTRY` and returns it unchanged.  Intentional
-allocations (the pre-workspace baseline branches, ``out=None``
+allocations (poolless reference branches, ``out=None``
 fallbacks) carry an ``# alloc-ok`` comment on the offending line, which
 the lint treats as an explicit, reviewed exemption.
 """

@@ -220,3 +220,9 @@ class StepProfiler:
                 f"{ph['fraction'] * 100:>6.1f}%"
             )
         return "\n".join(lines)
+
+
+#: the shared disabled profiler: code on the step path always goes
+#: through ``prof.phase(...)`` / ``prof.region(...)``, which here return
+#: one cached no-op context manager
+NO_PROFILER = StepProfiler(enabled=False)

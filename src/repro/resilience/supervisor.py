@@ -349,12 +349,15 @@ class SupervisedRun:
         return str(path)
 
     @classmethod
-    def resume(cls, checkpoint_dir, *, params=None, **kwargs) -> "SupervisedRun":
+    def resume(cls, checkpoint_dir, *, params=None, backend: str = "numpy",
+               **kwargs) -> "SupervisedRun":
         """Auto-resume from the newest *valid* checkpoint in a directory.
 
         Corrupt or truncated files are skipped (with warnings) by
         :func:`repro.io.checkpoint.find_latest_valid`; raises
-        ``FileNotFoundError`` when nothing valid remains.
+        ``FileNotFoundError`` when nothing valid remains.  ``backend``
+        is the original run's (checkpoints persist state, not how it is
+        executed).
         """
         from repro.io.checkpoint import find_latest_valid, restore_solver
 
@@ -363,7 +366,7 @@ class SupervisedRun:
             raise FileNotFoundError(
                 f"no valid checkpoint found in {checkpoint_dir}"
             )
-        solver = restore_solver(path, params)
+        solver = restore_solver(path, params, backend=backend)
         run = cls(solver, checkpoint_dir=checkpoint_dir, **kwargs)
         run.journal.event("resume", path=path, step=solver.step_count,
                           t=solver.t)

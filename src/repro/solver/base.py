@@ -1,0 +1,133 @@
+"""What the BSSN and wave drivers share of Algorithm 1: the per-mesh
+workspace arena, global timestep, rollback snapshots, the RK4 step
+bookkeeping and the evolve loop.  A subclass supplies ``full_rhs`` (its
+loop over a chunk kernel from :mod:`repro.codegen.backends`) and
+``regrid``."""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from repro.fd import PatchDerivatives
+from repro.mesh import Mesh
+from repro.perf import NO_PROFILER, SolverWorkspace, StepProfiler
+from .rk4 import courant_dt, rk4_step
+
+
+class Solver:
+    """RK4 time stepping of ``full_rhs`` on an adaptive octree mesh.
+
+    Every buffer of a step — unzip patches, kernel scratch, RK4 stages —
+    lives in the per-mesh :class:`repro.perf.SolverWorkspace`, rebuilt
+    only after a regrid.
+    """
+
+    #: wavelet tolerance :meth:`evolve` regrids with unless told otherwise
+    default_regrid_eps: float
+    #: applied to every RK4 stage state (None: nothing to enforce)
+    _post_stage: Callable[[np.ndarray], None] | None = None
+
+    def __init__(self, mesh: Mesh, kernel, *, courant: float,
+                 chunk_octants: int, profiler: StepProfiler | None):
+        self.mesh = mesh
+        #: the chunk kernel ``full_rhs`` loops over
+        self.kernel = kernel
+        self.courant = courant
+        self.chunk = int(chunk_octants)
+        self.profiler = profiler
+        #: arena-less operators for diagnostics and boundary sweeps
+        self.pd = PatchDerivatives(k=mesh.k)
+        self.state: np.ndarray | None = None
+        self.t = 0.0
+        self.step_count = 0
+        self._coords = None
+        self._workspace: SolverWorkspace | None = None
+
+    @property
+    def backend(self) -> str:
+        """``"numpy"`` or ``"compiled"`` — what the chunk kernel runs on;
+        results are bitwise-identical either way."""
+        return self.kernel.backend
+
+    @property
+    def _prof(self) -> StepProfiler:
+        return self.profiler if self.profiler is not None else NO_PROFILER
+
+    def workspace(self) -> SolverWorkspace:
+        """The per-mesh workspace arena (rebuilt only after regrid)."""
+        ws = self._workspace
+        if ws is None or not ws.matches(self.mesh):
+            ws = self._workspace = SolverWorkspace(self.mesh, self.chunk)
+        return ws
+
+    @property
+    def dt(self) -> float:
+        """Global timestep (Courant-limited by the finest level)."""
+        return courant_dt(self.mesh.min_dx, self.courant)
+
+    def coords(self) -> np.ndarray:
+        """Cached grid-point coordinates of the current mesh."""
+        if self._coords is None:
+            self._coords = self.mesh.coordinates()
+        return self._coords
+
+    # -- resilience hooks (used by repro.resilience.SupervisedRun) -------
+    def snapshot_state(self) -> np.ndarray:
+        """Value copy of the current state into one reused arena buffer.
+
+        The supervisor calls this every step; the returned array is
+        overwritten by the next snapshot.
+        """
+        if self.state is None:
+            raise RuntimeError("no state to snapshot")
+        snap = self.workspace().pool.get("supervisor.snapshot", self.state.shape)
+        np.copyto(snap, self.state)
+        return snap
+
+    def restore_state(self, snapshot) -> None:
+        """Copy a snapshot's values back into the live state (rollback)."""
+        snap = snapshot[0] if isinstance(snapshot, list) else snapshot
+        np.copyto(self.state, snap)
+
+    # -- stepping --------------------------------------------------------
+    def step(self) -> None:
+        """Advance one RK4 step, in place in the workspace's stage and
+        ping-pong buffers."""
+        if self.state is None:
+            raise RuntimeError("no initial data set")
+        prof = self._prof
+        prof.begin_step()
+        self.state = rk4_step(
+            self.full_rhs,
+            self.state,
+            self.t,
+            self.dt,
+            post_stage=self._post_stage,
+            work=self.workspace().rk4(self.state.shape, self.state.dtype),
+            profiler=prof,
+        )
+        prof.end_step()
+        self.t += self.dt
+        self.step_count += 1
+
+    def evolve(
+        self,
+        t_end: float,
+        *,
+        on_step: Callable[["Solver"], None] | None = None,
+        regrid_every: int = 0,
+        regrid_eps: float | None = None,
+        max_level: int | None = None,
+    ) -> None:
+        """Algorithm 1: march to ``t_end``, re-gridding every
+        ``regrid_every`` steps and calling ``on_step(self)`` after each."""
+        if regrid_eps is None:
+            regrid_eps = self.default_regrid_eps
+        while self.t < t_end - 1e-12:
+            if regrid_every and self.step_count and self.step_count % regrid_every == 0:
+                self.regrid(regrid_eps, max_level=max_level)
+            self.step()
+            if on_step is not None:
+                on_step(self)

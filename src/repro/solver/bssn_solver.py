@@ -9,9 +9,8 @@ extraction runs every ``extract_every`` steps.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -22,19 +21,12 @@ from repro.bssn import (
     compute_constraints,
     compute_derivatives,
     compute_psi4,
-    evaluate_algebraic,
     mesh_puncture_state,
 )
 from repro.bssn import state as S
-from repro.fd import PatchDerivatives
 from repro.mesh import Mesh, regrid_flags, remesh, transfer_fields
-from repro.perf import SolverWorkspace, StepProfiler, hot_path
-from .rk4 import courant_dt, rk4_step
-
-#: shared disabled profiler: the hot path always goes through
-#: ``prof.phase(...)``, which returns one cached no-op context manager
-_NO_PROF = StepProfiler(enabled=False)
-_NULL = nullcontext()
+from repro.perf import StepProfiler, hot_path
+from .base import Solver
 
 
 @hot_path
@@ -145,13 +137,20 @@ class EvolutionRecord:
     num_octants: list[int] = field(default_factory=list)
 
 
-class BSSNSolver:
+class BSSNSolver(Solver):
     """Evolve the BSSN system on an adaptive octree mesh.
 
     Parameters mirror the paper's setup: RK4 with Courant factor
     λ = 0.25, 6th-order stencils, KO dissipation, 1+log / Γ-driver gauge,
     Sommerfeld boundaries, wavelet-driven re-gridding every ``f_r`` steps.
+
+    ``backend`` (``"numpy"`` | ``"compiled"`` | ``"auto"``) picks the
+    chunk kernel, see :mod:`repro.codegen.backends`; ``algebra`` swaps
+    the NumPy kernel's A component for a generated one
+    (:func:`repro.codegen.get_algebra_kernel`).
     """
+
+    default_regrid_eps = 1e-3
 
     def __init__(
         self,
@@ -160,66 +159,30 @@ class BSSNSolver:
         *,
         courant: float = 0.25,
         chunk_octants: int = 256,
-        unzip_method: str = "scatter",
         algebra=None,
-        pooled: bool = True,
         profiler: StepProfiler | None = None,
         backend: str = "numpy",
     ):
-        self.mesh = mesh
-        self.params = params if params is not None else BSSNParams()
-        self.courant = courant
-        self.chunk = int(chunk_octants)
-        self.unzip_method = unzip_method
-        #: optional generated A-component kernel (repro.codegen); None
-        #: uses the hand-vectorised reference
-        self.algebra = algebra
-        #: "numpy" | "compiled" | "auto" — "compiled" runs the fused
-        #: native chunk kernel (repro.codegen.backends); results are
-        #: bitwise-identical to the numpy execution of the same
-        #: generated schedule
-        from repro.codegen.backends import resolve_backend
+        # imported here: repro.codegen pulls in sympy
+        from repro.codegen.backends import (
+            NativeBSSNRHS,
+            NumpyBSSNRHS,
+            resolve_backend,
+        )
 
-        self.backend = resolve_backend(backend)
-        self._native = None
-        if self.backend == "compiled":
-            if not pooled:
-                raise ValueError(
-                    "backend='compiled' requires pooled=True (the native "
-                    "kernels write into the workspace arena)"
-                )
-            if algebra is not None:
-                raise ValueError(
-                    "backend='compiled' fuses its own A kernel; drop the "
-                    "algebra= override or use backend='numpy'"
-                )
-            from repro.codegen.backends import NativeBSSNRHS
-
-            self._native = NativeBSSNRHS()
-        #: pooled=True runs the zero-allocation hot path (workspace arena,
-        #: coalesced scatter, in-place RK4); False is the allocating
-        #: pre-workspace driver, kept as the benchmark baseline.  Both
-        #: produce bitwise-identical states.
-        self.pooled = bool(pooled)
-        self.profiler = profiler
-        self.pd = PatchDerivatives(k=mesh.k)
-        self.state: np.ndarray | None = None
-        self.t = 0.0
-        self.step_count = 0
-        self.record = EvolutionRecord()
-        self._coords = None
-        self._workspace: SolverWorkspace | None = None
-
-    def workspace(self) -> SolverWorkspace:
-        """The per-mesh workspace arena (rebuilt only after regrid)."""
-        ws = self._workspace
-        if ws is None or not ws.matches(self.mesh):
-            ws = SolverWorkspace(self.mesh, self.chunk)
-            self._workspace = ws
-            self.pd = PatchDerivatives(
-                k=self.mesh.k, pool=ws.pool if self.pooled else None
+        if resolve_backend(backend) == "numpy":
+            kernel = NumpyBSSNRHS(algebra)
+        elif algebra is not None:
+            raise ValueError(
+                "backend='compiled' runs its own A kernel; drop the "
+                "algebra= override or use backend='numpy'"
             )
-        return ws
+        else:
+            kernel = NativeBSSNRHS()
+        super().__init__(mesh, kernel, courant=courant,
+                         chunk_octants=chunk_octants, profiler=profiler)
+        self.params = params if params is not None else BSSNParams()
+        self.record = EvolutionRecord()
 
     # -- setup -----------------------------------------------------------
     def set_punctures(self, punctures: list[Puncture]) -> None:
@@ -233,138 +196,35 @@ class BSSNSolver:
             raise ValueError(f"state must have shape {expect}")
         self.state = u
 
-    @property
-    def dt(self) -> float:
-        """Global timestep (Courant-limited by the finest level)."""
-        return courant_dt(self.mesh.min_dx, self.courant)
-
-    # -- resilience hooks (used by repro.resilience.SupervisedRun) -------
-    def snapshot_state(self) -> np.ndarray:
-        """Value copy of the current state into a persistent pool buffer.
-
-        The supervisor calls this every step, so with ``pooled=True`` the
-        copy lands in one reused arena buffer (no per-step allocation);
-        the returned array is overwritten by the next snapshot.
-        """
-        if self.state is None:
-            raise RuntimeError("no state to snapshot")
-        if self.pooled:
-            snap = self.workspace().pool.get(
-                "supervisor.snapshot", self.state.shape
-            )
-        else:
-            snap = np.empty_like(self.state)
-        np.copyto(snap, self.state)
-        return snap
-
-    def restore_state(self, snapshot) -> None:
-        """Copy a snapshot's values back into the live state (rollback)."""
-        snap = snapshot[0] if isinstance(snapshot, list) else snapshot
-        np.copyto(self.state, snap)
-
-    def coords(self) -> np.ndarray:
-        """Cached grid-point coordinates of the current mesh."""
-        if self._coords is None:
-            self._coords = self.mesh.coordinates()
-        return self._coords
-
     # -- RHS ----------------------------------------------------------------
     @hot_path
     def full_rhs(
         self, u: np.ndarray, t: float, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """RHS over the whole mesh: unzip once, then chunked D+A evaluation.
+        """RHS over the whole mesh: unzip once, then per octant chunk
+        kernel (D + A + KO) → Sommerfeld faces → write.
 
-        With ``pooled=True`` every buffer (unzip patches, derivative
-        workspaces, chunk RHS) comes from the per-mesh arena, the scatter
-        runs coalesced, and the per-chunk Sommerfeld face lists are the
-        hoisted per-mesh ones; the arithmetic is identical either way.
+        Every buffer comes from the per-mesh arena, the scatter runs
+        coalesced, and the per-chunk face lists are the hoisted per-mesh
+        ones.
         """
         mesh = self.mesh
-        prof = self.profiler if self.profiler is not None else _NO_PROF
-        n = mesh.num_octants
-        k, r = mesh.k, mesh.r
-        pooled = self.pooled
-        if pooled:
-            ws = self.workspace()
-            pool = ws.pool
-            with prof.phase("unzip"):
-                patches = pool.get(
-                    "solver.patches", (S.NUM_VARS, n, mesh.P, mesh.P, mesh.P)
-                )
-                mesh.unzip(u, out=patches, method=self.unzip_method,
-                           coalesce=True, pool=pool, tracer=prof.tracer)
-            chunks = ws.chunk_faces()
-        else:
-            pool = None
-            with prof.phase("unzip"):
-                patches = mesh.unzip(u, method=self.unzip_method,  # alloc-ok
-                                     tracer=prof.tracer)
-            bfaces = mesh.boundary_faces()
-            chunks = []
-            for lo in range(0, n, self.chunk):
-                hi = min(lo + self.chunk, n)
-                faces = [
-                    (ax, side, octs[(octs >= lo) & (octs < hi)] - lo)
-                    for ax, side, octs in bfaces
-                ]
-                chunks.append((lo, hi, [f for f in faces if len(f[2])]))
+        prof = self._prof
+        ws = self.workspace()
+        pool = ws.pool
+        with prof.phase("unzip"):
+            patches = pool.get(
+                "solver.patches",
+                (S.NUM_VARS, mesh.num_octants, mesh.P, mesh.P, mesh.P),
+            )
+            mesh.unzip(u, out=patches, coalesce=True, pool=pool,
+                       tracer=prof.tracer)
         rhs = np.empty_like(u) if out is None else out  # alloc-ok: fallback
         coords = self.coords()
-        metrics = getattr(prof, "metrics", None)
-        for lo, hi, faces in chunks:
-            if self._native is not None:
-                # compiled backend: one fused native call does the whole
-                # D + A + KO pipeline (timed under "deriv"; the phases
-                # it subsumes — deriv and algebra — are not separable)
-                with prof.phase("deriv"):
-                    chunk_rhs, d1v = self._native(
-                        patches, lo, hi, mesh, self.params, faces, pool,
-                        metrics=metrics,
-                    )
-                if faces:
-                    with prof.phase("zip"):
-                        interior = patches[
-                            :, lo:hi, k : k + r, k : k + r, k : k + r
-                        ]
-                        values = pool.get("solver.values", interior.shape)
-                        np.copyto(values, interior)
-                    with prof.phase("boundary"):
-                        apply_sommerfeld(
-                            chunk_rhs, values, SimpleNamespace(d1=d1v),
-                            coords[lo:hi], faces,
-                        )
-                with prof.phase("zip"):
-                    rhs[:, lo:hi] = chunk_rhs
-                continue
-            pch = patches[:, lo:hi]
-            h = mesh.dx[lo:hi]
-            with prof.phase("deriv"):
-                derivs = compute_derivatives(pch, h, self.params, self.pd,
-                                             pool=pool)
-            with prof.phase("zip"):
-                interior = pch[:, :, k : k + r, k : k + r, k : k + r]
-                if pooled:
-                    values = pool.get("solver.values", interior.shape)
-                    np.copyto(values, interior)
-                else:
-                    values = np.ascontiguousarray(interior)  # alloc-ok: baseline
-            with prof.phase("algebra"):
-                if self.algebra is not None:
-                    chunk_rhs = self.algebra(values, derivs, self.params)
-                elif pooled:
-                    chunk_rhs = evaluate_algebraic(
-                        values, derivs, self.params,
-                        out=pool.get("solver.chunk_rhs", values.shape),
-                    )
-                else:
-                    chunk_rhs = evaluate_algebraic(values, derivs, self.params)  # alloc-ok
-                if pooled:
-                    ko = pool.get("solver.ko_scaled", values.shape)
-                    np.multiply(derivs.ko, self.params.ko_sigma, out=ko)
-                    chunk_rhs += ko
-                else:
-                    chunk_rhs += self.params.ko_sigma * derivs.ko
+        for lo, hi, faces in ws.chunk_faces():
+            chunk_rhs, values, derivs = self.kernel(
+                patches, lo, hi, mesh, self.params, faces, pool, prof
+            )
             if faces:
                 with prof.phase("boundary"):
                     apply_sommerfeld(
@@ -375,64 +235,40 @@ class BSSNSolver:
         return rhs
 
     # -- stepping ------------------------------------------------------------
-    def step(self) -> None:
-        """Advance one RK4 step (with algebraic-constraint enforcement)."""
-        if self.state is None:
-            raise RuntimeError("no initial data set")
-        prof = self.profiler
-        if prof is not None:
-            prof.begin_step()
-        work = None
-        post_stage = enforce_algebraic_constraints
-        if self.pooled:
-            ws = self.workspace()
-            work = ws.rk4(self.state.shape, self.state.dtype)
-            pool = ws.pool
-
-            def post_stage(s, _pool=pool):
-                enforce_algebraic_constraints(s, pool=_pool)
-
-        self.state = rk4_step(
-            self.full_rhs,
-            self.state,
-            self.t,
-            self.dt,
-            post_stage=post_stage,
-            work=work,
-            profiler=prof,
-        )
-        if prof is not None:
-            prof.end_step()
-        self.t += self.dt
-        self.step_count += 1
+    def _post_stage(self, u: np.ndarray) -> None:
+        """Algebraic-constraint enforcement on every RK4 stage state."""
+        enforce_algebraic_constraints(u, pool=self.workspace().pool)
 
     def evolve(
         self,
         t_end: float,
         *,
-        regrid_every: int = 0,
-        regrid_eps: float = 1e-3,
-        max_level: int | None = None,
         monitor_every: int = 0,
+        on_step: Callable[["BSSNSolver"], None] | None = None,
+        **regrid,
     ) -> EvolutionRecord:
-        """Algorithm 1: march to ``t_end`` with optional re-gridding."""
-        while self.t < t_end - 1e-12:
-            if regrid_every and self.step_count and self.step_count % regrid_every == 0:
-                self.regrid(regrid_eps, max_level=max_level)
-            self.step()
-            if monitor_every and self.step_count % monitor_every == 0:
-                self.record.times.append(self.t)
-                self.record.constraint_history.append(self.constraints())
-                self.record.num_octants.append(self.mesh.num_octants)
+        """:meth:`Solver.evolve`, recording constraint norms every
+        ``monitor_every`` steps; returns the evolution record."""
+
+        def hook(solver):
+            if monitor_every and solver.step_count % monitor_every == 0:
+                record = solver.record
+                record.times.append(solver.t)
+                record.constraint_history.append(solver.constraints())
+                record.num_octants.append(solver.mesh.num_octants)
+            if on_step is not None:
+                on_step(solver)
+
+        super().evolve(t_end, on_step=hook, **regrid)
         return self.record
 
     def regrid(self, eps: float, *, max_level: int | None = None) -> bool:
         """Wavelet-driven re-mesh + state transfer. Returns True if the
         grid changed.  Spanned on the telemetry timeline when a traced
         profiler is attached (the only host/device-sync of Alg. 1)."""
-        prof = self.profiler
-        tracer = prof.tracer if prof is not None else None
-        with prof.region("regrid") if prof is not None else _NULL:
+        prof = self._prof
+        tracer = prof.tracer
+        with prof.region("regrid"):
             refine, coarsen = regrid_flags(
                 self.mesh, self.state, eps, max_level=max_level
             )
@@ -453,8 +289,7 @@ class BSSNSolver:
     # -- diagnostics ---------------------------------------------------------
     def constraints(self) -> dict[str, float]:
         """Constraint norms of the current state (chunked evaluation)."""
-        prof = self.profiler
-        with prof.region("constraints") if prof is not None else _NULL:
+        with self._prof.region("constraints"):
             return self._constraints()
 
     def _constraints(self) -> dict[str, float]:
@@ -552,11 +387,12 @@ class BSSNSolver:
         """:meth:`evolve` plus periodic Ψ₄ extraction."""
         if getattr(self, "extractor", None) is None:
             raise RuntimeError("attach_extractor first")
-        while self.t < t_end - 1e-12:
-            self.step()
-            if self.step_count % self.extract_every == 0:
-                self.extract_now()
-        return self.record
+
+        def sample(solver):
+            if solver.step_count % solver.extract_every == 0:
+                solver.extract_now()
+
+        return self.evolve(t_end, on_step=sample, **kwargs)
 
     def psi4_field(self, octant_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Re, Im) Ψ₄ on the interiors of the selected octants."""

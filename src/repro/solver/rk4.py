@@ -80,7 +80,7 @@ def rk4_step(
                 post_stage(out)
         return out
 
-    # -- pooled in-place path (same operation order → bitwise identical)
+    # -- in-place path (same operation order → bitwise identical)
     k, ksum, stage, scratch = work.k, work.ksum, work.stage, work.scratch
     out = work.out_for(u)
 

@@ -16,21 +16,16 @@ Fig. 21's overlay.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.fd import PatchDerivatives
 from repro.mesh import Mesh, regrid_flags, remesh, transfer_fields
-from repro.perf import SolverWorkspace, StepProfiler, hot_path
-from .rk4 import courant_dt, rk4_step
+from repro.perf import StepProfiler, hot_path
+from .base import Solver
 
 PHI, PI = 0, 1
-
-_NO_PROF = StepProfiler(enabled=False)
-_NULL = nullcontext()
 
 
 @dataclass
@@ -46,9 +41,15 @@ class GaussianSource:
         return self.amplitude(t) * np.exp(-d2 / self.width**2)
 
 
-class WaveSolver:
+class WaveSolver(Solver):
     """6th-order FD wave equation on an octree mesh with KO dissipation,
-    Sommerfeld boundaries and optional wavelet re-gridding."""
+    Sommerfeld boundaries and optional wavelet re-gridding.
+
+    ``backend`` (``"numpy"`` | ``"compiled"`` | ``"auto"``) picks the
+    chunk kernel, see :mod:`repro.codegen.backends`.
+    """
+
+    default_regrid_eps = 1e-4
 
     def __init__(
         self,
@@ -59,166 +60,52 @@ class WaveSolver:
         ko_sigma: float = 0.1,
         source: Callable[[np.ndarray, float], np.ndarray] | None = None,
         chunk_octants: int = 512,
-        unzip_method: str = "scatter",
-        pooled: bool = True,
         profiler: StepProfiler | None = None,
         backend: str = "numpy",
     ):
-        self.mesh = mesh
+        # imported here: repro.codegen pulls in sympy
+        from repro.codegen.backends import (
+            NativeWaveRHS,
+            NumpyWaveRHS,
+            resolve_backend,
+        )
+
+        kernel = (NumpyWaveRHS() if resolve_backend(backend) == "numpy"
+                  else NativeWaveRHS())
+        super().__init__(mesh, kernel, courant=courant,
+                         chunk_octants=chunk_octants, profiler=profiler)
         self.speed = speed
-        self.courant = courant
         self.ko_sigma = ko_sigma
         self.source = source
-        self.chunk = chunk_octants
-        self.unzip_method = unzip_method
-        #: pooled=True is the zero-allocation hot path; False the
-        #: allocating pre-workspace baseline (identical results)
-        self.pooled = bool(pooled)
-        #: "numpy" | "compiled" | "auto" — see repro.codegen.backends;
-        #: compiled runs the fused native Laplacian+KO chunk kernel,
-        #: bitwise-identical to the pooled NumPy path
-        from repro.codegen.backends import resolve_backend
-
-        self.backend = resolve_backend(backend)
-        self._native = None
-        if self.backend == "compiled":
-            if not pooled:
-                raise ValueError(
-                    "backend='compiled' requires pooled=True (the native "
-                    "kernel writes into the workspace arena)"
-                )
-            from repro.codegen.backends import NativeWaveRHS
-
-            self._native = NativeWaveRHS()
-        self.profiler = profiler
-        self.pd = PatchDerivatives(k=mesh.k)
         self.state = mesh.allocate(2)
-        self.t = 0.0
-        self.step_count = 0
-        self._coords = None
-        self._workspace: SolverWorkspace | None = None
-
-    def workspace(self) -> SolverWorkspace:
-        """The per-mesh workspace arena (rebuilt only after regrid)."""
-        ws = self._workspace
-        if ws is None or not ws.matches(self.mesh):
-            ws = SolverWorkspace(self.mesh, self.chunk)
-            self._workspace = ws
-            self.pd = PatchDerivatives(
-                k=self.mesh.k, pool=ws.pool if self.pooled else None
-            )
-        return ws
-
-    @property
-    def dt(self) -> float:
-        """Global timestep (Courant-limited by the finest level)."""
-        return courant_dt(self.mesh.min_dx, self.courant)
-
-    # -- resilience hooks (used by repro.resilience.SupervisedRun) -------
-    def snapshot_state(self) -> np.ndarray:
-        """Value copy of the state into a persistent pool buffer (the
-        returned array is overwritten by the next snapshot)."""
-        if self.pooled:
-            snap = self.workspace().pool.get(
-                "supervisor.snapshot", self.state.shape
-            )
-        else:
-            snap = np.empty_like(self.state)
-        np.copyto(snap, self.state)
-        return snap
-
-    def restore_state(self, snapshot) -> None:
-        """Copy a snapshot's values back into the live state (rollback)."""
-        snap = snapshot[0] if isinstance(snapshot, list) else snapshot
-        np.copyto(self.state, snap)
-
-    def coords(self) -> np.ndarray:
-        """Cached grid-point coordinates of the current mesh."""
-        if self._coords is None:
-            self._coords = self.mesh.coordinates()
-        return self._coords
 
     @hot_path
     def full_rhs(
         self, u: np.ndarray, t: float, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """RHS of (φ, π) over the whole mesh (unzip + stencils + source).
-
-        With ``pooled=True`` all patch/derivative/boundary buffers come
-        from the per-mesh arena and the scatter runs coalesced — the
-        arithmetic (and hence the result, bitwise) is identical.
+        """RHS of (φ, π) over the whole mesh: unzip once, then per octant
+        chunk source → kernel (Laplacian + KO), then the Sommerfeld
+        faces.  All patch/derivative/boundary buffers come from the
+        per-mesh arena and the scatter runs coalesced.
         """
         mesh = self.mesh
-        prof = self.profiler if self.profiler is not None else _NO_PROF
+        prof = self._prof
         n = mesh.num_octants
-        k, r = mesh.k, mesh.r
-        pooled = self.pooled
-        if pooled:
-            pool = self.workspace().pool
-            with prof.phase("unzip"):
-                patches = pool.get("solver.patches", (2, n, mesh.P, mesh.P, mesh.P))
-                mesh.unzip(u, out=patches, method=self.unzip_method,
-                           coalesce=True, pool=pool, tracer=prof.tracer)
-        else:
-            pool = None
-            with prof.phase("unzip"):
-                patches = mesh.unzip(u, method=self.unzip_method,  # alloc-ok
-                                     tracer=prof.tracer)
+        pool = self.workspace().pool
+        with prof.phase("unzip"):
+            patches = pool.get("solver.patches", (2, n, mesh.P, mesh.P, mesh.P))
+            mesh.unzip(u, out=patches, coalesce=True, pool=pool,
+                       tracer=prof.tracer)
         rhs = np.empty_like(u) if out is None else out  # alloc-ok: out=None fallback
         coords = self.coords()
-        metrics = getattr(prof, "metrics", None)
         for lo in range(0, n, self.chunk):
             hi = min(lo + self.chunk, n)
-            if self._native is not None:
-                # compiled backend: fused Laplacian + KO in one native
-                # call (timed under "deriv"; it subsumes the algebra
-                # phase except for the optional source term)
-                with prof.phase("deriv"):
-                    ko_pi = self._native(
-                        patches, lo, hi, mesh, self.speed**2,
-                        self.ko_sigma, self.source is None, rhs, pool,
-                        metrics=metrics,
-                    )
-                if self.source is not None:
-                    with prof.phase("algebra"):
-                        rhs[PI, lo:hi] += self.source(coords[lo:hi], t)
-                        rhs[PI, lo:hi] += ko_pi
-                continue
-            h = mesh.dx[lo:hi]
-            phi_p = patches[PHI, lo:hi]
-            pi_p = patches[PI, lo:hi]
-            shape = (hi - lo, r, r, r)
-            with prof.phase("deriv"):
-                if pooled:
-                    lap = self.pd.d2(phi_p, h, 0, out=pool.get("wave.lap", shape))
-                    tmp = pool.get("wave.d2_dir", shape)
-                    lap += self.pd.d2(phi_p, h, 1, out=tmp)
-                    lap += self.pd.d2(phi_p, h, 2, out=tmp)
-                    ko_phi = self.pd.ko_all(phi_p, h, out=pool.get("wave.ko_phi", shape))
-                    ko_pi = self.pd.ko_all(pi_p, h, out=pool.get("wave.ko_pi", shape))
-                else:
-                    lap = self.pd.d2(phi_p, h, 0)  # alloc-ok: baseline path
-                    lap += self.pd.d2(phi_p, h, 1)  # alloc-ok: baseline path
-                    lap += self.pd.d2(phi_p, h, 2)  # alloc-ok: baseline path
-                    ko_phi = self.pd.ko_all(phi_p, h)  # alloc-ok: baseline path
-                    ko_pi = self.pd.ko_all(pi_p, h)  # alloc-ok: baseline path
-            with prof.phase("zip"):
-                rhs[PHI, lo:hi] = pi_p[:, k : k + r, k : k + r, k : k + r]
-            with prof.phase("algebra"):
-                if pooled:
-                    np.multiply(lap, self.speed**2, out=rhs[PI, lo:hi])
-                    ko_phi *= self.ko_sigma
-                    ko_pi *= self.ko_sigma
-                    if self.source is not None:
-                        rhs[PI, lo:hi] += self.source(coords[lo:hi], t)
-                    rhs[PHI, lo:hi] += ko_phi
-                    rhs[PI, lo:hi] += ko_pi
-                else:
-                    rhs[PI, lo:hi] = self.speed**2 * lap  # alloc-ok: baseline
-                    if self.source is not None:
-                        rhs[PI, lo:hi] += self.source(coords[lo:hi], t)
-                    rhs[PHI, lo:hi] += self.ko_sigma * ko_phi  # alloc-ok: baseline
-                    rhs[PI, lo:hi] += self.ko_sigma * ko_pi  # alloc-ok: baseline
+            src = None
+            if self.source is not None:
+                with prof.phase("algebra"):
+                    src = self.source(coords[lo:hi], t)
+            self.kernel(patches, lo, hi, mesh, self.speed**2, self.ko_sigma,
+                        src, rhs, pool, prof)
         with prof.phase("boundary"):
             self._apply_sommerfeld(rhs, u, patches, coords)
         return rhs
@@ -227,22 +114,19 @@ class WaveSolver:
         """Hoisted per-mesh boundary invariants: face lists, the union of
         boundary octants, its row lookup, the doubled spacing array and
         the clipped point radii (recomputed only on regrid)."""
-        mesh = self.mesh
-        if self.pooled:
-            cache = self.workspace().cache
-            geo = cache.get("sommerfeld")
-            if geo is not None:
-                return geo
-        faces = mesh.boundary_faces()
-        octs_all = mesh.boundary_octants()
-        row = np.full(mesh.num_octants, -1, dtype=np.int64)
-        row[octs_all] = np.arange(len(octs_all))
-        h2 = np.tile(mesh.dx[octs_all], 2)
-        rr = np.linalg.norm(self.coords(), axis=-1)
-        np.maximum(rr, 1e-12, out=rr)
-        geo = (faces, octs_all, row, h2, rr)
-        if self.pooled:
-            self.workspace().cache["sommerfeld"] = geo
+        cache = self.workspace().cache
+        geo = cache.get("sommerfeld")
+        if geo is None:
+            mesh = self.mesh
+            octs_all = mesh.boundary_octants()
+            row = np.full(mesh.num_octants, -1, dtype=np.int64)
+            row[octs_all] = np.arange(len(octs_all))
+            rr = np.linalg.norm(self.coords(), axis=-1)
+            np.maximum(rr, 1e-12, out=rr)
+            geo = cache["sommerfeld"] = (
+                mesh.boundary_faces(), octs_all, row,
+                np.tile(mesh.dx[octs_all], 2), rr,
+            )
         return geo
 
     @hot_path
@@ -256,10 +140,9 @@ class WaveSolver:
         """Outgoing-wave condition ∂_t u = −(x·∇u)/r − u/r on the faces.
 
         Derivatives are computed once for the union of boundary octants
-        and sliced per face.  The pooled path accumulates the advection
-        term through two face-shaped scratch buffers with the identical
-        operation order as the allocating expression, so results stay
-        bitwise equal.
+        and sliced per face; the advection term accumulates through two
+        face-shaped scratch buffers in the operation order of the
+        expression ``−c (Σ_d x_d ∂_d u + u) / r``.
         """
         mesh = self.mesh
         faces, octs_all, row, h2, rr = self._boundary_geometry()
@@ -268,86 +151,39 @@ class WaveSolver:
         P = mesh.P
         nb = len(octs_all)
         rsz = mesh.r
-        if self.pooled:
-            pool = self.workspace().pool
-            sub_buf = pool.get("wave.sub", (2, nb, P, P, P))
-            np.take(patches, octs_all, axis=1, out=sub_buf)
-            sub = sub_buf.reshape(2 * nb, P, P, P)
-            gbuf = pool.get("wave.grads", (3, 2, nb, rsz, rsz, rsz))
-            for d in range(3):
-                self.pd.d1(sub, h2, d, out=gbuf[d].reshape(2 * nb, rsz, rsz, rsz))
-            grads = gbuf
-        else:
-            pool = None
-            sub = patches[:, octs_all].reshape(2 * nb, P, P, P)
-            grads = [
-                self.pd.d1(sub, h2, d).reshape(2, nb, rsz, rsz, rsz)  # alloc-ok
-                for d in range(3)
-            ]
+        pool = self.workspace().pool
+        sub_buf = pool.get("wave.sub", (2, nb, P, P, P))
+        np.take(patches, octs_all, axis=1, out=sub_buf)
+        sub = sub_buf.reshape(2 * nb, P, P, P)
+        grads = pool.get("wave.grads", (3, 2, nb, rsz, rsz, rsz))
+        for d in range(3):
+            self.pd.d1(sub, h2, d, out=grads[d].reshape(2 * nb, rsz, rsz, rsz))
         for axis, side, octs in faces:
             sl: list = [slice(None)] * 4
             arr_axis = {0: 3, 1: 2, 2: 1}[axis]
             sl[arr_axis] = 0 if side == "low" else rsz - 1
             osel = (octs,) + tuple(sl[1:])
             rsel = (row[octs],) + tuple(sl[1:])
+            shp = (len(octs), rsz, rsz)
+            acc = pool.get("wave.bdry_acc", shp)
+            tmp = pool.get("wave.bdry_tmp", shp)
             for var in (PHI, PI):
-                if pool is not None:
-                    shp = (len(octs), rsz, rsz)
-                    acc = pool.get("wave.bdry_acc", shp)
-                    tmp = pool.get("wave.bdry_tmp", shp)
-                    acc[...] = 0.0
-                    for d in range(3):
-                        np.multiply(
-                            coords[osel + (d,)], grads[d][var][rsel], out=tmp
-                        )
-                        np.add(acc, tmp, out=acc)
-                    np.add(acc, u[var][osel], out=acc)
-                    np.multiply(acc, -self.speed, out=acc)
-                    np.divide(acc, rr[osel], out=acc)
-                    rhs[var][osel] = acc
-                else:
-                    advect = 0.0
-                    for d in range(3):
-                        advect = advect + coords[osel + (d,)] * grads[d][var][rsel]  # alloc-ok
-                    rhs[var][osel] = -self.speed * (advect + u[var][osel]) / rr[osel]  # alloc-ok
-
-    def step(self) -> None:
-        """Advance one RK4 step."""
-        prof = self.profiler
-        if prof is not None:
-            prof.begin_step()
-        work = None
-        if self.pooled:
-            work = self.workspace().rk4(self.state.shape, self.state.dtype)
-        self.state = rk4_step(self.full_rhs, self.state, self.t, self.dt,
-                              work=work, profiler=prof)
-        if prof is not None:
-            prof.end_step()
-        self.t += self.dt
-        self.step_count += 1
-
-    def evolve(
-        self,
-        t_end: float,
-        *,
-        on_step: Callable[["WaveSolver"], None] | None = None,
-        regrid_every: int = 0,
-        regrid_eps: float = 1e-4,
-        max_level: int | None = None,
-    ) -> None:
-        """March to ``t_end`` with optional re-gridding and a step callback."""
-        while self.t < t_end - 1e-12:
-            if regrid_every and self.step_count and self.step_count % regrid_every == 0:
-                self.regrid(regrid_eps, max_level=max_level)
-            self.step()
-            if on_step is not None:
-                on_step(self)
+                acc[...] = 0.0
+                for d in range(3):
+                    np.multiply(
+                        coords[osel + (d,)], grads[d][var][rsel], out=tmp
+                    )
+                    np.add(acc, tmp, out=acc)
+                np.add(acc, u[var][osel], out=acc)
+                np.multiply(acc, -self.speed, out=acc)
+                np.divide(acc, rr[osel], out=acc)
+                rhs[var][osel] = acc
 
     def regrid(self, eps: float, *, max_level: int | None = None) -> bool:
         """Wavelet-driven re-mesh + state transfer; True if the grid changed."""
-        prof = self.profiler
-        tracer = prof.tracer if prof is not None else None
-        with prof.region("regrid") if prof is not None else _NULL:
+        prof = self._prof
+        tracer = prof.tracer
+        with prof.region("regrid"):
             refine, coarsen = regrid_flags(self.mesh, self.state, eps,
                                            max_level=max_level)
             if not refine.any() and not coarsen.any():

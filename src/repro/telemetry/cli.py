@@ -318,7 +318,7 @@ def record_run(out_dir, *, quick: bool = True, steps: int = 4,
         physics_every=physics_every, label="bbh-quick" if quick else "bbh",
         meta={"octants": mesh.num_octants, "steps": steps},
     )
-    solver = BSSNSolver(mesh, pooled=True, profiler=sink.profiler())
+    solver = BSSNSolver(mesh, profiler=sink.profiler())
     solver.set_punctures([
         Puncture(1.0, [-1.5, 0.0, 0.0], momentum=[0.0, 0.1, 0.0]),
         Puncture(0.5, [1.5, 0.0, 0.0], momentum=[0.0, -0.2, 0.0]),

@@ -46,7 +46,7 @@ def sample_mesh(metrics: MetricsRegistry, mesh) -> None:
 
 
 def sample_pool(metrics: MetricsRegistry, solver) -> None:
-    """Workspace arena footprint (pooled solvers only)."""
+    """Workspace arena footprint (solvers that own a workspace)."""
     ws = getattr(solver, "_workspace", None)
     pool = getattr(ws, "pool", None)
     if pool is None:

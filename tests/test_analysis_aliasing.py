@@ -1,4 +1,4 @@
-"""Buffer-aliasing audit: clean pooled solvers, injected hazards caught."""
+"""Buffer-aliasing audit: clean solvers, injected hazards caught."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from repro.solver import BSSNSolver, WaveSolver
 
 @pytest.fixture(scope="module")
 def wave_solver():
-    s = WaveSolver(Mesh(LinearOctree.uniform(2)), pooled=True)
+    s = WaveSolver(Mesh(LinearOctree.uniform(2)))
     c = s.coords()
     s.state[0] = np.exp(-(c**2).sum(axis=-1))
     s.state[1] = 0.0
@@ -26,7 +26,7 @@ def wave_solver():
 
 @pytest.fixture(scope="module")
 def bssn_solver():
-    s = BSSNSolver(Mesh(LinearOctree.uniform(2)), pooled=True)
+    s = BSSNSolver(Mesh(LinearOctree.uniform(2)))
     s.set_punctures([Puncture(mass=1.0, position=np.array([0.1, 0.0, 0.0]))])
     s.step()
     return s
@@ -39,7 +39,7 @@ def test_wave_step_audits_clean(wave_solver):
     report = audit_solver_step(wave_solver)
     assert report.ok, [f.to_dict() for f in report.findings]
     assert report.num_rhs_calls == 4  # one per RK4 stage
-    assert report.events  # the pooled path must actually lease buffers
+    assert report.events  # the step must actually lease buffers
     assert {"unzip", "deriv", "boundary"} <= set(report.phases_seen())
 
 
@@ -62,25 +62,19 @@ def test_audit_restores_solver(wave_solver):
 
 def test_audit_does_not_change_results(wave_solver):
     """Stepping after an audit gives the same state as stepping without."""
-    twin = WaveSolver(Mesh(LinearOctree.uniform(2)), pooled=True)
+    twin = WaveSolver(Mesh(LinearOctree.uniform(2)))
     c = twin.coords()
     twin.state[0] = np.exp(-(c**2).sum(axis=-1))
     twin.state[1] = 0.0
     twin.step()
     audit_solver_step(twin)
     twin.step()
-    ref = WaveSolver(Mesh(LinearOctree.uniform(2)), pooled=True)
+    ref = WaveSolver(Mesh(LinearOctree.uniform(2)))
     ref.state[0] = np.exp(-(ref.coords() ** 2).sum(axis=-1))
     ref.state[1] = 0.0
     ref.step()
     ref.step()
     assert twin.state.tobytes() == ref.state.tobytes()
-
-
-def test_requires_pooled_solver():
-    s = WaveSolver(Mesh(LinearOctree.uniform(2)), pooled=False)
-    with pytest.raises(ValueError, match="pooled"):
-        audit_solver_step(s)
 
 
 # -- injected hazards ---------------------------------------------------------

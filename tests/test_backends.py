@@ -3,7 +3,7 @@
 The headline guarantees under test (DESIGN.md §11):
 
 * ``backend="compiled"`` produces **bitwise-identical** results to the
-  pooled NumPy execution of the same generated schedule — single RHS
+  NumPy kernel's execution of the same generated schedule — single RHS
   evaluations, derivative exports, and multi-step RK4 evolutions;
 * the C (cffi) and Python/Numba lowerings of one schedule agree
   bitwise with each other;
@@ -23,8 +23,6 @@ import pytest
 from repro.bssn import (
     BSSNParams,
     Puncture,
-    compute_derivatives,
-    evaluate_algebraic,
     mesh_puncture_state,
 )
 from repro.bssn import state as S
@@ -122,11 +120,6 @@ class TestSelection:
         monkeypatch.setattr(B, "probe_cffi", lambda: None)
         with pytest.raises(BackendUnavailableError):
             BSSNSolver(mesh, backend="compiled")
-
-    @needs_native
-    def test_compiled_requires_pooled(self, mesh):
-        with pytest.raises(ValueError, match="pooled"):
-            BSSNSolver(mesh, backend="compiled", pooled=False)
 
     @needs_native
     def test_compiled_rejects_algebra_override(self, mesh):
@@ -230,13 +223,13 @@ class TestBSSNBitwise:
         assert np.array_equal(sc.state, sn.state)
 
     def test_d1_export_feeds_sommerfeld(self, mesh, bbh_state):
-        """Boundary octants' exported first derivatives equal the NumPy
-        derivative stage's d1 (the Sommerfeld path consumes them)."""
-        from repro.codegen.backends import NativeBSSNRHS
+        """Boundary octants' exported first derivatives and interior
+        values equal the NumPy kernel's (the Sommerfeld pass consumes
+        both through the one kernel return signature)."""
+        from repro.codegen.backends import NativeBSSNRHS, NumpyBSSNRHS
         from repro.perf import SolverWorkspace
 
         params = BSSNParams()
-        native = NativeBSSNRHS()
         ws = SolverWorkspace(mesh, mesh.num_octants)
         patches = ws.pool.get(
             "solver.patches",
@@ -244,14 +237,33 @@ class TestBSSNBitwise:
         )
         mesh.unzip(bbh_state, out=patches, coalesce=True, pool=ws.pool)
         (lo, hi, faces), = ws.chunk_faces()
-        _, d1v = native(patches, lo, hi, mesh, params, faces, ws.pool)
-        derivs = compute_derivatives(patches, mesh.dx, params)
+        _, values, derivs = NativeBSSNRHS()(
+            patches, lo, hi, mesh, params, faces, ws.pool
+        )
+        # a second arena: the two kernels share buffer names by design
+        _, ref_values, ref_derivs = NumpyBSSNRHS()(
+            patches, lo, hi, mesh, params, faces, SolverWorkspace(mesh, hi).pool
+        )
+        assert np.array_equal(values, ref_values)
         boundary = sorted({o for _, _, octs in faces for o in octs})
         for var in (S.ALPHA, S.CHI, S.K):
             for d in range(3):
                 assert np.array_equal(
-                    d1v[var, d][boundary], derivs.d1[var, d][boundary]
+                    derivs.d1[var, d][boundary], ref_derivs.d1[var, d][boundary]
                 )
+
+    def test_interior_chunk_exports_nothing(self, mesh, bbh_state):
+        """Without physical-boundary faces the native kernel skips the
+        derivative export and the values copy."""
+        from repro.codegen.backends import NativeBSSNRHS
+        from repro.perf import BufferPool
+
+        patches = mesh.unzip(bbh_state)
+        rhs, values, derivs = NativeBSSNRHS()(
+            patches, 0, 2, mesh, BSSNParams(), [], BufferPool()
+        )
+        assert rhs.shape == (S.NUM_VARS, 2, mesh.r, mesh.r, mesh.r)
+        assert values is None and derivs is None
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +312,7 @@ class TestKernelConsistency:
         n = small_mesh.num_octants
         patches = small_mesh.unzip(u)
         rhs = np.zeros_like(u)
-        native(patches, 0, n, small_mesh, 1.0, sn.ko_sigma, True, rhs, pool)
+        native(patches, 0, n, small_mesh, 1.0, sn.ko_sigma, None, rhs, pool)
         # interior arithmetic is identical; the solver additionally
         # overwrites boundary octants via its Sommerfeld pass
         interior = np.ones(n, dtype=bool)

@@ -98,12 +98,20 @@ class TestPatchDerivatives:
     pd = PatchDerivatives(k=K)
 
     def test_polynomial_exact_d1(self):
-        """6th-order stencils are exact for degree-6 polynomials."""
-        u, h = _patch(lambda x, y, z: x**6 + y**3 * x**2 + z)
-        dx = self.pd.d1(u, h, 0)
-        c = (np.arange(R)) * h
-        z, y, x = np.meshgrid(c, c, c, indexing="ij")
-        assert np.allclose(dx[0], 6 * x**5 + 2 * y**3 * x, atol=1e-9)
+        """6th-order stencils are exact for degree-6 polynomials, along
+        every direction (x runs einsum's unit-stride tap loop, y and z
+        its strided one)."""
+        ci = np.arange(R) * 0.1
+        interior = np.meshgrid(ci, ci, ci, indexing="ij")[::-1]  # x, y, z
+        for direction in range(3):
+            def poly(*xyz):
+                a, b, c = np.roll(xyz, -direction, axis=0)
+                return a**6 + b**3 * a**2 + c
+
+            u, h = _patch(poly)
+            a, b, _ = np.roll(interior, -direction, axis=0)
+            da = self.pd.d1(u, h, direction)
+            assert np.allclose(da[0], 6 * a**5 + 2 * b**3 * a, atol=1e-9)
 
     def test_polynomial_exact_d2(self):
         u, h = _patch(lambda x, y, z: x**6 + z**4)
@@ -139,16 +147,18 @@ class TestPatchDerivatives:
         assert 5.5 < rate < 6.8
 
     def test_ko_kills_nyquist(self):
-        """KO dissipation is maximally negative on the Nyquist mode."""
+        """KO dissipation is maximally negative on the Nyquist mode of
+        each direction."""
         h = 0.1
-        c = np.arange(P)
-        z, y, x = np.meshgrid(c, c, c, indexing="ij")
-        u = ((-1.0) ** x)[None]
-        ko = self.pd.ko(u, h, 0)
-        ci = np.arange(R)
-        zi, yi, xi = np.meshgrid(ci, ci, ci, indexing="ij")
-        sign = (-1.0) ** (xi + K)  # interior starts K points into the patch
-        assert np.allclose(ko[0], -sign / h, atol=1e-12)
+        c, ci = np.arange(P), np.arange(R)
+        patch = np.meshgrid(c, c, c, indexing="ij")[::-1]  # x, y, z
+        interior = np.meshgrid(ci, ci, ci, indexing="ij")[::-1]
+        for direction in range(3):
+            u = ((-1.0) ** patch[direction])[None]
+            ko = self.pd.ko(u, h, direction)
+            # interior starts K points into the patch
+            sign = (-1.0) ** (interior[direction] + K)
+            assert np.allclose(ko[0], -sign / h, atol=1e-12)
 
     def test_ko_vanishes_on_smooth(self):
         u, h = _patch(lambda x, y, z: 1.0 + x + x**2 + y**3 + z**4 + x**5)

@@ -12,8 +12,15 @@ import numpy as np
 import pytest
 
 from repro.analysis import JobCost, estimate_run_cost
-from repro.io import RunConfig, find_latest_valid, restore_wave_solver
+from repro.codegen.backends import native_impl
+from repro.io import (
+    RunConfig,
+    find_latest_valid,
+    restore_wave_solver,
+    save_checkpoint,
+)
 from repro.jobs import state_digest
+from repro.jobs.worker import _build_or_resume
 from repro.resilience import SupervisedRun
 from repro.solver import WaveSolver
 
@@ -91,6 +98,27 @@ class TestPreemptResume:
         # THE contract: bitwise-identical final state
         np.testing.assert_array_equal(resumed.state, ref.state)
         assert state_digest(resumed.state) == state_digest(ref.state)
+
+    @pytest.mark.skipif(native_impl() is None,
+                        reason="no numba or cffi+cc toolchain")
+    @pytest.mark.parametrize("kind", ["wave", "bssn"])
+    def test_resume_keeps_the_job_backend(self, tmp_path, kind):
+        """A checkpoint holds state, not how it is executed: every resume
+        path must re-supply the job's backend, or a preempted compiled
+        job silently finishes on NumPy under a compiled cache key."""
+        cfg = wave_cfg(backend="compiled") if kind == "wave" else RunConfig(
+            name="b", base_level=1, max_level=2, t_end=1.0,
+            backend="compiled")
+        fresh, resumed_from = _build_or_resume(cfg, tmp_path)
+        assert resumed_from is None and fresh.backend == "compiled"
+        save_checkpoint(tmp_path / "chk_00000000.npz", fresh)
+
+        solver, resumed_from = _build_or_resume(cfg, tmp_path)
+        assert resumed_from is not None
+        assert solver.backend == cfg.backend
+        if kind == "bssn":
+            run = SupervisedRun.resume(tmp_path, backend=cfg.backend)
+            assert run.solver.backend == cfg.backend
 
     def test_preempt_before_first_step(self, tmp_path):
         cfg = wave_cfg(t_end=1.0)

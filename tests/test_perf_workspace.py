@@ -1,16 +1,32 @@
 """Tests for the hot-path workspace arena (repro.perf): buffer pooling,
-per-phase profiling, in-place RK4, and pooled-vs-unpooled solver identity."""
+per-phase profiling, in-place RK4, and the arena solvers' identity with
+the allocating reference functions."""
 
 import numpy as np
 import pytest
 
-from repro.bssn import Puncture
-from repro.fd import PatchDerivatives, apply_stencil
+from repro.bssn import (
+    BSSNParams,
+    Puncture,
+    apply_sommerfeld,
+    bssn_rhs,
+    compute_derivatives,
+    mesh_puncture_state,
+)
+from repro.fd import apply_stencil
+from repro.fd.derivatives import _apply_taps
 from repro.fd.stencils import D1_CENTERED_6, KO_DISS_6
 from repro.mesh import Mesh
-from repro.octree import Domain, LinearOctree
+from repro.octree import Domain, LinearOctree, partition_octree
+from repro.parallel import DistributedWaveSolver
 from repro.perf import PHASES, BufferPool, RK4Workspace, SolverWorkspace, StepProfiler
-from repro.solver import BSSNSolver, WaveSolver, rk4_step
+from repro.solver import (
+    BSSNSolver,
+    GaussianSource,
+    WaveSolver,
+    enforce_algebraic_constraints,
+    rk4_step,
+)
 
 
 def small_mesh():
@@ -113,8 +129,9 @@ class TestFusedStencil:
         u = rng.normal(size=(5, 13, 13, 13))
         axis = u.ndim - 1 - direction
         for st in (D1_CENTERED_6, KO_DISS_6):
-            a = apply_stencil(u, st, 0.25, axis, fused=True)
-            b = apply_stencil(u, st, 0.25, axis, fused=False)
+            a = apply_stencil(u, st, 0.25, axis)
+            b = np.empty_like(a)
+            _apply_taps(u, st, st.scale(0.25), axis, b)
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
 
     def test_fused_out_buffer_returned(self):
@@ -124,22 +141,45 @@ class TestFusedStencil:
         assert got is out
 
 
+def reference_bssn_steps(mesh, punctures, steps):
+    """``steps`` RK4 steps assembled from the allocating reference
+    functions: allocating ``mesh.unzip`` → ``bssn_rhs`` → Sommerfeld
+    faces, textbook ``rk4_step``, poolless constraint enforcement."""
+    params = BSSNParams()
+    coords = mesh.coordinates()
+    faces = mesh.boundary_faces()
+    k, r = mesh.k, mesh.r
+
+    def rhs(u, t):
+        patches = mesh.unzip(u)
+        out = bssn_rhs(patches, mesh.dx, params)
+        values = patches[:, :, k : k + r, k : k + r, k : k + r]
+        derivs = compute_derivatives(patches, mesh.dx, params)
+        apply_sommerfeld(out, values, derivs, coords, faces)
+        return out
+
+    u = mesh_puncture_state(mesh, punctures)
+    dt = 0.25 * mesh.min_dx
+    for i in range(steps):
+        u = rk4_step(rhs, u, i * dt, dt,
+                     post_stage=enforce_algebraic_constraints)
+    return u
+
+
 @pytest.fixture(scope="module")
 def bssn_pair():
-    """Unpooled and pooled BSSN solvers advanced two steps from identical
-    puncture data on the same mesh."""
+    """The reference state and a BSSN solver, both advanced two steps
+    from identical puncture data on the same mesh."""
     mesh = small_mesh()
     punc = [Puncture(1.0, [0.0, 0.0, 0.0], momentum=[0.0, 0.05, 0.0])]
     prof = StepProfiler()
-    a = BSSNSolver(mesh, pooled=False)
-    b = BSSNSolver(mesh, pooled=True, profiler=prof)
-    a.set_punctures(punc)
+    b = BSSNSolver(mesh, profiler=prof)
     b.set_punctures(punc)
     for _ in range(2):
-        a.step()
         b.step()
-    return {"a": a, "b": b, "prof": prof,
-            "state_a": a.state.copy(), "state_b": b.state.copy()}
+    return {"b": b, "prof": prof,
+            "state_a": reference_bssn_steps(mesh, punc, 2),
+            "state_b": b.state.copy()}
 
 
 class TestBSSNPooled:
@@ -174,21 +214,22 @@ class TestBSSNPooled:
 
 class TestWaveSolverPooled:
     def test_pooled_state_bitwise_equals_unpooled(self):
+        """``full_rhs`` against the allocating one-rank distributed driver
+        (same unzip, stencils, source, KO and Sommerfeld arithmetic)."""
         mesh = small_mesh()
         rng = np.random.default_rng(5)
         init = rng.normal(size=(2, mesh.num_octants, 7, 7, 7))
-        a = WaveSolver(mesh, pooled=False)
-        b = WaveSolver(mesh, pooled=True)
-        a.state = init.copy()
-        b.state = init.copy()
-        for _ in range(3):
-            a.step()
-            b.step()
-        assert np.array_equal(a.state, b.state)
+        src = GaussianSource(amplitude=lambda t: np.sin(3.0 * t))
+        ref = DistributedWaveSolver(
+            mesh, partition_octree(mesh.tree, 1), source=src
+        )
+        solver = WaveSolver(mesh, source=src)
+        (expect,) = ref._stage_rhs([init], 0.3)
+        assert np.array_equal(solver.full_rhs(init, 0.3), expect)
 
     def test_regrid_invalidates_workspace(self):
         mesh = small_mesh()
-        s = WaveSolver(mesh, pooled=True)
+        s = WaveSolver(mesh)
         c = mesh.coordinates()
         s.state[0] = np.exp(-(c[..., 0] ** 2 + c[..., 1] ** 2 + c[..., 2] ** 2))
         s.step()
@@ -199,10 +240,3 @@ class TestWaveSolverPooled:
         s.step()
         assert s._workspace is not ws_before  # arena rebuilt for new mesh
         assert s._workspace.mesh is s.mesh
-
-    def test_unpooled_solver_never_builds_buffers(self):
-        mesh = small_mesh()
-        s = WaveSolver(mesh, pooled=False)
-        s.step()
-        ws = s._workspace
-        assert ws is None or ws.pool.num_buffers == 0

@@ -151,6 +151,23 @@ class TestExtractionIntegration:
         assert len(t) == 2
         assert np.abs(c22).max() < 1e-10
 
+    def test_extraction_forwards_evolve_options(self):
+        """``evolve_with_extraction`` is ``evolve`` plus a sampling hook:
+        regrid options reach the loop, unknown ones are rejected."""
+        mesh = Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0)))
+        s = BSSNSolver(mesh)
+        s.set_punctures([Puncture(1.0, [0.0, 0.0, 0.0])])
+        s.attach_extractor([4.0], extract_every=100)
+        regrids = []
+        s.regrid = lambda eps, max_level=None: regrids.append(
+            (s.step_count, eps, max_level))
+        s.evolve_with_extraction(3 * s.dt, regrid_every=2, regrid_eps=1e-2,
+                                 max_level=3)
+        assert s.step_count == 3
+        assert regrids == [(2, 1e-2, 3)]
+        with pytest.raises(TypeError):
+            s.evolve_with_extraction(4 * s.dt, regrid_evry=2)
+
     def test_requires_attached_extractor(self):
         mesh = Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0)))
         s = BSSNSolver(mesh)

@@ -95,16 +95,13 @@ class TestWaveSolverAMR:
         assert ws.mesh.num_octants > n0
         assert np.isfinite(ws.state).all()
 
-    def test_gather_path_matches_scatter(self):
-        """Same evolution through the legacy gather unzip."""
-        def make(method):
-            mesh = Mesh(LinearOctree.uniform(2, domain=Domain(-10.0, 10.0)))
-            src = GaussianSource(lambda t: np.exp(-((t - 0.5) / 0.3) ** 2))
-            ws = WaveSolver(mesh, source=src, unzip_method=method)
-            ws.evolve(1.0)
-            return ws.state
 
-        assert np.allclose(make("scatter"), make("gather"), atol=1e-13)
+    def test_chunk_size_is_coerced_to_int(self):
+        """A float chunk size (e.g. from a JSON sweep) must not reach
+        ``range()`` in the chunk loop."""
+        ws = WaveSolver(Mesh(LinearOctree.uniform(1)), chunk_octants=4.0)
+        assert isinstance(ws.chunk, int)
+        ws.step()
 
 
 class TestExtractionIntegration:
