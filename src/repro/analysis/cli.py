@@ -62,13 +62,15 @@ def _run_aliasing(report: dict) -> int:
 
     from repro.bssn import Puncture
     from repro.mesh import Mesh
-    from repro.octree import LinearOctree
+    from repro.octree import LinearOctree, balance
     from repro.solver import BSSNSolver, WaveSolver
     from .aliasing import audit_solver_step
 
     print("== aliasing: RK4 step audit ==")
 
-    wave = WaveSolver(Mesh(LinearOctree.uniform(2)))
+    # one refined octant, so the unzip leases its prolongation buffers
+    tree = LinearOctree.uniform(2)
+    wave = WaveSolver(Mesh(balance(tree.refine(np.arange(len(tree)) == 0))))
     c = wave.coords()
     wave.state[0] = np.exp(-(c**2).sum(axis=-1))
     wave.state[1] = 0.0

@@ -15,7 +15,10 @@ from ``backend=``:
 
 The two implementations of each kernel share one call signature and
 one set of arena buffer names, so switching backends changes neither
-the solver loop nor the arena footprint.
+the solver loop nor the arena footprint.  A kernel object also says how
+its backend unzips: ``unzip_scatter`` is the native box-copy executor
+the solver hands to :meth:`repro.mesh.Mesh.unzip` (None on the NumPy
+kernels, which scatter through coalesced fancy indexing).
 
 The compiled ladder is **Numba first** (``@njit(fastmath=False)`` over
 the generated Python source), then the **cffi**-loaded C build, because
@@ -209,6 +212,9 @@ def _warmup(ns: dict) -> None:
     ns["wave_rhs_chunk"](wpatches, 1, 0, 1, P, r, k, hf, hf,
                          w["w2"], w["wko"], 1.0, 0.1, 1,
                          np.zeros(r**3), np.zeros(r**3), ko)
+    box = np.array([0, 0, r, 1, 1, 1, 1], dtype=np.int64)
+    ns["unzip_scatter"](rhs, r**3, patches, P**3, 1, box, 0, 1, P)
+    ns["unzip_interior"](rhs, patches, 1, P, r, k)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +248,8 @@ class NumpyBSSNRHS:
     """
 
     backend = "numpy"
+    #: the NumPy kernels unzip through the coalesced fancy-index scatter
+    unzip_scatter = None
 
     def __init__(self, algebra=None):
         self.algebra = algebra
@@ -281,6 +289,7 @@ class NumpyWaveRHS:
     """Laplacian + KO of one octant chunk of the (φ, π) system."""
 
     backend = "numpy"
+    unzip_scatter = None
 
     @hot_path
     def __call__(self, patches, lo, hi, mesh, c2, sigma, src, rhs, pool,
@@ -342,6 +351,50 @@ class _NativeRHSBase:
             raise ValueError(f"unknown native impl {impl!r}")
         self._empty = np.empty(0)
         self._compile_published = False
+
+    @hot_path
+    def unzip_scatter(self, plan, u, up, out) -> bool:
+        """The scatter and interior copy of Alg. 2 as native box copies.
+
+        The executor :func:`repro.mesh.octant_to_patch.scatter_to_patches`
+        takes as ``scatter=``: copies every box of ``plan.box_table()``
+        from the upsample ``up`` (None without coarse sources) and the
+        field ``u`` into the patches ``out``, then the interiors.
+        Returns False, having written nothing, for arrays the kernels
+        cannot address (anything but C-contiguous float64) — the caller
+        then runs the NumPy scatter.
+        """
+        for arr in (u, up, out):
+            if arr is not None and not (
+                arr.dtype == np.float64 and arr.flags.c_contiguous
+            ):
+                return False
+        table, n_coarse = plan.box_table()
+        n, r, P, k = len(plan.tree), plan.r, plan.P, plan.k
+        nvars = u.size // (n * r**3)
+        src_var, dst_var = n * r**3, n * P**3
+        if up is None:
+            up, up_var = u, 0
+        else:
+            up_var = up.size // nvars
+        if self._lib is not None:
+            lib, ptr = self._lib.lib, self._lib.ptr
+            p_out, p_table = ptr(out), ptr(table)
+            lib.unzip_scatter(ptr(up), up_var, p_out, dst_var, nvars,
+                              p_table, 0, n_coarse, P)
+            lib.unzip_scatter(ptr(u), src_var, p_out, dst_var, nvars,
+                              p_table, n_coarse, len(table), P)
+            lib.unzip_interior(ptr(u), p_out, nvars * n, P, r, k)
+        else:
+            kern = self._kernels
+            flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+            flat_table = table.reshape(-1)
+            kern["unzip_scatter"](up.reshape(-1), up_var, flat_out, dst_var,
+                                  nvars, flat_table, 0, n_coarse, P)
+            kern["unzip_scatter"](flat_u, src_var, flat_out, dst_var, nvars,
+                                  flat_table, n_coarse, len(table), P)
+            kern["unzip_interior"](flat_u, flat_out, nvars * n, P, r, k)
+        return True
 
     def _publish(self, prof, name: str, flops: float, bytes_moved: float,
                  seconds: float) -> None:

@@ -34,7 +34,13 @@ Every operation mirrors the NumPy execution order exactly:
   ``_binarize`` it contains only ``+ - * /``, all exactly rounded — and
   χ is floored with NumPy's ``maximum`` semantics (NaN propagates);
 * compilation disables FP contraction (``-ffp-contract=off``) so no FMA
-  changes the rounding.
+  changes the rounding, and never enables ``-ffast-math``, so ``-O3
+  -march=native`` may vectorise but not reassociate.
+
+The same translation unit (and Python source) carries the hand-written
+``unzip_scatter`` / ``unzip_interior`` pair — the octant-to-patch box
+copies of :meth:`repro.mesh.maps.TransferPlan.box_table`, bitwise by
+construction.
 
 The resulting chunk RHS is bitwise-identical to the NumPy kernel's
 execution of the same schedule (asserted in tests/test_backends.py).
@@ -43,6 +49,7 @@ execution of the same schedule (asserted in tests/test_backends.py).
 from __future__ import annotations
 
 import hashlib
+import platform
 import re
 import subprocess
 import time
@@ -335,9 +342,47 @@ void wave_rhs_chunk(const double* patches, long ntot, long lo, long nc,
         }
     }
 }
+
+/* Octant-to-patch scatter (Alg. 2) over rows [row_lo, row_hi) of the
+   plan's box table (repro.mesh.maps.TransferPlan.box_table): each row
+   copies one nx*ny*nz box out of a source block whose rows hold sn
+   points, reading every stride-th point, into a P^3 patch.  Rows run in
+   table order for every variable, so overlapping destinations resolve
+   as in the sequential group loop.  Pure copies: bitwise by
+   construction. */
+void unzip_scatter(const double* src, long src_var, double* dst,
+                   long dst_var, long nvars, const long* table,
+                   long row_lo, long row_hi, long P)
+{
+    for (long v = 0; v < nvars; ++v) {
+        const double* s = src + v * src_var;
+        double* d = dst + v * dst_var;
+        for (long row = row_lo; row < row_hi; ++row) {
+            const long* t = table + 7 * row;
+            const long sn = t[2], st = t[3], nx = t[4], ny = t[5], nz = t[6];
+            for (long z = 0; z < nz; ++z)
+            for (long y = 0; y < ny; ++y) {
+                const double* sr = s + t[0] + ((z * sn) + y) * sn * st;
+                double* dr = d + t[1] + ((z * P) + y) * P;
+                for (long x = 0; x < nx; ++x) dr[x] = sr[x * st];
+            }
+        }
+    }
+}
+
+/* Each block's own r^3 points into the centre of its patch. */
+void unzip_interior(const double* u, double* patches, long nblocks,
+                    long P, long r, long k)
+{
+    for (long b = 0; b < nblocks; ++b)
+    for (long z = 0; z < r; ++z)
+    for (long y = 0; y < r; ++y)
+        memcpy(patches + ((b * P + z + k) * P + y + k) * P + k,
+               u + ((b * r + z) * r + y) * r, r * sizeof(double));
+}
 """
 
-#: cffi declarations for the two entry points
+#: cffi declarations for the entry points
 FFI_DECLS = """
 void bssn_rhs_chunk(const double* patches, long ntot, long lo, long nc,
                     long P, long r, long k,
@@ -352,6 +397,11 @@ void wave_rhs_chunk(const double* patches, long ntot, long lo, long nc,
                     const double* w2, const double* wko,
                     double c2, double sigma, long finalize_pi,
                     double* rhs_phi, double* rhs_pi, double* ko_pi);
+void unzip_scatter(const double* src, long src_var, double* dst,
+                   long dst_var, long nvars, const long* table,
+                   long row_lo, long row_hi, long P);
+void unzip_interior(const double* u, double* patches, long nblocks,
+                    long P, long r, long k);
 """
 
 
@@ -642,12 +692,41 @@ def wave_rhs_chunk(patches, ntot, lo, nc, P, r, k, hf1, hf2, w2, wko,
         else:
             for p in range(NP):
                 ko_pi[kp + p] *= sigma
+
+
+def unzip_scatter(src, src_var, dst, dst_var, nvars, table, row_lo, row_hi,
+                  P):
+    for v in range(nvars):
+        sb = v * src_var
+        db = v * dst_var
+        for row in range(row_lo, row_hi):
+            t = 7 * row
+            sn = table[t + 2]
+            st = table[t + 3]
+            nx = table[t + 4]
+            for z in range(table[t + 6]):
+                for y in range(table[t + 5]):
+                    sr = sb + table[t] + ((z * sn) + y) * sn * st
+                    dr = db + table[t + 1] + ((z * P) + y) * P
+                    for x in range(nx):
+                        dst[dr + x] = src[sr + x * st]
+
+
+def unzip_interior(u, patches, nblocks, P, r, k):
+    for b in range(nblocks):
+        for z in range(r):
+            for y in range(r):
+                pr = ((b * P + z + k) * P + y + k) * P + k
+                ur = ((b * r + z) * r + y) * r
+                for x in range(r):
+                    patches[pr + x] = u[ur + x]
 '''
 
 #: names of the jittable functions the Python source defines
 PY_KERNEL_NAMES = (
     "_np_maximum", "_sweep", "_d2_mixed_xy", "_d2_mixed_xz", "_d2_mixed_yz",
-    "_upwind_d1", "wave_rhs_chunk", "bssn_rhs_chunk",
+    "_upwind_d1", "wave_rhs_chunk", "bssn_rhs_chunk", "unzip_scatter",
+    "unzip_interior",
 )
 
 
@@ -761,9 +840,14 @@ class ToolchainError(RuntimeError):
     """No working C toolchain / cffi for the native backend."""
 
 
-#: gcc flags: -ffp-contract=off is essential -- FMA contraction would
-#: change rounding and break the bitwise contract with NumPy
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: -O3 -march=native lets the compiler vectorise the sweeps across x.
+#: That cannot change a bit: without -ffast-math it may not reassociate,
+#: and -ffp-contract=off forbids fusing a multiply and an add into an
+#: FMA (which -march=native would otherwise make available), so every
+#: operation stays one exactly-rounded IEEE operation in source order.
+CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
+#: retried when the compiler rejects -march=native (e.g. unknown host)
+CFLAGS_PORTABLE = tuple(f for f in CFLAGS if f != "-march=native")
 
 
 def _cc() -> str | None:
@@ -788,41 +872,73 @@ def _cache_dir() -> Path:
     return d
 
 
-def native_cache_key(source: str, cc_version: str, cffi_version: str) -> str:
+def host_cpu_fingerprint() -> str:
+    """What ``-march=native`` resolves against: machine, model and ISA
+    flags of this host's (first) CPU."""
+    parts = [platform.machine(), platform.processor()]
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if not line.strip():
+                    break  # end of the first processor's block
+                if line.split(":", 1)[0].strip() in (
+                        "model name", "flags", "Features"):
+                    parts.append(line.strip())
+    except OSError:
+        pass
+    return "\n".join(parts)
+
+
+def native_cache_key(source: str, cc_version: str, cffi_version: str,
+                     cflags: tuple[str, ...] = CFLAGS) -> str:
     """Key a built ``.so`` on the *exact* source (which embeds the
-    schedule digest), the compiler identity and the cffi version — a
-    stale native artifact can never be loaded against a different
-    schedule or toolchain."""
+    schedule digest), the compiler identity, the cffi version, the flags
+    it was built with and — because ``-march=native`` bakes the build
+    host's ISA into the object — the host CPU: a stale native artifact
+    can never be loaded against a different schedule, toolchain or
+    optimisation level, nor on a CPU that lacks its instructions."""
     h = hashlib.sha256()
-    h.update(source.encode())
-    h.update(cc_version.encode())
-    h.update(cffi_version.encode())
+    for part in (source, cc_version, cffi_version, " ".join(cflags),
+                 host_cpu_fingerprint()):
+        h.update(part.encode())
+        h.update(b"\0")
     return h.hexdigest()[:16]
 
 
 class NativeLib:
-    """A built-and-loaded shared library with its two kernel entry
-    points, plus build provenance for telemetry."""
+    """A built-and-loaded shared library with its kernel entry points,
+    plus build provenance for telemetry."""
 
     def __init__(self, lib, ffi, path: Path, compile_seconds: float,
-                 from_cache: bool):
+                 from_cache: bool, cflags: tuple[str, ...] = CFLAGS):
         self.lib = lib
         self.ffi = ffi
         self.path = path
         self.compile_seconds = compile_seconds
         self.from_cache = from_cache
+        self.cflags = cflags
 
     def ptr(self, arr: np.ndarray):
-        """A ``double*`` (or ``long*``) into a C-contiguous array."""
+        """A ``double*`` (or ``long*``) into a C-contiguous ``float64``
+        (or ``int64``) array; anything else would be reinterpreted."""
+        if arr.dtype == np.float64:
+            ctype = "double *"
+        elif arr.dtype == np.int64:
+            ctype = "long *"
+        else:
+            raise TypeError(
+                f"kernel buffers must be float64 or int64, not {arr.dtype}"
+            )
         if not arr.flags["C_CONTIGUOUS"]:
-            raise ValueError("kernel buffers must be C-contiguous")
-        ctype = "long *" if arr.dtype == np.int64 else "double *"
+            raise TypeError("kernel buffers must be C-contiguous")
         return self.ffi.cast(ctype, arr.ctypes.data)
 
 
 def build_native_lib(source: str) -> NativeLib:
     """Compile ``source`` into a cached ``.so`` and dlopen it via cffi.
 
+    Built with :data:`CFLAGS`, or :data:`CFLAGS_PORTABLE` when the
+    compiler rejects the former; each flag set has its own cache key.
     Raises :class:`ToolchainError` when cffi or a C compiler is missing
     or the compile fails; callers fall back down the backend ladder.
     """
@@ -834,38 +950,46 @@ def build_native_lib(source: str) -> NativeLib:
     if cc is None:
         raise ToolchainError("no C compiler (cc/gcc/clang) on PATH")
     cc_ver = _cc_version(cc)
-    key = native_cache_key(source, cc_ver, cffi.__version__)
     cache = _cache_dir()
-    so_path = cache / f"native-{key}.so"
-    c_path = cache / f"native-{key}.c"
+    builds = [
+        (flags, cache / "native-{}.so".format(
+            native_cache_key(source, cc_ver, cffi.__version__, flags)))
+        for flags in (CFLAGS, CFLAGS_PORTABLE)
+    ]
     compile_seconds = 0.0
-    from_cache = so_path.exists()
-    if not from_cache:
-        c_path.write_text(source)
+    built = next(((f, so) for f, so in builds if so.exists()), None)
+    from_cache = built is not None
+    if built is None:
         t0 = time.perf_counter()
-        tmp = so_path.with_suffix(".so.tmp")
-        proc = subprocess.run(
-            [cc, *CFLAGS, "-o", str(tmp), str(c_path), "-lm"],
-            capture_output=True, text=True, timeout=600,
-        )
-        if proc.returncode != 0:
+        for flags, so_path in builds:
+            c_path = so_path.with_suffix(".c")
+            c_path.write_text(source)
+            tmp = so_path.with_suffix(".so.tmp")
+            proc = subprocess.run(
+                [cc, *flags, "-o", str(tmp), str(c_path), "-lm"],
+                capture_output=True, text=True, timeout=600,
+            )
+            if proc.returncode == 0:
+                tmp.replace(so_path)
+                built = (flags, so_path)
+                break
+        if built is None:
             raise ToolchainError(
                 f"{cc} failed ({proc.returncode}):\n{proc.stderr[-2000:]}"
             )
-        tmp.replace(so_path)
         compile_seconds = time.perf_counter() - t0
-        # prune artifacts built under older keys (stale schedules or
-        # toolchains can never be loaded again)
-        for old in cache.glob("native-*.so"):
-            if old != so_path:
-                old.unlink(missing_ok=True)
-        for old in cache.glob("native-*.c"):
-            if old != c_path:
-                old.unlink(missing_ok=True)
+        # prune artifacts built under older keys (stale schedules,
+        # toolchains or flags can never be loaded again)
+        keep = built[1].stem
+        for pattern in ("native-*.so", "native-*.c"):
+            for old in cache.glob(pattern):
+                if old.stem != keep:
+                    old.unlink(missing_ok=True)
+    flags, so_path = built
     ffi = cffi.FFI()
     ffi.cdef(FFI_DECLS)
     lib = ffi.dlopen(str(so_path))
-    return NativeLib(lib, ffi, so_path, compile_seconds, from_cache)
+    return NativeLib(lib, ffi, so_path, compile_seconds, from_cache, flags)
 
 
 def compile_py_kernels(spec: KernelSpec, *, jit=None) -> dict:

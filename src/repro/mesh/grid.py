@@ -105,20 +105,25 @@ class Mesh:
     # -- unzip / zip -----------------------------------------------------
     def unzip(self, u: np.ndarray, out: np.ndarray | None = None, *,
               method: str = "scatter", coalesce: bool = False,
-              pool=None, tracer=None) -> np.ndarray:
+              pool=None, tracer=None, scatter=None) -> np.ndarray:
         """octant-to-patch: fill padded patches (Alg. 2).
 
         ``method='scatter'`` is the paper's loop-over-octants algorithm;
         ``'gather'`` is the legacy loop-over-patches baseline.
         ``coalesce``/``pool`` (scatter only) select the coalesced
-        fancy-index execution and a buffer arena for its staging — see
+        fancy-index execution and a buffer arena for its staging, and
+        ``scatter`` hands in a compiled chunk kernel's native box-copy
+        executor (``solver.kernel.unzip_scatter``) — see
         :func:`repro.mesh.octant_to_patch.scatter_to_patches`.
         ``tracer`` (a :class:`repro.telemetry.Tracer`) records the
         prolong/scatter sub-phases as nested spans.
         """
         if method == "scatter":
+            if out is None:
+                out = allocate_patches(self.plan, u.shape[:-4], dtype=u.dtype)
             return scatter_to_patches(self.plan, u, out, coalesce=coalesce,
-                                      pool=pool, tracer=tracer)
+                                      pool=pool, tracer=tracer,
+                                      scatter=scatter)
         if method == "gather":
             return gather_to_patches(self.plan, u, out)
         raise ValueError("method must be 'scatter' or 'gather'")

@@ -14,11 +14,13 @@ which again coincide exactly with coarse points.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from repro.fd.stencils import fd_weights
+from repro.perf import hot_path
 
 
 @lru_cache(maxsize=None)
@@ -35,25 +37,50 @@ def prolongation_matrix_1d(r: int = 7) -> np.ndarray:
     return P
 
 
-def prolong_blocks(u: np.ndarray, r: int = 7, out: np.ndarray | None = None) -> np.ndarray:
+@hot_path
+def scratch(pool, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The arena buffer ``name`` — or, for poolless callers, a fresh one."""
+    if pool is None:
+        return np.empty(shape, dtype)  # alloc-ok: poolless fallback
+    return pool.get(name, shape, dtype)
+
+
+@hot_path
+def prolong_blocks(u: np.ndarray, r: int = 7, out: np.ndarray | None = None,
+                   *, pool=None) -> np.ndarray:
     """Upsample blocks ``(..., r, r, r)`` to ``(..., 2r-1, 2r-1, 2r-1)``.
 
     Applied once per coarse octant during the loop-over-octants scatter;
     the loop-over-patches gather instead re-does this per destination
-    (the redundancy Fig. 7 measures).  ``out`` receives the contiguous
-    result when given (persistent prolongation buffer in the pooled
-    unzip).
+    (the redundancy Fig. 7 measures).
+
+    Three batched matrix products — z, then y, then x — each written
+    with ``out=`` so the result lands contiguous in ``(Z, Y, X)`` order
+    with no transpose and no copy: into ``out`` (C-contiguous) when
+    given, through two intermediates drawn from ``pool`` (duck-typed
+    ``get(name, shape, dtype)``) when given.  Every output point is the
+    same length-``r`` BLAS dot product as in a ``tensordot`` chain over
+    the three axes, so the two agree bitwise (asserted in
+    tests/test_mesh_interp.py).
     """
     if u.shape[-3:] != (r, r, r):
         raise ValueError(f"blocks must end in ({r},{r},{r})")
     P = prolongation_matrix_1d(r)
-    # z axis (-3), then y (-2), then x (-1)
-    v = np.tensordot(u, P, axes=([-3], [1]))  # (..., y, x, Z)
-    v = np.tensordot(v, P, axes=([-3], [1]))  # (..., x, Z, Y)
-    v = np.tensordot(v, P, axes=([-3], [1]))  # (..., Z, Y, X)
+    f = 2 * r - 1
+    lead = u.shape[:-3]
+    nb = math.prod(lead)
+    dtype = np.result_type(u.dtype, P.dtype)
     if out is None:
-        return np.ascontiguousarray(v)
-    np.copyto(out, v)
+        out = scratch(None, "unzip.prolong", lead + (f, f, f), dtype)
+    elif out.shape != lead + (f, f, f) or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be C-contiguous with shape {lead + (f, f, f)}"
+        )
+    zs = scratch(pool, "unzip.prolong_z", (nb, f, r * r), dtype)
+    ys = scratch(pool, "unzip.prolong_y", (nb * f, f, r), dtype)
+    np.matmul(P, u.reshape(nb, r, r * r), out=zs)  # (b, Z, yx)
+    np.matmul(P, zs.reshape(nb * f, r, r), out=ys)  # (bZ, Y, x)
+    np.matmul(ys.reshape(nb * f * f, r), P.T, out=out.reshape(nb * f * f, f))
     return out
 
 

@@ -38,6 +38,9 @@ class TransferGroup:
     dst: np.ndarray  # destination octant indices, shape (m,)
     src_template: np.ndarray  # flat indices into the source lattice
     dst_template: np.ndarray  # flat indices into the P^3 patch
+    #: the templates' box: one row per axis (x, y, z) of ``(j0, j1, i0)``
+    #: — patch points ``j0..j1`` read source points ``i0, i0 + s, ...``
+    box: np.ndarray
 
     @property
     def points_per_pair(self) -> int:
@@ -66,6 +69,13 @@ class CoalescedScatter:
     coarse_dst: np.ndarray  # flat indices into the (n, P^3) patch buffer
     direct_src: np.ndarray  # flat indices into the (n, r^3) field
     direct_dst: np.ndarray  # flat indices into the (n, P^3) patch buffer
+
+
+#: columns of :meth:`TransferPlan.box_table`: flat offset of the box's
+#: first point in the source buffer and in the ``(n, P^3)`` patch buffer,
+#: points per source row (``2r-1`` for the upsample, ``r`` for the field),
+#: source stride (2 = injection), and the box extent in patch points
+BOX_SRC, BOX_DST, BOX_SRC_N, BOX_STRIDE, BOX_NX, BOX_NY, BOX_NZ = range(7)
 
 
 @dataclass
@@ -165,6 +175,7 @@ class TransferPlan:
                 dst=np.ascontiguousarray(dst[rows]),
                 src_template=src_t,
                 dst_template=dst_t,
+                box=jj,
             )
             self.groups.append(grp)
             pts = grp.num_pairs * grp.points_per_pair
@@ -256,6 +267,43 @@ class TransferPlan:
                 direct_dst=cat(dd),
             )
             self._coalesced = cached
+        return cached
+
+    def box_table(self) -> tuple[np.ndarray, int]:
+        """Cached ``(table, n_coarse)``: the groups lowered to one int64
+        row per (src, dst) pair (columns ``BOX_*``), in group order, for
+        the native box-copy kernels.
+
+        Every template is a box, so a row replaces the pair's
+        ``points_per_pair`` fancy indices by seven integers.  The first
+        ``n_coarse`` rows read the ``(n_pro, (2r-1)^3)`` upsample, the
+        rest the ``(n, r^3)`` field; copying row after row resolves
+        overlapping destinations exactly as the sequential group loop.
+        """
+        cached = getattr(self, "_box_table", None)
+        if cached is None:
+            P, r = self.P, self.r
+            parts: list[np.ndarray] = []
+            n_coarse = 0
+            for grp in self.groups:  # already ordered coarse -> same -> fine
+                (j0x, j1x, i0x), (j0y, j1y, i0y), (j0z, j1z, i0z) = grp.box.tolist()
+                if grp.case == CASE_COARSE:
+                    block, sn = self.prolong_row[grp.src], 2 * r - 1
+                    n_coarse += grp.num_pairs
+                else:
+                    block, sn = grp.src, r
+                rows = np.empty((grp.num_pairs, 7), dtype=np.int64)
+                rows[:, BOX_SRC] = block * sn**3 + (i0z * sn + i0y) * sn + i0x
+                rows[:, BOX_DST] = grp.dst * P**3 + (j0z * P + j0y) * P + j0x
+                rows[:, BOX_SRC_N:] = (
+                    sn, 2 if grp.case == CASE_FINE else 1,
+                    max(j1x - j0x + 1, 0), max(j1y - j0y + 1, 0),
+                    max(j1z - j0z + 1, 0),
+                )
+                parts.append(rows)
+            table = (np.concatenate(parts) if parts
+                     else np.zeros((0, 7), dtype=np.int64))
+            cached = self._box_table = (table, n_coarse)
         return cached
 
     # ------------------------------------------------------------------

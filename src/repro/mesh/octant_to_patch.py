@@ -12,17 +12,25 @@ Two variants, mirroring the paper's Fig. 7 comparison:
   scattered reads.
 
 Both produce identical patches (asserted in the tests); only the work and
-access pattern differ.
+access pattern differ.  The scatter itself has three byte-identical
+executions: one fancy assignment per plan group (the reference), the
+coalesced two-gather form the NumPy chunk kernels use, and the native
+box copies a compiled chunk kernel hands in as ``scatter=``.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 
 from repro.perf import hot_path
 
-from .interp import extrapolation_matrix_1d, prolong_blocks
+from .interp import extrapolation_matrix_1d, prolong_blocks, scratch
 from .maps import CASE_COARSE, TransferPlan
+
+
+_NO_SPAN = nullcontext()
 
 
 def _flat_views(plan: TransferPlan, u: np.ndarray, patches: np.ndarray):
@@ -53,84 +61,84 @@ def _pooled_take(flat: np.ndarray, idx: np.ndarray, pool, name: str) -> np.ndarr
     return buf
 
 
+def _span(tracer, name: str):
+    """``tracer.span`` on the mesh timeline; a no-op without a tracer."""
+    return _NO_SPAN if tracer is None else tracer.span(name, "mesh")
+
+
 @hot_path
 def scatter_to_patches(
     plan: TransferPlan,
     u: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
     *,
     fill_boundary: bool = True,
     coalesce: bool = False,
     pool=None,
     tracer=None,
+    scatter=None,
 ) -> np.ndarray:
     """Loop-over-octants unzip: fill padded patches for every octant.
 
-    ``coalesce=True`` replaces the per-group fancy assignments with (at
-    most) two concatenated gather/scatter pairs over the plan's cached
-    :class:`~repro.mesh.maps.CoalescedScatter` indices — byte-identical
-    output, far fewer kernel launches.  ``pool`` (duck-typed
-    ``get(name, shape, dtype)``) supplies the prolongation buffer and
+    The reference execution is one fancy assignment per plan group.
+    ``coalesce=True`` replaces them with (at most) two concatenated
+    gather/scatter pairs over the plan's cached
+    :class:`~repro.mesh.maps.CoalescedScatter` indices; ``scatter`` — a
+    compiled chunk kernel's ``unzip_scatter(plan, u, up, out)`` —
+    replaces them and the interior copy with native box copies over
+    :meth:`~repro.mesh.maps.TransferPlan.box_table`, and returns False
+    for arrays it cannot take (then the NumPy execution runs).  All
+    three are byte-identical.  ``pool`` (duck-typed
+    ``get(name, shape, dtype)``) supplies the prolongation buffers and
     gather staging so the hot path allocates nothing.  ``tracer``
     (a :class:`repro.telemetry.Tracer`) spans the prolongation and
     scatter sub-phases on the trace timeline.
     """
-    if out is None:
-        out = allocate_patches(plan, u.shape[:-4], dtype=u.dtype)  # alloc-ok
     uf, pf = _flat_views(plan, u, out)
     lead = u.shape[:-4]
 
     # prolong every coarse source exactly once
     n_pro = len(plan.prolong_octs)
-    if tracer is not None:
-        tracer.begin("unzip.prolong", "mesh")
-    if n_pro:
-        f = 2 * plan.r - 1
-        if pool is not None:
-            src = pool.get(
-                "unzip.prolong_src", lead + (n_pro, plan.r, plan.r, plan.r), u.dtype
-            )
+    up = None
+    with _span(tracer, "unzip.prolong"):
+        if n_pro:
+            r, f = plan.r, 2 * plan.r - 1
+            src = scratch(pool, "unzip.prolong_src", lead + (n_pro, r, r, r),
+                          u.dtype)
             np.take(u, plan.prolong_octs, axis=-4, out=src)
             up = prolong_blocks(
-                src, plan.r,
-                out=pool.get("unzip.prolong", lead + (n_pro, f, f, f), u.dtype),
+                src, r, pool=pool,
+                out=scratch(pool, "unzip.prolong", lead + (n_pro, f, f, f),
+                            u.dtype),
             )
-        else:
-            up = prolong_blocks(u[..., plan.prolong_octs, :, :, :], plan.r)  # alloc-ok
-        upf = up.reshape(lead + (n_pro, f**3))
-    else:
-        upf = None
-    if tracer is not None:
-        tracer.end()
-        tracer.begin("unzip.scatter", "mesh")
 
-    if coalesce:
-        co = plan.coalesced()
-        pflat = pf.reshape(lead + (-1,))
-        if len(co.coarse_src):
-            uplat = upf.reshape(lead + (-1,))
-            pflat[..., co.coarse_dst] = _pooled_take(
-                uplat, co.coarse_src, pool, "unzip.coarse_vals"
-            )
-        if len(co.direct_src):
-            uflat = uf.reshape(lead + (-1,))
-            pflat[..., co.direct_dst] = _pooled_take(
-                uflat, co.direct_src, pool, "unzip.direct_vals"
-            )
-    else:
-        for grp in plan.groups:  # already ordered coarse -> same -> fine
-            if grp.case == CASE_COARSE:
-                rows = plan.prolong_row[grp.src]
-                src_vals = upf[..., rows[:, None], grp.src_template[None, :]]
+    with _span(tracer, "unzip.scatter"):
+        if scatter is None or not scatter(plan, u, up, out):
+            if coalesce:
+                co = plan.coalesced()
+                pflat = pf.reshape(lead + (-1,))
+                if len(co.coarse_src):
+                    uplat = up.reshape(lead + (-1,))
+                    pflat[..., co.coarse_dst] = _pooled_take(
+                        uplat, co.coarse_src, pool, "unzip.coarse_vals"
+                    )
+                if len(co.direct_src):
+                    uflat = uf.reshape(lead + (-1,))
+                    pflat[..., co.direct_dst] = _pooled_take(
+                        uflat, co.direct_src, pool, "unzip.direct_vals"
+                    )
             else:
-                src_vals = uf[..., grp.src[:, None], grp.src_template[None, :]]
-            pf[..., grp.dst[:, None], grp.dst_template[None, :]] = src_vals
-
-    _copy_interior(plan, u, out)
-    if fill_boundary:
-        extrapolate_boundary(plan, out)
-    if tracer is not None:
-        tracer.end()
+                upf = None if up is None else up.reshape(lead + (n_pro, -1))
+                for grp in plan.groups:  # already ordered coarse -> same -> fine
+                    if grp.case == CASE_COARSE:
+                        rows = plan.prolong_row[grp.src]
+                        src_vals = upf[..., rows[:, None], grp.src_template[None, :]]
+                    else:
+                        src_vals = uf[..., grp.src[:, None], grp.src_template[None, :]]
+                    pf[..., grp.dst[:, None], grp.dst_template[None, :]] = src_vals
+            _copy_interior(plan, u, out)
+        if fill_boundary:
+            extrapolate_boundary(plan, out)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interp import prolongation_matrix_1d
+from .interp import prolong_blocks
 
 
 def wavelet_coefficients(u: np.ndarray, r: int = 7) -> np.ndarray:
@@ -27,11 +27,7 @@ def wavelet_coefficients(u: np.ndarray, r: int = 7) -> np.ndarray:
     if r % 2 == 0:
         raise ValueError("r must be odd")
     nc = (r + 1) // 2
-    coarse = u[..., ::2, ::2, ::2]
-    P = prolongation_matrix_1d(nc)  # (r, nc)
-    rec = np.tensordot(coarse, P, axes=([-3], [1]))
-    rec = np.tensordot(rec, P, axes=([-3], [1]))
-    rec = np.tensordot(rec, P, axes=([-3], [1]))
+    rec = prolong_blocks(u[..., ::2, ::2, ::2], nc)
     return np.abs(u - rec).max(axis=(-3, -2, -1))
 
 

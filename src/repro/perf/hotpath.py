@@ -27,6 +27,7 @@ HOT_REGISTRY: dict[str, Callable] = {}
 #: the registry is complete even from a cold interpreter)
 HOT_MODULES = (
     "repro.fd.derivatives",
+    "repro.mesh.interp",
     "repro.mesh.octant_to_patch",
     "repro.bssn.rhs",
     "repro.solver.rk4",

@@ -205,8 +205,9 @@ class BSSNSolver(Solver):
         kernel (D + A + KO) → Sommerfeld faces → write.
 
         Every buffer comes from the per-mesh arena, the scatter runs
-        coalesced, and the per-chunk face lists are the hoisted per-mesh
-        ones.
+        as the chunk kernel's backend does it (native box copies, or
+        coalesced fancy indexing under NumPy), and the per-chunk face
+        lists are the hoisted per-mesh ones.
         """
         mesh = self.mesh
         prof = self._prof
@@ -218,7 +219,7 @@ class BSSNSolver(Solver):
                 (S.NUM_VARS, mesh.num_octants, mesh.P, mesh.P, mesh.P),
             )
             mesh.unzip(u, out=patches, coalesce=True, pool=pool,
-                       tracer=prof.tracer)
+                       tracer=prof.tracer, scatter=self.kernel.unzip_scatter)
         rhs = np.empty_like(u) if out is None else out  # alloc-ok: fallback
         coords = self.coords()
         for lo, hi, faces in ws.chunk_faces():

@@ -86,7 +86,8 @@ class WaveSolver(Solver):
         """RHS of (φ, π) over the whole mesh: unzip once, then per octant
         chunk source → kernel (Laplacian + KO), then the Sommerfeld
         faces.  All patch/derivative/boundary buffers come from the
-        per-mesh arena and the scatter runs coalesced.
+        per-mesh arena and the scatter runs as the chunk kernel's
+        backend does it (native box copies, or coalesced under NumPy).
         """
         mesh = self.mesh
         prof = self._prof
@@ -95,7 +96,7 @@ class WaveSolver(Solver):
         with prof.phase("unzip"):
             patches = pool.get("solver.patches", (2, n, mesh.P, mesh.P, mesh.P))
             mesh.unzip(u, out=patches, coalesce=True, pool=pool,
-                       tracer=prof.tracer)
+                       tracer=prof.tracer, scatter=self.kernel.unzip_scatter)
         rhs = np.empty_like(u) if out is None else out  # alloc-ok: out=None fallback
         coords = self.coords()
         for lo in range(0, n, self.chunk):

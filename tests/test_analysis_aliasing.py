@@ -148,3 +148,20 @@ def test_identical_external_ranges_not_flagged():
     auditor.register_external("rk4.out_a", arr)
     auditor.register_external("state", arr)
     assert not auditor.findings
+
+
+def test_audit_sees_the_unzip_prolongation_buffers():
+    """On a mesh with a coarse/fine interface the unzip leases its
+    prolongation source, intermediates and result from the arena — all
+    visible to (and clean under) the audit."""
+    from repro.octree import balance
+
+    tree = LinearOctree.uniform(2)
+    s = WaveSolver(Mesh(balance(tree.refine(np.arange(len(tree)) == 0))))
+    s.state[0] = np.exp(-(s.coords() ** 2).sum(axis=-1))
+    s.step()
+    report = audit_solver_step(s)
+    assert report.ok, [f.to_dict() for f in report.findings]
+    leased = {ev.name for ev in report.events if ev.phase == "unzip"}
+    assert {"unzip.prolong_src", "unzip.prolong_z", "unzip.prolong_y",
+            "unzip.prolong"} <= leased

@@ -19,6 +19,7 @@ from repro.codegen import (
     max_live_values,
     symbolic_rhs,
 )
+from repro.codegen.backends import probe_cffi
 from repro.codegen.graph import dfs_schedule
 from repro.codegen.regalloc import Statement
 from repro.mesh import Mesh
@@ -230,3 +231,73 @@ class TestScheduleDiskCache:
         G._store_cached_spec(spec)
         assert not stale.exists()
         assert len(list(tmp_path.glob("staged-cse-*.pkl"))) == 1
+
+
+class TestNativeBuildCache:
+    """The built ``.so`` is keyed on everything that decides its machine
+    code, and kernel pointers are only taken from arrays the C side can
+    read as declared."""
+
+    def test_key_separates_flags_and_hosts(self, monkeypatch):
+        from repro.codegen import cbackend as C
+
+        args = ("int x;", "gcc 12", "2.0")
+        key = C.native_cache_key(*args)
+        assert key == C.native_cache_key(*args, C.CFLAGS)
+        assert key != C.native_cache_key(*args, ("-O2",) + C.CFLAGS[1:])
+        assert key != C.native_cache_key(*args, C.CFLAGS_PORTABLE)
+        assert "-march=native" not in C.CFLAGS_PORTABLE
+        assert "-ffp-contract=off" in C.CFLAGS_PORTABLE
+        # -march=native bakes in the build host's ISA
+        monkeypatch.setattr(C, "host_cpu_fingerprint", lambda: "another-cpu")
+        assert key != C.native_cache_key(*args)
+
+    @pytest.mark.skipif(probe_cffi() is None,
+                        reason="cffi or a C compiler is missing")
+    def test_rejected_march_native_retries_portable(self, tmp_path, monkeypatch):
+        """A compiler that refuses -march=native gets the portable flags,
+        and that build is cached under its own key."""
+        import subprocess
+
+        from repro.codegen import cbackend as C
+
+        real_run = subprocess.run
+        attempts = []
+
+        def run(cmd, **kw):
+            if "-o" in cmd:
+                attempts.append(tuple(f for f in cmd if f.startswith("-")))
+                if "-march=native" in cmd:
+                    return subprocess.CompletedProcess(cmd, 1, "", "bad -march")
+            return real_run(cmd, **kw)
+
+        monkeypatch.setattr(C, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(C.subprocess, "run", run)
+        lib = C.build_native_lib("int probe;\n")
+        assert lib.cflags == C.CFLAGS_PORTABLE and not lib.from_cache
+        assert len(attempts) == 2 and "-march=native" in attempts[0]
+        cc = C._cc()
+        import cffi
+
+        portable_key = C.native_cache_key(
+            "int probe;\n", C._cc_version(cc), cffi.__version__,
+            C.CFLAGS_PORTABLE)
+        assert lib.path.name == f"native-{portable_key}.so"
+        again = C.build_native_lib("int probe;\n")
+        assert again.from_cache and again.cflags == C.CFLAGS_PORTABLE
+        assert len(attempts) == 2  # served from the cache: no new compile
+
+    def test_ptr_rejects_what_c_would_reinterpret(self):
+        from repro.codegen.cbackend import NativeLib
+
+        class FFI:
+            def cast(self, ctype, addr):
+                return ctype
+
+        lib = NativeLib(None, FFI(), None, 0.0, True)
+        assert lib.ptr(np.zeros(3)) == "double *"
+        assert lib.ptr(np.zeros(3, dtype=np.int64)) == "long *"
+        for bad in (np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int32),
+                    np.zeros((3, 4))[:, ::2]):
+            with pytest.raises(TypeError):
+                lib.ptr(bad)

@@ -60,6 +60,41 @@ class TestProlongBlocks:
         with pytest.raises(ValueError):
             prolong_blocks(np.zeros((5, 5, 5)))
 
+    @pytest.mark.parametrize("lead", [(), (5,), (24, 5)], ids=str)
+    @pytest.mark.parametrize("r", [R, 4])
+    def test_bitwise_against_tensordot_chain(self, lead, r):
+        """The batched-matmul prolongation equals the three-``tensordot``
+        chain it replaced bit for bit — with and without ``out=``, with
+        pooled intermediates, and on a strided input (the wavelet's)."""
+        from repro.perf import BufferPool
+
+        def tensordot_chain(u):
+            P = prolongation_matrix_1d(r)
+            v = np.tensordot(u, P, axes=([-3], [1]))  # (..., y, x, Z)
+            v = np.tensordot(v, P, axes=([-3], [1]))  # (..., x, Z, Y)
+            return np.tensordot(v, P, axes=([-3], [1]))  # (..., Z, Y, X)
+
+        rng = np.random.default_rng(len(lead) * 10 + r)
+        big = rng.normal(size=lead + (2 * r - 1,) * 3) * 10.0 ** rng.uniform(
+            -6, 6, size=lead + (1, 1, 1)
+        )
+        for u in (np.ascontiguousarray(big[..., :r, :r, :r]),
+                  big[..., ::2, ::2, ::2]):
+            ref = tensordot_chain(u)
+            assert np.array_equal(prolong_blocks(u, r), ref)
+            out = np.full(ref.shape, np.nan)
+            pool = BufferPool()
+            assert prolong_blocks(u, r, out=out, pool=pool) is out
+            assert np.array_equal(out, ref)
+            assert "unzip.prolong_z" in pool and "unzip.prolong_y" in pool
+
+    def test_out_must_be_contiguous(self):
+        u = np.zeros((2, R, R, R))
+        with pytest.raises(ValueError):
+            prolong_blocks(u, out=np.zeros((2, 13, 13, 26))[..., ::2])
+        with pytest.raises(ValueError):
+            prolong_blocks(u, out=np.zeros((3, 13, 13, 13)))
+
     def test_flop_counts_positive(self):
         assert prolong_flops(7) > 0
         assert paper_interp_ops(7) == 3 * 13 * 343

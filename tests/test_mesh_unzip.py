@@ -209,19 +209,23 @@ from hypothesis import strategies as st
 from repro.octree import balance
 
 
+def _random_balanced_mesh(seed, base_level=2):
+    rng = np.random.default_rng(seed)
+    t = LinearOctree.uniform(base_level)
+    for _ in range(2):
+        flags = rng.random(len(t)) < 0.25
+        flags &= t.levels < 5
+        t = t.refine(flags)
+    return Mesh(balance(t))
+
+
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=8, deadline=None)
 def test_unzip_property_random_balanced_trees(seed):
     """Property: on any random balanced tree, (a) zip∘unzip is the
     identity, (b) gather ≡ scatter, (c) unzip reproduces a smooth global
     function on all interior patches to interpolation accuracy."""
-    rng = np.random.default_rng(seed)
-    t = LinearOctree.uniform(2)
-    for _ in range(2):
-        flags = rng.random(len(t)) < 0.25
-        flags &= t.levels < 5
-        t = t.refine(flags)
-    mesh = Mesh(balance(t))
+    mesh = _random_balanced_mesh(seed)
 
     c = mesh.coordinates()
     u = np.sin(0.05 * c[..., 0]) * np.cos(0.07 * c[..., 1]) + 0.02 * c[..., 2]
@@ -238,3 +242,136 @@ def test_unzip_property_random_balanced_trees(seed):
     interior[mesh.boundary_octants()] = False
     if interior.any():
         assert np.abs(p[interior] - expect[interior]).max() < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the native box-copy execution (compiled chunk kernels' unzip_scatter)
+# ---------------------------------------------------------------------------
+
+from repro.codegen import backends as B
+from repro.mesh.maps import (
+    BOX_DST, BOX_NX, BOX_NY, BOX_NZ, BOX_SRC, BOX_SRC_N, BOX_STRIDE,
+    CASE_COARSE, CASE_FINE, CASE_SAME,
+)
+
+#: every rung of the compiled ladder this host can run; un-jitted "py"
+#: always can
+RUNGS = [impl for impl, ok in (("numba", B.probe_numba()),
+                               ("cffi", B.probe_cffi())) if ok]
+
+
+def _has_every_case(mesh):
+    return ({g.case for g in mesh.plan.groups}
+            == {CASE_COARSE, CASE_SAME, CASE_FINE}
+            and len(mesh.boundary_octants()) > 0)
+
+
+def _assert_native_equals_reference(mesh, kernel, nvars, rng):
+    u = rng.normal(size=(nvars, mesh.num_octants, 7, 7, 7))
+    for state in (u, u[0]):  # with and without a leading axis
+        ref = mesh.unzip(state)  # the group loop
+        out = np.full_like(ref, np.nan)  # an unwritten point stays NaN
+        got = mesh.unzip(state, out=out, coalesce=True,
+                         scatter=kernel.unzip_scatter)
+        assert got is out
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.skipif(not RUNGS, reason="no native toolchain (numba or cffi+cc)")
+@pytest.mark.parametrize("impl", RUNGS)
+@pytest.mark.parametrize("nvars", [1, 2, 24])
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=5, deadline=None)
+def test_native_unzip_equals_group_loop_on_random_trees(impl, nvars, seed):
+    """Bitwise on random balanced trees with boundary octants and all
+    three transfer cases; 24 variables on smaller trees to bound memory."""
+    from hypothesis import assume
+
+    mesh = _random_balanced_mesh(seed, base_level=1 if nvars == 24 else 2)
+    assume(_has_every_case(mesh))
+    _assert_native_equals_reference(
+        mesh, B.NativeWaveRHS(impl=impl), nvars, np.random.default_rng(seed)
+    )
+
+
+def test_py_rung_unzip_equals_group_loop():
+    """The emitted Python twin of the kernels, un-jitted, on a tiny tree
+    (needs no toolchain)."""
+    tree = LinearOctree.uniform(1)
+    mesh = Mesh(balance(tree.refine(np.arange(len(tree)) == 3)))
+    assert _has_every_case(mesh)
+    _assert_native_equals_reference(
+        mesh, B.NativeWaveRHS(impl="py"), 2, np.random.default_rng(5)
+    )
+
+
+def test_native_unzip_leaves_other_dtypes_to_numpy():
+    """A float32 (or non-contiguous) state must not reach a kernel that
+    reads ``double*``: the executor declines and the NumPy scatter runs."""
+    mesh = _random_balanced_mesh(3, base_level=1)
+    kernel = B.NativeWaveRHS(impl="py")
+    u = mesh.allocate(2, dtype=np.float32)
+    u[...] = np.random.default_rng(0).normal(size=u.shape)
+    ref = mesh.unzip(u)
+    out = np.full_like(ref, np.nan)
+    assert not kernel.unzip_scatter(mesh.plan, u, None, out)
+    assert np.isnan(out).all()  # declined: nothing written
+    got = mesh.unzip(u, out=out, scatter=kernel.unzip_scatter)
+    assert got.dtype == np.float32 and np.array_equal(got, ref)
+    strided = np.zeros((2, mesh.num_octants, 7, 7, 14))[..., ::2]
+    assert not kernel.unzip_scatter(
+        mesh.plan, strided, None, mesh.allocate_patches(2)
+    )
+
+
+def test_box_table_covers_the_group_points_in_group_order(mesh):
+    """Expanding every box row point by point reproduces the concatenated
+    per-group fancy indices exactly — same points, same order."""
+    table, n_coarse = mesh.plan.box_table()
+    co = mesh.plan.coalesced()
+    P = mesh.P
+
+    def expand(rows):
+        src, dst = [], []
+        for row in rows:
+            sn, st = row[BOX_SRC_N], row[BOX_STRIDE]
+            z, y, x = np.meshgrid(np.arange(row[BOX_NZ]), np.arange(row[BOX_NY]),
+                                  np.arange(row[BOX_NX]), indexing="ij")
+            src.append((row[BOX_SRC] + ((z * sn + y) * sn + x) * st).ravel())
+            dst.append((row[BOX_DST] + (z * P + y) * P + x).ravel())
+        return np.concatenate(src), np.concatenate(dst)
+
+    assert 0 < n_coarse < len(table)
+    assert len(table) == sum(g.num_pairs for g in mesh.plan.groups)
+    src, dst = expand(table[:n_coarse])
+    assert np.array_equal(src, co.coarse_src)
+    assert np.array_equal(dst, co.coarse_dst)
+    src, dst = expand(table[n_coarse:])
+    assert np.array_equal(src, co.direct_src)
+    assert np.array_equal(dst, co.direct_dst)
+    assert mesh.plan.box_table()[0] is table  # cached per plan
+
+
+def test_unzip_spans_close_when_a_phase_raises(mesh):
+    """An exception inside prolong or scatter must not leave its span
+    open (every later span would nest under it)."""
+    from repro.telemetry import Tracer
+
+    class RaisingPool:
+        def get(self, name, shape, dtype=np.float64):
+            raise MemoryError(name)
+
+    tracer = Tracer()
+    u = mesh.allocate()
+    with pytest.raises(MemoryError):
+        mesh.unzip(u, pool=RaisingPool(), tracer=tracer)
+    assert tracer.open_spans == 0
+
+    def raising_scatter(plan, u, up, out):
+        raise RuntimeError("scatter")
+
+    with pytest.raises(RuntimeError):
+        mesh.unzip(u, tracer=tracer, scatter=raising_scatter)
+    assert tracer.open_spans == 0
+    assert [r[1] for r in tracer.records()] == [
+        "unzip.prolong", "unzip.prolong", "unzip.scatter"]
