@@ -29,7 +29,7 @@ schedules, shards, and serves many such runs at once:
   / ``cancel`` / ``report`` / ``demo`` / ``coordinator`` / ``chaos``.
 """
 
-from .backoff import Backoff
+from repro.rpc import Backoff
 from .cache import CacheEntry, ResultCache
 from .campaign import (
     Campaign,

@@ -4,16 +4,18 @@ A socket layer that turns one or more file-backed
 :class:`repro.jobs.JobQueue` shards into a service remote workers can
 claim from — engineered for failure first:
 
-* :mod:`~repro.jobs.fabric.protocol` — length-prefixed JSON frames with
-  per-op idempotency tokens;
-* :class:`Coordinator` — threaded RPC front-end that journals every
-  mutation through the crash-safe queues (kill it, restart it, nothing
-  is lost or double-run), reaps expired leases on a cadence, and lets
-  workers steal across shards;
+* :mod:`~repro.jobs.fabric.protocol` — the message schema (per-op
+  idempotency tokens) over :mod:`repro.rpc`'s length-prefixed frames;
+* :class:`ShardedQueue` — the queue surface over N shards as one
+  transport-free op table (claim rotation, work stealing, reap);
+* :class:`Coordinator` — that table behind a threaded RPC front-end
+  that journals every mutation through the crash-safe queues (kill it,
+  restart it, nothing is lost or double-run) and reaps expired leases
+  on a cadence;
 * :class:`FabricClient` / :class:`FabricQueue` — deadline + bounded
-  full-jitter backoff + exactly-once retries, degrading to direct
-  file-queue mode while the coordinator is away and re-attaching when
-  it returns;
+  full-jitter backoff + exactly-once retries, degrading to the same
+  op table run in-process on the shard files while the coordinator is
+  away and re-attaching when it returns;
 * the chaos matrix (``python -m repro.jobs chaos``) proves the
   guarantees under coordinator kill+restart, worker death, partitions,
   and duplicate-delivery storms via
@@ -21,6 +23,8 @@ claim from — engineered for failure first:
 """
 
 from __future__ import annotations
+
+from repro.rpc import parse_address
 
 from .client import (
     CoordinatorUnreachable,
@@ -39,17 +43,7 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
-
-
-def parse_address(spec) -> tuple[str, int]:
-    """``"host:port"`` (or an (host, port) pair) → (host, port)."""
-    if isinstance(spec, (tuple, list)):
-        return str(spec[0]), int(spec[1])
-    host, _, port = str(spec).rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"expected host:port, got {spec!r}")
-    return host, int(port)
-
+from .sharded import ShardedQueue
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -60,6 +54,7 @@ __all__ = [
     "FabricQueue",
     "ProtocolError",
     "RpcRemoteError",
+    "ShardedQueue",
     "encode_frame",
     "new_token",
     "parse_address",

@@ -1,58 +1,38 @@
 """Fabric RPC client and the queue facade workers run against.
 
-:class:`FabricClient` is engineered for failure first: every call gets
-
-* a per-attempt socket deadline (``rpc_timeout``) and an overall
-  ``deadline`` after which the op is abandoned;
-* bounded exponential backoff with full jitter between attempts
-  (:class:`repro.jobs.Backoff`), so a coordinator coming back from a
-  crash is not greeted by a synchronized retry stampede;
-* one idempotency token per *logical* op, reused verbatim across
-  retries — the server journals it, so a retry whose first attempt
-  actually committed is recognised and answered, never applied twice;
-* reconnect-on-any-failure: a timed-out connection is closed, killing
-  any stale response still in flight on it, and the echoed token is
-  checked besides (a late response to an older request is discarded).
+:class:`FabricClient` is :class:`repro.rpc.Client` — per-attempt
+timeout, overall deadline, full-jitter backoff, one idempotency token
+per *logical* op reused across retries, stale replies discarded — under
+the names the fabric has always exported.
 
 :class:`FabricQueue` presents the :class:`repro.jobs.JobQueue` surface
 (claim / complete / fail / requeue / heartbeat / preempt_requested /
 drained / counts / reap) over the client, and *degrades gracefully*:
 when the coordinator stays unreachable and the shard directories are
-locally accessible (shared filesystem), it falls back to direct
-file-queue mode — correct, because the coordinator journals through
-the very same crash-safe queues — and probes the socket on a backoff
-cadence to re-attach when the coordinator returns.  The
-``fabric_degraded`` gauge tracks which mode the worker is in.
+locally accessible (shared filesystem), it runs the coordinator's own
+op table (:class:`~.sharded.ShardedQueue`) in-process over them —
+correct, because the coordinator journals through the very same
+crash-safe queues — and probes the socket on a backoff cadence to
+re-attach when the coordinator returns.  The ``fabric_degraded`` gauge
+tracks which mode the worker is in.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import socket
-import threading
 import time
 
-from ..backoff import Backoff
-from ..queue import JobError, JobQueue, QueueSaturated
-from .protocol import ProtocolError, new_token, recv_frame, send_frame
-
-
-class FabricError(RuntimeError):
-    """Base class of fabric client failures."""
-
-
-class CoordinatorUnreachable(FabricError):
-    """Every attempt within the deadline failed to get a response."""
-
-
-class RpcRemoteError(FabricError):
-    """The coordinator answered with a definitive error (no retry)."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
-        self.message = message
+from repro.rpc import (
+    Backoff,
+    Client as FabricClient,
+    RemoteError as RpcRemoteError,
+    RpcError as FabricError,
+    Unreachable as CoordinatorUnreachable,
+    new_token,
+)
+from ..queue import JobError, QueueSaturated
+from .sharded import ShardedQueue
 
 
 def worker_pid_tag(host: str | None = None) -> str:
@@ -61,135 +41,12 @@ def worker_pid_tag(host: str | None = None) -> str:
     return f"{host or socket.gethostname()}!{os.getpid()}"
 
 
-class FabricClient:
-    """One connection to a coordinator, retried transparently."""
+#: ``FabricQueue._call`` default meaning "no fallback value: re-raise"
+_RAISE = object()
 
-    def __init__(self, address, *, rpc_timeout: float = 2.0,
-                 deadline: float = 15.0, backoff: Backoff | None = None,
-                 metrics=None):
-        self.address = (address[0], int(address[1]))
-        self.rpc_timeout = float(rpc_timeout)
-        self.deadline = float(deadline)
-        self.backoff = backoff or Backoff(base=0.02, cap=1.0)
-        self.metrics = metrics
-        self._sock: socket.socket | None = None
-        # the heartbeat thread shares this client with the worker loop;
-        # one RPC owns the connection at a time
-        self._lock = threading.RLock()
-        #: estimated coordinator_wall − local_wall [s], from the
-        #: ``server_wall`` echo every response carries; the minimum-RTT
-        #: sample wins (tightest bound on the true offset)
-        self.clock_offset = 0.0
-        self._offset_rtt = math.inf
 
-    # -- connection management ----------------------------------------
-    def _connect(self, timeout: float) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
-        sock = socket.create_connection(self.address, timeout=timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        return sock
-
-    def close(self) -> None:
-        """Drop the connection (next call reconnects)."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def __enter__(self) -> "FabricClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- the RPC path --------------------------------------------------
-    def call(self, op: str, *, token: str | None = None,
-             deadline: float | None = None, **args):
-        """One logical RPC: retried until it gets a definitive response
-        or the deadline passes.  Mutating ops should pass a ``token``
-        (minted once, before the first attempt) — :func:`new_token`.
-        """
-        overall = self.deadline if deadline is None else float(deadline)
-        with self._lock:
-            give_up = time.monotonic() + overall
-            request = {"op": op, "token": token, **args}
-            self.backoff.reset()
-            attempt = 0
-            last_exc: Exception | None = None
-            while True:
-                budget = give_up - time.monotonic()
-                if attempt > 0 and budget <= 0:
-                    break
-                t0 = time.perf_counter()
-                wall_t0 = time.time()
-                try:
-                    response = self._attempt(request, max(0.05, min(
-                        self.rpc_timeout,
-                        budget if attempt else self.rpc_timeout,
-                    )))
-                except (OSError, ProtocolError, socket.timeout) as exc:
-                    last_exc = exc
-                    self.close()
-                    if self.metrics is not None:
-                        self.metrics.counter("rpc_retries", op=op).inc()
-                    # the first attempt may have committed server-side:
-                    # flag the resend so dedup paths (e.g. the cross-
-                    # shard claim-token scan) run only when needed
-                    request["retry"] = True
-                    attempt += 1
-                    delay = self.backoff.next()
-                    if time.monotonic() + delay >= give_up:
-                        break
-                    time.sleep(delay)
-                    continue
-                elapsed = time.perf_counter() - t0
-                self._observe_offset(response, wall_t0, time.time(),
-                                     elapsed)
-                if self.metrics is not None:
-                    self.metrics.histogram("rpc_latency_seconds", op=op) \
-                        .observe(elapsed)
-                return response.get("value")
-        raise CoordinatorUnreachable(
-            f"{op} to {self.address[0]}:{self.address[1]} failed after "
-            f"{attempt} attempts in {overall:.1f}s: {last_exc!r}"
-        )
-
-    def _observe_offset(self, response: dict, wall_t0: float,
-                        wall_t1: float, rtt: float) -> None:
-        """Fold one ``server_wall`` echo into the clock-offset estimate:
-        offset = server_wall − midpoint(send, receive), kept from the
-        lowest-RTT exchange seen (NTP's classic bound — the shorter the
-        round trip, the less room for asymmetry error)."""
-        server_wall = response.get("server_wall")
-        if server_wall is None:
-            return
-        if rtt <= self._offset_rtt:
-            self._offset_rtt = rtt
-            self.clock_offset = float(server_wall) - 0.5 * (wall_t0
-                                                            + wall_t1)
-            if self.metrics is not None:
-                self.metrics.gauge("rpc_clock_offset_seconds") \
-                    .set(self.clock_offset)
-
-    def _attempt(self, request: dict, timeout: float) -> dict:
-        sock = self._connect(timeout)
-        sock.settimeout(timeout)
-        send_frame(sock, request)
-        while True:
-            response = recv_frame(sock)
-            if response is None:
-                raise ProtocolError("connection closed awaiting response")
-            if response.get("token") != request.get("token"):
-                continue  # stale response to an abandoned earlier request
-            break
-        if response.get("ok"):
-            return response
-        raise RpcRemoteError(response.get("kind", "error"),
-                             response.get("error", ""))
+class _StillAway(CoordinatorUnreachable):
+    """Degraded and not due for a re-attach probe: nothing was sent."""
 
 
 class FabricQueue:
@@ -215,8 +72,8 @@ class FabricQueue:
         self._fleet = False  # set by attach() from the hello response
         self.lease_seconds = lease_seconds
         self.pid_tag = worker_pid_tag()
-        self._direct = ([JobQueue(r, lease_seconds=lease_seconds)
-                         for r in roots] if roots else [])
+        self._local = (ShardedQueue(roots, lease_seconds=lease_seconds)
+                       if roots else None)
         self._shards: dict[str, int] = {}  # job id -> shard it lives on
         self.degraded = False
         self._probe = Backoff(base=probe_base, cap=8.0)
@@ -269,15 +126,15 @@ class FabricQueue:
             self._next_probe = time.monotonic() + self._probe.next()
             return False
 
-    def _rpc(self, op: str, *, token: str | None = None, **args):
+    def _rpc(self, op: str, **args):
         """RPC with degradation bookkeeping; raises
-        :class:`CoordinatorUnreachable` only when no fallback exists.
+        :class:`CoordinatorUnreachable` while the coordinator is away.
         Definitive remote errors surface as their queue-side types
         (:class:`JobError` / :class:`QueueSaturated`), so callers treat
         the facade exactly like a local :class:`JobQueue`."""
         if not self.degraded or self._maybe_reattach():
             try:
-                return self.client.call(op, token=token, **args)
+                return self.client.call(op, **args)
             except CoordinatorUnreachable:
                 self._enter_degraded()
                 raise
@@ -287,53 +144,37 @@ class FabricQueue:
                 if exc.kind == "QueueSaturated":
                     raise QueueSaturated(exc.message) from exc
                 raise
-        raise CoordinatorUnreachable("degraded: coordinator still away")
+        raise _StillAway("degraded: coordinator still away")
+
+    def _call(self, op: str, default, **args):
+        """One queue op: over RPC, or — while the coordinator is away —
+        through the same op table in-process over ``roots``.  Without
+        ``roots`` there is nothing to fall back to: ``default`` is the
+        answer (``_RAISE`` re-raises :class:`CoordinatorUnreachable`).
+        A fallback after an RPC that was actually sent runs as a *retry*
+        (same token): the send may have committed on any shard."""
+        try:
+            return self._rpc(op, **args)
+        except CoordinatorUnreachable as exc:
+            if self._local is not None:
+                return self._local.handle(op, {
+                    **args, "retry": not isinstance(exc, _StillAway)})
+            if default is _RAISE:
+                raise
+            return default
 
     # -- queue surface ---------------------------------------------------
     def claim(self, worker: str | None = None) -> dict | None:
-        worker = worker or self.name
-        token = new_token()
-        try:
-            rec = self._rpc("claim", token=token, worker=worker,
-                            pid=self.pid_tag)
-        except CoordinatorUnreachable:
-            if not self._direct:
-                return None
-            for shard, q in enumerate(self._direct):
-                rec = q.claim(worker, token=token)
-                if rec is not None:
-                    rec["shard"] = shard
-                    break
-            else:
-                return None
+        rec = self._call("claim", None, token=new_token(),
+                         worker=worker or self.name, pid=self.pid_tag)
         if rec is not None:
             self._shards[rec["id"]] = int(rec.get("shard", 0))
         return rec
 
-    def _finish(self, op: str, job_id: str, worker: str | None = None,
-                **args):
-        shard = self._shards.get(job_id, 0)
-        worker = worker or self.name
-        token = new_token()
-        try:
-            return self._rpc(op, token=token, id=job_id, shard=shard,
-                             worker=worker, **args)
-        except CoordinatorUnreachable:
-            if not self._direct:
-                raise
-            q = self._direct[shard]
-            if op == "complete":
-                return q.complete(job_id, args.get("result"),
-                                  worker=worker,
-                                  attempt=args.get("attempt"), token=token)
-            if op == "fail":
-                return q.fail(job_id, args.get("error", "unknown"),
-                              worker=worker,
-                              attempt=args.get("attempt"), token=token)
-            return q.requeue(job_id, checkpoint=args.get("checkpoint"),
-                             reason=args.get("reason", "requeue"),
-                             worker=worker, attempt=args.get("attempt"),
-                             token=token)
+    def _finish(self, op: str, job_id: str, worker: str | None, **args):
+        return self._call(op, _RAISE, token=new_token(), id=job_id,
+                          shard=self._shards.get(job_id, 0),
+                          worker=worker or self.name, **args)
 
     def complete(self, job_id: str, result: dict | None = None, *,
                  worker: str | None = None,
@@ -366,37 +207,31 @@ class FabricQueue:
         piggybacks the worker's pending telemetry deltas and commits
         whatever the coordinator acknowledged — telemetry costs no
         extra round trips on the steady-state path."""
-        shard = self._shards.get(job_id, 0)
-        worker = worker or self.name
-        extra = {}
-        if self.shipper is not None and self._fleet and not self.degraded:
-            self.shipper.clock_offset = self.client.clock_offset
-            payload = self.shipper.flush()
-            if payload is not None:
-                extra["telemetry"] = payload
-        try:
-            value = self._rpc("heartbeat", id=job_id, shard=shard,
-                              worker=worker, **extra)
-        except CoordinatorUnreachable:
-            if not self._direct:
-                return True
-            return self._direct[shard].heartbeat(job_id, worker=worker)
+        payload = self._telemetry()
+        extra = {} if payload is None else {"telemetry": payload}
+        value = self._call("heartbeat", True, id=job_id,
+                           shard=self._shards.get(job_id, 0),
+                           worker=worker or self.name, **extra)
         if isinstance(value, dict):
             if self.shipper is not None:
                 self.shipper.commit(value.get("telemetry_ack"))
             return bool(value.get("alive"))
         return bool(value)
 
-    def push_telemetry(self, *, full: bool = True):
-        """Ship every pending telemetry delta now (``telemetry.push``) —
-        the full-flush path workers take at job end and on exit.
-        Returns the acknowledged sequence number, or None when there is
-        nothing to ship / no fleet aggregation to ship to."""
+    def _telemetry(self, *, full: bool = False) -> dict | None:
+        """The shipper's pending deltas, or None when there is nothing
+        to ship / no fleet aggregation to ship to."""
         if self.shipper is None or not self._fleet or self.degraded:
             return None
         self.shipper.clock_offset = self.client.clock_offset
-        payload = self.shipper.flush(full=True) if full \
-            else self.shipper.flush()
+        return self.shipper.flush(full=full)
+
+    def push_telemetry(self, *, full: bool = True):
+        """Ship every pending telemetry delta now (``telemetry.push``) —
+        the full-flush path workers take at job end and on exit.
+        Returns the acknowledged sequence number, or None when nothing
+        was shipped."""
+        payload = self._telemetry(full=full)
         if payload is None:
             return None
         try:
@@ -407,44 +242,19 @@ class FabricQueue:
         return ack
 
     def preempt_requested(self, job_id: str) -> bool:
-        shard = self._shards.get(job_id, 0)
-        try:
-            return bool(self._rpc("preempt_requested", id=job_id,
-                                  shard=shard))
-        except CoordinatorUnreachable:
-            if not self._direct:
-                return False
-            return self._direct[shard].preempt_requested(job_id)
+        return bool(self._call("preempt_requested", False, id=job_id,
+                               shard=self._shards.get(job_id, 0)))
 
     def drained(self) -> bool:
-        try:
-            return bool(self._rpc("drained"))
-        except CoordinatorUnreachable:
-            if not self._direct:
-                return False  # unknowable: keep polling, don't exit
-            return all(q.drained() for q in self._direct)
+        # no fallback → unknowable: keep polling, don't exit
+        return bool(self._call("drained", False))
 
     def counts(self) -> dict:
-        try:
-            return self._rpc("counts")
-        except CoordinatorUnreachable:
-            if not self._direct:
-                raise
-            totals: dict[str, int] = {}
-            for q in self._direct:
-                for state, n in q.counts().items():
-                    totals[state] = totals.get(state, 0) + n
-            return totals
+        return self._call("counts", _RAISE)
 
     def reap(self) -> list:
         """Trigger a reaper pass (coordinator-side when attached)."""
-        try:
-            return self._rpc("reap") or []
-        except CoordinatorUnreachable:
-            out = []
-            for shard, q in enumerate(self._direct):
-                out += [[shard, jid] for jid in q.reap()]
-            return out
+        return self._call("reap", ()) or []
 
     def submit(self, config: dict, *, cache_key: str, priority: int = 0,
                fault_steps=(), cost: dict | None = None,

@@ -9,7 +9,8 @@ simply reconnect and carry on.  Exactly-once application of retried
 RPCs rests on the queue's idempotency-token replay (DESIGN §12), not on
 any in-memory table.
 
-Worker-facing RPC ops (see :mod:`.protocol` for the wire format):
+Worker-facing RPC ops (see :mod:`.protocol` for the message schema; the
+queue surface itself is :class:`~.sharded.ShardedQueue`'s op table):
 
 ``hello``
     attach handshake: epoch, lease seconds, shard count.
@@ -35,26 +36,20 @@ existing :class:`repro.resilience.SupervisedRun` path.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import socket
-import threading
 import time
 
+from repro import rpc
 from repro.telemetry import FleetAggregator, MetricsRegistry
-from ..queue import (
-    DEFAULT_LEASE_SECONDS,
-    PENDING,
-    RUNNING,
-    JobError,
-    JobQueue,
-    QueueSaturated,
-)
-from .protocol import ProtocolError, recv_frame, send_frame
+from ..queue import DEFAULT_LEASE_SECONDS, JobError, QueueSaturated
+from .sharded import ShardedQueue
 
 EPOCH_FILE = "fabric-epoch.json"
 
 
-class Coordinator:
+class Coordinator(rpc.Listener):
     """Serve one or more campaign queue shards over the fabric protocol.
 
     ``shards`` is a list of queue directories (default: just ``root``).
@@ -67,11 +62,11 @@ class Coordinator:
                  port: int = 0, lease_seconds: float = DEFAULT_LEASE_SECONDS,
                  reap_interval: float | None = None, metrics=None,
                  fleet=None):
+        super().__init__(host, port, name="fabric")
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        paths = [pathlib.Path(s) for s in (shards or [root])]
-        self.queues = [JobQueue(p, lease_seconds=lease_seconds)
-                       for p in paths]
+        self.shards = ShardedQueue(shards or [root],
+                                   lease_seconds=lease_seconds)
         self.lease_seconds = float(lease_seconds)
         self.reap_interval = (max(0.5, self.lease_seconds / 4.0)
                               if reap_interval is None
@@ -89,49 +84,41 @@ class Coordinator:
         self.epoch = self._bump_epoch()
         #: (shard, job_id, wall) of every lease-expiry requeue this epoch
         self.reaped: list[tuple[int, str, float]] = []
-        self._host, self._port = host, int(port)
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: set[socket.socket] = set()
-        self._mutex = threading.Lock()  # claim rotation + conn set
-        self._stop = threading.Event()
-        self._rr = 0
+        # the queue surface, with the ops that need the coordinator's
+        # own state (fleet, epoch, reap bookkeeping) laid over it
+        self._ops = {
+            **self.shards.ops,
+            "hello": self._op_hello,
+            "heartbeat": self._op_heartbeat,
+            "telemetry.push": self._op_telemetry_push,
+            "fleet": self._op_fleet,
+            "reap": lambda msg: self.reap_once(),
+            "status": self._op_status,
+        }
 
     # -- lifecycle -------------------------------------------------------
     def _bump_epoch(self) -> int:
         path = self.root / EPOCH_FILE
         try:
             epoch = int(json.loads(path.read_text())["epoch"]) + 1
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError):
             epoch = 1
-        path.write_text(json.dumps({"epoch": epoch}) + "\n")
+        # temp + fsync + rename: a torn epoch file would read as epoch 1
+        # and a restart could then repeat an epoch workers already saw
+        tmp = path.with_suffix(".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"epoch": epoch}) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
         return epoch
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """(host, port) the coordinator is listening on."""
-        if self._listener is None:
-            raise RuntimeError("coordinator is not started")
-        return self._listener.getsockname()[:2]
 
     def start(self) -> "Coordinator":
         """Bind, then run the accept loop and the reaper in daemon
         threads.  Idempotent once started."""
-        if self._listener is not None:
-            return self
-        self._stop.clear()
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(64)
-        sock.settimeout(0.2)
-        self._listener = sock
-        for target, label in ((self._accept_loop, "accept"),
-                              (self._reap_loop, "reaper")):
-            t = threading.Thread(target=target, daemon=True,
-                                 name=f"fabric-{label}")
-            t.start()
-            self._threads.append(t)
+        if self._listener is None:
+            super().start()
+            self.spawn(self._reap_loop, label="reaper")
         return self
 
     def stop(self) -> None:
@@ -140,72 +127,21 @@ class Coordinator:
         This models a coordinator crash as far as workers are concerned
         — no goodbye is sent; their next RPC fails and retries.
         """
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            finally:
-                self._listener = None
-        with self._mutex:
-            conns, self._conns = list(self._conns), set()
-        for c in conns:
-            try:
-                c.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            t.join(5.0)
-        self._threads = []
+        super().stop()
         if self.fleet is not None:
             self.fleet.close()  # final window rollup; idempotent
 
-    def __enter__(self) -> "Coordinator":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     # -- background loops ------------------------------------------------
-    def _accept_loop(self) -> None:
+    def on_connect(self, conn: socket.socket) -> None:
+        conn.settimeout(30.0)
         while not self._stop.is_set():
-            listener = self._listener
-            if listener is None:
-                return
             try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed under us: shutting down
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._mutex:
-                self._conns.add(conn)
-            t = threading.Thread(target=self._serve_conn, args=(conn,),
-                                 daemon=True, name="fabric-conn")
-            t.start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        try:
-            conn.settimeout(30.0)
-            while not self._stop.is_set():
-                try:
-                    msg = recv_frame(conn)
-                except (ProtocolError, socket.timeout, OSError):
-                    return
+                msg = rpc.recv_frame(conn)
                 if msg is None:
                     return  # clean EOF
-                response = self.handle(msg)
-                try:
-                    send_frame(conn, response)
-                except OSError:
-                    return
-        finally:
-            with self._mutex:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
+                rpc.send_frame(conn, self.handle(msg))
+            except (rpc.ProtocolError, OSError):
+                return  # malformed frame, idle timeout or dead peer
 
     def _reap_loop(self) -> None:
         while not self._stop.wait(self.reap_interval):
@@ -216,16 +152,9 @@ class Coordinator:
     def reap_once(self) -> list[tuple[int, str]]:
         """One reaper pass over every shard; returns (shard, job) pairs
         requeued because their lease expired or their worker died."""
-        out = []
         now = time.time()
-        for i, q in enumerate(self.queues):
-            try:
-                requeued = q.reap()
-            except OSError:
-                continue
-            for job_id in requeued:
-                out.append((i, job_id))
-                self.reaped.append((i, job_id, now))
+        out = [(shard, job_id) for shard, job_id in self.shards.reap()]
+        self.reaped += [(shard, job_id, now) for shard, job_id in out]
         if out:
             self.metrics.counter("lease_expirations").inc(len(out))
         return out
@@ -238,82 +167,39 @@ class Coordinator:
         op = msg.get("op")
         token = msg.get("token")
         self.metrics.counter("fabric_requests", op=str(op)).inc()
-        # dotted op names (telemetry.push) map onto underscore handlers
-        handler = (getattr(self, f"_op_{str(op).replace('.', '_')}", None)
-                   if op else None)
-        if handler is None or str(op).startswith("_"):
+        handler = self._ops.get(op) if isinstance(op, str) else None
+        if handler is None:
             return {"ok": False, "kind": "protocol",
                     "error": f"unknown op {op!r}", "token": token}
         try:
             value = handler(msg)
-        except (JobError, QueueSaturated) as exc:
+        except Exception as exc:
             self.metrics.counter("fabric_errors", op=str(op)).inc()
-            return {"ok": False, "kind": type(exc).__name__,
-                    "error": str(exc), "token": token,
-                    "server_wall": time.time()}
-        except Exception as exc:  # pragma: no cover - defensive
-            self.metrics.counter("fabric_errors", op=str(op)).inc()
-            return {"ok": False, "kind": "internal",
-                    "error": f"{type(exc).__name__}: {exc}", "token": token,
-                    "server_wall": time.time()}
+            # the queue's own errors are definitive answers clients map
+            # back to their types; anything else is a defensive catch-all
+            kind, error = type(exc).__name__, str(exc)
+            if not isinstance(exc, (JobError, QueueSaturated)):
+                kind, error = "internal", f"{kind}: {error}"
+            return {"ok": False, "kind": kind, "error": error,
+                    "token": token, "server_wall": time.time()}
         # every response echoes the coordinator's wall clock — clients
         # estimate their skew from it (min-RTT midpoint), which is what
         # clock-normalises per-worker trace lanes at assembly time
         return {"ok": True, "value": value, "token": token,
                 "server_wall": time.time()}
 
-    def _shard(self, msg: dict) -> tuple[int, JobQueue]:
-        i = int(msg.get("shard", 0))
-        if not 0 <= i < len(self.queues):
-            raise JobError(f"no shard {i} (have {len(self.queues)})")
-        return i, self.queues[i]
-
-    # -- ops ---------------------------------------------------------------
+    # -- ops that need more than the queue table -------------------------
     def _op_hello(self, msg: dict) -> dict:
         return {
             "epoch": self.epoch,
             "lease_seconds": self.lease_seconds,
-            "shards": len(self.queues),
+            "shards": len(self.shards.queues),
             "root": str(self.root),
             "fleet": self.fleet is not None,
         }
 
-    def _op_claim(self, msg: dict) -> dict | None:
-        worker = msg["worker"]
-        pid = msg.get("pid")
-        token = msg.get("token")
-        n = len(self.queues)
-        if token is not None:
-            # token-derived rotation: a duplicated or retried claim
-            # walks the shards in the SAME order, so the shard that
-            # committed it answers from its token dedup before any
-            # sibling can hand out a second job
-            start = int(token[:8], 16) % n
-        else:
-            with self._mutex:
-                start, self._rr = self._rr, self._rr + 1
-        if token is not None and msg.get("retry"):
-            # a retried claim may have committed on *any* shard — find
-            # it before letting a different shard claim a second job.
-            # First sends skip this scan (nothing can have committed),
-            # keeping the common claim path at a single journal replay.
-            for i in range(n):
-                shard = (start + i) % n
-                for rec in self.queues[shard].jobs().values():
-                    if rec.get("claim_token") == token:
-                        rec["shard"] = shard
-                        return rec
-        for i in range(n):
-            shard = (start + i) % n
-            rec = self.queues[shard].claim(worker, pid=pid, token=token)
-            if rec is not None:
-                rec["shard"] = shard
-                return rec
-        return None
-
     def _op_heartbeat(self, msg: dict):
-        _, q = self._shard(msg)
-        alive = q.heartbeat(msg["id"], worker=msg.get("worker"))
+        alive = self.shards.handle("heartbeat", msg)
         payload = msg.get("telemetry")
         if payload and self.fleet is not None:
             ack = self.fleet.ingest(payload)
@@ -333,74 +219,14 @@ class Coordinator:
             raise JobError("fleet telemetry aggregation is disabled")
         snap = self.fleet.snapshot()
         snap["epoch"] = self.epoch
-        snap["counts"] = self._op_counts(msg)
-        jobs = []
-        for shard, q in enumerate(self.queues):
-            for rec in q.jobs().values():
-                if rec.get("state") not in (PENDING, RUNNING):
-                    continue
-                jobs.append({
-                    "id": rec["id"],
-                    "shard": shard,
-                    "state": rec["state"],
-                    "priority": rec.get("priority", 0),
-                    "worker": rec.get("worker"),
-                    "seq": rec.get("seq", 0),
-                    "cost": rec.get("cost"),
-                })
-        snap["jobs"] = jobs
+        snap["counts"] = self.shards.counts()
+        snap["jobs"] = self.shards.backlog()
         return snap
-
-    def _op_complete(self, msg: dict) -> dict:
-        _, q = self._shard(msg)
-        return q.complete(msg["id"], msg.get("result"),
-                          worker=msg.get("worker"),
-                          attempt=msg.get("attempt"),
-                          token=msg.get("token"))
-
-    def _op_fail(self, msg: dict) -> dict:
-        _, q = self._shard(msg)
-        return q.fail(msg["id"], msg.get("error", "unknown"),
-                      worker=msg.get("worker"),
-                      attempt=msg.get("attempt"),
-                      token=msg.get("token"))
-
-    def _op_requeue(self, msg: dict) -> dict:
-        _, q = self._shard(msg)
-        return q.requeue(msg["id"], checkpoint=msg.get("checkpoint"),
-                         reason=msg.get("reason", "requeue"),
-                         worker=msg.get("worker"),
-                         attempt=msg.get("attempt"),
-                         token=msg.get("token"))
-
-    def _op_preempt_requested(self, msg: dict) -> bool:
-        _, q = self._shard(msg)
-        return q.preempt_requested(msg["id"])
-
-    def _op_submit(self, msg: dict) -> dict:
-        _, q = self._shard(msg)
-        return q.submit(msg["config"], cache_key=msg["cache_key"],
-                        priority=msg.get("priority", 0),
-                        fault_steps=msg.get("fault_steps", ()),
-                        cost=msg.get("cost"), token=msg.get("token"))
-
-    def _op_drained(self, msg: dict) -> bool:
-        return all(q.drained() for q in self.queues)
-
-    def _op_counts(self, msg: dict) -> dict:
-        totals: dict[str, int] = {}
-        for q in self.queues:
-            for state, n in q.counts().items():
-                totals[state] = totals.get(state, 0) + n
-        return totals
-
-    def _op_reap(self, msg: dict) -> list:
-        return [[shard, job_id] for shard, job_id in self.reap_once()]
 
     def _op_status(self, msg: dict) -> dict:
         return {
             "epoch": self.epoch,
-            "counts": self._op_counts(msg),
+            "counts": self.shards.counts(),
             "reaped": [[s, j, w] for s, j, w in self.reaped],
-            "shards": [str(q.root) for q in self.queues],
+            "shards": [str(q.root) for q in self.shards.queues],
         }

@@ -1,12 +1,8 @@
-"""Length-prefixed JSON frames — the fabric's wire format.
+"""The fabric's message schema, over :mod:`repro.rpc` frames.
 
-One frame is a 4-byte big-endian payload length followed by that many
-bytes of UTF-8 JSON.  The framing is deliberately minimal: any language
-or a ten-line netcat script can speak it, a partial read is detectable
-(the stream dies mid-frame, never mid-field), and the chaos proxy can
-drop/duplicate/delay *whole messages* without parsing them.
-
-Requests and responses are plain dicts::
+The wire format itself — 4-byte big-endian length + one UTF-8 JSON
+object, :data:`MAX_FRAME_BYTES` cap — lives in :mod:`repro.rpc`; its
+names are re-exported here.  Requests and responses are plain dicts::
 
     {"op": "claim", "token": "…", "worker": "w0", ...}   # request
     {"ok": true,  "value": {...}, "token": "…"}          # response
@@ -15,75 +11,15 @@ Requests and responses are plain dicts::
 ``token`` is the caller's idempotency token, minted once per *logical*
 operation and reused verbatim across retries; the server echoes it so a
 client that timed out and retried can discard any stale response still
-in flight on an old connection.
+in flight on an old connection.  Resends carry ``retry: true``; every
+response carries the coordinator's ``server_wall`` clock.
 """
 
-from __future__ import annotations
-
-import json
-import os
-import socket
-import struct
-
-#: frames above this are a protocol violation, not a big message
-MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-_LEN = struct.Struct(">I")
-
-
-class ProtocolError(RuntimeError):
-    """The peer sent bytes that are not a well-formed frame."""
-
-
-def new_token() -> str:
-    """A fresh idempotency token (128 random bits, hex)."""
-    return os.urandom(16).hex()
-
-
-def encode_frame(obj) -> bytes:
-    """Serialise one message to its on-wire bytes."""
-    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(payload)} bytes exceeds "
-                            f"{MAX_FRAME_BYTES}")
-    return _LEN.pack(len(payload)) + payload
-
-
-def read_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes, or None on clean EOF at a frame
-    boundary.  EOF *inside* a frame raises :class:`ProtocolError`;
-    socket timeouts propagate as :class:`socket.timeout`."""
-    chunks, got = [], 0
-    while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
-            if got == 0:
-                return None
-            raise ProtocolError(f"connection closed mid-frame "
-                                f"({got}/{n} bytes)")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def send_frame(sock: socket.socket, obj) -> None:
-    """Write one message as a frame (blocking, honours socket timeout)."""
-    sock.sendall(encode_frame(obj))
-
-
-def recv_frame(sock: socket.socket):
-    """Read one message, or None on clean EOF between frames."""
-    header = read_exact(sock, _LEN.size)
-    if header is None:
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds "
-                            f"{MAX_FRAME_BYTES}")
-    payload = read_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed between header and payload")
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame payload: {exc}") from exc
+from repro.rpc import (  # noqa: F401
+    MAX_FRAME_BYTES,
+    ProtocolError,
+    encode_frame,
+    new_token,
+    recv_frame,
+    send_frame,
+)

@@ -18,7 +18,8 @@ import sys
 import time
 
 from repro.telemetry.fleet import ROLLUPS_FILE, load_rollups
-from .queue import JobQueue, PENDING, RUNNING
+from .fabric import CoordinatorUnreachable, FabricClient, ShardedQueue
+from .queue import PENDING
 from .scheduler import pack
 
 
@@ -33,8 +34,6 @@ def gather(root, *, fabric=None, n_workers: int | None = None) -> dict:
     status: dict | None = None
     source = "offline"
     if fabric is not None:
-        from .fabric import CoordinatorUnreachable, FabricClient
-
         client = FabricClient(fabric, deadline=4.0)
         try:
             status = client.call("fleet")
@@ -50,16 +49,9 @@ def gather(root, *, fabric=None, n_workers: int | None = None) -> dict:
                                                    "alerts": [],
                                                    "histograms": []}
         try:
-            queue = JobQueue(root)
-            status["counts"] = queue.counts()
-            status["jobs"] = [
-                {"id": rec["id"], "state": rec["state"],
-                 "priority": rec.get("priority", 0),
-                 "worker": rec.get("worker"), "seq": rec.get("seq", 0),
-                 "cost": rec.get("cost")}
-                for rec in queue.jobs().values()
-                if rec.get("state") in (PENDING, RUNNING)
-            ]
+            shards = ShardedQueue([root])
+            status["counts"] = shards.counts()
+            status["jobs"] = shards.backlog()
         except OSError:
             status.setdefault("counts", {})
             status.setdefault("jobs", [])

@@ -38,11 +38,12 @@ in DESIGN §12 rests on these guards plus the token replay.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
 from contextlib import contextmanager
+
+from repro import jsonl
 
 try:  # POSIX
     import fcntl
@@ -146,71 +147,64 @@ class JobQueue:
 
     def _append(self, op: dict) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(op, separators=(",", ":")) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+            jsonl.append(fh, op, fsync=True)
 
     def _ops(self) -> list[dict]:
-        if not self.path.exists():
-            return []
-        ops = []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                ops.append(json.loads(line))
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    continue  # torn final line: the op never happened
-                raise
-        return ops
+        # a torn final line is skipped: the op never happened
+        return jsonl.read(self.path) if self.path.exists() else []
 
     @staticmethod
-    def _replay(ops: list[dict]) -> dict[str, dict]:
+    def _apply(jobs: dict[str, dict], op: dict) -> None:
+        """Apply one journaled op to the job table — the single
+        definition of what each op does, shared by replay and by the
+        transitions that have just appended the op."""
+        kind = op.get("op")
+        if kind == "submit":
+            jobs[op["job"]["id"]] = dict(op["job"])
+            return
+        rec = jobs.get(op.get("id"))
+        if rec is None:
+            return  # op for an unknown job: ignore
+        if kind == "claim":
+            rec.update(state=RUNNING, worker=op["worker"], pid=op["pid"],
+                       lease=op["wall"], attempts=rec["attempts"] + 1,
+                       claim_token=op.get("token"))
+            if rec["claimed"] is None:
+                rec["claimed"] = op["wall"]
+        elif kind == "done":
+            rec.update(state=DONE, result=op.get("result"),
+                       finished=op["wall"], preempt_requested=False,
+                       finish_token=op.get("token"))
+        elif kind == "failed":
+            rec.update(state=FAILED, error=op.get("error"),
+                       finished=op["wall"], preempt_requested=False,
+                       finish_token=op.get("token"))
+        elif kind == "requeue":
+            rec.update(state=PENDING, worker=None, pid=None, lease=None,
+                       preempt_requested=False,
+                       requeue_token=op.get("token"))
+            if op.get("checkpoint"):
+                rec["checkpoint"] = op["checkpoint"]
+            if op.get("reason") == "preempt":
+                rec["preemptions"] += 1
+            rec.setdefault("requeues", []).append(
+                {"reason": op.get("reason", "requeue"),
+                 "wall": op["wall"]}
+            )
+        elif kind == "heartbeat":
+            if rec["state"] == RUNNING:
+                rec["lease"] = op["wall"]
+        elif kind == "cancel":
+            rec.update(state=CANCELLED, finished=op["wall"])
+        elif kind == "preempt-request":
+            if rec["state"] == RUNNING:
+                rec["preempt_requested"] = True
+
+    @classmethod
+    def _replay(cls, ops: list[dict]) -> dict[str, dict]:
         jobs: dict[str, dict] = {}
         for op in ops:
-            kind = op.get("op")
-            if kind == "submit":
-                jobs[op["job"]["id"]] = dict(op["job"])
-                continue
-            rec = jobs.get(op.get("id"))
-            if rec is None:
-                continue  # op for an unknown job: ignore
-            if kind == "claim":
-                rec.update(state=RUNNING, worker=op["worker"], pid=op["pid"],
-                           lease=op["wall"], attempts=rec["attempts"] + 1,
-                           claim_token=op.get("token"))
-                if rec["claimed"] is None:
-                    rec["claimed"] = op["wall"]
-            elif kind == "done":
-                rec.update(state=DONE, result=op.get("result"),
-                           finished=op["wall"], preempt_requested=False,
-                           finish_token=op.get("token"))
-            elif kind == "failed":
-                rec.update(state=FAILED, error=op.get("error"),
-                           finished=op["wall"], preempt_requested=False,
-                           finish_token=op.get("token"))
-            elif kind == "requeue":
-                rec.update(state=PENDING, worker=None, pid=None, lease=None,
-                           preempt_requested=False,
-                           requeue_token=op.get("token"))
-                if op.get("checkpoint"):
-                    rec["checkpoint"] = op["checkpoint"]
-                if op.get("reason") == "preempt":
-                    rec["preemptions"] += 1
-                rec.setdefault("requeues", []).append(
-                    {"reason": op.get("reason", "requeue"),
-                     "wall": op["wall"]}
-                )
-            elif kind == "heartbeat":
-                if rec["state"] == RUNNING:
-                    rec["lease"] = op["wall"]
-            elif kind == "cancel":
-                rec.update(state=CANCELLED, finished=op["wall"])
-            elif kind == "preempt-request":
-                if rec["state"] == RUNNING:
-                    rec["preempt_requested"] = True
+            cls._apply(jobs, op)
         return jobs
 
     # -- reads -----------------------------------------------------------
@@ -307,15 +301,11 @@ class JobQueue:
             if not candidates:
                 return None
             rec = candidates[0]
-            wall = time.time()
-            pid = os.getpid() if pid is None else pid
-            self._append({"op": "claim", "id": rec["id"], "worker": worker,
-                          "pid": pid, "wall": wall, "token": token})
-            rec.update(state=RUNNING, worker=worker, pid=pid,
-                       lease=wall, attempts=rec["attempts"] + 1,
-                       claim_token=token)
-            if rec["claimed"] is None:
-                rec["claimed"] = wall
+            op = {"op": "claim", "id": rec["id"], "worker": worker,
+                  "pid": os.getpid() if pid is None else pid,
+                  "wall": time.time(), "token": token}
+            self._append(op)
+            self._apply(jobs, op)
             return rec
 
     def _transition(self, job_id: str, from_states, op: dict, *,
@@ -346,7 +336,8 @@ class JobQueue:
                     f"targets stale attempt {attempt}"
                 )
             self._append(op)
-            return self._replay(self._ops())[job_id]
+            self._apply(jobs, op)
+            return rec
 
     def complete(self, job_id: str, result: dict | None = None, *,
                  worker: str | None = None, attempt: int | None = None,
@@ -386,20 +377,24 @@ class JobQueue:
             "reason": reason, "wall": time.time(), "token": token,
         }, worker=worker, attempt=attempt, token_field="requeue_token")
 
-    def heartbeat(self, job_id: str, *, worker: str | None = None) -> bool:
-        """Renew the running-job lease; returns False when the job is no
-        longer this worker's to renew (reaped + reclaimed, finished, or
-        unknown) — the worker should stop executing it."""
+    def _signal(self, kind: str, job_id: str,
+                worker: str | None = None) -> bool:
+        """Journal a ``kind`` op against a *running* job (optionally only
+        while ``worker`` still owns it); False when there is none."""
         with self._locked():
-            jobs = self._replay(self._ops())
-            rec = jobs.get(job_id)
+            rec = self._replay(self._ops()).get(job_id)
             if rec is None or rec["state"] != RUNNING:
                 return False
             if worker is not None and rec["worker"] != worker:
                 return False
-            self._append({"op": "heartbeat", "id": job_id,
-                          "wall": time.time()})
+            self._append({"op": kind, "id": job_id, "wall": time.time()})
             return True
+
+    def heartbeat(self, job_id: str, *, worker: str | None = None) -> bool:
+        """Renew the running-job lease; returns False when the job is no
+        longer this worker's to renew (reaped + reclaimed, finished, or
+        unknown) — the worker should stop executing it."""
+        return self._signal("heartbeat", job_id, worker)
 
     def cancel(self, job_id: str) -> dict:
         """pending → cancelled (running jobs must be preempted instead)."""
@@ -413,14 +408,7 @@ class JobQueue:
         Returns False (no-op) when the job is not currently running —
         the request is only meaningful against a live run.
         """
-        with self._locked():
-            jobs = self._replay(self._ops())
-            rec = jobs.get(job_id)
-            if rec is None or rec["state"] != RUNNING:
-                return False
-            self._append({"op": "preempt-request", "id": job_id,
-                          "wall": time.time()})
-            return True
+        return self._signal("preempt-request", job_id)
 
     # -- recovery ---------------------------------------------------------
     def reap(self) -> list[str]:

@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.io import RunConfig, find_latest_valid, restore_wave_solver
 from repro.resilience import FaultInjector, RetryPolicy, SupervisedRun
+from repro.rpc import Backoff
 from repro.telemetry import TelemetrySink
-from .backoff import Backoff
 from .cache import ResultCache
 from .queue import JobError, JobQueue
 

@@ -28,26 +28,18 @@ from .halo import HaloPlan, build_halo_plan, exchange_ghosts
 PHI, PI = 0, 1
 
 
-class DistributedWaveSolver:
-    """Rank-parallel wave evolution over a partitioned mesh."""
+class _DistributedSolver:
+    """What the two rank-parallel drivers share: rank-owned state, one
+    halo exchange per RK4 stage, lockstep AXPY.  Subclasses supply
+    ``_rank_rhs`` (the RHS on one rank's owned octants) and may override
+    ``_post_stage`` (applied to every rank state an AXPY produces)."""
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        partition: Partition,
-        *,
-        speed: float = 1.0,
-        courant: float = 0.25,
-        ko_sigma: float = 0.1,
-        source: Callable[[np.ndarray, float], np.ndarray] | None = None,
-        comm: SimComm | None = None,
-    ):
+    def __init__(self, mesh: Mesh, partition: Partition, *, dof: int,
+                 courant: float, comm: SimComm | None):
         self.mesh = mesh
         self.partition = partition
-        self.speed = speed
+        self.dof = dof
         self.courant = courant
-        self.ko_sigma = ko_sigma
-        self.source = source
         self.comm = comm if comm is not None else SimComm(partition.num_parts)
         #: halo-exchange re-request budget (0 disables the resilient path)
         self.halo_retries = 2
@@ -59,164 +51,6 @@ class DistributedWaveSolver:
         self.halo: HaloPlan = build_halo_plan(mesh, partition)
         self.pd = PatchDerivatives(k=mesh.k)
         # per-rank owned state (dof, n_local, r, r, r)
-        self.local_state = [
-            mesh.allocate(2)[:, partition.offsets[r] : partition.offsets[r + 1]]
-            for r in range(partition.num_parts)
-        ]
-        self.t = 0.0
-        self.step_count = 0
-        self._coords = mesh.coordinates()
-
-    @property
-    def num_ranks(self) -> int:
-        """Number of ranks."""
-        return self.partition.num_parts
-
-    @property
-    def dt(self) -> float:
-        """Global timestep (Courant-limited by the finest level)."""
-        return courant_dt(self.mesh.min_dx, self.courant)
-
-    def set_state(self, u: np.ndarray) -> None:
-        """Scatter a global (2, n, r, r, r) state to the ranks."""
-        part = self.partition
-        for r in range(self.num_ranks):
-            self.local_state[r] = np.ascontiguousarray(
-                u[:, part.offsets[r] : part.offsets[r + 1]]
-            )
-
-    def gather_state(self) -> np.ndarray:
-        """Assemble the global state from the ranks (diagnostics)."""
-        return np.concatenate(self.local_state, axis=1)
-
-    # ------------------------------------------------------------------
-    def _rank_view(self, rank: int, locals_: list[np.ndarray],
-                   ghosts: dict[int, np.ndarray]) -> np.ndarray:
-        """This rank's picture of the global field: own blocks + received
-        ghosts, zero elsewhere (never read)."""
-        part = self.partition
-        view = np.zeros((2, self.mesh.num_octants, self.mesh.r,) + (self.mesh.r,) * 2)
-        lo, hi = part.offsets[rank], part.offsets[rank + 1]
-        view[:, lo:hi] = locals_[rank]
-        for g, block in ghosts.items():
-            view[:, g] = block
-        return view
-
-    # -- resilience hooks (used by repro.resilience.SupervisedRun) -----
-    def snapshot_state(self) -> list[np.ndarray]:
-        """Value copies of every rank's owned blocks."""
-        return [u.copy() for u in self.local_state]
-
-    def restore_state(self, snapshot: list[np.ndarray]) -> None:
-        """Restore rank states from a snapshot (rollback)."""
-        self.local_state = [u.copy() for u in snapshot]
-
-    def _stage_rhs(self, locals_: list[np.ndarray], t: float) -> list[np.ndarray]:
-        """One distributed RHS evaluation: halo exchange, then per-rank
-        unzip + stencils restricted to owned octants.  Lost or corrupted
-        ghost messages are re-requested (``halo_retries``); a dead rank
-        propagates :class:`repro.parallel.RankDeadError` to the caller,
-        which owns restart policy."""
-        mesh, part = self.mesh, self.partition
-        tel = self.telemetry
-        ghosts = exchange_ghosts(
-            self.halo, locals_, self.comm, dof=2,
-            max_retries=self.halo_retries, validate=self.halo_retries > 0,
-            journal=self.journal,
-            tracer=tel.tracer if tel is not None else None,
-            metrics=tel.metrics if tel is not None else None,
-        )
-        out = []
-        k, r = mesh.k, mesh.r
-        for rank in range(self.num_ranks):
-            lo, hi = part.offsets[rank], part.offsets[rank + 1]
-            view = self._rank_view(rank, locals_, ghosts[rank])
-            patches = mesh.unzip(view)[:, lo:hi]
-            h = mesh.dx[lo:hi]
-            lap = self.pd.d2(patches[PHI], h, 0)
-            lap += self.pd.d2(patches[PHI], h, 1)
-            lap += self.pd.d2(patches[PHI], h, 2)
-            rhs = np.empty_like(locals_[rank])
-            rhs[PHI] = patches[PI, :, k : k + r, k : k + r, k : k + r]
-            rhs[PI] = self.speed**2 * lap
-            if self.source is not None:
-                rhs[PI] += self.source(self._coords[lo:hi], t)
-            rhs[PHI] += self.ko_sigma * self.pd.ko_all(patches[PHI], h)
-            rhs[PI] += self.ko_sigma * self.pd.ko_all(patches[PI], h)
-            self._sommerfeld(rank, rhs, locals_[rank], patches)
-            out.append(rhs)
-        return out
-
-    def _sommerfeld(self, rank, rhs, local, patches) -> None:
-        mesh, part = self.mesh, self.partition
-        lo, hi = part.offsets[rank], part.offsets[rank + 1]
-        coords = self._coords[lo:hi]
-        rr = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
-        rsz = mesh.r
-        for axis, side, octs in mesh.boundary_faces():
-            mine = octs[(octs >= lo) & (octs < hi)] - lo
-            if not len(mine):
-                continue
-            sl: list = [slice(None)] * 4
-            arr_axis = {0: 3, 1: 2, 2: 1}[axis]
-            sl[arr_axis] = 0 if side == "low" else rsz - 1
-            osel = (mine,) + tuple(sl[1:])
-            for var in (PHI, PI):
-                advect = 0.0
-                for d in range(3):
-                    dd = self.pd.d1(patches[var, mine], mesh.dx[lo:hi][mine], d)
-                    advect = advect + coords[osel + (d,)] * dd[tuple(sl)]
-                rhs[var][osel] = -self.speed * (advect + local[var][osel]) / rr[osel]
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """One RK4 step with 4 halo exchanges (one per stage)."""
-        dt = self.dt
-        u0 = self.local_state
-        k1 = self._stage_rhs(u0, self.t)
-        u1 = [u + 0.5 * dt * k for u, k in zip(u0, k1)]
-        k2 = self._stage_rhs(u1, self.t + 0.5 * dt)
-        u2 = [u + 0.5 * dt * k for u, k in zip(u0, k2)]
-        k3 = self._stage_rhs(u2, self.t + 0.5 * dt)
-        u3 = [u + dt * k for u, k in zip(u0, k3)]
-        k4 = self._stage_rhs(u3, self.t + dt)
-        self.local_state = [
-            u + dt * (RK4_B[0] * a + RK4_B[1] * b + RK4_B[2] * c + RK4_B[3] * d)
-            for u, a, b, c, d in zip(u0, k1, k2, k3, k4)
-        ]
-        self.t += dt
-        self.step_count += 1
-
-    def bytes_communicated(self) -> int:
-        """Total halo traffic so far."""
-        return self.comm.total_bytes()
-
-
-class DistributedBSSNSolver:
-    """Rank-parallel BSSN evolution (Algorithm 1's multi-GPU pattern).
-
-    Per RK stage: halo exchange of the 24-variable ghost blocks, per-rank
-    unzip restricted to owned octants, per-rank RHS (D + A + KO +
-    Sommerfeld), lockstep AXPY.  Must agree with the single-rank
-    :class:`repro.solver.BSSNSolver` to roundoff (tested).
-    """
-
-    def __init__(self, mesh: Mesh, partition: Partition, params=None,
-                 *, courant: float = 0.25, comm: SimComm | None = None):
-        from repro.bssn import BSSNParams
-        from repro.bssn import state as S
-
-        self.mesh = mesh
-        self.partition = partition
-        self.params = params if params is not None else BSSNParams()
-        self.courant = courant
-        self.comm = comm if comm is not None else SimComm(partition.num_parts)
-        self.halo_retries = 2
-        self.journal = None
-        self.telemetry = None
-        self.halo = build_halo_plan(mesh, partition)
-        self.pd = PatchDerivatives(k=mesh.k)
-        self.num_vars = S.NUM_VARS
         self.local_state: list[np.ndarray] = []
         self.t = 0.0
         self.step_count = 0
@@ -233,7 +67,7 @@ class DistributedBSSNSolver:
         return courant_dt(self.mesh.min_dx, self.courant)
 
     def set_state(self, u: np.ndarray) -> None:
-        """Scatter a global state array to the ranks."""
+        """Scatter a global (dof, n, r, r, r) state to the ranks."""
         part = self.partition
         self.local_state = [
             np.ascontiguousarray(u[:, part.offsets[r] : part.offsets[r + 1]])
@@ -253,82 +87,179 @@ class DistributedBSSNSolver:
         """Restore rank states from a snapshot (rollback)."""
         self.local_state = [u.copy() for u in snapshot]
 
-    def _stage_rhs(self, locals_: list[np.ndarray], t: float) -> list[np.ndarray]:
-        from repro.bssn import (
-            apply_sommerfeld,
-            compute_derivatives,
-            evaluate_algebraic,
-        )
+    def bytes_communicated(self) -> int:
+        """Total halo traffic so far."""
+        return self.comm.total_bytes()
 
-        mesh, part = self.mesh, self.partition
+    # ------------------------------------------------------------------
+    def _rank_view(self, rank: int, locals_: list[np.ndarray],
+                   ghosts: dict[int, np.ndarray]) -> np.ndarray:
+        """This rank's picture of the global field: own blocks + received
+        ghosts, zero elsewhere (never read)."""
+        part = self.partition
+        r = self.mesh.r
+        view = np.zeros((self.dof, self.mesh.num_octants, r, r, r))
+        view[:, part.offsets[rank] : part.offsets[rank + 1]] = locals_[rank]
+        for g, block in ghosts.items():
+            view[:, g] = block
+        return view
+
+    def _stage_rhs(self, locals_: list[np.ndarray], t: float) -> list[np.ndarray]:
+        """One distributed RHS evaluation: halo exchange, then per-rank
+        unzip + RHS restricted to owned octants.  Lost or corrupted
+        ghost messages are re-requested (``halo_retries``); a dead rank
+        propagates :class:`repro.parallel.RankDeadError` to the caller,
+        which owns restart policy."""
+        part = self.partition
         tel = self.telemetry
         ghosts = exchange_ghosts(
-            self.halo, locals_, self.comm, dof=self.num_vars,
+            self.halo, locals_, self.comm, dof=self.dof,
             max_retries=self.halo_retries, validate=self.halo_retries > 0,
             journal=self.journal,
             tracer=tel.tracer if tel is not None else None,
             metrics=tel.metrics if tel is not None else None,
         )
         out = []
-        k, r = mesh.k, mesh.r
-        bfaces = mesh.boundary_faces()
         for rank in range(self.num_ranks):
             lo, hi = part.offsets[rank], part.offsets[rank + 1]
-            view = np.zeros(
-                (self.num_vars, mesh.num_octants, r, r, r)
-            )
-            view[:, lo:hi] = locals_[rank]
-            for g, block in ghosts[rank].items():
-                view[:, g] = block
-            patches = mesh.unzip(view)[:, lo:hi]
-            h = mesh.dx[lo:hi]
-            derivs = compute_derivatives(patches, h, self.params, self.pd)
-            values = np.ascontiguousarray(
-                patches[:, :, k : k + r, k : k + r, k : k + r]
-            )
-            rhs = evaluate_algebraic(values, derivs, self.params)
-            rhs += self.params.ko_sigma * derivs.ko
-            faces = [
-                (ax, side, octs[(octs >= lo) & (octs < hi)] - lo)
-                for ax, side, octs in bfaces
-            ]
-            faces = [f for f in faces if len(f[2])]
-            if faces:
-                apply_sommerfeld(rhs, values, derivs,
-                                 self._coords[lo:hi], faces)
-            out.append(rhs)
+            view = self._rank_view(rank, locals_, ghosts[rank])
+            patches = self.mesh.unzip(view)[:, lo:hi]
+            out.append(self._rank_rhs(lo, hi, patches, locals_[rank], t))
+        return out
+
+    def _rank_rhs(self, lo: int, hi: int, patches: np.ndarray,
+                  local: np.ndarray, t: float) -> np.ndarray:
+        """RHS on owned octants ``lo:hi`` from their unzipped patches."""
+        raise NotImplementedError
+
+    def _owned_faces(self, lo: int, hi: int) -> list:
+        """Physical-boundary faces restricted to owned octants, as
+        (axis, side, rank-local octant indices), empty ones dropped."""
+        faces = [(axis, side, octs[(octs >= lo) & (octs < hi)] - lo)
+                 for axis, side, octs in self.mesh.boundary_faces()]
+        return [f for f in faces if len(f[2])]
+
+    def _post_stage(self, u: np.ndarray) -> None:
+        """Hook applied in place to each rank state an AXPY produced."""
+
+    def _advance(self, u0, ks, c: float) -> list[np.ndarray]:
+        out = [u + c * self.dt * k for u, k in zip(u0, ks)]
+        for u in out:
+            self._post_stage(u)
         return out
 
     def step(self) -> None:
-        """One RK4 step with one halo exchange per stage."""
-        from repro.solver import enforce_algebraic_constraints
-
+        """One RK4 step with 4 halo exchanges (one per stage)."""
         dt = self.dt
         u0 = self.local_state
-
-        def advance(us, ks, c):
-            out = [u + c * dt * k for u, k in zip(us, ks)]
-            for u in out:
-                enforce_algebraic_constraints(u)
-            return out
-
         k1 = self._stage_rhs(u0, self.t)
-        u1 = advance(u0, k1, 0.5)
-        k2 = self._stage_rhs(u1, self.t + 0.5 * dt)
-        u2 = advance(u0, k2, 0.5)
-        k3 = self._stage_rhs(u2, self.t + 0.5 * dt)
-        u3 = advance(u0, k3, 1.0)
-        k4 = self._stage_rhs(u3, self.t + dt)
+        k2 = self._stage_rhs(self._advance(u0, k1, 0.5), self.t + 0.5 * dt)
+        k3 = self._stage_rhs(self._advance(u0, k2, 0.5), self.t + 0.5 * dt)
+        k4 = self._stage_rhs(self._advance(u0, k3, 1.0), self.t + dt)
         new = [
             u + dt * (RK4_B[0] * a + RK4_B[1] * b + RK4_B[2] * c + RK4_B[3] * d)
             for u, a, b, c, d in zip(u0, k1, k2, k3, k4)
         ]
         for u in new:
-            enforce_algebraic_constraints(u)
+            self._post_stage(u)
         self.local_state = new
         self.t += dt
         self.step_count += 1
 
-    def bytes_communicated(self) -> int:
-        """Total halo traffic so far."""
-        return self.comm.total_bytes()
+
+class DistributedWaveSolver(_DistributedSolver):
+    """Rank-parallel wave evolution over a partitioned mesh."""
+
+    def __init__(
+        self,
+        mesh: Mesh,
+        partition: Partition,
+        *,
+        speed: float = 1.0,
+        courant: float = 0.25,
+        ko_sigma: float = 0.1,
+        source: Callable[[np.ndarray, float], np.ndarray] | None = None,
+        comm: SimComm | None = None,
+    ):
+        super().__init__(mesh, partition, dof=2, courant=courant, comm=comm)
+        self.speed = speed
+        self.ko_sigma = ko_sigma
+        self.source = source
+        self.set_state(mesh.allocate(2))
+
+    def _rank_rhs(self, lo, hi, patches, local, t):
+        k, r = self.mesh.k, self.mesh.r
+        h = self.mesh.dx[lo:hi]
+        lap = self.pd.d2(patches[PHI], h, 0)
+        lap += self.pd.d2(patches[PHI], h, 1)
+        lap += self.pd.d2(patches[PHI], h, 2)
+        rhs = np.empty_like(local)
+        rhs[PHI] = patches[PI, :, k : k + r, k : k + r, k : k + r]
+        rhs[PI] = self.speed**2 * lap
+        if self.source is not None:
+            rhs[PI] += self.source(self._coords[lo:hi], t)
+        rhs[PHI] += self.ko_sigma * self.pd.ko_all(patches[PHI], h)
+        rhs[PI] += self.ko_sigma * self.pd.ko_all(patches[PI], h)
+        self._sommerfeld(lo, hi, rhs, local, patches)
+        return rhs
+
+    def _sommerfeld(self, lo, hi, rhs, local, patches) -> None:
+        mesh = self.mesh
+        coords = self._coords[lo:hi]
+        rr = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
+        rsz = mesh.r
+        for axis, side, mine in self._owned_faces(lo, hi):
+            sl: list = [slice(None)] * 4
+            arr_axis = {0: 3, 1: 2, 2: 1}[axis]
+            sl[arr_axis] = 0 if side == "low" else rsz - 1
+            osel = (mine,) + tuple(sl[1:])
+            for var in (PHI, PI):
+                advect = 0.0
+                for d in range(3):
+                    dd = self.pd.d1(patches[var, mine], mesh.dx[lo:hi][mine], d)
+                    advect = advect + coords[osel + (d,)] * dd[tuple(sl)]
+                rhs[var][osel] = -self.speed * (advect + local[var][osel]) / rr[osel]
+
+
+class DistributedBSSNSolver(_DistributedSolver):
+    """Rank-parallel BSSN evolution (Algorithm 1's multi-GPU pattern).
+
+    Per RK stage: halo exchange of the 24-variable ghost blocks, per-rank
+    unzip restricted to owned octants, per-rank RHS (D + A + KO +
+    Sommerfeld), lockstep AXPY.  Must agree with the single-rank
+    :class:`repro.solver.BSSNSolver` to roundoff (tested).
+    """
+
+    def __init__(self, mesh: Mesh, partition: Partition, params=None,
+                 *, courant: float = 0.25, comm: SimComm | None = None):
+        from repro.bssn import BSSNParams
+        from repro.bssn import state as S
+
+        super().__init__(mesh, partition, dof=S.NUM_VARS, courant=courant,
+                         comm=comm)
+        self.params = params if params is not None else BSSNParams()
+
+    def _rank_rhs(self, lo, hi, patches, local, t):
+        from repro.bssn import (
+            apply_sommerfeld,
+            compute_derivatives,
+            evaluate_algebraic,
+        )
+
+        k, r = self.mesh.k, self.mesh.r
+        derivs = compute_derivatives(patches, self.mesh.dx[lo:hi],
+                                     self.params, self.pd)
+        values = np.ascontiguousarray(
+            patches[:, :, k : k + r, k : k + r, k : k + r]
+        )
+        rhs = evaluate_algebraic(values, derivs, self.params)
+        rhs += self.params.ko_sigma * derivs.ko
+        faces = self._owned_faces(lo, hi)
+        if faces:
+            apply_sommerfeld(rhs, values, derivs, self._coords[lo:hi], faces)
+        return rhs
+
+    def _post_stage(self, u: np.ndarray) -> None:
+        from repro.solver import enforce_algebraic_constraints
+
+        enforce_algebraic_constraints(u)

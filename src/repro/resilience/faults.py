@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 import socket
-import struct
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import rpc
 from repro.parallel.comm import RankDeadError, SimComm
 
 
@@ -214,36 +213,7 @@ class FaultyComm(SimComm):
 
 # -- network chaos ------------------------------------------------------
 
-_FRAME_LEN = struct.Struct(">I")
-
-
-def _read_frame(sock: socket.socket, stop: threading.Event) -> bytes | None:
-    """One whole length-prefixed frame (header + payload bytes), or None
-    on EOF / shutdown.  The fabric protocol is re-implemented here in
-    miniature so :mod:`repro.resilience` never imports
-    :mod:`repro.jobs` (which imports this module)."""
-    buf = b""
-    want = _FRAME_LEN.size
-    length = None
-    while len(buf) < want:
-        if stop.is_set():
-            return None
-        try:
-            chunk = sock.recv(want - len(buf))
-        except socket.timeout:
-            continue
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        buf += chunk
-        if length is None and len(buf) == _FRAME_LEN.size:
-            (length,) = _FRAME_LEN.unpack(buf)
-            want += length
-    return buf
-
-
-class ChaosProxy:
+class ChaosProxy(rpc.Listener):
     """Deterministic chaos between fabric workers and their coordinator.
 
     A frame-aware TCP proxy: it forwards whole length-prefixed RPC
@@ -271,6 +241,7 @@ class ChaosProxy:
                  seed: int = 0, drop_prob: float = 0.0,
                  dup_prob: float = 0.0, delay_prob: float = 0.0,
                  delay_seconds: float = 0.05):
+        super().__init__(host, port, name="chaos")
         self.upstream = (upstream[0], int(upstream[1]))
         self.seed = int(seed)
         self.drop_prob = float(drop_prob)
@@ -279,57 +250,8 @@ class ChaosProxy:
         self.delay_seconds = float(delay_seconds)
         #: structured record of every injected fault, in injection order
         self.log: list[dict] = []
-        self._host, self._port = host, int(port)
-        self._listener: socket.socket | None = None
-        self._stop = threading.Event()
-        self._mutex = threading.Lock()
-        self._pairs: set[tuple[socket.socket, socket.socket]] = set()
-        self._threads: list[threading.Thread] = []
         self._conn_counter = 0
         self._partition_until = 0.0
-
-    # -- lifecycle -----------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """(host, port) workers should connect to instead of the
-        coordinator."""
-        if self._listener is None:
-            raise RuntimeError("proxy is not started")
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> "ChaosProxy":
-        if self._listener is not None:
-            return self
-        self._stop.clear()
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(32)
-        sock.settimeout(0.2)
-        self._listener = sock
-        t = threading.Thread(target=self._accept_loop, daemon=True,
-                             name="chaos-accept")
-        t.start()
-        self._threads.append(t)
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            finally:
-                self._listener = None
-        self._sever_all()
-        for t in self._threads:
-            t.join(5.0)
-        self._threads = []
-
-    def __enter__(self) -> "ChaosProxy":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # -- partition control ---------------------------------------------
     def partitioned(self) -> bool:
@@ -342,66 +264,32 @@ class ChaosProxy:
                                  else time.monotonic() + float(seconds))
         self.log.append({"fault": "partition",
                          "seconds": seconds})
-        self._sever_all()
+        self.close_connections()
 
     def heal(self) -> None:
         """End a partition immediately."""
         self._partition_until = 0.0
         self.log.append({"fault": "heal"})
 
-    def _sever_all(self) -> None:
-        with self._mutex:
-            pairs, self._pairs = list(self._pairs), set()
-        for a, b in pairs:
-            for s in (a, b):
-                try:
-                    s.close()
-                except OSError:
-                    pass
-
     # -- data path ------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            listener = self._listener
-            if listener is None:
-                return
-            try:
-                client, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            if self.partitioned():
-                try:
-                    client.close()  # the network is gone: instant EOF
-                except OSError:
-                    pass
-                continue
-            try:
-                server = socket.create_connection(self.upstream,
-                                                  timeout=2.0)
-            except OSError:
-                try:
-                    client.close()
-                except OSError:
-                    pass
-                continue
-            for s in (client, server):
-                s.settimeout(0.2)
-                s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._mutex:
-                conn_id = self._conn_counter
-                self._conn_counter += 1
-                self._pairs.add((client, server))
-            for direction, (src, dst) in enumerate(
-                    ((client, server), (server, client))):
-                t = threading.Thread(
-                    target=self._pump, daemon=True,
-                    args=(src, dst, conn_id, direction),
-                    name=f"chaos-pump-{conn_id}-{direction}",
-                )
-                t.start()
-                self._threads.append(t)
+    def on_connect(self, client: socket.socket) -> None:
+        """Pair one accepted client with a fresh upstream connection and
+        pump frames both ways until either side goes away."""
+        if self.partitioned():
+            return  # the network is gone: instant EOF
+        try:
+            server = socket.create_connection(self.upstream, timeout=2.0)
+        except OSError:
+            return
+        server.settimeout(None)
+        server.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.track(server)
+        with self._mutex:
+            conn_id = self._conn_counter
+            self._conn_counter += 1
+        self.spawn(self._pump, server, client, conn_id, 1,
+                   label=f"pump-{conn_id}-1")
+        self._pump(client, server, conn_id, 0)
 
     def _pump(self, src: socket.socket, dst: socket.socket,
               conn_id: int, direction: int) -> None:
@@ -409,7 +297,10 @@ class ChaosProxy:
         label = "c2s" if direction == 0 else "s2c"
         n = 0
         while not self._stop.is_set():
-            frame = _read_frame(src, self._stop)
+            try:
+                frame = rpc.recv_frame_bytes(src)
+            except (rpc.ProtocolError, OSError):
+                break  # not a frame (or over the size cap), or dead peer
             if frame is None or self.partitioned():
                 break
             roll = float(rng.random())
@@ -436,11 +327,4 @@ class ChaosProxy:
             if event is not None:
                 self.log.append(event)
             n += 1
-        for s in (src, dst):
-            try:
-                s.close()
-            except OSError:
-                pass
-        with self._mutex:
-            self._pairs = {p for p in self._pairs
-                           if src not in p and dst not in p}
+        self.close_connections([src, dst])

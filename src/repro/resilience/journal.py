@@ -14,29 +14,10 @@ that pair with :class:`repro.perf.StepProfiler` summaries).
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
-import warnings
 
-import numpy as np
-
-
-def _jsonable(value):
-    """Coerce numpy scalars/arrays and paths into JSON-serialisable types."""
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, pathlib.Path):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+from repro import jsonl
 
 
 class RunJournal:
@@ -68,14 +49,11 @@ class RunJournal:
     def event(self, kind: str, **fields) -> dict:
         """Record one event; returns the full record."""
         rec = {"seq": self._seq, "kind": kind, "wall": time.time()}
-        rec.update({k: _jsonable(v) for k, v in fields.items()})
+        rec.update({k: jsonl.jsonable(v) for k, v in fields.items()})
         self._seq += 1
         self.events.append(rec)
         if self._fh is not None:
-            self._fh.write(
-                json.dumps(rec, separators=(",", ":"), default=str) + "\n"
-            )
-            self._fh.flush()
+            jsonl.append(self._fh, rec)
         if self.sink is not None:
             self.sink.event(
                 kind, **{k: v for k, v in rec.items()
@@ -102,19 +80,7 @@ class RunJournal:
 def read_journal(path) -> list[dict]:
     """Parse a JSONL journal; a torn final line (crash mid-write) is
     skipped with a warning instead of failing the whole read."""
-    events: list[dict] = []
-    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                warnings.warn(f"journal {path}: torn final line skipped")
-                continue
-            raise
-    return events
+    return jsonl.read(path, warn=True)
 
 
 def summarize(events: list[dict]) -> dict:

@@ -1,75 +1,57 @@
 """Clients for the serve front — blocking and asyncio flavours.
 
-:class:`ServeClient` is the simple synchronous handle the CLI and tests
-use: one persistent connection, framed request/response, one
-transparent reconnect on a dead socket.  :class:`AsyncServeClient` is
-the same protocol on asyncio streams — the load generator drives many
-of them concurrently from one event loop.
+:class:`ServeClient` is :class:`repro.rpc.Client` (per-attempt timeout,
+deadline, reconnect with backoff, stale replies discarded by token)
+plus one helper method per serve op; the CLI and tests use it.
+:class:`AsyncServeClient` speaks the same frames on asyncio streams —
+the load generator drives many of them concurrently from one event
+loop — with no retry: any transport error or timeout closes the
+connection, so a late reply can never answer a later request.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 
-from repro.jobs.fabric.protocol import recv_frame, send_frame
-
-from .protocol import read_frame_async, write_frame_async
-
-
-class ServeError(RuntimeError):
-    """The server answered ``ok: false`` or the connection failed."""
-
-
-def _parse_address(address) -> tuple[str, int]:
-    if isinstance(address, (tuple, list)):
-        return str(address[0]), int(address[1])
-    host, _, port = str(address).rpartition(":")
-    return host or "127.0.0.1", int(port)
+from repro.rpc import (
+    Client,
+    ProtocolError,
+    RpcError,
+    new_token,
+    parse_address,
+    read_frame_async,
+    write_frame_async,
+)
 
 
-class ServeClient:
-    """Blocking client: ``ServeClient("127.0.0.1:7777").query(2.5)``."""
+class ServeError(RpcError):
+    """The server answered ``ok: false``."""
+
+
+def _checked(resp: dict) -> dict:
+    if not resp.get("ok", False):
+        raise ServeError(resp.get("error", "request failed"))
+    return resp
+
+
+class ServeClient(Client):
+    """Blocking client: ``ServeClient("127.0.0.1:7777").query(2.5)``.
+
+    ``timeout`` bounds one attempt and the whole request alike: a slow
+    answer is not re-asked, only a dead connection is re-dialled.  An
+    unreachable server raises :class:`repro.rpc.Unreachable`.
+    """
 
     def __init__(self, address, *, timeout: float = 10.0):
-        self.host, self.port = _parse_address(address)
-        self.timeout = float(timeout)
-        self._sock: socket.socket | None = None
+        super().__init__(address, rpc_timeout=timeout, deadline=timeout)
 
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout)
-        return self._sock
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-
-    def request(self, req: dict) -> dict:
-        """One framed round trip; reconnects once on a dead socket."""
-        for attempt in (0, 1):
-            sock = self._connect()
-            try:
-                send_frame(sock, req)
-                resp = recv_frame(sock)
-                if resp is None:
-                    raise ConnectionError("server closed the connection")
-                return resp
-            except (ConnectionError, socket.timeout, OSError):
-                self.close()
-                if attempt:
-                    raise
-        raise AssertionError("unreachable")
+    def request(self, req: dict, *, deadline: float | None = None) -> dict:
+        """One framed round trip, the reply returned as is."""
+        return super().request({"token": new_token(), **req},
+                               deadline=deadline)
 
     def _call(self, req: dict) -> dict:
-        resp = self.request(req)
-        if not resp.get("ok", False):
-            raise ServeError(resp.get("error", "request failed"))
-        return resp
+        return _checked(self.request(req))
 
     def ping(self) -> dict:
         return self._call({"op": "ping"})
@@ -93,18 +75,12 @@ class ServeClient:
     def shutdown(self) -> dict:
         return self._call({"op": "shutdown"})
 
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class AsyncServeClient:
     """Asyncio client over one connection (load-generator worker)."""
 
     def __init__(self, address, *, timeout: float = 10.0):
-        self.host, self.port = _parse_address(address)
+        self.host, self.port = parse_address(address)
         self.timeout = float(timeout)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -116,26 +92,36 @@ class AsyncServeClient:
 
     async def close(self) -> None:
         if self._writer is not None:
-            self._writer.close()
+            writer, self._reader, self._writer = self._writer, None, None
+            writer.close()
             try:
-                await self._writer.wait_closed()
+                await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-            self._reader = self._writer = None
+
+    async def _round_trip(self, req: dict) -> dict:
+        await write_frame_async(self._writer, req)
+        while True:
+            resp = await read_frame_async(self._reader)
+            if resp is None:
+                raise ConnectionError("server closed the connection")
+            if resp.get("token") == req["token"]:
+                return resp
 
     async def request(self, req: dict) -> dict:
+        """One framed round trip within ``timeout``.  Any failure closes
+        the connection (the next request re-dials), and a reply whose
+        echoed token is not this request's is discarded."""
         await self.connect()
-        await write_frame_async(self._writer, req)
-        resp = await asyncio.wait_for(read_frame_async(self._reader),
-                                      self.timeout)
-        if resp is None:
-            raise ConnectionError("server closed the connection")
-        return resp
+        try:
+            return await asyncio.wait_for(
+                self._round_trip({"token": new_token(), **req}),
+                self.timeout)
+        except (OSError, ProtocolError, asyncio.TimeoutError):
+            await self.close()
+            raise
 
     async def query(self, mass_ratio: float, **fields) -> dict:
-        resp = await self.request({"op": "query",
-                                   "mass_ratio": float(mass_ratio),
-                                   **fields})
-        if not resp.get("ok", False):
-            raise ServeError(resp.get("error", "request failed"))
-        return resp
+        return _checked(await self.request({"op": "query",
+                                            "mass_ratio": float(mass_ratio),
+                                            **fields}))

@@ -1,9 +1,8 @@
 """The asyncio request front: catalog queries at interactive latency.
 
 One :class:`ServeFront` owns a :class:`~repro.serve.store.CatalogStore`
-and serves it over the fabric's length-prefixed JSON frames
-(:mod:`repro.serve.protocol`).  The read path is built for heavy
-traffic:
+and serves it over the repo's length-prefixed JSON frames
+(:mod:`repro.rpc`).  The read path is built for heavy traffic:
 
 * **Bounded LRU hot set** (:class:`HotSet`) over *decoded* waveform
   arrays, accounted in bytes — repeat queries for popular catalog
@@ -45,12 +44,11 @@ from repro.gw.detector import (
     physical_strain,
     snr_estimate,
 )
-from repro.jobs.fabric.protocol import ProtocolError
+from repro.rpc import ProtocolError, read_frame_async, write_frame_async
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.metrics import write_snapshot
 
 from .fallback import SimulationBroker
-from .protocol import read_frame_async, write_frame_async
 from .store import CatalogStore
 
 #: detector name → one-sided amplitude spectral density model
@@ -223,7 +221,7 @@ class ServeFront:
     async def handle(self, req: dict) -> dict:
         """Dispatch one request dict to its handler (transport-free —
         tests and in-process callers use this directly)."""
-        op = req.get("op", "query") if isinstance(req, dict) else "invalid"
+        op = req.get("op", "query")
         t0 = time.perf_counter()
         try:
             if op == "query":

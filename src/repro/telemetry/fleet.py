@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import pathlib
 import threading
 import time
+
+from repro import jsonl
 
 from .metrics import MetricsRegistry, load_snapshots, quantile_from_dict
 from .tracer import merge_chrome_traces
@@ -508,17 +509,12 @@ class FleetAggregator:
     def _journal(self, rec: dict) -> None:
         if self._events_fh is None:
             return
-        self._events_fh.write(
-            json.dumps(rec, separators=(",", ":"), default=str) + "\n")
-        self._events_fh.flush()
+        jsonl.append(self._events_fh, rec)
 
     def _persist_rollup(self, rollup: dict) -> None:
         if self._rollups_fh is None:
             return
-        self._rollups_fh.write(
-            json.dumps(rollup, separators=(",", ":"), default=str) + "\n")
-        self._rollups_fh.flush()
-        os.fsync(self._rollups_fh.fileno())
+        jsonl.append(self._rollups_fh, rollup, fsync=True)
 
     # -- windows / rules -------------------------------------------------
     def _maybe_roll(self, now: float) -> None:

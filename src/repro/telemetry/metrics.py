@@ -16,11 +16,11 @@ directory is the on-disk ground truth ``summarize``/``compare`` consume.
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 import time
 from bisect import bisect_left
+
+from repro import jsonl
 
 #: schema identifier stamped into every snapshot line
 METRICS_SCHEMA = "repro-metrics-v1"
@@ -258,30 +258,13 @@ def write_snapshot(fh, registry: MetricsRegistry, *, step=None,
                    wall=None) -> dict:
     """Append one snapshot line to an open JSONL stream; returns it."""
     snap = registry.snapshot(step=step, wall=wall)
-    fh.write(json.dumps(snap, separators=(",", ":"), default=_finite) + "\n")
-    fh.flush()
+    jsonl.append(fh, snap)
     return snap
-
-
-def _finite(value):
-    """JSON fallback: NaN/Inf (no JSON representation) become strings."""
-    return str(value)
 
 
 def load_snapshots(path) -> list[dict]:
     """Parse a ``metrics.jsonl`` stream (torn final line tolerated)."""
-    snaps: list[dict] = []
-    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            snaps.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                continue  # torn final line: crash mid-write
-            raise
-    return snaps
+    return jsonl.read(path)
 
 
 def registry_from_snapshot(snap: dict) -> MetricsRegistry:

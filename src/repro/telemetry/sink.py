@@ -30,6 +30,8 @@ import json
 import pathlib
 import time
 
+from repro import jsonl
+
 from .metrics import METRICS_SCHEMA, MetricsRegistry, write_snapshot
 from .tracer import TRACE_SCHEMA, Tracer
 
@@ -41,26 +43,6 @@ TRACE_FILE = "trace.json"
 METRICS_FILE = "metrics.jsonl"
 EVENTS_FILE = "events.jsonl"
 META_FILE = "meta.json"
-
-
-def _jsonable(value):
-    """Coerce numpy scalars/arrays and paths to JSON-serialisable types
-    (same policy as :mod:`repro.resilience.journal`)."""
-    import numpy as np
-
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, pathlib.Path):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
 
 
 class TelemetrySink:
@@ -131,14 +113,11 @@ class TelemetrySink:
         """Record one event (RunJournal schema) and mirror it onto the
         trace timeline as an instant marker."""
         rec = {"seq": self._seq, "kind": kind, "wall": time.time()}
-        rec.update({k: _jsonable(v) for k, v in fields.items()})
+        rec.update({k: jsonl.jsonable(v) for k, v in fields.items()})
         self._seq += 1
         self.events.append(rec)
         if self._events_fh is not None:
-            self._events_fh.write(
-                json.dumps(rec, separators=(",", ":"), default=str) + "\n"
-            )
-            self._events_fh.flush()
+            jsonl.append(self._events_fh, rec)
         self.tracer.instant(kind, cat="event",
                             args={k: v for k, v in rec.items()
                                   if k not in ("seq", "wall")})
@@ -198,7 +177,7 @@ class TelemetrySink:
             "created_wall": self.tracer.epoch_wall,
             "metrics_every": self.metrics_every,
             "physics_every": self.physics_every,
-            "meta": _jsonable(self._meta),
+            "meta": jsonl.jsonable(self._meta),
         }
         if extra:
             meta.update(extra)
@@ -229,7 +208,7 @@ class TelemetrySink:
                 "events": len(self.events),
                 "trace_records": len(self.tracer),
                 "trace_dropped": self.tracer.dropped,
-                **_jsonable(extra_meta),
+                **jsonl.jsonable(extra_meta),
             })
             self._events_fh.close()
             self._events_fh = None
@@ -249,8 +228,6 @@ class TelemetrySink:
 
 
 def read_events(path) -> list[dict]:
-    """Parse an ``events.jsonl`` stream (delegates to the journal reader,
-    which tolerates a torn final line)."""
-    from repro.resilience.journal import read_journal
-
-    return read_journal(path)
+    """Parse an ``events.jsonl`` stream (a torn final line is skipped
+    with a warning)."""
+    return jsonl.read(path, warn=True)

@@ -345,3 +345,111 @@ class TestConcurrentClients:
             t.join(60.0)
         assert sorted(claimed) == sorted(f"j{i:04d}-job{i}"
                                          for i in range(16))
+
+
+class TestShardedParity:
+    """Attached and degraded mode run the same op table
+    (:class:`ShardedQueue`): the same script must journal the same ops
+    and walk the shards in the same token order."""
+
+    @staticmethod
+    def _script(fq):
+        """submit/claim/heartbeat/complete/requeue/reap over two shards;
+        returns the shard each claim landed on."""
+        shards = []
+        rec = fq.claim()
+        shards.append(rec["shard"])
+        assert fq.heartbeat(rec["id"]) is True
+        fq.complete(rec["id"], {"n": 1}, attempt=rec["attempts"])
+        rec = fq.claim()
+        shards.append(rec["shard"])
+        fq.requeue(rec["id"], checkpoint="/ck", reason="preempt",
+                   attempt=rec["attempts"])
+        rec = fq.claim()
+        shards.append(rec["shard"])
+        fq.fail(rec["id"], "boom", attempt=rec["attempts"])
+        rec = fq.claim()
+        shards.append(rec["shard"])
+        assert fq.preempt_requested(rec["id"]) is False
+        time.sleep(0.3)  # no heartbeat: the 0.2 s lease expires
+        assert [j for _, j in fq.reap()] == [rec["id"]]
+        assert fq.drained() is False
+        return shards
+
+    @staticmethod
+    def _journals(roots):
+        """Per-shard journal ops with the run-dependent fields removed."""
+        out = []
+        for root in roots:
+            ops = JobQueue(root)._ops()
+            for op in ops:
+                op.pop("wall", None)
+                op.pop("token", None)
+                op.get("job", {}).pop("submitted", None)
+            out.append(ops)
+        return out
+
+    def _run(self, tmp_path, monkeypatch, mode):
+        roots = [tmp_path / mode / "a", tmp_path / mode / "b"]
+        submit_n(JobQueue(roots[0]), 2)
+        submit_n(JobQueue(roots[1]), 3)
+        # every other token is a claim's: its first 8 hex digits pick
+        # the shard the walk starts on, alternating 0, 1, 0, 1
+        tokens = (f"{i // 2:08x}{i:024x}" for i in range(100))
+        monkeypatch.setattr("repro.jobs.fabric.client.new_token",
+                            lambda: next(tokens))
+        if mode == "attached":
+            with Coordinator(roots[0], shards=roots, lease_seconds=0.2,
+                             reap_interval=60.0) as coord:
+                fq = FabricQueue(coord.address, name="w0")
+                fq.attach()
+                shards = self._script(fq)
+                counts = fq.counts()
+                assert fq.degraded is False
+                fq.close()
+        else:
+            probe = socket.socket()
+            probe.bind(("127.0.0.1", 0))
+            addr = probe.getsockname()[:2]
+            probe.close()  # nothing listens here
+            fq = FabricQueue(addr, roots=roots, name="w0", rpc_timeout=0.05,
+                             deadline=0.1, probe_base=8.0, lease_seconds=0.2)
+            shards = self._script(fq)
+            counts = fq.counts()
+            assert fq.degraded is True
+        return shards, counts, self._journals(roots)
+
+    def test_same_script_same_journal_ops(self, tmp_path, monkeypatch):
+        attached = self._run(tmp_path, monkeypatch, "attached")
+        degraded = self._run(tmp_path, monkeypatch, "degraded")
+        assert attached == degraded
+        shards, counts, journals = attached
+        assert set(shards) == {0, 1}  # the token rotation reached both
+        assert counts == {"pending": 3, "running": 0, "done": 1,
+                          "failed": 1, "cancelled": 0}
+        assert sum(op["op"] == "claim" for ops in journals
+                   for op in ops) == 4
+
+    @pytest.mark.parametrize("mode", ["attached", "degraded"])
+    def test_retried_claim_token_returns_same_record(self, tmp_path,
+                                                     monkeypatch, mode):
+        roots = [tmp_path / "a", tmp_path / "b"]
+        submit_n(JobQueue(roots[0]), 2)
+        submit_n(JobQueue(roots[1]), 2)
+        # one logical claim sent twice: token 1 starts the walk on
+        # shard 1, where the first send commits
+        monkeypatch.setattr("repro.jobs.fabric.client.new_token",
+                            lambda: "00000001" + "0" * 24)
+        with Coordinator(roots[0], shards=roots, lease_seconds=30.0,
+                         reap_interval=60.0) as coord:
+            fq = FabricQueue(coord.address, roots=roots, name="w0",
+                             rpc_timeout=0.2, deadline=0.4)
+            if mode == "degraded":
+                coord.stop()
+            first, again = fq.claim(), fq.claim()
+            assert fq.degraded is (mode == "degraded")
+            fq.close()
+        assert first["shard"] == again["shard"] == 1
+        assert first["id"] == again["id"]
+        running = [JobQueue(r).counts()["running"] for r in roots]
+        assert running == [0, 1]  # never a second job

@@ -218,7 +218,7 @@ class TestCrashSafety:
 def _claim_then_die_before_fsync(root):
     """Claim, but simulate a power cut between the journal append
     (write + flush) and fsync visibility."""
-    import repro.jobs.queue as qmod
+    import repro.jsonl as qmod  # the one fsync site of every journal
 
     class DyingOs:
         def __getattr__(self, name):
@@ -277,3 +277,75 @@ class TestContention:
         counts = q.counts()
         assert counts[DONE] == n_jobs
         assert q.drained()
+
+
+def _fixed_script(root, monkeypatch):
+    """Every op kind once, on a patched clock/pid with fixed tokens;
+    returns the record each transition returned, as (record, fresh
+    replay of the same job) pairs."""
+    import itertools
+
+    clock = itertools.count(1_700_000_000)
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    monkeypatch.setattr(os, "getpid", lambda: 4242)
+    q = JobQueue(root, lease_seconds=5.0)
+    pairs = []
+
+    def returned(rec):
+        pairs.append((rec, JobQueue(root).jobs()[rec["id"]]))
+        return rec
+
+    q.submit({"name": "a", "x": [1, 2.5]}, cache_key="ka", priority=1,
+             fault_steps=(3,), cost={"total_seconds": 2.0}, token="t-sub-a")
+    q.submit({"name": "b"}, cache_key="kb")
+    r = returned(q.claim("w0", token="t-claim-1"))
+    q.heartbeat(r["id"], worker="w0")
+    returned(q.requeue(r["id"], checkpoint="/ck/a", reason="preempt",
+                       worker="w0", attempt=1, token="t-rq-1"))
+    r2 = returned(q.claim("w1", pid="host!7", token="t-claim-2"))
+    returned(q.complete(r2["id"], {"ok": True, "n": 3}, worker="w1",
+                        attempt=r2["attempts"], token="t-done-1"))
+    r3 = returned(q.claim("w0"))
+    q.request_preempt(r3["id"])
+    returned(q.fail(r3["id"], "boom", worker="w0", attempt=1,
+                    token="t-fail-1"))
+    c = q.submit({"name": "c"}, cache_key="kc")
+    returned(q.cancel(c["id"]))
+    return q, pairs
+
+
+class TestJournalFormat:
+    """The journal bytes and the table they replay to are pinned to the
+    commit before ``_apply`` / ``repro.jsonl`` existed (digests generated
+    there with this same script)."""
+
+    def test_journal_bytes_and_table_pinned(self, tmp_path, monkeypatch):
+        import hashlib
+
+        q, _ = _fixed_script(tmp_path, monkeypatch)
+        assert hashlib.sha256(q.path.read_bytes()).hexdigest() == (
+            "e06d9477cbb446394b0708f6140facce"
+            "48de529c7670795daa4b924b84387088")
+        table = json.dumps(q.jobs(), sort_keys=True)
+        assert hashlib.sha256(table.encode()).hexdigest() == (
+            "303947d77a6f80fdf72fae5fa74b683b"
+            "cea36db65eec066698ad7821057f3b4f")
+
+    def test_transitions_return_what_a_fresh_replay_holds(self, tmp_path,
+                                                          monkeypatch):
+        # claim() and _transition() apply the op they appended to the
+        # table they already hold instead of re-reading the journal
+        _, pairs = _fixed_script(tmp_path, monkeypatch)
+        assert len(pairs) == 7
+        for returned, replayed in pairs:
+            assert returned == replayed
+
+    def test_finish_reads_the_journal_once(self, tmp_path, monkeypatch):
+        q = JobQueue(tmp_path)
+        rec = q.submit({"name": "a"}, cache_key="k0")
+        q.claim("w0")
+        reads = []
+        real_ops = q._ops
+        monkeypatch.setattr(q, "_ops", lambda: reads.append(1) or real_ops())
+        q.complete(rec["id"], {})
+        assert len(reads) == 1
