@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.io import RunConfig
 from .pool import WorkerPool
-from .queue import DONE, JobQueue
+from .queue import DONE, RUNNING, JobQueue
 from .scheduler import auto_preempt_target, pack, predicted_seconds
 
 REPORT_FILE = "report.json"
@@ -72,7 +72,8 @@ class Campaign:
             cost=dataclasses.asdict(cost),
         )
         if preempt:
-            victim = auto_preempt_target(self.queue.jobs().values(), priority)
+            victim = auto_preempt_target(
+                self.queue.jobs((RUNNING,)).values(), priority)
             if victim is not None:
                 self.queue.request_preempt(victim["id"])
         return rec

@@ -379,11 +379,11 @@ def cmd_demo(args) -> int:
         # with auto-preemption
         deadline = time.monotonic() + args.timeout
         while time.monotonic() < deadline:
-            state = campaign.queue.jobs()[target["id"]]["state"]
+            state = campaign.queue.job(target["id"])["state"]
             if state != "pending":
                 break
             time.sleep(0.05)
-        if campaign.queue.jobs()[target["id"]]["state"] == "running":
+        if campaign.queue.job(target["id"])["state"] == "running":
             campaign.submit(urgent_cfg, priority=10, preempt=True)
             print(f"submitted urgent job; preemption requested for "
                   f"{target['id']}")

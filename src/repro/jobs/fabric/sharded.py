@@ -77,13 +77,12 @@ class ShardedQueue:
         if token is not None and msg.get("retry"):
             # a retried claim may have committed on *any* shard — find
             # it before letting a different shard claim a second job.
-            # First sends skip this scan (nothing can have committed),
-            # keeping the common claim path at a single journal replay.
+            # First sends skip this scan: nothing can have committed.
             for shard in order:
-                for rec in self.queues[shard].jobs().values():
-                    if rec.get("claim_token") == token:
-                        rec["shard"] = shard
-                        return rec
+                rec = self.queues[shard].claimed(token)
+                if rec is not None:
+                    rec["shard"] = shard
+                    return rec
         for shard in order:
             rec = self.queues[shard].claim(msg["worker"], pid=msg.get("pid"),
                                            token=token)
@@ -109,8 +108,7 @@ class ShardedQueue:
              "worker": rec.get("worker"), "seq": rec.get("seq", 0),
              "cost": rec.get("cost")}
             for shard, q in enumerate(self.queues)
-            for rec in q.jobs().values()
-            if rec.get("state") in (PENDING, RUNNING)
+            for rec in q.jobs((PENDING, RUNNING)).values()
         ]
 
     def reap(self) -> list[list]:

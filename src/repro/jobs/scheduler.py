@@ -26,13 +26,16 @@ def predicted_seconds(record: dict) -> float:
     return float(cost.get("total_seconds", 0.0))
 
 
+def claim_key(record: dict) -> tuple:
+    """Sort key of the claim ranking (see module docstring); fixed at
+    submit time, so the queue can keep its pending jobs sorted by it."""
+    return (-record["priority"], predicted_seconds(record), record["seq"])
+
+
 def claim_order(records) -> list[dict]:
     """Pending records in claim order (see module docstring)."""
-    pending = [r for r in records if r["state"] == "pending"]
-    return sorted(
-        pending,
-        key=lambda r: (-r["priority"], predicted_seconds(r), r["seq"]),
-    )
+    return sorted((r for r in records if r["state"] == "pending"),
+                  key=claim_key)
 
 
 def pack(records, n_workers: int) -> tuple[list[list[dict]], float]:

@@ -36,15 +36,18 @@ def jsonable(value):
     return value
 
 
-def append(fh, obj, *, fsync: bool = False) -> None:
+def append(fh, obj, *, fsync: bool = False) -> str:
     """Write ``obj`` as one line to the open text stream ``fh`` and
     flush it; ``fsync=True`` also forces it to disk before returning
     (the journals whose loss would break exactly-once ask for that).
-    Values JSON cannot represent are written as their ``str()``."""
-    fh.write(json.dumps(obj, separators=(",", ":"), default=str) + "\n")
+    Values JSON cannot represent are written as their ``str()``.
+    Returns the line written (pure ASCII, newline included)."""
+    line = json.dumps(obj, separators=(",", ":"), default=str) + "\n"
+    fh.write(line)
     fh.flush()
     if fsync:
         os.fsync(fh.fileno())
+    return line
 
 
 def read(path, *, warn: bool = False) -> list[dict]:

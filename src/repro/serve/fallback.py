@@ -107,7 +107,7 @@ class SimulationBroker:
             ticket = self.tickets.get(ticket_id)
         if ticket is None:
             return {"known": False, "id": ticket_id}
-        job = self.campaign.queue.jobs().get(ticket.id) or {}
+        job = self.campaign.queue.job(ticket.id) or {}
         return {
             "known": True,
             **ticket.to_dict(),
@@ -123,10 +123,9 @@ class SimulationBroker:
                             if not t.ingested]
         if not open_tickets:
             return []
-        jobs = self.campaign.queue.jobs()
         done = []
         for t in open_tickets:
-            state = (jobs.get(t.id) or {}).get("state")
+            state = (self.campaign.queue.job(t.id) or {}).get("state")
             if state == DONE:
                 done.append(t)
             elif state in (FAILED, CANCELLED):

@@ -9,10 +9,16 @@ rather than restarts.
 import json
 import multiprocessing as mp
 import os
+import sys
+import tempfile
+import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from repro import jsonl
 from repro.jobs import (
     CANCELLED,
     DONE,
@@ -21,6 +27,7 @@ from repro.jobs import (
     JobError,
     JobQueue,
     QueueSaturated,
+    claim_order,
 )
 
 
@@ -135,14 +142,79 @@ class TestCrashSafety:
         jobs = JobQueue(tmp_path).jobs()
         assert jobs[rec["id"]]["state"] == RUNNING  # the op never happened
 
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        # a crash mid-append leaves a fragment; the next op must not be
+        # glued onto it (it would be fsynced and then dropped by every
+        # replay: a fresh instance would hand the same job out again)
+        q = JobQueue(tmp_path)
+        a, b = submit_n(q, 2)
+        q.claim("w0")
+        with open(q.path, "a", encoding="utf-8") as fh:
+            fh.write('{"op": "done", "id": "' + a["id"])  # torn append
+        first = JobQueue(tmp_path).claim("w1")
+        assert first["id"] == b["id"]
+        fresh = JobQueue(tmp_path).jobs()  # and no read raises, ever
+        assert (fresh[b["id"]]["state"], fresh[b["id"]]["worker"]) == (
+            RUNNING, "w1")
+        assert fresh[a["id"]]["state"] == RUNNING  # the torn op never happened
+        assert JobQueue(tmp_path).claim("w2") is None  # no double claim
+        assert q.claim("w3") is None  # nor from the instance that lagged
+        assert q.path.read_bytes().count(b"\n") == 4  # 2 submits, 2 claims
+        assert JobQueue._replay(jsonl.read(q.path)) == q.jobs()
+
     def test_torn_midfile_line_raises(self, tmp_path):
         q = JobQueue(tmp_path)
-        q.submit({"name": "a"}, cache_key="k0")
-        with open(q.path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "broken"\n')
-        q.submit({"name": "b"}, cache_key="k1")  # appends after the tear
+        a = q.submit({"name": "a"}, cache_key="k0")
+        other = JobQueue(tmp_path)
+        other.claim("w0")
+        other.requeue(a["id"], reason="preempt")
+        good = q.path.stat().st_size
+        bad = b'{"op": "broken"\n'
+        with open(q.path, "ab") as fh:
+            fh.write(bad)
         with pytest.raises(json.JSONDecodeError):
             JobQueue(tmp_path).jobs()
+        # the instance that was following the journal raises at the
+        # first op that reads the corrupt line and at each later one
+        for op in (q.counts, lambda: q.claim("w1"), q.jobs, q.reap,
+                   lambda: q.submit({"name": "b"}, cache_key="k1")):
+            with pytest.raises(json.JSONDecodeError):
+                op()
+        assert q.path.stat().st_size == good + len(bad)  # nothing appended
+        # ... and none of the retries applied the good lines before it:
+        # blank the corrupt line out in place and the chunk goes in once
+        with open(q.path, "r+b") as fh:
+            fh.seek(good)
+            fh.write(b" " * (len(bad) - 1))
+        rec = q.claim("w1")
+        assert (rec["attempts"], len(rec["requeues"]), rec["preemptions"]
+                ) == (2, 1, 1)
+        assert q.jobs() == JobQueue._replay(jsonl.read(q.path))
+
+    def test_replaced_or_truncated_journal_is_replayed_in_full(self, tmp_path):
+        q = JobQueue(tmp_path)
+        submit_n(q, 3)
+        q.claim("w0")
+        # replaced: another journal renamed over it (new inode), longer
+        # than the offset this instance holds
+        other = JobQueue(tmp_path / "other")
+        submit_n(other, 2, priority=7)
+        ids = [other.claim("w9")["id"], other.claim("w9")["id"]]
+        for _ in range(8):
+            assert other.heartbeat(ids[0])
+        assert other.path.stat().st_size > q.path.stat().st_size
+        table = other.jobs()
+        os.replace(other.path, q.path)
+        assert q.jobs() == JobQueue._replay(jsonl.read(q.path)) == table
+        assert q.counts()[RUNNING] == 2
+        # truncated: same inode, now shorter than the held offset
+        lines = q.path.read_bytes().splitlines(keepends=True)
+        with open(q.path, "r+b") as fh:
+            fh.truncate(len(lines[0]))
+        assert list(q.jobs()) == ["j0000-job0"]
+        assert q.counts() == {PENDING: 1, RUNNING: 0, DONE: 0, "failed": 0,
+                              CANCELLED: 0}
+        assert q.submit({"name": "n"}, cache_key="kn")["seq"] == 1
 
     def test_reap_dead_worker_requeues_with_checkpoint(self, tmp_path):
         q = JobQueue(tmp_path)
@@ -341,11 +413,210 @@ class TestJournalFormat:
             assert returned == replayed
 
     def test_finish_reads_the_journal_once(self, tmp_path, monkeypatch):
-        q = JobQueue(tmp_path)
+        # every journal byte is read at most once per instance: an op
+        # reads exactly what was appended since this instance's previous
+        # op, which for back-to-back ops of one instance is nothing
+        q, other = JobQueue(tmp_path), JobQueue(tmp_path)
+        reads = []
+        real_pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, n, offset: (
+            reads.append((offset, n)) or real_pread(fd, n, offset)))
         rec = q.submit({"name": "a"}, cache_key="k0")
         q.claim("w0")
-        reads = []
-        real_ops = q._ops
-        monkeypatch.setattr(q, "_ops", lambda: reads.append(1) or real_ops())
+        assert q.preempt_requested(rec["id"]) is False
+        assert reads == []
+        size = q.path.stat().st_size
+        assert other.heartbeat(rec["id"], worker="w0")
+        assert reads == [(0, size)]  # the cold open: one read of it all
+        grown = q.path.stat().st_size
         q.complete(rec["id"], {})
-        assert len(reads) == 1
+        assert reads == [(0, size), (size, grown - size)]
+        assert q.counts()[DONE] == 1 and q.drained()
+        assert len(reads) == 2
+
+
+# -- the held table against a full replay -----------------------------------
+def _assert_follows(q):
+    """``q``'s table and every index equal a replay of the journal."""
+    oracle = JobQueue._replay(q._ops())  # jsonl.read, or [] before any op
+    assert q.jobs() == oracle
+    states = [r["state"] for r in oracle.values()]
+    assert q.counts() == {s: states.count(s) for s in
+                          (PENDING, RUNNING, DONE, "failed", CANCELLED)}
+    table = q._table
+    assert [e[-1] for e in table.pending] == [
+        r["id"] for r in claim_order(oracle.values())]
+    running = [r["cache_key"] for r in oracle.values()
+               if r["state"] == RUNNING]
+    assert {k: n for k, n in table.running_keys.items() if n} == {
+        k: running.count(k) for k in running}
+    assert table.submits == len(oracle)
+    for field in ("submit_token", "claim_token"):
+        for rec in oracle.values():
+            if rec[field] is not None:
+                assert table.by_token(field, rec[field])[field] == rec[field]
+
+
+def _scan_for_claim(jobs, token):
+    """The job a claim must return, found the way ops found it when
+    they scanned a full replay: token match first, else the first of
+    ``claim_order`` whose cache_key is not running."""
+    if token is not None:
+        for rec in jobs.values():
+            if rec["claim_token"] == token:
+                return rec["id"]
+    in_flight = {r["cache_key"] for r in jobs.values()
+                 if r["state"] == RUNNING}
+    return next((r["id"] for r in claim_order(jobs.values())
+                 if r["cache_key"] not in in_flight), None)
+
+
+KINDS = ("submit", "claim", "complete", "fail", "requeue", "heartbeat",
+         "cancel", "request_preempt", "reap")
+SCRIPTS = st.lists(
+    st.tuples(st.integers(0, 2),
+              st.sampled_from(KINDS + ("submit", "claim") * 2),
+              st.integers(0, 9),
+              st.one_of(st.none(), st.integers(0, 2)),  # token, from a pool
+              st.sampled_from(("none", "owner", "stale")),  # guards
+              st.booleans()),  # let the other instances lag
+    min_size=8, max_size=60)
+
+
+class TestTailFollowing:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(SCRIPTS)
+    def test_three_instances_follow_one_journal(self, script):
+        with tempfile.TemporaryDirectory() as root:
+            # three handles with different settings on one directory:
+            # each must follow what the other two append
+            queues = [JobQueue(root), JobQueue(root, max_pending=3),
+                      JobQueue(root, lease_seconds=0.0)]
+            for i, kind, pick, tok, guard, lag in script:
+                q = queues[i]
+                # aim at a job the op can apply to, as this instance last
+                # saw the table (it may lag), else at any job
+                want = PENDING if kind == "cancel" else RUNNING
+                known = (sorted(j for j, r in q._table.jobs.items()
+                                if r["state"] == want and pick % 4)
+                         or sorted(q._table.jobs) or ["j0000-none"])
+                job_id = known[pick % len(known)]
+                held = q._table.jobs.get(job_id) or {}
+                token = None if tok is None else f"{kind}-{tok}"
+                before = JobQueue._replay(q._ops())
+                guards = {
+                    "none": {},
+                    "owner": {"worker": held.get("worker"),
+                              "attempt": held.get("attempts")},
+                    "stale": {"worker": f"w{(i + 1) % 3}",
+                              "attempt": held.get("attempts", 0) + pick % 2},
+                }[guard]
+                try:
+                    if kind == "submit":
+                        out = q.submit(
+                            {"name": f"n{pick}", "x": [pick, {"y": 1.5}]},
+                            cache_key=f"k{pick % 3}", priority=pick % 3,
+                            cost=[None, {"total_seconds": pick / 4}][pick % 2],
+                            token=token)
+                    elif kind == "claim":
+                        out = q.claim(f"w{i}", token=token,
+                                      pid=[None, "host!7"][pick % 2])
+                    elif kind == "complete":
+                        out = q.complete(job_id, {"n": pick}, token=token,
+                                         **guards)
+                    elif kind == "fail":
+                        out = q.fail(job_id, "boom", token=token, **guards)
+                    elif kind == "requeue":
+                        out = q.requeue(
+                            job_id, checkpoint=[None, "/ck"][pick % 2],
+                            reason=["requeue", "preempt"][pick % 2],
+                            token=token, **guards)
+                    elif kind == "heartbeat":
+                        out = q.heartbeat(job_id, worker=guards.get("worker"))
+                    elif kind == "cancel":
+                        out = q.cancel(job_id)
+                    elif kind == "request_preempt":
+                        out = q.request_preempt(job_id)
+                    else:
+                        out = q.reap()
+                except (JobError, QueueSaturated):
+                    out = None
+                event(f"{kind}: {type(out).__name__}")
+                if kind == "claim":
+                    assert (out or {}).get("id") == _scan_for_claim(
+                        before, token)
+                if kind == "submit":
+                    dup = [r["id"] for r in before.values()
+                           if token and r["submit_token"] == token]
+                    full = i == 1 and sum(r["state"] == PENDING
+                                          for r in before.values()) >= 3
+                    assert (out or {}).get("id") == (
+                        dup[0] if dup else None if full
+                        else f"j{len(before):04d}-n{pick}")
+                if isinstance(out, dict):
+                    # what comes back is the caller's to scribble on
+                    assert out == JobQueue._replay(
+                        jsonl.read(q.path))[out["id"]]
+                    out["requeues"].append("mine")
+                    out["config"]["x"][1]["y"] = "mine"
+                    out["state"] = "mine"
+                for other in (queues if not lag else [q]):
+                    _assert_follows(other)
+            for q in queues:
+                _assert_follows(q)
+
+    def test_claim_token_answers_only_while_a_record_holds_it(self, tmp_path):
+        q = JobQueue(tmp_path)
+        a, b = submit_n(q, 2)
+        first = q.claim("w0", token="T")
+        assert first["id"] == a["id"]
+        assert q.claim("w0", token="T") == first  # retry: no second job
+        q.requeue(a["id"])
+        assert q.claim("w1", token="U")["id"] == a["id"]
+        # T is on no record any more: a late retry is a fresh claim, as
+        # it was when every claim scanned a replay for its token
+        assert q.claim("w0", token="T")["id"] == b["id"]
+        other = JobQueue(tmp_path)
+        assert other.claimed("T")["id"] == b["id"]
+        assert other.claimed("U")["id"] == a["id"]
+        assert other.claimed("never") is None
+
+    def test_threads_on_two_instances_never_double_claim(self, tmp_path):
+        # the coordinator's use: connection threads sharing the shard's
+        # JobQueue (here two of them), every op a check-then-append
+        n_jobs, n_threads = 200, 8
+        queues = [JobQueue(tmp_path), JobQueue(tmp_path)]
+        submit_n(queues[0], n_jobs)
+        claims = [[] for _ in range(n_threads)]
+        errors = []
+
+        def work(k):
+            q = queues[k % 2]
+            try:
+                while (rec := q.claim(f"t{k}")) is not None:
+                    claims[k].append(rec["id"])
+                    q.complete(rec["id"], {"by": k}, worker=f"t{k}",
+                               attempt=rec["attempts"])
+                    assert q.preempt_requested(rec["id"]) is False
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+                raise
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and not errors
+        flat = [j for per_thread in claims for j in per_thread]
+        assert len(flat) == len(set(flat)) == n_jobs  # no double claim
+        for q in queues:
+            _assert_follows(q)
+            assert q.counts()[DONE] == n_jobs

@@ -75,5 +75,7 @@ def test_every_reader_shares_the_torn_line_discipline(tmp_path):
 
 def test_append_accepts_any_text_stream():
     buf = io.StringIO()
-    jsonl.append(buf, {"k": "v"})
-    assert buf.getvalue() == '{"k":"v"}\n'
+    # the line written comes back, pure ASCII (one char = one byte on
+    # disk: the queue advances its journal offset by its length)
+    assert jsonl.append(buf, {"k": "v", "é": "ü"}) == buf.getvalue()
+    assert buf.getvalue() == '{"k":"v","\\u00e9":"\\u00fc"}\n'

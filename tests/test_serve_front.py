@@ -214,7 +214,10 @@ class TestMissFallback:
             assert hit["entry"]["source"].startswith("cache:")
             assert np.any(np.abs(hit["h_re"]) > 0.0)
 
-        run_front(store, scenario, broker=broker)
+        # no background sweep: a 0.5 s tick landing between the worker's
+        # cache write and the explicit ingest() would ingest first and
+        # leave this one reporting ``already`` (seen once in a full run)
+        run_front(store, scenario, broker=broker, ingest_interval=3600.0)
 
 
 class TestLoadgen:
