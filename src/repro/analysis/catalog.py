@@ -164,11 +164,9 @@ class WaveformCatalog:
         directory.mkdir(parents=True, exist_ok=True)
         paths = []
         for e in self.entries:
-            series = ModeTimeSeries()
-            for t, v in zip(e.times, e.h22):
-                series.append(float(t), {(2, 2): complex(v)})
             p = directory / f"q{e.mass_ratio:g}.npz"
-            save_modes(p, series, radius=float("inf"),
+            save_modes(p, ModeTimeSeries(e.times, {(2, 2): e.h22}),
+                       radius=float("inf"),
                        metadata={"mass_ratio": e.mass_ratio, **e.metadata})
             paths.append(p)
         return paths
@@ -185,14 +183,14 @@ class WaveformCatalog:
         torn-line tolerance of the queue journals, so one corrupt entry
         never takes down a whole catalog.
         """
-        from repro.io.waveforms import load_modes
+        from repro.io.waveforms import load_mode_arrays
 
         cat = cls()
         grid = None
         for p in sorted(pathlib.Path(directory).glob("q*.npz")):
             try:
-                series, _, meta = load_modes(p)
-                t, h = series.series(2, 2)
+                t, modes, _, meta = load_mode_arrays(p)
+                h = modes[(2, 2)]
                 q = float(meta["mass_ratio"])
             except Exception as exc:  # torn npz, missing mode/metadata
                 cat.skipped += 1

@@ -20,7 +20,8 @@ FORMAT_VERSION = 1
 
 def save_modes(path, series: ModeTimeSeries, *, radius: float,
                metadata: dict | None = None) -> None:
-    """Persist one extraction sphere's mode time series."""
+    """Persist one extraction sphere's mode time series (its ``times``
+    and per-mode ``values`` may be lists or arrays alike)."""
     keys = sorted(series.values)
     meta = {
         "version": FORMAT_VERSION,
@@ -37,18 +38,26 @@ def save_modes(path, series: ModeTimeSeries, *, radius: float,
     np.savez_compressed(path, **arrays)
 
 
-def load_modes(path) -> tuple[ModeTimeSeries, float, dict]:
-    """(series, radius, metadata) from a catalog file."""
+def load_mode_arrays(path) -> tuple[np.ndarray, dict, float, dict]:
+    """(times, ``{(l, m): coefficients}``, radius, metadata) from a
+    catalog file, as the arrays it stores."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported waveform file version "
                              f"{meta.get('version')}")
-        series = ModeTimeSeries()
-        series.times = list(np.asarray(data["times"]))
-        for i, (l, m) in enumerate(meta["modes"]):
-            series.values[(l, m)] = list(np.asarray(data[f"mode_{i}"]))
-    return series, float(meta["radius"]), meta["extra"]
+        times = data["times"]
+        modes = {(l, m): data[f"mode_{i}"]
+                 for i, (l, m) in enumerate(meta["modes"])}
+    return times, modes, float(meta["radius"]), meta["extra"]
+
+
+def load_modes(path) -> tuple[ModeTimeSeries, float, dict]:
+    """(series, radius, metadata) from a catalog file."""
+    times, modes, radius, extra = load_mode_arrays(path)
+    series = ModeTimeSeries(times=list(times),
+                            values={k: list(v) for k, v in modes.items()})
+    return series, radius, extra
 
 
 def save_extractor(directory, extractor, *, metadata: dict | None = None) -> list:

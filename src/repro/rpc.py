@@ -2,11 +2,26 @@
 threaded listener every socket in the repo is built from.
 
 One frame is a 4-byte big-endian payload length followed by that many
-bytes of UTF-8 JSON holding one *object*.  The framing is deliberately
-minimal: any language or a ten-line netcat script can speak it, a
-partial read is detectable (the stream dies mid-frame, never
-mid-field), and the chaos proxy can drop/duplicate/delay *whole
-messages* without parsing them.
+payload bytes.  A message without arrays is UTF-8 JSON holding one
+*object*, which any language or a ten-line netcat script can speak.  A
+message holding float64 arrays (any value, top-level or nested, that
+exports a 1-D C-contiguous ``"d"`` buffer) travels as a header and a
+tail inside the same payload::
+
+    4-byte big-endian header length | JSON object, space-padded to an
+    8-byte boundary | the arrays' doubles, little-endian, back to back
+
+with each array spelt ``{"__f64__": [offset, count]}`` in the header,
+counted in doubles from the start of the tail.  The first payload byte
+tells the two apart (``{`` against the zero high byte of a length below
+:data:`MAX_FRAME_BYTES`), so a JSON-only peer handed a tailed frame
+fails closed with :class:`ProtocolError`.  Nothing is handed out before
+the whole frame checks; arrays come back as read-only ``memoryview``
+objects of format ``"d"`` over the received bytes (``np.asarray`` wraps
+one without a copy).  To everything that does not parse it a frame is
+still one opaque unit: a partial read is detectable (the stream dies
+mid-frame, never mid-field), one size cap covers header and tail, and
+the chaos proxy can drop/duplicate/delay *whole messages*.
 
 A stdlib-only leaf — it imports nothing from :mod:`repro` — so the
 campaign fabric, the catalog front and the chaos proxy all sit on it
@@ -25,6 +40,7 @@ import os
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -32,6 +48,8 @@ import time
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
+#: the header's stand-in for an array: ``{_REF: [offset, count]}``
+_REF = "__f64__"
 
 
 class ProtocolError(RuntimeError):
@@ -118,9 +136,35 @@ class Backoff:
 
 # -- the frame codec ------------------------------------------------------
 
+def _little_endian_host() -> None:
+    """The tail is the doubles' memory as it is: little-endian hosts."""
+    if sys.byteorder != "little":
+        raise ProtocolError("float64 tails need a little-endian host")
+
+
 def encode_frame(obj) -> bytes:
     """Serialise one message to its on-wire bytes."""
-    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    tail: list[memoryview] = []
+    doubles = 0
+
+    def reference(value) -> dict:
+        """``json.dumps(default=)``: move a float64 buffer to the tail."""
+        nonlocal doubles
+        view = memoryview(value)  # TypeError, as json raises, if it is none
+        if view.format != "d" or view.ndim != 1 or not view.c_contiguous:
+            raise TypeError(f"{type(value).__name__} is neither JSON nor a "
+                            "1-D C-contiguous float64 buffer")
+        tail.append(view)
+        doubles += len(view)
+        return {_REF: [doubles - len(view), len(view)]}
+
+    payload = json.dumps(obj, separators=(",", ":"),
+                         default=reference).encode("utf-8")
+    if tail:
+        _little_endian_host()
+        pad = b" " * (-(_LEN.size + len(payload)) % 8)  # aligns the tail
+        payload = b"".join([_LEN.pack(len(payload) + len(pad)), payload, pad,
+                            *tail])
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(payload)} bytes exceeds "
                             f"{MAX_FRAME_BYTES}")
@@ -136,16 +180,51 @@ def frame_length(header: bytes) -> int:
     return length
 
 
-def decode_payload(payload: bytes) -> dict:
-    """The message a frame body holds; anything but a UTF-8 JSON
-    *object* is a protocol violation."""
+def _load_object(text: bytes, object_hook=None) -> dict:
     try:
-        msg = json.loads(payload.decode("utf-8"))
+        msg = json.loads(text.decode("utf-8"), object_hook=object_hook)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(msg, dict):
         raise ProtocolError(f"frame payload is a JSON "
                             f"{type(msg).__name__}, not an object")
+    return msg
+
+
+def decode_payload(payload: bytes) -> dict:
+    """The message a frame body holds; anything but a UTF-8 JSON
+    *object*, alone or as the header of a well-formed tail, is a
+    protocol violation."""
+    if payload[:1] != b"\0":  # JSON; a header length (< 2**24) starts with 0
+        return _load_object(payload)
+    _little_endian_host()
+    start = _LEN.size + int.from_bytes(payload[:_LEN.size], "big")
+    if not _LEN.size <= start <= len(payload) or (len(payload) - start) % 8:
+        raise ProtocolError(f"header length {start - _LEN.size} past the "
+                            f"{len(payload)}-byte frame, or a tail that is "
+                            "not whole doubles")
+    tail = memoryview(payload)[start:].cast("d")
+    cursor = 0
+
+    def resolve(obj: dict):
+        """``object_hook``: a reference becomes its slice of the tail,
+        which the references must tile in order, end to end."""
+        nonlocal cursor
+        if _REF not in obj:
+            return obj
+        ref = obj[_REF]
+        if (len(obj) != 1 or type(ref) is not list
+                or [type(x) for x in ref] != [int, int] or ref[0] != cursor
+                or not 0 <= ref[1] <= len(tail) - cursor):
+            raise ProtocolError(f"bad array reference {obj!r} at double "
+                                f"{cursor} of {len(tail)}")
+        cursor += ref[1]
+        return tail[ref[0]:cursor]
+
+    msg = _load_object(payload[_LEN.size:start], resolve)
+    if cursor != len(tail):
+        raise ProtocolError(f"{len(tail) - cursor} doubles of the tail are "
+                            "covered by no reference")
     return msg
 
 

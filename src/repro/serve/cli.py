@@ -166,7 +166,9 @@ def cmd_query(args) -> int:
             fields["detector"] = args.detector
         resp = client.query(args.mass_ratio, **fields)
     if args.json_out:
-        print(json.dumps(resp, indent=2))
+        # the one edge where a reply becomes text again: its sample
+        # arrays arrived as float64 buffers, which JSON spells as lists
+        print(json.dumps(resp, indent=2, default=list))
         return 0
     print(f"outcome: {resp['outcome']} (q = {resp['mass_ratio']:g})")
     if resp["outcome"] == "miss":

@@ -7,6 +7,10 @@ plus one helper method per serve op; the CLI and tests use it.
 the load generator drives many of them concurrently from one event
 loop — with no retry: any transport error or timeout closes the
 connection, so a late reply can never answer a later request.
+
+Either way a reply's sample arrays arrive as read-only float64
+``memoryview`` objects over the received frame, never as lists: index
+or iterate them as they are, or ``np.asarray`` one without a copy.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """The asyncio request front: catalog queries at interactive latency.
 
 One :class:`ServeFront` owns a :class:`~repro.serve.store.CatalogStore`
-and serves it over the repo's length-prefixed JSON frames
-(:mod:`repro.rpc`).  The read path is built for heavy traffic:
+and serves it over the repo's length-prefixed frames (:mod:`repro.rpc`),
+the reply's sample arrays as raw float64 after the JSON: ``handle``
+returns contiguous NumPy arrays (a full-rate one is the hot set's own:
+read, don't write), a socket client receives ``memoryview`` objects.
+The read path is built for heavy traffic:
 
 * **Bounded LRU hot set** (:class:`HotSet`) over *decoded* waveform
   arrays, accounted in bytes — repeat queries for popular catalog
@@ -329,9 +332,9 @@ class ServeFront:
         }
         if req.get("include_waveform", True):
             stride = _stride(len(times), req.get("max_samples"))
-            resp["times"] = times[::stride].tolist()
-            resp["h_re"] = np.real(h22)[::stride].tolist()
-            resp["h_im"] = np.imag(h22)[::stride].tolist()
+            resp["times"] = _samples(times, stride)
+            resp["h_re"] = _samples(np.real(h22), stride)
+            resp["h_im"] = _samples(np.imag(h22), stride)
         detector = req.get("detector")
         if detector is not None:
             # strain/SNR is per-request FFT work — run it off-loop
@@ -375,8 +378,8 @@ class ServeFront:
             "snr": float(snr),
             "f_lo": f_lo,
             "f_hi": f_hi,
-            "times_s": t_s[::stride].tolist(),
-            "strain": banded[::stride].tolist(),
+            "times_s": _samples(t_s, stride),
+            "strain": _samples(banded, stride),
         }
 
     async def _op_ticket(self, req: dict) -> dict:
@@ -412,6 +415,12 @@ def _entry(meta: dict, arrays: dict):
     return CatalogEntry(mass_ratio=meta["mass_ratio"],
                         times=arrays["times"], h22=arrays["h22"],
                         metadata=meta)
+
+
+def _samples(values: np.ndarray, stride: int) -> np.ndarray:
+    """Every ``stride``-th sample, as the contiguous float64 buffer the
+    frame codec ships raw."""
+    return np.ascontiguousarray(values[::stride], dtype=np.float64)
 
 
 def _stride(n: int, max_samples) -> int:

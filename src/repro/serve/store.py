@@ -10,10 +10,11 @@ the unit within which parameter-space interpolation
 (:meth:`repro.analysis.catalog.WaveformCatalog.interpolate`) is valid.
 
 Adjacent-in-q mismatches are computed once per family at ingest time
-and stored in the index, so a query plan — exact hit, interpolation
-bracket with a mismatch-bounded error estimate, or coverage miss — is
-pure index arithmetic: the request front never decodes a waveform just
-to decide *whether* it can serve one.
+(only the gaps next to the inserted entry) and stored in the index, so
+a query plan — exact hit, interpolation bracket with a mismatch-bounded
+error estimate, or coverage miss — is pure index arithmetic, a bisect
+per family over its q-sorted key table: the request front never decodes
+a waveform just to decide *whether* it can serve one.
 
 Index writes are atomic (same-directory temp file + ``os.replace``),
 so a killed ingest never leaves readers a torn index; waveform files
@@ -22,7 +23,9 @@ land before the index row that references them.
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 import os
 import pathlib
 import threading
@@ -33,7 +36,7 @@ from repro.analysis.catalog import CatalogEntry, WaveformCatalog
 from repro.gw.compare import mismatch
 from repro.gw.extraction import ModeTimeSeries
 from repro.gw.waveform import remnant_spin
-from repro.io.waveforms import load_modes, save_modes
+from repro.io.waveforms import load_mode_arrays, save_modes
 from repro.jobs.cache import ResultCache
 
 INDEX_FILE = "index.json"
@@ -47,6 +50,25 @@ DEFAULT_INTERP_MISMATCH = 0.25
 
 class StoreError(RuntimeError):
     """The store cannot satisfy the operation (unknown key, bad entry)."""
+
+
+def _isclose(a: float, b: float) -> bool:
+    """Scalar ``np.isclose(a, b)`` at its default tolerances: equal
+    infinities are close, a NaN or one infinity is close to nothing."""
+    return a == b or abs(a - b) <= 1e-8 + 1e-5 * abs(b) < math.inf
+
+
+def _nearest_run(qs: list, rows: list, indices, q: float, allowed):
+    """Walking ``indices`` away from ``q``: the allowed rows at the
+    smallest distance from it that has any."""
+    found = None
+    for j in indices:
+        distance = abs(qs[j] - q)
+        if found is not None and distance > found:
+            return
+        if allowed(rows[j]):
+            found = distance
+            yield rows[j]
 
 
 def _family_signature(times: np.ndarray) -> str:
@@ -68,6 +90,13 @@ class CatalogStore:
         #: executor threads while query planning runs on the event loop
         self._mutex = threading.RLock()
         self._index = self._load_index()
+        #: position of each key in the index: the order ties are broken in
+        self._order = {k: i for i, k in enumerate(self._index["entries"])}
+        #: family → (mass ratios, index rows), both in the order of the
+        #: family's stored q-sorted ``keys``: what a plan bisects
+        self._tables: dict[str, tuple[list, list]] = {}
+        for family in self._index["families"]:
+            self._set_table(family)
 
     # -- index persistence -------------------------------------------------
     def _load_index(self) -> dict:
@@ -155,11 +184,9 @@ class CatalogStore:
             if key in self._index["entries"]:
                 return key  # same source re-ingested: idempotent
 
-            series = ModeTimeSeries()
-            for t, v in zip(times, h22):
-                series.append(float(t), {(2, 2): complex(v)})
             path = self.root / WAVEFORM_DIR / f"{key}.npz"
-            save_modes(path, series, radius=float(radius),
+            save_modes(path, ModeTimeSeries(times, {(2, 2): h22}),
+                       radius=float(radius),
                        metadata={"mass_ratio": q, "source": source,
                                  **(metadata or {})})
 
@@ -179,25 +206,42 @@ class CatalogStore:
             }
             if source not in self._index["sources"]:
                 self._index["sources"].append(source)
-            self._refresh_family(self._index["entries"][key]["family"])
+            self._order[key] = len(self._order)
+            self._refresh_family(self._index["entries"][key]["family"],
+                                 {key: h22})
             self._save_index()
             return key
 
-    def _refresh_family(self, family: str) -> None:
-        """Recompute one family's q-ordering and adjacent mismatches
-        (the stored "gaps" that price every interpolation plan)."""
+    def _refresh_family(self, family: str, h22: dict) -> None:
+        """Re-derive one family's q-ordering and adjacent mismatches
+        (the stored "gaps" that price every interpolation plan) after an
+        insert.  A gap depends on its two neighbours alone: pairs that
+        were adjacent before keep their stored value and only the (at
+        most two) next to the new entry, whose strain ``h22`` holds by
+        key, are computed."""
         members = sorted(
             (r for r in self._index["entries"].values()
              if r["family"] == family),
             key=lambda r: r["mass_ratio"],
         )
         keys = [r["key"] for r in members]
+        old = self._index["families"].get(family, {"keys": [], "gaps": []})
+        known = dict(zip(zip(old["keys"], old["keys"][1:]), old["gaps"]))
         gaps = []
         for lo, hi in zip(members, members[1:]):
-            a = self.load_arrays(lo["key"])
-            b = self.load_arrays(hi["key"])
-            gaps.append(float(mismatch(a["h22"], b["h22"], lo["dt"])))
+            gap = known.get((lo["key"], hi["key"]))
+            if gap is None:
+                a, b = (h22[k] if k in h22 else self.load_arrays(k)["h22"]
+                        for k in (lo["key"], hi["key"]))
+                gap = float(mismatch(a, b, lo["dt"]))
+            gaps.append(gap)
         self._index["families"][family] = {"keys": keys, "gaps": gaps}
+        self._set_table(family)
+
+    def _set_table(self, family: str) -> None:
+        rows = [self._index["entries"][k]
+                for k in self._index["families"][family]["keys"]]
+        self._tables[family] = ([r["mass_ratio"] for r in rows], rows)
 
     def ingest_model_catalog(self, catalog: WaveformCatalog) -> list[str]:
         """Seed/extend the store from an in-memory model catalog."""
@@ -267,8 +311,8 @@ class CatalogStore:
         meta = self.entry_meta(key)
         path = self.root / WAVEFORM_DIR / f"{key}.npz"
         try:
-            series, _, _ = load_modes(path)
-            t, h = series.series(2, 2)
+            t, modes, _, _ = load_mode_arrays(path)
+            h = modes[(2, 2)]
         except Exception as exc:
             raise StoreError(f"catalog entry {key!r} unreadable: {exc}") \
                 from exc
@@ -312,48 +356,68 @@ class CatalogStore:
             return self._plan_locked(q, radius, resolution, budget)
 
     def _plan_locked(self, q, radius, resolution, budget) -> dict:
-        rows = [
-            r for r in self._index["entries"].values()
-            if (radius is None or np.isclose(r["radius"], radius))
-            and (resolution is None or r["resolution"] == int(resolution))
-        ]
-        if not rows:
-            return {"outcome": "miss", "nearest": None, "q_range": None,
-                    "reason": "empty catalog (after filters)"}
-        exact = [r for r in rows if np.isclose(r["mass_ratio"], q)]
-        if exact:
-            # prefer the highest resolution, then the largest radius
-            best = max(exact, key=lambda r: (r["resolution"], r["radius"]))
-            return {"outcome": "exact", "key": best["key"],
-                    "mismatch_bound": 0.0}
+        def allowed(r: dict) -> bool:
+            return ((radius is None or _isclose(r["radius"], radius))
+                    and (resolution is None
+                         or r["resolution"] == int(resolution)))
 
-        allowed = {r["key"] for r in rows}
-        best = None
-        for fam in self._index["families"].values():
-            keys, gaps = fam["keys"], fam["gaps"]
-            for i, (k_lo, k_hi) in enumerate(zip(keys, keys[1:])):
-                if k_lo not in allowed or k_hi not in allowed:
-                    continue
-                q_lo = self._index["entries"][k_lo]["mass_ratio"]
-                q_hi = self._index["entries"][k_hi]["mass_ratio"]
-                if not (q_lo < q < q_hi):
-                    continue
-                if best is None or gaps[i] < best["mismatch_bound"]:
+        def order(r: dict) -> int:  # ties go to the earliest index row
+            return self._order[r["key"]]
+
+        exact, best, walks = [], None, []
+        for family, (qs, rows) in self._tables.items():
+            n = len(qs)
+            i = bisect.bisect_left(qs, q)  # qs[i-1] < q <= qs[i]
+            sides = range(i, n), range(i - 1, -1, -1)  # away from q
+            walks.append((qs, rows, sides))
+            for side in sides:
+                for j in side:
+                    if not _isclose(qs[j], q):
+                        break
+                    exact.append(rows[j])
+            # the one adjacent pair of this family that can bracket q
+            if (0 < i < n and q < qs[i] and allowed(rows[i - 1])
+                    and allowed(rows[i])):
+                gap = self._index["families"][family]["gaps"][i - 1]
+                if best is None or gap < best["mismatch_bound"]:
                     best = {
                         "outcome": "interp",
-                        "keys": [k_lo, k_hi],
-                        "weight": (q - q_lo) / (q_hi - q_lo),
-                        "mismatch_bound": float(gaps[i]),
+                        "keys": [rows[i - 1]["key"], rows[i]["key"]],
+                        "weight": (q - qs[i - 1]) / (qs[i] - qs[i - 1]),
+                        "mismatch_bound": float(gap),
                     }
+        exact = [r for r in exact if allowed(r)]
+        if exact:
+            # prefer the highest resolution, then the largest radius
+            hit = max(exact, key=lambda r: (r["resolution"], r["radius"],
+                                            -order(r)))
+            return {"outcome": "exact", "key": hit["key"],
+                    "mismatch_bound": 0.0}
         if best is not None and best["mismatch_bound"] <= budget:
             return best
 
-        qs = sorted(r["mass_ratio"] for r in rows)
-        nearest = min(rows, key=lambda r: abs(r["mass_ratio"] - q))
+        near = []
+        for qs, rows, sides in walks:
+            for side in sides:
+                near += _nearest_run(qs, rows, side, q, allowed)
+        if not near:
+            return {"outcome": "miss", "nearest": None, "q_range": None,
+                    "reason": "empty catalog (after filters)"}
+        near.sort(key=order)
+        nearest = min(near, key=lambda r: abs(r["mass_ratio"] - q))
+        # a family no allowed row is in offers ±inf, which never wins
+        q_range = [
+            min(next((x for x, r in zip(qs, rows) if allowed(r)), math.inf)
+                for qs, rows in self._tables.values()),
+            max(next((x for x, r in zip(reversed(qs), reversed(rows))
+                      if allowed(r)), -math.inf)
+                for qs, rows in self._tables.values()),
+        ]
         reason = (
             f"bracket mismatch {best['mismatch_bound']:.4f} exceeds "
             f"budget {budget:.4f}" if best is not None
-            else f"q = {q:g} outside covered range [{qs[0]:g}, {qs[-1]:g}]"
+            else f"q = {q:g} outside covered range "
+                 f"[{q_range[0]:g}, {q_range[1]:g}]"
         )
         return {"outcome": "miss", "nearest": nearest["key"],
-                "q_range": [qs[0], qs[-1]], "reason": reason}
+                "q_range": q_range, "reason": reason}

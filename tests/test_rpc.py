@@ -3,10 +3,11 @@ and for the three servers that sit on it: the fabric coordinator, the
 asyncio serve front and the chaos proxy.
 
 Covers the wire-format pins against the parent commit, the shared
-header/payload validator (non-object frames, the size cap), a byte-level
-fuzz of all three servers, the two client fixes (stale replies after a
-timeout, the atomically written epoch file) and the leaf-module import
-contract.
+header/payload validator (non-object frames, the size cap, the float64
+tail and every way one can be malformed), a byte-level fuzz of all three
+servers, the two client fixes (stale replies after a timeout, the
+atomically written epoch file), the ``query --json`` edge where buffers
+become lists again, and the leaf-module import contract.
 """
 
 import asyncio
@@ -18,7 +19,9 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -243,6 +246,206 @@ class TestCodec:
                 rpc.parse_address(bad)
 
 
+# -- the float64 tail ----------------------------------------------------
+
+def old_encode_frame(obj) -> bytes:
+    """The encoder as it was before frames could carry a tail."""
+    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def tailed(header, tail: bytes = b"", *, hlen: int | None = None) -> bytes:
+    """A tailed frame built by hand: ``header`` (an object, or raw JSON
+    bytes) then ``tail``, under a header length that may lie."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    body = (len(header) if hlen is None else hlen).to_bytes(4, "big") \
+        + header + tail
+    return len(body).to_bytes(4, "big") + body
+
+
+def ref(offset, count) -> dict:
+    return {"__f64__": [offset, count]}
+
+
+D = b"\0" * 8  # one double
+
+#: every way a tail can be wrong, each a whole length-prefixed frame
+BAD_TAILS = {
+    "truncated tail": tailed({"a": ref(0, 3)}, 2 * D),
+    "header length past the frame": tailed({"a": ref(0, 1)}, D, hlen=4096),
+    "header length cuts the JSON": tailed({"a": ref(0, 1)}, D, hlen=5),
+    "no room for a header length": (2).to_bytes(4, "big") + b"\0\0",
+    "reference out of bounds": tailed({"a": ref(1, 2)}, 2 * D),
+    "negative offset": tailed({"a": ref(-1, 1)}, D),
+    "negative count": tailed({"a": ref(0, -1)}, D),
+    "float offset": tailed({"a": ref(0.0, 1)}, D),
+    "float count": tailed({"a": ref(0, 1.0)}, D),
+    "boolean count": tailed({"a": ref(0, True)}, D),
+    "overlapping": tailed({"a": ref(0, 2), "b": ref(1, 2)}, 3 * D),
+    "out of order": tailed({"a": ref(1, 1), "b": ref(0, 1)}, 2 * D),
+    "a gap between references": tailed({"a": ref(0, 1), "b": ref(2, 1)},
+                                       3 * D),
+    "unreferenced tail bytes": tailed({"a": ref(0, 1)}, 2 * D),
+    "tail without any reference": tailed({"op": "ping"}, D),
+    "odd byte count": tailed({"a": ref(0, 1)}, D + b"\0\0\0"),
+    "reference with a sibling key": tailed(
+        {"a": {"__f64__": [0, 1], "x": 1}}, D),
+    "reference that is no pair": tailed({"a": {"__f64__": [0, 1, 2]}}, D),
+    "reference that is no list": tailed({"a": {"__f64__": "0,1"}}, D),
+    "the message itself a reference": tailed(ref(0, 1), D),
+    "header not an object": tailed(b"[1,2]"),
+    "header not JSON": tailed(b"\xff{}"),
+}
+
+FINITE_OR_NOT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     float("nan"), float("inf"), float("-inf")]))
+ARRAYS = st.lists(FINITE_OR_NOT, max_size=20).map(lambda xs: array("d", xs))
+JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2**53, 2**53),
+                      st.floats(allow_nan=False, allow_infinity=False),
+                      st.text(max_size=8))
+PLAIN = st.recursive(JSON_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=4), inner, max_size=3)), max_leaves=8)
+WITH_ARRAYS = st.recursive(st.one_of(JSON_LEAF, ARRAYS), lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=4), inner, max_size=3)), max_leaves=10)
+
+
+def readers(frame: bytes) -> list:
+    """``frame`` through the blocking, the raw and the asyncio reader:
+    what each handed out, or the ProtocolError it raised."""
+    def attempt(read):
+        try:
+            return read()
+        except rpc.ProtocolError as exc:
+            return exc
+
+    def blocking(recv):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(frame)
+            a.close()
+            return recv(b)
+        finally:
+            b.close()
+
+    async def stream():
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        reader.feed_eof()
+        return await rpc.read_frame_async(reader)
+
+    def raw():
+        whole = blocking(rpc.recv_frame_bytes)
+        assert whole == frame  # the raw reader: one opaque unit, unparsed
+        return rpc.decode_payload(whole[4:])
+
+    return [attempt(lambda: blocking(rpc.recv_frame)), attempt(raw),
+            attempt(lambda: asyncio.run(stream()))]
+
+
+def same(sent, got) -> bool:
+    """Deep equality where a sent buffer must come back as a float64
+    memoryview holding the same bits."""
+    if isinstance(sent, array):
+        return (isinstance(got, memoryview) and got.format == "d"
+                and got.readonly and got.tobytes() == sent.tobytes())
+    if isinstance(sent, dict):
+        return (isinstance(got, dict) and list(sent) == list(got)
+                and all(same(v, got[k]) for k, v in sent.items()))
+    if isinstance(sent, list):
+        return (isinstance(got, list) and len(sent) == len(got)
+                and all(map(same, sent, got)))
+    return type(sent) is type(got) and sent == got
+
+
+class TestTail:
+    @settings(max_examples=60, deadline=None)
+    @given(msg=st.dictionaries(st.text(max_size=4), WITH_ARRAYS, max_size=4))
+    def test_round_trip_is_bit_for_bit_through_every_reader(self, msg):
+        frame = rpc.encode_frame(msg)
+        assert rpc.frame_length(frame[:4]) == len(frame) - 4
+        for got in readers(frame):
+            assert same(msg, got), got
+
+    @settings(max_examples=100, deadline=None)
+    @given(msg=st.dictionaries(st.text(max_size=4), PLAIN, max_size=4))
+    def test_no_buffers_means_the_old_encoders_bytes(self, msg):
+        assert rpc.encode_frame(msg) == old_encode_frame(msg)
+
+    def test_layout_header_then_aligned_little_endian_doubles(self):
+        times = np.array([0.0, 0.5, -0.0, np.nan, np.inf, 5e-324])
+        frame = rpc.encode_frame({"strain": {"times_s": times, "n": 6},
+                                  "empty": np.empty(0), "h": times[:2]})
+        body = frame[4:]
+        hlen = int.from_bytes(body[:4], "big")
+        assert body[0] == 0 and (4 + hlen) % 8 == 0
+        assert json.loads(body[4:4 + hlen]) == {
+            "strain": {"times_s": ref(0, 6), "n": 6}, "empty": ref(6, 0),
+            "h": ref(6, 2)}
+        assert body[4 + hlen:] == (times.astype("<f8").tobytes()
+                                   + times[:2].astype("<f8").tobytes())
+        got = rpc.decode_payload(body)
+        wrapped = np.asarray(got["strain"]["times_s"])
+        assert wrapped.dtype == np.float64 and wrapped.flags.aligned
+        assert not wrapped.flags.owndata and not wrapped.flags.writeable
+        assert wrapped.tobytes() == times.tobytes()
+        assert len(got["empty"]) == 0
+        # a decoded message is itself encodable: same bytes again
+        assert rpc.encode_frame(got) == frame
+
+    def test_a_json_only_peer_fails_closed(self):
+        body = rpc.encode_frame({"a": np.arange(3.0)})[4:]
+        with pytest.raises((UnicodeDecodeError, json.JSONDecodeError)):
+            json.loads(body.decode("utf-8"))
+
+    @pytest.mark.parametrize("value", [
+        np.arange(4.0)[::2], np.zeros((2, 2)), np.arange(3, dtype=np.float32),
+        np.arange(3), np.float32(1.0), b"bytes", {1, 2}])
+    def test_only_flat_contiguous_float64_buffers_ride_the_tail(self, value):
+        with pytest.raises(TypeError):
+            rpc.encode_frame({"v": value})
+
+    def test_refused_above_the_frame_cap(self):
+        doubles = np.zeros(rpc.MAX_FRAME_BYTES // 8)  # header tips it over
+        with pytest.raises(rpc.ProtocolError, match="exceeds"):
+            rpc.encode_frame({"a": doubles})
+        assert len(rpc.encode_frame({"a": doubles[:-8]})) \
+            <= 4 + rpc.MAX_FRAME_BYTES
+
+    @pytest.mark.parametrize("name", BAD_TAILS)
+    def test_malformed_tail_rejected_by_every_reader(self, name):
+        for got in readers(BAD_TAILS[name]):
+            assert isinstance(got, rpc.ProtocolError), (name, got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(refs=st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+                         max_size=4),
+           tail_bytes=st.integers(0, 48))
+    def test_any_reference_table_is_exact_cover_or_rejected(self, refs,
+                                                            tail_bytes):
+        """Random (offset, count) tables over random tails: accepted only
+        when the references tile the tail in order, end to end."""
+        tail = bytes(range(tail_bytes))
+        frame = tailed({f"k{i}": ref(o, c) for i, (o, c) in enumerate(refs)},
+                       tail)
+        tiles, cursor = tail_bytes % 8 == 0, 0
+        for offset, count in refs:
+            tiles = tiles and offset == cursor and count >= 0
+            cursor += count
+        tiles = tiles and cursor * 8 == tail_bytes
+        try:
+            got = rpc.decode_payload(frame[4:])
+        except rpc.ProtocolError:
+            assert not tiles
+        else:
+            assert tiles
+            assert b"".join(v.tobytes() for v in got.values()) == tail
+
+
 def test_leaf_modules_load_no_other_repro_module():
     code = ("import json, sys, repro.rpc, repro.jsonl; print(json.dumps("
             "sorted(m for m in sys.modules if m.startswith('repro'))))")
@@ -302,6 +505,13 @@ MALFORMED = st.one_of(
                                {"op": "ping", "token": "t"}]),
               st.binary(min_size=1, max_size=16)).map(        # trailing junk
         lambda t: _valid(t[0]) + t[1]),
+    st.sampled_from(sorted(BAD_TAILS)).map(BAD_TAILS.get),    # bad tail
+    st.binary(max_size=40).map(                              # noise as tail
+        lambda b: tailed({"op": "ping", "x": ref(0, 2)}, b)),
+    st.tuples(st.sampled_from(["hello", "ping", "nope"]),     # good tail,
+              st.binary(max_size=3)).map(                     # then junk
+        lambda t: _valid({"op": t[0], "token": "t",
+                          "x": array("d", [1.0, 2.0])}) + t[1]),
 )
 
 FUZZ = settings(max_examples=40, deadline=None,
@@ -397,12 +607,47 @@ class TestServeClient:
             assert pong["ok"] and pong["op"] == "ping" and pong["token"]
             hit = client.query(2.0, max_samples=8)
             assert hit["outcome"] == "exact" and len(hit["times"]) <= 8
+            for name in ("times", "h_re", "h_im"):  # raw doubles, no lists
+                assert isinstance(hit[name], memoryview)
+                assert hit[name].format == "d"
             miss = client.query(40.0)
             assert miss["outcome"] == "miss" and miss["ticket"] is None
             stats = client.stats()
             assert stats["store"]["entries"] == 2
             assert stats["hot_set"]["entries"] >= 1
             assert client.ingest()["ingested"] == 0
+
+    def test_reply_arrays_equal_the_stores_bit_for_bit(self, front):
+        address, _, f = front
+        arrays = f.store.load_arrays(f.store.query_plan(2.0)["key"])
+        with ServeClient(address) as client:
+            full = client.query(2.0, detector="ce")
+            some = client.query(2.0, max_samples=100)
+        assert np.asarray(full["times"]).tobytes() == \
+            arrays["times"].tobytes()
+        assert np.asarray(full["h_re"]).tobytes() == \
+            arrays["h22"].real.tobytes()
+        assert np.asarray(full["h_im"]).tobytes() == \
+            arrays["h22"].imag.tobytes()
+        assert np.array_equal(some["h_im"], arrays["h22"].imag[::3])
+        strain = full["strain"]
+        assert len(strain["times_s"]) == len(strain["strain"]) == 256
+        assert np.all(np.isfinite(strain["strain"]))
+
+    def test_query_json_prints_lists(self, front, capsys):
+        """``query --json`` is where a reply becomes text again: the
+        float64 buffers must print as JSON lists."""
+        from repro.serve.cli import main
+
+        (host, port), _, _ = front
+        assert main(["query", f"{host}:{port}", "-q", "2", "--json",
+                     "--max-samples", "8", "--detector", "aplus"]) == 0
+        resp = json.loads(capsys.readouterr().out)
+        assert resp["outcome"] == "exact"
+        lengths = {len(resp[k]) for k in ("times", "h_re", "h_im")}
+        assert lengths == {len(resp["strain"]["times_s"]),
+                           len(resp["strain"]["strain"])} == {8}
+        assert all(isinstance(x, float) for x in resp["times"])
 
     def test_ok_false_raises_serve_error(self, front):
         address, _, _ = front

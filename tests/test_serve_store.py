@@ -1,11 +1,21 @@
 """Tests for the serve subsystem's CatalogStore (index + query plans)."""
 
+import itertools
+import json
+import math
+import random
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.catalog import build_model_catalog
+from repro.gw.compare import mismatch
+from repro.io.waveforms import load_modes
 from repro.jobs.cache import ResultCache
-from repro.serve.store import CatalogStore, StoreError
+from repro.serve.store import INDEX_FILE, CatalogStore, StoreError
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +161,210 @@ class TestQueryPlan:
         assert store.entry_meta(plan["key"])["resolution"] == 0
         # filters that nothing satisfies are an empty-catalog miss
         assert store.query_plan(2.0, radius=999.0)["outcome"] == "miss"
+
+
+# -- oracles: the implementations this PR replaced, kept as plain code ----
+
+def plan_oracle(index: dict, q, radius, resolution, budget) -> dict:
+    """``CatalogStore._plan_locked`` as it was: every index row walked
+    with ``np.isclose``."""
+    rows = [
+        r for r in index["entries"].values()
+        if (radius is None or np.isclose(r["radius"], radius))
+        and (resolution is None or r["resolution"] == int(resolution))
+    ]
+    if not rows:
+        return {"outcome": "miss", "nearest": None, "q_range": None,
+                "reason": "empty catalog (after filters)"}
+    exact = [r for r in rows if np.isclose(r["mass_ratio"], q)]
+    if exact:
+        best = max(exact, key=lambda r: (r["resolution"], r["radius"]))
+        return {"outcome": "exact", "key": best["key"],
+                "mismatch_bound": 0.0}
+    allowed = {r["key"] for r in rows}
+    best = None
+    for fam in index["families"].values():
+        keys, gaps = fam["keys"], fam["gaps"]
+        for i, (k_lo, k_hi) in enumerate(zip(keys, keys[1:])):
+            if k_lo not in allowed or k_hi not in allowed:
+                continue
+            q_lo = index["entries"][k_lo]["mass_ratio"]
+            q_hi = index["entries"][k_hi]["mass_ratio"]
+            if not (q_lo < q < q_hi):
+                continue
+            if best is None or gaps[i] < best["mismatch_bound"]:
+                best = {"outcome": "interp", "keys": [k_lo, k_hi],
+                        "weight": (q - q_lo) / (q_hi - q_lo),
+                        "mismatch_bound": float(gaps[i])}
+    if best is not None and best["mismatch_bound"] <= budget:
+        return best
+    qs = sorted(r["mass_ratio"] for r in rows)
+    nearest = min(rows, key=lambda r: abs(r["mass_ratio"] - q))
+    reason = (
+        f"bracket mismatch {best['mismatch_bound']:.4f} exceeds "
+        f"budget {budget:.4f}" if best is not None
+        else f"q = {q:g} outside covered range [{qs[0]:g}, {qs[-1]:g}]"
+    )
+    return {"outcome": "miss", "nearest": nearest["key"],
+            "q_range": [qs[0], qs[-1]], "reason": reason}
+
+
+def refreshed_oracle(store: CatalogStore) -> dict:
+    """The index with every family's ordering and every adjacent
+    mismatch recomputed from the files, as each insert used to do."""
+    index = json.loads(json.dumps(store._index))
+    for family in index["families"]:
+        members = sorted((r for r in index["entries"].values()
+                          if r["family"] == family),
+                         key=lambda r: r["mass_ratio"])
+        gaps = [float(mismatch(store.load_arrays(lo["key"])["h22"],
+                               store.load_arrays(hi["key"])["h22"],
+                               lo["dt"]))
+                for lo, hi in zip(members, members[1:])]
+        index["families"][family] = {"keys": [r["key"] for r in members],
+                                     "gaps": gaps}
+    return index
+
+
+# mass ratios that collide (1 + 5e-6 is np.isclose to 1, 1 + 2e-5 is
+# not), radii likewise (50.0004 ~ 50, 50.001 not), a few resolutions,
+# three time grids = three families
+QS = [1.0, 1.0 + 5e-6, 1.0 + 2e-5, 1.5, 2.0, 2.0 + 1e-7, 3.0, 4.0]
+RADII = [math.inf, 50.0, 50.0004, 50.001, 100.0]
+ENTRY = st.tuples(st.sampled_from(QS), st.sampled_from(RADII),
+                  st.integers(0, 2), st.sampled_from([8, 9, 10]))
+QUERY_QS = QS + [0.5, 1.0 + 1e-5, 1.25, 1.75, 2.5, 3.5, 9.0, 1e17,
+                 math.inf, -math.inf, math.nan]
+FILTER = st.tuples(st.sampled_from([None, None] + RADII + [999.0]),
+                   st.sampled_from([None, None, 0, 1, 2, 7]))
+
+
+def build_store(root, entries) -> CatalogStore:
+    store = CatalogStore(root)
+    for n, (q, radius, resolution, samples) in enumerate(entries):
+        t = np.linspace(0.0, 1.0, samples)
+        store.add_waveform(q, t, np.exp(1j * (n + 1.5) * q * t),
+                           radius=radius, resolution=resolution,
+                           source=f"s{n}")
+    return store
+
+
+class TestQueryPlanDifferential:
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.lists(ENTRY, max_size=12),
+           filters=st.lists(FILTER, min_size=1, max_size=3),
+           coarse=st.booleans(), data=st.data())
+    def test_plans_equal_the_row_walking_oracle(self, entries, filters,
+                                                coarse, data):
+        with tempfile.TemporaryDirectory() as root:
+            built = build_store(root, entries)
+            # a reopened store lists its rows in index.json's sorted-key
+            # order, the building one in insertion order: ties differ
+            for store in (built, CatalogStore(root)):
+                index = store._index
+                if coarse:  # families whose smallest gaps tie exactly
+                    for fam in index["families"].values():
+                        fam["gaps"] = [round(g, 1) for g in fam["gaps"]]
+                gaps = sorted({g for f in index["families"].values()
+                               for g in f["gaps"]}) or [0.25]
+                for q, (radius, resolution) in itertools.product(
+                        QUERY_QS, filters):
+                    gap = data.draw(st.sampled_from(gaps))
+                    budget = data.draw(st.sampled_from([
+                        None, gap, math.nextafter(gap, -1.0),
+                        math.nextafter(gap, 1.0), 0.0, 1.0]))
+                    plan = store.query_plan(
+                        q, radius=radius, resolution=resolution,
+                        max_interp_mismatch=budget)
+                    assert plan == plan_oracle(
+                        index, q, radius, resolution,
+                        store.max_interp_mismatch if budget is None
+                        else budget), (q, radius, resolution, budget)
+
+    def test_plan_cost_does_not_grow_with_the_catalog(self, tmp_path):
+        """An exact or bracketed plan bisects: it looks at the rows next
+        to the query, however many the catalog holds."""
+        looked = []
+
+        class Row(dict):
+            def __getitem__(self, name):
+                looked.append(self.get("key"))
+                return dict.__getitem__(self, name)
+
+        counts = {}
+        for n in (8, 64):
+            store = build_store(tmp_path / str(n), [
+                (1.0 + i, math.inf, 0, 8) for i in range(n)])
+            for qs, rows in store._tables.values():
+                rows[:] = [Row(r) for r in rows]
+            looked.clear()
+            assert store.query_plan(3.0)["outcome"] == "exact"
+            assert store.query_plan(3.5, max_interp_mismatch=1.0)[
+                "outcome"] == "interp"
+            counts[n] = len(set(looked))
+        assert counts[8] == counts[64] <= 4
+
+
+class TestIncrementalRefresh:
+    N = 24
+
+    def entries(self):
+        return [(1.0 + 7.0 * i / (self.N - 1), math.inf, 0, 16)
+                for i in range(self.N)]
+
+    @pytest.mark.parametrize("order", ["in-order", "reverse", "shuffled"])
+    def test_index_bytes_equal_the_full_recompute(self, tmp_path, order,
+                                                  monkeypatch):
+        entries = self.entries()
+        if order == "reverse":
+            entries.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(entries)
+        decodes = []
+        real = CatalogStore.load_arrays
+        monkeypatch.setattr(
+            CatalogStore, "load_arrays",
+            lambda self, key: decodes.append(key) or real(self, key))
+        store = build_store(tmp_path / "store", entries)
+        # O(entries) decodes — every insert used to re-decode the family
+        # (552 for these 24): now at most its two neighbours
+        assert len(decodes) <= 2 * self.N
+        monkeypatch.undo()
+        on_disk = (store.root / INDEX_FILE).read_text(encoding="utf-8")
+        assert on_disk == json.dumps(refreshed_oracle(store), indent=1,
+                                     sort_keys=True)
+        assert len(json.loads(on_disk)["families"]) == 1
+
+    def test_cache_entry_joins_an_existing_family(self, tmp_path):
+        store = build_store(tmp_path / "store", self.entries()[:6])
+        (family,) = store._index["families"]
+        cache = ResultCache(tmp_path / "cache")
+        t = np.linspace(0.0, 1.0, 16)  # the family's grid
+        for n, q in enumerate((1.9, 0.5, 1.9)):
+            cache.put(f"{n}" * 64,
+                      {"physics": {"mass_ratio": q, "max_level": 3,
+                                   "extraction_radii": [2.0]}},
+                      arrays={"times": t, "h22_r2": np.exp(2j * q * t)})
+        # through a reopened store, as the front's ingest sweep finds it
+        store = CatalogStore(store.root)
+        assert store.ingest_cache(cache)["ingested"] == 3
+        assert list(store._index["families"]) == [family]
+        assert len(store._index["families"][family]["keys"]) == 9
+        on_disk = (store.root / INDEX_FILE).read_text(encoding="utf-8")
+        assert on_disk == json.dumps(refreshed_oracle(store), indent=1,
+                                     sort_keys=True)
+        assert store.query_plan(1.9, resolution=3)["outcome"] == "exact"
+
+
+class TestDecodeEquality:
+    def test_load_arrays_is_bitwise_the_list_round_trip(self, store):
+        """``load_arrays`` reads the file's arrays as they are; it used
+        to go through ``load_modes``' lists of NumPy scalars."""
+        for key in store.entries():
+            arrays = store.load_arrays(key)
+            series, _, _ = load_modes(store.root / "waveforms"
+                                      / f"{key}.npz")
+            t, h = series.series(2, 2)
+            for got, ref in ((arrays["times"], t), (arrays["h22"], h)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
