@@ -20,7 +20,7 @@ from .rhs import (
     compute_derivatives,
     evaluate_algebraic,
 )
-from .sommerfeld import apply_sommerfeld
+from .sommerfeld import sommerfeld_faces
 from .testdata import (
     gauge_wave_state,
     linear_wave_state,
@@ -35,7 +35,6 @@ __all__ = [
     "Puncture",
     "VAR_NAMES",
     "add_ko_dissipation",
-    "apply_sommerfeld",
     "binary_punctures",
     "bowen_york_Aij",
     "bssn_rhs",
@@ -54,5 +53,6 @@ __all__ = [
     "robust_stability_state",
     "mesh_puncture_state",
     "puncture_state",
+    "sommerfeld_faces",
     "state",
 ]

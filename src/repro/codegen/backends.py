@@ -1,8 +1,9 @@
 """The chunk kernels both solvers step through, and their selection.
 
-A solver's ``full_rhs`` is one loop — unzip, then per octant chunk
-``kernel(...)`` → boundary → write — over a kernel object resolved once
-from ``backend=``:
+A solver's ``full_rhs`` is one pipeline — unzip, per octant chunk
+``kernel(...)`` → write, then ``kernel.sommerfeld(...)`` on the
+physical-boundary faces — over a kernel object resolved once from
+``backend=``:
 
 * ``"numpy"`` (default) — :class:`NumpyBSSNRHS` / :class:`NumpyWaveRHS`:
   einsum stencil sweeps plus ``out=`` ufunc algebra on arena buffers;
@@ -15,10 +16,16 @@ from ``backend=``:
 
 The two implementations of each kernel share one call signature and
 one set of arena buffer names, so switching backends changes neither
-the solver loop nor the arena footprint.  A kernel object also says how
-its backend unzips: ``unzip_scatter`` is the native box-copy executor
-the solver hands to :meth:`repro.mesh.Mesh.unzip` (None on the NumPy
-kernels, which scatter through coalesced fancy indexing).
+the solver loop nor the arena footprint.  A kernel object also carries
+its backend's two halves of physical-boundary handling.
+``unzip_scatter`` is the native executor the solver hands to
+:meth:`repro.mesh.Mesh.unzip` — box copies, then the padding
+extrapolation (None on the NumPy kernels, which scatter through
+coalesced fancy indexing and fill with
+:func:`~repro.mesh.octant_to_patch.extrapolate_boundary`).
+``sommerfeld`` applies the radiative condition on the ``r²`` points of
+every boundary face, for any number of variables: the NumPy
+:func:`repro.bssn.sommerfeld.sommerfeld_faces`, or its native twin.
 
 The compiled ladder is **Numba first** (``@njit(fastmath=False)`` over
 the generated Python source), then the **cffi**-loaded C build, because
@@ -39,15 +46,15 @@ from __future__ import annotations
 
 import time
 import warnings
-from types import SimpleNamespace
-
 import numpy as np
 
 from repro.bssn import state as S
 from repro.bssn.rhs import compute_derivatives, evaluate_algebraic
+from repro.bssn.sommerfeld import sommerfeld_faces
 from repro.fd.derivatives import PatchDerivatives, _h_factor
 from repro.gpu.counters import publish_kernel_stats
 from repro.gpu.perfmodel import KernelStats
+from repro.mesh.interp import extrapolation_matrices
 from repro.perf import NO_PROFILER, hot_path
 from .cbackend import (
     NUM_PARAMS,
@@ -200,13 +207,11 @@ def _warmup(ns: dict) -> None:
     hf = np.ones(1)
     params = np.zeros(NUM_PARAMS)
     params[-1] = 1.0  # use_upwind
-    bdry = np.ones(1, dtype=np.int64)
     rhs = np.zeros(S.NUM_VARS * r**3)
-    d1 = np.zeros(3 * S.NUM_VARS * r**3)
     scratch = np.zeros(scratch_doubles(P, r))
     ns["bssn_rhs_chunk"](patches, 1, 0, 1, P, r, k, hf, hf, hf,
                          w["w1"], w["w2"], w["wko"], w["wup"], w["wun"],
-                         params, bdry, rhs, d1, scratch)
+                         params, rhs, scratch)
     wpatches = np.zeros(2 * P**3)
     ko = np.zeros(r**3)
     ns["wave_rhs_chunk"](wpatches, 1, 0, 1, P, r, k, hf, hf,
@@ -215,6 +220,11 @@ def _warmup(ns: dict) -> None:
     box = np.array([0, 0, r, 1, 1, 1, 1], dtype=np.int64)
     ns["unzip_scatter"](rhs, r**3, patches, P**3, 1, box, 0, 1, P)
     ns["unzip_interior"](rhs, patches, 1, P, r, k)
+    face = np.zeros(3, dtype=np.int64)
+    ns["extrapolate_faces"](patches, 1, 1, face, 1,
+                            extrapolation_matrices(r, k).reshape(-1), P, r, k)
+    ns["sommerfeld_faces"](patches, 1, 1, face, 1, P, r, k, hf, w["w1"],
+                           np.ones(3), hf, np.zeros(1), 1.0, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +238,24 @@ def _warmup(ns: dict) -> None:
 DERIV_FLOPS_PER_POINT = 72 * 15 + 72 * 27 + 33 * 15 + 33 * 32 + 72 * 15
 
 
-@hot_path
-def _interior_values(patches, lo, hi, mesh, pool) -> np.ndarray:
-    """Contiguous arena copy of the chunk's ``r³`` interiors."""
-    k, r = mesh.k, mesh.r
-    interior = patches[:, lo:hi, k : k + r, k : k + r, k : k + r]
-    values = pool.get("solver.values", interior.shape)
-    np.copyto(values, interior)
-    return values
+class _NumpyRHSBase:
+    """What the two NumPy kernels share: how their backend handles the
+    physical boundary."""
+
+    backend = "numpy"
+    #: the NumPy kernels unzip through the coalesced fancy-index scatter
+    unzip_scatter = None
+
+    @staticmethod
+    def sommerfeld(rhs, patches, mesh, coords, radii, u_inf, speed, pool):
+        """The Sommerfeld condition on every physical-boundary face of
+        ``rhs`` ``(nv, n, r, r, r)``; ``coords``/``radii`` are the
+        solver's per-mesh point coordinates and clipped radii."""
+        sommerfeld_faces(rhs, patches, mesh.plan.boundary, coords, radii,
+                         mesh.dx, u_inf, speed, pool=pool)
 
 
-class NumpyBSSNRHS:
+class NumpyBSSNRHS(_NumpyRHSBase):
     """D + A + KO of one octant chunk as NumPy sweeps over arena buffers.
 
     ``algebra`` swaps the hand-vectorised A component for a generated
@@ -247,30 +264,23 @@ class NumpyBSSNRHS:
     :class:`NativeBSSNRHS` runs, which is what the bitwise suite compares.
     """
 
-    backend = "numpy"
-    #: the NumPy kernels unzip through the coalesced fancy-index scatter
-    unzip_scatter = None
-
     def __init__(self, algebra=None):
         self.algebra = algebra
 
     @hot_path
-    def __call__(self, patches, lo, hi, mesh, params, faces, pool,
+    def __call__(self, patches, lo, hi, mesh, params, pool,
                  prof=NO_PROFILER):
-        """Evaluate the RHS of octants ``lo:hi`` of ``patches``.
-
-        Returns ``(chunk_rhs, values, derivs)``: the 24 RHS blocks and,
-        valid when the chunk has physical-boundary ``faces``, the
-        interior values and an object whose ``d1[var, d]`` are the first
-        derivatives — the inputs of the Sommerfeld pass.
-        """
+        """The 24 RHS blocks of octants ``lo:hi`` of ``patches``."""
+        k, r = mesh.k, mesh.r
         with prof.phase("deriv"):
             derivs = compute_derivatives(
                 patches[:, lo:hi], mesh.dx[lo:hi], params,
                 PatchDerivatives(k=mesh.k, pool=pool), pool=pool,
             )
         with prof.phase("zip"):
-            values = _interior_values(patches, lo, hi, mesh, pool)
+            interior = patches[:, lo:hi, k : k + r, k : k + r, k : k + r]
+            values = pool.get("solver.values", interior.shape)
+            np.copyto(values, interior)
         with prof.phase("algebra"):
             if self.algebra is not None:
                 chunk_rhs = self.algebra(values, derivs, params)
@@ -282,14 +292,11 @@ class NumpyBSSNRHS:
             ko = pool.get("solver.ko_scaled", values.shape)
             np.multiply(derivs.ko, params.ko_sigma, out=ko)
             chunk_rhs += ko
-        return chunk_rhs, values, derivs
+        return chunk_rhs
 
 
-class NumpyWaveRHS:
+class NumpyWaveRHS(_NumpyRHSBase):
     """Laplacian + KO of one octant chunk of the (φ, π) system."""
-
-    backend = "numpy"
-    unzip_scatter = None
 
     @hot_path
     def __call__(self, patches, lo, hi, mesh, c2, sigma, src, rhs, pool,
@@ -349,27 +356,45 @@ class _NativeRHSBase:
             self._kernels = compile_py_kernels(self.spec)
         else:
             raise ValueError(f"unknown native impl {impl!r}")
-        self._empty = np.empty(0)
         self._compile_published = False
+
+    def _run(self, name: str, *args) -> None:
+        """Call kernel ``name`` of the bound implementation: arrays go
+        as pointers (cffi) or flat views (numba, py) of C-contiguous
+        buffers, scalars as they are; nothing is copied."""
+        if self._lib is not None:
+            ptr = self._lib.ptr
+            getattr(self._lib.lib, name)(
+                *[ptr(a) if isinstance(a, np.ndarray) else a for a in args])
+        else:
+            self._kernels[name](
+                *[a.reshape(-1) if isinstance(a, np.ndarray) else a
+                  for a in args])
 
     @hot_path
     def unzip_scatter(self, plan, u, up, out) -> bool:
-        """The scatter and interior copy of Alg. 2 as native box copies.
+        """Alg. 2 after the prolongation, natively: box copies, interior
+        copy, padding extrapolation.
 
         The executor :func:`repro.mesh.octant_to_patch.scatter_to_patches`
         takes as ``scatter=``: copies every box of ``plan.box_table()``
         from the upsample ``up`` (None without coarse sources) and the
-        field ``u`` into the patches ``out``, then the interiors.
-        Returns False, having written nothing, for arrays the kernels
-        cannot address (anything but C-contiguous float64) — the caller
-        then runs the NumPy scatter.
+        field ``u`` into the patches ``out``, then the interiors, then
+        fills the out-of-domain padding of every ``plan.face_table()``
+        row.  Returns False, having written nothing, for what the
+        kernels cannot take — arrays that are not C-contiguous float64,
+        or ``r ≥ 8``, where einsum's reduction over a source row changes
+        order — and the caller then runs the NumPy execution.
         """
+        if plan.r >= 8:
+            return False
         for arr in (u, up, out):
             if arr is not None and not (
                 arr.dtype == np.float64 and arr.flags.c_contiguous
             ):
                 return False
         table, n_coarse = plan.box_table()
+        faces = plan.face_table()
         n, r, P, k = len(plan.tree), plan.r, plan.P, plan.k
         nvars = u.size // (n * r**3)
         src_var, dst_var = n * r**3, n * P**3
@@ -377,24 +402,26 @@ class _NativeRHSBase:
             up, up_var = u, 0
         else:
             up_var = up.size // nvars
-        if self._lib is not None:
-            lib, ptr = self._lib.lib, self._lib.ptr
-            p_out, p_table = ptr(out), ptr(table)
-            lib.unzip_scatter(ptr(up), up_var, p_out, dst_var, nvars,
-                              p_table, 0, n_coarse, P)
-            lib.unzip_scatter(ptr(u), src_var, p_out, dst_var, nvars,
-                              p_table, n_coarse, len(table), P)
-            lib.unzip_interior(ptr(u), p_out, nvars * n, P, r, k)
-        else:
-            kern = self._kernels
-            flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-            flat_table = table.reshape(-1)
-            kern["unzip_scatter"](up.reshape(-1), up_var, flat_out, dst_var,
-                                  nvars, flat_table, 0, n_coarse, P)
-            kern["unzip_scatter"](flat_u, src_var, flat_out, dst_var, nvars,
-                                  flat_table, n_coarse, len(table), P)
-            kern["unzip_interior"](flat_u, flat_out, nvars * n, P, r, k)
+        self._run("unzip_scatter", up, up_var, out, dst_var, nvars, table,
+                  0, n_coarse, P)
+        self._run("unzip_scatter", u, src_var, out, dst_var, nvars, table,
+                  n_coarse, len(table), P)
+        self._run("unzip_interior", u, out, nvars * n, P, r, k)
+        self._run("extrapolate_faces", out, n, nvars, faces, len(faces),
+                  extrapolation_matrices(r, k), P, r, k)
         return True
+
+    @hot_path
+    def sommerfeld(self, rhs, patches, mesh, coords, radii, u_inf, speed,
+                   pool=None) -> None:
+        """Native execution of :func:`repro.bssn.sommerfeld.sommerfeld_faces`
+        over ``mesh.plan.face_table()``; the call signature of the NumPy
+        kernels' ``sommerfeld``."""
+        faces = mesh.plan.face_table()
+        hf1 = _h_factor(np.asarray(mesh.dx, dtype=np.float64), 1).ravel()
+        self._run("sommerfeld_faces", patches, mesh.num_octants, rhs.shape[0],
+                  faces, len(faces), mesh.P, mesh.r, mesh.k, hf1, self.w1,
+                  coords, radii, u_inf, speed, rhs)
 
     def _publish(self, prof, name: str, flops: float, bytes_moved: float,
                  seconds: float) -> None:
@@ -416,15 +443,12 @@ class NativeBSSNRHS(_NativeRHSBase):
     """Single-pass native D+A+KO evaluation of one octant chunk.
 
     Same call signature, return value and arena buffer names as
-    :class:`NumpyBSSNRHS`; for boundary-flagged octants the kernel
-    exports the 72 first-derivative blocks in the ``rhs.d1`` layout, so
-    the NumPy Sommerfeld pass runs unchanged on bitwise-identical inputs.
-    The one native call is timed under ``deriv`` — the deriv and algebra
-    phases it subsumes are not separable.
+    :class:`NumpyBSSNRHS`.  The one native call is timed under ``deriv``
+    — the deriv and algebra phases it subsumes are not separable.
     """
 
     @hot_path
-    def __call__(self, patches, lo, hi, mesh, params, faces, pool,
+    def __call__(self, patches, lo, hi, mesh, params, pool,
                  prof=NO_PROFILER):
         ntot, P = patches.shape[1], patches.shape[-1]
         r, k = mesh.r, mesh.k
@@ -439,47 +463,18 @@ class NativeBSSNRHS(_NativeRHSBase):
             hf2 = _h_factor(h_arr, 2).ravel()
             chunk_rhs = pool.get("solver.chunk_rhs", (S.NUM_VARS, nc, r, r, r))
             pbuf = pack_params(params, pool.get("native.params", (NUM_PARAMS,)))
-            bdry = pool.get("native.bdry", (nc,), np.int64)
-            bdry[:] = 0
-            d1_buf = None
-            if faces:
-                for _ax, _side, octs in faces:
-                    bdry[octs] = 1
-                d1_buf = pool.get("rhs.d1", (3, S.NUM_VARS, nc, r, r, r))
             scratch = pool.get("native.scratch", (scratch_doubles(P, r),))
             t0 = time.perf_counter()
-            if self._lib is not None:
-                lib, ptr = self._lib.lib, self._lib.ptr
-                d1_arg = ptr(d1_buf) if d1_buf is not None else self._lib.ffi.NULL
-                # alloc-ok: the native call writes only into the arena
-                # buffers above; the ffi casts allocate no array memory
-                lib.bssn_rhs_chunk(
-                    ptr(patches), ntot, lo, nc, P, r, k,
-                    ptr(hf1), ptr(hf2), ptr(hf1),
-                    ptr(self.w1), ptr(self.w2), ptr(self.wko),
-                    ptr(self.wup), ptr(self.wun),
-                    ptr(pbuf), ptr(bdry), ptr(chunk_rhs), d1_arg, ptr(scratch),
-                )
-            else:
-                d1_arg = d1_buf.reshape(-1) if d1_buf is not None else self._empty
-                # alloc-ok: reshape(-1) of contiguous arena buffers is a view
-                self._kernels["bssn_rhs_chunk"](
-                    patches.reshape(-1), ntot, lo, nc, P, r, k,
-                    hf1, hf2, hf1, self.w1, self.w2, self.wko, self.wup,
-                    self.wun, pbuf, bdry, chunk_rhs.reshape(-1), d1_arg,
-                    scratch,
-                )
+            self._run("bssn_rhs_chunk", patches, ntot, lo, nc, P, r, k,
+                      hf1, hf2, hf1, self.w1, self.w2, self.wko, self.wup,
+                      self.wun, pbuf, chunk_rhs, scratch)
             self._publish(
                 prof, "bssn_rhs_chunk",
                 (self.spec.total_flops + DERIV_FLOPS_PER_POINT) * nc * NP,
                 (S.NUM_VARS * P**3 + S.NUM_VARS * NP) * nc * 8.0,
                 time.perf_counter() - t0,
             )
-        if d1_buf is None:
-            return chunk_rhs, None, None
-        with prof.phase("zip"):
-            values = _interior_values(patches, lo, hi, mesh, pool)
-        return chunk_rhs, values, SimpleNamespace(d1=np.swapaxes(d1_buf, 0, 1))
+        return chunk_rhs
 
 
 class NativeWaveRHS(_NativeRHSBase):
@@ -502,21 +497,9 @@ class NativeWaveRHS(_NativeRHSBase):
             hf2 = _h_factor(h_arr, 2).ravel()
             ko_pi = pool.get("wave.ko_pi", (nc, r, r, r))
             t0 = time.perf_counter()
-            if self._lib is not None:
-                lib, ptr = self._lib.lib, self._lib.ptr
-                # alloc-ok: native call; writes only into rhs slices + arena
-                lib.wave_rhs_chunk(
-                    ptr(patches), ntot, lo, nc, P, r, k, ptr(hf1), ptr(hf2),
-                    ptr(self.w2), ptr(self.wko), c2, sigma, finalize_pi,
-                    ptr(rhs_phi), ptr(rhs_pi), ptr(ko_pi),
-                )
-            else:
-                # alloc-ok: reshape(-1) of contiguous buffers is a view
-                self._kernels["wave_rhs_chunk"](
-                    patches.reshape(-1), ntot, lo, nc, P, r, k, hf1, hf2,
-                    self.w2, self.wko, c2, sigma, finalize_pi,
-                    rhs_phi.reshape(-1), rhs_pi.reshape(-1), ko_pi.reshape(-1),
-                )
+            self._run("wave_rhs_chunk", patches, ntot, lo, nc, P, r, k,
+                      hf1, hf2, self.w2, self.wko, c2, sigma, finalize_pi,
+                      rhs_phi, rhs_pi, ko_pi)
             self._publish(prof, "wave_rhs_chunk", 9 * 15.0 * nc * r**3,
                           (2 * P**3 + 3 * r**3) * nc * 8.0,
                           time.perf_counter() - t0)

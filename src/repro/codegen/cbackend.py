@@ -40,7 +40,12 @@ Every operation mirrors the NumPy execution order exactly:
 The same translation unit (and Python source) carries the hand-written
 ``unzip_scatter`` / ``unzip_interior`` pair — the octant-to-patch box
 copies of :meth:`repro.mesh.maps.TransferPlan.box_table`, bitwise by
-construction.
+construction — and the two physical-boundary kernels driven by
+:meth:`~repro.mesh.maps.TransferPlan.face_table`: ``extrapolate_faces``
+(the padding fill, tap for tap the einsums of
+:func:`repro.mesh.octant_to_patch.extrapolate_boundary`) and
+``sommerfeld_faces`` (the radiative condition on the ``r²`` face points,
+operation for operation :func:`repro.bssn.sommerfeld.sommerfeld_faces`).
 
 The resulting chunk RHS is bitwise-identical to the NumPy kernel's
 execution of the same schedule (asserted in tests/test_backends.py).
@@ -380,6 +385,96 @@ void unzip_interior(const double* u, double* patches, long nblocks,
         memcpy(patches + ((b * P + z + k) * P + y + k) * P + k,
                u + ((b * r + z) * r + y) * r, r * sizeof(double));
 }
+
+/* One tap sum from 0.0 in einsum's order: along a unit-stride tap axis
+   two alternating accumulators (the forward tail loop of its contiguous
+   reduction -- all it runs below 8 taps), along a strided one a single
+   sequential accumulator. */
+static double tap_sum(const double* c, const double* w, long n, long stride)
+{
+    double acc = 0.0;
+    if (stride == 1) {
+        double od = 0.0;
+        for (long t = 0; t < n; t += 2) acc += w[t] * c[t];
+        for (long t = 1; t < n; t += 2) od += w[t] * c[t];
+        return acc + od;
+    }
+    for (long t = 0; t < n; ++t) acc += w[t] * c[t * stride];
+    return acc;
+}
+
+/* Out-of-domain padding of every physical-boundary face: one row
+   (octant, axis, side) of the plan's face table
+   (repro.mesh.maps.TransferPlan.face_table) at a time, x faces first,
+   then y, then z, so edges and corners complete progressively.  E holds
+   the two (k, r) extrapolation matrices, low then high.  Tap for tap
+   the einsums of repro.mesh.octant_to_patch.extrapolate_boundary, zero
+   taps included (0 * inf is NaN there too). */
+void extrapolate_faces(double* patches, long ntot, long nvars,
+                       const long* table, long nrows, const double* E,
+                       long P, long r, long k)
+{
+    const long sp[3] = {1, P, P * P};
+    for (long v = 0; v < nvars; ++v)
+    for (long row = 0; row < nrows; ++row) {
+        const long* t = table + 3 * row;
+        double* p = patches + (v * ntot + t[0]) * sp[2] * P;
+        const double* e = E + t[2] * k * r;
+        const long j0 = t[2] ? k + r : 0;
+        const long st = sp[t[1]];
+        const long s1 = sp[t[1] == 0], s2 = sp[t[1] == 2 ? 1 : 2];
+        for (long o2 = 0; o2 < P; ++o2)
+        for (long j = 0; j < k; ++j)
+        for (long o1 = 0; o1 < P; ++o1) {
+            double* c = p + o2 * s2 + o1 * s1;
+            c[(j0 + j) * st] = tap_sum(c + k * st, e + j * r, r, st);
+        }
+    }
+}
+
+/* Sommerfeld condition on every physical-boundary face: for each row
+   (octant, axis, side) of the face table and each variable, the r^2
+   face points of rhs become
+       (-c * (sum_d x_d d_d u + (u - uinf))) / rr
+   with the three centred d1 -- the chunk kernels' tap order and hf1
+   scaling -- taken straight from the padded patch.  Operation for
+   operation the NumPy twin repro.bssn.sommerfeld.sommerfeld_faces;
+   points shared by two faces are rewritten with the same value. */
+void sommerfeld_faces(const double* patches, long ntot, long nvars,
+                      const long* table, long nrows,
+                      long P, long r, long k,
+                      const double* hf1, const double* w1,
+                      const double* coords, const double* rr,
+                      const double* uinf, double c, double* rhs)
+{
+    const long sp[3] = {1, P, P * P};
+    const long sr[3] = {1, r, r * r};
+    const long NP = r * r * r;
+    const double mc = -c;
+    for (long row = 0; row < nrows; ++row) {
+        const long* t = table + 3 * row;
+        const long oct = t[0], ax = t[1];
+        const long a = ax == 0, b = ax == 2 ? 1 : 2;
+        const long j = t[2] ? r - 1 : 0;
+        const double hf = hf1[oct];
+        for (long v = 0; v < nvars; ++v) {
+            const double* p = patches + (v * ntot + oct) * sp[2] * P
+                              + k * (sp[0] + sp[1] + sp[2]) + j * sp[ax];
+            double* out = rhs + (v * ntot + oct) * NP + j * sr[ax];
+            for (long q = 0; q < r; ++q)
+            for (long s = 0; s < r; ++s) {
+                const long pp = q * sr[b] + s * sr[a];
+                const double* u = p + q * sp[b] + s * sp[a];
+                const double* x = coords + (oct * NP + j * sr[ax] + pp) * 3;
+                double acc = 0.0;
+                for (int d = 0; d < 3; ++d)
+                    acc += x[d] * (tap_sum(u - 3 * sp[d], w1, 7, sp[d]) * hf);
+                acc += *u - uinf[v];
+                out[pp] = acc * mc / rr[oct * NP + j * sr[ax] + pp];
+            }
+        }
+    }
+}
 """
 
 #: cffi declarations for the entry points
@@ -389,8 +484,7 @@ void bssn_rhs_chunk(const double* patches, long ntot, long lo, long nc,
                     const double* hf1, const double* hf2, const double* hfk,
                     const double* w1, const double* w2, const double* wko,
                     const double* wup, const double* wun,
-                    const double* params, const long* bdry,
-                    double* rhs, double* d1_out, double* scratch);
+                    const double* params, double* rhs, double* scratch);
 void wave_rhs_chunk(const double* patches, long ntot, long lo, long nc,
                     long P, long r, long k,
                     const double* hf1, const double* hf2,
@@ -402,6 +496,15 @@ void unzip_scatter(const double* src, long src_var, double* dst,
                    long row_lo, long row_hi, long P);
 void unzip_interior(const double* u, double* patches, long nblocks,
                     long P, long r, long k);
+void extrapolate_faces(double* patches, long ntot, long nvars,
+                       const long* table, long nrows, const double* E,
+                       long P, long r, long k);
+void sommerfeld_faces(const double* patches, long ntot, long nvars,
+                      const long* table, long nrows,
+                      long P, long r, long k,
+                      const double* hf1, const double* w1,
+                      const double* coords, const double* rr,
+                      const double* uinf, double c, double* rhs);
 """
 
 
@@ -425,8 +528,8 @@ def emit_c_source(spec: KernelSpec) -> str:
         "                    const double* w1, const double* w2,"
         " const double* wko,\n"
         "                    const double* wup, const double* wun,\n"
-        "                    const double* params, const long* bdry,\n"
-        "                    double* rhs, double* d1_out, double* scratch)\n"
+        "                    const double* params, double* rhs,"
+        " double* scratch)\n"
         "{"
     )
     a = lines.append
@@ -490,16 +593,6 @@ def emit_c_source(spec: KernelSpec) -> str:
           " fx1);")
         a(f"          sweep(pu, {base} + 5) * NP, w2, P, r, k, P * P, 7, 3,"
           " fx2, 0); }")
-    a("        /* export d1 for boundary octants (Sommerfeld runs on the")
-    a("           NumPy side against these bitwise-identical blocks) */")
-    a("        if (d1_out && bdry[i]) {")
-    a(f"            for (long v = 0; v < {S.NUM_VARS}; ++v)")
-    a("                for (long d = 0; d < 3; ++d)")
-    a(f"                    memcpy(d1_out + ((d * {S.NUM_VARS}L + v) * nc"
-      " + i) * NP,")
-    a("                           d1s + (v * 3 + d) * NP,")
-    a("                           NP * sizeof(double));")
-    a("        }")
     a("        /* A stage: the scheduled algebra + KO add, one pass */")
     for name in values:
         idx = S.VAR_NAMES.index(name)
@@ -720,13 +813,75 @@ def unzip_interior(u, patches, nblocks, P, r, k):
                 ur = ((b * r + z) * r + y) * r
                 for x in range(r):
                     patches[pr + x] = u[ur + x]
+
+
+def _tap_sum(u, c, w, wb, n, stride):
+    acc = 0.0
+    if stride == 1:
+        od = 0.0
+        for t in range(0, n, 2):
+            acc += w[wb + t] * u[c + t]
+        for t in range(1, n, 2):
+            od += w[wb + t] * u[c + t]
+        return acc + od
+    for t in range(n):
+        acc += w[wb + t] * u[c + t * stride]
+    return acc
+
+
+def extrapolate_faces(patches, ntot, nvars, table, nrows, E, P, r, k):
+    sp = (1, P, P * P)
+    for v in range(nvars):
+        for row in range(nrows):
+            ax = table[3 * row + 1]
+            side = table[3 * row + 2]
+            p = (v * ntot + table[3 * row]) * sp[2] * P
+            j0 = (k + r) * side
+            st = sp[ax]
+            s1 = sp[1 if ax == 0 else 0]
+            s2 = sp[1 if ax == 2 else 2]
+            for o2 in range(P):
+                for j in range(k):
+                    for o1 in range(P):
+                        c = p + o2 * s2 + o1 * s1
+                        patches[c + (j0 + j) * st] = _tap_sum(
+                            patches, c + k * st, E, (side * k + j) * r, r, st)
+
+
+def sommerfeld_faces(patches, ntot, nvars, table, nrows, P, r, k, hf1, w1,
+                     coords, rr, uinf, c, rhs):
+    sp = (1, P, P * P)
+    sr = (1, r, r * r)
+    NP = r * r * r
+    mc = -c
+    for row in range(nrows):
+        oc = table[3 * row]
+        ax = table[3 * row + 1]
+        a = 1 if ax == 0 else 0
+        b = 1 if ax == 2 else 2
+        j = (r - 1) * table[3 * row + 2]
+        hf = hf1[oc]
+        for v in range(nvars):
+            p = (v * ntot + oc) * sp[2] * P + k * (1 + P + P * P) + j * sp[ax]
+            ob = (v * ntot + oc) * NP + j * sr[ax]
+            for q in range(r):
+                for s in range(r):
+                    pp = q * sr[b] + s * sr[a]
+                    u = p + q * sp[b] + s * sp[a]
+                    x = (oc * NP + j * sr[ax] + pp) * 3
+                    acc = 0.0
+                    for d in range(3):
+                        acc += coords[x + d] * (_tap_sum(
+                            patches, u - 3 * sp[d], w1, 0, 7, sp[d]) * hf)
+                    acc += patches[u] - uinf[v]
+                    rhs[ob + pp] = acc * mc / rr[oc * NP + j * sr[ax] + pp]
 '''
 
 #: names of the jittable functions the Python source defines
 PY_KERNEL_NAMES = (
     "_np_maximum", "_sweep", "_d2_mixed_xy", "_d2_mixed_xz", "_d2_mixed_yz",
     "_upwind_d1", "wave_rhs_chunk", "bssn_rhs_chunk", "unzip_scatter",
-    "unzip_interior",
+    "unzip_interior", "_tap_sum", "extrapolate_faces", "sommerfeld_faces",
 )
 
 
@@ -738,8 +893,7 @@ def emit_py_source(spec: KernelSpec) -> str:
     a(f"# variant: {spec.variant};"
       f" schedule digest: {schedule_digest(spec.statements)}")
     a("def bssn_rhs_chunk(patches, ntot, lo, nc, P, r, k, hf1, hf2, hfk,")
-    a("                   w1, w2, wko, wup, wun, params, bdry, rhs,")
-    a("                   d1_out, scratch):")
+    a("                   w1, w2, wko, wup, wun, params, rhs, scratch):")
     a("    PPP = P * P * P")
     a("    NP = r * r * r")
     for j, name in enumerate(PARAM_ORDER):
@@ -799,13 +953,6 @@ def emit_py_source(spec: KernelSpec) -> str:
           " w1, P, r, k, fx1)")
         a(f"        _sweep(patches, pu, s, {base} + 5) * NP, w2,"
           " P, r, k, P * P, 7, 3, fx2, 0)")
-    a("        if d1_out.shape[0] > 0 and bdry[i] != 0:")
-    a(f"            for v in range({S.NUM_VARS}):")
-    a("                for d in range(3):")
-    a(f"                    db = ((d * {S.NUM_VARS} + v) * nc + i) * NP")
-    a("                    sb = (v * 3 + d) * NP")
-    a("                    for p in range(NP):")
-    a("                        d1_out[db + p] = s[sb + p]")
     for name in values:
         idx = S.VAR_NAMES.index(name)
         a(f"        pv_{name} = ({idx} * ntot + g) * PPP")

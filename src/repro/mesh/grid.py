@@ -113,7 +113,7 @@ class Mesh:
         ``coalesce``/``pool`` (scatter only) select the coalesced
         fancy-index execution and a buffer arena for its staging, and
         ``scatter`` hands in a compiled chunk kernel's native box-copy
-        executor (``solver.kernel.unzip_scatter``) — see
+        and padding-fill executor (``solver.kernel.unzip_scatter``) — see
         :func:`repro.mesh.octant_to_patch.scatter_to_patches`.
         ``tracer`` (a :class:`repro.telemetry.Tracer`) records the
         prolong/scatter sub-phases as nested spans.

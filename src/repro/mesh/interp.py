@@ -165,3 +165,11 @@ def extrapolation_matrix_1d(r: int = 7, k: int = 3, side: str = "high") -> np.nd
         x = float(r - 1 + (j + 1)) if side == "high" else float(-(k - j))
         E[j, cols] = fd_weights(nodes, x, 0)
     return E
+
+
+@lru_cache(maxsize=None)
+def extrapolation_matrices(r: int = 7, k: int = 3) -> np.ndarray:
+    """Both :func:`extrapolation_matrix_1d`, stacked ``(2, k, r)`` low
+    then high — the layout the native padding fill indexes by side."""
+    return np.stack([extrapolation_matrix_1d(r, k, side)
+                     for side in ("low", "high")])

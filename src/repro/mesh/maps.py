@@ -325,6 +325,23 @@ class TransferPlan:
             if len(high):
                 self.boundary.append((axis, "high", high))
 
+    def face_table(self) -> np.ndarray:
+        """Cached int64 rows ``(octant, axis, side)`` — side 0 low, 1 high
+        — one per physical-boundary face, in :attr:`boundary` order (x
+        faces, then y, then z: the order the padding must be filled in),
+        for the native boundary kernels."""
+        cached = getattr(self, "_face_table", None)
+        if cached is None:
+            rows = [
+                np.stack([octs, np.full_like(octs, axis),
+                          np.full_like(octs, side == "high")], axis=1)
+                for axis, side, octs in self.boundary
+            ]
+            cached = self._face_table = (
+                np.concatenate(rows) if rows
+                else np.zeros((0, 3), dtype=np.int64))
+        return cached
+
     def boundary_octants(self) -> np.ndarray:
         """Unique indices of octants touching the physical boundary."""
         if not self.boundary:

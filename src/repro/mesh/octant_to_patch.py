@@ -15,7 +15,9 @@ Both produce identical patches (asserted in the tests); only the work and
 access pattern differ.  The scatter itself has three byte-identical
 executions: one fancy assignment per plan group (the reference), the
 coalesced two-gather form the NumPy chunk kernels use, and the native
-box copies a compiled chunk kernel hands in as ``scatter=``.
+box copies a compiled chunk kernel hands in as ``scatter=`` — which also
+fills the out-of-domain padding natively, bit for bit as
+:func:`extrapolate_boundary` does after the other two.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ def scatter_to_patches(
     u: np.ndarray,
     out: np.ndarray,
     *,
-    fill_boundary: bool = True,
     coalesce: bool = False,
     pool=None,
     tracer=None,
@@ -85,9 +86,10 @@ def scatter_to_patches(
     gather/scatter pairs over the plan's cached
     :class:`~repro.mesh.maps.CoalescedScatter` indices; ``scatter`` — a
     compiled chunk kernel's ``unzip_scatter(plan, u, up, out)`` —
-    replaces them and the interior copy with native box copies over
-    :meth:`~repro.mesh.maps.TransferPlan.box_table`, and returns False
-    for arrays it cannot take (then the NumPy execution runs).  All
+    replaces them, the interior copy and the padding extrapolation with
+    native kernels over :meth:`~repro.mesh.maps.TransferPlan.box_table`
+    and :meth:`~repro.mesh.maps.TransferPlan.face_table`, and returns
+    False for what it cannot take (then the NumPy execution runs).  All
     three are byte-identical.  ``pool`` (duck-typed
     ``get(name, shape, dtype)``) supplies the prolongation buffers and
     gather staging so the hot path allocates nothing.  ``tracer``
@@ -137,7 +139,6 @@ def scatter_to_patches(
                         src_vals = uf[..., grp.src[:, None], grp.src_template[None, :]]
                     pf[..., grp.dst[:, None], grp.dst_template[None, :]] = src_vals
             _copy_interior(plan, u, out)
-        if fill_boundary:
             extrapolate_boundary(plan, out)
     return out
 
@@ -146,8 +147,6 @@ def gather_to_patches(
     plan: TransferPlan,
     u: np.ndarray,
     out: np.ndarray | None = None,
-    *,
-    fill_boundary: bool = True,
 ) -> np.ndarray:
     """Loop-over-patches unzip (legacy baseline of Fig. 7).
 
@@ -171,8 +170,7 @@ def gather_to_patches(
         pf[..., grp.dst[:, None], grp.dst_template[None, :]] = src_vals
 
     _copy_interior(plan, u, out)
-    if fill_boundary:
-        extrapolate_boundary(plan, out)
+    extrapolate_boundary(plan, out)
     return out
 
 
@@ -181,13 +179,21 @@ def _copy_interior(plan: TransferPlan, u: np.ndarray, patches: np.ndarray) -> No
     patches[..., k : k + r, k : k + r, k : k + r] = u
 
 
+@hot_path
 def extrapolate_boundary(plan: TransferPlan, patches: np.ndarray) -> None:
-    """Fill out-of-domain padding by degree-(r-1) extrapolation.
+    """Fill out-of-domain padding by degree-4 extrapolation
+    (:func:`~repro.mesh.interp.extrapolation_matrix_1d`).
 
     Processed axis-by-axis (x, then y, then z) so that edge/corner regions
     outside the domain in several directions are completed progressively.
-    These values only feed stencils whose output is overridden by the
-    Sommerfeld boundary condition; they just need to be finite and smooth.
+    The Sommerfeld condition overrides the RHS on the boundary face
+    itself, but the points one and two in from a face read this padding
+    through their stencils and are kept — so the values are part of the
+    solution, and the native fill (``extrapolate_faces`` in
+    :mod:`repro.codegen.cbackend`) must reproduce each einsum below tap
+    for tap, not merely be smooth.  This is the ``backend="numpy"``
+    execution and that kernel's oracle; it allocates a copy of the
+    boundary patches per face.
     """
     r, k, P = plan.r, plan.k, plan.P
     lo, hi = k, k + r
@@ -195,19 +201,19 @@ def extrapolate_boundary(plan: TransferPlan, patches: np.ndarray) -> None:
         E = extrapolation_matrix_1d(r, k, side)
         sub = patches[..., octs, :, :, :]
         if axis == 0:  # x: last array axis
-            vals = np.einsum("kr,...r->...k", E, sub[..., :, :, lo:hi])
+            vals = np.einsum("kr,...r->...k", E, sub[..., :, :, lo:hi])  # alloc-ok
             if side == "low":
                 patches[..., octs, :, :, 0:k] = vals
             else:
                 patches[..., octs, :, :, hi:P] = vals
         elif axis == 1:  # y
-            vals = np.einsum("kr,...rx->...kx", E, sub[..., :, lo:hi, :])
+            vals = np.einsum("kr,...rx->...kx", E, sub[..., :, lo:hi, :])  # alloc-ok
             if side == "low":
                 patches[..., octs, :, 0:k, :] = vals
             else:
                 patches[..., octs, :, hi:P, :] = vals
         else:  # z
-            vals = np.einsum("kr,...ryx->...kyx", E, sub[..., lo:hi, :, :])
+            vals = np.einsum("kr,...ryx->...kyx", E, sub[..., lo:hi, :, :])  # alloc-ok
             if side == "low":
                 patches[..., octs, 0:k, :, :] = vals
             else:

@@ -39,7 +39,10 @@ def regrid_flags(
 
 def remesh(mesh: Mesh, refine: np.ndarray, coarsen: np.ndarray,
            *, tracer=None) -> Mesh:
-    """Apply flags, re-balance, and build the new mesh.
+    """Apply flags, re-balance, and build the new mesh — or return
+    ``mesh`` itself when the balanced tree has the old keys and levels,
+    so callers test ``new is mesh`` before any transfer and an unchanged
+    grid costs no adjacency or transfer-plan build.
 
     Refinement is applied first; the coarsen flags (given on the old
     tree) are then re-mapped onto the surviving leaves by key so both can
@@ -65,6 +68,9 @@ def remesh(mesh: Mesh, refine: np.ndarray, coarsen: np.ndarray,
         new_coarsen[survived] = np.asarray(coarsen, dtype=bool)[pos[survived]]
         tree = tree.coarsen(new_coarsen)
     tree = balance(tree)
+    if (np.array_equal(tree.keys, old.keys)
+            and np.array_equal(tree.levels, old.levels)):
+        return mesh
     return Mesh(tree, r=mesh.r, k=mesh.k)
 
 

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.bssn.sommerfeld import ASYMPTOTIC, sommerfeld_faces
 from repro.fd import PatchDerivatives
 from repro.mesh import Mesh
 from repro.octree import Partition
@@ -55,6 +56,7 @@ class _DistributedSolver:
         self.t = 0.0
         self.step_count = 0
         self._coords = mesh.coordinates()
+        self._radii = np.maximum(np.linalg.norm(self._coords, axis=-1), 1e-12)
 
     @property
     def num_ranks(self) -> int:
@@ -132,12 +134,17 @@ class _DistributedSolver:
         """RHS on owned octants ``lo:hi`` from their unzipped patches."""
         raise NotImplementedError
 
-    def _owned_faces(self, lo: int, hi: int) -> list:
-        """Physical-boundary faces restricted to owned octants, as
-        (axis, side, rank-local octant indices), empty ones dropped."""
+    def _sommerfeld(self, lo: int, hi: int, rhs: np.ndarray,
+                    patches: np.ndarray, u_inf: np.ndarray,
+                    speed: float) -> None:
+        """The Sommerfeld condition on the physical-boundary faces of
+        the owned octants ``lo:hi`` (rank-local indices, empty faces
+        dropped)."""
         faces = [(axis, side, octs[(octs >= lo) & (octs < hi)] - lo)
                  for axis, side, octs in self.mesh.boundary_faces()]
-        return [f for f in faces if len(f[2])]
+        sommerfeld_faces(rhs, patches, [f for f in faces if len(f[2])],
+                         self._coords[lo:hi], self._radii[lo:hi],
+                         self.mesh.dx[lo:hi], u_inf, speed)
 
     def _post_stage(self, u: np.ndarray) -> None:
         """Hook applied in place to each rank state an AXPY produced."""
@@ -200,25 +207,8 @@ class DistributedWaveSolver(_DistributedSolver):
             rhs[PI] += self.source(self._coords[lo:hi], t)
         rhs[PHI] += self.ko_sigma * self.pd.ko_all(patches[PHI], h)
         rhs[PI] += self.ko_sigma * self.pd.ko_all(patches[PI], h)
-        self._sommerfeld(lo, hi, rhs, local, patches)
+        self._sommerfeld(lo, hi, rhs, patches, np.zeros(2), self.speed)
         return rhs
-
-    def _sommerfeld(self, lo, hi, rhs, local, patches) -> None:
-        mesh = self.mesh
-        coords = self._coords[lo:hi]
-        rr = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
-        rsz = mesh.r
-        for axis, side, mine in self._owned_faces(lo, hi):
-            sl: list = [slice(None)] * 4
-            arr_axis = {0: 3, 1: 2, 2: 1}[axis]
-            sl[arr_axis] = 0 if side == "low" else rsz - 1
-            osel = (mine,) + tuple(sl[1:])
-            for var in (PHI, PI):
-                advect = 0.0
-                for d in range(3):
-                    dd = self.pd.d1(patches[var, mine], mesh.dx[lo:hi][mine], d)
-                    advect = advect + coords[osel + (d,)] * dd[tuple(sl)]
-                rhs[var][osel] = -self.speed * (advect + local[var][osel]) / rr[osel]
 
 
 class DistributedBSSNSolver(_DistributedSolver):
@@ -240,11 +230,7 @@ class DistributedBSSNSolver(_DistributedSolver):
         self.params = params if params is not None else BSSNParams()
 
     def _rank_rhs(self, lo, hi, patches, local, t):
-        from repro.bssn import (
-            apply_sommerfeld,
-            compute_derivatives,
-            evaluate_algebraic,
-        )
+        from repro.bssn import compute_derivatives, evaluate_algebraic
 
         k, r = self.mesh.k, self.mesh.r
         derivs = compute_derivatives(patches, self.mesh.dx[lo:hi],
@@ -254,9 +240,7 @@ class DistributedBSSNSolver(_DistributedSolver):
         )
         rhs = evaluate_algebraic(values, derivs, self.params)
         rhs += self.params.ko_sigma * derivs.ko
-        faces = self._owned_faces(lo, hi)
-        if faces:
-            apply_sommerfeld(rhs, values, derivs, self._coords[lo:hi], faces)
+        self._sommerfeld(lo, hi, rhs, patches, ASYMPTOTIC, 1.0)
         return rhs
 
     def _post_stage(self, u: np.ndarray) -> None:

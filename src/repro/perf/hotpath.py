@@ -30,6 +30,8 @@ HOT_MODULES = (
     "repro.mesh.interp",
     "repro.mesh.octant_to_patch",
     "repro.bssn.rhs",
+    "repro.bssn.sommerfeld",
+    "repro.solver.base",
     "repro.solver.rk4",
     "repro.solver.wave_solver",
     "repro.solver.bssn_solver",

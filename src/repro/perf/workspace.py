@@ -7,7 +7,7 @@ Two pieces:
   can run fully in place (the paper's AXPY phase).
 * :class:`SolverWorkspace` — ties an RK4 workspace, a :class:`BufferPool`
   for the unzip/derivative/RHS scratch, and the hoisted per-mesh
-  invariants (per-chunk Sommerfeld face lists) to one mesh.  Solvers
+  invariants (point coordinates and radii) to one mesh.  Solvers
   rebuild it only on regrid — the paper's "host/device synchronous"
   moment — and otherwise reuse every byte step after step.
 """
@@ -57,19 +57,14 @@ class SolverWorkspace:
     mesh:
         The mesh this workspace is valid for.  Solvers compare identity
         (``workspace.matches(self.mesh)``) and rebuild after regrid.
-    chunk:
-        The solver's octant chunk size; the hoisted Sommerfeld face
-        lists are precomputed per chunk.
     """
 
-    def __init__(self, mesh, chunk: int):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.chunk = int(chunk)
         self.pool = BufferPool()
-        #: solver-specific hoisted per-mesh invariants (e.g. boundary
-        #: geometry); dies with the workspace on regrid
+        #: hoisted per-mesh invariants (point coordinates, Sommerfeld
+        #: radii); dies with the workspace on regrid
         self.cache: dict = {}
-        self._chunk_faces: list | None = None
         self._rk4: RK4Workspace | None = None
 
     def matches(self, mesh) -> bool:
@@ -83,31 +78,6 @@ class SolverWorkspace:
             ws = RK4Workspace(shape, dtype)
             self._rk4 = ws
         return ws
-
-    def chunk_faces(self) -> list:
-        """Per-chunk physical-boundary faces, hoisted out of ``full_rhs``.
-
-        Returns ``[(lo, hi, faces), ...]`` where ``faces`` is the
-        ``boundary_faces()`` list restricted to octants in ``[lo, hi)``
-        with indices rebased to the chunk (empty faces dropped) — the
-        filtering the RHS previously redid on every evaluation.
-        """
-        if self._chunk_faces is None:
-            mesh = self.mesh
-            bfaces = mesh.boundary_faces()
-            out = []
-            n = mesh.num_octants
-            for lo in range(0, n, self.chunk):
-                hi = min(lo + self.chunk, n)
-                faces = [
-                    (ax, side, sel - lo)
-                    for ax, side, octs in bfaces
-                    for sel in (octs[(octs >= lo) & (octs < hi)],)
-                    if len(sel)
-                ]
-                out.append((lo, hi, faces))
-            self._chunk_faces = out
-        return self._chunk_faces
 
     @property
     def nbytes(self) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.fd import PatchDerivatives
 from repro.mesh import Mesh
-from repro.perf import NO_PROFILER, SolverWorkspace, StepProfiler
+from repro.perf import NO_PROFILER, SolverWorkspace, StepProfiler, hot_path
 from .rk4 import courant_dt, rk4_step
 
 
@@ -37,12 +37,11 @@ class Solver:
         self.courant = courant
         self.chunk = int(chunk_octants)
         self.profiler = profiler
-        #: arena-less operators for diagnostics and boundary sweeps
+        #: arena-less operators for diagnostics
         self.pd = PatchDerivatives(k=mesh.k)
         self.state: np.ndarray | None = None
         self.t = 0.0
         self.step_count = 0
-        self._coords = None
         self._workspace: SolverWorkspace | None = None
 
     @property
@@ -59,7 +58,7 @@ class Solver:
         """The per-mesh workspace arena (rebuilt only after regrid)."""
         ws = self._workspace
         if ws is None or not ws.matches(self.mesh):
-            ws = self._workspace = SolverWorkspace(self.mesh, self.chunk)
+            ws = self._workspace = SolverWorkspace(self.mesh)
         return ws
 
     @property
@@ -68,10 +67,28 @@ class Solver:
         return courant_dt(self.mesh.min_dx, self.courant)
 
     def coords(self) -> np.ndarray:
-        """Cached grid-point coordinates of the current mesh."""
-        if self._coords is None:
-            self._coords = self.mesh.coordinates()
-        return self._coords
+        """Grid-point coordinates of the current mesh (hoisted: they
+        live, and die on regrid, with the workspace)."""
+        cache = self.workspace().cache
+        if "coords" not in cache:
+            cache["coords"] = self.mesh.coordinates()
+        return cache["coords"]
+
+    @hot_path
+    def _sommerfeld(self, rhs: np.ndarray, patches: np.ndarray,
+                    u_inf: np.ndarray, speed: float) -> None:
+        """Alg. 1's boundary phase: the chunk kernel's backend applies
+        the Sommerfeld condition on every physical-boundary face of
+        ``rhs``, with the point radii (clipped away from zero) hoisted
+        per mesh."""
+        ws = self.workspace()
+        with self._prof.phase("boundary"):
+            if "radii" not in ws.cache:
+                radii = ws.cache["radii"] = np.linalg.norm(self.coords(),
+                                                           axis=-1)
+                np.maximum(radii, 1e-12, out=radii)
+            self.kernel.sommerfeld(rhs, patches, self.mesh, self.coords(),
+                                   ws.cache["radii"], u_inf, speed, ws.pool)
 
     # -- resilience hooks (used by repro.resilience.SupervisedRun) -------
     def snapshot_state(self) -> np.ndarray:

@@ -17,13 +17,13 @@ import numpy as np
 from repro.bssn import (
     BSSNParams,
     Puncture,
-    apply_sommerfeld,
     compute_constraints,
     compute_derivatives,
     compute_psi4,
     mesh_puncture_state,
 )
 from repro.bssn import state as S
+from repro.bssn.sommerfeld import ASYMPTOTIC
 from repro.mesh import Mesh, regrid_flags, remesh, transfer_fields
 from repro.perf import StepProfiler, hot_path
 from .base import Solver
@@ -202,37 +202,31 @@ class BSSNSolver(Solver):
         self, u: np.ndarray, t: float, out: np.ndarray | None = None
     ) -> np.ndarray:
         """RHS over the whole mesh: unzip once, then per octant chunk
-        kernel (D + A + KO) → Sommerfeld faces → write.
+        kernel (D + A + KO) → write, then the Sommerfeld faces.
 
-        Every buffer comes from the per-mesh arena, the scatter runs
-        as the chunk kernel's backend does it (native box copies, or
-        coalesced fancy indexing under NumPy), and the per-chunk face
-        lists are the hoisted per-mesh ones.
+        Every buffer comes from the per-mesh arena, and the unzip and
+        the boundary phase run as the chunk kernel's backend does them
+        (native kernels, or NumPy).
         """
         mesh = self.mesh
         prof = self._prof
-        ws = self.workspace()
-        pool = ws.pool
+        n = mesh.num_octants
+        pool = self.workspace().pool
         with prof.phase("unzip"):
             patches = pool.get(
                 "solver.patches",
-                (S.NUM_VARS, mesh.num_octants, mesh.P, mesh.P, mesh.P),
+                (S.NUM_VARS, n, mesh.P, mesh.P, mesh.P),
             )
             mesh.unzip(u, out=patches, coalesce=True, pool=pool,
                        tracer=prof.tracer, scatter=self.kernel.unzip_scatter)
         rhs = np.empty_like(u) if out is None else out  # alloc-ok: fallback
-        coords = self.coords()
-        for lo, hi, faces in ws.chunk_faces():
-            chunk_rhs, values, derivs = self.kernel(
-                patches, lo, hi, mesh, self.params, faces, pool, prof
-            )
-            if faces:
-                with prof.phase("boundary"):
-                    apply_sommerfeld(
-                        chunk_rhs, values, derivs, coords[lo:hi], faces
-                    )
+        for lo in range(0, n, self.chunk):
+            hi = min(lo + self.chunk, n)
+            chunk_rhs = self.kernel(patches, lo, hi, mesh, self.params, pool,
+                                    prof)
             with prof.phase("zip"):
                 rhs[:, lo:hi] = chunk_rhs
+        self._sommerfeld(rhs, patches, ASYMPTOTIC, 1.0)
         return rhs
 
     # -- stepping ------------------------------------------------------------
@@ -276,14 +270,11 @@ class BSSNSolver(Solver):
             if not refine.any() and not coarsen.any():
                 return False
             new_mesh = remesh(self.mesh, refine, coarsen, tracer=tracer)
-            if new_mesh.num_octants == self.mesh.num_octants and np.array_equal(
-                new_mesh.tree.keys, self.mesh.tree.keys
-            ):
+            if new_mesh is self.mesh:
                 return False
             self.state = transfer_fields(self.mesh, new_mesh, self.state,
                                          tracer=tracer)
             self.mesh = new_mesh
-            self._coords = None
             self.record.regrid_steps.append(self.step_count)
             return True
 
@@ -342,7 +333,6 @@ class BSSNSolver(Solver):
         new_mesh = Mesh(new_tree, r=self.mesh.r, k=self.mesh.k)
         self.state = transfer_fields(self.mesh, new_mesh, self.state)
         self.mesh = new_mesh
-        self._coords = None
         self.record.regrid_steps.append(self.step_count)
         return True
 

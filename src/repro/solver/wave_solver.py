@@ -26,6 +26,8 @@ from repro.perf import StepProfiler, hot_path
 from .base import Solver
 
 PHI, PI = 0, 1
+#: both fields vanish at infinity (the Sommerfeld u_∞)
+_U_INF = np.zeros(2)
 
 
 @dataclass
@@ -86,8 +88,8 @@ class WaveSolver(Solver):
         """RHS of (φ, π) over the whole mesh: unzip once, then per octant
         chunk source → kernel (Laplacian + KO), then the Sommerfeld
         faces.  All patch/derivative/boundary buffers come from the
-        per-mesh arena and the scatter runs as the chunk kernel's
-        backend does it (native box copies, or coalesced under NumPy).
+        per-mesh arena, and the unzip and the boundary phase run as the
+        chunk kernel's backend does them (native kernels, or NumPy).
         """
         mesh = self.mesh
         prof = self._prof
@@ -107,78 +109,8 @@ class WaveSolver(Solver):
                     src = self.source(coords[lo:hi], t)
             self.kernel(patches, lo, hi, mesh, self.speed**2, self.ko_sigma,
                         src, rhs, pool, prof)
-        with prof.phase("boundary"):
-            self._apply_sommerfeld(rhs, u, patches, coords)
+        self._sommerfeld(rhs, patches, _U_INF, self.speed)
         return rhs
-
-    def _boundary_geometry(self):
-        """Hoisted per-mesh boundary invariants: face lists, the union of
-        boundary octants, its row lookup, the doubled spacing array and
-        the clipped point radii (recomputed only on regrid)."""
-        cache = self.workspace().cache
-        geo = cache.get("sommerfeld")
-        if geo is None:
-            mesh = self.mesh
-            octs_all = mesh.boundary_octants()
-            row = np.full(mesh.num_octants, -1, dtype=np.int64)
-            row[octs_all] = np.arange(len(octs_all))
-            rr = np.linalg.norm(self.coords(), axis=-1)
-            np.maximum(rr, 1e-12, out=rr)
-            geo = cache["sommerfeld"] = (
-                mesh.boundary_faces(), octs_all, row,
-                np.tile(mesh.dx[octs_all], 2), rr,
-            )
-        return geo
-
-    @hot_path
-    def _apply_sommerfeld(
-        self,
-        rhs: np.ndarray,
-        u: np.ndarray,
-        patches: np.ndarray,
-        coords: np.ndarray,
-    ) -> None:
-        """Outgoing-wave condition ∂_t u = −(x·∇u)/r − u/r on the faces.
-
-        Derivatives are computed once for the union of boundary octants
-        and sliced per face; the advection term accumulates through two
-        face-shaped scratch buffers in the operation order of the
-        expression ``−c (Σ_d x_d ∂_d u + u) / r``.
-        """
-        mesh = self.mesh
-        faces, octs_all, row, h2, rr = self._boundary_geometry()
-        if not faces:
-            return
-        P = mesh.P
-        nb = len(octs_all)
-        rsz = mesh.r
-        pool = self.workspace().pool
-        sub_buf = pool.get("wave.sub", (2, nb, P, P, P))
-        np.take(patches, octs_all, axis=1, out=sub_buf)
-        sub = sub_buf.reshape(2 * nb, P, P, P)
-        grads = pool.get("wave.grads", (3, 2, nb, rsz, rsz, rsz))
-        for d in range(3):
-            self.pd.d1(sub, h2, d, out=grads[d].reshape(2 * nb, rsz, rsz, rsz))
-        for axis, side, octs in faces:
-            sl: list = [slice(None)] * 4
-            arr_axis = {0: 3, 1: 2, 2: 1}[axis]
-            sl[arr_axis] = 0 if side == "low" else rsz - 1
-            osel = (octs,) + tuple(sl[1:])
-            rsel = (row[octs],) + tuple(sl[1:])
-            shp = (len(octs), rsz, rsz)
-            acc = pool.get("wave.bdry_acc", shp)
-            tmp = pool.get("wave.bdry_tmp", shp)
-            for var in (PHI, PI):
-                acc[...] = 0.0
-                for d in range(3):
-                    np.multiply(
-                        coords[osel + (d,)], grads[d][var][rsel], out=tmp
-                    )
-                    np.add(acc, tmp, out=acc)
-                np.add(acc, u[var][osel], out=acc)
-                np.multiply(acc, -self.speed, out=acc)
-                np.divide(acc, rr[osel], out=acc)
-                rhs[var][osel] = acc
 
     def regrid(self, eps: float, *, max_level: int | None = None) -> bool:
         """Wavelet-driven re-mesh + state transfer; True if the grid changed."""
@@ -190,12 +122,11 @@ class WaveSolver(Solver):
             if not refine.any() and not coarsen.any():
                 return False
             new_mesh = remesh(self.mesh, refine, coarsen, tracer=tracer)
-            if np.array_equal(new_mesh.tree.keys, self.mesh.tree.keys):
+            if new_mesh is self.mesh:
                 return False
             self.state = transfer_fields(self.mesh, new_mesh, self.state,
                                          tracer=tracer)
             self.mesh = new_mesh
-            self._coords = None
             return True
 
     def sample(self, points: np.ndarray) -> np.ndarray:

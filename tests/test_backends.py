@@ -19,6 +19,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bssn import (
     BSSNParams,
@@ -26,6 +28,7 @@ from repro.bssn import (
     mesh_puncture_state,
 )
 from repro.bssn import state as S
+from repro.bssn.sommerfeld import ASYMPTOTIC, sommerfeld_faces
 from repro.bssn.testdata import gauge_wave_state, linear_wave_state
 from repro.codegen import backends as B
 from repro.codegen.backends import (
@@ -39,12 +42,15 @@ from repro.codegen.generators import (
     get_kernel_spec,
 )
 from repro.io.params import RunConfig
+from repro.jobs import state_digest
 from repro.mesh import Mesh
-from repro.octree import Domain, LinearOctree
+from repro.octree import Domain, LinearOctree, balance
 from repro.perf import StepProfiler
 from repro.solver.bssn_solver import BSSNSolver
 from repro.solver.wave_solver import PHI, GaussianSource, WaveSolver
 from repro.telemetry import MetricsRegistry
+
+from .frozen_oracles import bssn_apply_sommerfeld, wave_apply_sommerfeld
 
 needs_native = pytest.mark.skipif(
     B.native_impl() is None,
@@ -222,48 +228,19 @@ class TestBSSNBitwise:
         assert np.isfinite(sc.state).all()
         assert np.array_equal(sc.state, sn.state)
 
-    def test_d1_export_feeds_sommerfeld(self, mesh, bbh_state):
-        """Boundary octants' exported first derivatives and interior
-        values equal the NumPy kernel's (the Sommerfeld pass consumes
-        both through the one kernel return signature)."""
-        from repro.codegen.backends import NativeBSSNRHS, NumpyBSSNRHS
-        from repro.perf import SolverWorkspace
-
-        params = BSSNParams()
-        ws = SolverWorkspace(mesh, mesh.num_octants)
-        patches = ws.pool.get(
-            "solver.patches",
-            (S.NUM_VARS, mesh.num_octants, mesh.P, mesh.P, mesh.P),
-        )
-        mesh.unzip(bbh_state, out=patches, coalesce=True, pool=ws.pool)
-        (lo, hi, faces), = ws.chunk_faces()
-        _, values, derivs = NativeBSSNRHS()(
-            patches, lo, hi, mesh, params, faces, ws.pool
-        )
-        # a second arena: the two kernels share buffer names by design
-        _, ref_values, ref_derivs = NumpyBSSNRHS()(
-            patches, lo, hi, mesh, params, faces, SolverWorkspace(mesh, hi).pool
-        )
-        assert np.array_equal(values, ref_values)
-        boundary = sorted({o for _, _, octs in faces for o in octs})
-        for var in (S.ALPHA, S.CHI, S.K):
-            for d in range(3):
-                assert np.array_equal(
-                    derivs.d1[var, d][boundary], ref_derivs.d1[var, d][boundary]
-                )
-
-    def test_interior_chunk_exports_nothing(self, mesh, bbh_state):
-        """Without physical-boundary faces the native kernel skips the
-        derivative export and the values copy."""
-        from repro.codegen.backends import NativeBSSNRHS
-        from repro.perf import BufferPool
-
-        patches = mesh.unzip(bbh_state)
-        rhs, values, derivs = NativeBSSNRHS()(
-            patches, 0, 2, mesh, BSSNParams(), [], BufferPool()
-        )
-        assert rhs.shape == (S.NUM_VARS, 2, mesh.r, mesh.r, mesh.r)
-        assert values is None and derivs is None
+    def test_full_rhs_with_chunks_without_boundary_octants(self, mesh,
+                                                            bbh_state):
+        """One octant per chunk: the eight interior octants of the 4³
+        grid are chunks with no physical-boundary face, and the boundary
+        phase still finds every face of the other chunks."""
+        interior = np.setdiff1d(np.arange(mesh.num_octants),
+                                mesh.boundary_octants())
+        assert len(interior) == 8
+        sc, sn = _solver_pair(mesh, chunk_octants=1)
+        whole = BSSNSolver(mesh, BSSNParams(), backend="compiled")
+        rc = sc.full_rhs(bbh_state, 0.0)
+        assert np.array_equal(rc, sn.full_rhs(bbh_state, 0.0))
+        assert np.array_equal(rc, whole.full_rhs(bbh_state, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +269,130 @@ class TestWaveBitwise:
 
 
 # ---------------------------------------------------------------------------
+# the boundary phase: one Sommerfeld for both solvers, NumPy and native
+# ---------------------------------------------------------------------------
+
+#: every rung of the compiled ladder this host can run; un-jitted "py"
+#: always can
+RUNGS = [impl for impl, ok in (("numba", B.probe_numba()),
+                               ("cffi", B.probe_cffi())) if ok]
+
+
+def _random_mesh(seed, base_level):
+    """A balanced refinement of a uniform grid (mixed levels, so faces
+    hold octants of two sizes)."""
+    rng = np.random.default_rng(seed)
+    tree = LinearOctree.uniform(base_level, domain=Domain(-8.0, 8.0))
+    return Mesh(balance(tree.refine(rng.random(len(tree)) < 0.3)))
+
+
+def _boundary_inputs(mesh, nvars, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(nvars, mesh.num_octants, mesh.r, mesh.r, mesh.r))
+    coords = mesh.coordinates()
+    radii = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
+    u_inf = ASYMPTOTIC if nvars == S.NUM_VARS else np.zeros(nvars)
+    return u, mesh.unzip(u), coords, radii, u_inf, rng.normal(size=u.shape)
+
+
+def _twin(mesh, patches, coords, radii, u_inf, speed, rhs):
+    sommerfeld_faces(rhs, patches, mesh.plan.boundary, coords, radii,
+                     mesh.dx, u_inf, speed)
+    return rhs
+
+
+class TestBoundaryPhase:
+    @pytest.mark.parametrize("impl", RUNGS)
+    @pytest.mark.parametrize("nvars", [2, 24])
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_native_sommerfeld_equals_numpy_twin(self, impl, nvars, seed):
+        mesh = _random_mesh(seed, base_level=1 if nvars == 24 else 2)
+        u, patches, coords, radii, u_inf, rhs0 = _boundary_inputs(
+            mesh, nvars, seed)
+        ref = _twin(mesh, patches, coords, radii, u_inf, 0.7, rhs0.copy())
+        got = rhs0.copy()
+        NativeWaveRHS(impl=impl).sommerfeld(got, patches, mesh, coords, radii,
+                                            u_inf, 0.7)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert not np.array_equal(got, rhs0)
+
+    @pytest.mark.parametrize("nvars", [2, 24])
+    def test_py_rung_sommerfeld_equals_numpy_twin(self, nvars):
+        tree = LinearOctree.uniform(1, domain=Domain(-8.0, 8.0))
+        mesh = Mesh(balance(tree.refine(np.arange(len(tree)) == 5)))
+        u, patches, coords, radii, u_inf, rhs0 = _boundary_inputs(
+            mesh, nvars, 11)
+        ref = _twin(mesh, patches, coords, radii, u_inf, 1.0, rhs0.copy())
+        got = rhs0.copy()
+        NativeWaveRHS(impl="py").sommerfeld(got, patches, mesh, coords, radii,
+                                            u_inf, 1.0)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_twin_equals_frozen_wave_sommerfeld(self, seed):
+        """Face-slab stencils against PR 16's whole-octant sweep of the
+        union of boundary octants."""
+        mesh = _random_mesh(seed, base_level=2)
+        u, patches, coords, radii, u_inf, rhs0 = _boundary_inputs(
+            mesh, 2, seed)
+        ref = rhs0.copy()
+        wave_apply_sommerfeld(ref, u, patches, coords, mesh, 0.7)
+        got = _twin(mesh, patches, coords, radii, u_inf, 0.7, rhs0.copy())
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_twin_equals_frozen_bssn_sommerfeld(self, seed):
+        """All 24 variables at once against PR 16's per-variable loop
+        over whole-octant ``d1`` blocks."""
+        from types import SimpleNamespace
+
+        from repro.fd import PatchDerivatives
+
+        mesh = _random_mesh(seed, base_level=1)
+        u, patches, coords, radii, u_inf, rhs0 = _boundary_inputs(
+            mesh, S.NUM_VARS, seed)
+        pd = PatchDerivatives(k=mesh.k)
+        d1 = np.stack([pd.d1(patches, mesh.dx, d) for d in range(3)], axis=1)
+        ref = rhs0.copy()
+        bssn_apply_sommerfeld(ref, u, SimpleNamespace(d1=d1), coords,
+                              mesh.boundary_faces())
+        got = _twin(mesh, patches, coords, radii, u_inf, 1.0, rhs0.copy())
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @needs_native
+    def test_adaptive_wave_digest_equal_across_backends(self):
+        """Regrid every 2 steps on a grid that changes: the native
+        padding fill and Sommerfeld leave the state digest where the
+        NumPy execution puts it."""
+        digests, octants = set(), set()
+        for backend in ("numpy", "compiled"):
+            mesh = Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0)))
+            s = WaveSolver(mesh, backend=backend, ko_sigma=0.02,
+                           source=GaussianSource(
+                               amplitude=lambda t: np.sin(3 * t)))
+            s.evolve(6 * s.dt, regrid_every=2, regrid_eps=3e-5, max_level=2)
+            digests.add(state_digest(s.state))
+            octants.add(s.mesh.num_octants)
+        assert len(digests) == 1
+        assert octants != {8}  # the grid did change
+
+    @needs_native
+    def test_adaptive_bssn_digest_equal_across_backends(self):
+        digests, octants = set(), set()
+        for sv in _solver_pair(
+                Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0)))):
+            sv.set_punctures([Puncture(mass=1.0, position=[0.3, 0.1, -0.2])])
+            sv.evolve(4 * sv.dt, regrid_every=2, regrid_eps=1e-3, max_level=2)
+            digests.add(state_digest(sv.state))
+            octants.add(sv.mesh.num_octants)
+        assert len(digests) == 1
+        assert octants != {8}
+
+
+# ---------------------------------------------------------------------------
 # kernel-level consistency (no solver)
 # ---------------------------------------------------------------------------
 
@@ -313,19 +414,19 @@ class TestKernelConsistency:
         patches = small_mesh.unzip(u)
         rhs = np.zeros_like(u)
         native(patches, 0, n, small_mesh, 1.0, sn.ko_sigma, None, rhs, pool)
-        # interior arithmetic is identical; the solver additionally
-        # overwrites boundary octants via its Sommerfeld pass
-        interior = np.ones(n, dtype=bool)
-        interior[small_mesh.boundary_octants()] = False
-        if interior.any():
-            assert np.array_equal(rhs[:, interior], ref[:, interior])
-        sn._apply_sommerfeld(rhs, u, patches, sn.coords())
+        # the solver additionally overwrites the boundary faces; here
+        # through the py rung's own Sommerfeld executor
+        coords = sn.coords()
+        radii = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
+        native.sommerfeld(rhs, patches, small_mesh, coords, radii,
+                          np.zeros(2), sn.speed)
         assert np.array_equal(rhs, ref)
 
     @needs_cffi
     def test_c_and_py_lowerings_agree_bitwise(self, small_mesh, bbh_state):
-        """The cffi-compiled C kernel and the interpreted Python kernel
-        execute identical operation sequences."""
+        """The cffi-compiled C kernels and the interpreted Python kernels
+        execute identical operation sequences: the fused BSSN chunk
+        kernel and the two physical-boundary kernels."""
         from repro.codegen.cbackend import (
             NUM_PARAMS,
             build_native_lib,
@@ -350,32 +451,47 @@ class TestKernelConsistency:
         h = np.asarray(mesh.dx[:nc], dtype=np.float64)
         hf1 = _h_factor(h, 1).ravel()
         hf2 = _h_factor(h, 2).ravel()
-        bdry = np.ones(nc, dtype=np.int64)
         args = (n, 0, nc, P, r, k)
 
         rhs_py = np.zeros((S.NUM_VARS, nc, r, r, r))
-        d1_py = np.zeros((3, S.NUM_VARS, nc, r, r, r))
         scratch = np.zeros(scratch_doubles(P, r))
         ns = compile_py_kernels(spec)
         ns["bssn_rhs_chunk"](
             patches.reshape(-1), *args, hf1, hf2, hf1,
             w["w1"], w["w2"], w["wko"], w["wup"], w["wun"],
-            pbuf, bdry, rhs_py.reshape(-1), d1_py.reshape(-1), scratch,
+            pbuf, rhs_py.reshape(-1), scratch,
         )
 
         lib = build_native_lib(emit_c_source(spec))
         rhs_c = np.zeros_like(rhs_py)
-        d1_c = np.zeros_like(d1_py)
         scratch[:] = 0
         lib.lib.bssn_rhs_chunk(
             lib.ptr(patches), *args, lib.ptr(hf1), lib.ptr(hf2),
             lib.ptr(hf1), lib.ptr(w["w1"]), lib.ptr(w["w2"]),
             lib.ptr(w["wko"]), lib.ptr(w["wup"]), lib.ptr(w["wun"]),
-            lib.ptr(pbuf), lib.ptr(bdry), lib.ptr(rhs_c), lib.ptr(d1_c),
-            lib.ptr(scratch),
+            lib.ptr(pbuf), lib.ptr(rhs_c), lib.ptr(scratch),
         )
         assert np.array_equal(rhs_c, rhs_py)
-        assert np.array_equal(d1_c, d1_py)
+
+        # the boundary kernels, through the two rungs' executors: two
+        # variables keep the interpreted pass short
+        from repro.codegen.backends import NativeWaveRHS
+
+        u2 = np.ascontiguousarray(u[[S.ALPHA, S.K]])
+        coords = mesh.coordinates()
+        radii = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
+        got = {}
+        for impl in ("cffi", "py"):
+            kernel = NativeWaveRHS(impl=impl)
+            p2 = np.full((2, n, P, P, P), np.nan)
+            mesh.unzip(u2, out=p2, scatter=kernel.unzip_scatter)
+            rhs2 = np.zeros_like(u2)
+            kernel.sommerfeld(rhs2, p2, mesh, coords, radii,
+                              np.array([1.0, 0.0]), 0.7)
+            got[impl] = (p2, rhs2)
+        assert not np.isnan(got["py"][0]).any()
+        assert np.array_equal(got["cffi"][0], got["py"][0])
+        assert np.array_equal(got["cffi"][1], got["py"][1])
 
     def test_schedule_is_bitwise_lowerable(self):
         from repro.codegen.lowering import is_bitwise_lowerable

@@ -160,3 +160,47 @@ class TestSimultaneousRefineCoarsen:
         assert new.tree.is_complete()
         assert new.tree.max_level > 3  # refined near the centre
         assert new.tree.min_level < 3  # coarsened in the far field
+
+
+class TestUnchangedTree:
+    """Flags that leave the balanced tree as it was: ``remesh`` hands the
+    same ``Mesh`` back, so a solver's ``regrid`` builds none (no
+    adjacency, no transfer plan) and reports no change."""
+
+    @staticmethod
+    def _partial_family_flags(mesh):
+        # seven of every eight siblings want coarsening: no family is
+        # complete, so nothing coarsens
+        coarsen = np.ones(mesh.num_octants, dtype=bool)
+        coarsen[::8] = False
+        return np.zeros_like(coarsen), coarsen
+
+    def test_remesh_returns_the_same_mesh(self):
+        mesh = Mesh(LinearOctree.uniform(2))
+        assert remesh(mesh, *self._partial_family_flags(mesh)) is mesh
+        refine = np.arange(mesh.num_octants) == 3
+        new = remesh(mesh, refine, np.zeros_like(refine))
+        assert new is not mesh and new.num_octants == mesh.num_octants + 7
+
+    @pytest.mark.parametrize("kind", ["wave", "bssn"])
+    def test_solver_regrid_constructs_no_mesh(self, kind, monkeypatch):
+        from repro.bssn import flat_metric_state
+        from repro.solver import BSSNSolver, WaveSolver, bssn_solver, wave_solver
+
+        mesh = Mesh(LinearOctree.uniform(2))
+        if kind == "wave":
+            solver, module = WaveSolver(mesh), wave_solver
+        else:
+            solver, module = BSSNSolver(mesh), bssn_solver
+            solver.set_state(flat_metric_state(mesh.allocate().shape))
+        flags = self._partial_family_flags(mesh)
+        monkeypatch.setattr(module, "regrid_flags", lambda *a, **kw: flags)
+        built = []
+        init = Mesh.__init__
+        monkeypatch.setattr(
+            Mesh, "__init__",
+            lambda self, *a, **kw: (built.append(self), init(self, *a, **kw))[1],
+        )
+        state = solver.state
+        assert solver.regrid(1e-3) is False
+        assert built == [] and solver.mesh is mesh and solver.state is state

@@ -266,15 +266,36 @@ def _has_every_case(mesh):
             and len(mesh.boundary_octants()) > 0)
 
 
+def _same_bits(a, b):
+    """Equal bit for bit, signed zeros told apart; any NaN equals any
+    NaN (a payload depends on operand order, which no one fixes)."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64),
+                               b[~nan].view(np.uint64)))
+
+
+def _with_specials(a, rng, count=6):
+    """A copy with NaN, ±inf and −0.0 at ``count`` random places: the
+    padding fill multiplies its zero taps too, so 0 · inf must be NaN."""
+    out = a.copy()
+    flat = out.reshape(-1)
+    flat[rng.choice(flat.size, count, replace=False)] = rng.choice(
+        [np.nan, np.inf, -np.inf, -0.0], count)
+    return out
+
+
 def _assert_native_equals_reference(mesh, kernel, nvars, rng):
     u = rng.normal(size=(nvars, mesh.num_octants, 7, 7, 7))
-    for state in (u, u[0]):  # with and without a leading axis
-        ref = mesh.unzip(state)  # the group loop
-        out = np.full_like(ref, np.nan)  # an unwritten point stays NaN
-        got = mesh.unzip(state, out=out, coalesce=True,
-                         scatter=kernel.unzip_scatter)
+    # with and without a leading axis, then with non-finite sources
+    for state in (u, u[0], _with_specials(u, rng)):
+        with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf
+            ref = mesh.unzip(state)  # group loop + extrapolate_boundary
+            out = np.full_like(ref, 7.0)  # an unwritten point stays 7
+            got = mesh.unzip(state, out=out, coalesce=True,
+                             scatter=kernel.unzip_scatter)
         assert got is out
-        assert np.array_equal(got, ref)
+        assert _same_bits(got, ref)
 
 
 @pytest.mark.skipif(not RUNGS, reason="no native toolchain (numba or cffi+cc)")
@@ -305,6 +326,48 @@ def test_py_rung_unzip_equals_group_loop():
     )
 
 
+def _native_extrapolate(kernel, plan, patches):
+    """The native padding fill alone, as ``unzip_scatter`` runs it after
+    its copies."""
+    from repro.mesh.interp import extrapolation_matrices
+
+    n, P, r, k = patches.shape[-4], plan.P, plan.r, plan.k
+    faces = plan.face_table()
+    kernel._run("extrapolate_faces", patches, n, patches.size // (n * P**3),
+                faces, len(faces), extrapolation_matrices(r, k), P, r, k)
+
+
+@pytest.mark.parametrize("impl", RUNGS + ["py"])
+@pytest.mark.parametrize("lead", [(), (1,), (2,), (24,)])
+@given(seed=st.integers(0, 2**31 - 1), keep=st.sampled_from([0.15, 0.5, 1.0]))
+@settings(max_examples=4, deadline=None)
+def test_extrapolate_faces_equals_the_einsum_oracle(impl, lead, seed, keep):
+    """The native fill against ``extrapolate_boundary``, bit for bit, on
+    drawn subsets of the faces of the 2³ grid — every octant a corner
+    with three outside faces, face lists down to a single octant — with
+    non-finite values in the source rows."""
+    import copy
+
+    from repro.mesh.octant_to_patch import extrapolate_boundary
+
+    rng = np.random.default_rng(seed)
+    plan = copy.copy(Mesh(LinearOctree.uniform(1)).plan)
+    plan.boundary = [
+        (axis, side, octs[sel]) for axis, side, octs in plan.boundary
+        for sel in (rng.random(len(octs)) < keep,) if sel.any()
+    ]
+    plan._face_table = None
+    assert len(plan.face_table()) == sum(len(b[2]) for b in plan.boundary)
+    ref = _with_specials(
+        rng.normal(size=lead + (len(plan.tree), plan.P, plan.P, plan.P)),
+        rng, count=12)
+    got = ref.copy()
+    with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf
+        extrapolate_boundary(plan, ref)
+        _native_extrapolate(B.NativeWaveRHS(impl=impl), plan, got)
+    assert _same_bits(got, ref)
+
+
 def test_native_unzip_leaves_other_dtypes_to_numpy():
     """A float32 (or non-contiguous) state must not reach a kernel that
     reads ``double*``: the executor declines and the NumPy scatter runs."""
@@ -316,6 +379,10 @@ def test_native_unzip_leaves_other_dtypes_to_numpy():
     out = np.full_like(ref, np.nan)
     assert not kernel.unzip_scatter(mesh.plan, u, None, out)
     assert np.isnan(out).all()  # declined: nothing written
+    # r >= 8 changes einsum's reduction order over a source row
+    wide = Mesh(mesh.tree, r=9)
+    assert not kernel.unzip_scatter(
+        wide.plan, wide.allocate(2), None, wide.allocate_patches(2))
     got = mesh.unzip(u, out=out, scatter=kernel.unzip_scatter)
     assert got.dtype == np.float32 and np.array_equal(got, ref)
     strided = np.zeros((2, mesh.num_octants, 7, 7, 14))[..., ::2]
