@@ -61,6 +61,7 @@ def _run_aliasing(report: dict) -> int:
     import numpy as np
 
     from repro.bssn import Puncture
+    from repro.codegen.backends import native_impl
     from repro.mesh import Mesh
     from repro.octree import LinearOctree, balance
     from repro.solver import BSSNSolver, WaveSolver
@@ -76,18 +77,25 @@ def _run_aliasing(report: dict) -> int:
     wave.state[1] = 0.0
     wave.step()  # warm the arena so the audit sees the steady state
 
-    bssn = BSSNSolver(Mesh(LinearOctree.uniform(2)))
-    bssn.set_punctures([Puncture(mass=1.0, position=np.array([0.1, 0.0, 0.0]))])
-    bssn.step()
+    # the NumPy kernel pools its chunk (solver.chunk_rhs); the native one
+    # writes the RK4 stage buffer itself, so it is audited where it exists
+    solvers = [wave]
+    for backend in ["numpy"] + (["compiled"] if native_impl() else []):
+        bssn = BSSNSolver(Mesh(LinearOctree.uniform(2)), backend=backend)
+        bssn.set_punctures(
+            [Puncture(mass=1.0, position=np.array([0.1, 0.0, 0.0]))])
+        bssn.step()
+        solvers.append(bssn)
 
     num = 0
     entries = []
-    for solver in (wave, bssn):
-        rep = audit_solver_step(solver)
+    for solver in solvers:
+        rep = audit_solver_step(
+            solver, label=f"{type(solver).__name__}[{solver.backend}]")
         entries.append(rep.to_dict())
         num += len(rep.findings)
         print(
-            f"  {rep.label:12s} {len(rep.events):4d} leases  "
+            f"  {rep.label:20s} {len(rep.events):4d} leases  "
             f"{rep.num_rhs_calls} RHS calls  {rep.num_buffers:3d} buffers  "
             f"{rep.pool_nbytes / 1e6:6.1f} MB arena  "
             f"phases {','.join(rep.phases_seen())}  "

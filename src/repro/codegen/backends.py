@@ -64,6 +64,7 @@ from .cbackend import (
     compile_py_kernels,
     emit_c_source,
     pack_params,
+    row_lanes,
     scratch_doubles,
     stencil_weights,
 )
@@ -209,7 +210,7 @@ def _warmup(ns: dict) -> None:
     params[-1] = 1.0  # use_upwind
     rhs = np.zeros(S.NUM_VARS * r**3)
     scratch = np.zeros(scratch_doubles(P, r))
-    ns["bssn_rhs_chunk"](patches, 1, 0, 1, P, r, k, hf, hf, hf,
+    ns["bssn_rhs_chunk"](patches, 1, 0, 1, P, r, k, hf, hf,
                          w["w1"], w["w2"], w["wko"], w["wup"], w["wun"],
                          params, rhs, scratch)
     wpatches = np.zeros(2 * P**3)
@@ -268,9 +269,10 @@ class NumpyBSSNRHS(_NumpyRHSBase):
         self.algebra = algebra
 
     @hot_path
-    def __call__(self, patches, lo, hi, mesh, params, pool,
+    def __call__(self, patches, lo, hi, mesh, params, rhs, pool,
                  prof=NO_PROFILER):
-        """The 24 RHS blocks of octants ``lo:hi`` of ``patches``."""
+        """Write the 24 RHS blocks of octants ``lo:hi`` of ``patches``
+        into ``rhs``."""
         k, r = mesh.k, mesh.r
         with prof.phase("deriv"):
             derivs = compute_derivatives(
@@ -292,7 +294,8 @@ class NumpyBSSNRHS(_NumpyRHSBase):
             ko = pool.get("solver.ko_scaled", values.shape)
             np.multiply(derivs.ko, params.ko_sigma, out=ko)
             chunk_rhs += ko
-        return chunk_rhs
+        with prof.phase("zip"):
+            rhs[:, lo:hi] = chunk_rhs
 
 
 class NumpyWaveRHS(_NumpyRHSBase):
@@ -440,15 +443,16 @@ class _NativeRHSBase:
 
 
 class NativeBSSNRHS(_NativeRHSBase):
-    """Single-pass native D+A+KO evaluation of one octant chunk.
+    """Single-pass native D+A+KO evaluation of one octant chunk, written
+    straight into octants ``lo:hi`` of ``rhs``.
 
-    Same call signature, return value and arena buffer names as
-    :class:`NumpyBSSNRHS`.  The one native call is timed under ``deriv``
-    — the deriv and algebra phases it subsumes are not separable.
+    Same call signature as :class:`NumpyBSSNRHS`.  The one native call
+    is timed under ``deriv`` — the deriv and algebra phases it subsumes
+    are not separable.
     """
 
     @hot_path
-    def __call__(self, patches, lo, hi, mesh, params, pool,
+    def __call__(self, patches, lo, hi, mesh, params, rhs, pool,
                  prof=NO_PROFILER):
         ntot, P = patches.shape[1], patches.shape[-1]
         r, k = mesh.r, mesh.k
@@ -461,20 +465,18 @@ class NativeBSSNRHS(_NativeRHSBase):
             # same bits)
             hf1 = _h_factor(h_arr, 1).ravel()
             hf2 = _h_factor(h_arr, 2).ravel()
-            chunk_rhs = pool.get("solver.chunk_rhs", (S.NUM_VARS, nc, r, r, r))
             pbuf = pack_params(params, pool.get("native.params", (NUM_PARAMS,)))
             scratch = pool.get("native.scratch", (scratch_doubles(P, r),))
             t0 = time.perf_counter()
             self._run("bssn_rhs_chunk", patches, ntot, lo, nc, P, r, k,
-                      hf1, hf2, hf1, self.w1, self.w2, self.wko, self.wup,
-                      self.wun, pbuf, chunk_rhs, scratch)
+                      hf1, hf2, self.w1, self.w2, self.wko, self.wup,
+                      self.wun, pbuf, rhs, scratch)
             self._publish(
                 prof, "bssn_rhs_chunk",
                 (self.spec.total_flops + DERIV_FLOPS_PER_POINT) * nc * NP,
                 (S.NUM_VARS * P**3 + S.NUM_VARS * NP) * nc * 8.0,
                 time.perf_counter() - t0,
             )
-        return chunk_rhs
 
 
 class NativeWaveRHS(_NativeRHSBase):
@@ -487,6 +489,7 @@ class NativeWaveRHS(_NativeRHSBase):
         ntot, P = patches.shape[1], patches.shape[-1]
         r, k = mesh.r, mesh.k
         nc = hi - lo
+        row_lanes(P, r)  # refuses what the row vectors cannot take
         rhs_phi, rhs_pi = rhs[0, lo:hi], rhs[1, lo:hi]
         # without a source the kernel adds σ·KO(π) itself; with one it
         # must follow the source term to keep the NumPy operation order

@@ -4,9 +4,13 @@ This module turns one dataflow-verified :class:`KernelSpec` schedule into
 two *fused* single-pass kernels over a chunk of octants:
 
 * a C translation unit (compiled with the host toolchain and loaded
-  through cffi's ABI mode), and
-* a structurally identical pure-Python source (the Numba ``@njit`` body;
-  also executable un-jitted for correctness tests on tiny grids).
+  through cffi's ABI mode) in explicit row-vector form: one x-run of an
+  octant is one 8-double vector of the compiler's generic
+  ``vector_size`` type, each lane running the scalar operation sequence,
+  and
+* a structurally identical scalar, per-point pure-Python source (the
+  Numba ``@njit`` body; also executable un-jitted for correctness tests
+  on tiny grids).
 
 Both kernels perform the whole D + A + KO pipeline per octant — all 72
 first derivatives, 72 upwind advective derivatives, 66 second
@@ -34,8 +38,9 @@ Every operation mirrors the NumPy execution order exactly:
   ``_binarize`` it contains only ``+ - * /``, all exactly rounded — and
   χ is floored with NumPy's ``maximum`` semantics (NaN propagates);
 * compilation disables FP contraction (``-ffp-contract=off``) so no FMA
-  changes the rounding, and never enables ``-ffast-math``, so ``-O3
-  -march=native`` may vectorise but not reassociate.
+  changes the rounding, and never enables ``-ffast-math``, so a vector
+  operation is its lanes' IEEE operations in source order at any ISA
+  ``-march=native`` (or its absence) splits the vectors for.
 
 The same translation unit (and Python source) carries the hand-written
 ``unzip_scatter`` / ``unzip_interior`` pair — the octant-to-patch box
@@ -88,18 +93,38 @@ _GRAD_RE = re.compile(r"^grad_(\d)_(\w+)$")
 _AGRAD_RE = re.compile(r"^agrad_(\d)_(\w+)$")
 _GRAD2_RE = re.compile(r"^grad2_(\d)_(\d)_(\w+)$")
 
-#: scratch layout (in units of NP = r^3 doubles): 72 d1 + 72 adv +
-#: 66 d2 + 24 ko blocks, then the mixed-derivative intermediate
-#: (P*r*r) and the two upwind candidates
+#: doubles per row vector of the C kernels
+LANES = 8
+
+#: scratch layout, in blocks of r*r rows: 72 d1 + 72 adv + 66 d2 + 24 ko
+#: blocks, then the mixed-derivative intermediate (P*r rows)
 OFF_ADV = 72
 OFF_D2 = 144
 OFF_KO = 210
 OFF_TMP = 234
 
 
+def row_lanes(P: int, r: int) -> int:
+    """Doubles per scratch row of the C kernels: ``r`` rounded up to
+    whole vectors.
+
+    The lanes past ``r`` of a patch row read the doubles that follow it;
+    those stay inside the patch when ``k + W <= 2P``, which is refused
+    here otherwise.
+    """
+    W = -(-r // LANES) * LANES
+    k = (P - r) // 2
+    if k + W > 2 * P:
+        raise ValueError(
+            f"r={r}, k={k}: a {W}-lane row vector would read past the "
+            f"padded patch (needs k + {W} <= 2P = {2 * P})"
+        )
+    return W
+
+
 def scratch_doubles(P: int, r: int) -> int:
     """Total scratch size (doubles) both kernels require per call."""
-    return OFF_TMP * r * r * r + P * r * r + 2 * r * r * r
+    return (OFF_TMP * r * r + P * r) * row_lanes(P, r)
 
 
 def pack_params(params, out: np.ndarray) -> np.ndarray:
@@ -147,158 +172,115 @@ def _deriv_block(name: str) -> tuple[str, int]:
 
 _C_PRELUDE = r"""
 /* generated by repro.codegen.cbackend -- do not edit */
-#include <math.h>
 #include <string.h>
+
+/* One x-run of an octant is one row vector: LANES doubles in the
+   compiler's generic vector form, which it splits into whatever the
+   target has (one AVX-512 register, two AVX2, four SSE2 or NEON).  Each
+   lane performs the scalar operation sequence of the NumPy execution,
+   and without -ffast-math a vector operation is its lanes' IEEE
+   operations and nothing else, so the bitwise contract holds lane for
+   lane.  A row of r points takes ceil(r / LANES) vectors: the lanes
+   past r read the in-bounds doubles that follow the row (the geometry
+   is checked by cbackend.row_lanes), land in the padding of a
+   scratch row -- scratch rows are W = LANES * ceil(r / LANES) doubles,
+   so every scratch store is a full vector -- and are never stored to
+   rhs, whose rows are compact. */
+#define LANES 8
+typedef double v8 __attribute__((vector_size(64)));
+typedef long long m8 __attribute__((vector_size(64)));
+
+static inline v8 ld(const double* p)
+{
+    v8 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* the first n lanes of v */
+static inline void st(double* p, v8 v, long n)
+{
+    memcpy(p, &v, n * sizeof(double));
+}
+
+static inline v8 bc(double s)
+{
+    return (v8){s, s, s, s, s, s, s, s};
+}
+
+/* lanes of a where m is set, of b elsewhere */
+static inline v8 sel(m8 m, v8 a, v8 b)
+{
+    return (v8)((m & (m8)a) | (~m & (m8)b));
+}
 
 /* NumPy maximum semantics: NaN in the first operand propagates
    (C fmax would return the floor instead). */
-static double np_maximum(double a, double b)
+static inline v8 np_maximum(v8 a, v8 b)
 {
-    return (a != a) ? a : (a > b ? a : b);
+    return sel((a != a) | (a > b), a, b);
 }
 
-/* One stencil sweep over the r^3 interior of a padded P^3 cube.
-   The accumulation order mirrors the einsum in
-   repro.fd.derivatives.apply_stencil exactly: on the unit-stride x
-   axis its contiguous inner loop keeps two alternating accumulators
-   (even taps, odd taps, added once at the end); on strided axes the
-   reduction runs across outer iterations, i.e. sequentially in
-   forward offset order.  The raw tap sum is scaled by hf (1/h^p)
-   after accumulation. */
-static void sweep(const double* u, double* out, const double* w,
-                  long P, long r, long k, long stride, int nw, int left,
-                  double hf, int add)
+/* The raw tap sum of one stencil at the LANES points from c on -- the
+   one implementation of the sweeps' accumulation order, which mirrors
+   the einsum in repro.fd.derivatives.apply_stencil exactly: on the
+   unit-stride x axis its contiguous inner loop keeps two alternating
+   accumulators (even taps, odd taps, added once at the end); on strided
+   axes the reduction runs across outer iterations, i.e. sequentially
+   from 0.0 in forward offset order.  Callers scale by 1/h^p after the
+   accumulation. */
+static inline v8 taps(const double* c, const double* w, int nw, int left,
+                      long stride)
 {
-    for (long z = 0; z < r; ++z)
-    for (long y = 0; y < r; ++y) {
-        const double* row = u + (((z + k) * P) + (y + k)) * P + k;
-        double* orow = out + ((z * r) + y) * r;
-        for (long x = 0; x < r; ++x) {
-            const double* c = row + x;
-            double acc;
-            if (stride == 1) {
-                double ev = w[0] * c[-left];
-                double od = w[1] * c[1 - left];
-                for (int t = 2; t < nw; t += 2)
-                    ev += w[t] * c[t - left];
-                for (int t = 3; t < nw; t += 2)
-                    od += w[t] * c[t - left];
-                acc = ev + od;
-            } else {
-                acc = 0.0;
-                for (int t = 0; t < nw; ++t)
-                    acc += w[t] * c[(t - left) * stride];
-            }
-            if (add) orow[x] += acc * hf;
-            else     orow[x]  = acc * hf;
-        }
+    if (stride == 1) {
+        v8 ev = bc(w[0]) * ld(c - left);
+        v8 od = bc(w[1]) * ld(c + 1 - left);
+        for (int t = 2; t < nw; t += 2)
+            ev += bc(w[t]) * ld(c + t - left);
+        for (int t = 3; t < nw; t += 2)
+            od += bc(w[t]) * ld(c + t - left);
+        return ev + od;
     }
+    v8 acc = bc(0.0);
+    for (int t = 0; t < nw; ++t)
+        acc += bc(w[t]) * ld(c + (t - left) * stride);
+    return acc;
 }
 
-/* Mixed second derivatives: two composed first-derivative passes with
-   the 1/h factor applied after each pass (matching d2_mixed).  The
-   intermediate T keeps the full padded extent along the second axis. */
-static void d2_mixed_xy(const double* u, double* out, double* T,
-                        const double* w, long P, long r, long k, double hf)
+/* A 7-point stencil along x, then y, then z of a padded P^3 cube, each
+   pass scaled by f and accumulated into the one before it: the NumPy
+   kernels' KO sum and the wave Laplacian. */
+static inline v8 taps_xyz(const double* c, const double* w, long P, v8 f)
 {
-    for (long z = 0; z < r; ++z)
-    for (long yy = 0; yy < P; ++yy) {
-        const double* row = u + (((z + k) * P) + yy) * P + k;
-        double* trow = T + ((z * P) + yy) * r;
-        for (long x = 0; x < r; ++x) {
-            double ev = w[0] * row[x - 3] + w[2] * row[x - 1]
-                      + w[4] * row[x + 1] + w[6] * row[x + 3];
-            double od = w[1] * row[x - 2] + w[3] * row[x]
-                      + w[5] * row[x + 2];
-            trow[x] = (ev + od) * hf;
-        }
-    }
-    for (long z = 0; z < r; ++z)
-    for (long y = 0; y < r; ++y) {
-        const double* trow = T + ((z * P) + (y + k)) * r;
-        double* orow = out + ((z * r) + y) * r;
-        for (long x = 0; x < r; ++x) {
-            double acc = 0.0;
-            for (int t = 0; t < 7; ++t)
-                acc += w[t] * trow[x + (t - 3) * r];
-            orow[x] = acc * hf;
-        }
-    }
+    v8 acc = taps(c, w, 7, 3, 1) * f;
+    acc += taps(c, w, 7, 3, P) * f;
+    acc += taps(c, w, 7, 3, P * P) * f;
+    return acc;
 }
 
-static void d2_mixed_xz(const double* u, double* out, double* T,
-                        const double* w, long P, long r, long k, double hf)
+/* One centred 7-point sweep: out[z][y] = taps(src + z * sz + y * sy)
+   * hf for nz * ny rows of r points; out rows are W doubles.  Mixed second
+   derivatives are two of these composed through an intermediate T that
+   keeps the full padded extent along the second axis, with the 1/h
+   factor applied after each pass (matching d2_mixed). */
+static void sweep(const double* src, long sz, long sy, long nz, long ny,
+                  long r, double* out, const double* w, long stride,
+                  double hf)
 {
-    for (long zz = 0; zz < P; ++zz)
-    for (long y = 0; y < r; ++y) {
-        const double* row = u + ((zz * P) + (y + k)) * P + k;
-        double* trow = T + ((zz * r) + y) * r;
-        for (long x = 0; x < r; ++x) {
-            double ev = w[0] * row[x - 3] + w[2] * row[x - 1]
-                      + w[4] * row[x + 1] + w[6] * row[x + 3];
-            double od = w[1] * row[x - 2] + w[3] * row[x]
-                      + w[5] * row[x + 2];
-            trow[x] = (ev + od) * hf;
-        }
-    }
-    for (long z = 0; z < r; ++z)
-    for (long y = 0; y < r; ++y) {
-        const double* trow = T + (((z + k) * r) + y) * r;
-        double* orow = out + ((z * r) + y) * r;
-        for (long x = 0; x < r; ++x) {
-            double acc = 0.0;
-            for (int t = 0; t < 7; ++t)
-                acc += w[t] * trow[x + (t - 3) * r * r];
-            orow[x] = acc * hf;
-        }
-    }
+    const long W = (r + LANES - 1) / LANES * LANES;
+    const v8 f = bc(hf);
+    for (long z = 0; z < nz; ++z)
+    for (long y = 0; y < ny; ++y)
+    for (long x = 0; x < r; x += LANES)
+        st(out + (z * ny + y) * W + x,
+           taps(src + z * sz + y * sy + x, w, 7, 3, stride) * f, LANES);
 }
 
-static void d2_mixed_yz(const double* u, double* out, double* T,
-                        const double* w, long P, long r, long k, double hf)
-{
-    for (long zz = 0; zz < P; ++zz)
-    for (long y = 0; y < r; ++y) {
-        const double* c0 = u + ((zz * P) + (y + k)) * P + k;
-        double* trow = T + ((zz * r) + y) * r;
-        for (long x = 0; x < r; ++x) {
-            double acc = 0.0;
-            for (int t = 0; t < 7; ++t)    /* y: stride P -> forward */
-                acc += w[t] * c0[x + (t - 3) * P];
-            trow[x] = acc * hf;
-        }
-    }
-    for (long z = 0; z < r; ++z)
-    for (long y = 0; y < r; ++y) {
-        const double* trow = T + (((z + k) * r) + y) * r;
-        double* orow = out + ((z * r) + y) * r;
-        for (long x = 0; x < r; ++x) {
-            double acc = 0.0;
-            for (int t = 0; t < 7; ++t)
-                acc += w[t] * trow[x + (t - 3) * r * r];
-            orow[x] = acc * hf;
-        }
-    }
-}
-
-/* Upwind-biased d1: both one-sided candidates, then a pointwise select
-   on the shift sign (beta >= 0 false for NaN, matching np.copyto with
-   a greater_equal mask). */
-static void upwind_d1(const double* u, const double* beta, double* out,
-                      double* dpos, double* dneg, const double* wp,
-                      const double* wn, long P, long r, long k,
-                      long stride, double hf)
-{
-    sweep(u, dpos, wp, P, r, k, stride, 6, 2, hf, 0);
-    sweep(u, dneg, wn, P, r, k, stride, 6, 3, hf, 0);
-    for (long z = 0; z < r; ++z)
-    for (long y = 0; y < r; ++y)
-    for (long x = 0; x < r; ++x) {
-        const long pp = ((z * r) + y) * r + x;
-        const double b = beta[(((z + k) * P) + (y + k)) * P + (x + k)];
-        out[pp] = (b >= 0.0) ? dpos[pp] : dneg[pp];
-    }
-}
+/* the row vectors of an r^3 octant: row (z, y) from point x on */
+#define FOR_ROWS(r) \
+    for (long z = 0; z < (r); ++z) \
+    for (long y = 0; y < (r); ++y) \
+    for (long x = 0; x < (r); x += LANES)
 
 /* Linear wave RHS for one chunk: laplacian * c^2 into rhs_pi, KO(phi)
    * sigma + pi into rhs_phi, KO(pi) * sigma into ko_pi (and added to
@@ -312,38 +294,22 @@ void wave_rhs_chunk(const double* patches, long ntot, long lo, long nc,
 {
     const long PPP = P * P * P;
     const long NP = r * r * r;
+    const v8 vc2 = bc(c2), vsigma = bc(sigma);
     for (long i = 0; i < nc; ++i) {
-        const long g = lo + i;
-        const double* phi = patches + ((0L * ntot + g) * PPP);
-        const double* pi  = patches + ((1L * ntot + g) * PPP);
-        double* rf = rhs_phi + i * NP;
-        double* rp = rhs_pi + i * NP;
-        double* kp = ko_pi + i * NP;
-        const double f1 = hf1[i], f2 = hf2[i];
-        sweep(phi, rp, w2, P, r, k, 1, 7, 3, f2, 0);
-        sweep(phi, rp, w2, P, r, k, P, 7, 3, f2, 1);
-        sweep(phi, rp, w2, P, r, k, P * P, 7, 3, f2, 1);
-        for (long p = 0; p < NP; ++p) rp[p] *= c2;
-        sweep(phi, rf, wko, P, r, k, 1, 7, 3, f1, 0);
-        sweep(phi, rf, wko, P, r, k, P, 7, 3, f1, 1);
-        sweep(phi, rf, wko, P, r, k, P * P, 7, 3, f1, 1);
-        for (long z = 0; z < r; ++z)
-        for (long y = 0; y < r; ++y)
-        for (long x = 0; x < r; ++x) {
-            const long pp = ((z * r) + y) * r + x;
+        const double* phi = patches + (lo + i) * PPP;
+        const double* pi = phi + ntot * PPP;
+        const v8 f1 = bc(hf1[i]), f2 = bc(hf2[i]);
+        FOR_ROWS(r) {
             const long pc = (((z + k) * P) + (y + k)) * P + (x + k);
-            rf[pp] = rf[pp] * sigma + pi[pc];
-        }
-        sweep(pi, kp, wko, P, r, k, 1, 7, 3, f1, 0);
-        sweep(pi, kp, wko, P, r, k, P, 7, 3, f1, 1);
-        sweep(pi, kp, wko, P, r, k, P * P, 7, 3, f1, 1);
-        if (finalize_pi) {
-            for (long p = 0; p < NP; ++p) {
-                kp[p] *= sigma;
-                rp[p] += kp[p];
-            }
-        } else {
-            for (long p = 0; p < NP; ++p) kp[p] *= sigma;
+            const long pp = i * NP + ((z * r) + y) * r + x;
+            const long n = r - x < LANES ? r - x : LANES;
+            v8 rp = taps_xyz(phi + pc, w2, P, f2) * vc2;
+            const v8 kp = taps_xyz(pi + pc, wko, P, f1) * vsigma;
+            if (finalize_pi) rp += kp;
+            st(rhs_phi + pp,
+               taps_xyz(phi + pc, wko, P, f1) * vsigma + ld(pi + pc), n);
+            st(rhs_pi + pp, rp, n);
+            st(ko_pi + pp, kp, n);
         }
     }
 }
@@ -481,7 +447,7 @@ void sommerfeld_faces(const double* patches, long ntot, long nvars,
 FFI_DECLS = """
 void bssn_rhs_chunk(const double* patches, long ntot, long lo, long nc,
                     long P, long r, long k,
-                    const double* hf1, const double* hf2, const double* hfk,
+                    const double* hf1, const double* hf2,
                     const double* w1, const double* w2, const double* wko,
                     const double* wup, const double* wun,
                     const double* params, double* rhs, double* scratch);
@@ -508,6 +474,10 @@ void sommerfeld_faces(const double* patches, long ntot, long nvars,
 """
 
 
+#: a numeric literal of a lowered statement (operands are names or these)
+_LITERAL_RE = re.compile(r"(?<![\w.])-?\d+\.\d*(?:e[-+]?\d+)?")
+
+
 def emit_c_source(spec: KernelSpec) -> str:
     """Full C translation unit: stencil helpers, the wave kernel, and the
     fused BSSN chunk kernel whose A body is generated from ``spec``."""
@@ -523,8 +493,7 @@ def emit_c_source(spec: KernelSpec) -> str:
         "void bssn_rhs_chunk(const double* patches, long ntot, long lo,"
         " long nc,\n"
         "                    long P, long r, long k,\n"
-        "                    const double* hf1, const double* hf2,"
-        " const double* hfk,\n"
+        "                    const double* hf1, const double* hf2,\n"
         "                    const double* w1, const double* w2,"
         " const double* wko,\n"
         "                    const double* wup, const double* wun,\n"
@@ -533,91 +502,94 @@ def emit_c_source(spec: KernelSpec) -> str:
         "{"
     )
     a = lines.append
-    a("    const long PPP = P * P * P;")
-    a("    const long NP = r * r * r;")
+    a("    const long PP = P * P, PPP = PP * P, NP = r * r * r;")
+    a("    const long W = (r + LANES - 1) / LANES * LANES;")
+    a("    /* one scratch block: r * r rows of W; first interior point */")
+    a("    const long NB = r * r * W, c0 = k * (PP + P + 1);")
+    a(f"    static const long s2vars[{len(_S2)}] = "
+      f"{{{', '.join(map(str, _S2))}}};")
     for j, name in enumerate(PARAM_ORDER):
-        a(f"    const double {name} = params[{j}];")
-    a(f"    const double p_chi_floor = params[{IDX_CHI_FLOOR}];")
-    a(f"    const double p_ko_sigma = params[{IDX_KO_SIGMA}];")
+        a(f"    const v8 {name} = bc(params[{j}]);")
+    a(f"    const v8 p_chi_floor = bc(params[{IDX_CHI_FLOOR}]);")
+    a(f"    const v8 p_ko_sigma = bc(params[{IDX_KO_SIGMA}]);")
     a(f"    const int use_upwind = (int)params[{IDX_USE_UPWIND}];")
-    a(f"    double* d1s = scratch;")
-    a(f"    double* advs = use_upwind ? scratch + {OFF_ADV}L * NP : d1s;")
-    a(f"    double* d2s = scratch + {OFF_D2}L * NP;")
-    a(f"    double* kos = scratch + {OFF_KO}L * NP;")
-    a(f"    double* T = scratch + {OFF_TMP}L * NP;")
-    a("    double* dpos = T + P * r * r;")
-    a("    double* dneg = dpos + NP;")
+    a("    double* d1s = scratch;")
+    a(f"    double* advs = use_upwind ? scratch + {OFF_ADV}L * NB : d1s;")
+    a(f"    double* d2s = scratch + {OFF_D2}L * NB;")
+    a(f"    double* kos = scratch + {OFF_KO}L * NB;")
+    a(f"    double* T = scratch + {OFF_TMP}L * NB;")
     a("    for (long i = 0; i < nc; ++i) {")
     a("        const long g = lo + i;")
-    a("        const double fx1 = hf1[i], fx2 = hf2[i], fxk = hfk[i];")
-    a("        /* D stage: all first derivatives + summed KO */")
+    a("        const double fx1 = hf1[i], fx2 = hf2[i];")
+    a("        const v8 f1 = bc(fx1);")
+    a("        /* D stage: first derivatives, upwind ones selected on the")
+    a("           shift sign (beta >= 0 is false for NaN, matching np.copyto")
+    a("           with a greater_equal mask), and the summed KO */")
     a(f"        for (long v = 0; v < {S.NUM_VARS}; ++v) {{")
-    a("            const double* pu = patches + ((v * ntot + g) * PPP);")
-    a("            sweep(pu, d1s + (v * 3 + 0) * NP, w1, P, r, k, 1, 7, 3,"
-      " fx1, 0);")
-    a("            sweep(pu, d1s + (v * 3 + 1) * NP, w1, P, r, k, P, 7, 3,"
-      " fx1, 0);")
-    a("            sweep(pu, d1s + (v * 3 + 2) * NP, w1, P, r, k, P * P, 7,"
-      " 3, fx1, 0);")
-    a("            sweep(pu, kos + v * NP, wko, P, r, k, 1, 7, 3, fxk, 0);")
-    a("            sweep(pu, kos + v * NP, wko, P, r, k, P, 7, 3, fxk, 1);")
-    a("            sweep(pu, kos + v * NP, wko, P, r, k, P * P, 7, 3, fxk,"
-      " 1);")
-    a("        }")
-    a("        if (use_upwind) {")
-    a(f"            for (long v = 0; v < {S.NUM_VARS}; ++v) {{")
-    a("                const double* pu = patches + ((v * ntot + g) * PPP);")
-    for d, beta_var in enumerate(S.BETA):
-        stride = ("1", "P", "P * P")[d]
-        a(f"                upwind_d1(pu, patches + (({beta_var}L * ntot"
-          f" + g) * PPP),")
-        a(f"                          advs + (v * 3 + {d}) * NP, dpos, dneg,"
-          " wup, wun,")
-        a(f"                          P, r, k, {stride}, fx1);")
+    a("            const double* pu = patches + (v * ntot + g) * PPP + c0;")
+    strides = ("1", "P", "PP")
+    for d, stride in enumerate(strides):
+        a(f"            sweep(pu, PP, P, r, r, r, d1s + (v * 3 + {d}) * NB,"
+          f" w1, {stride}, fx1);")
+    a("            FOR_ROWS(r) {")
+    a("                const long pc = (z * P + y) * P + x;")
+    a("                const long pp = (z * r + y) * W + x;")
+    a("                st(kos + v * NB + pp, taps_xyz(pu + pc, wko, P, f1),"
+      " LANES);")
+    a("                if (use_upwind) {")
+    for (d, stride), beta_var in zip(enumerate(strides), S.BETA):
+        a(f"                    st(advs + (v * 3 + {d}) * NB + pp, sel(")
+        a(f"                        ld(patches + ({beta_var}L * ntot + g) * PPP"
+          " + c0 + pc) >= bc(0.0),")
+        a(f"                        taps(pu + pc, wup, 6, 2, {stride}) * f1,")
+        a(f"                        taps(pu + pc, wun, 6, 3, {stride}) * f1),"
+          " LANES);")
+    a("                }")
     a("            }")
     a("        }")
-    a("        /* second derivatives of the 11 SECOND_DERIV_VARS */")
-    for s2i, var in enumerate(_S2):
-        base = f"d2s + ({s2i} * 6"
-        a(f"        {{ const double* pu = patches + (({var}L * ntot + g)"
-          " * PPP);")
-        a(f"          sweep(pu, {base} + 0) * NP, w2, P, r, k, 1, 7, 3,"
-          " fx2, 0);")
-        a(f"          d2_mixed_xy(pu, {base} + 1) * NP, T, w1, P, r, k,"
-          " fx1);")
-        a(f"          d2_mixed_xz(pu, {base} + 2) * NP, T, w1, P, r, k,"
-          " fx1);")
-        a(f"          sweep(pu, {base} + 3) * NP, w2, P, r, k, P, 7, 3,"
-          " fx2, 0);")
-        a(f"          d2_mixed_yz(pu, {base} + 4) * NP, T, w1, P, r, k,"
-          " fx1);")
-        a(f"          sweep(pu, {base} + 5) * NP, w2, P, r, k, P * P, 7, 3,"
-          " fx2, 0); }")
+    a("        /* second derivatives of the SECOND_DERIV_VARS: xx xy xz"
+      " yy yz zz */")
+    a(f"        for (long s = 0; s < {len(_S2)}; ++s) {{")
+    a("            const double* pu = patches + (s2vars[s] * ntot + g) * PPP;")
+    a("            double* d2 = d2s + s * 6 * NB;")
+    for block, stride in zip((0, 3, 5), strides):
+        a(f"            sweep(pu + c0, PP, P, r, r, r, d2 + {block} * NB,"
+          f" w2, {stride}, fx2);")
+    a("            sweep(pu + k * PP + k, PP, P, r, P, r, T, w1, 1, fx1);")
+    a("            sweep(T + k * W, P * W, W, r, r, r, d2 + 1 * NB, w1, W,"
+      " fx1);")
+    for block, stride in ((2, "1"), (4, "P")):
+        a(f"            sweep(pu + k * P + k, PP, P, P, r, r, T, w1,"
+          f" {stride}, fx1);")
+        a(f"            sweep(T + k * r * W, r * W, W, r, r, r,"
+          f" d2 + {block} * NB, w1, r * W, fx1);")
+    a("        }")
     a("        /* A stage: the scheduled algebra + KO add, one pass */")
     for name in values:
         idx = S.VAR_NAMES.index(name)
-        a(f"        const double* pv_{name} = patches + (({idx}L * ntot"
-          " + g) * PPP);")
-    a("        for (long z = 0; z < r; ++z)")
-    a("        for (long y = 0; y < r; ++y)")
-    a("        for (long x = 0; x < r; ++x) {")
-    a("            const long pp = ((z * r) + y) * r + x;")
-    a("            const long pc = (((z + k) * P) + (y + k)) * P + (x + k);")
+        a(f"        const double* pv_{name} = patches + ({idx}L * ntot"
+          " + g) * PPP + c0;")
+    a("        FOR_ROWS(r) {")
+    a("            const long pc = (z * P + y) * P + x;")
+    a("            const long pp = (z * r + y) * W + x;")
+    a("            const long n = r - x < LANES ? r - x : LANES;")
+    a("            double* out = rhs + g * NP + (z * r + y) * r + x;")
     for name in values:
         if name == "chi":
-            a(f"            const double {name} = np_maximum(pv_{name}[pc],"
+            a(f"            const v8 {name} = np_maximum(ld(pv_{name} + pc),"
               " p_chi_floor);")
         else:
-            a(f"            const double {name} = pv_{name}[pc];")
+            a(f"            const v8 {name} = ld(pv_{name} + pc);")
     for name in derivs:
         region, block = _deriv_block(name)
-        a(f"            const double {name} = {region}[{block}L * NP + pp];")
+        a(f"            const v8 {name} = ld({region} + {block}L * NB + pp);")
     for kind, tgt, expr in lowered_statements(spec, "c"):
+        expr = _LITERAL_RE.sub(r"bc(\g<0>)", expr)
         if kind == "out":
-            a(f"            rhs[({tgt}L * nc + i) * NP + pp] = ({expr})"
-              f" + kos[{tgt}L * NP + pp] * p_ko_sigma;")
+            a(f"            st(out + {tgt}L * ntot * NP, ({expr})"
+              f" + ld(kos + {tgt}L * NB + pp) * p_ko_sigma, n);")
         else:
-            a(f"            const double {tgt} = {expr};")
+            a(f"            const v8 {tgt} = {expr};")
     a("        }")
     a("    }")
     a("}")
@@ -645,106 +617,34 @@ def _np_maximum(a, b):
     return a if a > b else b
 
 
-def _sweep(u, ub, out, ob, w, P, r, k, stride, nw, left, hf, add):
-    for z in range(r):
-        for y in range(r):
-            row = ub + (((z + k) * P) + (y + k)) * P + k
-            orow = ob + ((z * r) + y) * r
-            for x in range(r):
-                c = row + x
-                if stride == 1:
-                    ev = w[0] * u[c - left]
-                    od = w[1] * u[c + 1 - left]
-                    for t in range(2, nw, 2):
-                        ev += w[t] * u[c + t - left]
-                    for t in range(3, nw, 2):
-                        od += w[t] * u[c + t - left]
-                    acc = ev + od
-                else:
-                    acc = 0.0
-                    for t in range(nw):
-                        acc += w[t] * u[c + (t - left) * stride]
-                if add:
-                    out[orow + x] += acc * hf
-                else:
-                    out[orow + x] = acc * hf
+def _taps(u, c, w, nw, left, stride):
+    if stride == 1:
+        ev = w[0] * u[c - left]
+        od = w[1] * u[c + 1 - left]
+        for t in range(2, nw, 2):
+            ev += w[t] * u[c + t - left]
+        for t in range(3, nw, 2):
+            od += w[t] * u[c + t - left]
+        return ev + od
+    acc = 0.0
+    for t in range(nw):
+        acc += w[t] * u[c + (t - left) * stride]
+    return acc
 
 
-def _d2_mixed_xy(u, ub, out, ob, T, tb, w, P, r, k, hf):
-    for z in range(r):
-        for yy in range(P):
-            row = ub + (((z + k) * P) + yy) * P + k
-            trow = tb + ((z * P) + yy) * r
-            for x in range(r):
-                ev = (w[0] * u[row + x - 3] + w[2] * u[row + x - 1]
-                      + w[4] * u[row + x + 1] + w[6] * u[row + x + 3])
-                od = (w[1] * u[row + x - 2] + w[3] * u[row + x]
-                      + w[5] * u[row + x + 2])
-                T[trow + x] = (ev + od) * hf
-    for z in range(r):
-        for y in range(r):
-            trow = tb + ((z * P) + (y + k)) * r
-            orow = ob + ((z * r) + y) * r
-            for x in range(r):
-                acc = 0.0
-                for t in range(7):
-                    acc += w[t] * T[trow + x + (t - 3) * r]
-                out[orow + x] = acc * hf
+def _taps_xyz(u, c, w, P, f):
+    acc = _taps(u, c, w, 7, 3, 1) * f
+    acc += _taps(u, c, w, 7, 3, P) * f
+    acc += _taps(u, c, w, 7, 3, P * P) * f
+    return acc
 
 
-def _d2_mixed_xz(u, ub, out, ob, T, tb, w, P, r, k, hf):
-    for zz in range(P):
-        for y in range(r):
-            row = ub + ((zz * P) + (y + k)) * P + k
-            trow = tb + ((zz * r) + y) * r
+def _sweep(src, c0, sz, sy, nz, ny, r, W, out, ob, w, stride, hf):
+    for z in range(nz):
+        for y in range(ny):
             for x in range(r):
-                ev = (w[0] * u[row + x - 3] + w[2] * u[row + x - 1]
-                      + w[4] * u[row + x + 1] + w[6] * u[row + x + 3])
-                od = (w[1] * u[row + x - 2] + w[3] * u[row + x]
-                      + w[5] * u[row + x + 2])
-                T[trow + x] = (ev + od) * hf
-    for z in range(r):
-        for y in range(r):
-            trow = tb + (((z + k) * r) + y) * r
-            orow = ob + ((z * r) + y) * r
-            for x in range(r):
-                acc = 0.0
-                for t in range(7):
-                    acc += w[t] * T[trow + x + (t - 3) * r * r]
-                out[orow + x] = acc * hf
-
-
-def _d2_mixed_yz(u, ub, out, ob, T, tb, w, P, r, k, hf):
-    for zz in range(P):
-        for y in range(r):
-            c0 = ub + ((zz * P) + (y + k)) * P + k
-            trow = tb + ((zz * r) + y) * r
-            for x in range(r):
-                acc = 0.0
-                for t in range(7):
-                    acc += w[t] * u[c0 + x + (t - 3) * P]
-                T[trow + x] = acc * hf
-    for z in range(r):
-        for y in range(r):
-            trow = tb + (((z + k) * r) + y) * r
-            orow = ob + ((z * r) + y) * r
-            for x in range(r):
-                acc = 0.0
-                for t in range(7):
-                    acc += w[t] * T[trow + x + (t - 3) * r * r]
-                out[orow + x] = acc * hf
-
-
-def _upwind_d1(u, ub, beta, bb, s, ob, dpos, dneg, wp, wn,
-               P, r, k, stride, hf):
-    _sweep(u, ub, s, dpos, wp, P, r, k, stride, 6, 2, hf, 0)
-    _sweep(u, ub, s, dneg, wn, P, r, k, stride, 6, 3, hf, 0)
-    for z in range(r):
-        for y in range(r):
-            for x in range(r):
-                pp = ((z * r) + y) * r + x
-                b = beta[bb + (((z + k) * P) + (y + k)) * P + (x + k)]
-                s[ob + pp] = s[dpos + pp] if b >= 0.0 else s[dneg + pp]
+                out[ob + (z * ny + y) * W + x] = _taps(
+                    src, c0 + z * sz + y * sy + x, w, 7, 3, stride) * hf
 
 
 def wave_rhs_chunk(patches, ntot, lo, nc, P, r, k, hf1, hf2, w2, wko,
@@ -752,39 +652,23 @@ def wave_rhs_chunk(patches, ntot, lo, nc, P, r, k, hf1, hf2, w2, wko,
     PPP = P * P * P
     NP = r * r * r
     for i in range(nc):
-        g = lo + i
-        phi = (0 * ntot + g) * PPP
-        pi = (1 * ntot + g) * PPP
-        rf = i * NP
-        rp = i * NP
-        kp = i * NP
+        phi = (lo + i) * PPP
+        pi = phi + ntot * PPP
         f1 = hf1[i]
         f2 = hf2[i]
-        _sweep(patches, phi, rhs_pi, rp, w2, P, r, k, 1, 7, 3, f2, 0)
-        _sweep(patches, phi, rhs_pi, rp, w2, P, r, k, P, 7, 3, f2, 1)
-        _sweep(patches, phi, rhs_pi, rp, w2, P, r, k, P * P, 7, 3, f2, 1)
-        for p in range(NP):
-            rhs_pi[rp + p] *= c2
-        _sweep(patches, phi, rhs_phi, rf, wko, P, r, k, 1, 7, 3, f1, 0)
-        _sweep(patches, phi, rhs_phi, rf, wko, P, r, k, P, 7, 3, f1, 1)
-        _sweep(patches, phi, rhs_phi, rf, wko, P, r, k, P * P, 7, 3, f1, 1)
         for z in range(r):
             for y in range(r):
                 for x in range(r):
-                    pp = ((z * r) + y) * r + x
                     pc = (((z + k) * P) + (y + k)) * P + (x + k)
-                    rhs_phi[rf + pp] = rhs_phi[rf + pp] * sigma \\
-                        + patches[pi + pc]
-        _sweep(patches, pi, ko_pi, kp, wko, P, r, k, 1, 7, 3, f1, 0)
-        _sweep(patches, pi, ko_pi, kp, wko, P, r, k, P, 7, 3, f1, 1)
-        _sweep(patches, pi, ko_pi, kp, wko, P, r, k, P * P, 7, 3, f1, 1)
-        if finalize_pi:
-            for p in range(NP):
-                ko_pi[kp + p] *= sigma
-                rhs_pi[rp + p] += ko_pi[kp + p]
-        else:
-            for p in range(NP):
-                ko_pi[kp + p] *= sigma
+                    pp = i * NP + ((z * r) + y) * r + x
+                    rp = _taps_xyz(patches, phi + pc, w2, P, f2) * c2
+                    kp = _taps_xyz(patches, pi + pc, wko, P, f1) * sigma
+                    if finalize_pi:
+                        rp += kp
+                    rhs_phi[pp] = _taps_xyz(patches, phi + pc, wko, P, f1) \\
+                        * sigma + patches[pi + pc]
+                    rhs_pi[pp] = rp
+                    ko_pi[pp] = kp
 
 
 def unzip_scatter(src, src_var, dst, dst_var, nvars, table, row_lo, row_hi,
@@ -879,9 +763,9 @@ def sommerfeld_faces(patches, ntot, nvars, table, nrows, P, r, k, hf1, w1,
 
 #: names of the jittable functions the Python source defines
 PY_KERNEL_NAMES = (
-    "_np_maximum", "_sweep", "_d2_mixed_xy", "_d2_mixed_xz", "_d2_mixed_yz",
-    "_upwind_d1", "wave_rhs_chunk", "bssn_rhs_chunk", "unzip_scatter",
-    "unzip_interior", "_tap_sum", "extrapolate_faces", "sommerfeld_faces",
+    "_np_maximum", "_taps", "_taps_xyz", "_sweep", "wave_rhs_chunk",
+    "bssn_rhs_chunk", "unzip_scatter", "unzip_interior", "_tap_sum",
+    "extrapolate_faces", "sommerfeld_faces",
 )
 
 
@@ -892,75 +776,75 @@ def emit_py_source(spec: KernelSpec) -> str:
     a = lines.append
     a(f"# variant: {spec.variant};"
       f" schedule digest: {schedule_digest(spec.statements)}")
-    a("def bssn_rhs_chunk(patches, ntot, lo, nc, P, r, k, hf1, hf2, hfk,")
+    a("def bssn_rhs_chunk(patches, ntot, lo, nc, P, r, k, hf1, hf2,")
     a("                   w1, w2, wko, wup, wun, params, rhs, scratch):")
-    a("    PPP = P * P * P")
+    a("    PP = P * P")
+    a("    PPP = PP * P")
     a("    NP = r * r * r")
+    a(f"    W = (r + {LANES - 1}) // {LANES} * {LANES}")
+    a("    NB = r * r * W")
+    a("    c0 = k * (PP + P + 1)")
     for j, name in enumerate(PARAM_ORDER):
         a(f"    {name} = params[{j}]")
     a(f"    p_chi_floor = params[{IDX_CHI_FLOOR}]")
     a(f"    p_ko_sigma = params[{IDX_KO_SIGMA}]")
     a(f"    use_upwind = params[{IDX_USE_UPWIND}] != 0.0")
     a("    d1s = 0")
-    a(f"    advs = {OFF_ADV} * NP if use_upwind else 0")
-    a(f"    d2s = {OFF_D2} * NP")
-    a(f"    kos = {OFF_KO} * NP")
-    a(f"    T = {OFF_TMP} * NP")
-    a("    dpos = T + P * r * r")
-    a("    dneg = dpos + NP")
+    a(f"    advs = {OFF_ADV} * NB if use_upwind else 0")
+    a(f"    d2s = {OFF_D2} * NB")
+    a(f"    kos = {OFF_KO} * NB")
+    a(f"    T = {OFF_TMP} * NB")
     a("    s = scratch")
     a("    for i in range(nc):")
     a("        g = lo + i")
     a("        fx1 = hf1[i]")
     a("        fx2 = hf2[i]")
-    a("        fxk = hfk[i]")
     a(f"        for v in range({S.NUM_VARS}):")
-    a("            pu = (v * ntot + g) * PPP")
-    a("            _sweep(patches, pu, s, d1s + (v * 3 + 0) * NP, w1,"
-      " P, r, k, 1, 7, 3, fx1, 0)")
-    a("            _sweep(patches, pu, s, d1s + (v * 3 + 1) * NP, w1,"
-      " P, r, k, P, 7, 3, fx1, 0)")
-    a("            _sweep(patches, pu, s, d1s + (v * 3 + 2) * NP, w1,"
-      " P, r, k, P * P, 7, 3, fx1, 0)")
-    a("            _sweep(patches, pu, s, kos + v * NP, wko,"
-      " P, r, k, 1, 7, 3, fxk, 0)")
-    a("            _sweep(patches, pu, s, kos + v * NP, wko,"
-      " P, r, k, P, 7, 3, fxk, 1)")
-    a("            _sweep(patches, pu, s, kos + v * NP, wko,"
-      " P, r, k, P * P, 7, 3, fxk, 1)")
-    a("        if use_upwind:")
-    a(f"            for v in range({S.NUM_VARS}):")
-    a("                pu = (v * ntot + g) * PPP")
-    for d, beta_var in enumerate(S.BETA):
-        stride = ("1", "P", "P * P")[d]
-        a(f"                _upwind_d1(patches, pu, patches,"
-          f" ({beta_var} * ntot + g) * PPP,")
-        a(f"                           s, advs + (v * 3 + {d}) * NP,"
-          " dpos, dneg,")
-        a(f"                           wup, wun, P, r, k, {stride}, fx1)")
+    a("            pu = (v * ntot + g) * PPP + c0")
+    strides = ("1", "P", "PP")
+    for d, stride in enumerate(strides):
+        a(f"            _sweep(patches, pu, PP, P, r, r, r, W, s,"
+          f" d1s + (v * 3 + {d}) * NB, w1, {stride}, fx1)")
+    a("            for z in range(r):")
+    a("              for y in range(r):")
+    a("                for x in range(r):")
+    a("                    pc = (z * P + y) * P + x")
+    a("                    pp = (z * r + y) * W + x")
+    a("                    s[kos + v * NB + pp] = _taps_xyz("
+      "patches, pu + pc, wko, P, fx1)")
+    a("                    if use_upwind:")
+    for (d, stride), beta_var in zip(enumerate(strides), S.BETA):
+        a(f"                        if patches[({beta_var} * ntot + g) * PPP"
+          " + c0 + pc] >= 0.0:")
+        a(f"                            s[advs + (v * 3 + {d}) * NB + pp] ="
+          f" _taps(patches, pu + pc, wup, 6, 2, {stride}) * fx1")
+        a("                        else:")
+        a(f"                            s[advs + (v * 3 + {d}) * NB + pp] ="
+          f" _taps(patches, pu + pc, wun, 6, 3, {stride}) * fx1")
     for s2i, var in enumerate(_S2):
-        base = f"d2s + ({s2i} * 6"
         a(f"        pu = ({var} * ntot + g) * PPP")
-        a(f"        _sweep(patches, pu, s, {base} + 0) * NP, w2,"
-          " P, r, k, 1, 7, 3, fx2, 0)")
-        a(f"        _d2_mixed_xy(patches, pu, s, {base} + 1) * NP, s, T,"
-          " w1, P, r, k, fx1)")
-        a(f"        _d2_mixed_xz(patches, pu, s, {base} + 2) * NP, s, T,"
-          " w1, P, r, k, fx1)")
-        a(f"        _sweep(patches, pu, s, {base} + 3) * NP, w2,"
-          " P, r, k, P, 7, 3, fx2, 0)")
-        a(f"        _d2_mixed_yz(patches, pu, s, {base} + 4) * NP, s, T,"
-          " w1, P, r, k, fx1)")
-        a(f"        _sweep(patches, pu, s, {base} + 5) * NP, w2,"
-          " P, r, k, P * P, 7, 3, fx2, 0)")
+        a(f"        d2 = d2s + {s2i * 6} * NB")
+        for block, stride in zip((0, 3, 5), strides):
+            a(f"        _sweep(patches, pu + c0, PP, P, r, r, r, W, s,"
+              f" d2 + {block} * NB, w2, {stride}, fx2)")
+        a("        _sweep(patches, pu + k * PP + k, PP, P, r, P, r, W, s, T,"
+          " w1, 1, fx1)")
+        a("        _sweep(s, T + k * W, P * W, W, r, r, r, W, s, d2 + 1 * NB,"
+          " w1, W, fx1)")
+        for block, stride in ((2, "1"), (4, "P")):
+            a("        _sweep(patches, pu + k * P + k, PP, P, P, r, r, W, s, T,"
+              f" w1, {stride}, fx1)")
+            a("        _sweep(s, T + k * r * W, r * W, W, r, r, r, W, s,"
+              f" d2 + {block} * NB, w1, r * W, fx1)")
     for name in values:
         idx = S.VAR_NAMES.index(name)
-        a(f"        pv_{name} = ({idx} * ntot + g) * PPP")
+        a(f"        pv_{name} = ({idx} * ntot + g) * PPP + c0")
     a("        for z in range(r):")
     a("          for y in range(r):")
     a("            for x in range(r):")
-    a("                pp = ((z * r) + y) * r + x")
-    a("                pc = (((z + k) * P) + (y + k)) * P + (x + k)")
+    a("                pc = (z * P + y) * P + x")
+    a("                pp = (z * r + y) * W + x")
+    a("                out = g * NP + (z * r + y) * r + x")
     for name in values:
         if name == "chi":
             a(f"                {name} = _np_maximum(patches[pv_{name}"
@@ -969,11 +853,11 @@ def emit_py_source(spec: KernelSpec) -> str:
             a(f"                {name} = patches[pv_{name} + pc]")
     for name in derivs:
         region, block = _deriv_block(name)
-        a(f"                {name} = s[{region} + {block} * NP + pp]")
+        a(f"                {name} = s[{region} + {block} * NB + pp]")
     for kind, tgt, expr in lowered_statements(spec, "py"):
         if kind == "out":
-            a(f"                rhs[({tgt} * nc + i) * NP + pp] = ({expr})"
-              f" + s[kos + {tgt} * NP + pp] * p_ko_sigma")
+            a(f"                rhs[out + {tgt} * ntot * NP] = ({expr})"
+              f" + s[kos + {tgt} * NB + pp] * p_ko_sigma")
         else:
             a(f"                {tgt} = {expr}")
     return "\n".join(lines) + "\n"
@@ -987,7 +871,8 @@ class ToolchainError(RuntimeError):
     """No working C toolchain / cffi for the native backend."""
 
 
-#: -O3 -march=native lets the compiler vectorise the sweeps across x.
+#: -march=native lets the compiler keep each 8-lane row vector of the
+#: chunk kernels in the host's widest registers (and vectorise the rest).
 #: That cannot change a bit: without -ffast-math it may not reassociate,
 #: and -ffp-contract=off forbids fusing a multiply and an add into an
 #: FMA (which -march=native would otherwise make available), so every

@@ -312,22 +312,31 @@ def scenario_partition(workdir, reference, *, quick: bool, seed: int = 0,
                         queues_out=queues, threads_out=threads)
         _wait(lambda: queue.counts().get("done", 0) >= 1, drain_timeout)
         t_cut = time.time()
-        proxy.partition(partition_seconds)
+
+        def journaled():
+            # ops journaled while the link is down = degraded-mode progress
+            return [op for op in queue._ops()
+                    if op.get("op") in ("claim", "done")
+                    and op.get("wall", 0.0) >= t_cut + 0.2]
+
+        proxy.partition()
         cut_until = time.monotonic() + partition_seconds
-        while time.monotonic() < cut_until:  # proxy heals itself after
+        give_up = time.monotonic() + drain_timeout
+        # the cut lasts partition_seconds, and on until a worker has made
+        # progress without the coordinator -- however slow the host
+        while time.monotonic() < cut_until or not (
+                journaled() or queue.drained()
+                or time.monotonic() > give_up):
             degraded_seen = degraded_seen or any(q.degraded for q in queues)
             time.sleep(0.05)
-        t_heal = time.time()
+        during = journaled()
+        proxy.heal()
         drained = _wait(lambda: queue.drained(), drain_timeout)
         for t in threads:
             t.join(drain_timeout)
     finally:
         proxy.stop()
         coord.stop()
-    # ops journaled while the link was down = degraded-mode progress
-    during = [op for op in queue._ops()
-              if op.get("op") in ("claim", "done")
-              and t_cut + 0.2 <= op.get("wall", 0.0) <= t_heal]
     audit = exactly_once(root)
     match = _digest_match(reference, digests(root))
     return {

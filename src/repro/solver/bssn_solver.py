@@ -222,10 +222,7 @@ class BSSNSolver(Solver):
         rhs = np.empty_like(u) if out is None else out  # alloc-ok: fallback
         for lo in range(0, n, self.chunk):
             hi = min(lo + self.chunk, n)
-            chunk_rhs = self.kernel(patches, lo, hi, mesh, self.params, pool,
-                                    prof)
-            with prof.phase("zip"):
-                rhs[:, lo:hi] = chunk_rhs
+            self.kernel(patches, lo, hi, mesh, self.params, rhs, pool, prof)
         self._sommerfeld(rhs, patches, ASYMPTOTIC, 1.0)
         return rhs
 

@@ -50,6 +50,27 @@ def test_bssn_step_audits_clean(bssn_solver):
     assert {"unzip", "deriv", "algebra"} <= set(report.phases_seen())
 
 
+def test_compiled_bssn_step_audits_clean_without_a_chunk_buffer(bssn_solver):
+    """The native kernel writes octants ``lo:hi`` of the RK4 stage buffer
+    itself: the audit sees its scratch lease and no ``solver.chunk_rhs``
+    (the NumPy kernel still pools its chunk), and the stage buffer it now
+    writes through a pointer overlaps nothing in the arena."""
+    from repro.codegen.backends import native_impl
+
+    if native_impl() is None:
+        pytest.skip("no native toolchain (numba or cffi+cc)")
+    s = BSSNSolver(Mesh(LinearOctree.uniform(1)), backend="compiled",
+                   chunk_octants=3)
+    s.set_punctures([Puncture(mass=1.0, position=np.array([0.1, 0.0, 0.0]))])
+    s.step()
+    report = audit_solver_step(s)
+    assert report.ok, [f.to_dict() for f in report.findings]
+    leased = {ev.name for ev in report.events}
+    assert "native.scratch" in leased and "solver.chunk_rhs" not in leased
+    numpy_leased = {ev.name for ev in audit_solver_step(bssn_solver).events}
+    assert "solver.chunk_rhs" in numpy_leased
+
+
 def test_audit_restores_solver(wave_solver):
     state, t, count = wave_solver.state, wave_solver.t, wave_solver.step_count
     audit_solver_step(wave_solver)

@@ -15,6 +15,8 @@ The headline guarantees under test (DESIGN.md §11):
   cached artefacts stay attributable to the code path that made them.
 """
 
+import ctypes
+import mmap
 import warnings
 
 import numpy as np
@@ -51,6 +53,7 @@ from repro.solver.wave_solver import PHI, GaussianSource, WaveSolver
 from repro.telemetry import MetricsRegistry
 
 from .frozen_oracles import bssn_apply_sommerfeld, wave_apply_sommerfeld
+from .test_mesh_unzip import _same_bits
 
 needs_native = pytest.mark.skipif(
     B.native_impl() is None,
@@ -365,12 +368,14 @@ class TestBoundaryPhase:
     @needs_native
     def test_adaptive_wave_digest_equal_across_backends(self):
         """Regrid every 2 steps on a grid that changes: the native
-        padding fill and Sommerfeld leave the state digest where the
-        NumPy execution puts it."""
+        padding fill, row-vector chunk kernel (several chunks, so most
+        start at ``lo > 0``) and Sommerfeld leave the state digest where
+        the NumPy execution puts it."""
         digests, octants = set(), set()
         for backend in ("numpy", "compiled"):
             mesh = Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0)))
             s = WaveSolver(mesh, backend=backend, ko_sigma=0.02,
+                           chunk_octants=3,
                            source=GaussianSource(
                                amplitude=lambda t: np.sin(3 * t)))
             s.evolve(6 * s.dt, regrid_every=2, regrid_eps=3e-5, max_level=2)
@@ -383,7 +388,8 @@ class TestBoundaryPhase:
     def test_adaptive_bssn_digest_equal_across_backends(self):
         digests, octants = set(), set()
         for sv in _solver_pair(
-                Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0)))):
+                Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0))),
+                chunk_octants=5):  # both kernels write rhs[:, lo:hi], lo > 0
             sv.set_punctures([Puncture(mass=1.0, position=[0.3, 0.1, -0.2])])
             sv.evolve(4 * sv.dt, regrid_every=2, regrid_eps=1e-3, max_level=2)
             digests.add(state_digest(sv.state))
@@ -453,11 +459,11 @@ class TestKernelConsistency:
         hf2 = _h_factor(h, 2).ravel()
         args = (n, 0, nc, P, r, k)
 
-        rhs_py = np.zeros((S.NUM_VARS, nc, r, r, r))
+        rhs_py = np.zeros((S.NUM_VARS, n, r, r, r))
         scratch = np.zeros(scratch_doubles(P, r))
         ns = compile_py_kernels(spec)
         ns["bssn_rhs_chunk"](
-            patches.reshape(-1), *args, hf1, hf2, hf1,
+            patches.reshape(-1), *args, hf1, hf2,
             w["w1"], w["w2"], w["wko"], w["wup"], w["wun"],
             pbuf, rhs_py.reshape(-1), scratch,
         )
@@ -467,7 +473,7 @@ class TestKernelConsistency:
         scratch[:] = 0
         lib.lib.bssn_rhs_chunk(
             lib.ptr(patches), *args, lib.ptr(hf1), lib.ptr(hf2),
-            lib.ptr(hf1), lib.ptr(w["w1"]), lib.ptr(w["w2"]),
+            lib.ptr(w["w1"]), lib.ptr(w["w2"]),
             lib.ptr(w["wko"]), lib.ptr(w["wup"]), lib.ptr(w["wun"]),
             lib.ptr(pbuf), lib.ptr(rhs_c), lib.ptr(scratch),
         )
@@ -498,6 +504,187 @@ class TestKernelConsistency:
 
         ok, offenders = is_bitwise_lowerable(get_kernel_spec(COMPILED_VARIANT))
         assert ok, f"non-exact pow fallbacks in schedule: {offenders[:3]}"
+
+
+# ---------------------------------------------------------------------------
+# the row-vector chunk kernels, against the NumPy schedule execution
+# ---------------------------------------------------------------------------
+
+
+class _GuardedPool:
+    """A pool whose every buffer ends flush against a ``PROT_NONE`` page,
+    so a read or write one double past it faults instead of passing."""
+
+    def get(self, name, shape, dtype=np.float64):
+        mprotect = ctypes.CDLL(None, use_errno=True).mprotect
+        mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+        page = mmap.PAGESIZE
+        nbytes = int(np.prod(shape)) * 8
+        span = -(-nbytes // page) * page
+        mm = mmap.mmap(-1, span + page)
+        start = ctypes.addressof(ctypes.c_char.from_buffer(mm))
+        assert mprotect(start + span, page, 0) == 0  # 0 = PROT_NONE
+        # the array keeps the mapping alive; it is unmapped with it
+        return np.frombuffer(mm, dtype=dtype, count=nbytes // 8,
+                             offset=span - nbytes).reshape(shape)
+
+
+def _kernel_inputs(r, n, seed, nvars=S.NUM_VARS):
+    """Random near-flat patches for ``n`` octants of ``r``³ points on two
+    levels, and the mesh attributes the chunk kernels read."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(seed)
+    k = 3
+    P = r + 2 * k
+    flat = ASYMPTOTIC if nvars == S.NUM_VARS else np.zeros(nvars)
+    patches = (flat[:, None, None, None, None]
+               + 0.05 * rng.normal(size=(nvars, n, P, P, P)))
+    mesh = SimpleNamespace(r=r, k=k, P=P, num_octants=n,
+                           dx=np.where(np.arange(n) % 2, 0.25, 0.5))
+    return patches, mesh, rng
+
+
+def _run_chunks(kernel, patches, mesh, chunks, pool, *extra):
+    """``rhs`` after ``kernel`` wrote ``chunks``; octants outside them
+    keep the sentinel 7.0."""
+    rhs = pool.get("test.rhs", (patches.shape[0], mesh.num_octants)
+                   + (mesh.r,) * 3)
+    rhs[...] = 7.0
+    for lo, hi in chunks:
+        kernel(patches, lo, hi, mesh, *extra, rhs, pool)
+    return rhs
+
+
+#: a chunk with lo > 0 that ends at the last octant; octant 0 untouched
+CHUNKS = [(1, 2), (2, 4)]
+
+
+class TestRowVectorKernels:
+    """One x-run is one 8-lane vector (``repro.codegen.cbackend``): r = 7
+    leaves one lane idle, r = 9 and 11 take two vectors per row with
+    seven and five idle lanes."""
+
+    def _bssn_pair(self, impl, patches, mesh, pool):
+        from repro.perf import BufferPool
+
+        ref = _run_chunks(
+            B.NumpyBSSNRHS(get_algebra_kernel(COMPILED_VARIANT)),
+            patches, mesh, CHUNKS, BufferPool(), BSSNParams())
+        got = _run_chunks(B.NativeBSSNRHS(impl=impl), patches, mesh, CHUNKS,
+                          pool, BSSNParams())
+        return got, ref
+
+    def _wave_pair(self, impl, patches, mesh, pool, src):
+        from repro.perf import BufferPool
+
+        ref = _run_chunks(B.NumpyWaveRHS(), patches, mesh, [(1, 4)],
+                          BufferPool(), 1.3, 0.1, src)
+        got = _run_chunks(NativeWaveRHS(impl=impl), patches, mesh, [(1, 4)],
+                          pool, 1.3, 0.1, src)
+        return got, ref
+
+    @pytest.mark.parametrize("impl", RUNGS)
+    @pytest.mark.parametrize("r", [7, 9, 11])
+    def test_bssn_chunks_bitwise_behind_guard_pages(self, impl, r):
+        patches, mesh, _ = _kernel_inputs(r, 4, seed=r)
+        pool = _GuardedPool()
+        guarded = pool.get("test.patches", patches.shape)
+        guarded[...] = patches
+        got, ref = self._bssn_pair(impl, guarded, mesh, pool)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert (got[:, 0] == 7.0).all() and np.isfinite(got).all()
+
+    def test_py_rung_bssn_chunks_bitwise(self):
+        from repro.perf import BufferPool
+
+        patches, mesh, _ = _kernel_inputs(7, 4, seed=3)
+        got, ref = self._bssn_pair("py", patches, mesh, BufferPool())
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("impl", RUNGS + ["py"])
+    @pytest.mark.parametrize("r", [7, 9, 11])
+    @pytest.mark.parametrize("sourced", [False, True])
+    def test_wave_chunks_bitwise_behind_guard_pages(self, impl, r, sourced):
+        patches, mesh, rng = _kernel_inputs(r, 4, seed=r, nvars=2)
+        pool = _GuardedPool()
+        guarded = pool.get("test.patches", patches.shape)
+        guarded[...] = patches
+        src = rng.normal(size=(3, r, r, r)) if sourced else None
+        got, ref = self._wave_pair(impl, guarded, mesh, pool, src)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert (got[:, 0] == 7.0).all()
+
+    @pytest.mark.parametrize("impl", RUNGS)
+    @pytest.mark.parametrize("r", [7, 9])
+    def test_non_finite_sources_propagate_as_numpy_does(self, impl, r):
+        """NaN, ±inf and −0.0 anywhere in the patches, ghost zones
+        included: the kept lanes carry them exactly as the NumPy
+        execution does.  NaN in the eight k³ ghost corners, which only
+        idle lanes read, reaches nothing."""
+        from repro.perf import BufferPool
+
+        patches, mesh, rng = _kernel_inputs(r, 4, seed=10 + r)
+        k = mesh.k
+        for sz in (slice(0, k), slice(-k, None)):
+            for sy in (slice(0, k), slice(-k, None)):
+                for sx in (slice(0, k), slice(-k, None)):
+                    patches[..., sz, sy, sx] = np.nan
+        with np.errstate(all="ignore"):
+            got, ref = self._bssn_pair(impl, patches, mesh, BufferPool())
+            assert np.isfinite(got).all()
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            flat = patches.reshape(-1)
+            where = rng.choice(flat.size, 40, replace=False)
+            flat[where] = rng.choice([np.nan, np.inf, -np.inf, -0.0], 40)
+            got, ref = self._bssn_pair(impl, patches, mesh, BufferPool())
+            assert _same_bits(got, ref) and np.isnan(got).any()
+            got, ref = self._wave_pair(impl, patches[[S.ALPHA, S.CHI]].copy(),
+                                       mesh, BufferPool(), None)
+            assert _same_bits(got, ref)
+
+    @needs_cffi
+    def test_portable_build_equals_native_build(self, tmp_path, monkeypatch):
+        """The translation unit built with ``CFLAGS_PORTABLE`` (the
+        vectors split for the baseline ISA) writes the same bits as the
+        ``-march=native`` build."""
+        from repro.codegen import cbackend as C
+        from repro.perf import BufferPool
+
+        native = B.get_native_lib()
+        monkeypatch.setattr(C, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(C, "CFLAGS", C.CFLAGS_PORTABLE)
+        portable = C.build_native_lib(
+            C.emit_c_source(get_kernel_spec(COMPILED_VARIANT)))
+        assert portable.cflags == C.CFLAGS_PORTABLE
+        assert portable.path != native.path
+        patches, mesh, rng = _kernel_inputs(7, 4, seed=5)
+        out = []
+        for lib in (native, portable):
+            bssn, wave = B.NativeBSSNRHS(impl="cffi"), NativeWaveRHS(impl="cffi")
+            bssn._lib = wave._lib = lib
+            out.append((
+                _run_chunks(bssn, patches, mesh, CHUNKS, BufferPool(),
+                            BSSNParams()),
+                _run_chunks(wave, patches[:2].copy(), mesh, CHUNKS,
+                            BufferPool(), 1.3, 0.1, None)))
+        for a, b in zip(*out):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_geometry_whose_idle_lanes_would_leave_the_patch_is_refused(self):
+        from repro.codegen.cbackend import scratch_doubles
+        from repro.perf import BufferPool
+
+        assert scratch_doubles(13, 7) == (234 * 49 + 13 * 7) * 8
+        assert scratch_doubles(23, 17) == (234 * 17 * 17 + 23 * 17) * 24
+        with pytest.raises(ValueError, match="row vector"):
+            scratch_doubles(3, 1)  # k = 1: 1 + 8 > 2 * 3
+        patches, mesh, _ = _kernel_inputs(7, 1, seed=0, nvars=2)
+        mesh.r, mesh.k = 1, 1
+        with pytest.raises(ValueError, match="row vector"):
+            NativeWaveRHS(impl="py")(patches[..., :3, :3, :3].copy(), 0, 1,
+                                     mesh, 1.0, 0.1, None,
+                                     np.zeros((2, 1, 1, 1, 1)), BufferPool())
 
 
 # ---------------------------------------------------------------------------

@@ -486,24 +486,46 @@ class TestEndToEnd:
         assert sink.metrics.get("comm_bytes_total").value > 0
         assert sink.metrics.get("load_imbalance").value >= 1.0
 
-    def test_disabled_tracer_overhead_under_2_percent(self):
-        """Paired min-of-steps: a solver carrying a disabled profiler
-        (the always-on configuration) must stay within 2% of a bare one."""
+    def test_disabled_profiler_records_nothing_and_reads_no_clock(
+            self, monkeypatch):
+        """A solver carrying a disabled profiler (the always-on
+        configuration) pays one attribute check per phase: every
+        ``phase``/``stage``/``region`` hands out the one shared null
+        context, no span is recorded, nothing accumulates and the
+        profiler never reads the clock.  (Counted, not timed: a paired
+        wall-clock bound fails on a busy host.)"""
         from repro.mesh import Mesh
         from repro.octree import Domain, LinearOctree
+        from repro.perf import profiler as P
         from repro.solver import WaveSolver
 
-        mesh = Mesh(LinearOctree.uniform(3, domain=Domain(-4.0, 4.0)))
-        bare = WaveSolver(mesh)
-        off = WaveSolver(mesh, profiler=StepProfiler(enabled=False))
-        bare.step(), off.step()  # warm both paths
-        t_bare, t_off = [], []
-        for _ in range(6):  # paired: drift hits both sides equally
-            t0 = time.perf_counter()
-            bare.step()
-            t_bare.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            off.step()
-            t_off.append(time.perf_counter() - t0)
-        overhead = min(t_off) / min(t_bare) - 1.0
-        assert overhead < 0.02, f"disabled-tracer overhead {overhead:.1%}"
+        tracer = Tracer()
+        off = StepProfiler(enabled=False, tracer=tracer,
+                           metrics=MetricsRegistry(), record_samples=True)
+        assert off.tracer is None and off.metrics is None
+        contexts = {id(off.phase(p)) for p in P.PHASES}
+        contexts |= {id(off.stage(1)), id(off.region("regrid"))}
+        assert contexts == {id(P._NULL)}
+
+        clock_reads = []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                clock_reads.append(1)
+                return time.perf_counter()
+
+        monkeypatch.setattr(P, "time", Clock)
+        solver = WaveSolver(
+            Mesh(LinearOctree.uniform(1, domain=Domain(-4.0, 4.0))),
+            profiler=off)
+        solver.step()
+        assert clock_reads == []
+        assert off.steps == 0 and off.step_time == 0.0
+        assert not any(off.totals.values())
+        assert off.samples is None and off.step_samples is None
+        assert len(tracer) == 0
+        # the same step under an enabled profiler does read it
+        solver.profiler = StepProfiler()
+        solver.step()
+        assert clock_reads and solver.profiler.steps == 1
