@@ -248,11 +248,25 @@ class _NumpyRHSBase:
     unzip_scatter = None
 
     @staticmethod
-    def sommerfeld(rhs, patches, mesh, coords, radii, u_inf, speed, pool):
-        """The Sommerfeld condition on every physical-boundary face of
-        ``rhs`` ``(nv, n, r, r, r)``; ``coords``/``radii`` are the
+    def faces(plan, lo, hi):
+        """The ``(axis, side, octants)`` faces of ``plan.boundary`` whose
+        octant is in ``lo:hi`` (the plan's own list for every octant)."""
+        if (lo, hi) == (0, len(plan.tree)):
+            return plan.boundary
+        ranged = [(axis, side, octs[(octs >= lo) & (octs < hi)])
+                  for axis, side, octs in plan.boundary]
+        return [face for face in ranged if len(face[2])]
+
+    @staticmethod
+    def sommerfeld(rhs, patches, mesh, coords, radii, u_inf, speed,
+                   pool=None, faces=None):
+        """The Sommerfeld condition on the physical-boundary ``faces`` of
+        ``rhs`` ``(nv, n, r, r, r)`` — what :meth:`faces` gave for an
+        octant range, default every face; ``coords``/``radii`` are the
         solver's per-mesh point coordinates and clipped radii."""
-        sommerfeld_faces(rhs, patches, mesh.plan.boundary, coords, radii,
+        if faces is None:
+            faces = mesh.plan.boundary
+        sommerfeld_faces(rhs, patches, faces, coords, radii,
                          mesh.dx, u_inf, speed, pool=pool)
 
 
@@ -414,13 +428,25 @@ class _NativeRHSBase:
                   extrapolation_matrices(r, k), P, r, k)
         return True
 
+    @staticmethod
+    def faces(plan, lo, hi):
+        """The rows of ``plan.face_table()`` whose octant is in ``lo:hi``
+        (the plan's own table for every octant)."""
+        table = plan.face_table()
+        if (lo, hi) == (0, len(plan.tree)):
+            return table
+        return np.ascontiguousarray(
+            table[(table[:, 0] >= lo) & (table[:, 0] < hi)])
+
     @hot_path
     def sommerfeld(self, rhs, patches, mesh, coords, radii, u_inf, speed,
-                   pool=None) -> None:
+                   pool=None, faces=None) -> None:
         """Native execution of :func:`repro.bssn.sommerfeld.sommerfeld_faces`
-        over ``mesh.plan.face_table()``; the call signature of the NumPy
-        kernels' ``sommerfeld``."""
-        faces = mesh.plan.face_table()
+        over the face rows ``faces`` — what :meth:`faces` gave for an
+        octant range, default ``mesh.plan.face_table()``; the call
+        signature of the NumPy kernels' ``sommerfeld``."""
+        if faces is None:
+            faces = mesh.plan.face_table()
         hf1 = _h_factor(np.asarray(mesh.dx, dtype=np.float64), 1).ravel()
         self._run("sommerfeld_faces", patches, mesh.num_octants, rhs.shape[0],
                   faces, len(faces), mesh.P, mesh.r, mesh.k, hf1, self.w1,

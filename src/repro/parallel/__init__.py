@@ -1,7 +1,7 @@
 """Simulated-MPI substrate: communicator, halo exchange, scaling models."""
 
 from .comm import MessageTimeout, RankComm, RankDeadError, SimComm
-from .distributed import DistributedBSSNSolver, DistributedWaveSolver
+from .distributed import DistributedSolver
 from .halo import (
     HaloExchangeError,
     HaloPlan,
@@ -26,8 +26,7 @@ from .scaling import (
 
 __all__ = [
     "DEFAULT_O_A",
-    "DistributedBSSNSolver",
-    "DistributedWaveSolver",
+    "DistributedSolver",
     "DEFAULT_SPILL_BPP",
     "HaloExchangeError",
     "HaloPlan",

@@ -61,6 +61,30 @@ def build_halo_plan(mesh: Mesh, partition: Partition) -> HaloPlan:
     return HaloPlan(partition=partition, send_lists=send_lists, ghost_lists=ghost_lists)
 
 
+def contiguous_offsets(partition: Partition) -> np.ndarray:
+    """``partition.offsets``, refusing a partition that has none."""
+    if partition.offsets is None:
+        raise ValueError(
+            "the rank-parallel drivers need a contiguous SFC partition "
+            "(partition_octree); a curve-reordered one "
+            "(partition_octree_hilbert) has per-leaf owners and no offsets"
+        )
+    return partition.offsets
+
+
+def rank_view(view: np.ndarray, u: np.ndarray, lo: int, hi: int,
+              ghosts: dict[int, np.ndarray]) -> np.ndarray:
+    """One rank's picture of the global field ``u``, written into
+    ``view``: its own blocks ``lo:hi``, the ``ghosts`` it received
+    (octant → block), and zero elsewhere — never read, but a reused
+    buffer would otherwise hold the previous rank's blocks."""
+    view[...] = 0.0
+    view[:, lo:hi] = u[:, lo:hi]
+    for g, block in ghosts.items():
+        view[:, g] = block
+    return view
+
+
 def exchange_ghosts(
     plan: HaloPlan,
     local_fields: list[np.ndarray],
@@ -119,7 +143,7 @@ def _exchange_ghosts(
     plan, local_fields, comm, dof, *, max_retries, validate, journal,
     metrics, traffic,
 ) -> list[dict[int, np.ndarray]]:
-    part = plan.partition
+    offsets = contiguous_offsets(plan.partition)
     sent_bytes = sent_msgs = 0
     # snapshot per-edge sequence numbers: anything at or below these is
     # a stale duplicate from an earlier round and must be discarded
@@ -130,7 +154,7 @@ def _exchange_ghosts(
     } if max_retries else {}
     # post sends
     for src in range(plan.num_ranks):
-        lo = part.offsets[src]
+        lo = offsets[src]
         ep = comm.rank(src)
         for dst, idx in plan.send_lists[src].items():
             payload = local_fields[src][:, idx - lo]
@@ -145,7 +169,7 @@ def _exchange_ghosts(
     # receive
     ghosts: list[dict[int, np.ndarray]] = [dict() for _ in range(plan.num_ranks)]
     for src in range(plan.num_ranks):
-        lo = part.offsets[src]
+        lo = offsets[src]
         for dst, idx in plan.send_lists[src].items():
             expect_shape = (dof, len(idx)) + local_fields[src].shape[2:]
             if not max_retries:
@@ -220,29 +244,20 @@ def distributed_unzip(
     Agrees exactly with ``mesh.unzip(u)`` (the claim behind halo
     exchange correctness); used by tests and the scaling demos.
     """
-    dof = u.shape[0] if u.ndim == 5 else 1
     uu = u if u.ndim == 5 else u[None]
-    nranks = partition.num_parts
     if comm is None:
-        comm = SimComm(nranks)
-    plan = build_halo_plan(mesh, partition)
-    part = partition
-
-    local_fields = [
-        uu[:, part.offsets[r] : part.offsets[r + 1]] for r in range(nranks)
-    ]
-    ghosts = exchange_ghosts(plan, local_fields, comm, dof)
-
-    # each rank assembles a rank-view of the global field (own + ghosts
-    # only) and runs the scatter; writes to non-owned patches are ignored
-    n = mesh.num_octants
-    out = np.zeros((dof, n, mesh.P, mesh.P, mesh.P))
-    for rank in range(nranks):
-        view = np.zeros_like(uu)
-        lo, hi = part.offsets[rank], part.offsets[rank + 1]
-        view[:, lo:hi] = local_fields[rank]
-        for g, block in ghosts[rank].items():
-            view[:, g] = block
-        patches = mesh.unzip(view)
-        out[:, lo:hi] = patches[:, lo:hi]
+        comm = SimComm(partition.num_parts)
+    offsets = contiguous_offsets(partition)
+    ghosts = exchange_ghosts(
+        build_halo_plan(mesh, partition),
+        [uu[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])],
+        comm, uu.shape[0],
+    )
+    # each rank unzips its view of the global field (own + ghosts only);
+    # what that writes to patches it does not own is dropped
+    out = np.zeros((uu.shape[0], mesh.num_octants, mesh.P, mesh.P, mesh.P))
+    view = np.empty_like(uu)
+    for rank, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        out[:, lo:hi] = mesh.unzip(rank_view(view, uu, lo, hi,
+                                             ghosts[rank]))[:, lo:hi]
     return out if u.ndim == 5 else out[0]

@@ -37,6 +37,7 @@ HOT_MODULES = (
     "repro.solver.bssn_solver",
     "repro.resilience.health",
     "repro.codegen.backends",
+    "repro.parallel.distributed",
 )
 
 

@@ -7,13 +7,13 @@ survive (the CI `resilience` job runs this and uploads the journal):
   the supervisor rolls back, retries at halved dt, heals, and the final
   state matches a clean lower-dt run to tolerance.
 * **dropped-halo**         — a ghost message is dropped; the resilient
-  halo exchange re-requests it and the run matches a fault-free run
-  bitwise.
+  halo exchange re-requests it and the run matches the fault-free
+  single-address-space solver bitwise.
 * **corrupted-checkpoint** — the newest checkpoints are truncated and
   bit-flipped; auto-resume picks the newest *valid* one and completes.
 * **dead-rank**            — a rank dies mid-exchange and auto-revives;
-  the supervisor rolls the step back and the run matches a fault-free
-  run bitwise.
+  the supervisor rolls the step back and the run matches the
+  fault-free single-address-space solver bitwise.
 
 Every scenario appends its recovery events to one JSONL journal
 (``--journal``, default ``fault-journal.jsonl``).  Exit status 0 only if
@@ -30,7 +30,7 @@ import numpy as np
 from repro.io import RunConfig, save_checkpoint
 from repro.mesh import Mesh
 from repro.octree import Domain, LinearOctree, partition_octree
-from repro.parallel import DistributedWaveSolver
+from repro.parallel import DistributedSolver
 from repro.resilience import (
     FaultInjector,
     FaultyComm,
@@ -39,6 +39,7 @@ from repro.resilience import (
     SupervisedRun,
     summarize,
 )
+from repro.solver import WaveSolver
 
 
 def _small_bssn_config() -> RunConfig:
@@ -48,15 +49,16 @@ def _small_bssn_config() -> RunConfig:
 
 
 def _wave_pair(comm=None):
-    """(supervised distributed wave solver, matching clean solver)."""
+    """(3-rank distributed wave solver over ``comm``, the clean
+    single-address-space solver it must equal bit for bit)."""
     mesh = Mesh(LinearOctree.uniform(2, domain=Domain(-8.0, 8.0)))
-    part = partition_octree(mesh.tree, 3)
     rng = np.random.default_rng(7)
     u0 = rng.normal(scale=0.01, size=(2, mesh.num_octants, 7, 7, 7))
-    clean = DistributedWaveSolver(mesh, part, ko_sigma=0.05)
-    clean.set_state(u0)
-    faulty = DistributedWaveSolver(mesh, part, ko_sigma=0.05, comm=comm)
-    faulty.set_state(u0)
+    clean = WaveSolver(mesh, ko_sigma=0.05)
+    clean.state = u0.copy()
+    faulty = DistributedSolver(WaveSolver(mesh, ko_sigma=0.05),
+                               partition_octree(mesh.tree, 3), comm=comm)
+    faulty.state = u0.copy()
     return faulty, clean
 
 
@@ -93,7 +95,7 @@ def scenario_dropped_halo(journal: RunJournal) -> bool:
         clean.step()
         faulty.step()
     drops = sum(1 for e in comm.log if e["fault"] == "drop")
-    match = bool(np.array_equal(faulty.gather_state(), clean.gather_state()))
+    match = bool(np.array_equal(faulty.state, clean.state))
     journal.event("scenario-check", scenario="dropped-halo",
                   drops=drops, bitwise_match=match)
     return match and drops > 0
@@ -139,7 +141,7 @@ def scenario_dead_rank(journal: RunJournal) -> bool:
     run.step()  # dies, rolls back, revives, completes
     clean.step()
     run.step()
-    match = bool(np.array_equal(faulty.gather_state(), clean.gather_state()))
+    match = bool(np.array_equal(faulty.state, clean.state))
     journal.event("scenario-check", scenario="dead-rank",
                   rollbacks=run.rollbacks, bitwise_match=match)
     return match and run.rollbacks >= 1

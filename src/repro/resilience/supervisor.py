@@ -1,9 +1,10 @@
 """Guarded evolution driver: rollback, retry, degrade, checkpoint, resume.
 
 :class:`SupervisedRun` wraps any solver exposing the stepping protocol
-(``state``/``local_state``, ``t``, ``step_count``, ``courant``, ``dt``,
-``step()``) — the single-rank BSSN and wave solvers and the rank-parallel
-distributed drivers all qualify.  Around every step it:
+(``state``, ``t``, ``step_count``, ``courant``, ``dt``, ``step()``) — the
+BSSN and wave solvers, and the rank-parallel
+:class:`repro.parallel.DistributedSolver` around either, which reads
+all of these through to the solver it wraps.  Around every step it:
 
 1. snapshots the last-good state into pool-backed buffers
    (:meth:`repro.solver.BSSNSolver.snapshot_state` reuses the solver's
@@ -93,10 +94,10 @@ class EvolutionAborted(RuntimeError):
 class _Snapshot:
     """Value snapshot of a solver's restorable state (pool-backed)."""
 
-    __slots__ = ("arrays", "t", "step_count")
+    __slots__ = ("state", "t", "step_count")
 
     def __init__(self):
-        self.arrays: list[np.ndarray] = []
+        self.state: np.ndarray | None = None
         self.t = 0.0
         self.step_count = 0
 
@@ -131,7 +132,7 @@ class SupervisedRun:
         Optional :class:`repro.telemetry.TelemetrySink`.  The journal's
         recovery events are mirrored into its unified event stream
         (rollbacks land on the Perfetto timeline), solvers carrying a
-        ``telemetry`` attribute (the distributed drivers) are pointed at
+        ``telemetry`` attribute (the distributed driver) are pointed at
         the sink, a solver without a live profiler gets one wired to the
         sink's tracer/metrics, and :meth:`run` samples the solver on the
         sink's cadence.
@@ -181,33 +182,22 @@ class SupervisedRun:
         ws = getattr(self.solver, "_workspace", None)
         return ws.pool if ws is not None else None
 
-    def _state_arrays(self) -> list[np.ndarray]:
-        state = getattr(self.solver, "state", None)
-        if state is not None:
-            return [state]
-        return list(self.solver.local_state)
-
     def _take_snapshot(self) -> None:
-        if hasattr(self.solver, "snapshot_state"):
-            arrays = self.solver.snapshot_state()
-            self._snap.arrays = arrays if isinstance(arrays, list) else [arrays]
+        solver, snap = self.solver, self._snap
+        if hasattr(solver, "snapshot_state"):
+            snap.state = solver.snapshot_state()
         else:
-            live = self._state_arrays()
-            if len(self._snap.arrays) != len(live) or any(
-                s.shape != a.shape for s, a in zip(self._snap.arrays, live)
-            ):
-                self._snap.arrays = [np.empty_like(a) for a in live]
-            for snap, a in zip(self._snap.arrays, live):
-                np.copyto(snap, a)
-        self._snap.t = self.solver.t
-        self._snap.step_count = self.solver.step_count
+            if snap.state is None or snap.state.shape != solver.state.shape:
+                snap.state = np.empty_like(solver.state)
+            np.copyto(snap.state, solver.state)
+        snap.t = solver.t
+        snap.step_count = solver.step_count
 
     def _rollback(self) -> None:
         if hasattr(self.solver, "restore_state"):
-            self.solver.restore_state(self._snap.arrays)
+            self.solver.restore_state(self._snap.state)
         else:
-            for live, snap in zip(self._state_arrays(), self._snap.arrays):
-                np.copyto(live, snap)
+            np.copyto(self.solver.state, self._snap.state)
         self.solver.t = self._snap.t
         self.solver.step_count = self._snap.step_count
         comm = getattr(self.solver, "comm", None)
@@ -226,7 +216,7 @@ class SupervisedRun:
             self.solver.step()
             if self.injector is not None:
                 event = self.injector.maybe_corrupt(
-                    self._state_or_locals(), self.solver.step_count
+                    self.solver.state, self.solver.step_count
                 )
                 if event is not None:
                     self.journal.event("fault-injected", **event)
@@ -235,16 +225,12 @@ class SupervisedRun:
         except RECOVERABLE as exc:
             return False, [f"{type(exc).__name__}: {exc}"], False
         report = self.monitor.scan(
-            self._state_or_locals(),
+            self.solver.state,
             step=self.solver.step_count,
             pool=self._pool(),
             solver=self.solver,
         )
         return report.ok, list(report.failures), False
-
-    def _state_or_locals(self):
-        state = getattr(self.solver, "state", None)
-        return state if state is not None else self.solver.local_state
 
     def step(self) -> None:
         """Advance one supervised step (rollback/retry on failure)."""

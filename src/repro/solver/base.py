@@ -1,8 +1,8 @@
 """What the BSSN and wave drivers share of Algorithm 1: the per-mesh
-workspace arena, global timestep, rollback snapshots, the RK4 step
-bookkeeping and the evolve loop.  A subclass supplies ``full_rhs`` (its
-loop over a chunk kernel from :mod:`repro.codegen.backends`) and
-``regrid``."""
+workspace arena, global timestep, rollback snapshots, ``full_rhs`` as
+unzip + octant range, the RK4 step bookkeeping and the evolve loop.  A
+subclass supplies ``rhs_range`` (its loop over a chunk kernel from
+:mod:`repro.codegen.backends`) and ``regrid``."""
 
 from __future__ import annotations
 
@@ -75,20 +75,51 @@ class Solver:
         return cache["coords"]
 
     @hot_path
+    def unzip_pooled(self, u: np.ndarray) -> np.ndarray:
+        """Alg. 1's unzip: ``u`` into the arena's padded patches, run as
+        the chunk kernel's backend does it (native kernels, or NumPy)."""
+        mesh = self.mesh
+        prof = self._prof
+        pool = self.workspace().pool
+        with prof.phase("unzip"):
+            patches = pool.get(
+                "solver.patches",
+                (u.shape[0], mesh.num_octants, mesh.P, mesh.P, mesh.P),
+            )
+            mesh.unzip(u, out=patches, coalesce=True, pool=pool,
+                       tracer=prof.tracer, scatter=self.kernel.unzip_scatter)
+        return patches
+
+    @hot_path
+    def full_rhs(
+        self, u: np.ndarray, t: float, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """RHS over the whole mesh: unzip once, then :meth:`rhs_range`
+        over every octant.  All patch/derivative/boundary buffers come
+        from the per-mesh arena."""
+        rhs = np.empty_like(u) if out is None else out  # alloc-ok: out=None fallback
+        self.rhs_range(self.unzip_pooled(u), t, rhs, 0, self.mesh.num_octants)
+        return rhs
+
+    @hot_path
     def _sommerfeld(self, rhs: np.ndarray, patches: np.ndarray,
-                    u_inf: np.ndarray, speed: float) -> None:
+                    u_inf: np.ndarray, speed: float, lo: int, hi: int) -> None:
         """Alg. 1's boundary phase: the chunk kernel's backend applies
-        the Sommerfeld condition on every physical-boundary face of
-        ``rhs``, with the point radii (clipped away from zero) hoisted
-        per mesh."""
+        the Sommerfeld condition on the physical-boundary faces of
+        octants ``lo:hi`` of ``rhs``.  The point radii (clipped away from
+        zero) and the faces of each range are hoisted per mesh."""
         ws = self.workspace()
+        cache = ws.cache
         with self._prof.phase("boundary"):
-            if "radii" not in ws.cache:
-                radii = ws.cache["radii"] = np.linalg.norm(self.coords(),
-                                                           axis=-1)
+            if "radii" not in cache:
+                radii = cache["radii"] = np.linalg.norm(self.coords(), axis=-1)
                 np.maximum(radii, 1e-12, out=radii)
+            faces = ("faces", lo, hi)
+            if faces not in cache:
+                cache[faces] = self.kernel.faces(self.mesh.plan, lo, hi)
             self.kernel.sommerfeld(rhs, patches, self.mesh, self.coords(),
-                                   ws.cache["radii"], u_inf, speed, ws.pool)
+                                   cache["radii"], u_inf, speed, ws.pool,
+                                   cache[faces])
 
     # -- resilience hooks (used by repro.resilience.SupervisedRun) -------
     def snapshot_state(self) -> np.ndarray:
@@ -103,21 +134,25 @@ class Solver:
         np.copyto(snap, self.state)
         return snap
 
-    def restore_state(self, snapshot) -> None:
+    def restore_state(self, snapshot: np.ndarray) -> None:
         """Copy a snapshot's values back into the live state (rollback)."""
-        snap = snapshot[0] if isinstance(snapshot, list) else snapshot
-        np.copyto(self.state, snap)
+        np.copyto(self.state, snapshot)
 
     # -- stepping --------------------------------------------------------
     def step(self) -> None:
         """Advance one RK4 step, in place in the workspace's stage and
         ping-pong buffers."""
+        self.advance(self.full_rhs)
+
+    def advance(self, rhs: Callable[..., np.ndarray]) -> None:
+        """The one RK4 step, of ``rhs(u, t, out=)``: :meth:`full_rhs`, or
+        the rank-parallel driver's halo exchange around its ranges."""
         if self.state is None:
             raise RuntimeError("no initial data set")
         prof = self._prof
         prof.begin_step()
         self.state = rk4_step(
-            self.full_rhs,
+            rhs,
             self.state,
             self.t,
             self.dt,

@@ -198,33 +198,16 @@ class BSSNSolver(Solver):
 
     # -- RHS ----------------------------------------------------------------
     @hot_path
-    def full_rhs(
-        self, u: np.ndarray, t: float, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """RHS over the whole mesh: unzip once, then per octant chunk
-        kernel (D + A + KO) → write, then the Sommerfeld faces.
-
-        Every buffer comes from the per-mesh arena, and the unzip and
-        the boundary phase run as the chunk kernel's backend does them
-        (native kernels, or NumPy).
-        """
-        mesh = self.mesh
-        prof = self._prof
-        n = mesh.num_octants
+    def rhs_range(self, patches: np.ndarray, t: float, rhs: np.ndarray,
+                  lo: int, hi: int) -> None:
+        """Octants ``lo:hi`` of the RHS from the unzipped ``patches``:
+        per octant chunk kernel (D + A + KO) → write, then the
+        Sommerfeld faces of the range."""
         pool = self.workspace().pool
-        with prof.phase("unzip"):
-            patches = pool.get(
-                "solver.patches",
-                (S.NUM_VARS, n, mesh.P, mesh.P, mesh.P),
-            )
-            mesh.unzip(u, out=patches, coalesce=True, pool=pool,
-                       tracer=prof.tracer, scatter=self.kernel.unzip_scatter)
-        rhs = np.empty_like(u) if out is None else out  # alloc-ok: fallback
-        for lo in range(0, n, self.chunk):
-            hi = min(lo + self.chunk, n)
-            self.kernel(patches, lo, hi, mesh, self.params, rhs, pool, prof)
-        self._sommerfeld(rhs, patches, ASYMPTOTIC, 1.0)
-        return rhs
+        for a in range(lo, hi, self.chunk):
+            self.kernel(patches, a, min(a + self.chunk, hi), self.mesh,
+                        self.params, rhs, pool, self._prof)
+        self._sommerfeld(rhs, patches, ASYMPTOTIC, 1.0, lo, hi)
 
     # -- stepping ------------------------------------------------------------
     def _post_stage(self, u: np.ndarray) -> None:

@@ -82,35 +82,23 @@ class WaveSolver(Solver):
         self.state = mesh.allocate(2)
 
     @hot_path
-    def full_rhs(
-        self, u: np.ndarray, t: float, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """RHS of (φ, π) over the whole mesh: unzip once, then per octant
-        chunk source → kernel (Laplacian + KO), then the Sommerfeld
-        faces.  All patch/derivative/boundary buffers come from the
-        per-mesh arena, and the unzip and the boundary phase run as the
-        chunk kernel's backend does them (native kernels, or NumPy).
-        """
-        mesh = self.mesh
+    def rhs_range(self, patches: np.ndarray, t: float, rhs: np.ndarray,
+                  lo: int, hi: int) -> None:
+        """Octants ``lo:hi`` of the RHS of (φ, π) from the unzipped
+        ``patches``: per octant chunk source → kernel (Laplacian + KO),
+        then the Sommerfeld faces of the range."""
         prof = self._prof
-        n = mesh.num_octants
         pool = self.workspace().pool
-        with prof.phase("unzip"):
-            patches = pool.get("solver.patches", (2, n, mesh.P, mesh.P, mesh.P))
-            mesh.unzip(u, out=patches, coalesce=True, pool=pool,
-                       tracer=prof.tracer, scatter=self.kernel.unzip_scatter)
-        rhs = np.empty_like(u) if out is None else out  # alloc-ok: out=None fallback
         coords = self.coords()
-        for lo in range(0, n, self.chunk):
-            hi = min(lo + self.chunk, n)
+        for a in range(lo, hi, self.chunk):
+            b = min(a + self.chunk, hi)
             src = None
             if self.source is not None:
                 with prof.phase("algebra"):
-                    src = self.source(coords[lo:hi], t)
-            self.kernel(patches, lo, hi, mesh, self.speed**2, self.ko_sigma,
-                        src, rhs, pool, prof)
-        self._sommerfeld(rhs, patches, _U_INF, self.speed)
-        return rhs
+                    src = self.source(coords[a:b], t)
+            self.kernel(patches, a, b, self.mesh, self.speed**2,
+                        self.ko_sigma, src, rhs, pool, prof)
+        self._sommerfeld(rhs, patches, _U_INF, self.speed, lo, hi)
 
     def regrid(self, eps: float, *, max_level: int | None = None) -> bool:
         """Wavelet-driven re-mesh + state transfer; True if the grid changed."""

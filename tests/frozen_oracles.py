@@ -7,8 +7,10 @@ replacement stays pinned to the old results bit for bit.
 
 import numpy as np
 
-from repro.bssn.sommerfeld import ASYMPTOTIC
+from repro.bssn.sommerfeld import ASYMPTOTIC, sommerfeld_faces
 from repro.fd import PatchDerivatives
+
+PHI, PI = 0, 1
 
 
 def bssn_apply_sommerfeld(rhs, values, derivs, coords, boundary_faces, *,
@@ -66,3 +68,29 @@ def wave_apply_sommerfeld(rhs, u, patches, coords, mesh, speed):
             np.multiply(acc, -speed, out=acc)
             np.divide(acc, rr[osel], out=acc)
             rhs[var][osel] = acc
+
+
+def wave_rank_rhs(mesh, u, t, *, speed=1.0, ko_sigma=0.1, source=None):
+    """The rank-parallel wave driver's ``_rank_rhs`` up to PR 22, for one
+    rank that owns every octant: the allocating reference of
+    ``WaveSolver.full_rhs`` (unzip, ``PatchDerivatives`` Laplacian and
+    KO, source, Sommerfeld faces)."""
+    pd = PatchDerivatives(k=mesh.k)
+    coords = mesh.coordinates()
+    radii = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
+    patches = mesh.unzip(u)
+    k, r = mesh.k, mesh.r
+    h = mesh.dx
+    lap = pd.d2(patches[PHI], h, 0)
+    lap += pd.d2(patches[PHI], h, 1)
+    lap += pd.d2(patches[PHI], h, 2)
+    rhs = np.empty_like(u)
+    rhs[PHI] = patches[PI, :, k : k + r, k : k + r, k : k + r]
+    rhs[PI] = speed**2 * lap
+    if source is not None:
+        rhs[PI] += source(coords, t)
+    rhs[PHI] += ko_sigma * pd.ko_all(patches[PHI], h)
+    rhs[PI] += ko_sigma * pd.ko_all(patches[PI], h)
+    sommerfeld_faces(rhs, patches, mesh.boundary_faces(), coords, radii,
+                     mesh.dx, np.zeros(2), speed)
+    return rhs

@@ -16,8 +16,7 @@ from repro.fd import apply_stencil
 from repro.fd.derivatives import _apply_taps
 from repro.fd.stencils import D1_CENTERED_6, KO_DISS_6
 from repro.mesh import Mesh
-from repro.octree import Domain, LinearOctree, partition_octree
-from repro.parallel import DistributedWaveSolver
+from repro.octree import Domain, LinearOctree
 from repro.perf import PHASES, BufferPool, RK4Workspace, SolverWorkspace, StepProfiler
 from repro.solver import (
     BSSNSolver,
@@ -27,7 +26,7 @@ from repro.solver import (
     rk4_step,
 )
 
-from .frozen_oracles import bssn_apply_sommerfeld
+from .frozen_oracles import bssn_apply_sommerfeld, wave_rank_rhs
 
 
 def small_mesh():
@@ -215,17 +214,15 @@ class TestBSSNPooled:
 
 class TestWaveSolverPooled:
     def test_pooled_state_bitwise_equals_unpooled(self):
-        """``full_rhs`` against the allocating one-rank distributed driver
-        (same unzip, stencils, source, KO and Sommerfeld arithmetic)."""
+        """``full_rhs`` against the frozen allocating one-rank RHS of the
+        former distributed driver (same unzip, stencils, source, KO and
+        Sommerfeld arithmetic)."""
         mesh = small_mesh()
         rng = np.random.default_rng(5)
         init = rng.normal(size=(2, mesh.num_octants, 7, 7, 7))
         src = GaussianSource(amplitude=lambda t: np.sin(3.0 * t))
-        ref = DistributedWaveSolver(
-            mesh, partition_octree(mesh.tree, 1), source=src
-        )
         solver = WaveSolver(mesh, source=src)
-        (expect,) = ref._stage_rhs([init], 0.3)
+        expect = wave_rank_rhs(mesh, init, 0.3, source=src)
         assert np.array_equal(solver.full_rhs(init, 0.3), expect)
 
     def test_regrid_invalidates_workspace(self):

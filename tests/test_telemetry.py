@@ -465,13 +465,13 @@ class TestEndToEnd:
     def test_supervisor_attaches_telemetry_to_distributed(self):
         from repro.mesh import Mesh
         from repro.octree import Domain, LinearOctree, partition_octree
-        from repro.parallel import DistributedWaveSolver
+        from repro.parallel import DistributedSolver
         from repro.resilience import SupervisedRun
+        from repro.solver import WaveSolver
 
         mesh = Mesh(LinearOctree.uniform(2, domain=Domain(-4.0, 4.0)))
         part = partition_octree(mesh.tree, 2)
-        solver = DistributedWaveSolver(mesh, part)
-        solver.set_state(mesh.allocate(2))
+        solver = DistributedSolver(WaveSolver(mesh), part)
         sink = TelemetrySink(None, metrics_every=1)
         run = SupervisedRun(solver, telemetry=sink)
         assert solver.telemetry is sink
@@ -480,6 +480,10 @@ class TestEndToEnd:
         # halo spans from every RK4 stage landed on the timeline ...
         names = [r[1] for r in sink.tracer.records()]
         assert names.count("halo.exchange") == 4
+        # ... beside the wrapped solver's own phases, once per rank ...
+        assert names.count("unzip") == names.count("deriv") == 4 * 2
+        assert solver.profiler.totals["unzip"] > 0
+        assert solver.profiler.totals["deriv"] > 0
         # ... and the traffic counters + comm gauges are populated
         assert sum(v.value
                    for v in sink.metrics.family("halo_bytes").values()) > 0
