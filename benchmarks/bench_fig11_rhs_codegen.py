@@ -1,6 +1,7 @@
 """E4 — Fig. 11: time per octant for 10 RHS evaluations, three codegen
 variants, vs octant count (model-predicted A100 times driven by each
-variant's measured flop and spill traffic)."""
+variant's measured flop and spill traffic), and the same three kernels'
+emitted CUDA measured on the host."""
 
 import numpy as np
 import pytest
@@ -50,6 +51,46 @@ def test_fig11_rhs_codegen_variants(benchmark, spill_stats):
     benchmark(lambda: _time_per_octant("staged-cse", spill_stats, 2360))
 
 
+def test_fig11_cuda_on_host_series():
+    """Measured row beside the modelled one: each variant's emitted CUDA
+    A kernel, compiled for the host (``codegen.cuda_emit``) and launched
+    over 8 octants — best of five launches, as time per octant for 10
+    evaluations.  The gate is only that all three ran and agree with the
+    NumPy execution of their schedule; whether the schedule order that
+    decides spills under ``__launch_bounds__(343, 3)`` survives a host
+    compiler that re-schedules is a finding (EXPERIMENTS E-cuda-on-host)."""
+    from repro.analysis.cuda_host import check_cuda_on_host, sample_env
+    from repro.codegen import get_kernel_spec, probe_cffi
+    from repro.codegen.cuda_emit import build_on_host, run_on_host
+
+    if probe_cffi() is None:
+        pytest.skip("no cffi + C compiler: the emitted CUDA is not run")
+
+    env = sample_env()
+    per_octant = {}
+    lines = [
+        "Fig. 11 (measured, CUDA A kernel on the host): time per octant "
+        "for 10 evaluations (ms)",
+        f"{'variant':>16}{'build s':>10}{'ms/octant':>12}{'max rel':>11}",
+    ]
+    for variant in VARIANTS:
+        spec = get_kernel_spec(variant)
+        check = check_cuda_on_host(spec)
+        assert check["ok"]
+        lib = build_on_host(spec)
+        best = min(run_on_host(lib, spec, env)[1] for _ in range(5))
+        per_octant[variant] = 10.0 * best / check["octants"] * 1e3
+        lines.append(
+            f"{variant:>16}{check['build_seconds']:>10.2f}"
+            f"{per_octant[variant]:>12.4f}{check['max_rel']:>11.1e}")
+    sgr = per_octant["sympygr"]
+    lines.append(
+        f"measured speedups vs SymPyGR: binary-reduce "
+        f"{sgr / per_octant['binary-reduce']:.2f}x (paper 1.55x), "
+        f"staged+CSE {sgr / per_octant['staged-cse']:.2f}x (paper 1.76x)")
+    print("\n" + write_table("fig11_cuda_on_host", lines))
+
+
 def test_fig11_compiled_backend_series(benchmark):
     """Measured series for the ``compiled`` variant (PR 6): wall-clock
     time per octant for 10 full RHS evaluations of the native fused
@@ -68,7 +109,7 @@ def test_fig11_compiled_backend_series(benchmark):
     from repro.solver import BSSNSolver
 
     if native_impl() is None:
-        pytest.skip("compiled backend unavailable (no numba or cffi+cc)")
+        pytest.skip("compiled backend unavailable (no cffi+cc or numba)")
 
     mesh = Mesh(LinearOctree.uniform(2))
     u = mesh_puncture_state(mesh, [Puncture(1.0, [0.2, 0.1, 0.0])])

@@ -2,8 +2,9 @@
 
 Runs the three analysis legs and prints a human report:
 
-* **dataflow** — verify every codegen variant's schedule (plus the
-  emitted CUDA source against the verifier's symbol table);
+* **dataflow** — verify every codegen variant's schedule, then compile
+  its emitted CUDA for the host and run it against the NumPy execution
+  (where there is a C compiler);
 * **aliasing** — audit one RK4 step of a WaveSolver and a
   BSSNSolver on a small uniform mesh;
 * **lint**     — the hot-path allocation lint over every registered
@@ -25,7 +26,10 @@ SECTIONS = ("dataflow", "aliasing", "lint")
 
 
 def _run_dataflow(report: dict, variants: list[str]) -> int:
-    from repro.codegen import CudaValidationError, emit_cuda, get_kernel_spec
+    from repro.codegen import (
+        ToolchainError, emit_cuda, get_kernel_spec, probe_cffi,
+    )
+    from .cuda_host import check_cuda_on_host
     from .dataflow import verify_spec
 
     print("== dataflow: kernel-schedule verification ==")
@@ -35,21 +39,29 @@ def _run_dataflow(report: dict, variants: list[str]) -> int:
         spec = get_kernel_spec(variant)
         rep = verify_spec(spec)
         entry = rep.to_dict()
-        try:
-            emit_cuda(spec)  # emit_cuda validates the source internally
-            entry["cuda_validated"] = True
-        except CudaValidationError as exc:
-            entry["cuda_validated"] = False
-            entry["cuda_error"] = str(exc)
-            num += 1
+        if probe_cffi() is None:
+            emit_cuda(spec)
+            cuda_ok, cuda = True, "cuda emitted only: no cc"
+        else:
+            try:
+                run = entry["cuda_on_host"] = check_cuda_on_host(spec)
+                cuda_ok = run["ok"]
+                cuda = (
+                    f"cuda compiled + executed (build "
+                    f"{run['build_seconds']:.1f} s, run "
+                    f"{run['run_seconds'] * 1e3:.1f} ms, max rel "
+                    f"{run['max_rel']:.1e})")
+            except ToolchainError as exc:
+                cuda_ok = False
+                cuda = entry["cuda_error"] = f"cuda FAILED to compile: {exc}"
         entries.append(entry)
-        num += len(rep.findings)
-        status = "ok" if rep.ok and entry["cuda_validated"] else "FAIL"
+        num += len(rep.findings) + (not cuda_ok)
         print(
             f"  {variant:14s} {rep.num_statements:5d} stmts  "
             f"live {rep.max_live:3d} (on-demand {rep.max_live_ondemand:3d})  "
-            f"cuda {'ok' if entry['cuda_validated'] else 'FAIL'}  "
-            f"{rep.verify_time * 1e3:7.1f} ms  [{status}]"
+            f"{rep.verify_time * 1e3:7.1f} ms  "
+            f"[{'ok' if rep.ok and cuda_ok else 'FAIL'}]\n"
+            f"  {'':14s} {cuda}"
         )
         for f in rep.findings:
             print(f"    {f.severity}: {f.kind} at {f.location}: {f.message}")

@@ -10,7 +10,7 @@ from .backends import (
     resolve_backend,
 )
 from .cbackend import ToolchainError, build_native_lib, emit_c_source, emit_py_source
-from .cuda_emit import CudaValidationError, emit_cuda, validate_cuda_source
+from .cuda_emit import emit_cuda
 from .equations import rhs_operation_count, symbolic_rhs
 from .generators import (
     ALL_VARIANTS,
@@ -39,7 +39,6 @@ __all__ = [
     "COMPILED_VARIANT",
     "DEFAULT_BUDGET",
     "BackendUnavailableError",
-    "CudaValidationError",
     "NativeBSSNRHS",
     "NativeWaveRHS",
     "ToolchainError",
@@ -60,7 +59,6 @@ __all__ = [
     "compile_kernel",
     "emit_cuda",
     "emit_source",
-    "validate_cuda_source",
     "generate_binary_reduce",
     "generate_staged_cse",
     "generate_sympygr",

@@ -27,9 +27,10 @@ coalesced fancy indexing and fill with
 every boundary face, for any number of variables: the NumPy
 :func:`repro.bssn.sommerfeld.sommerfeld_faces`, or its native twin.
 
-The compiled ladder is **Numba first** (``@njit(fastmath=False)`` over
-the generated Python source), then the **cffi**-loaded C build, because
-Numba needs no toolchain at runtime.  Both execute the identical
+The compiled ladder is the **cffi**-loaded C build first — the
+row-vector kernels every committed measurement was taken on — then
+**Numba** (``@njit(fastmath=False)`` over the generated per-point
+Python source) where there is no C toolchain.  Both execute the identical
 schedule with identical accumulation order, so the choice never changes
 results (asserted bitwise in tests/test_backends.py).  A third
 implementation, ``"py"``, runs the generated Python source un-jitted —
@@ -107,12 +108,12 @@ def probe_cffi() -> str | None:
 
 
 def native_impl() -> str | None:
-    """First available rung of the compiled ladder (``numba`` / ``cffi``),
+    """First available rung of the compiled ladder (``cffi`` / ``numba``),
     or None when the host supports neither."""
-    if probe_numba() is not None:
-        return "numba"
     if probe_cffi() is not None:
         return "cffi"
+    if probe_numba() is not None:
+        return "numba"
     return None
 
 
@@ -148,8 +149,8 @@ def resolve_backend(backend: str) -> str:
         raise BackendUnavailableError(
             "backend='compiled' requested but no native implementation is "
             f"available on this host (numba: {info['numba']}, cffi: "
-            f"{info['cffi']}, cc: {info['cc']}). Install numba, or a C "
-            "compiler with cffi, or use backend='numpy'."
+            f"{info['cffi']}, cc: {info['cc']}). Install a C compiler "
+            "with cffi, or numba, or use backend='numpy'."
         )
     if not _WARNED_FALLBACK:
         _WARNED_FALLBACK = True

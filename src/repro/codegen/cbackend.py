@@ -77,7 +77,7 @@ from repro.fd.stencils import (
     KO_DISS_6,
 )
 from .generators import KernelSpec, schedule_digest
-from .lowering import classify_inputs, lowered_statements
+from .lowering import Dialect, a_stage, classify_inputs
 
 #: layout of the ``params`` argument both kernels receive
 PARAM_ORDER = (
@@ -478,10 +478,31 @@ void sommerfeld_faces(const double* patches, long ntot, long nvars,
 _LITERAL_RE = re.compile(r"(?<![\w.])-?\d+\.\d*(?:e[-+]?\d+)?")
 
 
+def _bc(expr: str) -> str:
+    """``expr`` with every literal broadcast to a row vector."""
+    return _LITERAL_RE.sub(r"bc(\g<0>)", expr)
+
+
+#: the A stage on one row vector: values from the patch (chi floored),
+#: derivatives and the KO term from the D stage's scratch blocks
+_C_DIALECT = Dialect(
+    policy="c",
+    value=lambda name, idx: (
+        f"const v8 {name} = np_maximum(ld(pv_{name} + pc), p_chi_floor);"
+        if name == "chi" else f"const v8 {name} = ld(pv_{name} + pc);"),
+    deriv=lambda name, i: "const v8 {} = ld({} + {}L * NB + pp);".format(
+        name, *_deriv_block(name)),
+    decl=lambda tgt, expr: f"const v8 {tgt} = {_bc(expr)};",
+    out=lambda var, expr: (
+        f"st(out + {var}L * ntot * NP, ({_bc(expr)})"
+        f" + ld(kos + {var}L * NB + pp) * p_ko_sigma, n);"),
+)
+
+
 def emit_c_source(spec: KernelSpec) -> str:
     """Full C translation unit: stencil helpers, the wave kernel, and the
     fused BSSN chunk kernel whose A body is generated from ``spec``."""
-    values, derivs, params_used = classify_inputs(spec)
+    values = classify_inputs(spec)[0]
     lines = [_C_PRELUDE]
     lines.append(
         f"/* fused BSSN D+A+KO chunk kernel; variant: {spec.variant};\n"
@@ -574,22 +595,7 @@ def emit_c_source(spec: KernelSpec) -> str:
     a("            const long pp = (z * r + y) * W + x;")
     a("            const long n = r - x < LANES ? r - x : LANES;")
     a("            double* out = rhs + g * NP + (z * r + y) * r + x;")
-    for name in values:
-        if name == "chi":
-            a(f"            const v8 {name} = np_maximum(ld(pv_{name} + pc),"
-              " p_chi_floor);")
-        else:
-            a(f"            const v8 {name} = ld(pv_{name} + pc);")
-    for name in derivs:
-        region, block = _deriv_block(name)
-        a(f"            const v8 {name} = ld({region} + {block}L * NB + pp);")
-    for kind, tgt, expr in lowered_statements(spec, "c"):
-        expr = _LITERAL_RE.sub(r"bc(\g<0>)", expr)
-        if kind == "out":
-            a(f"            st(out + {tgt}L * ntot * NP, ({expr})"
-              f" + ld(kos + {tgt}L * NB + pp) * p_ko_sigma, n);")
-        else:
-            a(f"            const v8 {tgt} = {expr};")
+    lines += a_stage(spec, _C_DIALECT, indent=12)
     a("        }")
     a("    }")
     a("}")
@@ -769,9 +775,24 @@ PY_KERNEL_NAMES = (
 )
 
 
+#: the C dialect per point: flat indices into ``patches`` and scratch ``s``
+_PY_DIALECT = Dialect(
+    policy="py",
+    value=lambda name, idx: (
+        f"{name} = _np_maximum(patches[pv_{name} + pc], p_chi_floor)"
+        if name == "chi" else f"{name} = patches[pv_{name} + pc]"),
+    deriv=lambda name, i: "{} = s[{} + {} * NB + pp]".format(
+        name, *_deriv_block(name)),
+    decl=lambda tgt, expr: f"{tgt} = {expr}",
+    out=lambda var, expr: (
+        f"rhs[out + {var} * ntot * NP] = ({expr})"
+        f" + s[kos + {var} * NB + pp] * p_ko_sigma"),
+)
+
+
 def emit_py_source(spec: KernelSpec) -> str:
     """Python source of both kernels (the Numba backend's njit body)."""
-    values, derivs, params_used = classify_inputs(spec)
+    values = classify_inputs(spec)[0]
     lines = [_PY_PRELUDE, ""]
     a = lines.append
     a(f"# variant: {spec.variant};"
@@ -845,21 +866,7 @@ def emit_py_source(spec: KernelSpec) -> str:
     a("                pc = (z * P + y) * P + x")
     a("                pp = (z * r + y) * W + x")
     a("                out = g * NP + (z * r + y) * r + x")
-    for name in values:
-        if name == "chi":
-            a(f"                {name} = _np_maximum(patches[pv_{name}"
-              " + pc], p_chi_floor)")
-        else:
-            a(f"                {name} = patches[pv_{name} + pc]")
-    for name in derivs:
-        region, block = _deriv_block(name)
-        a(f"                {name} = s[{region} + {block} * NB + pp]")
-    for kind, tgt, expr in lowered_statements(spec, "py"):
-        if kind == "out":
-            a(f"                rhs[out + {tgt} * ntot * NP] = ({expr})"
-              f" + s[kos + {tgt} * NB + pp] * p_ko_sigma")
-        else:
-            a(f"                {tgt} = {expr}")
+    lines += a_stage(spec, _PY_DIALECT, indent=16)
     return "\n".join(lines) + "\n"
 
 
@@ -966,11 +973,15 @@ class NativeLib:
         return self.ffi.cast(ctype, arr.ctypes.data)
 
 
-def build_native_lib(source: str) -> NativeLib:
-    """Compile ``source`` into a cached ``.so`` and dlopen it via cffi.
+def build_native_lib(source: str, decls: str = FFI_DECLS,
+                     prefix: str = "native") -> NativeLib:
+    """Compile ``source`` into a cached ``.so`` and dlopen it via cffi
+    with the declarations ``decls``.
 
     Built with :data:`CFLAGS`, or :data:`CFLAGS_PORTABLE` when the
     compiler rejects the former; each flag set has its own cache key.
+    The cache holds one build per ``prefix`` (the solver's kernels, each
+    CUDA-on-host unit): a new build evicts only older ones of its own.
     Raises :class:`ToolchainError` when cffi or a C compiler is missing
     or the compile fails; callers fall back down the backend ladder.
     """
@@ -984,8 +995,8 @@ def build_native_lib(source: str) -> NativeLib:
     cc_ver = _cc_version(cc)
     cache = _cache_dir()
     builds = [
-        (flags, cache / "native-{}.so".format(
-            native_cache_key(source, cc_ver, cffi.__version__, flags)))
+        (flags, cache / "{}-{}.so".format(
+            prefix, native_cache_key(source, cc_ver, cffi.__version__, flags)))
         for flags in (CFLAGS, CFLAGS_PORTABLE)
     ]
     compile_seconds = 0.0
@@ -1013,13 +1024,13 @@ def build_native_lib(source: str) -> NativeLib:
         # prune artifacts built under older keys (stale schedules,
         # toolchains or flags can never be loaded again)
         keep = built[1].stem
-        for pattern in ("native-*.so", "native-*.c"):
-            for old in cache.glob(pattern):
+        for suffix in (".so", ".c"):
+            for old in cache.glob(f"{prefix}-{'[0-9a-f]' * 16}{suffix}"):
                 if old.stem != keep:
                     old.unlink(missing_ok=True)
     flags, so_path = built
     ffi = cffi.FFI()
-    ffi.cdef(FFI_DECLS)
+    ffi.cdef(decls)
     lib = ffi.dlopen(str(so_path))
     return NativeLib(lib, ffi, so_path, compile_seconds, from_cache, flags)
 

@@ -1,12 +1,17 @@
 """Shared scalar lowering of instruction schedules.
 
-One schedule, three textual renderings: the CUDA emitter
-(:mod:`repro.codegen.cuda_emit`), the cffi C backend and the Numba
-backend (:mod:`repro.codegen.backends`) all lower the *same*
+One schedule, three textual renderings: the C row-vector kernel and its
+per-point Python twin (:mod:`repro.codegen.cbackend`) and the CUDA
+thread kernel (:mod:`repro.codegen.cuda_emit`) all lower the *same*
 dataflow-verified :class:`~repro.codegen.generators.KernelSpec`
-statement stream to per-point scalar code.  This module holds the parts
-they share: input classification, the per-statement iterator, and the
-``**`` translation policies.
+statement stream.  This module holds what they share: input
+classification, the ``**`` translation policies, and the one walk of
+the A stage, :func:`a_stage` — value loads, derivative loads, the
+lowered statements, output stores — which each emitter parameterises
+with a :class:`Dialect` row saying how its language spells those four
+kinds of line (C: ``ld`` / ``const v8`` / ``bc()`` literals / ``st`` +
+KO add; Python: flat indices; CUDA: ``u[i][pp]`` / ``d[i][pp]`` /
+``out[i][pp]``).
 
 Bitwise contract
 ----------------
@@ -24,7 +29,9 @@ integer exponents into multiplies and a division, and why
 from __future__ import annotations
 
 import re
+from typing import Callable, NamedTuple
 
+from repro.bssn import state as S
 from .generators import KernelSpec
 from .regalloc import is_register_input
 from .symbols import PARAM_SYMBOLS
@@ -49,10 +56,12 @@ def _pow_cuda(base: str, exp: float) -> str:
     return f"pow({base}, {exp})"
 
 
-def _pow_c(base: str, exp: float) -> str:
-    """C policy: only exactly-rounded rewrites (division, sqrt), so the
-    result bit-matches NumPy's ufunc execution; anything else falls back
-    to libm ``pow`` (flagged by :func:`is_bitwise_lowerable`)."""
+def _pow_exact(base: str, exp: float) -> str:
+    """C and Python/Numba policy: only exactly-rounded rewrites
+    (division, sqrt), so the result bit-matches NumPy's ufunc execution;
+    anything else falls back to libm ``pow`` (flagged by
+    :func:`is_bitwise_lowerable`; ``math.pow`` lowers to the same
+    libm/LLVM intrinsic under njit)."""
     if exp == -1.0:
         return f"(1.0 / {base})"
     if exp == 0.5:
@@ -60,33 +69,13 @@ def _pow_c(base: str, exp: float) -> str:
     return f"pow({base}, {exp})"
 
 
-def _pow_py(base: str, exp: float) -> str:
-    """Python/Numba policy: mirrors :func:`_pow_c` (``math.sqrt`` and
-    ``math.pow`` lower to the same libm/LLVM intrinsics under njit)."""
-    if exp == -1.0:
-        return f"(1.0 / {base})"
-    if exp == 0.5:
-        return f"sqrt({base})"
-    return f"pow({base}, {exp})"
-
-
-_POLICIES = {"cuda": _pow_cuda, "c": _pow_c, "py": _pow_py}
-
-
-def scalar_expr(src: str, policy: str = "cuda") -> str:
-    """Translate one generated expression string to the target language."""
-    fn = _POLICIES[policy]
-
-    def repl(m):
-        return fn(m.group(1), float(m.group(2)))
-
-    return _POW_RE.sub(repl, src)
+_POLICIES = {"cuda": _pow_cuda, "c": _pow_exact, "py": _pow_exact}
 
 
 def classify_inputs(spec: KernelSpec) -> tuple[list[str], list[str], list[str]]:
     """``(values, derivs, params)`` actually referenced by the schedule,
-    each sorted by name (the derivative order is the kernels' pointer
-    ABI — see :func:`repro.codegen.cuda_emit.deriv_input_order`)."""
+    each sorted by name (the derivative order is the CUDA kernel's
+    ``d[i]`` pointer ABI)."""
     used = sorted(
         {n for st in spec.statements for n in st.inputs if n in spec.input_names}
     )
@@ -99,13 +88,38 @@ def classify_inputs(spec: KernelSpec) -> tuple[list[str], list[str], list[str]]:
 
 def lowered_statements(spec: KernelSpec, policy: str):
     """Yield ``("decl", target, expr)`` / ``("out", var, expr)`` tuples,
-    one per schedule statement, with ``**`` already translated."""
+    one per schedule statement, with ``**`` translated by ``policy``."""
+    spell = _POLICIES[policy]
     for st in spec.statements:
-        expr = scalar_expr(st.src, policy)
+        expr = _POW_RE.sub(
+            lambda m: spell(m.group(1), float(m.group(2))), st.src)
         if st.is_output:
             yield ("out", st.output_var, expr)
         else:
             yield ("decl", st.target, expr)
+
+
+class Dialect(NamedTuple):
+    """How one target language spells the four kinds of A-stage line."""
+
+    policy: str                       #: key of the ``**`` translation table
+    value: Callable[[str, int], str]  #: (name, evolution-variable index)
+    deriv: Callable[[str, int], str]  #: (name, position among the derivs)
+    decl: Callable[[str, str], str]   #: (temporary, lowered expression)
+    out: Callable[[int, str], str]    #: (output variable, lowered expression)
+
+
+def a_stage(spec: KernelSpec, dialect: Dialect, indent: int) -> list[str]:
+    """The A stage of one point (C: of one row vector) in ``dialect``:
+    every value load, every derivative load, then the schedule statement
+    for statement, each line indented by ``indent`` spaces."""
+    values, derivs, _ = classify_inputs(spec)
+    lines = [dialect.value(name, S.VAR_NAMES.index(name)) for name in values]
+    lines += [dialect.deriv(name, i) for i, name in enumerate(derivs)]
+    for kind, target, expr in lowered_statements(spec, dialect.policy):
+        spell = dialect.out if kind == "out" else dialect.decl
+        lines.append(spell(target, expr))
+    return [" " * indent + line for line in lines]
 
 
 def is_bitwise_lowerable(spec: KernelSpec) -> tuple[bool, list[str]]:

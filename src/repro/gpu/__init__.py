@@ -1,6 +1,6 @@
 """The virtual GPU substrate: machine models, the §III-D performance
-model, structural kernel counters, roofline placement, and a functional
-block executor (see DESIGN.md for the substitution rationale)."""
+model, structural kernel counters, roofline placement, and the launch
+timeline (see DESIGN.md for the substitution rationale)."""
 
 from .counters import (
     algebraic_stats,
@@ -20,13 +20,7 @@ from .device import (
     Interconnect,
     MachineSpec,
 )
-from .executor import (
-    KernelLaunch,
-    SharedMemory,
-    VirtualGPU,
-    block_bssn_rhs,
-    block_octant_to_patch,
-)
+from .executor import KernelLaunch, VirtualGPU
 from .occupancy import (
     A100_SM,
     Occupancy,
@@ -67,7 +61,6 @@ __all__ = [
     "LONESTAR6_IB",
     "MachineSpec",
     "RooflinePoint",
-    "SharedMemory",
     "VirtualGPU",
     "achieved_gflops",
     "algebraic_stats",
@@ -80,8 +73,6 @@ __all__ = [
     "paper_rhs_occupancy",
     "registers_per_thread_cap",
     "LRUCache",
-    "block_bssn_rhs",
-    "block_octant_to_patch",
     "effective_reuse_factor",
     "repeated_pass_miss_rate",
     "derivative_flops_per_point",

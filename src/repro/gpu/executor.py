@@ -1,26 +1,18 @@
-"""The virtual GPU: functional block/thread execution plus a timeline of
-model-predicted kernel times.
+"""The virtual GPU: a timeline of model-predicted kernel times.
 
 Real A100s are not available to a pure-Python reproduction (see
-DESIGN.md); this module provides the two things the paper's GPU runs
-contribute to the evaluation:
-
-* a *functional* execution path organised exactly like the CUDA kernels —
-  one block per octant, explicit shared-memory staging, scatter via the
-  O2P map (Algorithm 2, Fig. 8) — used to validate that the GPU-style
-  data flow produces the same numbers as the vectorised host path;
-* a *performance* path: every launch is costed with the §III-D slow–fast
-  model and accumulated on a timeline, which is what the single-node and
-  scaling benchmarks report.
+DESIGN.md).  Every launch is costed with the §III-D slow–fast model and
+accumulated on a timeline, which is what the single-node and scaling
+benchmarks report.  The kernels' numbers are checked elsewhere, by
+running them: the emitted CUDA A kernel is compiled for and executed on
+the host (:mod:`repro.codegen.cuda_emit`), the D stage and the
+octant-to-patch scatter by the native-vs-NumPy bitwise suites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.mesh import CASE_COARSE, TransferPlan, prolong_blocks
 from .device import A100, MachineSpec
 from .perfmodel import KernelStats, kernel_time
 
@@ -74,119 +66,3 @@ class VirtualGPU:
     def reset(self) -> None:
         """Clear the timeline."""
         self.timeline.clear()
-
-
-class SharedMemory:
-    """Block shared memory: a named scratch allocation (functional)."""
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-        self.bytes_allocated = 0
-
-    def alloc(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """Allocate a named shared-memory array."""
-        arr = np.zeros(shape)
-        self._arrays[name] = arr
-        self.bytes_allocated += arr.nbytes
-        return arr
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-
-def block_bssn_rhs(
-    patches: np.ndarray, h, params=None, *, algebra=None
-) -> np.ndarray:
-    """The fused RHS kernel executed block-by-block (Fig. 9 structure).
-
-    One block per octant patch: each variable is staged through block
-    shared memory, its derivatives are computed in a shared workspace and
-    parked in "thread-local" per-point storage, and once all derivatives
-    are present the A component updates the RHS.  Numerically identical
-    to the batched host path (tested); use only on small meshes.
-    """
-    from repro.bssn import BSSNParams, compute_derivatives, evaluate_algebraic
-    from repro.bssn import state as S
-    from repro.fd import PatchDerivatives
-
-    if params is None:
-        params = BSSNParams()
-    if patches.shape[0] != S.NUM_VARS:
-        raise ValueError("expected 24-variable patches")
-    pd = PatchDerivatives(k=3)
-    n = patches.shape[1]
-    P = patches.shape[-1]
-    r = P - 2 * pd.k
-    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (n,))
-    fn = algebra if algebra is not None else evaluate_algebraic
-    rhs = np.empty((S.NUM_VARS, n, r, r, r))
-    for e in range(n):  # one GPU block per octant patch
-        shared = SharedMemory()
-        staged = shared.alloc("var", (S.NUM_VARS, 1, P, P, P))
-        for v in range(S.NUM_VARS):
-            # global -> shared, one evolution variable at a time (Fig. 9)
-            staged[v, 0] = patches[v, e]
-        # derivative workspace -> thread-local storage
-        derivs = compute_derivatives(staged, float(h[e]), params, pd)
-        values = np.ascontiguousarray(
-            staged[:, :, pd.k : pd.k + r, pd.k : pd.k + r, pd.k : pd.k + r]
-        )
-        out = fn(values, derivs, params)
-        out += params.ko_sigma * derivs.ko
-        rhs[:, e] = out[:, 0]
-    return rhs
-
-
-def block_octant_to_patch(
-    plan: TransferPlan, u: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Algorithm 2 executed block-by-block (one block per octant).
-
-    Functionally identical to the vectorised scatter (asserted in tests);
-    exists to mirror the CUDA kernel's structure: global->shared load of
-    the octant block, in-shared interpolation, shared->global scatter via
-    the O2P map.  Use only on small meshes — this is a per-block Python
-    loop.
-    """
-    from repro.mesh.octant_to_patch import (
-        _copy_interior,
-        allocate_patches,
-        extrapolate_boundary,
-    )
-
-    if u.ndim != 4:
-        raise ValueError("block executor takes a single field (n, r, r, r)")
-    if out is None:
-        out = allocate_patches(plan, ())
-    r, P = plan.r, plan.P
-    n = len(plan.tree)
-    pf = out.reshape(n, P**3)
-
-    # per-source transfer lists: (case, dst, src_template, dst_template)
-    per_block: list[list] = [[] for _ in range(n)]
-    for grp in plan.groups:
-        for m in range(grp.num_pairs):
-            per_block[grp.src[m]].append(
-                (grp.case, grp.dst[m], grp.src_template, grp.dst_template)
-            )
-
-    # the vectorised scatter resolves conflicting writes at shared source
-    # boundaries by case priority (coarse, then same, then fine); replay
-    # block passes in the same priority order for bitwise agreement
-    for case_pass in (0, 1, 2):
-        for e in range(n):  # block id x (kernel grid dimension |E|)
-            work = [t for t in per_block[e] if t[0] == case_pass]
-            if not work:
-                continue
-            shared = SharedMemory()
-            u_e = shared.alloc("u_e", (r, r, r))
-            u_e[...] = u[e]  # global -> shared load (O2N map)
-            if case_pass == CASE_COARSE:
-                up = shared.alloc("u_up", (2 * r - 1,) * 3)
-                up[...] = prolong_blocks(u_e)  # shared-memory interpolation
-            for case, dst, src_t, dst_t in work:
-                src_flat = (up if case == CASE_COARSE else u_e).ravel()
-                pf[dst, dst_t] = src_flat[src_t]  # shared -> global scatter
-    _copy_interior(plan, u, out)
-    extrapolate_boundary(plan, out)
-    return out

@@ -77,9 +77,13 @@ def bssn_main(argv=None) -> int:
         np.ceil(cfg.t_end / solver.dt)
     )
     for i in range(n_steps):
-        if cfg.regrid_every and i and i % cfg.regrid_every == 0:
+        # on the solver's step count, as Solver.evolve does: a restarted
+        # run regrids on the steps the uninterrupted one does
+        if (cfg.regrid_every and solver.step_count
+                and solver.step_count % cfg.regrid_every == 0):
             if solver.regrid(cfg.regrid_eps, max_level=cfg.max_level):
-                print(f"  regrid -> {solver.mesh.num_octants} octants")
+                print(f"  regrid at step {solver.step_count} -> "
+                      f"{solver.mesh.num_octants} octants")
         solver.step()
         if i % max(1, n_steps // 10) == 0:
             a = solver.state[0]

@@ -74,6 +74,15 @@ class DistributedSolver:
         else:
             setattr(self.solver, name, value)
 
+    def regrid(self, *args, **kwargs):
+        """Refused: ``partition``, ``ranges`` and ``halo`` describe the
+        mesh the driver was built on, and the wrapped solver's ``regrid``
+        (which ``__getattr__`` would otherwise reach) replaces it."""
+        raise ValueError(
+            "regrid on a distributed run is not supported; regrid the "
+            "wrapped solver and build a new driver"
+        )
+
     def bytes_communicated(self) -> int:
         """Total halo traffic so far."""
         return self.comm.total_bytes()

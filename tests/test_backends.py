@@ -106,6 +106,17 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("fortran")
 
+    def test_ladder_prefers_the_c_build(self, monkeypatch):
+        """cffi + cc first — the rung the ledger measures — numba where
+        there is no toolchain."""
+        monkeypatch.setattr(B, "probe_numba", lambda: "0.0")
+        monkeypatch.setattr(B, "probe_cffi", lambda: "0.0")
+        assert B.native_impl() == "cffi"
+        monkeypatch.setattr(B, "probe_cffi", lambda: None)
+        assert B.native_impl() == "numba"
+        monkeypatch.setattr(B, "probe_numba", lambda: None)
+        assert B.native_impl() is None
+
     def test_auto_falls_back_with_single_warning(self, monkeypatch):
         """Numba and cffi both absent: auto degrades to numpy, warning
         exactly once per process."""

@@ -201,3 +201,26 @@ def test_exchange_ghosts_refuses_a_partition_without_offsets():
     fields = [mesh.allocate(2)[:, hilbert.local_indices(r)] for r in range(3)]
     with pytest.raises(ValueError, match="contiguous SFC partition"):
         exchange_ghosts(plan, fields, SimComm(3), dof=2)
+
+
+def test_driver_refuses_regrid_and_stays_untouched():
+    """``regrid`` would pass through ``__getattr__`` and swap the mesh
+    under ``partition`` / ``ranges`` / ``halo``: the driver refuses it,
+    directly and through ``SupervisedRun.run(regrid_every=)``, and
+    nothing has changed afterwards."""
+    from repro.resilience import SupervisedRun
+
+    solver = _solver("wave-uniform", "numpy")
+    dist = DistributedSolver(solver, partition_octree(solver.mesh.tree, 3))
+    for _ in range(STEPS):
+        dist.step()
+    mesh, ranges, halo = solver.mesh, list(dist.ranges), dist.halo
+    state = solver.state.copy()
+    with pytest.raises(ValueError, match="regrid on a distributed run"):
+        dist.regrid(1e-6, max_level=3)
+    run = SupervisedRun(dist)
+    with pytest.raises(ValueError, match="regrid on a distributed run"):
+        run.run(solver.t + 10 * solver.dt, regrid_every=1, regrid_eps=1e-6)
+    assert solver.mesh is mesh and dist.halo is halo
+    assert dist.ranges == ranges and solver.step_count == STEPS
+    assert np.array_equal(solver.state, state)

@@ -1,5 +1,5 @@
 """Tests for the virtual-GPU substrate: performance model, counters,
-roofline, block executor."""
+roofline, launch timeline."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.gpu import (
     VirtualGPU,
     achieved_gflops,
     attainable_gflops,
-    block_octant_to_patch,
     derivative_flops_per_point,
     is_bandwidth_bound,
     kernel_time,
@@ -30,7 +29,7 @@ from repro.gpu import (
     time_infinite_cache,
 )
 from repro.mesh import Mesh
-from repro.octree import LinearOctree, adaptivity_family, balance, bbh_grid
+from repro.octree import LinearOctree, adaptivity_family, bbh_grid
 
 
 class TestMachineModel:
@@ -163,22 +162,6 @@ class TestVirtualGPU:
         assert set(gpu.time_by_kernel()) == {"a", "b"}
         gpu.reset()
         assert gpu.total_time() == 0.0
-
-    def test_block_executor_matches_vectorised(self):
-        t = LinearOctree.uniform(1)
-        flags = np.zeros(8, dtype=bool)
-        flags[0] = True
-        mesh = Mesh(balance(t.refine(flags)))
-        c = mesh.coordinates()
-        u = np.sin(0.3 * c[..., 0]) * np.cos(0.2 * c[..., 1]) + c[..., 2] ** 2
-        pv = mesh.unzip(u)
-        pb = block_octant_to_patch(mesh.plan, u)
-        assert np.array_equal(pv, pb)
-
-    def test_block_executor_validates_shape(self):
-        mesh = Mesh(LinearOctree.uniform(1))
-        with pytest.raises(ValueError):
-            block_octant_to_patch(mesh.plan, np.zeros((2, 8, 7, 7, 7)))
 
 
 @given(f=st.floats(1e3, 1e12), m=st.floats(1e3, 1e12))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.codegen.backends import native_impl
 from repro.io import RunConfig, load_checkpoint, preset, restore_solver, save_checkpoint
 from repro.io.cli import bssn_main, tpid_main
 
@@ -116,6 +117,39 @@ class TestCLI:
         assert bssn_main([str(p), "--steps", "1", "--restart", str(chk)]) == 0
         out = capsys.readouterr().out
         assert "restarted" in out
+
+    @pytest.mark.skipif(native_impl() is None,
+                        reason="no native toolchain (cffi+cc or numba)")
+    def test_restart_regrids_on_the_uninterrupted_steps(self, tmp_path, capsys):
+        """4 steps straight against 2 → checkpoint → ``--restart`` → 2
+        with ``regrid_every=3``: both regrid at step 3 (the loop index
+        of the restarted run is 1 there) and end in the same state."""
+        from repro.jobs import state_digest
+
+        cfg = RunConfig(
+            name="resume", mass_ratio=2.0, domain_half_width=16.0,
+            base_level=1, max_level=3, regrid_every=3, regrid_eps=3e-3,
+            backend="compiled", extraction_radii=[8.0],
+        )
+        par = tmp_path / "run.par.json"
+        cfg.save(par)
+        straight, half, resumed = (
+            str(tmp_path / f"{name}.npz") for name in ("a", "h", "b"))
+
+        def regrids(*argv):
+            assert bssn_main([str(par), *argv]) == 0
+            return [ln for ln in capsys.readouterr().out.splitlines()
+                    if "regrid at step" in ln]
+
+        expect = regrids("--steps", "4", "--checkpoint", straight)
+        assert len(expect) == 1 and "regrid at step 3 ->" in expect[0]
+        assert regrids("--steps", "2", "--checkpoint", half) == []
+        assert regrids("--steps", "2", "--restart", half,
+                       "--checkpoint", resumed) == expect
+        a, b = (restore_solver(path, cfg.bssn_params(), backend="compiled")
+                for path in (straight, resumed))
+        assert a.step_count == b.step_count == 4
+        assert state_digest(a.state) == state_digest(b.state)
 
 
 class TestWaveformIO:
