@@ -70,7 +70,7 @@ def run_config(mesh: Mesh, config: str, steps: int, *,
     """Warm up one step (plan/pool build), then time ``steps`` steps; a
     separate fresh solver measures peak allocation of one steady step."""
     solver = make_solver(mesh, config, profiler)
-    solver.step()  # warmup: builds coalesced plan / fills the arena
+    solver.step()  # warmup: builds the gather map, fills the arena
     per_step = []
     for _ in range(steps):
         t0 = time.perf_counter()
@@ -137,7 +137,7 @@ def supervised_overhead(mesh: Mesh, steps: int) -> dict:
 
     solver = make_solver(mesh, "numpy")
     run = SupervisedRun(solver, monitor=HealthMonitor())
-    solver.step()  # warmup: arena + coalesced plan
+    solver.step()  # warmup: arena + gather map
     run.step()     # warmup: snapshot + scan buffers
     raw, supervised = [], []
     for _ in range(max(2, steps)):

@@ -42,14 +42,16 @@ def sommerfeld_faces(
     u_inf: np.ndarray,
     speed: float,
     *,
+    lo: int = 0,
     pool=None,
 ) -> None:
     """Overwrite ``rhs`` at the physical-boundary points (in place) with
     ``(−c · (Σ_d x_d ∂_d u + (u − u_∞))) / r``.
 
-    ``rhs`` ``(nv, n, r, r, r)`` and ``patches`` ``(nv, n, P, P, P)``
-    hold any number of variables; ``faces`` is the plan's ``(axis, side,
-    octants)`` list; ``coords`` ``(n, r, r, r, 3)``, ``radii``
+    ``rhs`` ``(nv, n, r, r, r)`` and ``patches`` ``(nv, m, P, P, P)`` —
+    the patches of octants ``lo:lo + m`` — hold any number of variables;
+    ``faces`` is the plan's ``(axis, side, octants)`` list (octants in
+    that range); ``coords`` ``(n, r, r, r, 3)``, ``radii``
     ``(n, r, r, r)`` (clipped away from zero) and the spacings ``h``
     ``(n,)`` are the mesh's; ``u_inf`` is ``(nv,)``.  Only the ``r²``
     points of a face are differentiated: the stencil runs on face-slab
@@ -75,7 +77,7 @@ def sommerfeld_faces(
         acc = scratch(pool, "sommerfeld.acc", shape)
         tmp = scratch(pool, "sommerfeld.tmp", shape)
         sub = scratch(pool, "sommerfeld.sub", shape[:2] + (P, P, P))
-        np.take(patches, octs, axis=1, out=sub)
+        np.take(patches, octs - lo, axis=1, out=sub)
         h_face = h[octs]
         acc[...] = 0.0
         for d in range(3):

@@ -1,7 +1,7 @@
 """The chunk kernels both solvers step through, and their selection.
 
-A solver's ``full_rhs`` is one pipeline — unzip, per octant chunk
-``kernel(...)`` → write, then ``kernel.sommerfeld(...)`` on the
+A solver's ``full_rhs`` is one pipeline — per octant chunk: unzip,
+``kernel(...)`` → write, then ``kernel.sommerfeld(...)`` on the chunk's
 physical-boundary faces — over a kernel object resolved once from
 ``backend=``:
 
@@ -16,16 +16,19 @@ physical-boundary faces — over a kernel object resolved once from
 
 The two implementations of each kernel share one call signature and
 one set of arena buffer names, so switching backends changes neither
-the solver loop nor the arena footprint.  A kernel object also carries
-its backend's two halves of physical-boundary handling.
-``unzip_scatter`` is the native executor the solver hands to
-:meth:`repro.mesh.Mesh.unzip` — box copies, then the padding
-extrapolation (None on the NumPy kernels, which scatter through
-coalesced fancy indexing and fill with
-:func:`~repro.mesh.octant_to_patch.extrapolate_boundary`).
+the solver loop nor the arena footprint; ``chunk_octants`` is the
+chunk size each runs best at.  A kernel reads the patches of its chunk
+only — a buffer whose octant 0 is the chunk's first — and writes the
+mesh-wide ``rhs``.  A kernel object also carries its backend's unzip
+and its two halves of physical-boundary handling.  ``unzip_gather`` is
+the native executor the solver hands to :meth:`repro.mesh.Mesh.unzip` —
+the copy by the plan's gather map, then the padding extrapolation (None
+on the NumPy kernels, which copy with two ``np.take`` off the same map
+and fill with :func:`~repro.mesh.octant_to_patch.extrapolate_boundary`).
 ``sommerfeld`` applies the radiative condition on the ``r²`` points of
-every boundary face, for any number of variables: the NumPy
-:func:`repro.bssn.sommerfeld.sommerfeld_faces`, or its native twin.
+every boundary face of an octant range, for any number of variables:
+the NumPy :func:`repro.bssn.sommerfeld.sommerfeld_faces`, or its native
+twin.
 
 The compiled ladder is the **cffi**-loaded C build first — the
 row-vector kernels every committed measurement was taken on — then
@@ -216,17 +219,16 @@ def _warmup(ns: dict) -> None:
                          params, rhs, scratch)
     wpatches = np.zeros(2 * P**3)
     ko = np.zeros(r**3)
-    ns["wave_rhs_chunk"](wpatches, 1, 0, 1, P, r, k, hf, hf,
+    ns["wave_rhs_chunk"](wpatches, 1, P, r, k, hf, hf,
                          w["w2"], w["wko"], 1.0, 0.1, 1,
                          np.zeros(r**3), np.zeros(r**3), ko)
-    box = np.array([0, 0, r, 1, 1, 1, 1], dtype=np.int64)
-    ns["unzip_scatter"](rhs, r**3, patches, P**3, 1, box, 0, 1, P)
-    ns["unzip_interior"](rhs, patches, 1, P, r, k)
+    ns["unzip_gather"](rhs, 1, rhs, 1, np.full(P**3, -1, dtype=np.int32),
+                       0, 1, 1, P**3, patches)
     face = np.zeros(3, dtype=np.int64)
-    ns["extrapolate_faces"](patches, 1, 1, face, 1,
+    ns["extrapolate_faces"](patches, 0, 1, 1, face, 1,
                             extrapolation_matrices(r, k).reshape(-1), P, r, k)
-    ns["sommerfeld_faces"](patches, 1, 1, face, 1, P, r, k, hf, w["w1"],
-                           np.ones(3), hf, np.zeros(1), 1.0, rhs)
+    ns["sommerfeld_faces"](patches, 0, 1, 1, 1, face, 1, P, r, k, hf,
+                           w["w1"], np.ones(3), hf, np.zeros(1), 1.0, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +247,20 @@ class _NumpyRHSBase:
     physical boundary."""
 
     backend = "numpy"
-    #: the NumPy kernels unzip through the coalesced fancy-index scatter
-    unzip_scatter = None
-
-    @staticmethod
-    def faces(plan, lo, hi):
-        """The ``(axis, side, octants)`` faces of ``plan.boundary`` whose
-        octant is in ``lo:hi`` (the plan's own list for every octant)."""
-        if (lo, hi) == (0, len(plan.tree)):
-            return plan.boundary
-        ranged = [(axis, side, octs[(octs >= lo) & (octs < hi)])
-                  for axis, side, octs in plan.boundary]
-        return [face for face in ranged if len(face[2])]
+    #: the NumPy kernels unzip with two np.take off the gather map
+    unzip_gather = None
 
     @staticmethod
     def sommerfeld(rhs, patches, mesh, coords, radii, u_inf, speed,
-                   pool=None, faces=None):
-        """The Sommerfeld condition on the physical-boundary ``faces`` of
-        ``rhs`` ``(nv, n, r, r, r)`` — what :meth:`faces` gave for an
-        octant range, default every face; ``coords``/``radii`` are the
-        solver's per-mesh point coordinates and clipped radii."""
-        if faces is None:
-            faces = mesh.plan.boundary
-        sommerfeld_faces(rhs, patches, faces, coords, radii,
-                         mesh.dx, u_inf, speed, pool=pool)
+                   pool=None, lo=0, hi=None):
+        """The Sommerfeld condition on the physical-boundary faces of
+        octants ``lo:hi`` (default all) of ``rhs`` ``(nv, n, r, r, r)``
+        from their ``patches``, whose octant 0 is ``lo``;
+        ``coords``/``radii`` are the solver's per-mesh point coordinates
+        and clipped radii."""
+        sommerfeld_faces(rhs, patches, mesh.plan.boundary_range(lo, hi),
+                         coords, radii, mesh.dx, u_inf, speed, lo=lo,
+                         pool=pool)
 
 
 class NumpyBSSNRHS(_NumpyRHSBase):
@@ -280,22 +272,24 @@ class NumpyBSSNRHS(_NumpyRHSBase):
     :class:`NativeBSSNRHS` runs, which is what the bitwise suite compares.
     """
 
+    chunk_octants = 256
+
     def __init__(self, algebra=None):
         self.algebra = algebra
 
     @hot_path
     def __call__(self, patches, lo, hi, mesh, params, rhs, pool,
                  prof=NO_PROFILER):
-        """Write the 24 RHS blocks of octants ``lo:hi`` of ``patches``
-        into ``rhs``."""
+        """Write the 24 RHS blocks of octants ``lo:hi``, whose patches
+        ``patches`` holds, into ``rhs``."""
         k, r = mesh.k, mesh.r
         with prof.phase("deriv"):
             derivs = compute_derivatives(
-                patches[:, lo:hi], mesh.dx[lo:hi], params,
+                patches, mesh.dx[lo:hi], params,
                 PatchDerivatives(k=mesh.k, pool=pool), pool=pool,
             )
         with prof.phase("zip"):
-            interior = patches[:, lo:hi, k : k + r, k : k + r, k : k + r]
+            interior = patches[:, :, k : k + r, k : k + r, k : k + r]
             values = pool.get("solver.values", interior.shape)
             np.copyto(values, interior)
         with prof.phase("algebra"):
@@ -316,15 +310,18 @@ class NumpyBSSNRHS(_NumpyRHSBase):
 class NumpyWaveRHS(_NumpyRHSBase):
     """Laplacian + KO of one octant chunk of the (φ, π) system."""
 
+    chunk_octants = 512
+
     @hot_path
     def __call__(self, patches, lo, hi, mesh, c2, sigma, src, rhs, pool,
                  prof=NO_PROFILER):
         """Write φ̇ = π + σ·KO(φ) and π̇ = c²∇²φ + ``src`` + σ·KO(π) of
-        octants ``lo:hi`` into ``rhs`` (``src`` may be None)."""
+        octants ``lo:hi``, whose patches ``patches`` holds, into ``rhs``
+        (``src`` may be None)."""
         k, r = mesh.k, mesh.r
         pd = PatchDerivatives(k=k, pool=pool)
         h = mesh.dx[lo:hi]
-        phi_p, pi_p = patches[0, lo:hi], patches[1, lo:hi]
+        phi_p, pi_p = patches[0], patches[1]
         rhs_phi, rhs_pi = rhs[0, lo:hi], rhs[1, lo:hi]
         shape = (hi - lo, r, r, r)
         with prof.phase("deriv"):
@@ -359,6 +356,8 @@ class _NativeRHSBase:
             )
         self.impl = impl
         self.spec = get_kernel_spec(COMPILED_VARIANT)
+        #: flops per point of one BSSN chunk (a sum over the schedule)
+        self.bssn_flops = self.spec.total_flops + DERIV_FLOPS_PER_POINT
         w = stencil_weights()
         self.w1, self.w2 = w["w1"], w["w2"]
         self.wko, self.wup, self.wun = w["wko"], w["wup"], w["wun"]
@@ -390,15 +389,14 @@ class _NativeRHSBase:
                   for a in args])
 
     @hot_path
-    def unzip_scatter(self, plan, u, up, out) -> bool:
-        """Alg. 2 after the prolongation, natively: box copies, interior
-        copy, padding extrapolation.
+    def unzip_gather(self, plan, u, up, out, lo, hi) -> bool:
+        """Alg. 2 after the prolongation, natively: the copy by
+        ``plan.gather_map()``, then the padding extrapolation.
 
         The executor :func:`repro.mesh.octant_to_patch.scatter_to_patches`
-        takes as ``scatter=``: copies every box of ``plan.box_table()``
-        from the upsample ``up`` (None without coarse sources) and the
-        field ``u`` into the patches ``out``, then the interiors, then
-        fills the out-of-domain padding of every ``plan.face_table()``
+        takes as ``executor=``: fills the patches of octants ``lo:hi``
+        into ``out`` from the field ``u`` and the upsample ``up``, then
+        the out-of-domain padding of every ``plan.face_table(lo, hi)``
         row.  Returns False, having written nothing, for what the
         kernels cannot take — arrays that are not C-contiguous float64,
         or ``r ≥ 8``, where einsum's reduction over a source row changes
@@ -407,51 +405,38 @@ class _NativeRHSBase:
         if plan.r >= 8:
             return False
         for arr in (u, up, out):
-            if arr is not None and not (
-                arr.dtype == np.float64 and arr.flags.c_contiguous
-            ):
+            if not (arr.dtype == np.float64 and arr.flags.c_contiguous):
                 return False
-        table, n_coarse = plan.box_table()
-        faces = plan.face_table()
-        n, r, P, k = len(plan.tree), plan.r, plan.P, plan.k
-        nvars = u.size // (n * r**3)
-        src_var, dst_var = n * r**3, n * P**3
-        if up is None:
-            up, up_var = u, 0
-        else:
-            up_var = up.size // nvars
-        self._run("unzip_scatter", up, up_var, out, dst_var, nvars, table,
-                  0, n_coarse, P)
-        self._run("unzip_scatter", u, src_var, out, dst_var, nvars, table,
-                  n_coarse, len(table), P)
-        self._run("unzip_interior", u, out, nvars * n, P, r, k)
-        self._run("extrapolate_faces", out, n, nvars, faces, len(faces),
-                  extrapolation_matrices(r, k), P, r, k)
+        faces = plan.face_table(lo, hi)
+        r, P, k = plan.r, plan.P, plan.k
+        nvars = u.size // (len(plan.tree) * r**3)
+        self._run("unzip_gather", u, u.size // nvars, up, up.size // nvars,
+                  plan.gather_map(), lo, hi, nvars, P**3, out)
+        self._run("extrapolate_faces", out, lo, hi - lo, nvars, faces,
+                  len(faces), extrapolation_matrices(r, k), P, r, k)
         return True
-
-    @staticmethod
-    def faces(plan, lo, hi):
-        """The rows of ``plan.face_table()`` whose octant is in ``lo:hi``
-        (the plan's own table for every octant)."""
-        table = plan.face_table()
-        if (lo, hi) == (0, len(plan.tree)):
-            return table
-        return np.ascontiguousarray(
-            table[(table[:, 0] >= lo) & (table[:, 0] < hi)])
 
     @hot_path
     def sommerfeld(self, rhs, patches, mesh, coords, radii, u_inf, speed,
-                   pool=None, faces=None) -> None:
+                   pool=None, lo=0, hi=None) -> None:
         """Native execution of :func:`repro.bssn.sommerfeld.sommerfeld_faces`
-        over the face rows ``faces`` — what :meth:`faces` gave for an
-        octant range, default ``mesh.plan.face_table()``; the call
-        signature of the NumPy kernels' ``sommerfeld``."""
-        if faces is None:
-            faces = mesh.plan.face_table()
+        over the rows of ``mesh.plan.face_table(lo, hi)`` (default every
+        octant) from the range's ``patches``, whose octant 0 is ``lo``;
+        the call signature of the NumPy kernels' ``sommerfeld``."""
+        hi = mesh.num_octants if hi is None else hi
+        self._check_chunk(patches, lo, hi, rhs)
+        faces = mesh.plan.face_table(lo, hi)
         hf1 = _h_factor(np.asarray(mesh.dx, dtype=np.float64), 1).ravel()
-        self._run("sommerfeld_faces", patches, mesh.num_octants, rhs.shape[0],
-                  faces, len(faces), mesh.P, mesh.r, mesh.k, hf1, self.w1,
-                  coords, radii, u_inf, speed, rhs)
+        self._run("sommerfeld_faces", patches, lo, hi - lo,
+                  mesh.num_octants, rhs.shape[0], faces, len(faces), mesh.P,
+                  mesh.r, mesh.k, hf1, self.w1, coords, radii, u_inf, speed,
+                  rhs)
+
+    @staticmethod
+    def _check_chunk(patches, lo, hi, rhs) -> None:
+        """Refuse a chunk the kernels would read or write past."""
+        if patches.shape[1] != hi - lo or not 0 <= lo <= hi <= rhs.shape[1]:
+            raise ValueError(f"patches must hold octants {lo}:{hi} of rhs")
 
     def _publish(self, prof, name: str, flops: float, bytes_moved: float,
                  seconds: float) -> None:
@@ -478,10 +463,13 @@ class NativeBSSNRHS(_NativeRHSBase):
     are not separable.
     """
 
+    chunk_octants = 8
+
     @hot_path
     def __call__(self, patches, lo, hi, mesh, params, rhs, pool,
                  prof=NO_PROFILER):
-        ntot, P = patches.shape[1], patches.shape[-1]
+        self._check_chunk(patches, lo, hi, rhs)
+        ntot, P = rhs.shape[1], patches.shape[-1]
         r, k = mesh.r, mesh.k
         nc = hi - lo
         NP = r * r * r
@@ -500,7 +488,7 @@ class NativeBSSNRHS(_NativeRHSBase):
                       self.wun, pbuf, rhs, scratch)
             self._publish(
                 prof, "bssn_rhs_chunk",
-                (self.spec.total_flops + DERIV_FLOPS_PER_POINT) * nc * NP,
+                self.bssn_flops * nc * NP,
                 (S.NUM_VARS * P**3 + S.NUM_VARS * NP) * nc * 8.0,
                 time.perf_counter() - t0,
             )
@@ -510,11 +498,13 @@ class NativeWaveRHS(_NativeRHSBase):
     """Single-pass native wave-equation chunk kernel (Laplacian + KO);
     same call signature as :class:`NumpyWaveRHS`."""
 
+    chunk_octants = 64
+
     @hot_path
     def __call__(self, patches, lo, hi, mesh, c2, sigma, src, rhs, pool,
                  prof=NO_PROFILER):
-        ntot, P = patches.shape[1], patches.shape[-1]
-        r, k = mesh.r, mesh.k
+        self._check_chunk(patches, lo, hi, rhs)
+        P, r, k = patches.shape[-1], mesh.r, mesh.k
         nc = hi - lo
         row_lanes(P, r)  # refuses what the row vectors cannot take
         rhs_phi, rhs_pi = rhs[0, lo:hi], rhs[1, lo:hi]
@@ -527,7 +517,7 @@ class NativeWaveRHS(_NativeRHSBase):
             hf2 = _h_factor(h_arr, 2).ravel()
             ko_pi = pool.get("wave.ko_pi", (nc, r, r, r))
             t0 = time.perf_counter()
-            self._run("wave_rhs_chunk", patches, ntot, lo, nc, P, r, k,
+            self._run("wave_rhs_chunk", patches, nc, P, r, k,
                       hf1, hf2, self.w2, self.wko, c2, sigma, finalize_pi,
                       rhs_phi, rhs_pi, ko_pi)
             self._publish(prof, "wave_rhs_chunk", 9 * 15.0 * nc * r**3,

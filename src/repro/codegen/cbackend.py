@@ -43,16 +43,18 @@ Every operation mirrors the NumPy execution order exactly:
   ``-march=native`` (or its absence) splits the vectors for.
 
 The same translation unit (and Python source) carries the hand-written
-``unzip_scatter`` / ``unzip_interior`` pair — the octant-to-patch box
-copies of :meth:`repro.mesh.maps.TransferPlan.box_table`, bitwise by
-construction — and the two physical-boundary kernels driven by
+``unzip_gather`` — the octant-to-patch copy by
+:meth:`repro.mesh.maps.TransferPlan.gather_map`, bitwise by construction
+— and the two physical-boundary kernels driven by
 :meth:`~repro.mesh.maps.TransferPlan.face_table`: ``extrapolate_faces``
 (the padding fill, tap for tap the einsums of
 :func:`repro.mesh.octant_to_patch.extrapolate_boundary`) and
 ``sommerfeld_faces`` (the radiative condition on the ``r²`` face points,
 operation for operation :func:`repro.bssn.sommerfeld.sommerfeld_faces`).
 
-The resulting chunk RHS is bitwise-identical to the NumPy kernel's
+Every kernel reads the patches of its own octant range only — a chunk
+buffer whose octant 0 is the range's first — and writes the mesh-wide
+``rhs``.  The resulting chunk RHS is bitwise-identical to the NumPy kernel's
 execution of the same schedule (asserted in tests/test_backends.py).
 """
 
@@ -282,11 +284,10 @@ static void sweep(const double* src, long sz, long sy, long nz, long ny,
     for (long y = 0; y < (r); ++y) \
     for (long x = 0; x < (r); x += LANES)
 
-/* Linear wave RHS for one chunk: laplacian * c^2 into rhs_pi, KO(phi)
-   * sigma + pi into rhs_phi, KO(pi) * sigma into ko_pi (and added to
-   rhs_pi when finalize_pi, i.e. no source term follows). */
-void wave_rhs_chunk(const double* patches, long ntot, long lo, long nc,
-                    long P, long r, long k,
+/* Linear wave RHS for one chunk of nc patches: laplacian * c^2 into
+   rhs_pi, KO(phi) * sigma + pi into rhs_phi, KO(pi) * sigma into ko_pi
+   (and added to rhs_pi when finalize_pi, i.e. no source term follows). */
+void wave_rhs_chunk(const double* patches, long nc, long P, long r, long k,
                     const double* hf1, const double* hf2,
                     const double* w2, const double* wko,
                     double c2, double sigma, long finalize_pi,
@@ -296,8 +297,8 @@ void wave_rhs_chunk(const double* patches, long ntot, long lo, long nc,
     const long NP = r * r * r;
     const v8 vc2 = bc(c2), vsigma = bc(sigma);
     for (long i = 0; i < nc; ++i) {
-        const double* phi = patches + (lo + i) * PPP;
-        const double* pi = phi + ntot * PPP;
+        const double* phi = patches + i * PPP;
+        const double* pi = phi + nc * PPP;
         const v8 f1 = bc(hf1[i]), f2 = bc(hf2[i]);
         FOR_ROWS(r) {
             const long pc = (((z + k) * P) + (y + k)) * P + (x + k);
@@ -314,42 +315,30 @@ void wave_rhs_chunk(const double* patches, long ntot, long lo, long nc,
     }
 }
 
-/* Octant-to-patch scatter (Alg. 2) over rows [row_lo, row_hi) of the
-   plan's box table (repro.mesh.maps.TransferPlan.box_table): each row
-   copies one nx*ny*nz box out of a source block whose rows hold sn
-   points, reading every stride-th point, into a P^3 patch.  Rows run in
-   table order for every variable, so overlapping destinations resolve
-   as in the sequential group loop.  Pure copies: bitwise by
-   construction. */
-void unzip_scatter(const double* src, long src_var, double* dst,
-                   long dst_var, long nvars, const long* table,
-                   long row_lo, long row_hi, long P)
+/* Octant-to-patch copy (Alg. 2) in destination order: point q of the
+   patch of octant lo + i becomes u[m] (m >= 0) or up[-2 - m] (m <= -2)
+   for m = map[(lo + i) * PPP + q], the plan's last-writer gather map
+   (repro.mesh.maps.TransferPlan.gather_map); the -1 points are the
+   out-of-domain padding extrapolate_faces fills.  out holds octants
+   lo..hi-1.  Octant outer, variable inner, so one octant's map row stays
+   in L1 across the variables.  Pure copies: bitwise by construction. */
+void unzip_gather(const double* u, long u_var, const double* up,
+                  long up_var, const int* map, long lo, long hi,
+                  long nvars, long PPP, double* out)
 {
-    for (long v = 0; v < nvars; ++v) {
-        const double* s = src + v * src_var;
-        double* d = dst + v * dst_var;
-        for (long row = row_lo; row < row_hi; ++row) {
-            const long* t = table + 7 * row;
-            const long sn = t[2], st = t[3], nx = t[4], ny = t[5], nz = t[6];
-            for (long z = 0; z < nz; ++z)
-            for (long y = 0; y < ny; ++y) {
-                const double* sr = s + t[0] + ((z * sn) + y) * sn * st;
-                double* dr = d + t[1] + ((z * P) + y) * P;
-                for (long x = 0; x < nx; ++x) dr[x] = sr[x * st];
+    for (long i = 0; i < hi - lo; ++i) {
+        const int* m = map + (lo + i) * PPP;
+        for (long v = 0; v < nvars; ++v) {
+            const double* s = u + v * u_var;
+            const double* c = up + v * up_var;
+            double* d = out + (v * (hi - lo) + i) * PPP;
+            for (long q = 0; q < PPP; ++q) {
+                const long j = m[q];
+                if (j >= 0) d[q] = s[j];
+                else if (j < -1) d[q] = c[-2 - j];
             }
         }
     }
-}
-
-/* Each block's own r^3 points into the centre of its patch. */
-void unzip_interior(const double* u, double* patches, long nblocks,
-                    long P, long r, long k)
-{
-    for (long b = 0; b < nblocks; ++b)
-    for (long z = 0; z < r; ++z)
-    for (long y = 0; y < r; ++y)
-        memcpy(patches + ((b * P + z + k) * P + y + k) * P + k,
-               u + ((b * r + z) * r + y) * r, r * sizeof(double));
 }
 
 /* One tap sum from 0.0 in einsum's order: along a unit-stride tap axis
@@ -372,11 +361,12 @@ static double tap_sum(const double* c, const double* w, long n, long stride)
 /* Out-of-domain padding of every physical-boundary face: one row
    (octant, axis, side) of the plan's face table
    (repro.mesh.maps.TransferPlan.face_table) at a time, x faces first,
-   then y, then z, so edges and corners complete progressively.  E holds
-   the two (k, r) extrapolation matrices, low then high.  Tap for tap
-   the einsums of repro.mesh.octant_to_patch.extrapolate_boundary, zero
-   taps included (0 * inf is NaN there too). */
-void extrapolate_faces(double* patches, long ntot, long nvars,
+   then y, then z, so edges and corners complete progressively; patches
+   holds octants lo..lo+nc-1.  E holds the two (k, r) extrapolation
+   matrices, low then high.  Tap for tap the einsums of
+   repro.mesh.octant_to_patch.extrapolate_boundary, zero taps included
+   (0 * inf is NaN there too). */
+void extrapolate_faces(double* patches, long lo, long nc, long nvars,
                        const long* table, long nrows, const double* E,
                        long P, long r, long k)
 {
@@ -384,7 +374,7 @@ void extrapolate_faces(double* patches, long ntot, long nvars,
     for (long v = 0; v < nvars; ++v)
     for (long row = 0; row < nrows; ++row) {
         const long* t = table + 3 * row;
-        double* p = patches + (v * ntot + t[0]) * sp[2] * P;
+        double* p = patches + (v * nc + t[0] - lo) * sp[2] * P;
         const double* e = E + t[2] * k * r;
         const long j0 = t[2] ? k + r : 0;
         const long st = sp[t[1]];
@@ -405,8 +395,10 @@ void extrapolate_faces(double* patches, long ntot, long nvars,
    with the three centred d1 -- the chunk kernels' tap order and hf1
    scaling -- taken straight from the padded patch.  Operation for
    operation the NumPy twin repro.bssn.sommerfeld.sommerfeld_faces;
-   points shared by two faces are rewritten with the same value. */
-void sommerfeld_faces(const double* patches, long ntot, long nvars,
+   points shared by two faces are rewritten with the same value.  patches
+   holds octants lo..lo+nc-1, rhs all ntot. */
+void sommerfeld_faces(const double* patches, long lo, long nc, long ntot,
+                      long nvars,
                       const long* table, long nrows,
                       long P, long r, long k,
                       const double* hf1, const double* w1,
@@ -424,7 +416,7 @@ void sommerfeld_faces(const double* patches, long ntot, long nvars,
         const long j = t[2] ? r - 1 : 0;
         const double hf = hf1[oct];
         for (long v = 0; v < nvars; ++v) {
-            const double* p = patches + (v * ntot + oct) * sp[2] * P
+            const double* p = patches + (v * nc + oct - lo) * sp[2] * P
                               + k * (sp[0] + sp[1] + sp[2]) + j * sp[ax];
             double* out = rhs + (v * ntot + oct) * NP + j * sr[ax];
             for (long q = 0; q < r; ++q)
@@ -451,21 +443,19 @@ void bssn_rhs_chunk(const double* patches, long ntot, long lo, long nc,
                     const double* w1, const double* w2, const double* wko,
                     const double* wup, const double* wun,
                     const double* params, double* rhs, double* scratch);
-void wave_rhs_chunk(const double* patches, long ntot, long lo, long nc,
-                    long P, long r, long k,
+void wave_rhs_chunk(const double* patches, long nc, long P, long r, long k,
                     const double* hf1, const double* hf2,
                     const double* w2, const double* wko,
                     double c2, double sigma, long finalize_pi,
                     double* rhs_phi, double* rhs_pi, double* ko_pi);
-void unzip_scatter(const double* src, long src_var, double* dst,
-                   long dst_var, long nvars, const long* table,
-                   long row_lo, long row_hi, long P);
-void unzip_interior(const double* u, double* patches, long nblocks,
-                    long P, long r, long k);
-void extrapolate_faces(double* patches, long ntot, long nvars,
+void unzip_gather(const double* u, long u_var, const double* up,
+                  long up_var, const int* map, long lo, long hi,
+                  long nvars, long PPP, double* out);
+void extrapolate_faces(double* patches, long lo, long nc, long nvars,
                        const long* table, long nrows, const double* E,
                        long P, long r, long k);
-void sommerfeld_faces(const double* patches, long ntot, long nvars,
+void sommerfeld_faces(const double* patches, long lo, long nc, long ntot,
+                      long nvars,
                       const long* table, long nrows,
                       long P, long r, long k,
                       const double* hf1, const double* w1,
@@ -505,7 +495,9 @@ def emit_c_source(spec: KernelSpec) -> str:
     values = classify_inputs(spec)[0]
     lines = [_C_PRELUDE]
     lines.append(
-        f"/* fused BSSN D+A+KO chunk kernel; variant: {spec.variant};\n"
+        "/* fused BSSN D+A+KO chunk kernel: the nc patches hold octants\n"
+        "   lo..lo+nc-1 of the ntot of rhs;\n"
+        f"   variant: {spec.variant};\n"
         f"   schedule digest: {schedule_digest(spec.statements)};\n"
         f"   {len(spec.statements)} statements, {spec.total_flops} "
         "flops/point */"
@@ -547,7 +539,7 @@ def emit_c_source(spec: KernelSpec) -> str:
     a("           shift sign (beta >= 0 is false for NaN, matching np.copyto")
     a("           with a greater_equal mask), and the summed KO */")
     a(f"        for (long v = 0; v < {S.NUM_VARS}; ++v) {{")
-    a("            const double* pu = patches + (v * ntot + g) * PPP + c0;")
+    a("            const double* pu = patches + (v * nc + i) * PPP + c0;")
     strides = ("1", "P", "PP")
     for d, stride in enumerate(strides):
         a(f"            sweep(pu, PP, P, r, r, r, d1s + (v * 3 + {d}) * NB,"
@@ -560,7 +552,7 @@ def emit_c_source(spec: KernelSpec) -> str:
     a("                if (use_upwind) {")
     for (d, stride), beta_var in zip(enumerate(strides), S.BETA):
         a(f"                    st(advs + (v * 3 + {d}) * NB + pp, sel(")
-        a(f"                        ld(patches + ({beta_var}L * ntot + g) * PPP"
+        a(f"                        ld(patches + ({beta_var}L * nc + i) * PPP"
           " + c0 + pc) >= bc(0.0),")
         a(f"                        taps(pu + pc, wup, 6, 2, {stride}) * f1,")
         a(f"                        taps(pu + pc, wun, 6, 3, {stride}) * f1),"
@@ -571,7 +563,7 @@ def emit_c_source(spec: KernelSpec) -> str:
     a("        /* second derivatives of the SECOND_DERIV_VARS: xx xy xz"
       " yy yz zz */")
     a(f"        for (long s = 0; s < {len(_S2)}; ++s) {{")
-    a("            const double* pu = patches + (s2vars[s] * ntot + g) * PPP;")
+    a("            const double* pu = patches + (s2vars[s] * nc + i) * PPP;")
     a("            double* d2 = d2s + s * 6 * NB;")
     for block, stride in zip((0, 3, 5), strides):
         a(f"            sweep(pu + c0, PP, P, r, r, r, d2 + {block} * NB,"
@@ -588,8 +580,8 @@ def emit_c_source(spec: KernelSpec) -> str:
     a("        /* A stage: the scheduled algebra + KO add, one pass */")
     for name in values:
         idx = S.VAR_NAMES.index(name)
-        a(f"        const double* pv_{name} = patches + ({idx}L * ntot"
-          " + g) * PPP + c0;")
+        a(f"        const double* pv_{name} = patches + ({idx}L * nc"
+          " + i) * PPP + c0;")
     a("        FOR_ROWS(r) {")
     a("            const long pc = (z * P + y) * P + x;")
     a("            const long pp = (z * r + y) * W + x;")
@@ -653,13 +645,13 @@ def _sweep(src, c0, sz, sy, nz, ny, r, W, out, ob, w, stride, hf):
                     src, c0 + z * sz + y * sy + x, w, 7, 3, stride) * hf
 
 
-def wave_rhs_chunk(patches, ntot, lo, nc, P, r, k, hf1, hf2, w2, wko,
+def wave_rhs_chunk(patches, nc, P, r, k, hf1, hf2, w2, wko,
                    c2, sigma, finalize_pi, rhs_phi, rhs_pi, ko_pi):
     PPP = P * P * P
     NP = r * r * r
     for i in range(nc):
-        phi = (lo + i) * PPP
-        pi = phi + ntot * PPP
+        phi = i * PPP
+        pi = phi + nc * PPP
         f1 = hf1[i]
         f2 = hf2[i]
         for z in range(r):
@@ -677,32 +669,17 @@ def wave_rhs_chunk(patches, ntot, lo, nc, P, r, k, hf1, hf2, w2, wko,
                     ko_pi[pp] = kp
 
 
-def unzip_scatter(src, src_var, dst, dst_var, nvars, table, row_lo, row_hi,
-                  P):
-    for v in range(nvars):
-        sb = v * src_var
-        db = v * dst_var
-        for row in range(row_lo, row_hi):
-            t = 7 * row
-            sn = table[t + 2]
-            st = table[t + 3]
-            nx = table[t + 4]
-            for z in range(table[t + 6]):
-                for y in range(table[t + 5]):
-                    sr = sb + table[t] + ((z * sn) + y) * sn * st
-                    dr = db + table[t + 1] + ((z * P) + y) * P
-                    for x in range(nx):
-                        dst[dr + x] = src[sr + x * st]
-
-
-def unzip_interior(u, patches, nblocks, P, r, k):
-    for b in range(nblocks):
-        for z in range(r):
-            for y in range(r):
-                pr = ((b * P + z + k) * P + y + k) * P + k
-                ur = ((b * r + z) * r + y) * r
-                for x in range(r):
-                    patches[pr + x] = u[ur + x]
+def unzip_gather(u, u_var, up, up_var, gmap, lo, hi, nvars, PPP, out):
+    for i in range(hi - lo):
+        mb = (lo + i) * PPP
+        for v in range(nvars):
+            db = (v * (hi - lo) + i) * PPP
+            for q in range(PPP):
+                j = gmap[mb + q]
+                if j >= 0:
+                    out[db + q] = u[v * u_var + j]
+                elif j < -1:
+                    out[db + q] = up[v * up_var - 2 - j]
 
 
 def _tap_sum(u, c, w, wb, n, stride):
@@ -719,13 +696,13 @@ def _tap_sum(u, c, w, wb, n, stride):
     return acc
 
 
-def extrapolate_faces(patches, ntot, nvars, table, nrows, E, P, r, k):
+def extrapolate_faces(patches, lo, nc, nvars, table, nrows, E, P, r, k):
     sp = (1, P, P * P)
     for v in range(nvars):
         for row in range(nrows):
             ax = table[3 * row + 1]
             side = table[3 * row + 2]
-            p = (v * ntot + table[3 * row]) * sp[2] * P
+            p = (v * nc + table[3 * row] - lo) * sp[2] * P
             j0 = (k + r) * side
             st = sp[ax]
             s1 = sp[1 if ax == 0 else 0]
@@ -738,8 +715,8 @@ def extrapolate_faces(patches, ntot, nvars, table, nrows, E, P, r, k):
                             patches, c + k * st, E, (side * k + j) * r, r, st)
 
 
-def sommerfeld_faces(patches, ntot, nvars, table, nrows, P, r, k, hf1, w1,
-                     coords, rr, uinf, c, rhs):
+def sommerfeld_faces(patches, lo, nc, ntot, nvars, table, nrows, P, r, k,
+                     hf1, w1, coords, rr, uinf, c, rhs):
     sp = (1, P, P * P)
     sr = (1, r, r * r)
     NP = r * r * r
@@ -752,7 +729,8 @@ def sommerfeld_faces(patches, ntot, nvars, table, nrows, P, r, k, hf1, w1,
         j = (r - 1) * table[3 * row + 2]
         hf = hf1[oc]
         for v in range(nvars):
-            p = (v * ntot + oc) * sp[2] * P + k * (1 + P + P * P) + j * sp[ax]
+            p = (v * nc + oc - lo) * sp[2] * P + k * (1 + P + P * P) \\
+                + j * sp[ax]
             ob = (v * ntot + oc) * NP + j * sr[ax]
             for q in range(r):
                 for s in range(r):
@@ -770,7 +748,7 @@ def sommerfeld_faces(patches, ntot, nvars, table, nrows, P, r, k, hf1, w1,
 #: names of the jittable functions the Python source defines
 PY_KERNEL_NAMES = (
     "_np_maximum", "_taps", "_taps_xyz", "_sweep", "wave_rhs_chunk",
-    "bssn_rhs_chunk", "unzip_scatter", "unzip_interior", "_tap_sum",
+    "bssn_rhs_chunk", "unzip_gather", "_tap_sum",
     "extrapolate_faces", "sommerfeld_faces",
 )
 
@@ -821,7 +799,7 @@ def emit_py_source(spec: KernelSpec) -> str:
     a("        fx1 = hf1[i]")
     a("        fx2 = hf2[i]")
     a(f"        for v in range({S.NUM_VARS}):")
-    a("            pu = (v * ntot + g) * PPP + c0")
+    a("            pu = (v * nc + i) * PPP + c0")
     strides = ("1", "P", "PP")
     for d, stride in enumerate(strides):
         a(f"            _sweep(patches, pu, PP, P, r, r, r, W, s,"
@@ -835,7 +813,7 @@ def emit_py_source(spec: KernelSpec) -> str:
       "patches, pu + pc, wko, P, fx1)")
     a("                    if use_upwind:")
     for (d, stride), beta_var in zip(enumerate(strides), S.BETA):
-        a(f"                        if patches[({beta_var} * ntot + g) * PPP"
+        a(f"                        if patches[({beta_var} * nc + i) * PPP"
           " + c0 + pc] >= 0.0:")
         a(f"                            s[advs + (v * 3 + {d}) * NB + pp] ="
           f" _taps(patches, pu + pc, wup, 6, 2, {stride}) * fx1")
@@ -843,7 +821,7 @@ def emit_py_source(spec: KernelSpec) -> str:
         a(f"                            s[advs + (v * 3 + {d}) * NB + pp] ="
           f" _taps(patches, pu + pc, wun, 6, 3, {stride}) * fx1")
     for s2i, var in enumerate(_S2):
-        a(f"        pu = ({var} * ntot + g) * PPP")
+        a(f"        pu = ({var} * nc + i) * PPP")
         a(f"        d2 = d2s + {s2i * 6} * NB")
         for block, stride in zip((0, 3, 5), strides):
             a(f"        _sweep(patches, pu + c0, PP, P, r, r, r, W, s,"
@@ -859,7 +837,7 @@ def emit_py_source(spec: KernelSpec) -> str:
               f" d2 + {block} * NB, w1, r * W, fx1)")
     for name in values:
         idx = S.VAR_NAMES.index(name)
-        a(f"        pv_{name} = ({idx} * ntot + g) * PPP + c0")
+        a(f"        pv_{name} = ({idx} * nc + i) * PPP + c0")
     a("        for z in range(r):")
     a("          for y in range(r):")
     a("            for x in range(r):")
@@ -944,6 +922,11 @@ def native_cache_key(source: str, cc_version: str, cffi_version: str,
     return h.hexdigest()[:16]
 
 
+#: the C pointer type a kernel takes for each array dtype
+_CTYPES = {np.dtype(np.float64): "double *", np.dtype(np.int64): "long *",
+           np.dtype(np.int32): "int *"}
+
+
 class NativeLib:
     """A built-and-loaded shared library with its kernel entry points,
     plus build provenance for telemetry."""
@@ -958,15 +941,13 @@ class NativeLib:
         self.cflags = cflags
 
     def ptr(self, arr: np.ndarray):
-        """A ``double*`` (or ``long*``) into a C-contiguous ``float64``
-        (or ``int64``) array; anything else would be reinterpreted."""
-        if arr.dtype == np.float64:
-            ctype = "double *"
-        elif arr.dtype == np.int64:
-            ctype = "long *"
-        else:
+        """A ``double*`` (or ``long*``, ``int*``) into a C-contiguous
+        ``float64`` (or ``int64``, ``int32``) array; anything else would be
+        reinterpreted."""
+        ctype = _CTYPES.get(arr.dtype)
+        if ctype is None:
             raise TypeError(
-                f"kernel buffers must be float64 or int64, not {arr.dtype}"
+                f"kernel buffers must be float64, int64 or int32, not {arr.dtype}"
             )
         if not arr.flags["C_CONTIGUOUS"]:
             raise TypeError("kernel buffers must be C-contiguous")

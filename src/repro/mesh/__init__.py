@@ -22,7 +22,6 @@ from .maps import (
     CASE_COARSE,
     CASE_FINE,
     CASE_SAME,
-    CoalescedScatter,
     PlanStats,
     TransferGroup,
     TransferPlan,
@@ -31,6 +30,7 @@ from .octant_to_patch import (
     allocate_patches,
     extrapolate_boundary,
     gather_to_patches,
+    prolong_sources,
     scatter_to_patches,
 )
 from .patch_to_octant import zip_patches
@@ -49,7 +49,6 @@ __all__ = [
     "shared_point_divergence",
     "CASE_FINE",
     "CASE_SAME",
-    "CoalescedScatter",
     "Mesh",
     "PlanStats",
     "TransferGroup",
@@ -64,6 +63,7 @@ __all__ = [
     "parent_from_children",
     "prolong_blocks",
     "prolong_flops",
+    "prolong_sources",
     "prolongation_matrix_1d",
     "regrid_flags",
     "remesh",

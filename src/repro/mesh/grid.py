@@ -105,25 +105,32 @@ class Mesh:
     # -- unzip / zip -----------------------------------------------------
     def unzip(self, u: np.ndarray, out: np.ndarray | None = None, *,
               method: str = "scatter", coalesce: bool = False,
-              pool=None, tracer=None, scatter=None) -> np.ndarray:
+              pool=None, tracer=None, executor=None,
+              up: np.ndarray | None = None, lo: int = 0,
+              hi: int | None = None) -> np.ndarray:
         """octant-to-patch: fill padded patches (Alg. 2).
 
         ``method='scatter'`` is the paper's loop-over-octants algorithm;
         ``'gather'`` is the legacy loop-over-patches baseline.
-        ``coalesce``/``pool`` (scatter only) select the coalesced
-        fancy-index execution and a buffer arena for its staging, and
-        ``scatter`` hands in a compiled chunk kernel's native box-copy
-        and padding-fill executor (``solver.kernel.unzip_scatter``) — see
+        The rest is scatter only: the patches of octants ``lo:hi`` land
+        in ``out`` ``(..., hi - lo, P, P, P)``; ``up`` hands in their
+        coarse sources' upsample (:func:`repro.mesh.prolong_sources`),
+        ``coalesce``/``pool`` select the NumPy
+        gather-map execution and a buffer arena for its staging, and
+        ``executor`` hands in a compiled chunk kernel's native gather
+        and padding fill (``solver.kernel.unzip_gather``) — see
         :func:`repro.mesh.octant_to_patch.scatter_to_patches`.
         ``tracer`` (a :class:`repro.telemetry.Tracer`) records the
         prolong/scatter sub-phases as nested spans.
         """
         if method == "scatter":
+            hi = self.num_octants if hi is None else hi
             if out is None:
-                out = allocate_patches(self.plan, u.shape[:-4], dtype=u.dtype)
+                out = np.zeros(u.shape[:-4] + (hi - lo,) + (self.P,) * 3,
+                               dtype=u.dtype)
             return scatter_to_patches(self.plan, u, out, coalesce=coalesce,
                                       pool=pool, tracer=tracer,
-                                      scatter=scatter)
+                                      executor=executor, up=up, lo=lo, hi=hi)
         if method == "gather":
             return gather_to_patches(self.plan, u, out)
         raise ValueError("method must be 'scatter' or 'gather'")

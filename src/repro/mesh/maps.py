@@ -13,7 +13,9 @@ transfer cases reduce to integer strided copies:
 
 Pairs with identical relative geometry are grouped by signature so the
 whole scatter executes as a few dozen broadcast fancy-index assignments
-instead of a Python loop over ~20 n pairs.
+instead of a Python loop over ~20 n pairs.  :meth:`TransferPlan.gather_map`
+folds those writes into one source per patch point — the gather the
+NumPy and native executions copy by, in destination order.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ class TransferGroup:
     dst: np.ndarray  # destination octant indices, shape (m,)
     src_template: np.ndarray  # flat indices into the source lattice
     dst_template: np.ndarray  # flat indices into the P^3 patch
-    #: the templates' box: one row per axis (x, y, z) of ``(j0, j1, i0)``
-    #: — patch points ``j0..j1`` read source points ``i0, i0 + s, ...``
-    box: np.ndarray
 
     @property
     def points_per_pair(self) -> int:
@@ -51,31 +50,6 @@ class TransferGroup:
     def num_pairs(self) -> int:
         """Number of (src, dst) pairs in this group."""
         return len(self.src)
-
-
-@dataclass
-class CoalescedScatter:
-    """All per-group fancy indices of one plan, concatenated into flat
-    ``(octant * points)`` index arrays so the whole scatter executes as
-    (at most) two gather/scatter pairs: one from the prolongation buffer
-    (coarse sources) and one from the field itself (same + fine).
-
-    Concatenation preserves the plan's group order (coarse → same →
-    fine), so overlapping destinations resolve exactly as the sequential
-    per-group scatter does (later writes win).
-    """
-
-    coarse_src: np.ndarray  # flat indices into the (n_pro, (2r-1)^3) upsample
-    coarse_dst: np.ndarray  # flat indices into the (n, P^3) patch buffer
-    direct_src: np.ndarray  # flat indices into the (n, r^3) field
-    direct_dst: np.ndarray  # flat indices into the (n, P^3) patch buffer
-
-
-#: columns of :meth:`TransferPlan.box_table`: flat offset of the box's
-#: first point in the source buffer and in the ``(n, P^3)`` patch buffer,
-#: points per source row (``2r-1`` for the upsample, ``r`` for the field),
-#: source stride (2 = injection), and the box extent in patch points
-BOX_SRC, BOX_DST, BOX_SRC_N, BOX_STRIDE, BOX_NX, BOX_NY, BOX_NZ = range(7)
 
 
 @dataclass
@@ -112,6 +86,9 @@ class TransferPlan:
         self.adjacency = adjacency if adjacency is not None else build_adjacency(tree)
         self.groups: list[TransferGroup] = []
         self.stats = PlanStats(n_octants=len(tree), r=r, k=k)
+        #: per-range caches of :meth:`prolong_rows`, :meth:`gather_split`
+        #: and :meth:`face_table`, keyed ``(name, lo, hi)``
+        self._ranged: dict = {}
         self._build()
         self._build_boundary()
 
@@ -175,7 +152,6 @@ class TransferPlan:
                 dst=np.ascontiguousarray(dst[rows]),
                 src_template=src_t,
                 dst_template=dst_t,
-                box=jj,
             )
             self.groups.append(grp)
             pts = grp.num_pairs * grp.points_per_pair
@@ -228,83 +204,66 @@ class TransferPlan:
         return dst_t, src_t
 
     # ------------------------------------------------------------------
-    def coalesced(self) -> CoalescedScatter:
-        """Cached concatenated index arrays for the coalesced scatter."""
-        cached = getattr(self, "_coalesced", None)
-        if cached is None:
-            P3 = self.P**3
-            r3 = self.r**3
-            f3 = (2 * self.r - 1) ** 3
-            cs: list[np.ndarray] = []
-            cd: list[np.ndarray] = []
-            ds: list[np.ndarray] = []
-            dd: list[np.ndarray] = []
-            for grp in self.groups:  # already ordered coarse -> same -> fine
-                dflat = (
-                    grp.dst[:, None] * P3 + grp.dst_template[None, :]
-                ).ravel()
-                if grp.case == CASE_COARSE:
-                    rows = self.prolong_row[grp.src]
-                    cs.append(
-                        (rows[:, None] * f3 + grp.src_template[None, :]).ravel()
-                    )
-                    cd.append(dflat)
-                else:
-                    ds.append(
-                        (grp.src[:, None] * r3 + grp.src_template[None, :]).ravel()
-                    )
-                    dd.append(dflat)
+    def gather_map(self) -> np.ndarray:
+        """Cached int32 ``(n, P^3)``: for every patch point the source of
+        its *last* write in the group loop's order — coarse, same and fine
+        groups, then the interior copy.  ``m >= 0`` indexes the ``(n,
+        r^3)`` field, ``m <= -2`` the ``(n_pro, (2r-1)^3)`` upsample as
+        ``-2 - m``, and ``-1`` marks out-of-domain padding, which the face
+        fill writes.  Copying by it is the group loop, bit for bit.
 
-            def cat(parts):
-                if not parts:
-                    return np.zeros(0, dtype=np.int64)
-                return np.concatenate(parts)
-
-            cached = CoalescedScatter(
-                coarse_src=cat(cs),
-                coarse_dst=cat(cd),
-                direct_src=cat(ds),
-                direct_dst=cat(dd),
-            )
-            self._coalesced = cached
-        return cached
-
-    def box_table(self) -> tuple[np.ndarray, int]:
-        """Cached ``(table, n_coarse)``: the groups lowered to one int64
-        row per (src, dst) pair (columns ``BOX_*``), in group order, for
-        the native box-copy kernels.
-
-        Every template is a box, so a row replaces the pair's
-        ``points_per_pair`` fancy indices by seven integers.  The first
-        ``n_coarse`` rows read the ``(n_pro, (2r-1)^3)`` upsample, the
-        rest the ``(n, r^3)`` field; copying row after row resolves
-        overlapping destinations exactly as the sequential group loop.
+        Built by that loop on source indices: each group is one fancy
+        assignment whose destinations are distinct (a signature fixes
+        the source of a destination octant; checked), so no assignment
+        depends on NumPy's order for repeated indices, and statement
+        order makes the last group win.
         """
-        cached = getattr(self, "_box_table", None)
+        cached = getattr(self, "_gather_map", None)
         if cached is None:
-            P, r = self.P, self.r
-            parts: list[np.ndarray] = []
-            n_coarse = 0
+            n, r, P = len(self.tree), self.r, self.P
+            f3 = (2 * r - 1) ** 3
+            if max(n * P**3, len(self.prolong_octs) * f3) >= 2**31:
+                raise ValueError("mesh too large for an int32 gather map")
+            cached = np.full((n, P**3), -1, dtype=np.int32)
             for grp in self.groups:  # already ordered coarse -> same -> fine
-                (j0x, j1x, i0x), (j0y, j1y, i0y), (j0z, j1z, i0z) = grp.box.tolist()
+                if len(np.unique(grp.dst)) != grp.num_pairs:
+                    raise AssertionError(
+                        "a group writes one patch twice (internal bug)")
                 if grp.case == CASE_COARSE:
-                    block, sn = self.prolong_row[grp.src], 2 * r - 1
-                    n_coarse += grp.num_pairs
+                    rows = self.prolong_row[grp.src][:, None] * f3
+                    src = -2 - (rows + grp.src_template)
                 else:
-                    block, sn = grp.src, r
-                rows = np.empty((grp.num_pairs, 7), dtype=np.int64)
-                rows[:, BOX_SRC] = block * sn**3 + (i0z * sn + i0y) * sn + i0x
-                rows[:, BOX_DST] = grp.dst * P**3 + (j0z * P + j0y) * P + j0x
-                rows[:, BOX_SRC_N:] = (
-                    sn, 2 if grp.case == CASE_FINE else 1,
-                    max(j1x - j0x + 1, 0), max(j1y - j0y + 1, 0),
-                    max(j1z - j0z + 1, 0),
-                )
-                parts.append(rows)
-            table = (np.concatenate(parts) if parts
-                     else np.zeros((0, 7), dtype=np.int64))
-            cached = self._box_table = (table, n_coarse)
+                    src = grp.src[:, None] * r**3 + grp.src_template
+                cached[grp.dst[:, None], grp.dst_template] = src
+            inner = (slice(None),) + (slice(self.k, self.k + r),) * 3
+            cached.reshape(n, P, P, P)[inner] = np.arange(n * r**3).reshape(
+                n, r, r, r)
+            self._gather_map = cached
         return cached
+
+    def _range(self, name: str, lo: int, hi: int | None, build):
+        key = (name, lo, len(self.tree) if hi is None else hi)
+        if key not in self._ranged:
+            self._ranged[key] = build(*key[1:])
+        return self._ranged[key]
+
+    def prolong_rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Cached rows of :attr:`prolong_octs` whose upsample the patches
+        of octants ``lo:hi`` read (every row for the whole mesh)."""
+        def build(lo, hi):
+            m = self.gather_map()[lo:hi]
+            return np.unique((-2 - m[m <= -2]) // (2 * self.r - 1) ** 3)
+        return self._range("rows", lo, hi, build)
+
+    def gather_split(self, lo: int = 0, hi: int | None = None):
+        """Cached :meth:`gather_map` rows ``lo:hi`` split by source for
+        the NumPy execution: ``(points, sources)`` reading the field, then
+        the upsample, points flat in the ``(hi - lo, P^3)`` patches."""
+        def build(lo, hi):
+            m = self.gather_map()[lo:hi].ravel()
+            direct, coarse = np.flatnonzero(m >= 0), np.flatnonzero(m <= -2)
+            return direct, m[direct], coarse, -2 - m[coarse]
+        return self._range("split", lo, hi, build)
 
     # ------------------------------------------------------------------
     def _build_boundary(self) -> None:
@@ -325,22 +284,29 @@ class TransferPlan:
             if len(high):
                 self.boundary.append((axis, "high", high))
 
-    def face_table(self) -> np.ndarray:
+    def boundary_range(self, lo: int = 0, hi: int | None = None
+                       ) -> list[tuple[int, str, np.ndarray]]:
+        """Cached ``(axis, side, octants)`` faces of :attr:`boundary` whose
+        octant is in ``lo:hi`` (default all)."""
+        def build(lo, hi):
+            ranged = [(axis, side, octs[(octs >= lo) & (octs < hi)])
+                      for axis, side, octs in self.boundary]
+            return [face for face in ranged if len(face[2])]
+        return self._range("boundary", lo, hi, build)
+
+    def face_table(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Cached int64 rows ``(octant, axis, side)`` — side 0 low, 1 high
-        — one per physical-boundary face, in :attr:`boundary` order (x
-        faces, then y, then z: the order the padding must be filled in),
-        for the native boundary kernels."""
-        cached = getattr(self, "_face_table", None)
-        if cached is None:
-            rows = [
-                np.stack([octs, np.full_like(octs, axis),
-                          np.full_like(octs, side == "high")], axis=1)
-                for axis, side, octs in self.boundary
-            ]
-            cached = self._face_table = (
-                np.concatenate(rows) if rows
-                else np.zeros((0, 3), dtype=np.int64))
-        return cached
+        — one per physical-boundary face whose octant is in ``lo:hi``
+        (default all), in :attr:`boundary` order (x faces, then y, then z:
+        the order the padding must be filled in), for the native boundary
+        kernels."""
+        def build(lo, hi):
+            rows = [np.stack([octs, np.full_like(octs, axis),
+                              np.full_like(octs, side == "high")], axis=1)
+                    for axis, side, octs in self.boundary_range(lo, hi)]
+            return (np.concatenate(rows) if rows
+                    else np.zeros((0, 3), dtype=np.int64))
+        return self._range("faces", lo, hi, build)
 
     def boundary_octants(self) -> np.ndarray:
         """Unique indices of octants touching the physical boundary."""

@@ -90,8 +90,9 @@ class DistributedSolver:
     @hot_path
     def stage_rhs(self, u: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """``full_rhs`` as the ranks evaluate it: one halo exchange, then
-        per rank the solver's unzip of that rank's view and its RHS on
-        the owned octant range.  Lost or corrupted ghost messages are
+        per rank the solver's :meth:`~repro.solver.base.Solver.rhs_range`
+        of the owned octant range on that rank's view, which unzips the
+        owned octants only.  Lost or corrupted ghost messages are
         re-requested (``halo_retries``); a dead rank propagates
         :class:`repro.parallel.RankDeadError` to the caller, which owns
         restart policy — ``solver.state`` is untouched until the step
@@ -108,7 +109,7 @@ class DistributedSolver:
         for rank, (lo, hi) in enumerate(ranges):
             t0 = time.perf_counter()
             rank_view(view, u, lo, hi, ghosts[rank])
-            solver.rhs_range(solver.unzip_pooled(view), t, out, lo, hi)
+            solver.rhs_range(view, t, out, lo, hi)
             self.rank_seconds[rank] += time.perf_counter() - t0
         return out
 

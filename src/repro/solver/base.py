@@ -1,7 +1,8 @@
 """What the BSSN and wave drivers share of Algorithm 1: the per-mesh
 workspace arena, global timestep, rollback snapshots, ``full_rhs`` as
-unzip + octant range, the RK4 step bookkeeping and the evolve loop.  A
-subclass supplies ``rhs_range`` (its loop over a chunk kernel from
+one fused unzip → kernel → boundary loop over octant chunks, the RK4
+step bookkeeping and the evolve loop.  A subclass supplies
+``_chunk_rhs`` (its call of a chunk kernel from
 :mod:`repro.codegen.backends`) and ``regrid``."""
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from repro.fd import PatchDerivatives
-from repro.mesh import Mesh
+from repro.mesh import Mesh, prolong_sources
 from repro.perf import NO_PROFILER, SolverWorkspace, StepProfiler, hot_path
 from .rk4 import courant_dt, rk4_step
 
@@ -19,9 +20,10 @@ from .rk4 import courant_dt, rk4_step
 class Solver:
     """RK4 time stepping of ``full_rhs`` on an adaptive octree mesh.
 
-    Every buffer of a step — unzip patches, kernel scratch, RK4 stages —
-    lives in the per-mesh :class:`repro.perf.SolverWorkspace`, rebuilt
-    only after a regrid.
+    Every buffer of a step — one chunk's unzip patches, kernel scratch,
+    RK4 stages — lives in the per-mesh :class:`repro.perf.SolverWorkspace`,
+    rebuilt only after a regrid.  ``chunk_octants`` defaults to the chunk
+    kernel's own (cache-sized for the native kernels).
     """
 
     #: wavelet tolerance :meth:`evolve` regrids with unless told otherwise
@@ -30,12 +32,13 @@ class Solver:
     _post_stage: Callable[[np.ndarray], None] | None = None
 
     def __init__(self, mesh: Mesh, kernel, *, courant: float,
-                 chunk_octants: int, profiler: StepProfiler | None):
+                 chunk_octants: int | None, profiler: StepProfiler | None):
         self.mesh = mesh
         #: the chunk kernel ``full_rhs`` loops over
         self.kernel = kernel
         self.courant = courant
-        self.chunk = int(chunk_octants)
+        self.chunk = int(kernel.chunk_octants if chunk_octants is None
+                         else chunk_octants)
         self.profiler = profiler
         #: arena-less operators for diagnostics
         self.pd = PatchDerivatives(k=mesh.k)
@@ -75,51 +78,61 @@ class Solver:
         return cache["coords"]
 
     @hot_path
-    def unzip_pooled(self, u: np.ndarray) -> np.ndarray:
-        """Alg. 1's unzip: ``u`` into the arena's padded patches, run as
-        the chunk kernel's backend does it (native kernels, or NumPy)."""
-        mesh = self.mesh
-        prof = self._prof
-        pool = self.workspace().pool
-        with prof.phase("unzip"):
-            patches = pool.get(
-                "solver.patches",
-                (u.shape[0], mesh.num_octants, mesh.P, mesh.P, mesh.P),
-            )
-            mesh.unzip(u, out=patches, coalesce=True, pool=pool,
-                       tracer=prof.tracer, scatter=self.kernel.unzip_scatter)
-        return patches
-
-    @hot_path
     def full_rhs(
         self, u: np.ndarray, t: float, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """RHS over the whole mesh: unzip once, then :meth:`rhs_range`
-        over every octant.  All patch/derivative/boundary buffers come
-        from the per-mesh arena."""
+        """RHS over the whole mesh: :meth:`rhs_range` over every octant."""
         rhs = np.empty_like(u) if out is None else out  # alloc-ok: out=None fallback
-        self.rhs_range(self.unzip_pooled(u), t, rhs, 0, self.mesh.num_octants)
+        self.rhs_range(u, t, rhs, 0, self.mesh.num_octants)
         return rhs
+
+    @hot_path
+    def rhs_range(self, u: np.ndarray, t: float, rhs: np.ndarray,
+                  lo: int, hi: int) -> None:
+        """Octants ``lo:hi`` of the RHS of the state ``u``, Alg. 1's unzip,
+        kernel and boundary fused per chunk: the coarse sources the range
+        reads are prolonged once, then every chunk of ``self.chunk``
+        octants is unzipped into one arena buffer (run as the chunk
+        kernel's backend does it) and given to :meth:`_chunk_rhs` — the
+        chunk kernel, then the Sommerfeld condition on the chunk's faces.
+        Padded patches exist for one chunk at a time, and ``u`` is read
+        only where they need it."""
+        mesh, prof = self.mesh, self._prof
+        pool = self.workspace().pool
+        nv, P3 = u.shape[0], mesh.P**3
+        with prof.phase("unzip"):
+            up = prolong_sources(mesh.plan, u, lo, hi, pool=pool,
+                                 tracer=prof.tracer)
+            arena = pool.get("solver.patch_chunk", (
+                nv * min(self.chunk, mesh.num_octants) * P3,))
+        for a in range(lo, hi, self.chunk):
+            b = min(a + self.chunk, hi)
+            # the tail chunk is a prefix of the same buffer
+            patches = arena[:nv * (b - a) * P3].reshape(
+                (nv, b - a) + (mesh.P,) * 3)
+            with prof.phase("unzip"):
+                mesh.unzip(u, out=patches, coalesce=True, pool=pool,
+                           tracer=prof.tracer,
+                           executor=self.kernel.unzip_gather, up=up,
+                           lo=a, hi=b)
+            self._chunk_rhs(patches, t, rhs, a, b, lo, hi)
 
     @hot_path
     def _sommerfeld(self, rhs: np.ndarray, patches: np.ndarray,
                     u_inf: np.ndarray, speed: float, lo: int, hi: int) -> None:
         """Alg. 1's boundary phase: the chunk kernel's backend applies
         the Sommerfeld condition on the physical-boundary faces of
-        octants ``lo:hi`` of ``rhs``.  The point radii (clipped away from
-        zero) and the faces of each range are hoisted per mesh."""
+        octants ``lo:hi`` of ``rhs`` from their ``patches``.  The point
+        radii (clipped away from zero) are hoisted per mesh."""
         ws = self.workspace()
         cache = ws.cache
         with self._prof.phase("boundary"):
             if "radii" not in cache:
                 radii = cache["radii"] = np.linalg.norm(self.coords(), axis=-1)
                 np.maximum(radii, 1e-12, out=radii)
-            faces = ("faces", lo, hi)
-            if faces not in cache:
-                cache[faces] = self.kernel.faces(self.mesh.plan, lo, hi)
             self.kernel.sommerfeld(rhs, patches, self.mesh, self.coords(),
                                    cache["radii"], u_inf, speed, ws.pool,
-                                   cache[faces])
+                                   lo, hi)
 
     # -- resilience hooks (used by repro.resilience.SupervisedRun) -------
     def snapshot_state(self) -> np.ndarray:

@@ -158,7 +158,7 @@ class BSSNSolver(Solver):
         params: BSSNParams | None = None,
         *,
         courant: float = 0.25,
-        chunk_octants: int = 256,
+        chunk_octants: int | None = None,
         algebra=None,
         profiler: StepProfiler | None = None,
         backend: str = "numpy",
@@ -198,16 +198,14 @@ class BSSNSolver(Solver):
 
     # -- RHS ----------------------------------------------------------------
     @hot_path
-    def rhs_range(self, patches: np.ndarray, t: float, rhs: np.ndarray,
-                  lo: int, hi: int) -> None:
-        """Octants ``lo:hi`` of the RHS from the unzipped ``patches``:
-        per octant chunk kernel (D + A + KO) → write, then the
-        Sommerfeld faces of the range."""
-        pool = self.workspace().pool
-        for a in range(lo, hi, self.chunk):
-            self.kernel(patches, a, min(a + self.chunk, hi), self.mesh,
-                        self.params, rhs, pool, self._prof)
-        self._sommerfeld(rhs, patches, ASYMPTOTIC, 1.0, lo, hi)
+    def _chunk_rhs(self, patches: np.ndarray, t: float, rhs: np.ndarray,
+                   a: int, b: int, lo: int, hi: int) -> None:
+        """Octants ``a:b`` of the range ``lo:hi`` from their ``patches``:
+        the chunk kernel (D + A + KO) → write, then their Sommerfeld
+        faces."""
+        self.kernel(patches, a, b, self.mesh, self.params, rhs,
+                    self.workspace().pool, self._prof)
+        self._sommerfeld(rhs, patches, ASYMPTOTIC, 1.0, a, b)
 
     # -- stepping ------------------------------------------------------------
     def _post_stage(self, u: np.ndarray) -> None:
@@ -265,14 +263,16 @@ class BSSNSolver(Solver):
             return self._constraints()
 
     def _constraints(self) -> dict[str, float]:
+        from repro.codegen.backends import NumpyBSSNRHS
+
         mesh = self.mesh
         patches = mesh.unzip(self.state)
         k, r = mesh.k, mesh.r
         norms: dict[str, float] = {}
         acc: dict[str, list[np.ndarray]] = {}
-        n = mesh.num_octants
-        for lo in range(0, n, self.chunk):
-            hi = min(lo + self.chunk, n)
+        n, chunk = mesh.num_octants, NumpyBSSNRHS.chunk_octants  # NumPy work
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
             pch = patches[:, lo:hi]
             derivs = compute_derivatives(pch, mesh.dx[lo:hi], self.params, self.pd)
             values = np.ascontiguousarray(pch[:, :, k : k + r, k : k + r, k : k + r])

@@ -48,7 +48,10 @@ class WaveSolver(Solver):
     Sommerfeld boundaries and optional wavelet re-gridding.
 
     ``backend`` (``"numpy"`` | ``"compiled"`` | ``"auto"``) picks the
-    chunk kernel, see :mod:`repro.codegen.backends`.
+    chunk kernel, see :mod:`repro.codegen.backends`.  ``source(coords,
+    t)`` must be a pure function of its arguments: it is evaluated once
+    per time and octant range and reused (RK4's two middle stages share
+    a time, and the last stage's is the next step's first).
     """
 
     default_regrid_eps = 1e-4
@@ -61,7 +64,7 @@ class WaveSolver(Solver):
         courant: float = 0.25,
         ko_sigma: float = 0.1,
         source: Callable[[np.ndarray, float], np.ndarray] | None = None,
-        chunk_octants: int = 512,
+        chunk_octants: int | None = None,
         profiler: StepProfiler | None = None,
         backend: str = "numpy",
     ):
@@ -82,23 +85,24 @@ class WaveSolver(Solver):
         self.state = mesh.allocate(2)
 
     @hot_path
-    def rhs_range(self, patches: np.ndarray, t: float, rhs: np.ndarray,
-                  lo: int, hi: int) -> None:
-        """Octants ``lo:hi`` of the RHS of (φ, π) from the unzipped
-        ``patches``: per octant chunk source → kernel (Laplacian + KO),
-        then the Sommerfeld faces of the range."""
-        prof = self._prof
-        pool = self.workspace().pool
-        coords = self.coords()
-        for a in range(lo, hi, self.chunk):
-            b = min(a + self.chunk, hi)
-            src = None
-            if self.source is not None:
-                with prof.phase("algebra"):
-                    src = self.source(coords[a:b], t)
-            self.kernel(patches, a, b, self.mesh, self.speed**2,
-                        self.ko_sigma, src, rhs, pool, prof)
-        self._sommerfeld(rhs, patches, _U_INF, self.speed, lo, hi)
+    def _chunk_rhs(self, patches: np.ndarray, t: float, rhs: np.ndarray,
+                   a: int, b: int, lo: int, hi: int) -> None:
+        """Octants ``a:b`` of the range ``lo:hi`` of the RHS of (φ, π)
+        from their ``patches``: the kernel (Laplacian + KO) with the
+        source, then their Sommerfeld faces.  The range's source values
+        are cached per mesh for the last ``t``."""
+        ws = self.workspace()
+        src = None
+        if self.source is not None:
+            last = ws.cache.get(("source", lo, hi))
+            if last is None or last[0] is not self.source or last[1] != t:
+                with self._prof.phase("algebra"):
+                    last = ws.cache["source", lo, hi] = (
+                        self.source, t, self.source(self.coords()[lo:hi], t))
+            src = last[2][a - lo:b - lo]
+        self.kernel(patches, a, b, self.mesh, self.speed**2, self.ko_sigma,
+                    src, rhs, ws.pool, self._prof)
+        self._sommerfeld(rhs, patches, _U_INF, self.speed, a, b)
 
     def regrid(self, eps: float, *, max_level: int | None = None) -> bool:
         """Wavelet-driven re-mesh + state transfer; True if the grid changed."""

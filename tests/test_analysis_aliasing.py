@@ -67,6 +67,11 @@ def test_compiled_bssn_step_audits_clean_without_a_chunk_buffer(bssn_solver):
     assert report.ok, [f.to_dict() for f in report.findings]
     leased = {ev.name for ev in report.events}
     assert "native.scratch" in leased and "solver.chunk_rhs" not in leased
+    # the fused loop's one patch buffer, for one chunk at a time
+    chunk = {ev.shape for ev in report.events if ev.name == "solver.patch_chunk"}
+    assert chunk == {(24 * 3 * 13**3,)}
+    assert {ev.phase for ev in report.events
+            if ev.name == "solver.patch_chunk"} == {"unzip"}
     numpy_leased = {ev.name for ev in audit_solver_step(bssn_solver).events}
     assert "solver.chunk_rhs" in numpy_leased
 

@@ -15,8 +15,6 @@ The headline guarantees under test (DESIGN.md §11):
   cached artefacts stay attributable to the code path that made them.
 """
 
-import ctypes
-import mmap
 import warnings
 
 import numpy as np
@@ -53,7 +51,7 @@ from repro.solver.wave_solver import PHI, GaussianSource, WaveSolver
 from repro.telemetry import MetricsRegistry
 
 from .frozen_oracles import bssn_apply_sommerfeld, wave_apply_sommerfeld
-from .test_mesh_unzip import _same_bits
+from .test_mesh_unzip import _GuardedPool, _same_bits
 
 needs_native = pytest.mark.skipif(
     B.native_impl() is None,
@@ -460,9 +458,9 @@ class TestKernelConsistency:
             mesh, [Puncture(mass=1.0, position=[0.2, -0.1, 0.3])]
         )
         spec = get_kernel_spec(COMPILED_VARIANT)
-        patches = mesh.unzip(u)
         n, P, r, k = mesh.num_octants, mesh.P, mesh.r, mesh.k
         nc = 2
+        patches = mesh.unzip(u)
         w = stencil_weights()
         pbuf = pack_params(BSSNParams(), np.empty(NUM_PARAMS))
         h = np.asarray(mesh.dx[:nc], dtype=np.float64)
@@ -470,6 +468,7 @@ class TestKernelConsistency:
         hf2 = _h_factor(h, 2).ravel()
         args = (n, 0, nc, P, r, k)
 
+        patches = np.ascontiguousarray(patches[:, :nc])  # the chunk's own
         rhs_py = np.zeros((S.NUM_VARS, n, r, r, r))
         scratch = np.zeros(scratch_doubles(P, r))
         ns = compile_py_kernels(spec)
@@ -501,7 +500,7 @@ class TestKernelConsistency:
         for impl in ("cffi", "py"):
             kernel = NativeWaveRHS(impl=impl)
             p2 = np.full((2, n, P, P, P), np.nan)
-            mesh.unzip(u2, out=p2, scatter=kernel.unzip_scatter)
+            mesh.unzip(u2, out=p2, executor=kernel.unzip_gather)
             rhs2 = np.zeros_like(u2)
             kernel.sommerfeld(rhs2, p2, mesh, coords, radii,
                               np.array([1.0, 0.0]), 0.7)
@@ -522,24 +521,6 @@ class TestKernelConsistency:
 # ---------------------------------------------------------------------------
 
 
-class _GuardedPool:
-    """A pool whose every buffer ends flush against a ``PROT_NONE`` page,
-    so a read or write one double past it faults instead of passing."""
-
-    def get(self, name, shape, dtype=np.float64):
-        mprotect = ctypes.CDLL(None, use_errno=True).mprotect
-        mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
-        page = mmap.PAGESIZE
-        nbytes = int(np.prod(shape)) * 8
-        span = -(-nbytes // page) * page
-        mm = mmap.mmap(-1, span + page)
-        start = ctypes.addressof(ctypes.c_char.from_buffer(mm))
-        assert mprotect(start + span, page, 0) == 0  # 0 = PROT_NONE
-        # the array keeps the mapping alive; it is unmapped with it
-        return np.frombuffer(mm, dtype=dtype, count=nbytes // 8,
-                             offset=span - nbytes).reshape(shape)
-
-
 def _kernel_inputs(r, n, seed, nvars=S.NUM_VARS):
     """Random near-flat patches for ``n`` octants of ``r``³ points on two
     levels, and the mesh attributes the chunk kernels read."""
@@ -557,13 +538,15 @@ def _kernel_inputs(r, n, seed, nvars=S.NUM_VARS):
 
 
 def _run_chunks(kernel, patches, mesh, chunks, pool, *extra):
-    """``rhs`` after ``kernel`` wrote ``chunks``; octants outside them
-    keep the sentinel 7.0."""
+    """``rhs`` after ``kernel`` wrote ``chunks``, each from a chunk buffer
+    of its own patches; octants outside them keep the sentinel 7.0."""
     rhs = pool.get("test.rhs", (patches.shape[0], mesh.num_octants)
                    + (mesh.r,) * 3)
     rhs[...] = 7.0
     for lo, hi in chunks:
-        kernel(patches, lo, hi, mesh, *extra, rhs, pool)
+        chunk = pool.get("test.chunk", patches[:, lo:hi].shape)
+        chunk[...] = patches[:, lo:hi]
+        kernel(chunk, lo, hi, mesh, *extra, rhs, pool)
     return rhs
 
 
@@ -600,9 +583,7 @@ class TestRowVectorKernels:
     def test_bssn_chunks_bitwise_behind_guard_pages(self, impl, r):
         patches, mesh, _ = _kernel_inputs(r, 4, seed=r)
         pool = _GuardedPool()
-        guarded = pool.get("test.patches", patches.shape)
-        guarded[...] = patches
-        got, ref = self._bssn_pair(impl, guarded, mesh, pool)
+        got, ref = self._bssn_pair(impl, patches, mesh, pool)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert (got[:, 0] == 7.0).all() and np.isfinite(got).all()
 
@@ -618,11 +599,8 @@ class TestRowVectorKernels:
     @pytest.mark.parametrize("sourced", [False, True])
     def test_wave_chunks_bitwise_behind_guard_pages(self, impl, r, sourced):
         patches, mesh, rng = _kernel_inputs(r, 4, seed=r, nvars=2)
-        pool = _GuardedPool()
-        guarded = pool.get("test.patches", patches.shape)
-        guarded[...] = patches
         src = rng.normal(size=(3, r, r, r)) if sourced else None
-        got, ref = self._wave_pair(impl, guarded, mesh, pool, src)
+        got, ref = self._wave_pair(impl, patches, mesh, _GuardedPool(), src)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert (got[:, 0] == 7.0).all()
 

@@ -297,7 +297,8 @@ class TestNativeBuildCache:
         lib = NativeLib(None, FFI(), None, 0.0, True)
         assert lib.ptr(np.zeros(3)) == "double *"
         assert lib.ptr(np.zeros(3, dtype=np.int64)) == "long *"
-        for bad in (np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int32),
+        assert lib.ptr(np.zeros(3, dtype=np.int32)) == "int *"  # gather map
+        for bad in (np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.int16),
                     np.zeros((3, 4))[:, ::2]):
             with pytest.raises(TypeError):
                 lib.ptr(bad)

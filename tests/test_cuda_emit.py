@@ -86,19 +86,21 @@ def test_variants_differ_in_body():
     assert a != b
 
 
-# -- the one A-stage walk: the solver's sources are the parent's ------------
+# -- the one A-stage walk: the solver's sources are pinned -------------------
 
 
-def test_native_sources_byte_identical_to_pr23():
-    """The C and Python chunk kernels come out of the shared A-stage walk
-    byte for byte as the hand-written loops of PR 23 emitted them, so the
-    native cache key and every digest taken on them are unchanged."""
+def test_native_sources_are_pinned():
+    """The C and Python chunk kernels the A-stage walk and the
+    hand-written prelude emit, byte for byte: a moved pin moves the
+    native cache key (every checkout rebuilds its ``.so``) and may move
+    the ledger's numbers — change it together with the kernels, never
+    alone."""
     spec = get_kernel_spec(COMPILED_VARIANT)
     digests = {
-        emit_c_source: "3c634a18662f3331c488a03bcb7e1e52"
-                       "401796a01c7c4a438689c7ce717f7310",
-        emit_py_source: "c7112af81f8b0f4d86142dc0eeec1fb9"
-                        "90f72564d2259b2013afd468032401c7",
+        emit_c_source: "388d9ee8eac1760225ee66ab025adf61"
+                       "70b78c926abe12607e16bbcc7b0ccf95",
+        emit_py_source: "7ca5da705df12260fe31b6abca7d2056"
+                        "9725ac734ca8c027517f7efccac535ba",
     }
     for emit, digest in digests.items():
         assert hashlib.sha256(emit(spec).encode()).hexdigest() == digest

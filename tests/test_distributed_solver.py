@@ -154,7 +154,8 @@ def test_rank_reads_only_owned_and_ghost_octants(case, backend):
     """The solver's range call on a view that is NaN outside owned ∪
     ``ghost_lists[rank]``: the owned rows equal the global ``full_rhs``
     bit for bit and no other row of ``out`` is written — the first test
-    to fail when a halo plan misses a ghost."""
+    to fail when a halo plan misses a ghost.  The rank unzips its own
+    ``hi - lo`` octants and no others."""
     solver = _solver(case, backend)
     mesh = solver.mesh
     u = np.random.default_rng(3).normal(
@@ -162,15 +163,25 @@ def test_rank_reads_only_owned_and_ghost_octants(case, backend):
     expect = solver.full_rhs(u, 0.3).copy()
     part = partition_octree(mesh.tree, 4)
     plan = build_halo_plan(mesh, part)
-    with warnings.catch_warnings():
+    unzipped = []
+    unzip = mesh.unzip
+
+    def counting_unzip(u, out=None, **kw):
+        unzipped.extend(range(kw["lo"], kw["hi"]))
+        return unzip(u, out, **kw)
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("error")
+        mp.setattr(mesh, "unzip", counting_unzip)
         for rank in range(part.num_parts):
             lo, hi = (int(o) for o in part.offsets[rank:rank + 2])
             view = np.full_like(u, np.nan)
             view[:, lo:hi] = u[:, lo:hi]
             view[:, plan.ghost_lists[rank]] = u[:, plan.ghost_lists[rank]]
             out = np.full_like(u, 7.0)
-            solver.rhs_range(solver.unzip_pooled(view), 0.3, out, lo, hi)
+            unzipped.clear()
+            solver.rhs_range(view, 0.3, out, lo, hi)
+            assert unzipped == list(range(lo, hi))
             assert np.array_equal(out[:, lo:hi], expect[:, lo:hi])
             assert np.all(out[:, :lo] == 7.0) and np.all(out[:, hi:] == 7.0)
 

@@ -1,5 +1,8 @@
 """Tests for the octant-to-patch (unzip) and patch-to-octant (zip) kernels."""
 
+import ctypes
+import mmap
+
 import numpy as np
 import pytest
 
@@ -245,14 +248,11 @@ def test_unzip_property_random_balanced_trees(seed):
 
 
 # ---------------------------------------------------------------------------
-# the native box-copy execution (compiled chunk kernels' unzip_scatter)
+# the native gather execution (compiled chunk kernels' unzip_gather)
 # ---------------------------------------------------------------------------
 
 from repro.codegen import backends as B
-from repro.mesh.maps import (
-    BOX_DST, BOX_NX, BOX_NY, BOX_NZ, BOX_SRC, BOX_SRC_N, BOX_STRIDE,
-    CASE_COARSE, CASE_FINE, CASE_SAME,
-)
+from repro.mesh.maps import CASE_COARSE, CASE_FINE, CASE_SAME
 
 #: every rung of the compiled ladder this host can run; un-jitted "py"
 #: always can
@@ -275,6 +275,24 @@ def _same_bits(a, b):
                                b[~nan].view(np.uint64)))
 
 
+class _GuardedPool:
+    """A pool whose every buffer ends flush against a ``PROT_NONE`` page,
+    so a read or write one double past it faults instead of passing."""
+
+    def get(self, name, shape, dtype=np.float64):
+        mprotect = ctypes.CDLL(None, use_errno=True).mprotect
+        mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+        page = mmap.PAGESIZE
+        nbytes = int(np.prod(shape)) * 8
+        span = -(-nbytes // page) * page
+        mm = mmap.mmap(-1, span + page)
+        start = ctypes.addressof(ctypes.c_char.from_buffer(mm))
+        assert mprotect(start + span, page, 0) == 0  # 0 = PROT_NONE
+        # the array keeps the mapping alive; it is unmapped with it
+        return np.frombuffer(mm, dtype=dtype, count=nbytes // 8,
+                             offset=span - nbytes).reshape(shape)
+
+
 def _with_specials(a, rng, count=6):
     """A copy with NaN, ±inf and −0.0 at ``count`` random places: the
     padding fill multiplies its zero taps too, so 0 · inf must be NaN."""
@@ -285,17 +303,36 @@ def _with_specials(a, rng, count=6):
     return out
 
 
-def _assert_native_equals_reference(mesh, kernel, nvars, rng):
-    u = rng.normal(size=(nvars, mesh.num_octants, 7, 7, 7))
+def _ranges(n, rng):
+    """Empty, one octant, the last octant, the whole mesh and a drawn
+    range."""
+    a = int(rng.integers(0, n))
+    return [(a, a), (a, a + 1), (n - 1, n), (0, n),
+            tuple(sorted(int(i) for i in rng.integers(0, n + 1, 2)))]
+
+
+def _assert_native_equals_reference(mesh, kernel, nvars, rng, pool=None):
+    """The native gather and face fill of octant ranges against the
+    whole-mesh group loop, bit for bit, into a NaN-poisoned buffer (the
+    last octant's patches flush against a ``PROT_NONE`` page when
+    ``pool`` is a guarded one)."""
+    n = mesh.num_octants
+    u = rng.normal(size=(nvars, n, 7, 7, 7))
     # with and without a leading axis, then with non-finite sources
     for state in (u, u[0], _with_specials(u, rng)):
         with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf
             ref = mesh.unzip(state)  # group loop + extrapolate_boundary
-            out = np.full_like(ref, 7.0)  # an unwritten point stays 7
-            got = mesh.unzip(state, out=out, coalesce=True,
-                             scatter=kernel.unzip_scatter)
-        assert got is out
-        assert _same_bits(got, ref)
+            for lo, hi in _ranges(n, rng):
+                shape = state.shape[:-4] + (hi - lo,) + (mesh.P,) * 3
+                out = (pool.get("chunk", shape) if pool is not None
+                       else np.empty(shape))
+                out[...] = np.nan  # every point must be written
+                got = mesh.unzip(state, out=out, coalesce=True,
+                                 executor=kernel.unzip_gather, lo=lo, hi=hi)
+                assert got is out
+                assert _same_bits(got, ref[..., lo:hi, :, :, :])
+                if np.isfinite(state).all():
+                    assert not np.isnan(got).any()
 
 
 @pytest.mark.skipif(not RUNGS, reason="no native toolchain (numba or cffi+cc)")
@@ -311,7 +348,8 @@ def test_native_unzip_equals_group_loop_on_random_trees(impl, nvars, seed):
     mesh = _random_balanced_mesh(seed, base_level=1 if nvars == 24 else 2)
     assume(_has_every_case(mesh))
     _assert_native_equals_reference(
-        mesh, B.NativeWaveRHS(impl=impl), nvars, np.random.default_rng(seed)
+        mesh, B.NativeWaveRHS(impl=impl), nvars, np.random.default_rng(seed),
+        pool=_GuardedPool(),
     )
 
 
@@ -327,14 +365,15 @@ def test_py_rung_unzip_equals_group_loop():
 
 
 def _native_extrapolate(kernel, plan, patches):
-    """The native padding fill alone, as ``unzip_scatter`` runs it after
-    its copies."""
+    """The native padding fill alone, as ``unzip_gather`` runs it after
+    its copy."""
     from repro.mesh.interp import extrapolation_matrices
 
     n, P, r, k = patches.shape[-4], plan.P, plan.r, plan.k
     faces = plan.face_table()
-    kernel._run("extrapolate_faces", patches, n, patches.size // (n * P**3),
-                faces, len(faces), extrapolation_matrices(r, k), P, r, k)
+    kernel._run("extrapolate_faces", patches, 0, n,
+                patches.size // (n * P**3), faces, len(faces),
+                extrapolation_matrices(r, k), P, r, k)
 
 
 @pytest.mark.parametrize("impl", RUNGS + ["py"])
@@ -356,7 +395,7 @@ def test_extrapolate_faces_equals_the_einsum_oracle(impl, lead, seed, keep):
         (axis, side, octs[sel]) for axis, side, octs in plan.boundary
         for sel in (rng.random(len(octs)) < keep,) if sel.any()
     ]
-    plan._face_table = None
+    plan._ranged = {}
     assert len(plan.face_table()) == sum(len(b[2]) for b in plan.boundary)
     ref = _with_specials(
         rng.normal(size=lead + (len(plan.tree), plan.P, plan.P, plan.P)),
@@ -370,53 +409,124 @@ def test_extrapolate_faces_equals_the_einsum_oracle(impl, lead, seed, keep):
 
 def test_native_unzip_leaves_other_dtypes_to_numpy():
     """A float32 (or non-contiguous) state must not reach a kernel that
-    reads ``double*``: the executor declines and the NumPy scatter runs."""
+    reads ``double*``: the executor declines and the NumPy copy runs."""
+    from repro.mesh import prolong_sources
+
     mesh = _random_balanced_mesh(3, base_level=1)
+    n = mesh.num_octants
     kernel = B.NativeWaveRHS(impl="py")
     u = mesh.allocate(2, dtype=np.float32)
     u[...] = np.random.default_rng(0).normal(size=u.shape)
     ref = mesh.unzip(u)
     out = np.full_like(ref, np.nan)
-    assert not kernel.unzip_scatter(mesh.plan, u, None, out)
+    up = prolong_sources(mesh.plan, u)
+    assert not kernel.unzip_gather(mesh.plan, u, up, out, 0, n)
     assert np.isnan(out).all()  # declined: nothing written
     # r >= 8 changes einsum's reduction order over a source row
     wide = Mesh(mesh.tree, r=9)
-    assert not kernel.unzip_scatter(
-        wide.plan, wide.allocate(2), None, wide.allocate_patches(2))
-    got = mesh.unzip(u, out=out, scatter=kernel.unzip_scatter)
+    w = wide.allocate(2)
+    assert not kernel.unzip_gather(wide.plan, w, prolong_sources(wide.plan, w),
+                                   wide.allocate_patches(2), 0, n)
+    got = mesh.unzip(u, out=out, executor=kernel.unzip_gather)
     assert got.dtype == np.float32 and np.array_equal(got, ref)
-    strided = np.zeros((2, mesh.num_octants, 7, 7, 14))[..., ::2]
-    assert not kernel.unzip_scatter(
-        mesh.plan, strided, None, mesh.allocate_patches(2)
-    )
+    strided = np.zeros((2, n, 7, 7, 14))[..., ::2]
+    assert not kernel.unzip_gather(mesh.plan, strided, up.astype(np.float64),
+                                   mesh.allocate_patches(2), 0, n)
 
 
-def test_box_table_covers_the_group_points_in_group_order(mesh):
-    """Expanding every box row point by point reproduces the concatenated
-    per-group fancy indices exactly — same points, same order."""
-    table, n_coarse = mesh.plan.box_table()
-    co = mesh.plan.coalesced()
-    P = mesh.P
+def test_ranges_and_buffers_a_kernel_would_overrun_are_refused(mesh):
+    from repro.perf import BufferPool
 
-    def expand(rows):
-        src, dst = [], []
-        for row in rows:
-            sn, st = row[BOX_SRC_N], row[BOX_STRIDE]
-            z, y, x = np.meshgrid(np.arange(row[BOX_NZ]), np.arange(row[BOX_NY]),
-                                  np.arange(row[BOX_NX]), indexing="ij")
-            src.append((row[BOX_SRC] + ((z * sn + y) * sn + x) * st).ravel())
-            dst.append((row[BOX_DST] + (z * P + y) * P + x).ravel())
-        return np.concatenate(src), np.concatenate(dst)
+    u, n = mesh.allocate(2), mesh.num_octants
+    with pytest.raises(ValueError, match="outside the mesh"):
+        mesh.unzip(u, lo=3, hi=n + 1)
+    with pytest.raises(ValueError, match="upsample"):
+        mesh.unzip(u, up=np.zeros((2, 1, 13, 13, 13)), lo=0, hi=1)
+    kernel = B.NativeWaveRHS(impl="py")
+    with pytest.raises(ValueError, match="patches must hold"):
+        kernel(np.zeros((2, 2, 13, 13, 13)), 0, 3, mesh, 1.0, 0.1, None,
+               u, BufferPool())
+    with pytest.raises(ValueError, match="patches must hold"):
+        kernel.sommerfeld(u, np.zeros((2, 2, 13, 13, 13)), mesh,
+                          mesh.coordinates(), np.ones(u.shape[1:]),
+                          np.zeros(2), 1.0)
 
-    assert 0 < n_coarse < len(table)
-    assert len(table) == sum(g.num_pairs for g in mesh.plan.groups)
-    src, dst = expand(table[:n_coarse])
-    assert np.array_equal(src, co.coarse_src)
-    assert np.array_equal(dst, co.coarse_dst)
-    src, dst = expand(table[n_coarse:])
-    assert np.array_equal(src, co.direct_src)
-    assert np.array_equal(dst, co.direct_dst)
-    assert mesh.plan.box_table()[0] is table  # cached per plan
+
+def _group_loop_writers(plan):
+    """The reference the map must equal, independently of how it is
+    built: the group loop's writes (then the interior copy's) as one
+    sequence of (point, source code), and for every point the code of
+    its last occurrence — the first one in the reversed sequence, which
+    ``np.unique`` returns deterministically."""
+    n, P, r = len(plan.tree), plan.P, plan.r
+    f3 = (2 * r - 1) ** 3
+    dst, src = [], []
+    for grp in plan.groups:
+        if grp.case == CASE_COARSE:
+            code = -2 - (plan.prolong_row[grp.src][:, None] * f3
+                         + grp.src_template)
+        else:
+            code = grp.src[:, None] * r**3 + grp.src_template
+        dst.append((grp.dst[:, None] * P**3 + grp.dst_template).ravel())
+        src.append(code.ravel())
+    cube = np.arange(n * P**3).reshape(n, P, P, P)
+    dst.append(cube[:, 3:3 + r, 3:3 + r, 3:3 + r].ravel())
+    src.append(np.arange(n * r**3))
+    points, first = np.unique(np.concatenate(dst)[::-1], return_index=True)
+    codes = np.full(n * P**3, -1, dtype=np.int64)
+    codes[points] = np.concatenate(src)[::-1][first]
+    return codes.reshape(n, P**3)
+
+
+def test_gather_map_is_the_last_writer_of_the_group_loop(mesh):
+    """Every patch point of the map names the source the sequential
+    group loop plus the interior copy leaves there; -1 exactly where the
+    padding leaves the domain; each coarse source prolonged once is
+    read."""
+    gm = mesh.plan.gather_map()
+    assert gm.dtype == np.int32 and gm.shape == (mesh.num_octants, mesh.P**3)
+    assert np.array_equal(gm, _group_loop_writers(mesh.plan))
+    assert mesh.plan.gather_map() is gm  # cached per plan
+    inside = np.ones(mesh.num_octants, dtype=bool)
+    inside[mesh.boundary_octants()] = False
+    assert not (gm[inside] == -1).any() and (gm == -1).any()
+    rows = mesh.plan.prolong_rows()
+    assert np.array_equal(rows, np.arange(len(mesh.plan.prolong_octs)))
+
+
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=6, deadline=None)
+def test_gather_map_on_random_trees(seed):
+    plan = _random_balanced_mesh(seed).plan
+    assert np.array_equal(plan.gather_map(), _group_loop_writers(plan))
+
+
+def test_subset_prolongation_equals_the_whole_batch(mesh):
+    """A rank's range prolongs only the coarse sources it reads; their
+    upsample must be the rows of the whole-mesh one, bit for bit."""
+    from repro.mesh import prolong_sources
+
+    rng = np.random.default_rng(8)
+    u = rng.normal(size=(3, mesh.num_octants, 7, 7, 7))
+    whole = prolong_sources(mesh.plan, u).copy()
+    for lo, hi in _ranges(mesh.num_octants, rng):
+        rows = mesh.plan.prolong_rows(lo, hi)
+        part = prolong_sources(mesh.plan, u, lo, hi)
+        assert np.array_equal(part[:, rows].view(np.uint64),
+                              whole[:, rows].view(np.uint64))
+
+
+def test_numpy_range_unzip_equals_group_loop(mesh):
+    """The NumPy executions of a range — group loop and two takes off
+    the map — against the whole-mesh group loop."""
+    rng = np.random.default_rng(9)
+    u = rng.normal(size=(2, mesh.num_octants, 7, 7, 7))
+    whole = mesh.unzip(u)
+    for lo, hi in _ranges(mesh.num_octants, rng):
+        for coalesce in (False, True):
+            got = mesh.unzip(u, out=np.full_like(whole[:, lo:hi], np.nan),
+                             coalesce=coalesce, lo=lo, hi=hi)
+            assert np.array_equal(got, whole[:, lo:hi])
 
 
 def test_unzip_spans_close_when_a_phase_raises(mesh):
@@ -434,11 +544,11 @@ def test_unzip_spans_close_when_a_phase_raises(mesh):
         mesh.unzip(u, pool=RaisingPool(), tracer=tracer)
     assert tracer.open_spans == 0
 
-    def raising_scatter(plan, u, up, out):
+    def raising_executor(plan, u, up, out, lo, hi):
         raise RuntimeError("scatter")
 
     with pytest.raises(RuntimeError):
-        mesh.unzip(u, tracer=tracer, scatter=raising_scatter)
+        mesh.unzip(u, tracer=tracer, executor=raising_executor)
     assert tracer.open_spans == 0
     assert [r[1] for r in tracer.records()] == [
         "unzip.prolong", "unzip.prolong", "unzip.scatter"]

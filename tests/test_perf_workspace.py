@@ -191,13 +191,12 @@ class TestBSSNPooled:
         ws = b._workspace
         assert isinstance(ws, SolverWorkspace)
         misses = ws.pool.misses
-        patches_id = id(ws.pool.get("solver.patches",
-                                    (24, b.mesh.num_octants, 13, 13, 13)))
+        chunk = (24 * min(b.chunk, b.mesh.num_octants) * 13**3,)
+        patches_id = id(ws.pool.get("solver.patch_chunk", chunk))
         b.step()
         assert b._workspace is ws  # same arena
         assert ws.pool.misses == misses  # zero new pool allocations
-        assert id(ws.pool.get("solver.patches",
-                              (24, b.mesh.num_octants, 13, 13, 13))) == patches_id
+        assert id(ws.pool.get("solver.patch_chunk", chunk)) == patches_id
 
     def test_state_lives_in_ping_pong_buffers(self, bssn_pair):
         b = bssn_pair["b"]

@@ -104,6 +104,64 @@ class TestWaveSolverAMR:
         ws.step()
 
 
+class TestSourceCache:
+    """``source(coords, t)`` is evaluated once per time and octant range:
+    RK4's two middle stages share ``t + dt/2`` and the last stage's
+    ``t + dt`` is the next step's first."""
+
+    @staticmethod
+    def _run(backend, chunk=None, *, uncached=False, steps=3):
+        from repro.codegen.backends import native_impl
+
+        if backend == "compiled" and native_impl() is None:
+            pytest.skip("no native toolchain")
+        calls = []
+        src = GaussianSource(lambda t: calls.append(t) or np.sin(3 * t))
+        ws = WaveSolver(Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0))),
+                        source=src, ko_sigma=0.02, backend=backend,
+                        chunk_octants=chunk)
+        ws.state[0] = np.exp(-(ws.coords() ** 2).sum(axis=-1))
+        if uncached:  # today's evaluation: one call per RK4 stage
+            full_rhs = ws.full_rhs
+
+            def fresh(u, t, out=None):
+                ws.workspace().cache.pop(("source", 0, ws.mesh.num_octants),
+                                         None)
+                return full_rhs(u, t, out=out)
+
+            ws.full_rhs = fresh
+        for _ in range(steps):
+            ws.step()
+        return ws, calls
+
+    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
+    def test_one_call_per_distinct_time_and_same_bits(self, backend):
+        ref, ref_calls = self._run(backend, uncached=True)
+        assert len(ref_calls) == 12
+        for chunk in (None, 1, 3, 100):
+            ws, calls = self._run(backend, chunk)
+            assert len(calls) == 7 and len(set(calls)) == 7
+            assert np.array_equal(ws.state, ref.state)
+
+    def test_rollback_at_halved_dt_equals_a_clean_lower_dt_run(self):
+        """A NaN burst after the first step rolls the state back and
+        retries at half the Courant factor; the cache, keyed on the time,
+        must not hand the retry a value of the failed attempt."""
+        from repro.resilience import FaultInjector, HealthMonitor, SupervisedRun
+
+        ws, _ = self._run("numpy", steps=0)
+        run = SupervisedRun(ws, monitor=HealthMonitor(),
+                            injector=FaultInjector(seed=3, nan_burst_steps=(1,)))
+        for _ in range(3):
+            run.step()
+        assert run.rollbacks == 1
+        ref, _ = self._run("numpy", steps=0)
+        ref.courant *= 0.5
+        while ref.step_count < ws.step_count:
+            ref.step()
+        assert ref.t == ws.t and np.array_equal(ref.state, ws.state)
+
+
 class TestExtractionIntegration:
     def test_quadrupole_source_fills_22_mode(self):
         """A Y22-modulated source radiates into the (2,2) mode and not
