@@ -10,9 +10,8 @@ Since the telemetry PR the profiler is a thin adapter over
 emits every step / RK4 stage / phase as a nested span on the trace
 timeline, wired to a :class:`repro.telemetry.MetricsRegistry` it feeds
 per-phase latency *histograms* (``phase_seconds{phase}`` /
-``step_seconds``), and with ``record_samples=True`` it keeps the
-per-step phase samples, not just the running totals.  ``summary()`` and
-``report()`` are byte-compatible with the pre-telemetry profiler.
+``step_seconds``).  ``summary()`` and ``report()`` read the running
+totals and are byte-compatible with the pre-telemetry profiler.
 
 The profiler is opt-in and designed to cost nothing when disabled: the
 ``phase``/``step``/``stage`` methods then return a single shared no-op
@@ -86,14 +85,9 @@ class StepProfiler:
         Optional :class:`repro.telemetry.MetricsRegistry`; per-step
         phase times feed ``phase_seconds{phase}`` histograms and
         ``step_seconds`` at every ``end_step``.
-    record_samples:
-        Keep the per-step samples (``samples[phase][i]`` is the time
-        phase ``phase`` took within step ``i``; ``step_samples[i]`` the
-        whole step), not just the running totals.
     """
 
-    def __init__(self, enabled: bool = True, *, tracer=None, metrics=None,
-                 record_samples: bool = False):
+    def __init__(self, enabled: bool = True, *, tracer=None, metrics=None):
         self.enabled = enabled
         self.tracer = tracer if (enabled and tracer is not None
                                  and tracer.enabled) else None
@@ -103,26 +97,14 @@ class StepProfiler:
         self.step_time = 0.0
         self._timers = {p: _PhaseTimer(self, p) for p in PHASES}
         self._step_t0 = 0.0
-        self.samples: dict[str, list[float]] | None = None
-        self.step_samples: list[float] | None = None
-        if enabled and record_samples:
-            self.samples = {p: [] for p in PHASES}
-            self.step_samples = []
-        #: per-step phase accumulator (None when neither samples nor
-        #: metrics consume it — the phase exit path then skips it)
-        self._step_acc: dict[str, float] | None = (
-            {p: 0.0 for p in PHASES}
-            if (self.samples is not None or self.metrics is not None)
-            else None
-        )
-        self._hists = (
-            {p: metrics.histogram("phase_seconds", phase=p) for p in PHASES}
-            if self.metrics is not None else None
-        )
-        self._step_hist = (
-            metrics.histogram("step_seconds")
-            if self.metrics is not None else None
-        )
+        #: per-step phase accumulator feeding the histograms (None
+        #: without metrics — the phase exit path then skips it)
+        self._step_acc: dict[str, float] | None = None
+        if self.metrics is not None:
+            self._step_acc = {p: 0.0 for p in PHASES}
+            self._hists = {p: metrics.histogram("phase_seconds", phase=p)
+                           for p in PHASES}
+            self._step_hist = metrics.histogram("step_seconds")
 
     # -- recording -----------------------------------------------------
     def phase(self, name: str):
@@ -162,26 +144,16 @@ class StepProfiler:
         acc = self._step_acc
         if acc is not None:
             for p in PHASES:
-                if self.samples is not None:
-                    self.samples[p].append(acc[p])
-                if self._hists is not None:
-                    self._hists[p].observe(acc[p])
+                self._hists[p].observe(acc[p])
                 acc[p] = 0.0
-            if self.step_samples is not None:
-                self.step_samples.append(dt)
-            if self._step_hist is not None:
-                self._step_hist.observe(dt)
-            if self.metrics is not None:
-                self.metrics.counter("steps_total").inc()
+            self._step_hist.observe(dt)
+            self.metrics.counter("steps_total").inc()
 
     def reset(self) -> None:
         for p in PHASES:
             self.totals[p] = 0.0
         self.steps = 0
         self.step_time = 0.0
-        if self.samples is not None:
-            self.samples = {p: [] for p in PHASES}
-            self.step_samples = []
         if self._step_acc is not None:
             self._step_acc = {p: 0.0 for p in PHASES}
 

@@ -360,16 +360,20 @@ class SupervisedRun:
 
     # -- driving ---------------------------------------------------------
     def run(self, t_end: float, *, regrid_every: int = 0,
-            regrid_eps: float = 1e-3, max_level: int | None = None,
+            regrid_eps: float | None = None, max_level: int | None = None,
             on_step=None) -> dict:
         """March to ``t_end`` under supervision; returns the run report.
 
+        Regridding follows :meth:`repro.solver.base.Solver.evolve`
+        (``regrid_eps=None`` is the solver's ``default_regrid_eps``).
         ``on_step(solver)`` is invoked after every *accepted* step —
         i.e. after any rollback/retry inside :meth:`step` has resolved —
         which is where waveform extraction samplers hook in (a sample is
         never taken from a state that is later rolled back).
         """
         solver = self.solver
+        if regrid_every and regrid_eps is None:
+            regrid_eps = solver.default_regrid_eps
         while solver.t < t_end - 1e-12:
             if self.preempt_check is not None and self.preempt_check():
                 path = self.write_checkpoint()

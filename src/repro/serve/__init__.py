@@ -11,8 +11,8 @@ The read path from finished campaigns to heavy query traffic:
 * :class:`SimulationBroker` — miss-to-simulation fallback: coverage
   gaps become :mod:`repro.jobs` submissions with pollable tickets;
 * :class:`ServeClient` / :class:`AsyncServeClient` — protocol handles;
-* :mod:`repro.serve.loadgen` — the load generator behind the latency
-  benchmark and the CI smoke gate.
+* :mod:`repro.serve.loadgen` — the load generator behind
+  ``serve bench`` and the CI smoke gate.
 
 CLI: ``python -m repro.serve start|query|ingest|bench|demo``.
 """

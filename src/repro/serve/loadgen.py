@@ -8,9 +8,9 @@ p50/p90/p99 latency, throughput, and per-kind outcome counts.  The
 ``stampede`` mode aims N simultaneous clients at one cold key to
 exercise request coalescing.
 
-This module is both the benchmark driver
-(``benchmarks/bench_serve_latency.py``) and the CI smoke harness
-(``python -m repro.serve bench`` / the ``demo`` gate).
+This module drives ``python -m repro.serve bench`` and the ``demo``
+gate, which check correctness and coalescing; serve latency is measured
+by the perf ledger's ``serve_mix`` workload.
 """
 
 from __future__ import annotations

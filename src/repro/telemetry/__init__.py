@@ -20,12 +20,11 @@ One layer every subsystem emits into (see DESIGN.md §9):
   crash-safe JSONL rollups with an SLO/anomaly rule scan;
   :func:`assemble_campaign_trace` builds the one-lane-per-worker
   Perfetto view with clock-skew normalisation;
-* :mod:`~repro.telemetry.history` — continuous perf trajectory: a
-  rolling store of bench profiles with a median baseline for
-  ``compare --history``;
 * ``python -m repro.telemetry`` — ``record`` / ``summarize`` /
-  ``export-trace`` / ``compare`` / ``history`` over run directories
-  and benchmark JSON reports.
+  ``export-trace`` over run directories.
+
+Performance across changes is judged by the perf ledger
+(``benchmarks/ledger/``), not here.
 """
 
 from .fleet import (
@@ -40,13 +39,6 @@ from .fleet import (
     merge_gauge,
     merge_histogram,
     sum_run_dir_counters,
-)
-from .history import (
-    HISTORY_SCHEMA,
-    add_entry,
-    compare_to_history,
-    load_history,
-    rolling_baseline,
 )
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -75,7 +67,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DELTA_SCHEMA",
     "EVENTS_FILE",
-    "HISTORY_SCHEMA",
     "META_FILE",
     "METRICS_FILE",
     "METRICS_SCHEMA",
@@ -93,10 +84,7 @@ __all__ = [
     "TelemetryShipper",
     "TelemetrySink",
     "Tracer",
-    "add_entry",
     "assemble_campaign_trace",
-    "compare_to_history",
-    "load_history",
     "load_rollups",
     "load_snapshots",
     "merge_chrome_traces",
@@ -105,7 +93,6 @@ __all__ = [
     "quantile_from_dict",
     "read_events",
     "registry_from_snapshot",
-    "rolling_baseline",
     "sum_run_dir_counters",
     "write_snapshot",
 ]

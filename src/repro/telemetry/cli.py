@@ -1,4 +1,4 @@
-"""``python -m repro.telemetry`` — record, inspect, and diff runs.
+"""``python -m repro.telemetry`` — record and inspect runs.
 
 Subcommands
 -----------
@@ -10,11 +10,9 @@ Subcommands
     sections, from a run directory's ``metrics.jsonl`` + ``events.jsonl``.
 ``export-trace``
     Re-export (or copy) a run's Chrome trace JSON for Perfetto.
-``compare``
-    Paired per-phase deltas between two runs (run directories or
-    benchmark ``--json`` reports), with a configurable regression
-    threshold — the perf-trajectory gate CI runs against the committed
-    baseline.
+
+Whether a change made a run slower is the perf ledger's question
+(``benchmarks/ledger/run.py``), not this tool's.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ RECOVERY_KINDS = ("rollback", "halo-retry", "fault-injected", "regrid",
 
 
 # ---------------------------------------------------------------------
-# profile loading (run dirs and bench JSON normalise to one shape)
+# summarize
 # ---------------------------------------------------------------------
 def _metric_map(snap: dict) -> dict:
     out = {}
@@ -54,58 +52,6 @@ def _metric_map(snap: dict) -> dict:
     return out
 
 
-def load_profile(path) -> dict:
-    """Normalise one input to ``{"phases": {phase: sec/step}, ...}``.
-
-    Accepts a telemetry run directory (``metrics.jsonl`` histograms), a
-    ``bench_solver_hotpath.py --json`` report (its ``telemetry_profile``
-    or ``profiler`` section), or an already-normalised profile JSON.
-    """
-    p = pathlib.Path(path)
-    if p.is_dir():
-        snaps = load_snapshots(p / METRICS_FILE)
-        if not snaps:
-            raise ValueError(f"{p}: no metrics snapshots")
-        mm = _metric_map(snaps[-1])
-        phases = {}
-        for ph in PHASE_ORDER:
-            m = mm.get(("phase_seconds", (("phase", ph),)))
-            if m and m["count"]:
-                phases[ph] = m["sum"] / m["count"]
-        step = mm.get(("step_seconds", ()))
-        prof = {
-            "source": str(p),
-            "kind": "run-dir",
-            "phases": phases,
-            "sec_per_step": (step["sum"] / step["count"])
-            if step and step["count"] else None,
-            "steps": step["count"] if step else None,
-        }
-        meta_path = p / META_FILE
-        if meta_path.exists():
-            prof["label"] = json.loads(meta_path.read_text()).get("label")
-        return prof
-    data = json.loads(p.read_text(encoding="utf-8"))
-    if "telemetry_profile" in data:  # bench report, normalised section
-        tp = data["telemetry_profile"]
-        return {"source": str(p), "kind": "bench-json", **tp}
-    if "profiler" in data:  # bench report, raw profiler summary
-        summ = data["profiler"]
-        return {
-            "source": str(p),
-            "kind": "bench-json",
-            "phases": {ph: v["per_step"] for ph, v in summ["phases"].items()},
-            "sec_per_step": summ["step_time"] / max(summ["steps"], 1),
-            "steps": summ["steps"],
-        }
-    if "phases" in data:  # already-normalised profile
-        return {"source": str(p), "kind": "profile", **data}
-    raise ValueError(f"{p}: not a run directory, bench report, or profile")
-
-
-# ---------------------------------------------------------------------
-# summarize
-# ---------------------------------------------------------------------
 def _fmt_val(v: float) -> str:
     return f"{v:.3e}" if (v and (abs(v) < 1e-3 or abs(v) >= 1e4)) else f"{v:.4f}"
 
@@ -230,69 +176,6 @@ def summarize_run(run_dir) -> str:
 
 
 # ---------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------
-def compare_profiles(a: dict, b: dict, *, threshold: float = 0.1) -> dict:
-    """Paired per-phase deltas of B relative to A.
-
-    ``delta`` is ``(b - a) / a``: positive means B is *slower*.  A phase
-    regresses when its delta exceeds ``threshold``; the overall verdict
-    also checks the whole-step time when both sides carry one.
-    """
-    rows = []
-    regressions = []
-    for ph in PHASE_ORDER:
-        va, vb = a["phases"].get(ph), b["phases"].get(ph)
-        if va is None or vb is None or va <= 0.0:
-            continue
-        delta = (vb - va) / va
-        regressed = delta > threshold
-        rows.append({"phase": ph, "a": va, "b": vb, "delta": delta,
-                     "regressed": regressed})
-        if regressed:
-            regressions.append(ph)
-    sa, sb = a.get("sec_per_step"), b.get("sec_per_step")
-    step_row = None
-    if sa and sb:
-        delta = (sb - sa) / sa
-        step_row = {"phase": "step", "a": sa, "b": sb, "delta": delta,
-                    "regressed": delta > threshold}
-        if step_row["regressed"]:
-            regressions.append("step")
-    return {
-        "a": a["source"],
-        "b": b["source"],
-        "threshold": threshold,
-        "phases": rows,
-        "step": step_row,
-        "regressions": regressions,
-        "ok": not regressions,
-    }
-
-
-def render_compare(result: dict) -> str:
-    lines = [
-        f"compare: A={result['a']}",
-        f"         B={result['b']}   (threshold {result['threshold'] * 100:.0f}%)",
-        f"{'phase':<10} {'A [s]':>10} {'B [s]':>10} {'delta':>8}",
-    ]
-    rows = list(result["phases"])
-    if result["step"]:
-        rows.append(result["step"])
-    for r in rows:
-        flag = "  << REGRESSION" if r["regressed"] else ""
-        lines.append(
-            f"{r['phase']:<10} {r['a']:>10.5f} {r['b']:>10.5f} "
-            f"{r['delta'] * 100:>+7.1f}%{flag}"
-        )
-    lines.append(
-        "OK: no phase regressed" if result["ok"]
-        else f"REGRESSED: {', '.join(result['regressions'])}"
-    )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------
 # record (the CI / acceptance workload)
 # ---------------------------------------------------------------------
 def record_run(out_dir, *, quick: bool = True, steps: int = 4,
@@ -300,10 +183,9 @@ def record_run(out_dir, *, quick: bool = True, steps: int = 4,
                checkpoint_every: int = 0) -> dict:
     """Short instrumented BBH evolution → telemetry run directory.
 
-    Uses the hot-path benchmark grid (quick: ~100 octants; full: the
-    820-octant acceptance grid) under :class:`SupervisedRun`, so the
-    trace carries the complete step → stage → phase hierarchy plus any
-    recovery events.
+    A q = 2 ``bbh_grid`` (quick: 316 octants; full: max level 6) under
+    :class:`SupervisedRun`, so the trace carries the complete step →
+    stage → phase hierarchy plus any recovery events.
     """
     from repro.bssn import Puncture
     from repro.mesh import Mesh
@@ -341,7 +223,7 @@ def record_run(out_dir, *, quick: bool = True, steps: int = 4,
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="record, inspect, and diff telemetry runs",
+        description="record and inspect telemetry runs",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -364,37 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("run_dir")
     exp.add_argument("-o", "--out", default=None,
                      help="output file (default: stdout)")
-
-    cmp_ = sub.add_parser("compare", help="paired per-phase deltas of "
-                          "two runs or bench reports")
-    cmp_.add_argument("a", help="baseline (run dir or bench --json file); "
-                      "with --history, the candidate")
-    cmp_.add_argument("b", nargs="?", default=None,
-                      help="candidate (omit when using --history)")
-    cmp_.add_argument("--history", default=None, metavar="DIR",
-                      help="gate the candidate against the rolling median "
-                      "baseline of a perf-history directory instead of a "
-                      "single run")
-    cmp_.add_argument("--window", type=int, default=8,
-                      help="history entries the rolling baseline medians "
-                      "over (with --history)")
-    cmp_.add_argument("--threshold", type=float, default=0.1,
-                      help="regression threshold as a fraction (0.1 = 10%%)")
-    cmp_.add_argument("--warn-only", action="store_true",
-                      help="report regressions but exit 0")
-    cmp_.add_argument("--json", type=pathlib.Path, default=None,
-                      help="also write the comparison as JSON")
-
-    hist = sub.add_parser("history", help="maintain the continuous "
-                          "perf-trajectory store (benchmarks/history/)")
-    hist.add_argument("action", choices=("add", "list"))
-    hist.add_argument("source", nargs="?", default=None,
-                      help="run dir / bench JSON / profile to append "
-                      "(for `add`)")
-    hist.add_argument("--dir", default="benchmarks/history",
-                      help="history directory (default benchmarks/history)")
-    hist.add_argument("--label", default=None,
-                      help="entry label (default: profile label/kind)")
     return ap
 
 
@@ -424,42 +275,5 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
         else:
             print(text)
-        return 0
-    if args.cmd == "compare":
-        if args.history is not None:
-            from .history import load_history, rolling_baseline
-
-            entries = load_history(args.history)
-            if not entries:
-                print(f"error: no history entries in {args.history}",
-                      file=sys.stderr)
-                return 2
-            baseline = rolling_baseline(entries, window=args.window)
-            candidate = load_profile(args.a)
-        else:
-            if args.b is None:
-                print("error: compare needs two inputs (or --history DIR)",
-                      file=sys.stderr)
-                return 2
-            baseline = load_profile(args.a)
-            candidate = load_profile(args.b)
-        result = compare_profiles(baseline, candidate,
-                                  threshold=args.threshold)
-        print(render_compare(result))
-        if args.json is not None:
-            args.json.parent.mkdir(parents=True, exist_ok=True)
-            args.json.write_text(json.dumps(result, indent=2))
-        return 0 if (result["ok"] or args.warn_only) else 1
-    if args.cmd == "history":
-        from .history import add_entry, load_history, render_history
-
-        if args.action == "add":
-            if args.source is None:
-                print("error: history add needs a source", file=sys.stderr)
-                return 2
-            path = add_entry(args.dir, args.source, label=args.label)
-            print(f"appended {path}")
-            return 0
-        print(render_history(load_history(args.dir)))
         return 0
     return 2

@@ -112,13 +112,3 @@ def sample_supervisor(metrics: MetricsRegistry, run) -> None:
     metrics.gauge("rollbacks_total").set(run.rollbacks)
     metrics.gauge("flagged_steps_total").set(len(run.flagged_steps))
     metrics.gauge("courant").set(float(run.solver.courant))
-
-
-def instrument_solver(solver, sink, *, record_samples: bool = True):
-    """Attach a sink-wired profiler to a solver (if it has none) and
-    return the profiler actually in use."""
-    prof = getattr(solver, "profiler", None)
-    if prof is None:
-        prof = sink.profiler(record_samples=record_samples)
-        solver.profiler = prof
-    return prof

@@ -129,14 +129,13 @@ class TelemetrySink:
         return rec
 
     # -- adapters -------------------------------------------------------
-    def profiler(self, *, record_samples: bool = True):
+    def profiler(self):
         """A :class:`repro.perf.StepProfiler` wired into this sink's
         tracer and metrics (per-phase latency histograms)."""
         from repro.perf import StepProfiler  # local: perf imports telemetry
 
         return StepProfiler(enabled=self.enabled, tracer=self.tracer,
-                            metrics=self.metrics,
-                            record_samples=record_samples)
+                            metrics=self.metrics)
 
     def journal(self, path=None):
         """A :class:`repro.resilience.RunJournal` whose events also flow

@@ -211,6 +211,26 @@ class TestSupervisedRun:
         assert np.array_equal(a.state, b.state)
         assert run.rollbacks == 0
 
+    def test_regrid_defaults_to_the_solvers_tolerance(self):
+        """Without ``regrid_eps`` a supervised run regrids where
+        ``Solver.evolve`` does (``WaveSolver.default_regrid_eps``, 1e-4),
+        not at the BSSN tolerance: this pulse's wavelets put 24 more
+        octants above 1e-4 than above 1e-3."""
+        from repro.jobs import state_digest
+
+        def pulse():
+            mesh = Mesh(LinearOctree.uniform(2, domain=Domain(-8.0, 8.0)))
+            solver = WaveSolver(mesh)
+            solver.state[0] = np.exp(-(mesh.coordinates() ** 2).sum(-1) / 9.0)
+            return solver
+
+        a, b = pulse(), pulse()
+        t_end = 2 * a.dt
+        a.evolve(t_end, regrid_every=1, max_level=3)
+        SupervisedRun(b).run(t_end, regrid_every=1, max_level=3)
+        assert a.mesh.num_octants == b.mesh.num_octants == 456
+        assert state_digest(a.state) == state_digest(b.state)
+
     def test_nan_burst_rollback_and_recovery(self, small_config):
         solver = small_config.build_solver()
         injector = FaultInjector(seed=3, nan_burst_steps=(2,))

@@ -1,5 +1,5 @@
 """Tests for the unified telemetry subsystem: tracer, metrics registry,
-sink, profiler adapter, journal mirroring, CLI compare, and overhead."""
+sink, profiler adapter, journal mirroring, CLI summarize, and overhead."""
 
 import json
 import time
@@ -19,12 +19,7 @@ from repro.telemetry import (
     read_events,
     write_snapshot,
 )
-from repro.telemetry.cli import (
-    PHASE_ORDER,
-    compare_profiles,
-    load_profile,
-    summarize_run,
-)
+from repro.telemetry.cli import PHASE_ORDER, summarize_run
 
 
 # ---------------------------------------------------------------------
@@ -210,7 +205,7 @@ class TestProfilerAdapter:
     def test_spans_and_histograms_flow_to_telemetry(self):
         tr = Tracer(capacity=256)
         reg = MetricsRegistry()
-        prof = StepProfiler(tracer=tr, metrics=reg, record_samples=True)
+        prof = StepProfiler(tracer=tr, metrics=reg)
         for _ in range(2):
             prof.begin_step()
             with prof.stage(1):
@@ -224,8 +219,9 @@ class TestProfilerAdapter:
         assert reg.get("phase_seconds", phase="unzip").count == 2
         assert reg.get("step_seconds").count == 2
         assert reg.get("steps_total").value == 2
-        assert len(prof.samples["unzip"]) == 2
-        assert len(prof.step_samples) == 2
+        assert prof.steps == 2
+        hist = reg.get("phase_seconds", phase="unzip")
+        assert hist.sum == pytest.approx(prof.totals["unzip"])
 
     def test_disabled_profiler_shares_null_context(self):
         prof = StepProfiler(enabled=False)
@@ -387,56 +383,17 @@ class TestLayerInstrumentation:
 
 
 # ---------------------------------------------------------------------
-# CLI: profiles, compare, end-to-end record
+# CLI: phase order, end-to-end record
 # ---------------------------------------------------------------------
 class TestCompare:
     def test_phase_order_matches_perf(self):
         assert PHASE_ORDER == PHASES
 
-    def test_detects_regression_on_synthetic_profiles(self):
-        a = {"source": "a", "phases": {p: 1.0 for p in PHASES},
-             "sec_per_step": 6.5}
-        b = {"source": "b",
-             "phases": {**{p: 1.0 for p in PHASES}, "deriv": 1.3},
-             "sec_per_step": 6.8}
-        r = compare_profiles(a, b, threshold=0.1)
-        assert r["regressions"] == ["deriv"]
-        assert not r["ok"]
-        # the same delta under a looser threshold passes
-        assert compare_profiles(a, b, threshold=0.5)["ok"]
-
-    def test_improvement_is_not_regression(self):
-        a = {"source": "a", "phases": {p: 1.0 for p in PHASES}}
-        b = {"source": "b", "phases": {p: 0.5 for p in PHASES}}
-        assert compare_profiles(a, b, threshold=0.1)["ok"]
-
-    def test_load_profile_from_bench_json(self, tmp_path):
-        report = {
-            "schema": "repro-bench-hotpath-v1",
-            "telemetry_profile": {
-                "phases": {p: 0.1 for p in PHASES},
-                "sec_per_step": 0.7,
-                "steps": 2,
-            },
-        }
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(report))
-        prof = load_profile(path)
-        assert prof["kind"] == "bench-json"
-        assert prof["phases"]["unzip"] == 0.1
-        assert prof["sec_per_step"] == 0.7
-
-    def test_load_profile_rejects_garbage(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"foo": 1}')
-        with pytest.raises(ValueError):
-            load_profile(path)
-
 
 class TestEndToEnd:
     def test_instrumented_wave_run_dir(self, tmp_path):
         """A full sink-wired evolution produces a coherent run dir that
-        summarize/compare can consume."""
+        summarize can consume."""
         from repro.mesh import Mesh
         from repro.octree import Domain, LinearOctree
         from repro.resilience import SupervisedRun
@@ -450,13 +407,12 @@ class TestEndToEnd:
         run.run(t_end=4 * solver.dt)
         sink.finalize(solver, report=run.report())
 
-        prof = load_profile(d)
-        assert prof["steps"] == 4
-        assert prof["phases"]["deriv"] > 0
+        metrics = {(m["name"], m.get("labels", {}).get("phase")): m
+                   for m in load_snapshots(d / "metrics.jsonl")[-1]["metrics"]}
+        assert metrics["step_seconds", None]["count"] == 4
+        assert metrics["phase_seconds", "deriv"]["sum"] > 0
         text = summarize_run(d)
         assert "deriv" in text and "octants" in text
-        # self-comparison is regression-free
-        assert compare_profiles(prof, load_profile(d))["ok"]
         # trace holds the full step -> stage -> phase hierarchy
         trace = json.loads((d / "trace.json").read_text())
         names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
@@ -506,9 +462,8 @@ class TestEndToEnd:
         from repro.perf import profiler as P
         from repro.solver import WaveSolver
 
-        tracer = Tracer()
-        off = StepProfiler(enabled=False, tracer=tracer,
-                           metrics=MetricsRegistry(), record_samples=True)
+        tracer, reg = Tracer(), MetricsRegistry()
+        off = StepProfiler(enabled=False, tracer=tracer, metrics=reg)
         assert off.tracer is None and off.metrics is None
         contexts = {id(off.phase(p)) for p in P.PHASES}
         contexts |= {id(off.stage(1)), id(off.region("regrid"))}
@@ -530,8 +485,7 @@ class TestEndToEnd:
         assert clock_reads == []
         assert off.steps == 0 and off.step_time == 0.0
         assert not any(off.totals.values())
-        assert off.samples is None and off.step_samples is None
-        assert len(tracer) == 0
+        assert len(tracer) == 0 and len(reg) == 0
         # the same step under an enabled profiler does read it
         solver.profiler = StepProfiler()
         solver.step()

@@ -1,6 +1,6 @@
 """Tests for fleet telemetry: the shipper/aggregator delta protocol,
 the rollup merge algebra, histogram quantiles, campaign trace assembly,
-SLO rules, perf history, and a live coordinator round trip."""
+SLO rules, and a live coordinator round trip."""
 
 import json
 
@@ -12,15 +12,11 @@ from repro.telemetry import (
     MetricsRegistry,
     SLORules,
     TelemetryShipper,
-    add_entry,
-    compare_to_history,
-    load_history,
     load_rollups,
     merge_chrome_traces,
     merge_gauge,
     merge_histogram,
     quantile_from_dict,
-    rolling_baseline,
 )
 from repro.telemetry.fleet import ROLLUPS_FILE, FLEET_EVENTS_FILE
 from repro.telemetry.metrics import Histogram
@@ -403,56 +399,6 @@ class TestMergeChromeTraces:
             merge_chrome_traces([_trace("w0", 0.0)], labels=["a", "b"])
         with pytest.raises(ValueError):
             merge_chrome_traces([_trace("w0", 0.0)], shifts_us=[1.0, 2.0])
-
-
-# ---------------------------------------------------------------------
-# perf history
-# ---------------------------------------------------------------------
-def _profile_file(tmp_path, name, *, step, deriv):
-    p = tmp_path / name
-    p.write_text(json.dumps({"phases": {"deriv": deriv},
-                             "sec_per_step": step}))
-    return p
-
-
-class TestHistory:
-    def test_add_and_load_round_trip(self, tmp_path):
-        hist = tmp_path / "history"
-        add_entry(hist, _profile_file(tmp_path, "a.json",
-                                      step=0.10, deriv=0.04), label="a")
-        add_entry(hist, _profile_file(tmp_path, "b.json",
-                                      step=0.12, deriv=0.05))
-        entries = load_history(hist)
-        assert [e["seq"] for e in entries] == [0, 1]
-        assert entries[0]["label"] == "a"
-
-    def test_rolling_baseline_is_per_phase_median(self, tmp_path):
-        hist = tmp_path / "history"
-        for i, step in enumerate((0.10, 0.20, 0.30)):
-            add_entry(hist, _profile_file(tmp_path, f"p{i}.json",
-                                          step=step, deriv=step / 2))
-        base = rolling_baseline(load_history(hist))
-        assert base["sec_per_step"] == pytest.approx(0.20)
-        assert base["phases"]["deriv"] == pytest.approx(0.10)
-        # the window trims from the old end
-        base2 = rolling_baseline(load_history(hist), window=2)
-        assert base2["sec_per_step"] == pytest.approx(0.25)
-
-    def test_empty_history_raises(self):
-        with pytest.raises(ValueError):
-            rolling_baseline([])
-
-    def test_compare_to_history_flags_regression(self, tmp_path):
-        hist = tmp_path / "history"
-        for i in range(3):
-            add_entry(hist, _profile_file(tmp_path, f"p{i}.json",
-                                          step=0.10, deriv=0.04))
-        slow = _profile_file(tmp_path, "slow.json", step=0.30, deriv=0.12)
-        result = compare_to_history(hist, slow, threshold=0.1)
-        assert not result["ok"]
-        assert "deriv" in result["regressions"]
-        fast = _profile_file(tmp_path, "fast.json", step=0.10, deriv=0.04)
-        assert compare_to_history(hist, fast, threshold=0.1)["ok"]
 
 
 # ---------------------------------------------------------------------
