@@ -183,6 +183,9 @@ class BSSNSolver(Solver):
                          chunk_octants=chunk_octants, profiler=profiler)
         self.params = params if params is not None else BSSNParams()
         self.record = EvolutionRecord()
+        #: a :class:`repro.solver.PunctureTracker` whose punctures
+        #: :meth:`regrid` keeps refined (None: wavelet flags only)
+        self.tracker = None
 
     # -- setup -----------------------------------------------------------
     def set_punctures(self, punctures: list[Puncture]) -> None:
@@ -237,14 +240,27 @@ class BSSNSolver(Solver):
 
     def regrid(self, eps: float, *, max_level: int | None = None) -> bool:
         """Wavelet-driven re-mesh + state transfer. Returns True if the
-        grid changed.  Spanned on the telemetry timeline when a traced
-        profiler is attached (the only host/device-sync of Alg. 1)."""
+        grid changed.  With a :attr:`tracker` attached, its punctures
+        are a second source of flags: every octant the tracker would
+        split is refined (up to ``max_level``), and no octant whose
+        parent it would split is coarsened.  Spanned on the telemetry
+        timeline when a traced profiler is attached (the only
+        host/device-sync of Alg. 1)."""
         prof = self._prof
         tracer = prof.tracer
         with prof.region("regrid"):
             refine, coarsen = regrid_flags(
                 self.mesh, self.state, eps, max_level=max_level
             )
+            if self.tracker is not None:
+                oc, dom = self.mesh.tree.octants, self.mesh.tree.domain
+                split = self.tracker.split_flags(oc, dom)
+                if max_level is not None:
+                    split &= oc.level < max_level
+                refine = refine | split
+                idx = np.flatnonzero(coarsen)
+                coarsen = coarsen.copy()
+                coarsen[idx] = ~self.tracker.split_flags(oc[idx].parents(), dom)
             if not refine.any() and not coarsen.any():
                 return False
             new_mesh = remesh(self.mesh, refine, coarsen, tracer=tracer)
@@ -286,35 +302,6 @@ class BSSNSolver(Solver):
             norms[f"{name}_l2"] = float(np.sqrt(np.mean(flat**2)))
             norms[f"{name}_linf"] = float(np.abs(flat).max())
         return norms
-
-    def regrid_to_punctures(self, tracker, *, max_level: int,
-                            theta: float = 1.0,
-                            base_level: int | None = None) -> bool:
-        """Rebuild the grid around the tracker's current puncture
-        positions (the production-code AMR driver: refinement regions
-        follow the holes, Figs. 3/12).  Returns True if the grid changed.
-        """
-        from repro.octree import LinearOctree, balance
-
-        dom = self.mesh.tree.domain
-        base = base_level if base_level is not None else max(
-            2, self.mesh.tree.min_level
-        )
-        new_tree = balance(
-            LinearOctree.from_refinement(
-                tracker.refine_fn(theta=theta),
-                domain=dom,
-                base_level=base,
-                max_level=max_level,
-            )
-        )
-        if np.array_equal(new_tree.keys, self.mesh.tree.keys):
-            return False
-        new_mesh = Mesh(new_tree, r=self.mesh.r, k=self.mesh.k)
-        self.state = transfer_fields(self.mesh, new_mesh, self.state)
-        self.mesh = new_mesh
-        self.record.regrid_steps.append(self.step_count)
-        return True
 
     def attach_extractor(self, radii: list[float], *, l_max: int = 2,
                          extract_every: int = 16) -> "object":

@@ -58,11 +58,19 @@ class PunctureTracker:
 
     def refine_fn(self, theta: float = 1.0):
         """A puncture-centred refinement callable at the *current*
-        positions (feed to regrid / LinearOctree.from_refinement)."""
+        positions (feed to LinearOctree.from_refinement)."""
         return puncture_refine_fn(
             list(zip([p.copy() for p in self.positions], self.masses)),
             theta=theta,
         )
+
+    def split_flags(self, octants, domain) -> np.ndarray:
+        """Which of ``octants`` :meth:`refine_fn` splits at the current
+        positions: the flags :meth:`BSSNSolver.regrid` takes from an
+        attached tracker."""
+        centers = domain.to_physical(octants.centers())
+        sizes = octants.size.astype(np.float64) * domain.lattice_h
+        return self.refine_fn()(centers, sizes, 0)
 
     def trajectory(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, positions (n, 3)) for one puncture."""

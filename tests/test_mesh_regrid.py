@@ -182,10 +182,11 @@ class TestUnchangedTree:
         new = remesh(mesh, refine, np.zeros_like(refine))
         assert new is not mesh and new.num_octants == mesh.num_octants + 7
 
-    @pytest.mark.parametrize("kind", ["wave", "bssn"])
+    @pytest.mark.parametrize("kind", ["wave", "bssn", "bssn-tracked"])
     def test_solver_regrid_constructs_no_mesh(self, kind, monkeypatch):
         from repro.bssn import flat_metric_state
-        from repro.solver import BSSNSolver, WaveSolver, bssn_solver, wave_solver
+        from repro.solver import (BSSNSolver, PunctureTracker, WaveSolver,
+                                  bssn_solver, wave_solver)
 
         mesh = Mesh(LinearOctree.uniform(2))
         if kind == "wave":
@@ -193,6 +194,11 @@ class TestUnchangedTree:
         else:
             solver, module = BSSNSolver(mesh), bssn_solver
             solver.set_state(flat_metric_state(mesh.allocate().shape))
+        if kind == "bssn-tracked":
+            # splits no level-2 octant (edge 25 ≤ m/2) and every level-1
+            # one (edge 50 > max(d, m/2), d = 43.3): the hole is refined
+            # enough, and nothing may coarsen below it
+            solver.tracker = PunctureTracker([[0.0, 0.0, 0.0]], masses=[60.0])
         flags = self._partial_family_flags(mesh)
         monkeypatch.setattr(module, "regrid_flags", lambda *a, **kw: flags)
         built = []
@@ -204,3 +210,15 @@ class TestUnchangedTree:
         state = solver.state
         assert solver.regrid(1e-3) is False
         assert built == [] and solver.mesh is mesh and solver.state is state
+        if kind == "bssn-tracked":
+            # every family complete: the wavelet flags alone would
+            # coarsen all 64 octants, and the tracker vetoes each one
+            everything = (np.zeros(mesh.num_octants, dtype=bool),
+                          np.ones(mesh.num_octants, dtype=bool))
+            monkeypatch.setattr(module, "regrid_flags",
+                                lambda *a, **kw: everything)
+            assert solver.regrid(1e-3) is False
+            assert built == [] and solver.mesh is mesh and solver.state is state
+            solver.tracker = None
+            assert solver.regrid(1e-3) is True
+            assert len(built) == 1 and solver.mesh.num_octants == 8

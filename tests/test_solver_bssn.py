@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.bssn import BSSNParams, Puncture, flat_metric_state
+from repro.bssn import BSSNParams, Puncture, binary_punctures, flat_metric_state
 from repro.bssn import state as S
+from repro.codegen.backends import native_impl
+from repro.codegen.generators import COMPILED_VARIANT, get_algebra_kernel
+from repro.io import restore_solver, save_checkpoint
+from repro.jobs import state_digest
 from repro.mesh import Mesh
-from repro.octree import Domain, LinearOctree, balance, puncture_refine_fn
-from repro.solver import BSSNSolver, enforce_algebraic_constraints
+from repro.octree import Domain, LinearOctree, balance, bbh_grid, puncture_refine_fn
+from repro.solver import BSSNSolver, PunctureTracker, enforce_algebraic_constraints
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +82,9 @@ def puncture_solver():
     )
     assert tree.max_level == 4  # actually graded toward the puncture
     mesh = Mesh(tree)
-    s = BSSNSolver(mesh, BSSNParams(eta=2.0))
+    # compiled: the assertions are physical, and test_backends already
+    # ties the two backends bit for bit
+    s = BSSNSolver(mesh, BSSNParams(eta=2.0), backend="auto")
     s.set_punctures([Puncture(1.0, [0.0, 0.0, 0.0])])
     return s
 
@@ -134,6 +140,100 @@ class TestRegridIntegration:
         # one step on the new grid works
         s.step()
         assert np.isfinite(s.state).all()
+
+
+def _hole_octants(solver):
+    """The leaves that contain the tracked punctures."""
+    tree = solver.mesh.tree
+    lat = np.floor(tree.domain.to_lattice(np.array(solver.tracker.positions)))
+    return tree.octants[tree.locate(*lat.astype(np.uint64).T)]
+
+
+def _tracker_splits(tracker, octants, domain):
+    """``tracker.refine_fn()`` on the octants' physical centres and sizes."""
+    return tracker.refine_fn()(domain.to_physical(octants.centers()),
+                               octants.size * domain.lattice_h, 0)
+
+
+class TestTrackedRegrid:
+    """A q = 2 binary whose grid follows its punctures: the tracker
+    attached as ``solver.tracker`` is a second source of flags for the
+    one ``regrid``, advanced after every accepted step by ``on_step``.
+
+    The grid starts uniform at level ``L - 1``.  ``EPS`` is above every
+    wavelet coefficient of the run (at most 0.6), so the wavelet flags
+    refine nothing and coarsen every family below 0.4: without the
+    tracker the grid collapses to level 1, holes included.  A uniform
+    initial shift β^x = 0.8 (a gauge choice) carries both punctures
+    toward −x (dx_p/dt = −β).  The first regrid refines the octants the
+    tracker splits; by the second the lighter hole has left the sphere
+    in which the tracker splits the level-2 octant behind it, and that
+    octant's children coarsen."""
+
+    L = 3          # regrid max_level
+    EPS = 4.0      # regrid_eps, see the class docstring
+    T_END = 0.3    # three steps, a regrid before the second and third
+    T_MID = 0.2    # two steps: between the two regrids
+
+    @classmethod
+    def _solver(cls, backend, **kw):
+        punctures = binary_punctures(mass_ratio=2.0, separation=6.25)
+        tree = bbh_grid(mass_ratio=2.0, separation=6.25, max_level=cls.L - 1,
+                        base_level=cls.L - 1, domain=Domain(-6.0, 10.0))
+        s = BSSNSolver(Mesh(tree), BSSNParams(eta=2.0), backend=backend, **kw)
+        s.set_punctures(punctures)
+        s.state[S.BETA[0]] += 0.8
+        s.tracker = PunctureTracker([p.position for p in punctures],
+                                    masses=[p.mass for p in punctures])
+        return s
+
+    @classmethod
+    def _evolve(cls, solver, t_end, hole_checks=None):
+        def on_step(s):
+            # the positions the regrid before this step saw
+            if hole_checks is not None and s.record.regrid_steps[-1:] == [
+                    s.step_count - 1]:
+                oc, dom = _hole_octants(s), s.mesh.tree.domain
+                asked = (~_tracker_splits(s.tracker, oc, dom)
+                         & _tracker_splits(s.tracker, oc.parents(), dom))
+                hole_checks.append(bool(np.all((oc.level == cls.L) | asked)))
+            s.tracker.update(s.mesh, s.state, s.t - s.dt, s.dt)
+
+        solver.evolve(t_end, regrid_every=1, regrid_eps=cls.EPS,
+                      max_level=cls.L, on_step=on_step)
+        return solver
+
+    @pytest.fixture(scope="class")
+    def tracked_run(self):
+        checks = []
+        return self._evolve(self._solver("auto"), self.T_END, checks), checks
+
+    def test_grid_follows_the_punctures(self, tracked_run):
+        s, hole_checks = tracked_run
+        assert s.record.regrid_steps == [1, 2]  # both regrids changed the grid
+        assert hole_checks == [True, True]
+        assert np.isfinite(s.state).all()
+
+    @pytest.mark.skipif(native_impl() is None,
+                        reason="no native toolchain: 'auto' runs NumPy")
+    def test_numpy_and_compiled_agree(self, tracked_run):
+        s, _ = tracked_run
+        n = self._evolve(self._solver(
+            "numpy", algebra=get_algebra_kernel(COMPILED_VARIANT)), self.T_END)
+        assert state_digest(n.state) == state_digest(s.state)
+        assert np.array_equal(n.tracker.positions, s.tracker.positions)
+
+    def test_restored_tracker_steers_the_restored_run(self, tracked_run,
+                                                      tmp_path):
+        s, _ = tracked_run
+        first = self._evolve(self._solver("auto"), self.T_MID)
+        assert first.record.regrid_steps == [1]
+        save_checkpoint(tmp_path / "mid.npz", first)
+        rest = self._evolve(restore_solver(tmp_path / "mid.npz",
+                                           backend="auto"), self.T_END)
+        assert rest.record.regrid_steps == [2]
+        assert state_digest(rest.state) == state_digest(s.state)
+        assert np.array_equal(rest.tracker.positions, s.tracker.positions)
 
 
 class TestExtractionIntegration:
