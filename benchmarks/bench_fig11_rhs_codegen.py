@@ -109,7 +109,7 @@ def test_fig11_compiled_backend_series(benchmark):
     from repro.solver import BSSNSolver
 
     if native_impl() is None:
-        pytest.skip("compiled backend unavailable (no cffi+cc or numba)")
+        pytest.skip("compiled backend unavailable (no cffi or C compiler)")
 
     mesh = Mesh(LinearOctree.uniform(2))
     u = mesh_puncture_state(mesh, [Puncture(1.0, [0.2, 0.1, 0.0])])

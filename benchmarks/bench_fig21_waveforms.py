@@ -46,7 +46,7 @@ def _propagate(q: float, backend: str):
 
 def test_fig21_waveform_overlay(benchmark):
     if native_impl() is None:
-        pytest.skip("NOTICE: no numba or cffi+cc toolchain on this host — "
+        pytest.skip("NOTICE: no cffi or C compiler on this host — "
                     "nothing to overlay the numpy waveform against")
     lines = [
         "Fig. 21: (2,2) waveforms, CPU path (numpy kernel) vs GPU path",

@@ -53,7 +53,7 @@ def test_fig7_scatter_vs_gather_unzip(benchmark):
         f" {'native (s)':>12} {'native GB/s':>12}",
     ]
     if kernel is None:
-        lines.append("NOTICE: no numba or cffi+cc toolchain on this host — "
+        lines.append("NOTICE: no cffi or C compiler on this host — "
                      "native column skipped")
     speedups = []
     for mesh in meshes:

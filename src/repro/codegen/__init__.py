@@ -6,10 +6,9 @@ from .backends import (
     NativeWaveRHS,
     backend_info,
     probe_cffi,
-    probe_numba,
     resolve_backend,
 )
-from .cbackend import ToolchainError, build_native_lib, emit_c_source, emit_py_source
+from .cbackend import ToolchainError, build_native_lib, emit_c_source
 from .cuda_emit import emit_cuda
 from .equations import rhs_operation_count, symbolic_rhs
 from .generators import (
@@ -45,9 +44,7 @@ __all__ = [
     "backend_info",
     "build_native_lib",
     "emit_c_source",
-    "emit_py_source",
     "probe_cffi",
-    "probe_numba",
     "resolve_backend",
     "ExprDag",
     "KernelSpec",

@@ -9,9 +9,10 @@ physical-boundary faces — over a kernel object resolved once from
   einsum stencil sweeps plus ``out=`` ufunc algebra on arena buffers;
 * ``"compiled"`` — :class:`NativeBSSNRHS` / :class:`NativeWaveRHS`: the
   single-pass native kernels lowered from the ``compiled`` codegen
-  variant (:mod:`repro.codegen.cbackend`); raises
-  :class:`BackendUnavailableError` when no implementation works;
-* ``"auto"`` — ``compiled`` when available, otherwise NumPy with a
+  variant into one C translation unit (:mod:`repro.codegen.cbackend`),
+  built with the host ``cc`` and loaded through cffi; raises
+  :class:`BackendUnavailableError` when that unit cannot be built;
+* ``"auto"`` — ``compiled`` when the unit builds, otherwise NumPy with a
   single warning.
 
 The two implementations of each kernel share one call signature and
@@ -30,15 +31,10 @@ every boundary face of an octant range, for any number of variables:
 the NumPy :func:`repro.bssn.sommerfeld.sommerfeld_faces`, or its native
 twin.
 
-The compiled ladder is the **cffi**-loaded C build first — the
-row-vector kernels every committed measurement was taken on — then
-**Numba** (``@njit(fastmath=False)`` over the generated per-point
-Python source) where there is no C toolchain.  Both execute the identical
-schedule with identical accumulation order, so the choice never changes
-results (asserted bitwise in tests/test_backends.py).  A third
-implementation, ``"py"``, runs the generated Python source un-jitted —
-orders of magnitude slower, used only by tests to exercise the
-dispatchers without a toolchain.
+The C build is the only compiled implementation: each of its kernels
+executes the identical schedule with the identical accumulation order
+as its NumPy counterpart, so the backend never changes results
+(asserted bitwise in tests/test_backends.py and tests/test_mesh_unzip.py).
 
 Per-kernel build time and achieved FLOP/s are published through
 :mod:`repro.telemetry` using the existing ``gpu_flops | gpu_bytes |
@@ -65,7 +61,6 @@ from .cbackend import (
     NativeLib,
     ToolchainError,
     build_native_lib,
-    compile_py_kernels,
     emit_c_source,
     pack_params,
     row_lanes,
@@ -81,21 +76,12 @@ BACKENDS = ("numpy", "compiled", "auto")
 
 
 class BackendUnavailableError(RuntimeError):
-    """``backend="compiled"`` was requested but no implementation works."""
+    """``backend="compiled"`` was requested but the C build fails."""
 
 
 # ---------------------------------------------------------------------------
 # capability probes
 # ---------------------------------------------------------------------------
-
-def probe_numba() -> str | None:
-    """Numba version string, or None when not importable."""
-    try:
-        import numba
-    except Exception:
-        return None
-    return getattr(numba, "__version__", "unknown")
-
 
 def probe_cffi() -> str | None:
     """cffi + C toolchain availability (version string or None)."""
@@ -111,32 +97,49 @@ def probe_cffi() -> str | None:
 
 
 def native_impl() -> str | None:
-    """First available rung of the compiled ladder (``cffi`` / ``numba``),
-    or None when the host supports neither."""
-    if probe_cffi() is not None:
-        return "cffi"
-    if probe_numba() is not None:
-        return "numba"
-    return None
+    """``"cffi"`` when cffi and a C compiler are present, else None: the
+    cheap probe; whether the unit builds is :func:`resolve_backend`'s
+    question."""
+    return "cffi" if probe_cffi() is not None else None
 
 
 def backend_info() -> dict:
     """Capability summary (CLI / benchmark provenance)."""
     from .cbackend import _cc
 
-    return {
-        "numba": probe_numba(),
-        "cffi": probe_cffi(),
-        "cc": _cc(),
-        "native_impl": native_impl(),
-    }
+    return {"cffi": probe_cffi(), "cc": _cc(), "native_impl": native_impl()}
+
+
+_NATIVE_LIB: NativeLib | None = None
+
+
+def get_native_lib() -> NativeLib:
+    """Build (or load from the disk cache) the C shared library, once
+    per process; :class:`BackendUnavailableError` when it cannot be
+    built, chained from the :class:`~repro.codegen.cbackend.ToolchainError`
+    that carries the compiler's stderr."""
+    global _NATIVE_LIB
+    if _NATIVE_LIB is None:
+        try:
+            _NATIVE_LIB = build_native_lib(
+                emit_c_source(get_kernel_spec(COMPILED_VARIANT)))
+        except ToolchainError as exc:
+            raise BackendUnavailableError(
+                "the compiled backend is unavailable: the C translation "
+                f"unit does not build on this host ({backend_info()}); "
+                "install a C compiler with cffi, or use backend='numpy'.\n"
+                f"{exc}"
+            ) from exc
+    return _NATIVE_LIB
 
 
 def resolve_backend(backend: str) -> str:
     """Resolve a requested backend to ``"numpy"`` or ``"compiled"``.
 
-    ``"compiled"`` raises with a capability report when unsupported;
-    ``"auto"`` degrades to numpy with a single process-wide warning.
+    Both ``"compiled"`` and ``"auto"`` build the C unit (or load it from
+    the cache): when that fails ``"compiled"`` raises
+    :class:`BackendUnavailableError` and ``"auto"`` degrades to NumPy
+    with a single process-wide warning.
     """
     global _WARNED_FALLBACK
     if backend == "numpy":
@@ -145,90 +148,22 @@ def resolve_backend(backend: str) -> str:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}"
         )
-    if native_impl() is not None:
-        return "compiled"
-    if backend == "compiled":
-        info = backend_info()
-        raise BackendUnavailableError(
-            "backend='compiled' requested but no native implementation is "
-            f"available on this host (numba: {info['numba']}, cffi: "
-            f"{info['cffi']}, cc: {info['cc']}). Install a C compiler "
-            "with cffi, or numba, or use backend='numpy'."
-        )
-    if not _WARNED_FALLBACK:
-        _WARNED_FALLBACK = True
-        warnings.warn(
-            "backend='auto': no compiled backend available (numba and "
-            "cffi/cc both missing) — falling back to the NumPy kernels",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return "numpy"
-
-
-# ---------------------------------------------------------------------------
-# built-artifact caches (one per process; keyed by the schedule via the
-# source text, which embeds the schedule digest)
-# ---------------------------------------------------------------------------
-
-_NATIVE_LIB: NativeLib | None = None
-_NUMBA_KERNELS: dict | None = None
-_NUMBA_COMPILE_SECONDS: float = 0.0
-
-
-def get_native_lib() -> NativeLib:
-    """Build (or load from the disk cache) the C shared library."""
-    global _NATIVE_LIB
-    if _NATIVE_LIB is None:
-        spec = get_kernel_spec(COMPILED_VARIANT)
-        _NATIVE_LIB = build_native_lib(emit_c_source(spec))
-    return _NATIVE_LIB
-
-
-def get_numba_kernels() -> tuple[dict, float]:
-    """njit-compile the generated Python kernels (eagerly, via a tiny
-    warm-up call so production calls never pay compile time); returns
-    ``(namespace, compile_seconds)``."""
-    global _NUMBA_KERNELS, _NUMBA_COMPILE_SECONDS
-    if _NUMBA_KERNELS is None:
-        import numba
-
-        spec = get_kernel_spec(COMPILED_VARIANT)
-        jit = numba.njit(fastmath=False, cache=False)
-        ns = compile_py_kernels(spec, jit=jit)
-        t0 = time.perf_counter()
-        _warmup(ns)
-        _NUMBA_COMPILE_SECONDS = time.perf_counter() - t0
-        _NUMBA_KERNELS = ns
-    return _NUMBA_KERNELS, _NUMBA_COMPILE_SECONDS
-
-
-def _warmup(ns: dict) -> None:
-    """One minimal-size call of each kernel (r=1) to trigger compilation."""
-    r, k = 1, 3
-    P = r + 2 * k
-    w = stencil_weights()
-    patches = np.zeros(S.NUM_VARS * P**3)
-    hf = np.ones(1)
-    params = np.zeros(NUM_PARAMS)
-    params[-1] = 1.0  # use_upwind
-    rhs = np.zeros(S.NUM_VARS * r**3)
-    scratch = np.zeros(scratch_doubles(P, r))
-    ns["bssn_rhs_chunk"](patches, 1, 0, 1, P, r, k, hf, hf,
-                         w["w1"], w["w2"], w["wko"], w["wup"], w["wun"],
-                         params, rhs, scratch)
-    wpatches = np.zeros(2 * P**3)
-    ko = np.zeros(r**3)
-    ns["wave_rhs_chunk"](wpatches, 1, P, r, k, hf, hf,
-                         w["w2"], w["wko"], 1.0, 0.1, 1,
-                         np.zeros(r**3), np.zeros(r**3), ko)
-    ns["unzip_gather"](rhs, 1, rhs, 1, np.full(P**3, -1, dtype=np.int32),
-                       0, 1, 1, P**3, patches)
-    face = np.zeros(3, dtype=np.int64)
-    ns["extrapolate_faces"](patches, 0, 1, 1, face, 1,
-                            extrapolation_matrices(r, k).reshape(-1), P, r, k)
-    ns["sommerfeld_faces"](patches, 0, 1, 1, 1, face, 1, P, r, k, hf,
-                           w["w1"], np.ones(3), hf, np.zeros(1), 1.0, rhs)
+    try:
+        get_native_lib()
+    except BackendUnavailableError as exc:
+        if backend == "compiled":
+            raise
+        if not _WARNED_FALLBACK:
+            _WARNED_FALLBACK = True
+            warnings.warn(
+                "backend='auto': the C translation unit does not build "
+                f"({str(exc.__cause__).splitlines()[0]}) — falling back "
+                "to the NumPy kernels",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return "numpy"
+    return "compiled"
 
 
 # ---------------------------------------------------------------------------
@@ -344,49 +279,27 @@ class NumpyWaveRHS(_NumpyRHSBase):
 
 
 class _NativeRHSBase:
-    """Shared machinery: implementation binding + telemetry."""
+    """Shared machinery: the built C unit + telemetry."""
 
     backend = "compiled"
 
-    def __init__(self, impl: str | None = None):
-        impl = impl if impl is not None else native_impl()
-        if impl is None:
-            raise BackendUnavailableError(
-                "no native implementation available (see backend_info())"
-            )
-        self.impl = impl
+    def __init__(self):
+        self._lib = get_native_lib()
+        self.compile_seconds = self._lib.compile_seconds
         self.spec = get_kernel_spec(COMPILED_VARIANT)
         #: flops per point of one BSSN chunk (a sum over the schedule)
         self.bssn_flops = self.spec.total_flops + DERIV_FLOPS_PER_POINT
         w = stencil_weights()
         self.w1, self.w2 = w["w1"], w["w2"]
         self.wko, self.wup, self.wun = w["wko"], w["wup"], w["wun"]
-        self.compile_seconds = 0.0
-        self._lib: NativeLib | None = None
-        self._kernels: dict | None = None
-        if impl == "cffi":
-            self._lib = get_native_lib()
-            self.compile_seconds = self._lib.compile_seconds
-        elif impl == "numba":
-            self._kernels, self.compile_seconds = get_numba_kernels()
-        elif impl == "py":
-            self._kernels = compile_py_kernels(self.spec)
-        else:
-            raise ValueError(f"unknown native impl {impl!r}")
         self._compile_published = False
 
     def _run(self, name: str, *args) -> None:
-        """Call kernel ``name`` of the bound implementation: arrays go
-        as pointers (cffi) or flat views (numba, py) of C-contiguous
+        """Call C kernel ``name``: arrays go as pointers into C-contiguous
         buffers, scalars as they are; nothing is copied."""
-        if self._lib is not None:
-            ptr = self._lib.ptr
-            getattr(self._lib.lib, name)(
-                *[ptr(a) if isinstance(a, np.ndarray) else a for a in args])
-        else:
-            self._kernels[name](
-                *[a.reshape(-1) if isinstance(a, np.ndarray) else a
-                  for a in args])
+        ptr = self._lib.ptr
+        getattr(self._lib.lib, name)(
+            *[ptr(a) if isinstance(a, np.ndarray) else a for a in args])
 
     @hot_path
     def unzip_gather(self, plan, u, up, out, lo, hi) -> bool:
@@ -443,7 +356,7 @@ class _NativeRHSBase:
         metrics = prof.metrics
         if metrics is None:
             return
-        label = f"{name}[{self.impl}]"
+        label = f"{name}[cffi]"
         if not self._compile_published:
             self._compile_published = True
             metrics.counter(

@@ -1,16 +1,15 @@
 """Shared scalar lowering of instruction schedules.
 
-One schedule, three textual renderings: the C row-vector kernel and its
-per-point Python twin (:mod:`repro.codegen.cbackend`) and the CUDA
-thread kernel (:mod:`repro.codegen.cuda_emit`) all lower the *same*
-dataflow-verified :class:`~repro.codegen.generators.KernelSpec`
-statement stream.  This module holds what they share: input
-classification, the ``**`` translation policies, and the one walk of
-the A stage, :func:`a_stage` — value loads, derivative loads, the
-lowered statements, output stores — which each emitter parameterises
-with a :class:`Dialect` row saying how its language spells those four
-kinds of line (C: ``ld`` / ``const v8`` / ``bc()`` literals / ``st`` +
-KO add; Python: flat indices; CUDA: ``u[i][pp]`` / ``d[i][pp]`` /
+One schedule, two textual renderings: the C row-vector kernel
+(:mod:`repro.codegen.cbackend`) and the CUDA thread kernel
+(:mod:`repro.codegen.cuda_emit`) both lower the *same* dataflow-verified
+:class:`~repro.codegen.generators.KernelSpec` statement stream.  This
+module holds what they share: input classification, the ``**``
+translation policies, and the one walk of the A stage, :func:`a_stage` —
+value loads, derivative loads, the lowered statements, output stores —
+which each emitter parameterises with a :class:`Dialect` row saying how
+its language spells those four kinds of line (C: ``ld`` / ``const v8`` /
+``bc()`` literals / ``st`` + KO add; CUDA: ``u[i][pp]`` / ``d[i][pp]`` /
 ``out[i][pp]``).
 
 Bitwise contract
@@ -57,11 +56,9 @@ def _pow_cuda(base: str, exp: float) -> str:
 
 
 def _pow_exact(base: str, exp: float) -> str:
-    """C and Python/Numba policy: only exactly-rounded rewrites
-    (division, sqrt), so the result bit-matches NumPy's ufunc execution;
-    anything else falls back to libm ``pow`` (flagged by
-    :func:`is_bitwise_lowerable`; ``math.pow`` lowers to the same
-    libm/LLVM intrinsic under njit)."""
+    """C policy: only exactly-rounded rewrites (division, sqrt), so the
+    result bit-matches NumPy's ufunc execution; anything else falls back
+    to libm ``pow`` (flagged by :func:`is_bitwise_lowerable`)."""
     if exp == -1.0:
         return f"(1.0 / {base})"
     if exp == 0.5:
@@ -69,7 +66,7 @@ def _pow_exact(base: str, exp: float) -> str:
     return f"pow({base}, {exp})"
 
 
-_POLICIES = {"cuda": _pow_cuda, "c": _pow_exact, "py": _pow_exact}
+_POLICIES = {"cuda": _pow_cuda, "c": _pow_exact}
 
 
 def classify_inputs(spec: KernelSpec) -> tuple[list[str], list[str], list[str]]:
@@ -123,7 +120,7 @@ def a_stage(spec: KernelSpec, dialect: Dialect, indent: int) -> list[str]:
 
 
 def is_bitwise_lowerable(spec: KernelSpec) -> tuple[bool, list[str]]:
-    """Whether the "c"/"py" lowering of this schedule is bitwise-exact
+    """Whether the "c" lowering of this schedule is bitwise-exact
     against NumPy execution; returns ``(ok, offending_exponent_srcs)``."""
     offenders = []
     for st in spec.statements:

@@ -58,7 +58,7 @@ def test_compiled_bssn_step_audits_clean_without_a_chunk_buffer(bssn_solver):
     from repro.codegen.backends import native_impl
 
     if native_impl() is None:
-        pytest.skip("no native toolchain (numba or cffi+cc)")
+        pytest.skip("cffi or a C compiler is missing")
     s = BSSNSolver(Mesh(LinearOctree.uniform(1)), backend="compiled",
                    chunk_octants=3)
     s.set_punctures([Puncture(mass=1.0, position=np.array([0.1, 0.0, 0.0]))])

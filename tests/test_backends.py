@@ -5,11 +5,11 @@ The headline guarantees under test (DESIGN.md §11):
 * ``backend="compiled"`` produces **bitwise-identical** results to the
   NumPy kernel's execution of the same generated schedule — single RHS
   evaluations, derivative exports, and multi-step RK4 evolutions;
-* the C (cffi) and Python/Numba lowerings of one schedule agree
-  bitwise with each other;
+* each C kernel agrees bitwise with its NumPy execution;
 * backend resolution degrades gracefully: ``auto`` falls back to numpy
-  with exactly one warning, explicit ``compiled`` raises a clear error
-  on unsupported hosts;
+  with exactly one warning, explicit ``compiled`` raises a clear error,
+  whether the toolchain is missing or present but unable to build the
+  unit — and a failed build leaves nothing in the cache;
 * ``RunConfig.backend`` round-trips and keys the result cache — a
   compiled run never shares a ResultCache entry with a numpy run, so
   cached artefacts stay attributable to the code path that made them.
@@ -31,6 +31,7 @@ from repro.bssn import state as S
 from repro.bssn.sommerfeld import ASYMPTOTIC, sommerfeld_faces
 from repro.bssn.testdata import gauge_wave_state, linear_wave_state
 from repro.codegen import backends as B
+from repro.codegen import cbackend as C
 from repro.codegen.backends import (
     BackendUnavailableError,
     NativeWaveRHS,
@@ -51,15 +52,28 @@ from repro.solver.wave_solver import PHI, GaussianSource, WaveSolver
 from repro.telemetry import MetricsRegistry
 
 from .frozen_oracles import bssn_apply_sommerfeld, wave_apply_sommerfeld
-from .test_mesh_unzip import _GuardedPool, _same_bits
+from .test_mesh_unzip import NATIVE, _GuardedPool, _same_bits, needs_native
 
-needs_native = pytest.mark.skipif(
-    B.native_impl() is None,
-    reason="neither numba nor a cffi+cc toolchain is available",
-)
-needs_cffi = pytest.mark.skipif(
-    B.probe_cffi() is None, reason="cffi or a C compiler is missing"
-)
+
+@pytest.fixture
+def no_cc(tmp_path, monkeypatch):
+    """A host with cffi but no C compiler, and no unit built yet."""
+    monkeypatch.setattr(C, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(C, "_cc", lambda: None)
+    monkeypatch.setattr(B, "_NATIVE_LIB", None)
+    monkeypatch.setattr(B, "_WARNED_FALLBACK", False)
+
+
+@pytest.fixture
+def broken_cc(tmp_path, monkeypatch):
+    """A compiler that rejects both flag sets, building into an empty
+    cache at ``tmp_path`` (the checkout's is never touched)."""
+    monkeypatch.setattr(C, "_cache_dir", lambda: tmp_path)
+    for name in ("CFLAGS", "CFLAGS_PORTABLE"):
+        monkeypatch.setattr(C, name, getattr(C, name) + ("-fno-such-flag",))
+    monkeypatch.setattr(B, "_NATIVE_LIB", None)
+    monkeypatch.setattr(B, "_WARNED_FALLBACK", False)
+    return tmp_path
 
 
 @pytest.fixture(scope="module")
@@ -105,37 +119,26 @@ class TestSelection:
             resolve_backend("fortran")
 
     def test_ladder_prefers_the_c_build(self, monkeypatch):
-        """cffi + cc first — the rung the ledger measures — numba where
-        there is no toolchain."""
-        monkeypatch.setattr(B, "probe_numba", lambda: "0.0")
+        """cffi + cc is the one compiled rung; without it there is none."""
         monkeypatch.setattr(B, "probe_cffi", lambda: "0.0")
         assert B.native_impl() == "cffi"
         monkeypatch.setattr(B, "probe_cffi", lambda: None)
-        assert B.native_impl() == "numba"
-        monkeypatch.setattr(B, "probe_numba", lambda: None)
         assert B.native_impl() is None
 
-    def test_auto_falls_back_with_single_warning(self, monkeypatch):
-        """Numba and cffi both absent: auto degrades to numpy, warning
-        exactly once per process."""
-        monkeypatch.setattr(B, "probe_numba", lambda: None)
-        monkeypatch.setattr(B, "probe_cffi", lambda: None)
-        monkeypatch.setattr(B, "_WARNED_FALLBACK", False)
+    def test_auto_falls_back_with_single_warning(self, no_cc):
+        """No C compiler: auto degrades to numpy, warning exactly once
+        per process."""
         with pytest.warns(RuntimeWarning, match="falling back"):
             assert resolve_backend("auto") == "numpy"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a second warning would raise
             assert resolve_backend("auto") == "numpy"
 
-    def test_explicit_compiled_raises_clear_error(self, monkeypatch):
-        monkeypatch.setattr(B, "probe_numba", lambda: None)
-        monkeypatch.setattr(B, "probe_cffi", lambda: None)
-        with pytest.raises(BackendUnavailableError, match="numba"):
+    def test_explicit_compiled_raises_clear_error(self, no_cc):
+        with pytest.raises(BackendUnavailableError, match="no C compiler"):
             resolve_backend("compiled")
 
-    def test_solver_ctor_surfaces_unavailability(self, mesh, monkeypatch):
-        monkeypatch.setattr(B, "probe_numba", lambda: None)
-        monkeypatch.setattr(B, "probe_cffi", lambda: None)
+    def test_solver_ctor_surfaces_unavailability(self, mesh, no_cc):
         with pytest.raises(BackendUnavailableError):
             BSSNSolver(mesh, backend="compiled")
 
@@ -149,7 +152,33 @@ class TestSelection:
 
     def test_backend_info_keys(self):
         info = B.backend_info()
-        assert set(info) == {"numba", "cffi", "cc", "native_impl"}
+        assert set(info) == {"cffi", "cc", "native_impl"}
+
+
+@needs_native
+class TestBrokenToolchain:
+    """A ``cc`` on PATH that cannot build the unit (an unknown flag in
+    both flag sets) is an unavailable backend, not a crash."""
+
+    def test_auto_falls_back_to_numpy_with_one_warning(self, broken_cc,
+                                                       mesh):
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert WaveSolver(mesh, backend="auto").backend == "numpy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second warning would raise
+            assert WaveSolver(mesh, backend="auto").backend == "numpy"
+
+    def test_compiled_raises_backend_unavailable(self, broken_cc, mesh):
+        with pytest.raises(BackendUnavailableError,
+                           match="no-such-flag") as err:
+            WaveSolver(mesh, backend="compiled")
+        assert isinstance(err.value.__cause__, C.ToolchainError)
+
+    def test_failed_build_leaves_an_empty_cache(self, broken_cc):
+        with pytest.raises(C.ToolchainError):
+            C.build_native_lib(
+                C.emit_c_source(get_kernel_spec(COMPILED_VARIANT)))
+        assert list(broken_cc.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +313,6 @@ class TestWaveBitwise:
 # the boundary phase: one Sommerfeld for both solvers, NumPy and native
 # ---------------------------------------------------------------------------
 
-#: every rung of the compiled ladder this host can run; un-jitted "py"
-#: always can
-RUNGS = [impl for impl, ok in (("numba", B.probe_numba()),
-                               ("cffi", B.probe_cffi())) if ok]
-
-
 def _random_mesh(seed, base_level):
     """A balanced refinement of a uniform grid (mixed levels, so faces
     hold octants of two sizes)."""
@@ -314,31 +337,34 @@ def _twin(mesh, patches, coords, radii, u_inf, speed, rhs):
 
 
 class TestBoundaryPhase:
-    @pytest.mark.parametrize("impl", RUNGS)
+    @needs_native
+    @pytest.mark.parametrize("native", NATIVE)
     @pytest.mark.parametrize("nvars", [2, 24])
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=4, deadline=None)
-    def test_native_sommerfeld_equals_numpy_twin(self, impl, nvars, seed):
+    def test_native_sommerfeld_equals_numpy_twin(self, native, nvars, seed):
+        assert B.native_impl() == native
         mesh = _random_mesh(seed, base_level=1 if nvars == 24 else 2)
         u, patches, coords, radii, u_inf, rhs0 = _boundary_inputs(
             mesh, nvars, seed)
         ref = _twin(mesh, patches, coords, radii, u_inf, 0.7, rhs0.copy())
         got = rhs0.copy()
-        NativeWaveRHS(impl=impl).sommerfeld(got, patches, mesh, coords, radii,
-                                            u_inf, 0.7)
+        NativeWaveRHS().sommerfeld(got, patches, mesh, coords, radii,
+                                   u_inf, 0.7)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert not np.array_equal(got, rhs0)
 
+    @needs_native
     @pytest.mark.parametrize("nvars", [2, 24])
-    def test_py_rung_sommerfeld_equals_numpy_twin(self, nvars):
+    def test_native_sommerfeld_on_one_refined_octant(self, nvars):
         tree = LinearOctree.uniform(1, domain=Domain(-8.0, 8.0))
         mesh = Mesh(balance(tree.refine(np.arange(len(tree)) == 5)))
         u, patches, coords, radii, u_inf, rhs0 = _boundary_inputs(
             mesh, nvars, 11)
         ref = _twin(mesh, patches, coords, radii, u_inf, 1.0, rhs0.copy())
         got = rhs0.copy()
-        NativeWaveRHS(impl="py").sommerfeld(got, patches, mesh, coords, radii,
-                                            u_inf, 1.0)
+        NativeWaveRHS().sommerfeld(got, patches, mesh, coords, radii,
+                                   u_inf, 1.0)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -413,12 +439,14 @@ class TestBoundaryPhase:
 
 
 class TestKernelConsistency:
-    def test_py_dispatcher_matches_numpy_wave(self, small_mesh):
-        """The un-jitted Python lowering drives the dispatcher on hosts
-        with no toolchain at all — same bitwise contract, tiny grid."""
+    @needs_native
+    def test_native_dispatcher_matches_numpy_wave(self, small_mesh):
+        """The C kernels driven through the dispatcher by hand — chunk
+        kernel, then the kernel object's own Sommerfeld — against the
+        NumPy solver's ``full_rhs``."""
         from repro.perf import BufferPool
 
-        native = NativeWaveRHS(impl="py")
+        native = NativeWaveRHS()
         sn = WaveSolver(small_mesh, backend="numpy")
         rng = np.random.default_rng(2)
         u = rng.standard_normal(sn.state.shape)
@@ -429,85 +457,12 @@ class TestKernelConsistency:
         patches = small_mesh.unzip(u)
         rhs = np.zeros_like(u)
         native(patches, 0, n, small_mesh, 1.0, sn.ko_sigma, None, rhs, pool)
-        # the solver additionally overwrites the boundary faces; here
-        # through the py rung's own Sommerfeld executor
+        # the solver additionally overwrites the boundary faces
         coords = sn.coords()
         radii = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
         native.sommerfeld(rhs, patches, small_mesh, coords, radii,
                           np.zeros(2), sn.speed)
         assert np.array_equal(rhs, ref)
-
-    @needs_cffi
-    def test_c_and_py_lowerings_agree_bitwise(self, small_mesh, bbh_state):
-        """The cffi-compiled C kernels and the interpreted Python kernels
-        execute identical operation sequences: the fused BSSN chunk
-        kernel and the two physical-boundary kernels."""
-        from repro.codegen.cbackend import (
-            NUM_PARAMS,
-            build_native_lib,
-            compile_py_kernels,
-            emit_c_source,
-            pack_params,
-            scratch_doubles,
-            stencil_weights,
-        )
-        from repro.fd.derivatives import _h_factor
-
-        mesh = small_mesh
-        u = mesh_puncture_state(
-            mesh, [Puncture(mass=1.0, position=[0.2, -0.1, 0.3])]
-        )
-        spec = get_kernel_spec(COMPILED_VARIANT)
-        n, P, r, k = mesh.num_octants, mesh.P, mesh.r, mesh.k
-        nc = 2
-        patches = mesh.unzip(u)
-        w = stencil_weights()
-        pbuf = pack_params(BSSNParams(), np.empty(NUM_PARAMS))
-        h = np.asarray(mesh.dx[:nc], dtype=np.float64)
-        hf1 = _h_factor(h, 1).ravel()
-        hf2 = _h_factor(h, 2).ravel()
-        args = (n, 0, nc, P, r, k)
-
-        patches = np.ascontiguousarray(patches[:, :nc])  # the chunk's own
-        rhs_py = np.zeros((S.NUM_VARS, n, r, r, r))
-        scratch = np.zeros(scratch_doubles(P, r))
-        ns = compile_py_kernels(spec)
-        ns["bssn_rhs_chunk"](
-            patches.reshape(-1), *args, hf1, hf2,
-            w["w1"], w["w2"], w["wko"], w["wup"], w["wun"],
-            pbuf, rhs_py.reshape(-1), scratch,
-        )
-
-        lib = build_native_lib(emit_c_source(spec))
-        rhs_c = np.zeros_like(rhs_py)
-        scratch[:] = 0
-        lib.lib.bssn_rhs_chunk(
-            lib.ptr(patches), *args, lib.ptr(hf1), lib.ptr(hf2),
-            lib.ptr(w["w1"]), lib.ptr(w["w2"]),
-            lib.ptr(w["wko"]), lib.ptr(w["wup"]), lib.ptr(w["wun"]),
-            lib.ptr(pbuf), lib.ptr(rhs_c), lib.ptr(scratch),
-        )
-        assert np.array_equal(rhs_c, rhs_py)
-
-        # the boundary kernels, through the two rungs' executors: two
-        # variables keep the interpreted pass short
-        from repro.codegen.backends import NativeWaveRHS
-
-        u2 = np.ascontiguousarray(u[[S.ALPHA, S.K]])
-        coords = mesh.coordinates()
-        radii = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
-        got = {}
-        for impl in ("cffi", "py"):
-            kernel = NativeWaveRHS(impl=impl)
-            p2 = np.full((2, n, P, P, P), np.nan)
-            mesh.unzip(u2, out=p2, executor=kernel.unzip_gather)
-            rhs2 = np.zeros_like(u2)
-            kernel.sommerfeld(rhs2, p2, mesh, coords, radii,
-                              np.array([1.0, 0.0]), 0.7)
-            got[impl] = (p2, rhs2)
-        assert not np.isnan(got["py"][0]).any()
-        assert np.array_equal(got["cffi"][0], got["py"][0])
-        assert np.array_equal(got["cffi"][1], got["py"][1])
 
     def test_schedule_is_bitwise_lowerable(self):
         from repro.codegen.lowering import is_bitwise_lowerable
@@ -554,65 +509,69 @@ def _run_chunks(kernel, patches, mesh, chunks, pool, *extra):
 CHUNKS = [(1, 2), (2, 4)]
 
 
+@needs_native
 class TestRowVectorKernels:
     """One x-run is one 8-lane vector (``repro.codegen.cbackend``): r = 7
     leaves one lane idle, r = 9 and 11 take two vectors per row with
     seven and five idle lanes."""
 
-    def _bssn_pair(self, impl, patches, mesh, pool):
+    def _bssn_pair(self, patches, mesh, pool):
         from repro.perf import BufferPool
 
         ref = _run_chunks(
             B.NumpyBSSNRHS(get_algebra_kernel(COMPILED_VARIANT)),
             patches, mesh, CHUNKS, BufferPool(), BSSNParams())
-        got = _run_chunks(B.NativeBSSNRHS(impl=impl), patches, mesh, CHUNKS,
+        got = _run_chunks(B.NativeBSSNRHS(), patches, mesh, CHUNKS,
                           pool, BSSNParams())
         return got, ref
 
-    def _wave_pair(self, impl, patches, mesh, pool, src):
+    def _wave_pair(self, patches, mesh, pool, src):
         from repro.perf import BufferPool
 
         ref = _run_chunks(B.NumpyWaveRHS(), patches, mesh, [(1, 4)],
                           BufferPool(), 1.3, 0.1, src)
-        got = _run_chunks(NativeWaveRHS(impl=impl), patches, mesh, [(1, 4)],
+        got = _run_chunks(NativeWaveRHS(), patches, mesh, [(1, 4)],
                           pool, 1.3, 0.1, src)
         return got, ref
 
-    @pytest.mark.parametrize("impl", RUNGS)
+    @pytest.mark.parametrize("native", NATIVE)
     @pytest.mark.parametrize("r", [7, 9, 11])
-    def test_bssn_chunks_bitwise_behind_guard_pages(self, impl, r):
+    def test_bssn_chunks_bitwise_behind_guard_pages(self, native, r):
+        assert B.native_impl() == native
         patches, mesh, _ = _kernel_inputs(r, 4, seed=r)
         pool = _GuardedPool()
-        got, ref = self._bssn_pair(impl, patches, mesh, pool)
+        got, ref = self._bssn_pair(patches, mesh, pool)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert (got[:, 0] == 7.0).all() and np.isfinite(got).all()
 
-    def test_py_rung_bssn_chunks_bitwise(self):
+    def test_bssn_chunks_bitwise_in_a_plain_pool(self):
         from repro.perf import BufferPool
 
         patches, mesh, _ = _kernel_inputs(7, 4, seed=3)
-        got, ref = self._bssn_pair("py", patches, mesh, BufferPool())
+        got, ref = self._bssn_pair(patches, mesh, BufferPool())
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
-    @pytest.mark.parametrize("impl", RUNGS + ["py"])
+    @pytest.mark.parametrize("native", NATIVE)
     @pytest.mark.parametrize("r", [7, 9, 11])
     @pytest.mark.parametrize("sourced", [False, True])
-    def test_wave_chunks_bitwise_behind_guard_pages(self, impl, r, sourced):
+    def test_wave_chunks_bitwise_behind_guard_pages(self, native, r, sourced):
+        assert B.native_impl() == native
         patches, mesh, rng = _kernel_inputs(r, 4, seed=r, nvars=2)
         src = rng.normal(size=(3, r, r, r)) if sourced else None
-        got, ref = self._wave_pair(impl, patches, mesh, _GuardedPool(), src)
+        got, ref = self._wave_pair(patches, mesh, _GuardedPool(), src)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert (got[:, 0] == 7.0).all()
 
-    @pytest.mark.parametrize("impl", RUNGS)
+    @pytest.mark.parametrize("native", NATIVE)
     @pytest.mark.parametrize("r", [7, 9])
-    def test_non_finite_sources_propagate_as_numpy_does(self, impl, r):
+    def test_non_finite_sources_propagate_as_numpy_does(self, native, r):
         """NaN, ±inf and −0.0 anywhere in the patches, ghost zones
         included: the kept lanes carry them exactly as the NumPy
         execution does.  NaN in the eight k³ ghost corners, which only
         idle lanes read, reaches nothing."""
         from repro.perf import BufferPool
 
+        assert B.native_impl() == native
         patches, mesh, rng = _kernel_inputs(r, 4, seed=10 + r)
         k = mesh.k
         for sz in (slice(0, k), slice(-k, None)):
@@ -620,24 +579,22 @@ class TestRowVectorKernels:
                 for sx in (slice(0, k), slice(-k, None)):
                     patches[..., sz, sy, sx] = np.nan
         with np.errstate(all="ignore"):
-            got, ref = self._bssn_pair(impl, patches, mesh, BufferPool())
+            got, ref = self._bssn_pair(patches, mesh, BufferPool())
             assert np.isfinite(got).all()
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
             flat = patches.reshape(-1)
             where = rng.choice(flat.size, 40, replace=False)
             flat[where] = rng.choice([np.nan, np.inf, -np.inf, -0.0], 40)
-            got, ref = self._bssn_pair(impl, patches, mesh, BufferPool())
+            got, ref = self._bssn_pair(patches, mesh, BufferPool())
             assert _same_bits(got, ref) and np.isnan(got).any()
-            got, ref = self._wave_pair(impl, patches[[S.ALPHA, S.CHI]].copy(),
+            got, ref = self._wave_pair(patches[[S.ALPHA, S.CHI]].copy(),
                                        mesh, BufferPool(), None)
             assert _same_bits(got, ref)
 
-    @needs_cffi
     def test_portable_build_equals_native_build(self, tmp_path, monkeypatch):
         """The translation unit built with ``CFLAGS_PORTABLE`` (the
         vectors split for the baseline ISA) writes the same bits as the
         ``-march=native`` build."""
-        from repro.codegen import cbackend as C
         from repro.perf import BufferPool
 
         native = B.get_native_lib()
@@ -650,7 +607,7 @@ class TestRowVectorKernels:
         patches, mesh, rng = _kernel_inputs(7, 4, seed=5)
         out = []
         for lib in (native, portable):
-            bssn, wave = B.NativeBSSNRHS(impl="cffi"), NativeWaveRHS(impl="cffi")
+            bssn, wave = B.NativeBSSNRHS(), NativeWaveRHS()
             bssn._lib = wave._lib = lib
             out.append((
                 _run_chunks(bssn, patches, mesh, CHUNKS, BufferPool(),
@@ -671,9 +628,9 @@ class TestRowVectorKernels:
         patches, mesh, _ = _kernel_inputs(7, 1, seed=0, nvars=2)
         mesh.r, mesh.k = 1, 1
         with pytest.raises(ValueError, match="row vector"):
-            NativeWaveRHS(impl="py")(patches[..., :3, :3, :3].copy(), 0, 1,
-                                     mesh, 1.0, 0.1, None,
-                                     np.zeros((2, 1, 1, 1, 1)), BufferPool())
+            NativeWaveRHS()(patches[..., :3, :3, :3].copy(), 0, 1, mesh,
+                            1.0, 0.1, None, np.zeros((2, 1, 1, 1, 1)),
+                            BufferPool())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.codegen import (
     VARIANTS,
     ToolchainError,
     emit_c_source,
-    emit_py_source,
     get_kernel_spec,
     probe_cffi,
 )
@@ -90,20 +89,14 @@ def test_variants_differ_in_body():
 
 
 def test_native_sources_are_pinned():
-    """The C and Python chunk kernels the A-stage walk and the
-    hand-written prelude emit, byte for byte: a moved pin moves the
-    native cache key (every checkout rebuilds its ``.so``) and may move
-    the ledger's numbers — change it together with the kernels, never
-    alone."""
-    spec = get_kernel_spec(COMPILED_VARIANT)
-    digests = {
-        emit_c_source: "388d9ee8eac1760225ee66ab025adf61"
-                       "70b78c926abe12607e16bbcc7b0ccf95",
-        emit_py_source: "7ca5da705df12260fe31b6abca7d2056"
-                        "9725ac734ca8c027517f7efccac535ba",
-    }
-    for emit, digest in digests.items():
-        assert hashlib.sha256(emit(spec).encode()).hexdigest() == digest
+    """The C translation unit the A-stage walk and the hand-written
+    prelude emit, byte for byte: a moved pin moves the native cache key
+    (every checkout rebuilds its ``.so``) and may move the ledger's
+    numbers — change it together with the kernels, never alone."""
+    src = emit_c_source(get_kernel_spec(COMPILED_VARIANT))
+    assert hashlib.sha256(src.encode()).hexdigest() == (
+        "388d9ee8eac1760225ee66ab025adf61"
+        "70b78c926abe12607e16bbcc7b0ccf95")
 
 
 # -- validation by execution: CUDA on the host ------------------------------

@@ -33,7 +33,7 @@ from repro.solver import BSSNSolver, GaussianSource, WaveSolver
 STEPS = 2
 needs_native = pytest.mark.skipif(
     B.native_impl() is None,
-    reason="neither numba nor a cffi+cc toolchain is available",
+    reason="cffi or a C compiler is missing",
 )
 BACKENDS = ["numpy", pytest.param("compiled", marks=needs_native)]
 #: ranks x backend; a NumPy case is named by its rank count alone

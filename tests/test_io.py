@@ -119,7 +119,7 @@ class TestCLI:
         assert "restarted" in out
 
     @pytest.mark.skipif(native_impl() is None,
-                        reason="no native toolchain (cffi+cc or numba)")
+                        reason="cffi or a C compiler is missing")
     def test_restart_regrids_on_the_uninterrupted_steps(self, tmp_path, capsys):
         """4 steps straight against 2 → checkpoint → ``--restart`` → 2
         with ``regrid_every=3``: both regrid at step 3 (the loop index

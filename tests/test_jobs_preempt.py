@@ -100,7 +100,7 @@ class TestPreemptResume:
         assert state_digest(resumed.state) == state_digest(ref.state)
 
     @pytest.mark.skipif(native_impl() is None,
-                        reason="no numba or cffi+cc toolchain")
+                        reason="cffi or a C compiler is missing")
     @pytest.mark.parametrize("kind", ["wave", "bssn"])
     def test_resume_keeps_the_job_backend(self, tmp_path, kind):
         """A checkpoint holds state, not how it is executed: every resume

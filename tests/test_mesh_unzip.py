@@ -254,10 +254,13 @@ def test_unzip_property_random_balanced_trees(seed):
 from repro.codegen import backends as B
 from repro.mesh.maps import CASE_COARSE, CASE_FINE, CASE_SAME
 
-#: every rung of the compiled ladder this host can run; un-jitted "py"
-#: always can
-RUNGS = [impl for impl, ok in (("numba", B.probe_numba()),
-                               ("cffi", B.probe_cffi())) if ok]
+needs_native = pytest.mark.skipif(
+    B.native_impl() is None, reason="cffi or a C compiler is missing"
+)
+
+#: the compiled implementation, by the name ``native_impl()`` reports:
+#: a parameter, so each case's id says which build it checked
+NATIVE = ["cffi"]
 
 
 def _has_every_case(mesh):
@@ -335,32 +338,33 @@ def _assert_native_equals_reference(mesh, kernel, nvars, rng, pool=None):
                     assert not np.isnan(got).any()
 
 
-@pytest.mark.skipif(not RUNGS, reason="no native toolchain (numba or cffi+cc)")
-@pytest.mark.parametrize("impl", RUNGS)
+@needs_native
+@pytest.mark.parametrize("native", NATIVE)
 @pytest.mark.parametrize("nvars", [1, 2, 24])
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=5, deadline=None)
-def test_native_unzip_equals_group_loop_on_random_trees(impl, nvars, seed):
+def test_native_unzip_equals_group_loop_on_random_trees(native, nvars, seed):
     """Bitwise on random balanced trees with boundary octants and all
     three transfer cases; 24 variables on smaller trees to bound memory."""
+    assert B.native_impl() == native
     from hypothesis import assume
 
     mesh = _random_balanced_mesh(seed, base_level=1 if nvars == 24 else 2)
     assume(_has_every_case(mesh))
     _assert_native_equals_reference(
-        mesh, B.NativeWaveRHS(impl=impl), nvars, np.random.default_rng(seed),
+        mesh, B.NativeWaveRHS(), nvars, np.random.default_rng(seed),
         pool=_GuardedPool(),
     )
 
 
-def test_py_rung_unzip_equals_group_loop():
-    """The emitted Python twin of the kernels, un-jitted, on a tiny tree
-    (needs no toolchain)."""
+@needs_native
+def test_native_unzip_equals_group_loop_on_one_refined_octant():
+    """A fixed tiny tree with every transfer case, into a plain buffer."""
     tree = LinearOctree.uniform(1)
     mesh = Mesh(balance(tree.refine(np.arange(len(tree)) == 3)))
     assert _has_every_case(mesh)
     _assert_native_equals_reference(
-        mesh, B.NativeWaveRHS(impl="py"), 2, np.random.default_rng(5)
+        mesh, B.NativeWaveRHS(), 2, np.random.default_rng(5)
     )
 
 
@@ -376,11 +380,12 @@ def _native_extrapolate(kernel, plan, patches):
                 extrapolation_matrices(r, k), P, r, k)
 
 
-@pytest.mark.parametrize("impl", RUNGS + ["py"])
+@needs_native
+@pytest.mark.parametrize("native", NATIVE)
 @pytest.mark.parametrize("lead", [(), (1,), (2,), (24,)])
 @given(seed=st.integers(0, 2**31 - 1), keep=st.sampled_from([0.15, 0.5, 1.0]))
 @settings(max_examples=4, deadline=None)
-def test_extrapolate_faces_equals_the_einsum_oracle(impl, lead, seed, keep):
+def test_extrapolate_faces_equals_the_einsum_oracle(native, lead, seed, keep):
     """The native fill against ``extrapolate_boundary``, bit for bit, on
     drawn subsets of the faces of the 2³ grid — every octant a corner
     with three outside faces, face lists down to a single octant — with
@@ -403,10 +408,12 @@ def test_extrapolate_faces_equals_the_einsum_oracle(impl, lead, seed, keep):
     got = ref.copy()
     with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf
         extrapolate_boundary(plan, ref)
-        _native_extrapolate(B.NativeWaveRHS(impl=impl), plan, got)
+        _native_extrapolate(B.NativeWaveRHS(), plan, got)
     assert _same_bits(got, ref)
+    assert B.native_impl() == native
 
 
+@needs_native
 def test_native_unzip_leaves_other_dtypes_to_numpy():
     """A float32 (or non-contiguous) state must not reach a kernel that
     reads ``double*``: the executor declines and the NumPy copy runs."""
@@ -414,7 +421,7 @@ def test_native_unzip_leaves_other_dtypes_to_numpy():
 
     mesh = _random_balanced_mesh(3, base_level=1)
     n = mesh.num_octants
-    kernel = B.NativeWaveRHS(impl="py")
+    kernel = B.NativeWaveRHS()
     u = mesh.allocate(2, dtype=np.float32)
     u[...] = np.random.default_rng(0).normal(size=u.shape)
     ref = mesh.unzip(u)
@@ -434,6 +441,7 @@ def test_native_unzip_leaves_other_dtypes_to_numpy():
                                    mesh.allocate_patches(2), 0, n)
 
 
+@needs_native
 def test_ranges_and_buffers_a_kernel_would_overrun_are_refused(mesh):
     from repro.perf import BufferPool
 
@@ -442,7 +450,7 @@ def test_ranges_and_buffers_a_kernel_would_overrun_are_refused(mesh):
         mesh.unzip(u, lo=3, hi=n + 1)
     with pytest.raises(ValueError, match="upsample"):
         mesh.unzip(u, up=np.zeros((2, 1, 13, 13, 13)), lo=0, hi=1)
-    kernel = B.NativeWaveRHS(impl="py")
+    kernel = B.NativeWaveRHS()
     with pytest.raises(ValueError, match="patches must hold"):
         kernel(np.zeros((2, 2, 13, 13, 13)), 0, 3, mesh, 1.0, 0.1, None,
                u, BufferPool())
