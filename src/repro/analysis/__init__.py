@@ -21,7 +21,6 @@ from .dataflow import (
     peak_live,
     verify_schedule,
     verify_spec,
-    verify_variant,
 )
 
 from .convergence import (
@@ -57,7 +56,6 @@ __all__ = [
     "peak_live",
     "verify_schedule",
     "verify_spec",
-    "verify_variant",
     "WaveformCatalog",
     "build_model_catalog",
     "ConvergenceResult",

@@ -231,41 +231,33 @@ class AuditedPool(BufferPool):
 
 
 class _AuditPhase:
-    """Context manager marking one phase entry in the auditor (and
-    delegating timing to the normal profiler accounting)."""
+    """Context manager marking one phase entry in the auditor."""
 
-    __slots__ = ("profiler", "name", "_t0")
+    __slots__ = ("auditor", "name")
 
-    def __init__(self, profiler: "AuditingProfiler", name: str):
-        self.profiler = profiler
+    def __init__(self, auditor: AliasAuditor, name: str):
+        self.auditor = auditor
         self.name = name
-        self._t0 = 0.0
 
     def __enter__(self):
-        self.profiler.auditor.push_phase(self.name)
-        import time
-
-        self._t0 = time.perf_counter()
+        self.auditor.push_phase(self.name)
         return self
 
     def __exit__(self, *exc):
-        import time
-
-        self.profiler.totals[self.name] += time.perf_counter() - self._t0
-        self.profiler.auditor.pop_phase()
+        self.auditor.pop_phase()
         return False
 
 
 class AuditingProfiler(StepProfiler):
-    """A :class:`StepProfiler` whose phase markers also scope the
-    auditor's lease events."""
+    """A :class:`StepProfiler` whose phase markers scope the auditor's
+    lease events."""
 
     def __init__(self, auditor: AliasAuditor):
-        super().__init__(enabled=True)
+        super().__init__()
         self.auditor = auditor
 
     def phase(self, name: str):
-        return _AuditPhase(self, name)
+        return _AuditPhase(self.auditor, name)
 
 
 def audit_solver_step(solver, *, label: str | None = None) -> AliasReport:

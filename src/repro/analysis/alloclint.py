@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
-from typing import Callable, Iterable
+from typing import Callable
 
 from .dataflow import SEVERITY_ERROR, Finding
 
@@ -256,16 +256,3 @@ def lint_hot_paths(
         "registry": sorted(registry),
     }
     return findings, stats
-
-
-def iter_hot_sources(
-    registry: dict[str, Callable] | None = None,
-) -> Iterable[tuple[str, str]]:
-    """``(key, source)`` pairs of the registered hot functions (for
-    reporting and tests)."""
-    if registry is None:
-        from repro.perf import registered_hot_paths
-
-        registry = registered_hot_paths()
-    for key in sorted(registry):
-        yield key, inspect.getsource(registry[key])

@@ -365,10 +365,3 @@ def verify_spec(spec, *, cross_check: bool = True) -> DataflowReport:
         input_defs=spec.input_defs,
         cross_check=cross_check,
     )
-
-
-def verify_variant(variant: str, *, cross_check: bool = True) -> DataflowReport:
-    """Generate (or load from cache) and verify one codegen variant."""
-    from repro.codegen.generators import get_kernel_spec
-
-    return verify_spec(get_kernel_spec(variant), cross_check=cross_check)

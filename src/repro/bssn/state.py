@@ -67,12 +67,6 @@ NUM_KO_DERIVS = 3 * NUM_VARS
 NUM_DERIVS = NUM_FIRST_DERIVS + NUM_SECOND_DERIVS + NUM_KO_DERIVS
 
 
-def sym_get(arr6: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Component (i, j) of a symmetric rank-2 field stored as 6 slots on
-    the leading axis."""
-    return arr6[SYM_IDX[i, j]]
-
-
 def flat_metric_state(shape: tuple[int, ...]) -> np.ndarray:
     """Minkowski initial state: α = 1, χ = 1, γ̃ = δ, everything else 0."""
     u = np.zeros((NUM_VARS,) + shape)
@@ -82,8 +76,3 @@ def flat_metric_state(shape: tuple[int, ...]) -> np.ndarray:
     u[GT22] = 1.0
     u[GT33] = 1.0
     return u
-
-
-def state_norms(u: np.ndarray) -> dict[str, float]:
-    """Max-norm of each variable (diagnostics)."""
-    return {VAR_NAMES[v]: float(np.abs(u[v]).max()) for v in range(NUM_VARS)}

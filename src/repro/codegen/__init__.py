@@ -10,7 +10,7 @@ from .backends import (
 )
 from .cbackend import ToolchainError, build_native_lib, emit_c_source
 from .cuda_emit import emit_cuda
-from .equations import rhs_operation_count, symbolic_rhs
+from .equations import symbolic_rhs
 from .generators import (
     ALL_VARIANTS,
     COMPILED_VARIANT,
@@ -63,6 +63,5 @@ __all__ = [
     "get_kernel_spec",
     "line_graph_schedule",
     "max_live_values",
-    "rhs_operation_count",
     "symbolic_rhs",
 ]

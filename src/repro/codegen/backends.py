@@ -33,8 +33,12 @@ twin.
 
 The C build is the only compiled implementation: each of its kernels
 executes the identical schedule with the identical accumulation order
-as its NumPy counterpart, so the backend never changes results
-(asserted bitwise in tests/test_backends.py and tests/test_mesh_unzip.py).
+as the NumPy execution of that schedule (asserted bitwise in
+tests/test_backends.py and tests/test_mesh_unzip.py).  So the backend
+never changes wave, unzip or boundary results; the BSSN kernel matches
+:class:`NumpyBSSNRHS` bitwise only when that is given the compiled
+variant's ``algebra`` — its default, the hand-vectorised
+:func:`~repro.bssn.rhs.evaluate_algebraic`, differs in the last bits.
 
 Per-kernel build time and achieved FLOP/s are published through
 :mod:`repro.telemetry` using the existing ``gpu_flops | gpu_bytes |

@@ -43,10 +43,3 @@ def symbolic_rhs() -> tuple[list[sp.Expr], dict[str, sp.Symbol]]:
 
     exprs = algebraic_rhs_exprs(get, d1, adv, d2, SymbolicParams())
     return [sp.sympify(e) for e in exprs], syms
-
-
-def rhs_operation_count() -> int:
-    """Total operation count of the unoptimised expressions (the paper's
-    O_A in Eq. 21)."""
-    exprs, _ = symbolic_rhs()
-    return int(sum(e.count_ops() for e in exprs))

@@ -62,11 +62,6 @@ class ExprDag:
         return sum(len(n.args) for n in self.nodes)
 
     @property
-    def num_inputs(self) -> int:
-        """Input (symbol) nodes."""
-        return sum(1 for n in self.nodes if n.op == "input")
-
-    @property
     def num_ops(self) -> int:
         """Interior (operation) nodes."""
         return sum(1 for n in self.nodes if n.op not in ("input", "const"))

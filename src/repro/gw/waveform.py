@@ -103,10 +103,6 @@ class IMRWaveform:
         dh = np.gradient(h, t)
         return np.gradient(dh, t)
 
-    def real_envelope(self, t: np.ndarray) -> np.ndarray:
-        """|h(t)|, the amplitude envelope."""
-        return np.abs(self.h(t))
-
 
 def resolution_requirements(
     q: float,

@@ -163,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["restart", "worker-death", "partition",
                             "dup-storm"],
                    help="run only these scenarios (repeatable)")
-    p.add_argument("--json", dest="json_out", default=None,
-                   help="also write the JSON report here")
     return parser
 
 
@@ -576,9 +574,6 @@ def cmd_chaos(args) -> int:
 
     report = run_matrix(args.dir, quick=args.quick, seed=args.seed,
                         scenarios=args.scenario or None)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, default=str)
     print(render_matrix(report))
     if not report["ok"]:
         print("\nchaos matrix FAILED", file=sys.stderr)

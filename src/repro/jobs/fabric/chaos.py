@@ -27,7 +27,8 @@ Every scenario must end with **every job done exactly once** (one
 specs (``state_sha256`` per cache key) — the exactly-once and
 determinism claims of DESIGN §12, checked end to end.
 
-Run it: ``python -m repro.jobs chaos [--quick] [--json]``.
+Run it: ``python -m repro.jobs chaos [--quick]``; the report lands in
+``<dir>/chaos-report.json``.
 """
 
 from __future__ import annotations
@@ -178,8 +179,6 @@ def scenario_restart(workdir, reference, *, quick: bool,
             "exactly_once": audit,
             "digests_match_reference": match,
         },
-        "ok": (started and drained and audit["ok"] and match["ok"]
-               and epoch_after == epoch_before + 1),
     }
 
 
@@ -240,18 +239,15 @@ def scenario_worker_death(workdir, reference, *, quick: bool,
     match = _digest_match(reference, digests(root))
     return {
         "name": "worker-death",
+        "resumed_from_checkpoint": resumed,
         "checks": {
             "victim_killed": victim_killed,
             "lease_requeued": requeued,
             "reattempted": long_rec["attempts"] >= 2,
-            "resumed_from_checkpoint": resumed,
             "drained": drained,
             "exactly_once": audit,
             "digests_match_reference": match,
         },
-        "ok": (victim_killed and requeued and drained
-               and long_rec["attempts"] >= 2
-               and audit["ok"] and match["ok"]),
     }
 
 
@@ -342,15 +338,13 @@ def scenario_partition(workdir, reference, *, quick: bool, seed: int = 0,
     return {
         "name": "partition",
         "partition_seconds": partition_seconds,
+        "degraded_mode_entered": degraded_seen,
         "checks": {
             "drained": drained,
             "worked_through_partition": len(during) > 0,
-            "degraded_mode_entered": degraded_seen,
             "exactly_once": audit,
             "digests_match_reference": match,
         },
-        "ok": (drained and len(during) > 0 and audit["ok"]
-               and match["ok"]),
     }
 
 
@@ -404,8 +398,6 @@ def scenario_dup_storm(workdir, reference, *, quick: bool,
             "exactly_once": audit,
             "digests_match_reference": match,
         },
-        "ok": (drained and faults["duplicate"] + faults["drop"] > 0
-               and audit["ok"] and match["ok"]),
     }
 
 
@@ -420,7 +412,8 @@ _RUNNERS = {
 def run_matrix(workdir, *, scenarios=None, quick: bool = False,
                seed: int = 0, fresh: bool = True) -> dict:
     """Run the chaos matrix; returns the structured report (also written
-    to ``<workdir>/chaos-report.json``)."""
+    to ``<workdir>/chaos-report.json``).  A scenario passes when every
+    one of its checks does."""
     workdir = pathlib.Path(workdir)
     names = list(scenarios or SCENARIOS)
     unknown = [n for n in names if n not in _RUNNERS]
@@ -440,6 +433,7 @@ def run_matrix(workdir, *, scenarios=None, quick: bool = False,
     for name in names:
         t1 = time.perf_counter()
         result = _RUNNERS[name](workdir, reference, quick=quick, seed=seed)
+        result["ok"] = all(map(_passed, result["checks"].values()))
         result["seconds"] = round(time.perf_counter() - t1, 2)
         results.append(result)
     report = {
@@ -456,6 +450,11 @@ def run_matrix(workdir, *, scenarios=None, quick: bool = False,
     return report
 
 
+def _passed(check) -> bool:
+    """A check's verdict: an audit dict counts by its own ``"ok"``."""
+    return check["ok"] if isinstance(check, dict) else bool(check)
+
+
 def render_matrix(report: dict) -> str:
     """Human-readable rendering of :func:`run_matrix` output."""
     lines = [f"chaos matrix ({'quick' if report['quick'] else 'full'}, "
@@ -467,7 +466,7 @@ def render_matrix(report: dict) -> str:
                      f"{'PASS' if s['ok'] else 'FAIL'} "
                      f"({s['seconds']:.1f}s)")
         for key, val in s["checks"].items():
-            flag = val["ok"] if isinstance(val, dict) else bool(val)
+            flag = _passed(val)
             lines.append(f"    {'ok ' if flag else 'XX '}{key}"
                          + ("" if flag or not isinstance(val, dict)
                             else f"  {val}"))

@@ -23,17 +23,12 @@ the other two.  Each can fill the patches of an octant range only.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
-from repro.perf import hot_path
+from repro.perf import hot_path, span
 
 from .interp import extrapolation_matrix_1d, prolong_blocks, scratch
 from .maps import CASE_COARSE, TransferPlan
-
-
-_NO_SPAN = nullcontext()
 
 
 def _flat_views(plan: TransferPlan, u: np.ndarray, patches: np.ndarray,
@@ -66,11 +61,6 @@ def _pooled_take(flat: np.ndarray, idx: np.ndarray, pool, name: str) -> np.ndarr
     return buf
 
 
-def _span(tracer, name: str):
-    """``tracer.span`` on the mesh timeline; a no-op without a tracer."""
-    return _NO_SPAN if tracer is None else tracer.span(name, "mesh")
-
-
 @hot_path
 def prolong_sources(plan: TransferPlan, u: np.ndarray, lo: int = 0,
                     hi: int | None = None, *, pool=None,
@@ -83,7 +73,7 @@ def prolong_sources(plan: TransferPlan, u: np.ndarray, lo: int = 0,
     which others are prolonged with it (asserted in the tests)."""
     lead, r, f = u.shape[:-4], plan.r, 2 * plan.r - 1
     octs, rows = plan.prolong_octs, plan.prolong_rows(lo, hi)
-    with _span(tracer, "unzip.prolong"):
+    with span(tracer, "unzip.prolong", "mesh"):
         up = scratch(pool, "unzip.prolong", lead + (len(octs), f, f, f),
                      u.dtype)
         if len(rows):
@@ -143,7 +133,7 @@ def scatter_to_patches(
     elif up.shape != lead + (len(plan.prolong_octs),) + (2 * plan.r - 1,) * 3:
         raise ValueError("upsample buffer has wrong shape")
 
-    with _span(tracer, "unzip.scatter"):
+    with span(tracer, "unzip.scatter", "mesh"):
         if executor is None or not executor(plan, u, up, out, lo, hi):
             if coalesce:
                 direct, dsrc, coarse, csrc = plan.gather_split(lo, hi)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.octree import LinearOctree, balance
+from repro.perf import span
 from .grid import Mesh
 from .interp import child_block, parent_from_children
 from .wavelet import field_wavelets
@@ -51,27 +52,24 @@ def remesh(mesh: Mesh, refine: np.ndarray, coarsen: np.ndarray,
     — the regrid is Alg. 1's only host/device-synchronous operation, so
     its cost is worth seeing next to the steps it interrupts.
     """
-    if tracer is not None:
-        with tracer.span("remesh", "mesh",
-                         {"octants_before": mesh.num_octants}):
-            return remesh(mesh, refine, coarsen)
-    old = mesh.tree
-    tree = old.refine(refine)
-    if np.asarray(coarsen, dtype=bool).any():
-        # a surviving leaf has the same (key, level) as in the old tree
-        pos = np.searchsorted(old.keys, tree.keys)
-        pos = np.clip(pos, 0, len(old) - 1)
-        survived = (old.keys[pos] == tree.keys) & (
-            old.levels[pos] == tree.levels
-        )
-        new_coarsen = np.zeros(len(tree), dtype=bool)
-        new_coarsen[survived] = np.asarray(coarsen, dtype=bool)[pos[survived]]
-        tree = tree.coarsen(new_coarsen)
-    tree = balance(tree)
-    if (np.array_equal(tree.keys, old.keys)
-            and np.array_equal(tree.levels, old.levels)):
-        return mesh
-    return Mesh(tree, r=mesh.r, k=mesh.k)
+    with span(tracer, "remesh", "mesh", {"octants_before": mesh.num_octants}):
+        old = mesh.tree
+        tree = old.refine(refine)
+        if np.asarray(coarsen, dtype=bool).any():
+            # a surviving leaf has the same (key, level) as in the old tree
+            pos = np.searchsorted(old.keys, tree.keys)
+            pos = np.clip(pos, 0, len(old) - 1)
+            survived = (old.keys[pos] == tree.keys) & (
+                old.levels[pos] == tree.levels
+            )
+            new_coarsen = np.zeros(len(tree), dtype=bool)
+            new_coarsen[survived] = np.asarray(coarsen, dtype=bool)[pos[survived]]
+            tree = tree.coarsen(new_coarsen)
+        tree = balance(tree)
+        if (np.array_equal(tree.keys, old.keys)
+                and np.array_equal(tree.levels, old.levels)):
+            return mesh
+        return Mesh(tree, r=mesh.r, k=mesh.k)
 
 
 def transfer_fields(old: Mesh, new: Mesh, u: np.ndarray,
@@ -82,40 +80,38 @@ def transfer_fields(old: Mesh, new: Mesh, u: np.ndarray,
     (exact for degree-6 polynomials); coarsened regions are assembled by
     injection from the old children.
     """
-    if tracer is not None:
-        with tracer.span("regrid.transfer", "mesh",
-                         {"octants_old": old.num_octants,
-                          "octants_new": new.num_octants}):
-            return transfer_fields(old, new, u)
-    r = old.r
-    if u.shape[-4:-3] != (old.num_octants,):
-        raise ValueError("field does not match old mesh")
-    lead = u.shape[:-4]
-    out = np.empty(lead + (new.num_octants, r, r, r), dtype=u.dtype)
+    with span(tracer, "regrid.transfer", "mesh",
+              {"octants_old": old.num_octants,
+               "octants_new": new.num_octants}):
+        r = old.r
+        if u.shape[-4:-3] != (old.num_octants,):
+            raise ValueError("field does not match old mesh")
+        lead = u.shape[:-4]
+        out = np.empty(lead + (new.num_octants, r, r, r), dtype=u.dtype)
 
-    old_tree, new_tree = old.tree, new.tree
-    # bulk path: octants present in both trees (same anchor key and level)
-    old_keys, new_keys = old_tree.keys, new_tree.keys
-    pos = np.searchsorted(old_keys, new_keys)
-    pos_c = np.clip(pos, 0, len(old_keys) - 1)
-    same = (old_keys[pos_c] == new_keys) & (
-        old_tree.levels[pos_c] == new_tree.levels
-    )
-    out[..., same, :, :, :] = u[..., pos_c[same], :, :, :]
-
-    rest = np.flatnonzero(~same)
-    oc_new = new_tree.octants
-    for j in rest:
-        out[..., j, :, :, :] = _block_for(
-            old_tree,
-            u,
-            int(oc_new.x[j]),
-            int(oc_new.y[j]),
-            int(oc_new.z[j]),
-            int(oc_new.level[j]),
-            r,
+        old_tree, new_tree = old.tree, new.tree
+        # bulk path: octants present in both trees (same anchor key and level)
+        old_keys, new_keys = old_tree.keys, new_tree.keys
+        pos = np.searchsorted(old_keys, new_keys)
+        pos_c = np.clip(pos, 0, len(old_keys) - 1)
+        same = (old_keys[pos_c] == new_keys) & (
+            old_tree.levels[pos_c] == new_tree.levels
         )
-    return out
+        out[..., same, :, :, :] = u[..., pos_c[same], :, :, :]
+
+        rest = np.flatnonzero(~same)
+        oc_new = new_tree.octants
+        for j in rest:
+            out[..., j, :, :, :] = _block_for(
+                old_tree,
+                u,
+                int(oc_new.x[j]),
+                int(oc_new.y[j]),
+                int(oc_new.z[j]),
+                int(oc_new.level[j]),
+                r,
+            )
+        return out
 
 
 def _block_for(

@@ -257,11 +257,6 @@ class LinearOctree:
         return counts
 
     # -- statistics ----------------------------------------------------------
-    def level_histogram(self) -> dict[int, int]:
-        """{level: count} over the leaves."""
-        lv, ct = np.unique(self.octants.level, return_counts=True)
-        return {int(a): int(b) for a, b in zip(lv, ct)}
-
     def num_grid_points(self, r: int = 7) -> int:
         """Total grid points ('unknowns' per field) with r^3 points/octant."""
         return len(self) * r**3

@@ -80,9 +80,6 @@ class SimComm:
             raise MessageTimeout(f"no message from rank {src} to rank {dst}")
         return q.popleft()
 
-    def _recv(self, src: int, dst: int) -> np.ndarray:
-        return self._recv_tagged(src, dst)[1]
-
     def pending(self, src: int, dst: int) -> int:
         """Messages queued from ``src`` to ``dst``."""
         q = self._queues.get((src, dst))
@@ -142,11 +139,3 @@ class RankComm:
                     raise
                 attempt += 1
                 self.world.recv_retries[self.rank] += 1
-
-    def allreduce_sum(self, value: float, buffer: list) -> float:
-        """Toy allreduce used by diagnostics: ranks append to a shared
-        buffer; when all have contributed, everyone reads the sum."""
-        buffer.append(value)
-        if len(buffer) == self.size:
-            return float(np.sum(buffer))
-        return float("nan")

@@ -3,7 +3,7 @@ workspaces, and the per-phase step profiler (paper Alg. 1 / Fig. 20)."""
 
 from .hotpath import HOT_REGISTRY, hot_path, registered_hot_paths
 from .pool import BufferPool
-from .profiler import NO_PROFILER, PHASES, StepProfiler
+from .profiler import NO_PROFILER, PHASES, StepProfiler, span
 from .workspace import RK4Workspace, SolverWorkspace
 
 __all__ = [
@@ -16,4 +16,5 @@ __all__ = [
     "StepProfiler",
     "hot_path",
     "registered_hot_paths",
+    "span",
 ]

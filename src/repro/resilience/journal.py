@@ -9,7 +9,8 @@ tolerates a torn final line for the same reason.
 
 The journal is the ground truth the fault-matrix CI job uploads and the
 analysis tooling consumes (:func:`summarize` gives the per-kind counts
-that pair with :class:`repro.perf.StepProfiler` summaries).
+that pair with the per-phase table of ``python -m repro.telemetry
+summarize``).
 """
 
 from __future__ import annotations

@@ -49,8 +49,10 @@ class Solver:
 
     @property
     def backend(self) -> str:
-        """``"numpy"`` or ``"compiled"`` — what the chunk kernel runs on;
-        results are bitwise-identical either way."""
+        """``"numpy"`` or ``"compiled"`` — what the chunk kernel runs on.
+        Wave results are bitwise-identical either way; BSSN results are
+        when the NumPy kernel runs the compiled schedule (``algebra=``),
+        and differ in the last bits with its default algebra."""
         return self.kernel.backend
 
     @property

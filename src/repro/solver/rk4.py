@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Callable
 
 import numpy as np
 
-from repro.perf import hot_path
+from repro.perf import NO_PROFILER, hot_path
 
 #: classic RK4 Butcher tableau
 RK4_A = (0.0, 0.5, 0.5, 1.0)
 RK4_B = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
-
-_NULL = nullcontext()
-
-
-def _no_stage(_i: int):
-    """Stage-span stand-in when no profiler is attached."""
-    return _NULL
 
 
 @hot_path
@@ -30,7 +22,7 @@ def rk4_step(
     *,
     post_stage: Callable[[np.ndarray], None] | None = None,
     work=None,
-    profiler=None,
+    profiler=NO_PROFILER,
 ) -> np.ndarray:
     """One classic RK4 step; ``post_stage`` (e.g. algebraic-constraint
     enforcement) is applied to every intermediate stage state and to the
@@ -46,12 +38,8 @@ def rk4_step(
     arithmetic under its ``axpy`` phase and, when wired to a telemetry
     tracer, spans each of the four stages on the trace timeline.
     """
-    if profiler is not None:
-        axpy = profiler.phase("axpy")
-        rk_stage = profiler.stage
-    else:
-        axpy = _NULL
-        rk_stage = _no_stage
+    axpy = profiler.phase("axpy")
+    rk_stage = profiler.stage
 
     if work is None:
         with rk_stage(1):

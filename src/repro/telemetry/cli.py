@@ -22,6 +22,8 @@ import json
 import pathlib
 import sys
 
+from repro.perf import PHASES
+
 from .metrics import load_snapshots, quantile_from_dict
 from .sink import (
     EVENTS_FILE,
@@ -31,10 +33,6 @@ from .sink import (
     TelemetrySink,
     read_events,
 )
-
-#: phases in pipeline order (import-light copy; asserted against
-#: repro.perf.PHASES in tests)
-PHASE_ORDER = ("unzip", "deriv", "algebra", "boundary", "zip", "axpy")
 
 #: event kinds counted in the recovery section of ``summarize``
 RECOVERY_KINDS = ("rollback", "halo-retry", "fault-injected", "regrid",
@@ -56,6 +54,38 @@ def _fmt_val(v: float) -> str:
     return f"{v:.3e}" if (v and (abs(v) < 1e-3 or abs(v) >= 1e4)) else f"{v:.4f}"
 
 
+def phase_table(snap: dict) -> str:
+    """The Fig.-20 per-phase table of one metrics snapshot — a run
+    directory's last ``metrics.jsonl`` line or a live
+    ``MetricsRegistry.snapshot()``: each phase's mean per step, share
+    and quantiles from its ``phase_seconds`` histogram, then the
+    ``step_seconds`` row.  Empty when no step was profiled."""
+    mm = _metric_map(snap)
+    rows = []
+    for ph in PHASES:
+        m = mm.get(("phase_seconds", (("phase", ph),)))
+        if m and m["count"]:
+            rows.append((ph, m["sum"] / m["count"], m))
+    if not rows:
+        return ""
+    phase_sum = sum(per_step for _, per_step, _ in rows)
+    lines = [f"{'phase':<10} {'per-step [s]':>13} {'share':>7} "
+             f"{'p50 [s]':>10} {'p90 [s]':>10} {'p99 [s]':>10}"]
+    for ph, per_step, m in rows:
+        share = per_step / phase_sum * 100 if phase_sum else 0.0
+        p50, p90, p99 = (quantile_from_dict(m, q) for q in (0.5, 0.9, 0.99))
+        lines.append(f"{ph:<10} {per_step:>13.5f} {share:>6.1f}% "
+                     f"{p50:>10.5f} {p90:>10.5f} {p99:>10.5f}")
+    step = mm.get(("step_seconds", ()))
+    if step and step["count"]:
+        sps = step["sum"] / step["count"]
+        p50, p90, p99 = (quantile_from_dict(step, q) for q in (0.5, 0.9, 0.99))
+        lines.append(f"{'step':<10} {sps:>13.5f} {'':>7} "
+                     f"{p50:>10.5f} {p90:>10.5f} {p99:>10.5f}"
+                     f"   ({step['count']} steps, {1.0 / sps:.3f} steps/s)")
+    return "\n".join(lines)
+
+
 def summarize_run(run_dir) -> str:
     """Human-readable report of one run directory."""
     p = pathlib.Path(run_dir)
@@ -72,38 +102,9 @@ def summarize_run(run_dir) -> str:
             f"schema={meta.get('schema', '?')}"
         )
 
-    # -- per-phase breakdown (Fig. 20 style) ---------------------------
-    step = mm.get(("step_seconds", ()))
-    phase_rows = []
-    phase_sum = 0.0
-    for ph in PHASE_ORDER:
-        m = mm.get(("phase_seconds", (("phase", ph),)))
-        if m and m["count"]:
-            per_step = m["sum"] / m["count"]
-            phase_rows.append((ph, per_step, m))
-            phase_sum += per_step
-    if phase_rows:
-        lines.append("")
-        hdr = (f"{'phase':<10} {'per-step [s]':>13} {'share':>7} "
-               f"{'p50 [s]':>10} {'p90 [s]':>10} {'p99 [s]':>10}")
-        lines.append(hdr)
-        for ph, per_step, m in phase_rows:
-            share = per_step / phase_sum * 100 if phase_sum else 0.0
-            p50, p90, p99 = (quantile_from_dict(m, q)
-                             for q in (0.5, 0.9, 0.99))
-            lines.append(
-                f"{ph:<10} {per_step:>13.5f} {share:>6.1f}% "
-                f"{p50:>10.5f} {p90:>10.5f} {p99:>10.5f}"
-            )
-        if step and step["count"]:
-            sps = step["sum"] / step["count"]
-            p50, p90, p99 = (quantile_from_dict(step, q)
-                             for q in (0.5, 0.9, 0.99))
-            lines.append(
-                f"{'step':<10} {sps:>13.5f} {'':>7} "
-                f"{p50:>10.5f} {p90:>10.5f} {p99:>10.5f}"
-                f"   ({step['count']} steps, {1.0 / sps:.3f} steps/s)"
-            )
+    table = phase_table(snaps[-1])
+    if table:
+        lines += ["", table]
 
     # -- mesh / memory -------------------------------------------------
     mesh_lines = []

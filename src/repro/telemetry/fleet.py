@@ -426,7 +426,7 @@ class FleetAggregator:
         self._window_start = clock()
         self._window_counter_marks: dict[tuple, float] = {}
         self._ratio_history: list[float] = []
-        self._locals: list[tuple[str, TelemetryShipper]] = []
+        self._locals: list[TelemetryShipper] = []
         self._rollups_fh = None
         self._events_fh = None
         self._closed = False
@@ -445,7 +445,7 @@ class FleetAggregator:
         shipper = TelemetryShipper(label, clock=self.clock)
         shipper.watch(registry)
         with self._lock:
-            self._locals.append((label, shipper))
+            self._locals.append(shipper)
 
     # -- ingest ----------------------------------------------------------
     def ingest(self, payload: dict) -> int:
@@ -456,22 +456,28 @@ class FleetAggregator:
         exactly-once per delta."""
         now = self.clock()
         with self._lock:
-            worker = str(payload.get("worker", "?"))
-            st = self.workers.get(worker)
-            if st is None:
-                st = self.workers[worker] = _WorkerState(now)
-            st.last_seen = now
-            st.lost_deltas = int(payload.get("lost_deltas", 0))
-            st.lost_events = int(payload.get("lost_events", 0))
-            st.clock_offset = float(payload.get("clock_offset", 0.0))
-            for delta in payload.get("deltas", ()):
-                if int(delta.get("seq", 0)) <= st.last_seq:
-                    continue
-                self._apply(worker, st, delta)
-                st.last_seq = int(delta["seq"])
-                st.deltas += 1
+            last_seq = self._ingest_locked(payload, now)
             self._maybe_roll(now)
-            return st.last_seq
+            return last_seq
+
+    def _ingest_locked(self, payload: dict, now: float) -> int:
+        """:meth:`ingest` without rolling the window (the caller holds
+        the lock and rolls)."""
+        worker = str(payload.get("worker", "?"))
+        st = self.workers.get(worker)
+        if st is None:
+            st = self.workers[worker] = _WorkerState(now)
+        st.last_seen = now
+        st.lost_deltas = int(payload.get("lost_deltas", 0))
+        st.lost_events = int(payload.get("lost_events", 0))
+        st.clock_offset = float(payload.get("clock_offset", 0.0))
+        for delta in payload.get("deltas", ()):
+            if int(delta.get("seq", 0)) <= st.last_seq:
+                continue
+            self._apply(worker, st, delta)
+            st.last_seq = int(delta["seq"])
+            st.deltas += 1
+        return st.last_seq
 
     def _apply(self, worker: str, st: _WorkerState, delta: dict) -> None:
         for c in delta.get("counters", ()):
@@ -525,24 +531,10 @@ class FleetAggregator:
         """Fold local sources and close the window when due (or forced).
         Returns the rollup written, if any."""
         with self._lock:
-            for label, shipper in self._locals:
+            for shipper in self._locals:
                 payload = shipper.flush(full=True)
                 if payload is not None:
-                    st = self.workers.get(label)
-                    seq_before = st.last_seq if st else 0
-                    # local ingest must not recurse into tick's window
-                    worker = label
-                    st = self.workers.setdefault(
-                        worker, _WorkerState(self.clock()))
-                    st.last_seen = self.clock()
-                    for delta in payload["deltas"]:
-                        if int(delta["seq"]) <= st.last_seq:
-                            continue
-                        self._apply(worker, st, delta)
-                        st.last_seq = int(delta["seq"])
-                        st.deltas += 1
-                    del seq_before
-                    shipper.commit(st.last_seq)
+                    shipper.commit(self._ingest_locked(payload, self.clock()))
             now = self.clock()
             if force or now - self._window_start >= self.window_seconds:
                 return self._roll(now)

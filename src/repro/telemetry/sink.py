@@ -31,6 +31,7 @@ import pathlib
 import time
 
 from repro import jsonl
+from repro.perf import StepProfiler
 
 from .metrics import METRICS_SCHEMA, MetricsRegistry, write_snapshot
 from .tracer import TRACE_SCHEMA, Tracer
@@ -131,11 +132,10 @@ class TelemetrySink:
     # -- adapters -------------------------------------------------------
     def profiler(self):
         """A :class:`repro.perf.StepProfiler` wired into this sink's
-        tracer and metrics (per-phase latency histograms)."""
-        from repro.perf import StepProfiler  # local: perf imports telemetry
-
-        return StepProfiler(enabled=self.enabled, tracer=self.tracer,
-                            metrics=self.metrics)
+        tracer and metrics (per-phase latency histograms); a disabled
+        sink's records nothing."""
+        return StepProfiler(tracer=self.tracer,
+                            metrics=self.metrics if self.enabled else None)
 
     def journal(self, path=None):
         """A :class:`repro.resilience.RunJournal` whose events also flow

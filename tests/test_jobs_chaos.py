@@ -138,6 +138,25 @@ class TestMatrixChecks:
         assert not _digest_match(ref, {"k3": "cc"})["ok"]
         assert not _digest_match(ref, {})["ok"]  # nothing compared
 
+    @pytest.mark.parametrize("checks", [
+        {"drained": False, "exactly_once": {"ok": True}},
+        {"drained": True, "exactly_once": {"ok": False}},
+    ])
+    def test_scenario_passes_only_when_every_check_does(
+            self, tmp_path, monkeypatch, checks):
+        """A runner's own ``ok`` is not the verdict: one failed check
+        (an audit dict by its own ``ok``) fails the scenario and the
+        matrix, so PASS never sits above an ``XX`` line."""
+        from repro.jobs.fabric import chaos
+
+        monkeypatch.setattr(chaos, "run_reference", lambda workdir, cfgs: {})
+        monkeypatch.setitem(chaos._RUNNERS, "restart", lambda *a, **k: {
+            "name": "restart", "ok": True, "checks": checks})
+        report = run_matrix(tmp_path, scenarios=["restart"], quick=True)
+        assert not report["scenarios"][0]["ok"]
+        assert not report["ok"]
+        assert "restart        FAIL" in chaos.render_matrix(report)
+
 
 class TestEndToEnd:
     def test_partition_scenario_quick(self, tmp_path):

@@ -25,6 +25,7 @@ from repro.solver import (
     enforce_algebraic_constraints,
     rk4_step,
 )
+from repro.telemetry import MetricsRegistry, Tracer
 
 from .frozen_oracles import bssn_apply_sommerfeld, wave_rank_rhs
 
@@ -60,33 +61,28 @@ class TestBufferPool:
 
 class TestStepProfiler:
     def test_disabled_is_noop(self):
-        prof = StepProfiler(enabled=False)
+        tracer = Tracer(enabled=False)
+        prof = StepProfiler(tracer=tracer)
         with prof.phase("deriv"):
             pass
         prof.begin_step()
         prof.end_step()
-        assert prof.steps == 0
-        assert all(v == 0.0 for v in prof.totals.values())
-        # disabled phase() returns one shared no-op context manager
+        assert not prof.enabled and len(tracer) == 0
+        # a profiler with nothing attached hands out one shared no-op
         assert prof.phase("unzip") is prof.phase("axpy")
 
     def test_records_all_phases(self):
-        prof = StepProfiler()
+        tracer, reg = Tracer(), MetricsRegistry()
+        prof = StepProfiler(tracer=tracer, metrics=reg)
         prof.begin_step()
         for p in PHASES:
             with prof.phase(p):
                 sum(range(1000))
         prof.end_step()
-        assert prof.steps == 1
-        assert prof.step_time > 0.0
-        assert all(prof.totals[p] > 0.0 for p in PHASES)
-        s = prof.summary()
-        assert abs(sum(ph["fraction"] for ph in s["phases"].values()) - 1.0) < 1e-12
-        rep = prof.report()
-        for p in PHASES:
-            assert p in rep
-        prof.reset()
-        assert prof.steps == 0 and prof.totals["deriv"] == 0.0
+        assert reg.get("steps_total").value == 1
+        assert reg.get("step_seconds").sum > 0.0
+        assert all(reg.get("phase_seconds", phase=p).sum > 0.0 for p in PHASES)
+        assert [r[1] for r in tracer.records()] == [*PHASES, "step"]
 
 
 class TestPooledRK4:
@@ -172,12 +168,12 @@ def bssn_pair():
     from identical puncture data on the same mesh."""
     mesh = small_mesh()
     punc = [Puncture(1.0, [0.0, 0.0, 0.0], momentum=[0.0, 0.05, 0.0])]
-    prof = StepProfiler()
-    b = BSSNSolver(mesh, profiler=prof)
+    metrics = MetricsRegistry()
+    b = BSSNSolver(mesh, profiler=StepProfiler(metrics=metrics))
     b.set_punctures(punc)
     for _ in range(2):
         b.step()
-    return {"b": b, "prof": prof,
+    return {"b": b, "metrics": metrics,
             "state_a": reference_bssn_steps(mesh, punc, 2),
             "state_b": b.state.copy()}
 
@@ -204,11 +200,12 @@ class TestBSSNPooled:
         assert any(np.may_share_memory(b.state, buf) for buf in rk4._out)
 
     def test_profiler_reports_all_six_phases(self, bssn_pair):
-        prof = bssn_pair["prof"]
-        assert prof.steps >= 2
-        for p in PHASES:
-            assert prof.totals[p] > 0.0, f"phase {p} never recorded"
-        assert prof.step_time >= sum(prof.totals.values()) * 0.5
+        metrics = bssn_pair["metrics"]
+        assert metrics.get("steps_total").value >= 2
+        phases = [metrics.get("phase_seconds", phase=p).sum for p in PHASES]
+        for p, seconds in zip(PHASES, phases):
+            assert seconds > 0.0, f"phase {p} never recorded"
+        assert metrics.get("step_seconds").sum >= sum(phases) * 0.5
 
 
 class TestWaveSolverPooled:
