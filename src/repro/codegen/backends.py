@@ -29,7 +29,12 @@ and fill with :func:`~repro.mesh.octant_to_patch.extrapolate_boundary`).
 ``sommerfeld`` applies the radiative condition on the ``r²`` points of
 every boundary face of an octant range, for any number of variables:
 the NumPy :func:`repro.bssn.sommerfeld.sommerfeld_faces`, or its native
-twin.
+twin.  Two more native executions ride on the compiled kernels, None on
+the NumPy ones like ``unzip_gather``: ``rk4_combine``, one pass per RK4
+stage combine (:func:`repro.solver.rk4.rk4_step` takes it as
+``combine=``), and the BSSN kernel's ``enforce``, the algebraic-
+constraint enforcement :meth:`repro.solver.BSSNSolver._post_stage`
+runs on every stage state.
 
 The C build is the only compiled implementation: each of its kernels
 executes the identical schedule with the identical accumulation order
@@ -61,10 +66,12 @@ from repro.gpu.perfmodel import KernelStats
 from repro.mesh.interp import extrapolation_matrices
 from repro.perf import NO_PROFILER, hot_path
 from .cbackend import (
+    LANES,
     NUM_PARAMS,
     NativeLib,
     ToolchainError,
     build_native_lib,
+    deriv_flops_per_point,
     emit_c_source,
     pack_params,
     row_lanes,
@@ -174,11 +181,10 @@ def resolve_backend(backend: str) -> str:
 # chunk kernels
 # ---------------------------------------------------------------------------
 
-#: rough structural flop count of the D stage per interior point (tap
-#: multiplies+adds for 72 d1, 72 upwind pairs + select, 33 diagonal and
-#: 33 two-pass mixed second derivatives, 72 KO sweeps) — feeds the
-#: telemetry FLOP/s counters alongside the schedule's exact A count
-DERIV_FLOPS_PER_POINT = 72 * 15 + 72 * 27 + 33 * 15 + 33 * 32 + 72 * 15
+def _doubles(*arrays) -> bool:
+    """Every array C-contiguous float64: what a C kernel may take."""
+    return all(a.dtype == np.float64 and a.flags.c_contiguous
+               for a in arrays)
 
 
 class _NumpyRHSBase:
@@ -186,8 +192,9 @@ class _NumpyRHSBase:
     physical boundary."""
 
     backend = "numpy"
-    #: the NumPy kernels unzip with two np.take off the gather map
-    unzip_gather = None
+    #: the NumPy kernels unzip with two np.take off the gather map, and
+    #: step with rk4_step's own combine_stage
+    unzip_gather = rk4_combine = None
 
     @staticmethod
     def sommerfeld(rhs, patches, mesh, coords, radii, u_inf, speed,
@@ -212,6 +219,8 @@ class NumpyBSSNRHS(_NumpyRHSBase):
     """
 
     chunk_octants = 256
+    #: the solver runs enforce_algebraic_constraints itself
+    enforce = None
 
     def __init__(self, algebra=None):
         self.algebra = algebra
@@ -291,8 +300,11 @@ class _NativeRHSBase:
         self._lib = get_native_lib()
         self.compile_seconds = self._lib.compile_seconds
         self.spec = get_kernel_spec(COMPILED_VARIANT)
-        #: flops per point of one BSSN chunk (a sum over the schedule)
-        self.bssn_flops = self.spec.total_flops + DERIV_FLOPS_PER_POINT
+        #: flops per point of one BSSN chunk, by use_upwind: the
+        #: schedule's A count plus the D stage the emitted kernel runs
+        self.bssn_flops = {
+            up: self.spec.total_flops + deriv_flops_per_point(self.spec, up)
+            for up in (False, True)}
         w = stencil_weights()
         self.w1, self.w2 = w["w1"], w["w2"]
         self.wko, self.wup, self.wun = w["wko"], w["wup"], w["wun"]
@@ -316,14 +328,14 @@ class _NativeRHSBase:
         the out-of-domain padding of every ``plan.face_table(lo, hi)``
         row.  Returns False, having written nothing, for what the
         kernels cannot take — arrays that are not C-contiguous float64,
-        or ``r ≥ 8``, where einsum's reduction over a source row changes
-        order — and the caller then runs the NumPy execution.
+        ``r ≥ 8``, where einsum's reduction over a source row changes
+        order, or patches narrower than one row vector (``P < 8``) —
+        and the caller then runs the NumPy execution.
         """
-        if plan.r >= 8:
+        if plan.r >= 8 or plan.P < LANES:
             return False
-        for arr in (u, up, out):
-            if not (arr.dtype == np.float64 and arr.flags.c_contiguous):
-                return False
+        if not _doubles(u, up, out):
+            return False
         faces = plan.face_table(lo, hi)
         r, P, k = plan.r, plan.P, plan.k
         nvars = u.size // (len(plan.tree) * r**3)
@@ -348,6 +360,18 @@ class _NativeRHSBase:
                   mesh.num_octants, rhs.shape[0], faces, len(faces), mesh.P,
                   mesh.r, mesh.k, hf1, self.w1, coords, radii, u_inf, speed,
                   rhs)
+
+    @hot_path
+    def rk4_combine(self, form, u, k, ksum, out, c) -> bool:
+        """One RK4 stage combine in one native pass, element for element
+        :func:`repro.solver.rk4.combine_stage` (``rk4_step``'s
+        ``combine=``); False, having written nothing, unless all four
+        states are C-contiguous float64 of one size."""
+        if not (_doubles(u, k, ksum, out)
+                and u.size == k.size == ksum.size == out.size):
+            return False
+        self._run("rk4_combine", form, u, k, ksum, out, u.size, c)
+        return True
 
     @staticmethod
     def _check_chunk(patches, lo, hi, rhs) -> None:
@@ -405,10 +429,29 @@ class NativeBSSNRHS(_NativeRHSBase):
                       self.wun, pbuf, rhs, scratch)
             self._publish(
                 prof, "bssn_rhs_chunk",
-                self.bssn_flops * nc * NP,
+                self.bssn_flops[bool(params.use_upwind)] * nc * NP,
                 (S.NUM_VARS * P**3 + S.NUM_VARS * NP) * nc * 8.0,
                 time.perf_counter() - t0,
             )
+
+    @hot_path
+    def enforce(self, u, pool, floor: float) -> bool:
+        """:func:`repro.solver.bssn_solver.enforce_algebraic_constraints`
+        on the state ``u`` in two native passes around its ``np.power``:
+        ``det`` of the metric, NumPy's ``det ** (-1/3)`` in place, then
+        the rest point by point.  Bit for bit the NumPy execution; False,
+        having written nothing, unless ``u`` is a C-contiguous float64
+        24-variable state."""
+        if not (_doubles(u) and u.shape[0] == S.NUM_VARS):
+            return False
+        n = u[0].size
+        det = pool.get("enforce.det", u.shape[1:])
+        gt, at = S.GT_SYM_SLICE.start, S.AT_SYM_SLICE.start
+        self._run("enforce_det", u, n, gt, det)
+        np.power(det, -1.0 / 3.0, out=det)
+        self._run("enforce_apply", u, n, gt, at, S.CHI, S.ALPHA, det,
+                  floor)
+        return True
 
 
 class NativeWaveRHS(_NativeRHSBase):

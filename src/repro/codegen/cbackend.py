@@ -7,13 +7,14 @@ cffi's ABI mode.  The kernel is written in explicit row-vector form: one
 x-run of an octant is one 8-double vector of the compiler's generic
 ``vector_size`` type, each lane running the scalar operation sequence.
 
-The kernel performs the whole D + A + KO pipeline per octant — all 72
-first derivatives, 72 upwind advective derivatives, 66 second
-derivatives, 24 summed Kreiss–Oliger terms, then the scheduled A
-component and the dissipation add — writing the 24 RHS blocks in one
-pass.  Against the NumPy kernel this removes ~300 full-array
-traversals per chunk, which is where the speedup comes from on a single
-core.
+The kernel performs the whole D + A + KO pipeline per octant — the
+centred first derivatives the schedule reads (:func:`d1_need`: 45 of 72
+with upwinding, when the advective ones are the 72 upwind
+derivatives), 66 second derivatives, 24 summed Kreiss–Oliger terms,
+then the scheduled A component and the dissipation add — writing the
+24 RHS blocks in one pass.  Against the NumPy kernel this removes ~300
+full-array traversals per chunk, which is where the speedup comes from
+on a single core.
 
 Bitwise contract
 ----------------
@@ -46,10 +47,19 @@ the octant-to-patch copy by
 :func:`repro.mesh.octant_to_patch.extrapolate_boundary`) and
 ``sommerfeld_faces`` (the radiative condition on the ``r²`` face points,
 operation for operation :func:`repro.bssn.sommerfeld.sommerfeld_faces`).
-
 Every kernel reads the patches of its own octant range only — a chunk
 buffer whose octant 0 is the range's first — and writes the mesh-wide
-``rhs``.  Each of the five kernels is checked bit for bit against its
+``rhs``.
+
+Two more pieces of a step run here on whole states: ``rk4_combine``,
+one pass per RK4 stage in :func:`repro.solver.rk4.combine_stage`'s
+operation order, and ``enforce_det`` / ``enforce_apply``, the
+algebraic-constraint enforcement of
+:func:`repro.solver.bssn_solver.enforce_algebraic_constraints` around
+its one ``np.power`` (NumPy's float64 power and glibc ``pow`` round
+differently, so the cube root stays NumPy's).
+
+Each of the eight entry points is checked bit for bit against its
 NumPy execution (tests/test_backends.py, tests/test_mesh_unzip.py).
 """
 
@@ -143,6 +153,35 @@ def stencil_weights() -> dict[str, np.ndarray]:
         "wup": np.ascontiguousarray(D1_UPWIND_POS.weights),
         "wun": np.ascontiguousarray(D1_UPWIND_NEG.weights),
     }
+
+
+def d1_need(spec: KernelSpec) -> list[int]:
+    """Per centred first-derivative block ``var * 3 + d``: 1 when the
+    schedule reads it as ``grad``, plus 2 when it reads ``agrad`` there
+    (the upwind blocks, which alias the centred ones without upwinding).
+
+    The emitted kernel sweeps a block only when it is read — under
+    ``use_upwind`` the ``grad`` ones (45 of 72 for the compiled
+    variant), else both — and :func:`deriv_flops_per_point` counts the
+    same set."""
+    need = [0] * (3 * S.NUM_VARS)
+    for name in classify_inputs(spec)[1]:
+        region, block = _deriv_block(name)
+        if region != "d2s":
+            need[block] |= 1 if region == "d1s" else 2
+    return need
+
+
+def deriv_flops_per_point(spec: KernelSpec, use_upwind: bool) -> int:
+    """Structural flop count of the emitted kernel's D stage per interior
+    point: 15 per centred 7-tap sweep it runs (:func:`d1_need`), 27 per
+    upwind pair and select, 15 per diagonal and 32 per two-pass mixed
+    second derivative, 15 per KO sweep."""
+    mask = 1 if use_upwind else 3
+    d1 = sum(1 for b in d1_need(spec) if b & mask)
+    upwind = 3 * S.NUM_VARS if use_upwind else 0
+    return (d1 * 15 + upwind * 27 + 3 * len(_S2) * 15 + 3 * len(_S2) * 32
+            + 3 * S.NUM_VARS * 15)
 
 
 def _deriv_block(name: str) -> tuple[str, int]:
@@ -339,7 +378,8 @@ void unzip_gather(const double* u, long u_var, const double* up,
 /* One tap sum from 0.0 in einsum's order: along a unit-stride tap axis
    two alternating accumulators (the forward tail loop of its contiguous
    reduction -- all it runs below 8 taps), along a strided one a single
-   sequential accumulator. */
+   sequential accumulator.  extrapolate_faces runs the same sequence
+   in each lane of a row vector. */
 static double tap_sum(const double* c, const double* w, long n, long stride)
 {
     double acc = 0.0;
@@ -353,6 +393,19 @@ static double tap_sum(const double* c, const double* w, long n, long stride)
     return acc;
 }
 
+/* The LANES doubles p[0], p[s], ..., p[(LANES - 1) * s], and the store
+   back: one tap of LANES x rows. */
+static inline v8 lds(const double* p, long s)
+{
+    return (v8){p[0], p[s], p[2 * s], p[3 * s],
+                p[4 * s], p[5 * s], p[6 * s], p[7 * s]};
+}
+
+static inline void sts(double* p, long s, v8 v)
+{
+    for (int l = 0; l < LANES; ++l) p[l * s] = v[l];
+}
+
 /* Out-of-domain padding of every physical-boundary face: one row
    (octant, axis, side) of the plan's face table
    (repro.mesh.maps.TransferPlan.face_table) at a time, x faces first,
@@ -360,7 +413,15 @@ static double tap_sum(const double* c, const double* w, long n, long stride)
    holds octants lo..lo+nc-1.  E holds the two (k, r) extrapolation
    matrices, low then high.  Tap for tap the einsums of
    repro.mesh.octant_to_patch.extrapolate_boundary, zero taps included
-   (0 * inf is NaN there too). */
+   (0 * inf is NaN there too).  One row vector runs across the face's
+   in-plane axis o1 -- lanes P apart on x faces, contiguous on y and z
+   faces -- each lane running tap_sum's sequence: from 0.0, two
+   alternating accumulators along the unit-stride x taps, one
+   sequential accumulator along y and z.  A line of P >= LANES points
+   takes ceil(P / LANES) vectors, the last shifted back to end at P:
+   the points it shares with the one before are computed again by the
+   same operations from the same interior values, and no load or store
+   leaves the line (unzip_gather declines P < LANES). */
 void extrapolate_faces(double* patches, long lo, long nc, long nvars,
                        const long* table, long nrows, const double* E,
                        long P, long r, long k)
@@ -372,13 +433,27 @@ void extrapolate_faces(double* patches, long lo, long nc, long nvars,
         double* p = patches + (v * nc + t[0] - lo) * sp[2] * P;
         const double* e = E + t[2] * k * r;
         const long j0 = t[2] ? k + r : 0;
-        const long st = sp[t[1]];
-        const long s1 = sp[t[1] == 0], s2 = sp[t[1] == 2 ? 1 : 2];
+        const long ax = t[1], ts = sp[ax];
+        const long s1 = sp[ax == 0], s2 = sp[ax == 2 ? 1 : 2];
         for (long o2 = 0; o2 < P; ++o2)
-        for (long j = 0; j < k; ++j)
-        for (long o1 = 0; o1 < P; ++o1) {
-            double* c = p + o2 * s2 + o1 * s1;
-            c[(j0 + j) * st] = tap_sum(c + k * st, e + j * r, r, st);
+        for (long o1 = 0; o1 < P; o1 += LANES) {
+            double* c = p + o2 * s2 + (o1 + LANES > P ? P - LANES : o1) * s1;
+            for (long j = 0; j < k; ++j) {
+                const double* w = e + j * r;
+                v8 acc = bc(0.0);
+                if (ax == 0) {
+                    v8 od = bc(0.0);
+                    for (long q = 0; q < r; q += 2)
+                        acc += bc(w[q]) * lds(c + k + q, s1);
+                    for (long q = 1; q < r; q += 2)
+                        od += bc(w[q]) * lds(c + k + q, s1);
+                    sts(c + j0 + j, s1, acc + od);
+                } else {
+                    for (long q = 0; q < r; ++q)
+                        acc += bc(w[q]) * ld(c + (k + q) * ts);
+                    st(c + (j0 + j) * ts, acc, LANES);
+                }
+            }
         }
     }
 }
@@ -428,6 +503,96 @@ void sommerfeld_faces(const double* patches, long lo, long nc, long ntot,
         }
     }
 }
+/* One RK4 stage combine over n doubles, each element in the operation
+   order of the NumPy execution repro.solver.rk4.combine_stage:
+       form 1:  out = u + k * c
+       form 2:  ksum = ksum + k * 2,  then out = u + k * c
+       form 3:  ksum = ksum + k,      then out = u + ksum * c
+   (stage 1 is form 1 with k = ksum = k1, stages 2 and 3 form 2,
+   stage 4 form 3).  out aliases neither u nor ksum. */
+void rk4_combine(long form, const double* u, const double* k, double* ksum,
+                 double* out, long n, double c)
+{
+    if (form == 1) {
+        for (long i = 0; i < n; ++i) out[i] = u[i] + k[i] * c;
+    } else if (form == 2) {
+        for (long i = 0; i < n; ++i) {
+            const double ki = k[i];
+            ksum[i] = ksum[i] + ki * 2.0;
+            out[i] = u[i] + ki * c;
+        }
+    } else {
+        for (long i = 0; i < n; ++i) {
+            const double s = ksum[i] + k[i];
+            ksum[i] = s;
+            out[i] = u[i] + s * c;
+        }
+    }
+}
+
+/* det of the symmetric 3x3 matrix with slots xx xy xz yy yz zz, in the
+   operation order of det_into in
+   repro.solver.bssn_solver.enforce_algebraic_constraints */
+static inline double det_sym(double g00, double g01, double g02,
+                             double g11, double g12, double g22)
+{
+    return (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02))
+           + g02 * (g01 * g12 - g11 * g02);
+}
+
+/* The two native passes of the algebraic-constraint enforcement on a
+   state u of 24 slots of n points; gt and at are the first slots of the
+   six conformal-metric and six At components.  enforce_det writes
+   det(gt) to det; the caller raises it to -1/3 with NumPy's power (glibc
+   pow rounds differently) and enforce_apply then runs the rest of
+   enforce_algebraic_constraints point by point in its operation order:
+   the rescale by p, the second det, its inverse, the cofactor trace,
+   the trace-free projection of At, and the chi and alpha floors with
+   NumPy maximum semantics. */
+void enforce_det(const double* u, long n, long gt, double* det)
+{
+    const double* g = u + gt * n;
+    for (long i = 0; i < n; ++i)
+        det[i] = det_sym(g[i], g[n + i], g[2 * n + i], g[3 * n + i],
+                         g[4 * n + i], g[5 * n + i]);
+}
+
+void enforce_apply(double* u, long n, long gt, long at, long chi,
+                   long alpha, const double* p, double floor)
+{
+    double* g = u + gt * n;
+    double* A = u + at * n;
+    double* x = u + chi * n;
+    double* a = u + alpha * n;
+    for (long i = 0; i < n; ++i) {
+        const double f = p[i];
+        const double g00 = g[i] * f, g01 = g[n + i] * f,
+                     g02 = g[2 * n + i] * f, g11 = g[3 * n + i] * f,
+                     g12 = g[4 * n + i] * f, g22 = g[5 * n + i] * f;
+        const double idet = 1.0 / det_sym(g00, g01, g02, g11, g12, g22);
+        double acc = (g11 * g22 - g12 * g12) * A[i];
+        acc = acc + (g00 * g22 - g02 * g02) * A[3 * n + i];
+        acc = acc + (g00 * g11 - g01 * g01) * A[5 * n + i];
+        double acc2 = (g02 * g12 - g01 * g22) * A[n + i];
+        acc2 = acc2 + (g01 * g12 - g02 * g11) * A[2 * n + i];
+        acc2 = acc2 + (g01 * g02 - g00 * g12) * A[4 * n + i];
+        const double tr = idet / 3.0 * (acc + acc2 * 2.0);
+        g[i] = g00;
+        g[n + i] = g01;
+        g[2 * n + i] = g02;
+        g[3 * n + i] = g11;
+        g[4 * n + i] = g12;
+        g[5 * n + i] = g22;
+        A[i] = A[i] - g00 * tr;
+        A[n + i] = A[n + i] - g01 * tr;
+        A[2 * n + i] = A[2 * n + i] - g02 * tr;
+        A[3 * n + i] = A[3 * n + i] - g11 * tr;
+        A[4 * n + i] = A[4 * n + i] - g12 * tr;
+        A[5 * n + i] = A[5 * n + i] - g22 * tr;
+        x[i] = x[i] != x[i] || x[i] > floor ? x[i] : floor;
+        a[i] = a[i] != a[i] || a[i] > floor ? a[i] : floor;
+    }
+}
 """
 
 #: cffi declarations for the entry points
@@ -456,6 +621,11 @@ void sommerfeld_faces(const double* patches, long lo, long nc, long ntot,
                       const double* hf1, const double* w1,
                       const double* coords, const double* rr,
                       const double* uinf, double c, double* rhs);
+void rk4_combine(long form, const double* u, const double* k, double* ksum,
+                 double* out, long n, double c);
+void enforce_det(const double* u, long n, long gt, double* det);
+void enforce_apply(double* u, long n, long gt, long at, long chi,
+                   long alpha, const double* p, double floor);
 """
 
 
@@ -521,6 +691,11 @@ def emit_c_source(spec: KernelSpec) -> str:
     a(f"    const v8 p_chi_floor = bc(params[{IDX_CHI_FLOOR}]);")
     a(f"    const v8 p_ko_sigma = bc(params[{IDX_KO_SIGMA}]);")
     a(f"    const int use_upwind = (int)params[{IDX_USE_UPWIND}];")
+    a("    /* the centred d1 blocks the A stage reads: grad (1), and agrad")
+    a("       (2) when advs aliases d1s */")
+    a(f"    static const unsigned char d1need[{3 * S.NUM_VARS}] = "
+      f"{{{', '.join(map(str, d1_need(spec)))}}};")
+    a("    const int need = use_upwind ? 1 : 3;")
     a("    double* d1s = scratch;")
     a(f"    double* advs = use_upwind ? scratch + {OFF_ADV}L * NB : d1s;")
     a(f"    double* d2s = scratch + {OFF_D2}L * NB;")
@@ -530,14 +705,15 @@ def emit_c_source(spec: KernelSpec) -> str:
     a("        const long g = lo + i;")
     a("        const double fx1 = hf1[i], fx2 = hf2[i];")
     a("        const v8 f1 = bc(fx1);")
-    a("        /* D stage: first derivatives, upwind ones selected on the")
-    a("           shift sign (beta >= 0 is false for NaN, matching np.copyto")
-    a("           with a greater_equal mask), and the summed KO */")
+    a("        /* D stage: the first derivatives read, upwind ones selected")
+    a("           on the shift sign (beta >= 0 is false for NaN, matching")
+    a("           np.copyto with a greater_equal mask), and the summed KO */")
     a(f"        for (long v = 0; v < {S.NUM_VARS}; ++v) {{")
     a("            const double* pu = patches + (v * nc + i) * PPP + c0;")
     strides = ("1", "P", "PP")
     for d, stride in enumerate(strides):
-        a(f"            sweep(pu, PP, P, r, r, r, d1s + (v * 3 + {d}) * NB,"
+        a(f"            if (d1need[v * 3 + {d}] & need)")
+        a(f"                sweep(pu, PP, P, r, r, r, d1s + (v * 3 + {d}) * NB,"
           f" w1, {stride}, fx1);")
     a("            FOR_ROWS(r) {")
     a("                const long pc = (z * P + y) * P + x;")

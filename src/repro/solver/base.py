@@ -161,7 +161,9 @@ class Solver:
 
     def advance(self, rhs: Callable[..., np.ndarray]) -> None:
         """The one RK4 step, of ``rhs(u, t, out=)``: :meth:`full_rhs`, or
-        the rank-parallel driver's halo exchange around its ranges."""
+        the rank-parallel driver's halo exchange around its ranges.  The
+        stage combines run as the chunk kernel's backend runs them
+        (``kernel.rk4_combine``: None on the NumPy kernels)."""
         if self.state is None:
             raise RuntimeError("no initial data set")
         prof = self._prof
@@ -173,6 +175,7 @@ class Solver:
             self.dt,
             post_stage=self._post_stage,
             work=self.workspace().rk4(self.state.shape, self.state.dtype),
+            combine=self.kernel.rk4_combine,
             profiler=prof,
         )
         prof.end_step()

@@ -29,9 +29,13 @@ from repro.perf import StepProfiler, hot_path
 from .base import Solver
 
 
+#: the floor enforcement holds χ and α above, in both executions
+ENFORCE_FLOOR = 1e-6
+
+
 @hot_path
 def enforce_algebraic_constraints(
-    u: np.ndarray, chi_floor: float = 1e-6, *, pool=None
+    u: np.ndarray, chi_floor: float = ENFORCE_FLOOR, *, pool=None
 ) -> None:
     """det(γ̃) = 1, tr(Ã) = 0, χ > floor, α > floor (in place).
 
@@ -43,9 +47,13 @@ def enforce_algebraic_constraints(
     Every intermediate goes through an ``out=`` ufunc in the same
     operand order as the naive expression (only commutations of IEEE
     multiplies, which are bitwise-exact), so results are identical with
-    or without a ``pool``; with one, the five calls per RK4 step reuse
-    six scratch buffers instead of allocating ~20 full-state temporaries
-    each.
+    or without a ``pool``; with one, the four calls per RK4 step (one
+    per stage) reuse six scratch buffers instead of allocating ~20
+    full-state temporaries each.
+
+    This is the ``backend="numpy"`` execution.  A compiled solver runs
+    its kernel's native ``enforce`` instead — two C passes around this
+    function's one ``np.power``, bit for bit the same.
     """
     shp = u.shape[1:]
 
@@ -212,8 +220,13 @@ class BSSNSolver(Solver):
 
     # -- stepping ------------------------------------------------------------
     def _post_stage(self, u: np.ndarray) -> None:
-        """Algebraic-constraint enforcement on every RK4 stage state."""
-        enforce_algebraic_constraints(u, pool=self.workspace().pool)
+        """Algebraic-constraint enforcement on every RK4 stage state, as
+        the chunk kernel's backend runs it (``kernel.enforce``: None on
+        the NumPy kernel, False for a state it cannot take)."""
+        pool = self.workspace().pool
+        native = self.kernel.enforce
+        if native is None or not native(u, pool, ENFORCE_FLOOR):
+            enforce_algebraic_constraints(u, ENFORCE_FLOOR, pool=pool)
 
     def evolve(
         self,

@@ -14,6 +14,28 @@ RK4_B = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
 @hot_path
+def combine_stage(form: int, u: np.ndarray, k: np.ndarray, ksum: np.ndarray,
+                  out: np.ndarray, c: float, scratch: np.ndarray) -> None:
+    """One stage combine of the in-place RK4 step, through ``scratch``:
+
+    * form 1: ``out = u + k·c`` (stage 1, with ``k`` the k₁ in ``ksum``);
+    * form 2: ``ksum = ksum + k·2``, then ``out = u + k·c`` (stages 2, 3);
+    * form 3: ``ksum = ksum + k``, then ``out = u + ksum·c`` (stage 4).
+
+    The NumPy execution, and the oracle of a compiled kernel's
+    ``rk4_combine``, which runs the same operations element by element.
+    """
+    if form == 2:
+        np.multiply(k, 2.0, out=scratch)
+        np.add(ksum, scratch, out=ksum)
+    elif form == 3:
+        np.add(ksum, k, out=ksum)
+        k = ksum
+    np.multiply(k, c, out=scratch)
+    np.add(u, scratch, out=out)
+
+
+@hot_path
 def rk4_step(
     rhs: Callable[..., np.ndarray],
     u: np.ndarray,
@@ -22,6 +44,7 @@ def rk4_step(
     *,
     post_stage: Callable[[np.ndarray], None] | None = None,
     work=None,
+    combine=None,
     profiler=NO_PROFILER,
 ) -> np.ndarray:
     """One classic RK4 step; ``post_stage`` (e.g. algebraic-constraint
@@ -34,6 +57,10 @@ def rk4_step(
     preallocated buffers (AXPY phase of Alg. 1, zero allocations).  The
     in-place path performs the identical sequence of elementwise
     operations as the allocating path, so results are bitwise equal.
+    Each of its stages ends in one :func:`combine_stage`, or in
+    ``combine(form, u, k, ksum, out, c)`` — a compiled kernel's
+    ``rk4_combine``, the same operations in one native pass — unless
+    that returns False for arrays it cannot take.
     ``profiler`` (a :class:`repro.perf.StepProfiler`) times the RK
     arithmetic under its ``axpy`` phase and, when wired to a telemetry
     tracer, spans each of the four stages on the trace timeline.
@@ -71,40 +98,22 @@ def rk4_step(
     # -- in-place path (same operation order → bitwise identical)
     k, ksum, stage, scratch = work.k, work.ksum, work.stage, work.scratch
     out = work.out_for(u)
-
-    with rk_stage(1):
-        rhs(u, t, out=ksum)  # ksum = k1
-        with axpy:
-            np.multiply(ksum, 0.5 * dt, out=scratch)
-            np.add(u, scratch, out=stage)  # u2
-        if post_stage is not None:
-            post_stage(stage)
-    with rk_stage(2):
-        rhs(stage, t + 0.5 * dt, out=k)  # k2
-        with axpy:
-            np.multiply(k, 2.0, out=scratch)
-            np.add(ksum, scratch, out=ksum)  # k1 + 2 k2
-            np.multiply(k, 0.5 * dt, out=scratch)
-            np.add(u, scratch, out=stage)  # u3
-        if post_stage is not None:
-            post_stage(stage)
-    with rk_stage(3):
-        rhs(stage, t + 0.5 * dt, out=k)  # k3
-        with axpy:
-            np.multiply(k, 2.0, out=scratch)
-            np.add(ksum, scratch, out=ksum)  # + 2 k3
-            np.multiply(k, dt, out=scratch)
-            np.add(u, scratch, out=stage)  # u4
-        if post_stage is not None:
-            post_stage(stage)
-    with rk_stage(4):
-        rhs(stage, t + dt, out=k)  # k4
-        with axpy:
-            np.add(ksum, k, out=ksum)  # + k4
-            np.multiply(ksum, dt / 6.0, out=scratch)
-            np.add(u, scratch, out=out)
-        if post_stage is not None:
-            post_stage(out)
+    src = u
+    # (time, k buffer, combine form, c, stage state): k1 accumulates in
+    # ksum, k2..k4 land in k
+    for n, (ts, kn, form, c, dst) in enumerate((
+            (t, ksum, 1, 0.5 * dt, stage),
+            (t + 0.5 * dt, k, 2, 0.5 * dt, stage),
+            (t + 0.5 * dt, k, 2, dt, stage),
+            (t + dt, k, 3, dt / 6.0, out)), 1):
+        with rk_stage(n):
+            rhs(src, ts, out=kn)
+            with axpy:
+                if combine is None or not combine(form, u, kn, ksum, dst, c):
+                    combine_stage(form, u, kn, ksum, dst, c, scratch)
+            if post_stage is not None:
+                post_stage(dst)
+        src = dst
     return out
 
 

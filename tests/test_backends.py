@@ -47,12 +47,23 @@ from repro.jobs import state_digest
 from repro.mesh import Mesh
 from repro.octree import Domain, LinearOctree, balance
 from repro.perf import StepProfiler
-from repro.solver.bssn_solver import BSSNSolver
+from repro.solver.bssn_solver import (
+    ENFORCE_FLOOR,
+    BSSNSolver,
+    enforce_algebraic_constraints,
+)
+from repro.solver.rk4 import combine_stage
 from repro.solver.wave_solver import PHI, GaussianSource, WaveSolver
 from repro.telemetry import MetricsRegistry
 
 from .frozen_oracles import bssn_apply_sommerfeld, wave_apply_sommerfeld
-from .test_mesh_unzip import NATIVE, _GuardedPool, _same_bits, needs_native
+from .test_mesh_unzip import (
+    NATIVE,
+    _GuardedPool,
+    _same_bits,
+    _with_specials,
+    needs_native,
+)
 
 
 @pytest.fixture
@@ -605,17 +616,50 @@ class TestRowVectorKernels:
         assert portable.cflags == C.CFLAGS_PORTABLE
         assert portable.path != native.path
         patches, mesh, rng = _kernel_inputs(7, 4, seed=5)
+        # every other entry point, on inputs with NaN, ±inf and −0.0: the
+        # gather and padding fill (x faces included: every octant of the
+        # 2³ grid is a corner), Sommerfeld, the stage combines, enforce
+        grid = Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0)))
+        u = _with_specials(rng.normal(size=(2, grid.num_octants, 7, 7, 7)),
+                           rng, count=12)
+        coords = grid.coordinates()
+        radii = np.maximum(np.linalg.norm(coords, axis=-1), 1e-12)
+        state = _enforce_state(rng, (S.NUM_VARS, 4, 7, 7, 7))
+        ks = [_with_specials(rng.normal(size=state.shape), rng)
+              for _ in range(2)]
         out = []
         for lib in (native, portable):
             bssn, wave = B.NativeBSSNRHS(), NativeWaveRHS()
             bssn._lib = wave._lib = lib
-            out.append((
+            got = [
                 _run_chunks(bssn, patches, mesh, CHUNKS, BufferPool(),
                             BSSNParams()),
                 _run_chunks(wave, patches[:2].copy(), mesh, CHUNKS,
-                            BufferPool(), 1.3, 0.1, None)))
-        for a, b in zip(*out):
+                            BufferPool(), 1.3, 0.1, None)]
+            with np.errstate(all="ignore"):
+                cube = np.full((2, grid.num_octants) + (grid.P,) * 3, np.nan)
+                grid.unzip(u, out=cube, coalesce=True,
+                           executor=wave.unzip_gather)
+                rhs = np.zeros_like(u)
+                wave.sommerfeld(rhs, cube, grid, coords, radii, np.zeros(2),
+                                0.7)
+                got += [cube, rhs]
+                for form, c in RK4_STAGES:
+                    k, ksum = ks[0].copy(), ks[1].copy()
+                    dst = np.empty_like(state)
+                    assert wave.rk4_combine(form, state, k, ksum, dst, c)
+                    got += [ksum, dst]
+                enforced = state.copy()
+                assert bssn.enforce(enforced, BufferPool(), ENFORCE_FLOOR)
+                got.append(enforced)
+            out.append(got)
+        # the chunk kernels' outputs hold no NaN: equal as raw bits
+        for a, b in zip(out[0][:2], out[1][:2]):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        # the special values may come out of a commuted operation with
+        # another NaN payload
+        for a, b in zip(out[0][2:], out[1][2:]):
+            assert _same_bits(a, b)
 
     def test_geometry_whose_idle_lanes_would_leave_the_patch_is_refused(self):
         from repro.codegen.cbackend import scratch_doubles
@@ -631,6 +675,130 @@ class TestRowVectorKernels:
             NativeWaveRHS()(patches[..., :3, :3, :3].copy(), 0, 1, mesh,
                             1.0, 0.1, None, np.zeros((2, 1, 1, 1, 1)),
                             BufferPool())
+
+
+# ---------------------------------------------------------------------------
+# the whole-state pieces of a compiled step: stage combine and enforce
+# ---------------------------------------------------------------------------
+
+#: (form, c) of rk4_step's four stage combines, for dt = 0.03
+RK4_STAGES = [(1, 0.5 * 0.03), (2, 0.5 * 0.03), (2, 0.03), (3, 0.03 / 6.0)]
+
+
+def _enforce_state(rng, shape):
+    """A perturbed flat BSSN state with everything the enforcement must
+    carry as NumPy does: NaN, ±inf and −0.0 in any variable, χ and α
+    below the floor (−0.0 among them) or NaN, points with det(γ̃) < 0
+    and det(γ̃) = 0."""
+    u = (ASYMPTOTIC[:, None, None, None, None]
+         + 0.05 * rng.normal(size=shape))
+    n = u[0].size
+    pts = rng.choice(n, 60, replace=False)
+    for slot in (S.CHI, S.ALPHA):
+        u[slot].reshape(-1)[pts[:15]] = np.resize([1e-9, -0.5, -0.0, np.nan],
+                                                  15)
+        pts = pts[15:]
+    gt = u[S.GT_SYM_SLICE].reshape(6, -1)
+    gt[0, pts[:10]] = -1.0  # det < 0: NaN from the cube root
+    gt[:, pts[10:20]] = 0.0  # det = 0: inf from the cube root
+    return _with_specials(u, rng, count=24)
+
+
+@needs_native
+class TestNativeStep:
+    """The RK4 stage combine and the algebraic-constraint enforcement in
+    C, against their NumPy executions (:func:`combine_stage`,
+    :func:`enforce_algebraic_constraints`) bit for bit, every buffer
+    flush against a ``PROT_NONE`` page."""
+
+    @staticmethod
+    def _guarded(a):
+        g = _GuardedPool().get("copy", a.shape)
+        g[...] = a
+        return g
+
+    @pytest.mark.parametrize("native", NATIVE)
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_stage_combine_bitwise_behind_guard_pages(self, native, stage):
+        """Stage 1 combines k₁ in ``ksum`` with itself as ``k``."""
+        from repro.perf import BufferPool
+
+        assert B.native_impl() == native
+        form, c = RK4_STAGES[stage - 1]
+        rng = np.random.default_rng(stage)
+        u, k, ksum = (_with_specials(rng.normal(size=(5, 9, 7, 7, 7)), rng)
+                      for _ in range(3))
+        ref_ksum, ref_out = ksum.copy(), np.full_like(u, 7.0)
+        with np.errstate(invalid="ignore"):  # inf − inf
+            combine_stage(form, u, ref_ksum if stage == 1 else k, ref_ksum,
+                          ref_out, c, BufferPool().get("s", u.shape))
+        gu, gk, gksum = map(self._guarded, (u, k, ksum))
+        got_out = self._guarded(np.full_like(u, 7.0))
+        assert NativeWaveRHS().rk4_combine(
+            form, gu, gksum if stage == 1 else gk, gksum, got_out, c)
+        assert _same_bits(got_out, ref_out) and _same_bits(gksum, ref_ksum)
+        assert _same_bits(gu, u) and _same_bits(gk, k)
+
+    def test_stage_combine_declines_what_it_cannot_take(self):
+        u = np.ones((2, 3, 4))
+        out = np.full_like(u, 7.0)
+        kernel = NativeWaveRHS()
+        assert not kernel.rk4_combine(1, u[..., ::2], u[..., ::2],
+                                      u[..., ::2], out[..., ::2], 0.1)
+        assert not kernel.rk4_combine(1, u.astype(np.float32), u, u, out,
+                                      0.1)
+        assert not kernel.rk4_combine(1, u, u, u, out[:1], 0.1)
+        assert (out == 7.0).all()
+
+    @pytest.mark.parametrize("native", NATIVE)
+    @pytest.mark.parametrize("seed, floor", [(0, ENFORCE_FLOOR),
+                                             (1, ENFORCE_FLOOR), (2, 0.25)])
+    def test_enforce_bitwise_behind_guard_pages(self, native, seed, floor):
+        """The floor is an argument of both executions; a non-default
+        one reaches the C pass too."""
+        from repro.perf import BufferPool
+
+        assert B.native_impl() == native
+        rng = np.random.default_rng(seed)
+        u = _enforce_state(rng, (S.NUM_VARS, 5, 7, 7, 7))
+        ref = u.copy()
+        got = self._guarded(u)
+        with np.errstate(all="ignore"):  # det <= 0 in the cube root
+            enforce_algebraic_constraints(ref, floor, pool=BufferPool())
+            assert B.NativeBSSNRHS().enforce(got, _GuardedPool(), floor)
+        assert _same_bits(got, ref)
+        # every case took place: floors, NaN from det < 0, finite rows
+        assert (ref[S.CHI] == floor).any() and (ref[S.ALPHA] == floor).any()
+        assert np.isnan(ref[S.GT_SYM_SLICE]).any()
+        assert np.isfinite(ref).any(axis=0).all()
+
+    def test_enforce_declines_what_it_cannot_take(self):
+        from repro.perf import BufferPool
+
+        kernel = B.NativeBSSNRHS()
+        u = np.ones((S.NUM_VARS, 2, 3, 3, 6))
+        for bad in (u[..., ::2], u[:12], u.astype(np.float32)):
+            assert not kernel.enforce(bad, BufferPool(), ENFORCE_FLOOR)
+        assert (u == 1.0).all()
+
+    def test_compiled_solver_steps_through_the_native_pieces(self, small_mesh):
+        """A compiled step calls each of them once per stage, and each
+        takes what it is given."""
+        sc = BSSNSolver(small_mesh, BSSNParams(), backend="compiled")
+        sc.set_punctures([Puncture(mass=1.0, position=[0.3, 0.1, -0.2])])
+        calls = []
+
+        def spy(name, run):
+            def call(*args):
+                calls.append((name, run(*args)))
+                return calls[-1][1]
+            return call
+
+        for name in ("rk4_combine", "enforce"):
+            setattr(sc.kernel, name, spy(name, getattr(sc.kernel, name)))
+        sc.step()
+        assert sorted(calls) == [("enforce", True)] * 4 + [
+            ("rk4_combine", True)] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -653,3 +821,28 @@ class TestTelemetry:
         assert metrics.get("gpu_flops", kernel=label).value > 0
         compile_c = metrics.get("kernel_compile_seconds", kernel=label)
         assert compile_c is not None  # recorded even when 0.0 (cache hit)
+
+    @pytest.mark.parametrize("use_upwind, deriv", [(True, 5250),
+                                                   (False, 3711)])
+    def test_published_flops_count_the_sweeps_the_kernel_runs(
+            self, use_upwind, deriv):
+        """One chunk of two octants: the schedule's A count plus the D
+        stage as emitted — with upwinding 45 centred first derivatives
+        (the ones the schedule reads) and 72 upwind pairs, without it
+        all 72 centred ones and no upwind pair."""
+        from repro.perf import BufferPool
+
+        patches, mesh, _ = _kernel_inputs(7, 2, seed=1)
+        metrics = MetricsRegistry()
+        prof = StepProfiler(metrics=metrics)
+        kernel = B.NativeBSSNRHS()
+        prof.begin_step()
+        kernel(patches, 0, 2, mesh, BSSNParams(use_upwind=use_upwind),
+               np.zeros((S.NUM_VARS, 2, 7, 7, 7)), BufferPool(), prof)
+        prof.end_step()
+        label = f"bssn_rhs_chunk[{B.native_impl()}]"
+        assert metrics.get("gpu_flops", kernel=label).value == (
+            (kernel.spec.total_flops + deriv) * 2 * 7**3)
+        need = C.d1_need(kernel.spec)
+        assert sum(1 for b in need if b & (1 if use_upwind else 3)) == (
+            45 if use_upwind else 72)

@@ -95,8 +95,8 @@ def test_native_sources_are_pinned():
     numbers — change it together with the kernels, never alone."""
     src = emit_c_source(get_kernel_spec(COMPILED_VARIANT))
     assert hashlib.sha256(src.encode()).hexdigest() == (
-        "388d9ee8eac1760225ee66ab025adf61"
-        "70b78c926abe12607e16bbcc7b0ccf95")
+        "0e74bbaf7987bb9e4116312a6fa2876e"
+        "2564b7267c2fe910abc60e05f7273e50")
 
 
 # -- validation by execution: CUDA on the host ------------------------------

@@ -413,6 +413,91 @@ def test_extrapolate_faces_equals_the_einsum_oracle(native, lead, seed, keep):
     assert B.native_impl() == native
 
 
+def _tap_order_fill(plan, patches):
+    """The padding fill in the order every lane of the native row vectors
+    runs, written out with NumPy ufuncs: per face in boundary order and
+    per extrapolated point, taps from 0.0 in forward order — two
+    alternating accumulators along x, one sequential along y and z."""
+    from repro.mesh.interp import extrapolation_matrix_1d
+
+    r, k = plan.r, plan.k
+    for axis, side, octs in plan.boundary:
+        E = extrapolation_matrix_1d(r, k, side)
+        j0 = k + r if side == "high" else 0
+        lines = np.moveaxis(patches[..., octs, :, :, :], -1 - axis, 0)
+        for j in range(k):
+            sums = [0.0, 0.0] if axis == 0 else [0.0]
+            for q in range(r):
+                acc = q % len(sums)
+                sums[acc] = sums[acc] + E[j, q] * lines[k + q]
+            lines[j0 + j] = sums[0] + sums[1] if axis == 0 else sums[0]
+        patches[..., octs, :, :, :] = np.moveaxis(lines, 0, -1 - axis)
+
+
+@needs_native
+@pytest.mark.parametrize("native", NATIVE)
+@pytest.mark.parametrize("r", [5, 7, 9])
+def test_extrapolate_faces_row_vectors_on_every_line_width(native, r):
+    """Lines of P = 11, 13 and 15 points: two row vectors each, the
+    second shifted back to end at P, so it computes 5, 3 and 1 points a
+    second time.  Against the tap-order fill, bit for bit, with
+    non-finite sources, the last octant flush against a ``PROT_NONE``
+    page; that order is einsum's below 8 taps (r = 9 x faces differ,
+    which is why ``unzip_gather`` declines r >= 8)."""
+    import copy
+
+    from repro.mesh.interp import extrapolation_matrix_1d
+    from repro.mesh.octant_to_patch import extrapolate_boundary
+
+    assert B.native_impl() == native
+    plan = copy.copy(Mesh(LinearOctree.uniform(1)).plan)
+    plan.r, plan.P, plan._ranged = r, r + 2 * plan.k, {}
+    rng = np.random.default_rng(r)
+    src = _with_specials(
+        rng.normal(size=(2, len(plan.tree)) + (plan.P,) * 3), rng, count=16)
+    # octant 0 has its three low faces outside; on one line per axis every
+    # tap product is −0.0, so only the 0.0 each sum starts from makes the
+    # padding +0.0 (the weights' signs depend on the tap alone)
+    k, w = plan.k, extrapolation_matrix_1d(r, plan.k, "low")[0]
+    lines = [(0, 0, k, k, slice(k, k + r)),         # along x
+             (0, 0, k + 1, slice(k, k + r), k),     # along y
+             (0, 0, slice(k, k + r), k + 2, k + 1)]  # along z
+    for line in lines:
+        src[line] = np.where(w > 0, -0.0, np.where(w < 0, 0.0, -1.0))
+    ref, einsum = src.copy(), src.copy()
+    got = _GuardedPool().get("patches", src.shape)
+    got[...] = src
+    with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf
+        _tap_order_fill(plan, ref)
+        _native_extrapolate(B.NativeWaveRHS(), plan, got)
+        extrapolate_boundary(plan, einsum)
+    assert _same_bits(got, ref)
+    assert not _same_bits(got, src)
+    assert _same_bits(ref, einsum) == (r < 8)
+    for pad in ((0, 0, k, k, slice(0, k)), (0, 0, k + 1, slice(0, k), k),
+                (0, 0, slice(0, k), k + 2, k + 1)):
+        assert (got[pad] == 0.0).all() and not np.signbit(got[pad]).any()
+
+
+@needs_native
+def test_native_unzip_declines_lines_narrower_than_a_vector():
+    """P = 7 < 8 (r = 7, k = 0): the row-vector fill would leave the
+    line, so the executor declines, writes nothing, and the NumPy
+    execution runs."""
+    from repro.mesh import prolong_sources
+
+    mesh = Mesh(LinearOctree.uniform(1), r=7, k=0)
+    assert mesh.P == 7 and len(mesh.plan.face_table())
+    kernel = B.NativeWaveRHS()
+    u = np.random.default_rng(4).normal(size=(2, mesh.num_octants, 7, 7, 7))
+    out = np.full((2, mesh.num_octants, 7, 7, 7), np.nan)
+    assert not kernel.unzip_gather(mesh.plan, u, prolong_sources(mesh.plan, u),
+                                   out, 0, mesh.num_octants)
+    assert np.isnan(out).all()
+    got = mesh.unzip(u, out=out, coalesce=True, executor=kernel.unzip_gather)
+    assert np.array_equal(got, mesh.unzip(u))
+
+
 @needs_native
 def test_native_unzip_leaves_other_dtypes_to_numpy():
     """A float32 (or non-contiguous) state must not reach a kernel that
