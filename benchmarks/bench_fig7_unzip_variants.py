@@ -20,7 +20,6 @@ from repro.codegen.backends import NativeWaveRHS, native_impl
 from repro.gpu import octant_to_patch_stats
 from repro.mesh import Mesh
 from repro.octree import bbh_grid
-from repro.perf import BufferPool
 
 
 def _grids():
@@ -65,8 +64,7 @@ def test_fig7_scatter_vs_gather_unzip(benchmark):
         speedups.append(tg / ts)
         row = f"{mesh.num_octants:>8} {tg:>12.4f} {ts:>12.4f} {tg / ts:>8.2f}x"
         if kernel is not None:
-            pool = BufferPool()
-            tn = _time(lambda: mesh.unzip(u, out=out, pool=pool,
+            tn = _time(lambda: mesh.unzip(u, out=out,
                                           executor=kernel.unzip_gather))
             assert np.array_equal(out, mesh.unzip(u))
             gbs = octant_to_patch_stats(mesh.plan, dof).bytes_moved / tn / 1e9

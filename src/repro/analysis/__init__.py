@@ -1,18 +1,18 @@
 """Static analysis of the reproduction's hot path — plus resolution and
 cost estimators (Tables I and IV) and catalog tools.
 
-The static-analysis side (``python -m repro.analysis``) has three legs:
+The static-analysis side (``python -m repro.analysis``) has two legs:
 
 * :mod:`.dataflow`  — exact dataflow verification of generated kernel
   schedules, cross-checked against the register-allocation model;
 * :mod:`.aliasing`  — runtime buffer-aliasing audit of one RK4
-  step (arena leases, phases, RHS in/out overlap);
-* :mod:`.alloclint` — AST lint enforcing the zero-allocation discipline
-  on every function registered via :func:`repro.perf.hot_path`.
+  step (arena leases, phases, RHS in/out overlap).
+
+That a warm compiled step allocates no array temporaries is measured
+directly, with ``tracemalloc``, in ``tests/test_backends.py``.
 """
 
 from .aliasing import AliasReport, AuditedPool, AliasAuditor, audit_solver_step
-from .alloclint import lint_function, lint_hot_paths
 from .catalog import CatalogEntry, WaveformCatalog, build_model_catalog
 from .dataflow import (
     DataflowReport,
@@ -50,8 +50,6 @@ __all__ = [
     "Finding",
     "PAPER_TABLE1",
     "audit_solver_step",
-    "lint_function",
-    "lint_hot_paths",
     "live_intervals",
     "peak_live",
     "verify_schedule",

@@ -1,14 +1,12 @@
 """``python -m repro.analysis`` — the static-analysis gate.
 
-Runs the three analysis legs and prints a human report:
+Runs the two analysis legs and prints a human report:
 
 * **dataflow** — verify every codegen variant's schedule, then compile
   its emitted CUDA for the host and run it against the NumPy execution
   (where there is a C compiler);
 * **aliasing** — audit one RK4 step of a WaveSolver and a
-  BSSNSolver on a small uniform mesh;
-* **lint**     — the hot-path allocation lint over every registered
-  function.
+  BSSNSolver on a small uniform mesh.
 
 ``--strict`` exits nonzero when any finding (error or warning) is
 reported, which is how CI gates on it; ``--json`` writes the full
@@ -22,7 +20,7 @@ import json
 import sys
 import time
 
-SECTIONS = ("dataflow", "aliasing", "lint")
+SECTIONS = ("dataflow", "aliasing")
 
 
 def _run_dataflow(report: dict, variants: list[str]) -> int:
@@ -89,8 +87,8 @@ def _run_aliasing(report: dict) -> int:
     wave.state[1] = 0.0
     wave.step()  # warm the arena so the audit sees the steady state
 
-    # the NumPy kernel pools its chunk (solver.chunk_rhs); the native one
-    # writes the RK4 stage buffer itself, so it is audited where it exists
+    # the native kernel leases its scratch from the arena and writes the
+    # RK4 stage buffer itself, so it is audited where it exists
     solvers = [wave]
     for backend in ["numpy"] + (["compiled"] if native_impl() else []):
         bssn = BSSNSolver(Mesh(LinearOctree.uniform(2)), backend=backend)
@@ -117,25 +115,6 @@ def _run_aliasing(report: dict) -> int:
             print(f"    {f.severity}: {f.kind}: {f.message}")
     report["aliasing"] = entries
     return num
-
-
-def _run_lint(report: dict) -> int:
-    from .alloclint import lint_hot_paths
-
-    print("== lint: hot-path allocation discipline ==")
-    findings, stats = lint_hot_paths()
-    print(
-        f"  {stats['functions_checked']} hot functions, "
-        f"{stats['pragma_exemptions']} alloc-ok exemptions  "
-        f"[{'ok' if not findings else 'FAIL'}]"
-    )
-    for f in findings:
-        print(f"    {f.severity}: {f.kind} at {f.location}: {f.message}")
-    report["lint"] = {
-        "stats": stats,
-        "findings": [f.to_dict() for f in findings],
-    }
-    return len(findings)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,8 +154,6 @@ def main(argv: list[str] | None = None) -> int:
         total += _run_dataflow(report, variants)
     if "aliasing" in sections:
         total += _run_aliasing(report)
-    if "lint" in sections:
-        total += _run_lint(report)
     elapsed = time.perf_counter() - t0
     report["total_findings"] = total
     report["elapsed"] = elapsed

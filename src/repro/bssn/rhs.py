@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fd import PatchDerivatives
-from repro.perf import hot_path
+from repro.perf import NO_PROFILER
 from . import state as S
 from .geometry import (
     christoffel_conformal,
@@ -90,23 +90,17 @@ class Derivs:
         return self.d2[_S2_POS[var], _PAIR_POS[key]]
 
 
-@hot_path
 def compute_derivatives(
     patches: np.ndarray,
     h,
     params: BSSNParams,
     pd: PatchDerivatives | None = None,
-    *,
-    pool=None,
 ) -> Derivs:
     """The D component: evaluate all 210 derivatives on patch interiors.
 
     Every sweep runs directly on the ``(24, n, P, P, P)`` batch (the
     stencil helpers accept arbitrary leading axes), so no flatten/tile
-    copies are made.  With ``pool`` (duck-typed ``get(name, shape)``,
-    see :class:`repro.perf.BufferPool`) the result arrays and all
-    internal scratch come from reusable buffers — zero allocations once
-    the pool is warm.
+    copies are made.
     """
     if patches.shape[0] != S.NUM_VARS:
         raise ValueError(f"expected {S.NUM_VARS} variables")
@@ -119,14 +113,9 @@ def compute_derivatives(
     shape = (S.NUM_VARS, n, r, r, r)
     h_arr = np.asarray(h, dtype=np.float64)
 
-    def buf(name, shp):
-        if pool is None:
-            return np.empty(shp)  # alloc-ok: poolless fallback
-        return pool.get(f"rhs.{name}", shp)
-
     # direction-major storage keeps each sweep's destination contiguous;
     # the returned views are variable-major, matching Derivs indexing
-    d1_base = buf("d1", (3,) + shape)
+    d1_base = np.empty((3,) + shape)
     for d in range(3):
         pd.d1(patches, h_arr, d, out=d1_base[d])
     d1 = np.swapaxes(d1_base, 0, 1)
@@ -134,7 +123,7 @@ def compute_derivatives(
     if params.use_upwind:
         # shift vector on the interior selects the bias pointwise
         # (broadcast over the variable axis)
-        adv_base = buf("adv", (3,) + shape)
+        adv_base = np.empty((3,) + shape)
         for d in range(3):
             beta_int = patches[S.BETA[d], :, k : k + r, k : k + r, k : k + r]
             pd.d1_upwind(patches, h_arr, d, beta_int, out=adv_base[d])
@@ -142,14 +131,13 @@ def compute_derivatives(
     else:
         adv = d1
 
-    src2 = buf("s2", (len(_S2), n, P, P, P))
-    np.take(patches, _S2, axis=0, out=src2)
-    d2_base = buf("d2", (6, len(_S2)) + shape[1:])
+    src2 = np.take(patches, _S2, axis=0)
+    d2_base = np.empty((6, len(_S2)) + shape[1:])
     for q, (a, b) in enumerate(_SYM_PAIRS):
         pd.d2_mixed(src2, h_arr, a, b, out=d2_base[q])
     d2 = np.swapaxes(d2_base, 0, 1)
 
-    ko = pd.ko_all(patches, h_arr, out=buf("ko", shape))
+    ko = pd.ko_all(patches, h_arr)
 
     return Derivs(d1=d1, adv=adv, d2=d2, ko=ko)
 
@@ -324,26 +312,24 @@ def algebraic_rhs_exprs(get, d1, adv, d2, params) -> list:
     return rhs
 
 
-@hot_path
 def evaluate_algebraic(
-    values: np.ndarray, derivs: Derivs, params: BSSNParams, out=None
+    values: np.ndarray, derivs: Derivs, params: BSSNParams
 ) -> np.ndarray:
     """Reference (hand-vectorised NumPy) evaluation of the A component.
 
     ``values`` holds the 24 variables on patch interiors, shape
-    ``(24, n, r, r, r)``; ``out`` (same shape) receives the result when
-    given.  The expression evaluation itself allocates (it is the
-    readable reference; the generated kernels are the fused form).
+    ``(24, n, r, r, r)``.  The expression evaluation allocates (it is
+    the readable reference; the generated kernels are the fused form).
     """
-    chi_floored = np.maximum(values[S.CHI], params.chi_floor)  # alloc-ok
+    chi_floored = np.maximum(values[S.CHI], params.chi_floor)
 
     def get(var):
         return chi_floored if var == S.CHI else values[var]
 
-    exprs = algebraic_rhs_exprs(  # alloc-ok: reference expression tree
+    exprs = algebraic_rhs_exprs(
         get, derivs.first, derivs.advective, derivs.second, params
     )
-    rhs = np.empty_like(values) if out is None else out  # alloc-ok: fallback
+    rhs = np.empty_like(values)
     for v, e in enumerate(exprs):
         rhs[v] = e
     return rhs
@@ -361,24 +347,31 @@ def bssn_rhs(
     *,
     pd: PatchDerivatives | None = None,
     algebra=None,
+    prof=NO_PROFILER,
 ) -> np.ndarray:
     """Full RHS evaluation on padded patches: D then A then KO.
 
     ``patches``: (24, n, P, P, P); ``h``: scalar or per-octant array.
     ``algebra`` may be swapped for a generated kernel (paper's SymPyGR /
-    binary-reduce / staged+CSE variants).
+    binary-reduce / staged+CSE variants).  ``prof`` (a
+    :class:`repro.perf.StepProfiler`) times D under ``deriv``, the
+    interior copy under ``zip`` and A + KO under ``algebra``.  This is
+    the ``backend="numpy"`` BSSN chunk kernel.
     """
     if params is None:
         params = BSSNParams()
     if pd is None:
         pd = PatchDerivatives(k=3)
-    derivs = compute_derivatives(patches, h, params, pd)
+    with prof.phase("deriv"):
+        derivs = compute_derivatives(patches, h, params, pd)
     k = pd.k
     r = patches.shape[-1] - 2 * k
-    values = np.ascontiguousarray(
-        patches[:, :, k : k + r, k : k + r, k : k + r]
-    )
-    fn = algebra if algebra is not None else evaluate_algebraic
-    rhs = fn(values, derivs, params)
-    add_ko_dissipation(rhs, derivs, params)
+    with prof.phase("zip"):
+        values = np.ascontiguousarray(
+            patches[:, :, k : k + r, k : k + r, k : k + r]
+        )
+    with prof.phase("algebra"):
+        fn = algebra if algebra is not None else evaluate_algebraic
+        rhs = fn(values, derivs, params)
+        add_ko_dissipation(rhs, derivs, params)
     return rhs

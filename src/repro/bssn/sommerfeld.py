@@ -17,8 +17,6 @@ import numpy as np
 
 from repro.fd.derivatives import apply_stencil
 from repro.fd.stencils import D1_CENTERED_6
-from repro.mesh.interp import scratch
-from repro.perf import hot_path
 
 from . import state as S
 
@@ -31,7 +29,6 @@ ASYMPTOTIC[S.GT22] = 1.0
 ASYMPTOTIC[S.GT33] = 1.0
 
 
-@hot_path
 def sommerfeld_faces(
     rhs: np.ndarray,
     patches: np.ndarray,
@@ -43,7 +40,6 @@ def sommerfeld_faces(
     speed: float,
     *,
     lo: int = 0,
-    pool=None,
 ) -> None:
     """Overwrite ``rhs`` at the physical-boundary points (in place) with
     ``(−c · (Σ_d x_d ∂_d u + (u − u_∞))) / r``.
@@ -74,21 +70,12 @@ def sommerfeld_faces(
         pface[2 - axis] = slice(k + j, k + j + 1)
         shape = (nv, len(octs)) + tuple(
             1 if a == 2 - axis else r for a in range(3))
-        acc = scratch(pool, "sommerfeld.acc", shape)
-        tmp = scratch(pool, "sommerfeld.tmp", shape)
-        sub = scratch(pool, "sommerfeld.sub", shape[:2] + (P, P, P))
-        np.take(patches, octs - lo, axis=1, out=sub)
-        h_face = h[octs]
-        acc[...] = 0.0
+        sub = np.take(patches, octs - lo, axis=1)
+        acc = np.zeros(shape)
         for d in range(3):
             slab = list(pface)
             slab[2 - d] = slice(slab[2 - d].start - w, slab[2 - d].stop + w)
-            apply_stencil(sub[(..., *slab)], D1_CENTERED_6, h_face, 4 - d,
-                          out=tmp)
-            np.multiply(coords[(octs, *face, d)], tmp, out=tmp)
-            np.add(acc, tmp, out=acc)
-        np.subtract(sub[(..., *pface)], uinf, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.multiply(acc, -speed, out=acc)
-        np.divide(acc, radii[(octs, *face)], out=acc)
-        rhs[(slice(None), octs, *face)] = acc
+            acc += coords[(octs, *face, d)] * apply_stencil(
+                sub[(..., *slab)], D1_CENTERED_6, h[octs], 4 - d)
+        acc += sub[(..., *pface)] - uinf
+        rhs[(slice(None), octs, *face)] = acc * -speed / radii[(octs, *face)]

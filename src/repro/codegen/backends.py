@@ -6,7 +6,9 @@ physical-boundary faces — over a kernel object resolved once from
 ``backend=``:
 
 * ``"numpy"`` (default) — :class:`NumpyBSSNRHS` / :class:`NumpyWaveRHS`:
-  einsum stencil sweeps plus ``out=`` ufunc algebra on arena buffers;
+  the plain NumPy reference — :func:`repro.bssn.rhs.bssn_rhs` and the
+  stencil operators of :class:`repro.fd.PatchDerivatives`, allocating
+  their temporaries as NumPy does; the compiled kernels' oracle;
 * ``"compiled"`` — :class:`NativeBSSNRHS` / :class:`NativeWaveRHS`: the
   single-pass native kernels lowered from the ``compiled`` codegen
   variant into one C translation unit (:mod:`repro.codegen.cbackend`),
@@ -15,13 +17,15 @@ physical-boundary faces — over a kernel object resolved once from
 * ``"auto"`` — ``compiled`` when the unit builds, otherwise NumPy with a
   single warning.
 
-The two implementations of each kernel share one call signature and
-one set of arena buffer names, so switching backends changes neither
-the solver loop nor the arena footprint; ``chunk_octants`` is the
-chunk size each runs best at.  A kernel reads the patches of its chunk
-only — a buffer whose octant 0 is the chunk's first — and writes the
-mesh-wide ``rhs``.  A kernel object also carries its backend's unzip
-and its two halves of physical-boundary handling.  ``unzip_gather`` is
+The two implementations of each kernel share one call signature, so
+switching backends does not change the solver loop; the workspace
+arena ``pool`` in it serves the native kernels' parameter, scratch and
+enforcement buffers, and the NumPy kernels ignore it.
+``chunk_octants`` is the chunk size each runs best at.  A kernel reads
+the patches of its chunk only — a buffer whose octant 0 is the chunk's
+first — and writes the mesh-wide ``rhs``.  A kernel object also
+carries its backend's unzip and its two halves of physical-boundary
+handling.  ``unzip_gather`` is
 the native executor the solver hands to :meth:`repro.mesh.Mesh.unzip` —
 the copy by the plan's gather map, then the padding extrapolation (None
 on the NumPy kernels, which copy with two ``np.take`` off the same map
@@ -58,13 +62,13 @@ import warnings
 import numpy as np
 
 from repro.bssn import state as S
-from repro.bssn.rhs import compute_derivatives, evaluate_algebraic
+from repro.bssn.rhs import bssn_rhs
 from repro.bssn.sommerfeld import sommerfeld_faces
 from repro.fd.derivatives import PatchDerivatives, _h_factor
 from repro.gpu.counters import publish_kernel_stats
 from repro.gpu.perfmodel import KernelStats
 from repro.mesh.interp import extrapolation_matrices
-from repro.perf import NO_PROFILER, hot_path
+from repro.perf import NO_PROFILER
 from .cbackend import (
     LANES,
     NUM_PARAMS,
@@ -198,19 +202,18 @@ class _NumpyRHSBase:
 
     @staticmethod
     def sommerfeld(rhs, patches, mesh, coords, radii, u_inf, speed,
-                   pool=None, lo=0, hi=None):
+                   lo=0, hi=None):
         """The Sommerfeld condition on the physical-boundary faces of
         octants ``lo:hi`` (default all) of ``rhs`` ``(nv, n, r, r, r)``
         from their ``patches``, whose octant 0 is ``lo``;
         ``coords``/``radii`` are the solver's per-mesh point coordinates
         and clipped radii."""
         sommerfeld_faces(rhs, patches, mesh.plan.boundary_range(lo, hi),
-                         coords, radii, mesh.dx, u_inf, speed, lo=lo,
-                         pool=pool)
+                         coords, radii, mesh.dx, u_inf, speed, lo=lo)
 
 
 class NumpyBSSNRHS(_NumpyRHSBase):
-    """D + A + KO of one octant chunk as NumPy sweeps over arena buffers.
+    """D + A + KO of one octant chunk: :func:`repro.bssn.rhs.bssn_rhs`.
 
     ``algebra`` swaps the hand-vectorised A component for a generated
     kernel (:func:`repro.codegen.get_algebra_kernel`) — with the
@@ -225,32 +228,13 @@ class NumpyBSSNRHS(_NumpyRHSBase):
     def __init__(self, algebra=None):
         self.algebra = algebra
 
-    @hot_path
     def __call__(self, patches, lo, hi, mesh, params, rhs, pool,
                  prof=NO_PROFILER):
         """Write the 24 RHS blocks of octants ``lo:hi``, whose patches
-        ``patches`` holds, into ``rhs``."""
-        k, r = mesh.k, mesh.r
-        with prof.phase("deriv"):
-            derivs = compute_derivatives(
-                patches, mesh.dx[lo:hi], params,
-                PatchDerivatives(k=mesh.k, pool=pool), pool=pool,
-            )
-        with prof.phase("zip"):
-            interior = patches[:, :, k : k + r, k : k + r, k : k + r]
-            values = pool.get("solver.values", interior.shape)
-            np.copyto(values, interior)
-        with prof.phase("algebra"):
-            if self.algebra is not None:
-                chunk_rhs = self.algebra(values, derivs, params)
-            else:
-                chunk_rhs = evaluate_algebraic(
-                    values, derivs, params,
-                    out=pool.get("solver.chunk_rhs", values.shape),
-                )
-            ko = pool.get("solver.ko_scaled", values.shape)
-            np.multiply(derivs.ko, params.ko_sigma, out=ko)
-            chunk_rhs += ko
+        ``patches`` holds, into ``rhs`` (``pool`` is unused)."""
+        chunk_rhs = bssn_rhs(patches, mesh.dx[lo:hi], params,
+                             pd=PatchDerivatives(k=mesh.k),
+                             algebra=self.algebra, prof=prof)
         with prof.phase("zip"):
             rhs[:, lo:hi] = chunk_rhs
 
@@ -260,25 +244,22 @@ class NumpyWaveRHS(_NumpyRHSBase):
 
     chunk_octants = 512
 
-    @hot_path
     def __call__(self, patches, lo, hi, mesh, c2, sigma, src, rhs, pool,
                  prof=NO_PROFILER):
         """Write φ̇ = π + σ·KO(φ) and π̇ = c²∇²φ + ``src`` + σ·KO(π) of
         octants ``lo:hi``, whose patches ``patches`` holds, into ``rhs``
-        (``src`` may be None)."""
+        (``src`` may be None; ``pool`` is unused)."""
         k, r = mesh.k, mesh.r
-        pd = PatchDerivatives(k=k, pool=pool)
+        pd = PatchDerivatives(k=k)
         h = mesh.dx[lo:hi]
         phi_p, pi_p = patches[0], patches[1]
         rhs_phi, rhs_pi = rhs[0, lo:hi], rhs[1, lo:hi]
-        shape = (hi - lo, r, r, r)
         with prof.phase("deriv"):
-            lap = pd.d2(phi_p, h, 0, out=pool.get("wave.lap", shape))
-            tmp = pool.get("wave.d2_dir", shape)
-            lap += pd.d2(phi_p, h, 1, out=tmp)
-            lap += pd.d2(phi_p, h, 2, out=tmp)
-            ko_phi = pd.ko_all(phi_p, h, out=pool.get("wave.ko_phi", shape))
-            ko_pi = pd.ko_all(pi_p, h, out=pool.get("wave.ko_pi", shape))
+            lap = pd.d2(phi_p, h, 0)
+            lap += pd.d2(phi_p, h, 1)
+            lap += pd.d2(phi_p, h, 2)
+            ko_phi = pd.ko_all(phi_p, h)
+            ko_pi = pd.ko_all(pi_p, h)
         with prof.phase("zip"):
             rhs_phi[...] = pi_p[:, k : k + r, k : k + r, k : k + r]
         with prof.phase("algebra"):
@@ -317,7 +298,6 @@ class _NativeRHSBase:
         getattr(self._lib.lib, name)(
             *[ptr(a) if isinstance(a, np.ndarray) else a for a in args])
 
-    @hot_path
     def unzip_gather(self, plan, u, up, out, lo, hi) -> bool:
         """Alg. 2 after the prolongation, natively: the copy by
         ``plan.gather_map()``, then the padding extrapolation.
@@ -345,9 +325,8 @@ class _NativeRHSBase:
                   len(faces), extrapolation_matrices(r, k), P, r, k)
         return True
 
-    @hot_path
     def sommerfeld(self, rhs, patches, mesh, coords, radii, u_inf, speed,
-                   pool=None, lo=0, hi=None) -> None:
+                   lo=0, hi=None) -> None:
         """Native execution of :func:`repro.bssn.sommerfeld.sommerfeld_faces`
         over the rows of ``mesh.plan.face_table(lo, hi)`` (default every
         octant) from the range's ``patches``, whose octant 0 is ``lo``;
@@ -361,7 +340,6 @@ class _NativeRHSBase:
                   mesh.r, mesh.k, hf1, self.w1, coords, radii, u_inf, speed,
                   rhs)
 
-    @hot_path
     def rk4_combine(self, form, u, k, ksum, out, c) -> bool:
         """One RK4 stage combine in one native pass, element for element
         :func:`repro.solver.rk4.combine_stage` (``rk4_step``'s
@@ -406,7 +384,6 @@ class NativeBSSNRHS(_NativeRHSBase):
 
     chunk_octants = 8
 
-    @hot_path
     def __call__(self, patches, lo, hi, mesh, params, rhs, pool,
                  prof=NO_PROFILER):
         self._check_chunk(patches, lo, hi, rhs)
@@ -434,7 +411,6 @@ class NativeBSSNRHS(_NativeRHSBase):
                 time.perf_counter() - t0,
             )
 
-    @hot_path
     def enforce(self, u, pool, floor: float) -> bool:
         """:func:`repro.solver.bssn_solver.enforce_algebraic_constraints`
         on the state ``u`` in two native passes around its ``np.power``:
@@ -460,7 +436,6 @@ class NativeWaveRHS(_NativeRHSBase):
 
     chunk_octants = 64
 
-    @hot_path
     def __call__(self, patches, lo, hi, mesh, c2, sigma, src, rhs, pool,
                  prof=NO_PROFILER):
         self._check_chunk(patches, lo, hi, rhs)

@@ -14,17 +14,14 @@ stencil whose offsets are not contiguous has no dense tap vector and
 falls back to the accumulation loop :func:`_apply_taps`, which doubles
 as the independent oracle for the einsum kernel in the tests.
 
-All entry points accept ``out=`` so a solver workspace can route every
-derivative into a preallocated buffer; a duck-typed buffer ``pool``
-(see :class:`repro.perf.BufferPool`) supplies internal scratch.
+All entry points accept ``out=`` to write a derivative into a given
+buffer; internal scratch is allocated per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from repro.perf import hot_path
 
 from .stencils import (
     D1_CENTERED_4,
@@ -71,7 +68,6 @@ def _apply_taps(u: np.ndarray, stencil: Stencil, w: np.ndarray, axis: int,
         out += wj * u[tuple(src)]
 
 
-@hot_path
 def apply_stencil(
     u: np.ndarray,
     stencil: Stencil,
@@ -103,7 +99,7 @@ def apply_stencil(
         raise ValueError("out has wrong shape")
 
     if out is None:
-        out = np.empty(out_shape, dtype=u.dtype)  # alloc-ok: out=None fallback
+        out = np.empty(out_shape, dtype=u.dtype)
     if _is_dense(stencil):
         # one contraction over the tap axis of a sliding window — output
         # written once, no per-tap temporaries
@@ -138,14 +134,11 @@ class PatchDerivatives:
     (C order, x fastest) — derivative direction 0/1/2 = x/y/z maps to
     array axes -1/-2/-3.  Any number of leading batch axes is allowed
     (e.g. the 24 BSSN variables), so a whole chunk's derivatives run as
-    one stencil sweep without flattening copies.
-
-    ``pool`` (duck-typed, ``get(name, shape, dtype)``) supplies reusable
-    scratch for composed/upwind stencils, and every public method takes
-    ``out=``.
+    one stencil sweep without flattening copies.  Every public method
+    takes ``out=``.
     """
 
-    def __init__(self, k: int = 3, order: int = 6, *, pool=None):
+    def __init__(self, k: int = 3, order: int = 6):
         if order == 6:
             self._d1s, self._d2s, self._kos = (
                 D1_CENTERED_6, D2_CENTERED_6, KO_DISS_6,
@@ -158,7 +151,6 @@ class PatchDerivatives:
             raise ValueError("order must be 4 or 6")
         self.order = order
         self.k = k
-        self.pool = pool
 
     # -- helpers ---------------------------------------------------------
     def _axis(self, u: np.ndarray, direction: int) -> int:
@@ -173,12 +165,6 @@ class PatchDerivatives:
         if min(u.shape[-3:]) <= 2 * self.k:
             raise ValueError("patch too small for padding width")
 
-    @hot_path
-    def _tmp(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        if self.pool is None:
-            return np.empty(shape, dtype=dtype)  # alloc-ok: poolless fallback
-        return self.pool.get(f"pd.{name}", tuple(shape), dtype)
-
     def _crop(self, d: np.ndarray, left: int, n_in: int, ax: int) -> np.ndarray:
         """Crop a stencil output to the r-point interior window when the
         stencil is narrower than the padding (e.g. order 4 with k = 3)."""
@@ -190,8 +176,7 @@ class PatchDerivatives:
         sl[ax] = slice(start, start + m_int)
         return d[tuple(sl)]
 
-    @hot_path
-    def _sweep(self, u, stencil, h, direction, out, name):
+    def _sweep(self, u, stencil, h, direction, out):
         """One stencil sweep on the interior, handling the narrow-stencil
         crop; writes into ``out`` when given."""
         ax = self._axis(u, direction)
@@ -201,12 +186,7 @@ class PatchDerivatives:
         m_int = u.shape[ax] - 2 * self.k
         if m_sten == m_int:
             return apply_stencil(v, stencil, h, ax, out=out)
-        shape = list(v.shape)
-        shape[ax] = m_sten
-        # when the caller keeps the (cropped) result, it must not alias a
-        # pooled scratch buffer that the next sweep would clobber
-        buf = np.empty(shape) if out is None else self._tmp(name, shape)  # alloc-ok
-        d = apply_stencil(v, stencil, h, ax, out=buf)
+        d = apply_stencil(v, stencil, h, ax)
         c = self._crop(d, stencil.left, u.shape[ax], ax)
         if out is None:
             return c
@@ -214,21 +194,18 @@ class PatchDerivatives:
         return out
 
     # -- operators -------------------------------------------------------
-    @hot_path
     def d1(self, u: np.ndarray, h, direction: int,
            out: np.ndarray | None = None) -> np.ndarray:
         """First derivative on the r^3 interior (order 6 or 4)."""
         self._check(u)
-        return self._sweep(u, self._d1s, h, direction, out, "d1_wide")
+        return self._sweep(u, self._d1s, h, direction, out)
 
-    @hot_path
     def d2(self, u: np.ndarray, h, direction: int,
            out: np.ndarray | None = None) -> np.ndarray:
         """Second derivative ∂_ii on the interior."""
         self._check(u)
-        return self._sweep(u, self._d2s, h, direction, out, "d2_wide")
+        return self._sweep(u, self._d2s, h, direction, out)
 
-    @hot_path
     def d2_mixed(self, u: np.ndarray, h, dir_a: int, dir_b: int,
                  out: np.ndarray | None = None) -> np.ndarray:
         """Mixed second derivative ∂_a∂_b (a != b) as composed first
@@ -239,42 +216,34 @@ class PatchDerivatives:
         ax_a, ax_b = self._axis(u, dir_a), self._axis(u, dir_b)
         other = tuple(a for a in self._spatial(u) if a not in (ax_a, ax_b))
         v = _interior(u, self.k, other)
-        shape = list(v.shape)
-        shape[ax_a] = v.shape[ax_a] - self._d1s.left - self._d1s.right
-        d = apply_stencil(v, self._d1s, h, ax_a, out=self._tmp("mix1", shape))
+        d = apply_stencil(v, self._d1s, h, ax_a)
         d = self._crop(d, self._d1s.left, u.shape[ax_a], ax_a)
         m_sten = d.shape[ax_b] - self._d1s.left - self._d1s.right
         m_int = u.shape[ax_b] - 2 * self.k
         if m_sten == m_int:
             return apply_stencil(d, self._d1s, h, ax_b, out=out)
-        shape2 = list(d.shape)
-        shape2[ax_b] = m_sten
-        buf = np.empty(shape2) if out is None else self._tmp("mix2", shape2)  # alloc-ok
-        d2 = apply_stencil(d, self._d1s, h, ax_b, out=buf)
+        d2 = apply_stencil(d, self._d1s, h, ax_b)
         c = self._crop(d2, self._d1s.left, u.shape[ax_b], ax_b)
         if out is None:
             return c
         np.copyto(out, c)
         return out
 
-    @hot_path
     def ko(self, u: np.ndarray, h, direction: int,
            out: np.ndarray | None = None) -> np.ndarray:
         """Kreiss–Oliger dissipation contribution along one direction."""
         self._check(u)
-        return self._sweep(u, self._kos, h, direction, out, "ko_wide")
+        return self._sweep(u, self._kos, h, direction, out)
 
-    @hot_path
     def ko_all(self, u: np.ndarray, h,
                out: np.ndarray | None = None) -> np.ndarray:
         """Sum of KO dissipation along all three directions."""
         out = self.ko(u, h, 0, out=out)
-        tmp = self._tmp("ko_dir", out.shape)
+        tmp = np.empty(out.shape)
         for d in (1, 2):
             out += self.ko(u, h, d, out=tmp)
         return out
 
-    @hot_path
     def d1_upwind(
         self, u: np.ndarray, h, direction: int, beta: np.ndarray,
         out: np.ndarray | None = None,
@@ -291,10 +260,8 @@ class PatchDerivatives:
         v = _interior(u, self.k, other)
         m_int = u.shape[ax] - 2 * self.k
 
-        def biased(stencil, name):
-            shape = list(v.shape)
-            shape[ax] = v.shape[ax] - stencil.left - stencil.right
-            d = apply_stencil(v, stencil, h, ax, out=self._tmp(name, shape))
+        def biased(stencil):
+            d = apply_stencil(v, stencil, h, ax)
             # valid output index j corresponds to input index j + left;
             # the interior starts at input index k
             start = self.k - stencil.left
@@ -302,14 +269,11 @@ class PatchDerivatives:
             sl[ax] = slice(start, start + m_int)
             return d[tuple(sl)]
 
-        dpos = biased(D1_UPWIND_POS, "upw_pos")
-        dneg = biased(D1_UPWIND_NEG, "upw_neg")
-        beta = np.asarray(beta)
-        cond = np.greater_equal(
-            beta, 0.0, out=self._tmp("upw_cond", beta.shape, np.bool_)
-        )
+        dpos = biased(D1_UPWIND_POS)
+        dneg = biased(D1_UPWIND_NEG)
+        cond = np.asarray(beta) >= 0.0
         if out is None:
-            return np.where(cond, dpos, dneg)  # alloc-ok: out=None fallback
+            return np.where(cond, dpos, dneg)
         np.copyto(out, dneg)
         np.copyto(out, dpos, where=cond)
         return out

@@ -105,7 +105,7 @@ class Mesh:
     # -- unzip / zip -----------------------------------------------------
     def unzip(self, u: np.ndarray, out: np.ndarray | None = None, *,
               method: str = "scatter", coalesce: bool = False,
-              pool=None, tracer=None, executor=None,
+              tracer=None, executor=None,
               up: np.ndarray | None = None, lo: int = 0,
               hi: int | None = None) -> np.ndarray:
         """octant-to-patch: fill padded patches (Alg. 2).
@@ -115,8 +115,7 @@ class Mesh:
         The rest is scatter only: the patches of octants ``lo:hi`` land
         in ``out`` ``(..., hi - lo, P, P, P)``; ``up`` hands in their
         coarse sources' upsample (:func:`repro.mesh.prolong_sources`),
-        ``coalesce``/``pool`` select the NumPy
-        gather-map execution and a buffer arena for its staging, and
+        ``coalesce`` selects the NumPy gather-map execution, and
         ``executor`` hands in a compiled chunk kernel's native gather
         and padding fill (``solver.kernel.unzip_gather``) — see
         :func:`repro.mesh.octant_to_patch.scatter_to_patches`.
@@ -129,8 +128,8 @@ class Mesh:
                 out = np.zeros(u.shape[:-4] + (hi - lo,) + (self.P,) * 3,
                                dtype=u.dtype)
             return scatter_to_patches(self.plan, u, out, coalesce=coalesce,
-                                      pool=pool, tracer=tracer,
-                                      executor=executor, up=up, lo=lo, hi=hi)
+                                      tracer=tracer, executor=executor,
+                                      up=up, lo=lo, hi=hi)
         if method == "gather":
             return gather_to_patches(self.plan, u, out)
         raise ValueError("method must be 'scatter' or 'gather'")

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.fd.stencils import fd_weights
-from repro.perf import hot_path
 
 
 @lru_cache(maxsize=None)
@@ -37,15 +36,13 @@ def prolongation_matrix_1d(r: int = 7) -> np.ndarray:
     return P
 
 
-@hot_path
 def scratch(pool, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """The arena buffer ``name`` — or, for poolless callers, a fresh one."""
     if pool is None:
-        return np.empty(shape, dtype)  # alloc-ok: poolless fallback
+        return np.empty(shape, dtype)
     return pool.get(name, shape, dtype)
 
 
-@hot_path
 def prolong_blocks(u: np.ndarray, r: int = 7, out: np.ndarray | None = None,
                    *, pool=None) -> np.ndarray:
     """Upsample blocks ``(..., r, r, r)`` to ``(..., 2r-1, 2r-1, 2r-1)``.

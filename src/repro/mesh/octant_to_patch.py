@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perf import hot_path, span
+from repro.perf import span
 
 from .interp import extrapolation_matrix_1d, prolong_blocks, scratch
 from .maps import CASE_COARSE, TransferPlan
@@ -51,17 +51,6 @@ def allocate_patches(plan: TransferPlan, lead: tuple[int, ...] = (), *,
     return np.zeros(lead + (len(plan.tree), P, P, P), dtype=dtype)
 
 
-@hot_path
-def _pooled_take(flat: np.ndarray, idx: np.ndarray, pool, name: str) -> np.ndarray:
-    """Gather ``flat[..., idx]``, routed through a pooled buffer when given."""
-    if pool is None:
-        return flat[..., idx]
-    buf = pool.get(name, flat.shape[:-1] + (len(idx),), flat.dtype)
-    np.take(flat, idx, axis=-1, out=buf)
-    return buf
-
-
-@hot_path
 def prolong_sources(plan: TransferPlan, u: np.ndarray, lo: int = 0,
                     hi: int | None = None, *, pool=None,
                     tracer=None) -> np.ndarray:
@@ -70,7 +59,13 @@ def prolong_sources(plan: TransferPlan, u: np.ndarray, lo: int = 0,
     :attr:`~repro.mesh.maps.TransferPlan.prolong_row` of the returned
     ``(..., n_pro, 2r-1, 2r-1, 2r-1)`` buffer; rows the range does not
     read are left as they are.  A block's upsample does not depend on
-    which others are prolonged with it (asserted in the tests)."""
+    which others are prolonged with it (asserted in the tests).
+    ``pool`` (duck-typed ``get(name, shape, dtype)``) supplies the
+    source, intermediate and result buffers, so a warm call allocates
+    no array."""
+    if u.ndim < 4 or u.shape[-4] != len(plan.tree):
+        raise ValueError(f"fields must hold the plan's {len(plan.tree)} "
+                         f"octants on axis -4, not shape {u.shape}")
     lead, r, f = u.shape[:-4], plan.r, 2 * plan.r - 1
     octs, rows = plan.prolong_octs, plan.prolong_rows(lo, hi)
     with span(tracer, "unzip.prolong", "mesh"):
@@ -79,7 +74,9 @@ def prolong_sources(plan: TransferPlan, u: np.ndarray, lo: int = 0,
         if len(rows):
             src = scratch(pool, "unzip.prolong_src",
                           lead + (len(rows), r, r, r), u.dtype)
-            np.take(u, octs[rows], axis=-4, out=src)
+            # in range by construction (the plan indexes prolong_row with
+            # them); mode="raise" would gather through a hidden full copy
+            np.take(u, octs[rows], axis=-4, out=src, mode="clip")
             if len(rows) == len(octs):
                 prolong_blocks(src, r, pool=pool, out=up)
             else:
@@ -90,14 +87,12 @@ def prolong_sources(plan: TransferPlan, u: np.ndarray, lo: int = 0,
     return up
 
 
-@hot_path
 def scatter_to_patches(
     plan: TransferPlan,
     u: np.ndarray,
     out: np.ndarray,
     *,
     coalesce: bool = False,
-    pool=None,
     tracer=None,
     executor=None,
     up: np.ndarray | None = None,
@@ -117,9 +112,7 @@ def scatter_to_patches(
     replaces them and the padding extrapolation with native kernels over
     the map and :meth:`~repro.mesh.maps.TransferPlan.face_table`, and
     returns False for what it cannot take (then the NumPy execution
-    runs).  All three are byte-identical.  ``pool`` (duck-typed
-    ``get(name, shape, dtype)``) supplies the prolongation buffers and
-    gather staging so the hot path allocates nothing.  ``tracer``
+    runs).  All three are byte-identical.  ``tracer``
     (a :class:`repro.telemetry.Tracer`) spans the prolongation and
     copy sub-phases on the trace timeline.
     """
@@ -129,7 +122,7 @@ def scatter_to_patches(
     uf, pf = _flat_views(plan, u, out, hi - lo)
     lead = u.shape[:-4]
     if up is None:
-        up = prolong_sources(plan, u, lo, hi, pool=pool, tracer=tracer)
+        up = prolong_sources(plan, u, lo, hi, tracer=tracer)
     elif up.shape != lead + (len(plan.prolong_octs),) + (2 * plan.r - 1,) * 3:
         raise ValueError("upsample buffer has wrong shape")
 
@@ -138,10 +131,10 @@ def scatter_to_patches(
             if coalesce:
                 direct, dsrc, coarse, csrc = plan.gather_split(lo, hi)
                 pflat = pf.reshape(lead + (-1,))
-                pflat[..., direct] = _pooled_take(
-                    uf.reshape(lead + (-1,)), dsrc, pool, "unzip.direct_vals")
-                pflat[..., coarse] = _pooled_take(
-                    up.reshape(lead + (-1,)), csrc, pool, "unzip.coarse_vals")
+                pflat[..., direct] = np.take(uf.reshape(lead + (-1,)), dsrc,
+                                             axis=-1)
+                pflat[..., coarse] = np.take(up.reshape(lead + (-1,)), csrc,
+                                             axis=-1)
             else:
                 upf = up.reshape(up.shape[:-3] + ((2 * plan.r - 1) ** 3,))
                 for grp in plan.groups:  # already ordered coarse -> same -> fine
@@ -193,7 +186,6 @@ def _copy_interior(plan: TransferPlan, u: np.ndarray, patches: np.ndarray) -> No
     patches[..., k : k + r, k : k + r, k : k + r] = u
 
 
-@hot_path
 def extrapolate_boundary(plan: TransferPlan, patches: np.ndarray,
                          lo: int = 0, hi: int | None = None) -> None:
     """Fill out-of-domain padding by degree-4 extrapolation
@@ -218,19 +210,19 @@ def extrapolate_boundary(plan: TransferPlan, patches: np.ndarray,
         E = extrapolation_matrix_1d(r, k, side)
         sub = patches[..., octs, :, :, :]
         if axis == 0:  # x: last array axis
-            vals = np.einsum("kr,...r->...k", E, sub[..., :, :, a:b])  # alloc-ok
+            vals = np.einsum("kr,...r->...k", E, sub[..., :, :, a:b])
             if side == "low":
                 patches[..., octs, :, :, 0:k] = vals
             else:
                 patches[..., octs, :, :, b:P] = vals
         elif axis == 1:  # y
-            vals = np.einsum("kr,...rx->...kx", E, sub[..., :, a:b, :])  # alloc-ok
+            vals = np.einsum("kr,...rx->...kx", E, sub[..., :, a:b, :])
             if side == "low":
                 patches[..., octs, :, 0:k, :] = vals
             else:
                 patches[..., octs, :, b:P, :] = vals
         else:  # z
-            vals = np.einsum("kr,...ryx->...kyx", E, sub[..., a:b, :, :])  # alloc-ok
+            vals = np.einsum("kr,...ryx->...kyx", E, sub[..., a:b, :, :])
             if side == "low":
                 patches[..., octs, 0:k, :, :] = vals
             else:

@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from repro.octree import Partition
-from repro.perf import hot_path
 from .comm import SimComm
 from .halo import (
     HaloPlan,
@@ -87,7 +86,6 @@ class DistributedSolver:
         """Total halo traffic so far."""
         return self.comm.total_bytes()
 
-    @hot_path
     def stage_rhs(self, u: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """``full_rhs`` as the ranks evaluate it: one halo exchange, then
         per rank the solver's :meth:`~repro.solver.base.Solver.rhs_range`
@@ -98,7 +96,7 @@ class DistributedSolver:
         restart policy — ``solver.state`` is untouched until the step
         completes."""
         solver, tel, ranges = self.solver, self.telemetry, self.ranges
-        ghosts = exchange_ghosts(  # alloc-ok: payloads are the simulated wire
+        ghosts = exchange_ghosts(
             self.halo, [u[:, lo:hi] for lo, hi in ranges], self.comm,
             dof=u.shape[0], max_retries=self.halo_retries,
             validate=self.halo_retries > 0, journal=self.journal,

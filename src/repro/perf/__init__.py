@@ -1,20 +1,16 @@
 """Hot-path performance infrastructure: buffer arenas, per-mesh solver
 workspaces, and the per-phase step profiler (paper Alg. 1 / Fig. 20)."""
 
-from .hotpath import HOT_REGISTRY, hot_path, registered_hot_paths
 from .pool import BufferPool
 from .profiler import NO_PROFILER, PHASES, StepProfiler, span
 from .workspace import RK4Workspace, SolverWorkspace
 
 __all__ = [
-    "HOT_REGISTRY",
     "NO_PROFILER",
     "PHASES",
     "BufferPool",
     "RK4Workspace",
     "SolverWorkspace",
     "StepProfiler",
-    "hot_path",
-    "registered_hot_paths",
     "span",
 ]

@@ -2,10 +2,14 @@
 
 The paper's GPU driver allocates every per-step buffer once and reuses it
 until the next regrid ("host/device synchronous" rebuilds only); the
-Python driver gets the same discipline from a :class:`BufferPool` — a
+compiled step gets the same discipline from a :class:`BufferPool` — a
 dictionary of named, shape-keyed scratch arrays.  Requesting the same
-``(name, shape, dtype)`` twice returns the *same* ndarray, so a full RK4
-step performs zero large allocations once the pool is warm.
+``(name, shape, dtype)`` twice returns the *same* ndarray, so a warm
+compiled RK4 step allocates no array: ``tests/test_backends.py`` holds
+its ``tracemalloc`` peak to a few kB.  That takes more than ``out=``:
+``np.take(..., out=)`` under its default ``mode="raise"`` buffers a full
+copy, so the prolongation's source gather runs with ``mode="clip"``.
+The NumPy execution, the oracle, allocates as plain NumPy does.
 
 Keys include the shape so the ragged last chunk of a chunked sweep gets
 its own (smaller) buffers instead of thrashing a single slot.

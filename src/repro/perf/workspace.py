@@ -6,7 +6,8 @@ Two pieces:
   update plus ping-pong output buffers, so :func:`repro.solver.rk4.rk4_step`
   can run fully in place (the paper's AXPY phase).
 * :class:`SolverWorkspace` — ties an RK4 workspace, a :class:`BufferPool`
-  for the unzip/derivative/RHS scratch, and the hoisted per-mesh
+  for the prolongation, the unzip chunk and the native kernels'
+  scratch, and the hoisted per-mesh
   invariants (point coordinates and radii) to one mesh.  Solvers
   rebuild it only on regrid — the paper's "host/device synchronous"
   moment — and otherwise reuse every byte step after step.

@@ -7,11 +7,11 @@ bound.  :class:`HealthMonitor` scans for all three each step so the
 supervisor (:class:`repro.resilience.SupervisedRun`) can roll back before
 a bad state propagates.
 
-The scans run inside the RK4 hot loop, so the two array passes
-(:func:`state_max_abs`, :func:`det_gt_drift`) follow PR 1's
-zero-allocation discipline: every intermediate goes through an ``out=``
-ufunc into a pooled scratch buffer, and both functions are registered
-``@hot_path`` so :mod:`repro.analysis.alloclint` enforces it.
+The scans run every step beside the solver's, so the two array passes
+(:func:`state_max_abs`, :func:`det_gt_drift`) take the solver's arena
+``pool``: every intermediate goes through an ``out=`` ufunc into a
+pooled scratch buffer, and a warm scan allocates no array (measured
+with ``tracemalloc`` in ``tests/test_backends.py``).
 """
 
 from __future__ import annotations
@@ -22,22 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bssn import state as S
-from repro.perf import hot_path
 
 
-@hot_path
 def state_max_abs(u: np.ndarray, *, pool=None) -> float:
     """max |u| over the whole state; NaN-propagating, so a single NaN or
     Inf anywhere yields a non-finite result (one fused detection pass)."""
     if pool is None:
-        scratch = np.empty(u.shape)  # alloc-ok: poolless fallback
+        scratch = np.empty(u.shape)
     else:
         scratch = pool.get("health.abs", u.shape)
     np.abs(u, out=scratch)
     return float(np.max(scratch))
 
 
-@hot_path
 def det_gt_drift(u: np.ndarray, *, pool=None) -> float:
     """max |det(γ̃) − 1| of a BSSN state (pooled, allocation-free).
 
@@ -51,7 +48,7 @@ def det_gt_drift(u: np.ndarray, *, pool=None) -> float:
 
     def buf(name):
         if pool is None:
-            return np.empty(shp)  # alloc-ok: poolless fallback
+            return np.empty(shp)
         return pool.get(f"health.{name}", shp)
 
     gt = u[S.GT_SYM_SLICE]

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.fd import PatchDerivatives
 from repro.mesh import Mesh, prolong_sources
-from repro.perf import NO_PROFILER, SolverWorkspace, StepProfiler, hot_path
+from repro.perf import NO_PROFILER, SolverWorkspace, StepProfiler
 from .rk4 import courant_dt, rk4_step
 
 
@@ -40,7 +40,7 @@ class Solver:
         self.chunk = int(kernel.chunk_octants if chunk_octants is None
                          else chunk_octants)
         self.profiler = profiler
-        #: arena-less operators for diagnostics
+        #: derivative operators for diagnostics
         self.pd = PatchDerivatives(k=mesh.k)
         self.state: np.ndarray | None = None
         self.t = 0.0
@@ -79,16 +79,14 @@ class Solver:
             cache["coords"] = self.mesh.coordinates()
         return cache["coords"]
 
-    @hot_path
     def full_rhs(
         self, u: np.ndarray, t: float, out: np.ndarray | None = None
     ) -> np.ndarray:
         """RHS over the whole mesh: :meth:`rhs_range` over every octant."""
-        rhs = np.empty_like(u) if out is None else out  # alloc-ok: out=None fallback
+        rhs = np.empty_like(u) if out is None else out
         self.rhs_range(u, t, rhs, 0, self.mesh.num_octants)
         return rhs
 
-    @hot_path
     def rhs_range(self, u: np.ndarray, t: float, rhs: np.ndarray,
                   lo: int, hi: int) -> None:
         """Octants ``lo:hi`` of the RHS of the state ``u``, Alg. 1's unzip,
@@ -113,28 +111,24 @@ class Solver:
             patches = arena[:nv * (b - a) * P3].reshape(
                 (nv, b - a) + (mesh.P,) * 3)
             with prof.phase("unzip"):
-                mesh.unzip(u, out=patches, coalesce=True, pool=pool,
-                           tracer=prof.tracer,
+                mesh.unzip(u, out=patches, coalesce=True, tracer=prof.tracer,
                            executor=self.kernel.unzip_gather, up=up,
                            lo=a, hi=b)
             self._chunk_rhs(patches, t, rhs, a, b, lo, hi)
 
-    @hot_path
     def _sommerfeld(self, rhs: np.ndarray, patches: np.ndarray,
                     u_inf: np.ndarray, speed: float, lo: int, hi: int) -> None:
         """Alg. 1's boundary phase: the chunk kernel's backend applies
         the Sommerfeld condition on the physical-boundary faces of
         octants ``lo:hi`` of ``rhs`` from their ``patches``.  The point
         radii (clipped away from zero) are hoisted per mesh."""
-        ws = self.workspace()
-        cache = ws.cache
+        cache = self.workspace().cache
         with self._prof.phase("boundary"):
             if "radii" not in cache:
                 radii = cache["radii"] = np.linalg.norm(self.coords(), axis=-1)
                 np.maximum(radii, 1e-12, out=radii)
             self.kernel.sommerfeld(rhs, patches, self.mesh, self.coords(),
-                                   cache["radii"], u_inf, speed, ws.pool,
-                                   lo, hi)
+                                   cache["radii"], u_inf, speed, lo, hi)
 
     # -- resilience hooks (used by repro.resilience.SupervisedRun) -------
     def snapshot_state(self) -> np.ndarray:

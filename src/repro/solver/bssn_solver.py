@@ -25,7 +25,7 @@ from repro.bssn import (
 from repro.bssn import state as S
 from repro.bssn.sommerfeld import ASYMPTOTIC
 from repro.mesh import Mesh, regrid_flags, remesh, transfer_fields
-from repro.perf import StepProfiler, hot_path
+from repro.perf import StepProfiler
 from .base import Solver
 
 
@@ -33,104 +33,41 @@ from .base import Solver
 ENFORCE_FLOOR = 1e-6
 
 
-@hot_path
+def _det(g00, g01, g02, g11, g12, g22) -> np.ndarray:
+    """det of a symmetric 3x3 metric from its six slots, in the operation
+    order the native ``enforce_det`` repeats."""
+    return (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+            + g02 * (g01 * g12 - g11 * g02))
+
+
 def enforce_algebraic_constraints(
-    u: np.ndarray, chi_floor: float = ENFORCE_FLOOR, *, pool=None
+    u: np.ndarray, chi_floor: float = ENFORCE_FLOOR
 ) -> None:
     """det(γ̃) = 1, tr(Ã) = 0, χ > floor, α > floor (in place).
 
     Standard moving-puncture hygiene applied after every RK stage.
-    Fully vectorised over the six symmetric slots: the metric is rescaled
-    in place through the contiguous ``GT_SYM_SLICE`` view and the
+    Vectorised over the six symmetric slots: the metric is rescaled in
+    place through the contiguous ``GT_SYM_SLICE`` view and the
     trace-free projection subtracts directly from ``AT_SYM_SLICE``.
-
-    Every intermediate goes through an ``out=`` ufunc in the same
-    operand order as the naive expression (only commutations of IEEE
-    multiplies, which are bitwise-exact), so results are identical with
-    or without a ``pool``; with one, the four calls per RK4 step (one
-    per stage) reuse six scratch buffers instead of allocating ~20
-    full-state temporaries each.
 
     This is the ``backend="numpy"`` execution.  A compiled solver runs
     its kernel's native ``enforce`` instead — two C passes around this
-    function's one ``np.power``, bit for bit the same.
+    function's one ``np.power``, the same operations in the same order,
+    so bit for bit the same.
     """
-    shp = u.shape[1:]
-
-    def buf(name):
-        if pool is None:
-            return np.empty(shp)  # alloc-ok: poolless fallback
-        return pool.get(f"enforce.{name}", shp)
-
     gt = u[S.GT_SYM_SLICE]  # (6, ...) view: xx xy xz yy yz zz
-    At = u[S.AT_SYM_SLICE]
     g00, g01, g02, g11, g12, g22 = gt
-    ta, tb, det = buf("ta"), buf("tb"), buf("det")
-
-    def det_into(out):
-        # out = g00 (g11 g22 − g12²) − g01 (g01 g22 − g12 g02)
-        #       + g02 (g01 g12 − g11 g02)
-        np.multiply(g11, g22, out=ta)
-        np.multiply(g12, g12, out=tb)
-        np.subtract(ta, tb, out=ta)
-        np.multiply(g00, ta, out=out)
-        np.multiply(g01, g22, out=ta)
-        np.multiply(g12, g02, out=tb)
-        np.subtract(ta, tb, out=ta)
-        np.multiply(g01, ta, out=ta)
-        np.subtract(out, ta, out=out)
-        np.multiply(g01, g12, out=ta)
-        np.multiply(g11, g02, out=tb)
-        np.subtract(ta, tb, out=ta)
-        np.multiply(g02, ta, out=ta)
-        np.add(out, ta, out=out)
-
-    det_into(det)
-    np.power(det, -1.0 / 3.0, out=ta)
-    gt *= ta
-    # inverse of the rescaled metric (adjugate over its determinant)
-    det_into(det)
-    np.divide(1.0, det, out=det)  # det now holds 1/det
+    gt *= np.power(_det(*gt), -1.0 / 3.0)
+    # inverse of the rescaled metric (adjugate over its determinant):
+    # tr3 = (1/(3 det)) (cof_ij Ã_ij), the off-diagonal cofactors twice
+    inv = 1.0 / _det(*gt)
+    At = u[S.AT_SYM_SLICE]
     A00, A01, A02, A11, A12, A22 = At
-    acc, acc2 = buf("acc"), buf("acc2")
-    # tr3 = (1/(3 det)) (cof_ij Ã_ij): diagonal cofactor terms ...
-    np.multiply(g11, g22, out=ta)
-    np.multiply(g12, g12, out=tb)
-    np.subtract(ta, tb, out=ta)
-    np.multiply(ta, A00, out=acc)
-    np.multiply(g00, g22, out=ta)
-    np.multiply(g02, g02, out=tb)
-    np.subtract(ta, tb, out=ta)
-    np.multiply(ta, A11, out=ta)
-    np.add(acc, ta, out=acc)
-    np.multiply(g00, g11, out=ta)
-    np.multiply(g01, g01, out=tb)
-    np.subtract(ta, tb, out=ta)
-    np.multiply(ta, A22, out=ta)
-    np.add(acc, ta, out=acc)
-    # ... plus twice the off-diagonal ones
-    np.multiply(g02, g12, out=ta)
-    np.multiply(g01, g22, out=tb)
-    np.subtract(ta, tb, out=ta)
-    np.multiply(ta, A01, out=acc2)
-    np.multiply(g01, g12, out=ta)
-    np.multiply(g02, g11, out=tb)
-    np.subtract(ta, tb, out=ta)
-    np.multiply(ta, A02, out=ta)
-    np.add(acc2, ta, out=acc2)
-    np.multiply(g01, g02, out=ta)
-    np.multiply(g00, g12, out=tb)
-    np.subtract(ta, tb, out=ta)
-    np.multiply(ta, A12, out=ta)
-    np.add(acc2, ta, out=acc2)
-    np.multiply(acc2, 2.0, out=acc2)
-    np.add(acc, acc2, out=acc)
-    np.divide(det, 3.0, out=ta)
-    np.multiply(ta, acc, out=acc)  # acc = tr3
-    sym = pool.get("enforce.sym", (6,) + shp) if pool is not None \
-        else np.empty((6,) + shp)  # alloc-ok: poolless fallback
-    np.multiply(gt, acc, out=sym)
-    At -= sym
+    diag = ((g11 * g22 - g12 * g12) * A00 + (g00 * g22 - g02 * g02) * A11
+            + (g00 * g11 - g01 * g01) * A22)
+    off = ((g02 * g12 - g01 * g22) * A01 + (g01 * g12 - g02 * g11) * A02
+           + (g01 * g02 - g00 * g12) * A12)
+    At -= gt * ((inv / 3.0) * (diag + off * 2.0))
     np.maximum(u[S.CHI], chi_floor, out=u[S.CHI])
     np.maximum(u[S.ALPHA], chi_floor, out=u[S.ALPHA])
 
@@ -208,7 +145,6 @@ class BSSNSolver(Solver):
         self.state = u
 
     # -- RHS ----------------------------------------------------------------
-    @hot_path
     def _chunk_rhs(self, patches: np.ndarray, t: float, rhs: np.ndarray,
                    a: int, b: int, lo: int, hi: int) -> None:
         """Octants ``a:b`` of the range ``lo:hi`` from their ``patches``:
@@ -223,10 +159,10 @@ class BSSNSolver(Solver):
         """Algebraic-constraint enforcement on every RK4 stage state, as
         the chunk kernel's backend runs it (``kernel.enforce``: None on
         the NumPy kernel, False for a state it cannot take)."""
-        pool = self.workspace().pool
         native = self.kernel.enforce
-        if native is None or not native(u, pool, ENFORCE_FLOOR):
-            enforce_algebraic_constraints(u, ENFORCE_FLOOR, pool=pool)
+        if native is None or not native(u, self.workspace().pool,
+                                        ENFORCE_FLOOR):
+            enforce_algebraic_constraints(u, ENFORCE_FLOOR)
 
     def evolve(
         self,

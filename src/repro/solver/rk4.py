@@ -6,14 +6,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.perf import NO_PROFILER, hot_path
+from repro.perf import NO_PROFILER
 
 #: classic RK4 Butcher tableau
 RK4_A = (0.0, 0.5, 0.5, 1.0)
 RK4_B = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
-@hot_path
 def combine_stage(form: int, u: np.ndarray, k: np.ndarray, ksum: np.ndarray,
                   out: np.ndarray, c: float, scratch: np.ndarray) -> None:
     """One stage combine of the in-place RK4 step, through ``scratch``:
@@ -35,7 +34,6 @@ def combine_stage(form: int, u: np.ndarray, k: np.ndarray, ksum: np.ndarray,
     np.add(u, scratch, out=out)
 
 
-@hot_path
 def rk4_step(
     rhs: Callable[..., np.ndarray],
     u: np.ndarray,
@@ -72,25 +70,25 @@ def rk4_step(
         with rk_stage(1):
             k1 = rhs(u, t)
             with axpy:
-                u2 = u + (0.5 * dt) * k1  # alloc-ok: allocating baseline path
+                u2 = u + (0.5 * dt) * k1
             if post_stage is not None:
                 post_stage(u2)
         with rk_stage(2):
             k2 = rhs(u2, t + 0.5 * dt)
             with axpy:
-                u3 = u + (0.5 * dt) * k2  # alloc-ok: allocating baseline path
+                u3 = u + (0.5 * dt) * k2
             if post_stage is not None:
                 post_stage(u3)
         with rk_stage(3):
             k3 = rhs(u3, t + 0.5 * dt)
             with axpy:
-                u4 = u + dt * k3  # alloc-ok: allocating baseline path
+                u4 = u + dt * k3
             if post_stage is not None:
                 post_stage(u4)
         with rk_stage(4):
             k4 = rhs(u4, t + dt)
             with axpy:
-                out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # alloc-ok
+                out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if post_stage is not None:
                 post_stage(out)
         return out

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from repro.mesh import Mesh, regrid_flags, remesh, transfer_fields
-from repro.perf import StepProfiler, hot_path
+from repro.perf import StepProfiler
 from .base import Solver
 
 PHI, PI = 0, 1
@@ -84,7 +84,6 @@ class WaveSolver(Solver):
         self.source = source
         self.state = mesh.allocate(2)
 
-    @hot_path
     def _chunk_rhs(self, patches: np.ndarray, t: float, rhs: np.ndarray,
                    a: int, b: int, lo: int, hi: int) -> None:
         """Octants ``a:b`` of the range ``lo:hi`` of the RHS of (φ, π)

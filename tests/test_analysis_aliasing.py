@@ -40,21 +40,25 @@ def test_wave_step_audits_clean(wave_solver):
     assert report.ok, [f.to_dict() for f in report.findings]
     assert report.num_rhs_calls == 4  # one per RK4 stage
     assert report.events  # the step must actually lease buffers
-    assert {"unzip", "deriv", "boundary"} <= set(report.phases_seen())
+    # the NumPy kernel and boundary allocate as NumPy does: the arena
+    # serves the unzip only
+    assert set(report.phases_seen()) == {"unzip"}
 
 
 def test_bssn_step_audits_clean(bssn_solver):
     report = audit_solver_step(bssn_solver)
     assert report.ok, [f.to_dict() for f in report.findings]
     assert report.num_rhs_calls == 4
-    assert {"unzip", "deriv", "algebra"} <= set(report.phases_seen())
+    assert {ev.name for ev in report.events} == {
+        "unzip.prolong", "solver.patch_chunk"}
+    assert set(report.phases_seen()) == {"unzip"}
 
 
 def test_compiled_bssn_step_audits_clean_without_a_chunk_buffer(bssn_solver):
     """The native kernel writes octants ``lo:hi`` of the RK4 stage buffer
-    itself: the audit sees its scratch lease and no ``solver.chunk_rhs``
-    (the NumPy kernel still pools its chunk), and the stage buffer it now
-    writes through a pointer overlaps nothing in the arena."""
+    itself: the audit sees its parameter, scratch and enforcement leases
+    (the NumPy kernel leases none), and the stage buffer it writes
+    through a pointer overlaps nothing in the arena."""
     from repro.codegen.backends import native_impl
 
     if native_impl() is None:
@@ -66,14 +70,15 @@ def test_compiled_bssn_step_audits_clean_without_a_chunk_buffer(bssn_solver):
     report = audit_solver_step(s)
     assert report.ok, [f.to_dict() for f in report.findings]
     leased = {ev.name for ev in report.events}
-    assert "native.scratch" in leased and "solver.chunk_rhs" not in leased
+    assert {"native.params", "native.scratch", "enforce.det"} <= leased
     # the fused loop's one patch buffer, for one chunk at a time
     chunk = {ev.shape for ev in report.events if ev.name == "solver.patch_chunk"}
     assert chunk == {(24 * 3 * 13**3,)}
     assert {ev.phase for ev in report.events
             if ev.name == "solver.patch_chunk"} == {"unzip"}
     numpy_leased = {ev.name for ev in audit_solver_step(bssn_solver).events}
-    assert "solver.chunk_rhs" in numpy_leased
+    assert leased - numpy_leased == {
+        "native.params", "native.scratch", "enforce.det"}
 
 
 def test_audit_restores_solver(wave_solver):
@@ -164,6 +169,26 @@ def test_pingpong_alias_flagged():
     auditor2 = AliasAuditor()
     auditor2.record_step_result(u, np.zeros(8))
     assert not auditor2.findings
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_seeded_pingpong_fault_flagged_in_a_solver_step(backend,
+                                                        monkeypatch):
+    """A workspace whose ``out_for`` hands back the state itself makes the
+    RK4 step overwrite its input: the audit of a real step on either
+    backend reports it."""
+    from repro.codegen.backends import native_impl
+    from repro.perf import RK4Workspace
+
+    if backend == "compiled" and native_impl() is None:
+        pytest.skip("cffi or a C compiler is missing")
+    s = BSSNSolver(Mesh(LinearOctree.uniform(1)), backend=backend)
+    s.set_punctures([Puncture(mass=1.0, position=np.array([0.1, 0.0, 0.0]))])
+    s.step()
+    assert audit_solver_step(s).ok
+    monkeypatch.setattr(RK4Workspace, "out_for", lambda self, u: u)
+    report = audit_solver_step(s)
+    assert {f.kind for f in report.findings} == {"pingpong-alias"}
 
 
 def test_identical_external_ranges_not_flagged():

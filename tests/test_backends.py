@@ -756,15 +756,13 @@ class TestNativeStep:
     def test_enforce_bitwise_behind_guard_pages(self, native, seed, floor):
         """The floor is an argument of both executions; a non-default
         one reaches the C pass too."""
-        from repro.perf import BufferPool
-
         assert B.native_impl() == native
         rng = np.random.default_rng(seed)
         u = _enforce_state(rng, (S.NUM_VARS, 5, 7, 7, 7))
         ref = u.copy()
         got = self._guarded(u)
         with np.errstate(all="ignore"):  # det <= 0 in the cube root
-            enforce_algebraic_constraints(ref, floor, pool=BufferPool())
+            enforce_algebraic_constraints(ref, floor)
             assert B.NativeBSSNRHS().enforce(got, _GuardedPool(), floor)
         assert _same_bits(got, ref)
         # every case took place: floors, NaN from det < 0, finite rows
@@ -799,6 +797,66 @@ class TestNativeStep:
         sc.step()
         assert sorted(calls) == [("enforce", True)] * 4 + [
             ("rk4_combine", True)] * 4
+
+
+# ---------------------------------------------------------------------------
+# the compiled step's allocation rule
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` traces during one ``run()`` after two
+    untraced ones (NumPy reports every array's data to it)."""
+    import tracemalloc
+
+    run()
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@needs_native
+class TestWarmStepAllocations:
+    """Paper Alg. 1 allocates every per-step buffer once per mesh: a warm
+    compiled step leases them from the workspace arena and allocates no
+    array.  The grid is uniform level 2 with one octant split: 71
+    octants, so both kernels' last chunk is ragged, and 7 coarse sources
+    the unzip prolongs.  One source block of the 24-variable state is
+    66 kB; the bounds are about twice the peaks measured on a 2-vCPU
+    x86-64 VM with CPython 3.11 (BSSN 10-15 kB, wave 7 kB, scan 3 kB),
+    which are Python objects: index tuples, pointer casts, floats."""
+
+    @pytest.fixture(scope="class")
+    def refined(self):
+        tree = LinearOctree.uniform(2, domain=Domain(-8.0, 8.0))
+        mesh = Mesh(balance(tree.refine(np.arange(len(tree)) == 0)))
+        assert mesh.num_octants % 8 and len(mesh.plan.prolong_octs)
+        return mesh
+
+    @pytest.fixture(scope="class")
+    def bssn(self, refined):
+        s = BSSNSolver(refined, BSSNParams(), backend="compiled")
+        s.set_punctures([Puncture(mass=1.0, position=[0.3, 0.1, -0.2])])
+        return s
+
+    def test_bssn_step(self, bssn):
+        assert _traced_peak(bssn.step) < 32_000
+
+    def test_wave_step(self, refined):
+        s = WaveSolver(refined, backend="compiled")
+        s.state[PHI] = np.exp(-(s.coords() ** 2).sum(axis=-1))
+        assert _traced_peak(s.step) < 24_000
+
+    def test_health_scan(self, bssn):
+        from repro.resilience import HealthMonitor
+
+        monitor, pool = HealthMonitor(), bssn.workspace().pool
+        assert _traced_peak(lambda: monitor.scan(bssn.state, pool=pool)) \
+            < 8_000
 
 
 # ---------------------------------------------------------------------------

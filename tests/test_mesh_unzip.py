@@ -97,19 +97,6 @@ class TestScatter:
         gat = gather_to_patches(mesh.plan, u)
         assert np.allclose(ref, gat, rtol=0, atol=1e-12)
 
-    def test_coalesced_scatter_with_pool_reuses_buffers(self, mesh):
-        from repro.perf import BufferPool
-
-        pool = BufferPool()
-        rng = np.random.default_rng(23)
-        u = rng.normal(size=(mesh.num_octants, 7, 7, 7))
-        ref = mesh.unzip(u)
-        out = np.empty_like(ref)
-        assert np.array_equal(mesh.unzip(u, out=out, coalesce=True, pool=pool), ref)
-        misses = pool.misses
-        assert np.array_equal(mesh.unzip(u, out=out, coalesce=True, pool=pool), ref)
-        assert pool.misses == misses  # second unzip allocates nothing
-
     def test_shape_validation(self, mesh):
         with pytest.raises(ValueError):
             mesh.unzip(np.zeros((5, 7, 7, 7)))
@@ -609,6 +596,18 @@ def test_subset_prolongation_equals_the_whole_batch(mesh):
                               whole[:, rows].view(np.uint64))
 
 
+def test_prolong_sources_refuses_fields_of_another_mesh(mesh):
+    """The source gather clips its indices instead of checking them, so
+    a field whose octant axis is not the plan's is refused up front."""
+    from repro.mesh import prolong_sources
+
+    assert len(mesh.plan.prolong_octs)  # the gather would run
+    n = mesh.num_octants
+    for shape in ((2, n - 1, 7, 7, 7), (2, n + 1, 7, 7, 7), (7, 7, 7)):
+        with pytest.raises(ValueError, match="octants on axis -4"):
+            prolong_sources(mesh.plan, np.zeros(shape))
+
+
 def test_numpy_range_unzip_equals_group_loop(mesh):
     """The NumPy executions of a range — group loop and two takes off
     the map — against the whole-mesh group loop."""
@@ -625,6 +624,7 @@ def test_numpy_range_unzip_equals_group_loop(mesh):
 def test_unzip_spans_close_when_a_phase_raises(mesh):
     """An exception inside prolong or scatter must not leave its span
     open (every later span would nest under it)."""
+    from repro.mesh import prolong_sources
     from repro.telemetry import Tracer
 
     class RaisingPool:
@@ -634,7 +634,7 @@ def test_unzip_spans_close_when_a_phase_raises(mesh):
     tracer = Tracer()
     u = mesh.allocate()
     with pytest.raises(MemoryError):
-        mesh.unzip(u, pool=RaisingPool(), tracer=tracer)
+        prolong_sources(mesh.plan, u, pool=RaisingPool(), tracer=tracer)
     assert tracer.open_spans == 0
 
     def raising_executor(plan, u, up, out, lo, hi):
