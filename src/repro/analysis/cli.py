@@ -79,7 +79,7 @@ def _run_aliasing(report: dict) -> int:
 
     print("== aliasing: RK4 step audit ==")
 
-    # one refined octant, so the unzip leases its prolongation buffers
+    # one refined octant, so the unzip leases its compact upsample
     tree = LinearOctree.uniform(2)
     wave = WaveSolver(Mesh(balance(tree.refine(np.arange(len(tree)) == 0))))
     c = wave.coords()

@@ -67,7 +67,7 @@ from repro.bssn.sommerfeld import sommerfeld_faces
 from repro.fd.derivatives import PatchDerivatives, _h_factor
 from repro.gpu.counters import publish_kernel_stats
 from repro.gpu.perfmodel import KernelStats
-from repro.mesh.interp import extrapolation_matrices
+from repro.mesh.interp import extrapolation_matrices, prolongation_taps
 from repro.perf import NO_PROFILER
 from .cbackend import (
     LANES,
@@ -196,9 +196,10 @@ class _NumpyRHSBase:
     physical boundary."""
 
     backend = "numpy"
-    #: the NumPy kernels unzip with two np.take off the gather map, and
-    #: step with rk4_step's own combine_stage
-    unzip_gather = rk4_combine = None
+    #: the NumPy kernels prolong with prolong_blocks, unzip with two
+    #: np.take off the gather map, and step with rk4_step's own
+    #: combine_stage
+    prolong = unzip_gather = rk4_combine = None
 
     @staticmethod
     def sommerfeld(rhs, patches, mesh, coords, radii, u_inf, speed,
@@ -297,6 +298,21 @@ class _NativeRHSBase:
         ptr = self._lib.ptr
         getattr(self._lib.lib, name)(
             *[ptr(a) if isinstance(a, np.ndarray) else a for a in args])
+
+    def prolong(self, plan, u, up, lo, hi) -> bool:
+        """Alg. 2's prolongation, natively — the ``executor=`` of
+        :func:`repro.mesh.octant_to_patch.prolong_sources`: the rows
+        ``plan.prolong_rows(lo, hi)`` of the compact upsample ``up``,
+        straight from the field ``u``.  False, having written nothing,
+        for arrays that are not C-contiguous float64 and for ``r ≥ 8``
+        (beyond the kernel's scratch); then the NumPy execution runs."""
+        if plan.r >= 8 or not _doubles(u, up):
+            return False
+        table = plan.prolong_rows(lo, hi)
+        nvars = u.size // (len(plan.tree) * plan.r**3)
+        self._run("prolong_rows", u, u.size // nvars, prolongation_taps(plan.r),
+                  plan.r, table, len(table), nvars, up, up.size // nvars)
+        return True
 
     def unzip_gather(self, plan, u, up, out, lo, hi) -> bool:
         """Alg. 2 after the prolongation, natively: the copy by

@@ -38,8 +38,10 @@ Every operation mirrors the NumPy execution order exactly:
   operation is its lanes' IEEE operations in source order at any ISA
   ``-march=native`` (or its absence) splits the vectors for.
 
-The same translation unit carries the hand-written ``unzip_gather`` —
-the octant-to-patch copy by
+The same translation unit carries the hand-written unzip — ``prolong_rows``,
+the prolongation of only the compact upsample rows a range reads, lane
+for lane the tap order of :func:`repro.mesh.interp.prolong_blocks`, and
+``unzip_gather``, the octant-to-patch copy by
 :meth:`repro.mesh.maps.TransferPlan.gather_map`, bitwise by construction
 — and the two physical-boundary kernels driven by
 :meth:`~repro.mesh.maps.TransferPlan.face_table`: ``extrapolate_faces``
@@ -59,7 +61,7 @@ algebraic-constraint enforcement of
 its one ``np.power`` (NumPy's float64 power and glibc ``pow`` round
 differently, so the cube root stays NumPy's).
 
-Each of the eight entry points is checked bit for bit against its
+Each of the nine entry points is checked bit for bit against its
 NumPy execution (tests/test_backends.py, tests/test_mesh_unzip.py).
 """
 
@@ -375,6 +377,84 @@ void unzip_gather(const double* u, long u_var, const double* up,
     }
 }
 
+/* Alg. 2's prolongation of the fine x rows a range reads, in the one
+   order of repro.mesh.interp.prolong_blocks: an x pass, a y pass, a z
+   pass; even points copied, every odd one its r taps accumulated from
+   0.0 in tap order.  table holds nrows rows (compact row, source
+   octant, Z * f + Y), grouped by source; each becomes its compact row
+   of up (nvars rows of up_var doubles, f = 2r - 1 per row), straight
+   from u (nvars rows of u_var).  w holds the taps of the r - 1 odd
+   points, (r - 1, r).  Per source and variable the x pass runs on all
+   r^2 coarse rows -- one vector across the odd points per row, lane i
+   running point i's sequence -- the y pass only on the (z, odd Y) rows
+   the source's table rows read, and the z pass only on those rows, in
+   row vectors along X (rows of A and B are padded to F doubles, zero
+   past f).  The caller declines r > 7. */
+void prolong_rows(const double* u, long u_var, const double* w, long r,
+                  const long* table, long nrows, long nvars,
+                  double* up, long up_var)
+{
+    enum { MR = 7, MF = 2 * MR - 1, F = 16 };
+    const long f = 2 * r - 1, NP = r * r * r;
+    double A[MR * MR][F], B[MR][MF][F];
+    unsigned char need[MR][MF];
+    v8 wcol[MR];
+    memset(A, 0, sizeof A);
+    for (long t = 0; t < r; ++t) {
+        double c[LANES] = {0.0};
+        for (long i = 0; i < r - 1; ++i) c[i] = w[i * r + t];
+        wcol[t] = ld(c);
+    }
+    for (long j0 = 0, j1; j0 < nrows; j0 = j1) {
+        const long oct = table[3 * j0 + 1];
+        for (j1 = j0; j1 < nrows && table[3 * j1 + 1] == oct; ++j1) ;
+        memset(need, 0, sizeof need);
+        for (long j = j0; j < j1; ++j) {  /* odd Y: y-pass rows */
+            const long Z = table[3 * j + 2] / f, Y = table[3 * j + 2] % f;
+            for (long z = 0; z < r && Y % 2; ++z)
+                need[z][Y] |= Z % 2 || z == Z / 2;
+        }
+        for (long v = 0; v < nvars; ++v) {
+            const double* s = u + v * u_var + oct * NP;
+            for (long q = 0; q < r * r; ++q) {
+                const double* x = s + q * r;
+                v8 acc = bc(0.0);
+                for (long t = 0; t < r; ++t) acc += wcol[t] * bc(x[t]);
+                for (long t = 0; t < r; ++t) A[q][2 * t] = x[t];
+                for (long i = 0; i < r - 1; ++i) A[q][2 * i + 1] = acc[i];
+            }
+            for (long z = 0; z < r; ++z)
+            for (long Y = 1; Y < f; Y += 2) {
+                if (!need[z][Y]) continue;
+                const double* wy = w + Y / 2 * r;
+                for (long X = 0; X < f; X += LANES) {
+                    v8 acc = bc(0.0);
+                    for (long t = 0; t < r; ++t)
+                        acc += bc(wy[t]) * ld(&A[z * r + t][X]);
+                    st(&B[z][Y][X], acc, LANES);
+                }
+            }
+            for (long j = j0; j < j1; ++j) {
+                const long Z = table[3 * j + 2] / f, Y = table[3 * j + 2] % f;
+                double* d = up + v * up_var + table[3 * j] * f;
+#define ROW(z) (Y % 2 ? B[z][Y] : A[(z) * r + Y / 2])
+                if (Z % 2 == 0) {
+                    memcpy(d, ROW(Z / 2), f * sizeof(double));
+                    continue;
+                }
+                const double* wz = w + Z / 2 * r;
+                for (long X = 0; X < f; X += LANES) {
+                    v8 acc = bc(0.0);
+                    for (long t = 0; t < r; ++t)
+                        acc += bc(wz[t]) * ld(ROW(t) + X);
+                    st(d + X, acc, f - X < LANES ? f - X : LANES);
+                }
+#undef ROW
+            }
+        }
+    }
+}
+
 /* One tap sum from 0.0 in einsum's order: along a unit-stride tap axis
    two alternating accumulators (the forward tail loop of its contiguous
    reduction -- all it runs below 8 taps), along a strided one a single
@@ -611,6 +691,9 @@ void wave_rhs_chunk(const double* patches, long nc, long P, long r, long k,
 void unzip_gather(const double* u, long u_var, const double* up,
                   long up_var, const int* map, long lo, long hi,
                   long nvars, long PPP, double* out);
+void prolong_rows(const double* u, long u_var, const double* w, long r,
+                  const long* table, long nrows, long nvars,
+                  double* up, long up_var);
 void extrapolate_faces(double* patches, long lo, long nc, long nvars,
                        const long* table, long nrows, const double* E,
                        long P, long r, long k);

@@ -56,14 +56,12 @@ def octant_to_patch_stats(
     # pairs in both modes ...
     n_interp = st.prolong_pairs_gather
     flops = n_interp * dof * paper_interp_ops(r)
-    if mode == "scatter":
-        pass
-    elif mode == "gather":
+    if mode == "gather":
         # ... but the gather re-reads every coarse source block from
         # global memory once per destination pair (poor locality), which
         # is the traffic the loop-over-octants scatter eliminates
         reads += st.prolong_pairs_gather * dof * (r**3 + 2 * r**2) * BYTES
-    else:
+    elif mode != "scatter":
         raise ValueError("mode must be 'scatter' or 'gather'")
     return KernelStats(
         name=f"octant-to-patch[{mode}]", flops=flops, bytes_moved=reads + writes

@@ -113,8 +113,8 @@ class Mesh:
         ``method='scatter'`` is the paper's loop-over-octants algorithm;
         ``'gather'`` is the legacy loop-over-patches baseline.
         The rest is scatter only: the patches of octants ``lo:hi`` land
-        in ``out`` ``(..., hi - lo, P, P, P)``; ``up`` hands in their
-        coarse sources' upsample (:func:`repro.mesh.prolong_sources`),
+        in ``out`` ``(..., hi - lo, P, P, P)``; ``up`` hands in the
+        compact upsample they read (:func:`repro.mesh.prolong_sources`),
         ``coalesce`` selects the NumPy gather-map execution, and
         ``executor`` hands in a compiled chunk kernel's native gather
         and padding fill (``solver.kernel.unzip_gather``) — see

@@ -14,7 +14,6 @@ which again coincide exactly with coarse points.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +35,13 @@ def prolongation_matrix_1d(r: int = 7) -> np.ndarray:
     return P
 
 
+@lru_cache(maxsize=None)
+def prolongation_taps(r: int = 7) -> np.ndarray:
+    """The odd rows of :func:`prolongation_matrix_1d`, C-contiguous
+    ``(r - 1, r)``: the taps of each interpolated fine point."""
+    return np.ascontiguousarray(prolongation_matrix_1d(r)[1::2])
+
+
 def scratch(pool, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """The arena buffer ``name`` — or, for poolless callers, a fresh one."""
     if pool is None:
@@ -43,52 +49,58 @@ def scratch(pool, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     return pool.get(name, shape, dtype)
 
 
-def prolong_blocks(u: np.ndarray, r: int = 7, out: np.ndarray | None = None,
-                   *, pool=None) -> np.ndarray:
+#: blocks per batch of :func:`prolong_blocks`: a batch's passes stay in
+#: cache, which more than pays for the Python loop over batches
+_BATCH = 64
+
+
+def prolong_blocks(u: np.ndarray, r: int = 7,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Upsample blocks ``(..., r, r, r)`` to ``(..., 2r-1, 2r-1, 2r-1)``.
 
-    Applied once per coarse octant during the loop-over-octants scatter;
-    the loop-over-patches gather instead re-does this per destination
-    (the redundancy Fig. 7 measures).
-
-    Three batched matrix products — z, then y, then x — each written
-    with ``out=`` so the result lands contiguous in ``(Z, Y, X)`` order
-    with no transpose and no copy: into ``out`` (C-contiguous) when
-    given, through two intermediates drawn from ``pool`` (duck-typed
-    ``get(name, shape, dtype)``) when given.  Every output point is the
-    same length-``r`` BLAS dot product as in a ``tensordot`` chain over
-    the three axes, so the two agree bitwise (asserted in
-    tests/test_mesh_interp.py).
+    The one definition of the prolongation's arithmetic: an x, a y and a
+    z pass; even output points are copies (so a 0·inf in a neighbour
+    cannot poison an injected point), and every odd one sums its ``r``
+    taps (:func:`prolongation_taps`) from +0.0 in tap order.  A point is
+    fixed by that sequence alone, not by which blocks are prolonged with
+    it, and the native ``prolong_rows`` (:mod:`repro.codegen.cbackend`)
+    runs it lane for lane, bit for bit.  A batch of blocks runs each
+    pass with its axis first and the blocks last, so every ufunc call
+    sweeps whole planes of the batch.  ``out`` (C-contiguous) receives
+    the result when given.
     """
     if u.shape[-3:] != (r, r, r):
         raise ValueError(f"blocks must end in ({r},{r},{r})")
-    P = prolongation_matrix_1d(r)
     f = 2 * r - 1
-    lead = u.shape[:-3]
-    nb = math.prod(lead)
-    dtype = np.result_type(u.dtype, P.dtype)
+    shape = u.shape[:-3] + (f, f, f)
+    w = prolongation_taps(r)[:, :, None, None, None]
     if out is None:
-        out = scratch(None, "unzip.prolong", lead + (f, f, f), dtype)
-    elif out.shape != lead + (f, f, f) or not out.flags.c_contiguous:
-        raise ValueError(
-            f"out must be C-contiguous with shape {lead + (f, f, f)}"
-        )
-    zs = scratch(pool, "unzip.prolong_z", (nb, f, r * r), dtype)
-    ys = scratch(pool, "unzip.prolong_y", (nb * f, f, r), dtype)
-    np.matmul(P, u.reshape(nb, r, r * r), out=zs)  # (b, Z, yx)
-    np.matmul(P, zs.reshape(nb * f, r, r), out=ys)  # (bZ, Y, x)
-    np.matmul(ys.reshape(nb * f * f, r), P.T, out=out.reshape(nb * f * f, f))
+        out = np.empty(shape, np.result_type(u.dtype, w.dtype))
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous with shape {shape}")
+    blocks, dst = u.reshape((-1, r, r, r)), out.reshape((-1, f, f, f))
+    for a in range(0, len(blocks), _BATCH):
+        v = blocks[a:a + _BATCH].transpose(3, 1, 2, 0)  # (x, z, y, B)
+        for _ in range(3):
+            v = np.ascontiguousarray(v)
+            res = np.empty((f,) + v.shape[1:], out.dtype)
+            res[0::2] = v
+            odd = res[1::2]
+            odd[...] = 0.0
+            for t in range(r):
+                odd += w[:, t] * v[t]
+            v = res.transpose(2, 0, 1, 3)  # (y, X, z, B), (z, Y, X, B), ...
+        dst[a:a + _BATCH] = v.transpose(3, 1, 2, 0)  # (X, Z, Y, B) -> (B, Z, Y, X)
     return out
 
 
 def prolong_flops(r: int = 7) -> int:
-    """Multiply-add flop count of one full-block prolongation (2 flops per
-    matrix entry product), for the performance counters."""
+    """Flops of one full-block prolongation, for the performance
+    counters: the multiply-add of every tap of every odd output point
+    of the three passes (the even points are copies)."""
     f = 2 * r - 1
-    stage1 = f * r * r  # outputs of z pass
-    stage2 = f * f * r
-    stage3 = f * f * f
-    return 2 * r * (stage1 + stage2 + stage3)
+    odd_points = (r - 1) * (r * r + r * f + f * f)  # x, y, z passes
+    return 2 * r * odd_points
 
 
 def paper_interp_ops(r: int = 7) -> int:
@@ -97,20 +109,18 @@ def paper_interp_ops(r: int = 7) -> int:
     return 3 * (2 * r - 1) * r**3
 
 
-def child_block(parent: np.ndarray, child_index: int, r: int = 7) -> np.ndarray:
-    """Prolong a parent block onto one of its 8 children.
-
-    ``child_index = cx + 2 cy + 4 cz``.  The child covers half the parent
-    per axis, so its block is a 7-point window of the 13-point upsample.
-    """
-    up = prolong_blocks(parent, r)
-    cx = child_index & 1
-    cy = (child_index >> 1) & 1
-    cz = (child_index >> 2) & 1
-    sx = slice(0, r) if cx == 0 else slice(r - 1, 2 * r - 1)
-    sy = slice(0, r) if cy == 0 else slice(r - 1, 2 * r - 1)
-    sz = slice(0, r) if cz == 0 else slice(r - 1, 2 * r - 1)
+def child_window(up: np.ndarray, child_index: int, r: int = 7) -> np.ndarray:
+    """Child ``child_index = cx + 2 cy + 4 cz`` of an upsampled parent
+    ``(..., 2r-1, 2r-1, 2r-1)``: the child covers half the parent per
+    axis, so its block is an ``r``-point window of the upsample."""
+    sx, sy, sz = (slice(0, r) if (child_index >> a) & 1 == 0
+                  else slice(r - 1, 2 * r - 1) for a in range(3))
     return np.ascontiguousarray(up[..., sz, sy, sx])
+
+
+def child_block(parent: np.ndarray, child_index: int, r: int = 7) -> np.ndarray:
+    """Prolong a parent block onto one of its 8 children."""
+    return child_window(prolong_blocks(parent, r), child_index, r)
 
 
 def parent_from_children(children: np.ndarray, r: int = 7) -> np.ndarray:

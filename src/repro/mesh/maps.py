@@ -8,7 +8,8 @@ transfer cases reduce to integer strided copies:
 
 * same level            -> direct copy (stride 1 from the source block);
 * source one level coarser -> stride-1 copy from the source's 13^3
-  upsample (tensor-product prolongation, done once per octant);
+  upsample (tensor-product prolongation, done once per octant, of only
+  the fine rows some patch reads);
 * source one level finer  -> stride-2 copy (injection).
 
 Pairs with identical relative geometry are grouped by signature so the
@@ -66,7 +67,10 @@ class PlanStats:
     k: int = 3
 
     def interp_flops(self, mode: str = "scatter") -> int:
-        """Prolongation flops for the given unzip mode."""
+        """Prolongation flops for the given unzip mode: the tap-order
+        multiply-adds of one whole-block prolongation
+        (:func:`~repro.mesh.interp.prolong_flops`) per coarse source
+        (scatter) or per coarse pair (gather)."""
         per_block = prolong_flops(self.r)
         n = self.prolong_blocks_scatter if mode == "scatter" else self.prolong_pairs_gather
         return n * per_block
@@ -208,21 +212,24 @@ class TransferPlan:
         """Cached int32 ``(n, P^3)``: for every patch point the source of
         its *last* write in the group loop's order — coarse, same and fine
         groups, then the interior copy.  ``m >= 0`` indexes the ``(n,
-        r^3)`` field, ``m <= -2`` the ``(n_pro, (2r-1)^3)`` upsample as
-        ``-2 - m``, and ``-1`` marks out-of-domain padding, which the face
-        fill writes.  Copying by it is the group loop, bit for bit.
+        r^3)`` field, ``m <= -2`` the compact ``(n_up, 2r-1)`` upsample
+        as ``-2 - m``, and ``-1`` marks out-of-domain padding, which the
+        face fill writes.  Copying by it is the group loop, bit for bit.
 
         Built by that loop on source indices: each group is one fancy
         assignment whose destinations are distinct (a signature fixes
         the source of a destination octant; checked), so no assignment
         depends on NumPy's order for repeated indices, and statement
-        order makes the last group win.
+        order makes the last group win.  The upsample points it names
+        are then renumbered into the compact layout: only the fine x
+        rows ``(source, Z, Y)`` some point reads, in that order
+        (:attr:`upsample_rows`).
         """
         cached = getattr(self, "_gather_map", None)
         if cached is None:
             n, r, P = len(self.tree), self.r, self.P
-            f3 = (2 * r - 1) ** 3
-            if max(n * P**3, len(self.prolong_octs) * f3) >= 2**31:
+            f = 2 * r - 1
+            if max(n * P**3, len(self.prolong_octs) * f**3) >= 2**31:
                 raise ValueError("mesh too large for an int32 gather map")
             cached = np.full((n, P**3), -1, dtype=np.int32)
             for grp in self.groups:  # already ordered coarse -> same -> fine
@@ -230,7 +237,7 @@ class TransferPlan:
                     raise AssertionError(
                         "a group writes one patch twice (internal bug)")
                 if grp.case == CASE_COARSE:
-                    rows = self.prolong_row[grp.src][:, None] * f3
+                    rows = self.prolong_row[grp.src][:, None] * f**3
                     src = -2 - (rows + grp.src_template)
                 else:
                     src = grp.src[:, None] * r**3 + grp.src_template
@@ -238,8 +245,20 @@ class TransferPlan:
             inner = (slice(None),) + (slice(self.k, self.k + r),) * 3
             cached.reshape(n, P, P, P)[inner] = np.arange(n * r**3).reshape(
                 n, r, r, r)
+            up = cached <= -2
+            point = -2 - cached[up]
+            self._upsample_rows, row = np.unique(point // f,
+                                                 return_inverse=True)
+            cached[up] = -2 - (row * f + point % f)
             self._gather_map = cached
         return cached
+
+    @property
+    def upsample_rows(self) -> np.ndarray:
+        """``prolong_row (2r-1)^2 + Z (2r-1) + Y`` of every row of the
+        compact upsample :meth:`gather_map` indexes, ascending."""
+        self.gather_map()
+        return self._upsample_rows
 
     def _range(self, name: str, lo: int, hi: int | None, build):
         key = (name, lo, len(self.tree) if hi is None else hi)
@@ -248,11 +267,16 @@ class TransferPlan:
         return self._ranged[key]
 
     def prolong_rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Cached rows of :attr:`prolong_octs` whose upsample the patches
-        of octants ``lo:hi`` read (every row for the whole mesh)."""
+        """Cached int64 ``(rows, 3)`` table of the compact upsample rows
+        the patches of octants ``lo:hi`` read (every row for the whole
+        mesh), ascending: compact row, source octant, ``Z (2r-1) + Y``."""
         def build(lo, hi):
             m = self.gather_map()[lo:hi]
-            return np.unique((-2 - m[m <= -2]) // (2 * self.r - 1) ** 3)
+            f = 2 * self.r - 1
+            rows = np.unique((-2 - m[m <= -2]) // f)
+            code = self.upsample_rows[rows]
+            return np.stack([rows, self.prolong_octs[code // f**2],
+                             code % f**2], axis=1)
         return self._range("rows", lo, hi, build)
 
     def gather_split(self, lo: int = 0, hi: int | None = None):

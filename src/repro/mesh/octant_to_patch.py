@@ -12,13 +12,16 @@ Two variants, mirroring the paper's Fig. 7 comparison:
   scattered reads.
 
 Both produce identical patches (asserted in the tests); only the work and
-access pattern differ.  The copy after the prolongation has three
-byte-identical executions: one fancy assignment per plan group (the
+access pattern differ.  The scatter has three byte-identical executions:
+one fancy assignment per plan group off whole-block upsamples (the
 reference), two ``np.take`` off the plan's last-writer gather map (the
 NumPy chunk kernels), and the native ``unzip_gather`` a compiled chunk
 kernel hands in as ``executor=`` — which also fills the out-of-domain
 padding natively, bit for bit as :func:`extrapolate_boundary` does after
-the other two.  Each can fill the patches of an octant range only.
+the other two.  The last two read the compact upsample of
+:func:`prolong_sources`: only the fine rows the map reads, computed
+natively (``prolong``) or by NumPy.  Each can fill the patches of an
+octant range only.
 """
 
 from __future__ import annotations
@@ -52,38 +55,33 @@ def allocate_patches(plan: TransferPlan, lead: tuple[int, ...] = (), *,
 
 
 def prolong_sources(plan: TransferPlan, u: np.ndarray, lo: int = 0,
-                    hi: int | None = None, *, pool=None,
-                    tracer=None) -> np.ndarray:
-    """Alg. 2's prolongation: every coarse source the patches of octants
-    ``lo:hi`` (default all) read, upsampled exactly once, at its
-    :attr:`~repro.mesh.maps.TransferPlan.prolong_row` of the returned
-    ``(..., n_pro, 2r-1, 2r-1, 2r-1)`` buffer; rows the range does not
-    read are left as they are.  A block's upsample does not depend on
-    which others are prolonged with it (asserted in the tests).
+                    hi: int | None = None, *, pool=None, tracer=None,
+                    executor=None) -> np.ndarray:
+    """Alg. 2's prolongation: every fine x row the patches of octants
+    ``lo:hi`` (default all) read — :meth:`~repro.mesh.maps.TransferPlan.
+    prolong_rows`, each coarse source prolonged once — at its row of the
+    returned compact ``(..., n_up, 2r-1)`` upsample; rows the range does
+    not read are left as they are.  ``executor`` — a compiled chunk
+    kernel's ``prolong(plan, u, up, lo, hi)`` — computes only those rows,
+    straight from ``u``, and returns False for what it cannot take; then
+    the NumPy execution runs: :func:`~repro.mesh.interp.prolong_blocks`
+    of the sources, the rows picked out.  The two are bitwise equal.
     ``pool`` (duck-typed ``get(name, shape, dtype)``) supplies the
-    source, intermediate and result buffers, so a warm call allocates
-    no array."""
+    result buffer."""
     if u.ndim < 4 or u.shape[-4] != len(plan.tree):
         raise ValueError(f"fields must hold the plan's {len(plan.tree)} "
                          f"octants on axis -4, not shape {u.shape}")
-    lead, r, f = u.shape[:-4], plan.r, 2 * plan.r - 1
-    octs, rows = plan.prolong_octs, plan.prolong_rows(lo, hi)
+    lead, f = u.shape[:-4], 2 * plan.r - 1
     with span(tracer, "unzip.prolong", "mesh"):
-        up = scratch(pool, "unzip.prolong", lead + (len(octs), f, f, f),
-                     u.dtype)
-        if len(rows):
-            src = scratch(pool, "unzip.prolong_src",
-                          lead + (len(rows), r, r, r), u.dtype)
-            # in range by construction (the plan indexes prolong_row with
-            # them); mode="raise" would gather through a hidden full copy
-            np.take(u, octs[rows], axis=-4, out=src, mode="clip")
-            if len(rows) == len(octs):
-                prolong_blocks(src, r, pool=pool, out=up)
-            else:
-                up[..., rows, :, :, :] = prolong_blocks(
-                    src, r, pool=pool, out=scratch(
-                        pool, "unzip.prolong_part",
-                        lead + (len(rows), f, f, f), u.dtype))
+        up = scratch(pool, "unzip.prolong",
+                     lead + (len(plan.upsample_rows), f), u.dtype)
+        table = plan.prolong_rows(lo, hi)
+        if len(table) and (executor is None
+                           or not executor(plan, u, up, lo, hi)):
+            octs, src = np.unique(table[:, 1], return_inverse=True)
+            blocks = prolong_blocks(u[..., octs, :, :, :], plan.r)
+            up[..., table[:, 0], :] = blocks.reshape(lead + (-1, f))[
+                ..., src * f * f + table[:, 2], :]
     return up
 
 
@@ -103,16 +101,18 @@ def scatter_to_patches(
     ``lo:hi`` (default every octant) into ``out`` ``(..., hi - lo, P, P,
     P)``, whose octant 0 is ``lo``.
 
-    ``up`` is a :func:`prolong_sources` upsample covering the range —
-    prolonged here when None.  The reference execution is one fancy
-    assignment per plan group, then the interior copy.
+    The reference execution prolongs every coarse source once
+    (:func:`~repro.mesh.interp.prolong_blocks`), then runs one fancy
+    assignment per plan group and the interior copy.
     ``coalesce=True`` replaces them with two ``np.take`` off the plan's
     :meth:`~repro.mesh.maps.TransferPlan.gather_map`; ``executor`` — a
     compiled chunk kernel's ``unzip_gather(plan, u, up, out, lo, hi)`` —
     replaces them and the padding extrapolation with native kernels over
     the map and :meth:`~repro.mesh.maps.TransferPlan.face_table`, and
     returns False for what it cannot take (then the NumPy execution
-    runs).  All three are byte-identical.  ``tracer``
+    runs).  Both read the compact upsample ``up`` of
+    :func:`prolong_sources` covering the range — prolonged here when
+    None.  All three are byte-identical.  ``tracer``
     (a :class:`repro.telemetry.Tracer`) spans the prolongation and
     copy sub-phases on the trace timeline.
     """
@@ -120,10 +120,10 @@ def scatter_to_patches(
     if not 0 <= lo <= hi <= len(plan.tree):
         raise ValueError(f"octant range {lo}:{hi} outside the mesh")
     uf, pf = _flat_views(plan, u, out, hi - lo)
-    lead = u.shape[:-4]
-    if up is None:
+    lead, f = u.shape[:-4], 2 * plan.r - 1
+    if up is None and (coalesce or executor is not None):
         up = prolong_sources(plan, u, lo, hi, tracer=tracer)
-    elif up.shape != lead + (len(plan.prolong_octs),) + (2 * plan.r - 1,) * 3:
+    elif up is not None and up.shape != lead + (len(plan.upsample_rows), f):
         raise ValueError("upsample buffer has wrong shape")
 
     with span(tracer, "unzip.scatter", "mesh"):
@@ -136,7 +136,8 @@ def scatter_to_patches(
                 pflat[..., coarse] = np.take(up.reshape(lead + (-1,)), csrc,
                                              axis=-1)
             else:
-                upf = up.reshape(up.shape[:-3] + ((2 * plan.r - 1) ** 3,))
+                upf = prolong_blocks(u[..., plan.prolong_octs, :, :, :],
+                                     plan.r).reshape(lead + (-1, f**3))
                 for grp in plan.groups:  # already ordered coarse -> same -> fine
                     sel = (grp.dst >= lo) & (grp.dst < hi)
                     src, dst = grp.src[sel][:, None], grp.dst[sel][:, None] - lo

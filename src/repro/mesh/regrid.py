@@ -14,7 +14,7 @@ import numpy as np
 from repro.octree import LinearOctree, balance
 from repro.perf import span
 from .grid import Mesh
-from .interp import child_block, parent_from_children
+from .interp import child_window, parent_from_children, prolong_blocks
 from .wavelet import field_wavelets
 
 
@@ -77,8 +77,9 @@ def transfer_fields(old: Mesh, new: Mesh, u: np.ndarray,
     """Transfer field data ``(..., n_old, r, r, r)`` onto the new mesh.
 
     Same-level octants are bulk-copied; refined regions are prolonged
-    (exact for degree-6 polynomials); coarsened regions are assembled by
-    injection from the old children.
+    (exact for degree-6 polynomials), each refined block once however
+    many of its children the new mesh holds; coarsened regions are
+    assembled by injection from the old children.
     """
     with span(tracer, "regrid.transfer", "mesh",
               {"octants_old": old.num_octants,
@@ -101,6 +102,10 @@ def transfer_fields(old: Mesh, new: Mesh, u: np.ndarray,
 
         rest = np.flatnonzero(~same)
         oc_new = new_tree.octants
+        # per level, the anchor and upsample of the block last refined:
+        # the new octants come in Morton order, so a block's children
+        # follow one another and share it
+        ups: dict = {}
         for j in rest:
             out[..., j, :, :, :] = _block_for(
                 old_tree,
@@ -110,14 +115,18 @@ def transfer_fields(old: Mesh, new: Mesh, u: np.ndarray,
                 int(oc_new.z[j]),
                 int(oc_new.level[j]),
                 r,
+                ups,
             )
         return out
 
 
 def _block_for(
-    old_tree: LinearOctree, u: np.ndarray, x: int, y: int, z: int, level: int, r: int
+    old_tree: LinearOctree, u: np.ndarray, x: int, y: int, z: int, level: int,
+    r: int, ups: dict,
 ) -> np.ndarray:
-    """Field block for the octant (x, y, z, level) sampled from the old grid."""
+    """Field block for the octant (x, y, z, level) sampled from the old
+    grid; ``ups`` holds, per level, the anchor and upsample of the block
+    last prolonged there, so siblings share their parent's."""
     idx = int(
         old_tree.locate(
             np.array([x], dtype=np.uint64),
@@ -140,7 +149,10 @@ def _block_for(
             cx = 1 if (x - ax) >= half else 0
             cy = 1 if (y - ay) >= half else 0
             cz = 1 if (z - az) >= half else 0
-            blk = child_block(blk, cx + 2 * cy + 4 * cz, r)
+            key = (ax, ay, az)
+            if ups.get(lv, (None,))[0] != key:
+                ups[lv] = (key, prolong_blocks(blk, r))
+            blk = child_window(ups[lv][1], cx + 2 * cy + 4 * cz, r)
             ax += cx * half
             ay += cy * half
             az += cz * half
@@ -154,7 +166,7 @@ def _block_for(
         cx, cy, cz = ci & 1, (ci >> 1) & 1, (ci >> 2) & 1
         children.append(
             _block_for(old_tree, u, x + cx * half, y + cy * half, z + cz * half,
-                       level + 1, r)
+                       level + 1, r, ups)
         )
     stacked = np.stack(children, axis=-4)
     return parent_from_children(stacked, r)

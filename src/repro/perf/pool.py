@@ -7,9 +7,10 @@ dictionary of named, shape-keyed scratch arrays.  Requesting the same
 ``(name, shape, dtype)`` twice returns the *same* ndarray, so a warm
 compiled RK4 step allocates no array: ``tests/test_backends.py`` holds
 its ``tracemalloc`` peak to a few kB.  That takes more than ``out=``:
-``np.take(..., out=)`` under its default ``mode="raise"`` buffers a full
-copy, so the prolongation's source gather runs with ``mode="clip"``.
-The NumPy execution, the oracle, allocates as plain NumPy does.
+the native kernels read the state where it lies (the prolongation takes
+its source blocks straight from it, with no gathered copy), and write
+into pooled buffers.  The NumPy execution, the oracle, allocates as
+plain NumPy does.
 
 Keys include the shape so the ragged last chunk of a chunked sweep gets
 its own (smaller) buffers instead of thrashing a single slot.

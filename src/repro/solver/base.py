@@ -102,7 +102,8 @@ class Solver:
         nv, P3 = u.shape[0], mesh.P**3
         with prof.phase("unzip"):
             up = prolong_sources(mesh.plan, u, lo, hi, pool=pool,
-                                 tracer=prof.tracer)
+                                 tracer=prof.tracer,
+                                 executor=self.kernel.prolong)
             arena = pool.get("solver.patch_chunk", (
                 nv * min(self.chunk, mesh.num_octants) * P3,))
         for a in range(lo, hi, self.chunk):

@@ -95,8 +95,8 @@ def test_native_sources_are_pinned():
     numbers — change it together with the kernels, never alone."""
     src = emit_c_source(get_kernel_spec(COMPILED_VARIANT))
     assert hashlib.sha256(src.encode()).hexdigest() == (
-        "0e74bbaf7987bb9e4116312a6fa2876e"
-        "2564b7267c2fe910abc60e05f7273e50")
+        "0ed1473b8fa3e84584bafa9d42c4663e"
+        "c48c80f63d5f06469386caed918fb888")
 
 
 # -- validation by execution: CUDA on the host ------------------------------

@@ -18,6 +18,13 @@ from repro.mesh import (
 R = 7
 
 
+def tensordot_chain(u, P):
+    """The BLAS prolongation: one ``tensordot`` per axis."""
+    v = np.tensordot(u, P, axes=([-3], [1]))  # (..., y, x, Z)
+    v = np.tensordot(v, P, axes=([-3], [1]))  # (..., x, Z, Y)
+    return np.tensordot(v, P, axes=([-3], [1]))  # (..., Z, Y, X)
+
+
 def _block(fn, origin=(0.0, 0.0, 0.0), h=1.0, n=R):
     c = np.arange(n) * h
     z, y, x = np.meshgrid(c + origin[2], c + origin[1], c + origin[0], indexing="ij")
@@ -62,31 +69,47 @@ class TestProlongBlocks:
 
     @pytest.mark.parametrize("lead", [(), (5,), (24, 5)], ids=str)
     @pytest.mark.parametrize("r", [R, 4])
-    def test_bitwise_against_tensordot_chain(self, lead, r):
-        """The batched-matmul prolongation equals the three-``tensordot``
-        chain it replaced bit for bit — with and without ``out=``, with
-        pooled intermediates, and on a strided input (the wavelet's)."""
-        from repro.perf import BufferPool
-
-        def tensordot_chain(u):
-            P = prolongation_matrix_1d(r)
-            v = np.tensordot(u, P, axes=([-3], [1]))  # (..., y, x, Z)
-            v = np.tensordot(v, P, axes=([-3], [1]))  # (..., x, Z, Y)
-            return np.tensordot(v, P, axes=([-3], [1]))  # (..., Z, Y, X)
-
+    def test_bound_against_tensordot_chain(self, lead, r):
+        """The tap-order prolongation against the three-``tensordot``
+        (BLAS) chain it replaced, point by point: each of the two runs
+        three passes of length-``r`` dot products, so each is within
+        ``γ_{3r} M`` of the exact result, ``M = (|P| ⊗ |P| ⊗ |P|) |u|``,
+        and the two within ``2 γ_{3r} M`` of each other, ``γ_n = n ε /
+        (1 - n ε)``, ``ε = 2^-53``.  Injected points are the source
+        itself in both.  With and without ``out=``, and on a strided
+        input (the wavelet's)."""
+        eps = 2.0**-53
+        gamma = 3 * r * eps / (1 - 3 * r * eps)
+        P = prolongation_matrix_1d(r)
         rng = np.random.default_rng(len(lead) * 10 + r)
         big = rng.normal(size=lead + (2 * r - 1,) * 3) * 10.0 ** rng.uniform(
             -6, 6, size=lead + (1, 1, 1)
         )
         for u in (np.ascontiguousarray(big[..., :r, :r, :r]),
                   big[..., ::2, ::2, ::2]):
-            ref = tensordot_chain(u)
-            assert np.array_equal(prolong_blocks(u, r), ref)
+            ref = tensordot_chain(u, P)
+            bound = 2 * gamma * tensordot_chain(np.abs(u), np.abs(P))
+            got = prolong_blocks(u, r)
+            assert (np.abs(got - ref) <= bound).all()
+            assert not np.array_equal(got, ref)  # two orders, not one
+            assert np.array_equal(got[..., ::2, ::2, ::2], u)
             out = np.full(ref.shape, np.nan)
-            pool = BufferPool()
-            assert prolong_blocks(u, r, out=out, pool=pool) is out
-            assert np.array_equal(out, ref)
-            assert "unzip.prolong_z" in pool and "unzip.prolong_y" in pool
+            assert prolong_blocks(u, r, out=out) is out
+            assert np.array_equal(out, got)
+
+    def test_inf_source_leaves_injected_points_exact(self):
+        """Even fine points are copies, not ``1·u + 0·(neighbours)``: an
+        inf in a coarse point must not turn the injected points beside it
+        into NaN (0·inf), and the inf itself lands where it was."""
+        u = np.random.default_rng(2).normal(size=(2, R, R, R))
+        u[0, 3, 2, 4] = np.inf
+        u[1, 0, 6, 0] = -np.inf
+        with np.errstate(invalid="ignore"):
+            up = prolong_blocks(u)
+            blas = tensordot_chain(u, prolongation_matrix_1d(R))
+        assert np.array_equal(up[..., ::2, ::2, ::2], u)
+        assert np.isinf(up).sum() > 2  # the odd points beside it
+        assert np.isnan(blas[..., ::2, ::2, ::2]).any()  # what BLAS did
 
     def test_out_must_be_contiguous(self):
         u = np.zeros((2, R, R, R))
@@ -96,7 +119,9 @@ class TestProlongBlocks:
             prolong_blocks(u, out=np.zeros((3, 13, 13, 13)))
 
     def test_flop_counts_positive(self):
-        assert prolong_flops(7) > 0
+        # the odd points' taps of the x, y and z passes: 6 (49 + 91 + 169)
+        # points of 7 multiply-adds
+        assert prolong_flops(7) == 2 * 7 * 6 * (49 + 91 + 169) == 25_956
         assert paper_interp_ops(7) == 3 * 13 * 343
 
 

@@ -147,6 +147,45 @@ class TestTransfer:
         assert np.allclose(ub, u, atol=1e-11)
 
 
+    def test_each_refined_block_prolonged_once(self, monkeypatch):
+        """Refining one octant by two levels: each refined block — the
+        old octant, then its first child — is upsampled once and its
+        children sliced from it, bit for bit what prolonging it again for
+        each child gives (23 prolongations: one per level-2 child, two
+        per level-3 one)."""
+        from repro.mesh import child_block, regrid
+        from repro.octree import balance
+        from repro.octree.keys import MAX_DEPTH
+
+        old = Mesh(LinearOctree.uniform(1))
+        t = old.tree.refine(np.arange(8) == 0)
+        new = Mesh(balance(t.refine(np.arange(len(t)) == 0)))
+        u = np.random.default_rng(3).normal(size=(2, 8, 7, 7, 7))
+        calls = []
+        prolong = regrid.prolong_blocks
+        monkeypatch.setattr(regrid, "prolong_blocks",
+                            lambda b, r: calls.append(1) or prolong(b, r))
+        got = transfer_fields(old, new, u)
+
+        oc, refined = new.tree.octants, set()
+        for j in range(new.num_octants):
+            xyz = [int(oc.x[j]), int(oc.y[j]), int(oc.z[j])]
+            i = int(old.tree.locate(*(np.array([a], dtype=np.uint64)
+                                      for a in xyz))[0])
+            blk = u[:, i]
+            anchor = [int(c[i]) for c in (old.tree.octants.x,
+                                          old.tree.octants.y,
+                                          old.tree.octants.z)]
+            for lv in range(int(old.tree.levels[i]), int(oc.level[j])):
+                refined.add((*anchor, lv))
+                half = 1 << (MAX_DEPTH - lv - 1)
+                bits = [int(xyz[a] - anchor[a] >= half) for a in range(3)]
+                blk = child_block(blk, bits[0] + 2 * bits[1] + 4 * bits[2])
+                anchor = [anchor[a] + bits[a] * half for a in range(3)]
+            assert np.array_equal(got[:, j], blk)
+        assert len(calls) == len(refined) == 2
+
+
 class TestSimultaneousRefineCoarsen:
     def test_refine_and_coarsen_in_one_cycle(self):
         """A regrid can deepen one region while coarsening another."""

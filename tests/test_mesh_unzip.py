@@ -355,6 +355,97 @@ def test_native_unzip_equals_group_loop_on_one_refined_octant():
     )
 
 
+class _NaNGuardedPool(_GuardedPool):
+    """A guarded pool whose buffers start as NaN."""
+
+    def get(self, name, shape, dtype=np.float64):
+        buf = super().get(name, shape, dtype)
+        buf[...] = np.nan
+        return buf
+
+
+@needs_native
+@pytest.mark.parametrize("native", NATIVE)
+@pytest.mark.parametrize("nvars", [1, 2, 24])
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=5, deadline=None)
+def test_native_prolongation_and_gather_equal_group_loop(native, nvars, seed):
+    """The compiled unzip end to end on random balanced trees: the native
+    ``prolong`` computes a range's compact rows straight from the field
+    into a NaN-filled upsample that ends flush against a ``PROT_NONE``
+    page — those rows and no others, bitwise the NumPy execution's —
+    and ``unzip_gather`` copies from it into NaN-filled patches, bitwise
+    the NumPy group loop with its whole-block prolongation; with
+    non-finite sources too."""
+    from hypothesis import assume
+
+    from repro.mesh import prolong_sources
+
+    assert B.native_impl() == native
+    mesh = _random_balanced_mesh(seed, base_level=1 if nvars == 24 else 2)
+    assume(len(mesh.plan.prolong_octs))
+    plan, n, rng = mesh.plan, mesh.num_octants, np.random.default_rng(seed)
+    kernel, pool = B.NativeWaveRHS(), _NaNGuardedPool()
+    u = rng.normal(size=(nvars, n, 7, 7, 7))
+    for state in (u, _with_specials(u, rng, count=12)):
+        with np.errstate(invalid="ignore"):  # 0 · inf, inf − inf
+            ref = mesh.unzip(state)  # group loop + extrapolate_boundary
+            for lo, hi in _ranges(n, rng):
+                up = prolong_sources(plan, state, lo, hi, pool=pool,
+                                     executor=kernel.prolong)
+                rows = plan.prolong_rows(lo, hi)[:, 0]
+                assert _same_bits(up[:, rows],
+                                  prolong_sources(plan, state, lo, hi)[:, rows])
+                assert np.isnan(np.delete(up, rows, axis=1)).all()
+                out = pool.get("chunk", (nvars, hi - lo) + (mesh.P,) * 3)
+                got = mesh.unzip(state, out=out, executor=kernel.unzip_gather,
+                                 up=up, lo=lo, hi=hi)
+                assert _same_bits(got, ref[:, lo:hi])
+
+
+@needs_native
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_native_prolongation_of_whole_blocks_is_prolong_blocks(r):
+    """Every fine row of a few blocks, in an order that is not the
+    table's, against :func:`prolong_blocks`, bit for bit: signed zeros
+    told apart and non-finite sources.  On one coarse x row every tap
+    product of the first odd point is −0.0, so only the +0.0 each sum
+    starts from makes that point +0.0."""
+    from repro.mesh.interp import prolong_blocks, prolongation_taps
+
+    f, rng = 2 * r - 1, np.random.default_rng(r)
+    u = _with_specials(rng.normal(size=(2, 3, r, r, r)), rng, count=4)
+    w = prolongation_taps(r)
+    u[0, 1, 2, 1] = np.where(w[0] > 0, -0.0, 0.0)
+    rows = rng.permutation(3 * f * f)  # (octant, Z, Y), shuffled
+    table = np.stack([rows, rows // (f * f), rows % (f * f)], axis=1)
+    table = table[np.argsort(table[:, 1], kind="stable")]  # by source
+    up = np.full((2, 3 * f * f, f), np.nan)
+    B.NativeWaveRHS()._run("prolong_rows", u, u[0].size, w, r, table,
+                           len(table), 2, up, up[0].size)
+    with np.errstate(invalid="ignore"):
+        ref = prolong_blocks(u, r)
+    assert _same_bits(up.reshape(ref.shape), ref)
+    zero = ref[0, 1, 4, 2, 1]
+    assert zero == 0.0 and not np.signbit(zero)
+
+
+@needs_native
+def test_native_prolongation_declines_what_it_cannot_take():
+    """float32 fields and r >= 8 (beyond the kernel's scratch) are left
+    to the NumPy execution: nothing written, False returned."""
+    mesh = _random_balanced_mesh(3, base_level=1)
+    kernel, n = B.NativeWaveRHS(), mesh.num_octants
+    up = np.full((2, len(mesh.plan.upsample_rows), 13), np.nan)
+    u = mesh.allocate(2, dtype=np.float32)
+    assert not kernel.prolong(mesh.plan, u, up, 0, n)
+    wide = Mesh(mesh.tree, r=9)
+    w = np.ones((2, n, 9, 9, 9))
+    assert not kernel.prolong(wide.plan, w, np.full(
+        (2, len(wide.plan.upsample_rows), 17), np.nan), 0, n)
+    assert np.isnan(up).all()
+
+
 def _native_extrapolate(kernel, plan, patches):
     """The native padding fill alone, as ``unzip_gather`` runs it after
     its copy."""
@@ -537,13 +628,16 @@ def _group_loop_writers(plan):
     built: the group loop's writes (then the interior copy's) as one
     sequence of (point, source code), and for every point the code of
     its last occurrence — the first one in the reversed sequence, which
-    ``np.unique`` returns deterministically."""
+    ``np.unique`` returns deterministically.  A coarse code names a
+    point of the whole-block upsample ``(n_pro, f^3)``, renumbered into
+    the compact layout: the fine x rows some point reads, ascending,
+    ``f`` points each."""
     n, P, r = len(plan.tree), plan.P, plan.r
-    f3 = (2 * r - 1) ** 3
+    f = 2 * r - 1
     dst, src = [], []
     for grp in plan.groups:
         if grp.case == CASE_COARSE:
-            code = -2 - (plan.prolong_row[grp.src][:, None] * f3
+            code = -2 - (plan.prolong_row[grp.src][:, None] * f**3
                          + grp.src_template)
         else:
             code = grp.src[:, None] * r**3 + grp.src_template
@@ -555,14 +649,19 @@ def _group_loop_writers(plan):
     points, first = np.unique(np.concatenate(dst)[::-1], return_index=True)
     codes = np.full(n * P**3, -1, dtype=np.int64)
     codes[points] = np.concatenate(src)[::-1][first]
+    point = -2 - codes[codes <= -2]
+    rows = np.unique(point // f)
+    assert np.array_equal(plan.upsample_rows, rows)
+    codes[codes <= -2] = -2 - (np.searchsorted(rows, point // f) * f
+                               + point % f)
     return codes.reshape(n, P**3)
 
 
 def test_gather_map_is_the_last_writer_of_the_group_loop(mesh):
     """Every patch point of the map names the source the sequential
     group loop plus the interior copy leaves there; -1 exactly where the
-    padding leaves the domain; each coarse source prolonged once is
-    read."""
+    padding leaves the domain; every coarse source is read, and the
+    compact upsample holds only the fine rows the map reads."""
     gm = mesh.plan.gather_map()
     assert gm.dtype == np.int32 and gm.shape == (mesh.num_octants, mesh.P**3)
     assert np.array_equal(gm, _group_loop_writers(mesh.plan))
@@ -570,8 +669,13 @@ def test_gather_map_is_the_last_writer_of_the_group_loop(mesh):
     inside = np.ones(mesh.num_octants, dtype=bool)
     inside[mesh.boundary_octants()] = False
     assert not (gm[inside] == -1).any() and (gm == -1).any()
-    rows = mesh.plan.prolong_rows()
-    assert np.array_equal(rows, np.arange(len(mesh.plan.prolong_octs)))
+    table, f = mesh.plan.prolong_rows(), 2 * mesh.r - 1
+    n_up = len(mesh.plan.upsample_rows)
+    assert np.array_equal(table[:, 0], np.arange(n_up))
+    assert np.array_equal(np.unique(table[:, 1]), mesh.plan.prolong_octs)
+    assert np.array_equal(np.unique((-2 - gm[gm <= -2]) // f),
+                          np.arange(n_up))
+    assert n_up < len(mesh.plan.prolong_octs) * f * f / 2
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -582,26 +686,31 @@ def test_gather_map_on_random_trees(seed):
 
 
 def test_subset_prolongation_equals_the_whole_batch(mesh):
-    """A rank's range prolongs only the coarse sources it reads; their
-    upsample must be the rows of the whole-mesh one, bit for bit."""
+    """A rank's range prolongs only the compact rows it reads; they must
+    be the rows of the whole-mesh upsample, bit for bit, and every row a
+    patch of the range reads must be among them."""
     from repro.mesh import prolong_sources
 
     rng = np.random.default_rng(8)
     u = rng.normal(size=(3, mesh.num_octants, 7, 7, 7))
     whole = prolong_sources(mesh.plan, u).copy()
+    f = 2 * mesh.r - 1
     for lo, hi in _ranges(mesh.num_octants, rng):
-        rows = mesh.plan.prolong_rows(lo, hi)
+        rows = mesh.plan.prolong_rows(lo, hi)[:, 0]
+        m = mesh.plan.gather_map()[lo:hi]
+        assert np.isin((-2 - m[m <= -2]) // f, rows).all()
         part = prolong_sources(mesh.plan, u, lo, hi)
         assert np.array_equal(part[:, rows].view(np.uint64),
                               whole[:, rows].view(np.uint64))
 
 
 def test_prolong_sources_refuses_fields_of_another_mesh(mesh):
-    """The source gather clips its indices instead of checking them, so
-    a field whose octant axis is not the plan's is refused up front."""
+    """The native prolongation reads source blocks straight from the
+    field by octant number, so a field whose octant axis is not the
+    plan's is refused up front."""
     from repro.mesh import prolong_sources
 
-    assert len(mesh.plan.prolong_octs)  # the gather would run
+    assert len(mesh.plan.prolong_octs)  # the prolongation would run
     n = mesh.num_octants
     for shape in ((2, n - 1, 7, 7, 7), (2, n + 1, 7, 7, 7), (7, 7, 7)):
         with pytest.raises(ValueError, match="octants on axis -4"):

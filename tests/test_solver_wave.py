@@ -191,3 +191,21 @@ class TestExtractionIntegration:
         assert peak22 > 1e-6
         assert np.abs(c21).max() < 0.05 * peak22
         assert np.abs(c00).max() < 0.3 * peak22
+
+
+@pytest.mark.parametrize("backend", ["numpy", "auto"])
+def test_uniform_grid_digest_is_pinned(backend):
+    """A uniform grid has no coarse/fine interface and so no
+    prolongation: a change to the prolongation's arithmetic must leave
+    its run bit for bit where it was.  Polynomial initial data (no
+    transcendental ufunc whose SIMD rounding varies by host)."""
+    from repro.jobs import state_digest
+
+    w = WaveSolver(Mesh(LinearOctree.uniform(2)), backend=backend)
+    assert len(w.mesh.plan.prolong_octs) == 0
+    r2 = (w.coords() ** 2).sum(axis=-1)
+    w.state[0] = np.maximum(1.0 - r2 / 16.0, 0.0) ** 3
+    for _ in range(3):
+        w.step()
+    assert state_digest(w.state) == (
+        "0e0f7fedcf20622afd5b00b459dfefd324c6d5fd484293289a8c98ace184149a")
