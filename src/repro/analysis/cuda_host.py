@@ -16,8 +16,9 @@ import numpy as np
 
 from repro.bssn import state as S
 from repro.codegen.cuda_emit import LAUNCH_BOUNDS, build_on_host, run_on_host
-from repro.codegen.generators import KernelSpec, compile_kernel
+from repro.codegen.generators import compile_kernel
 from repro.codegen.lowering import is_bitwise_lowerable
+from repro.codegen.spec import KernelSpec
 from repro.codegen.symbols import bind_inputs
 
 

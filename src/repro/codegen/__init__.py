@@ -1,67 +1,38 @@
-"""SymPy-based RHS code generation (paper §IV-B, Table II, Figs. 10–11)."""
+"""SymPy-based RHS code generation (paper §IV-B, Table II, Figs. 10–11).
 
-from .backends import (
-    BackendUnavailableError,
-    NativeBSSNRHS,
-    NativeWaveRHS,
-    backend_info,
-    probe_cffi,
-    resolve_backend,
-)
-from .cbackend import ToolchainError, build_native_lib, emit_c_source
-from .cuda_emit import emit_cuda
-from .equations import symbolic_rhs
-from .generators import (
-    ALL_VARIANTS,
-    COMPILED_VARIANT,
-    VARIANTS,
-    KernelSpec,
-    compile_kernel,
-    emit_source,
-    generate_binary_reduce,
-    generate_staged_cse,
-    generate_sympygr,
-    get_algebra_kernel,
-    get_kernel_spec,
-)
-from .graph import ExprDag, build_dag, line_graph_schedule
-from .regalloc import (
-    DEFAULT_BUDGET,
-    SpillStats,
-    Statement,
-    analyze_schedule,
-    max_live_values,
-)
+The public names below resolve lazily, on first use, from the submodule
+that defines them: importing the package (or a run-path submodule such as
+:mod:`.backends`, which reads the cached schedule through :mod:`.spec`)
+loads neither SymPy nor NetworkX; only :mod:`.generators`, :mod:`.graph`,
+:mod:`.equations` and :mod:`.symbols` do.
+"""
 
-__all__ = [
-    "ALL_VARIANTS",
-    "COMPILED_VARIANT",
-    "DEFAULT_BUDGET",
-    "BackendUnavailableError",
-    "NativeBSSNRHS",
-    "NativeWaveRHS",
-    "ToolchainError",
-    "backend_info",
-    "build_native_lib",
-    "emit_c_source",
-    "probe_cffi",
-    "resolve_backend",
-    "ExprDag",
-    "KernelSpec",
-    "SpillStats",
-    "Statement",
-    "VARIANTS",
-    "analyze_schedule",
-    "build_dag",
-    "compile_kernel",
-    "emit_cuda",
-    "emit_source",
-    "generate_binary_reduce",
-    "generate_staged_cse",
-    "generate_sympygr",
-    "get_algebra_kernel",
-    "get_kernel_spec",
-    "line_graph_schedule",
-    "max_live_values",
-    "symbolic_rhs",
-]
+import importlib
+
+_EXPORTS = {
+    ".backends": ("BackendUnavailableError", "NativeBSSNRHS", "NativeWaveRHS",
+                  "backend_info", "probe_cffi", "resolve_backend"),
+    ".cbackend": ("ToolchainError", "build_native_lib", "emit_c_source"),
+    ".cuda_emit": ("emit_cuda",),
+    ".equations": ("symbolic_rhs",),
+    ".generators": ("compile_kernel", "emit_source", "generate_binary_reduce",
+                    "generate_staged_cse", "generate_sympygr",
+                    "get_algebra_kernel"),
+    ".graph": ("ExprDag", "build_dag", "line_graph_schedule"),
+    ".regalloc": ("DEFAULT_BUDGET", "SpillStats", "Statement",
+                  "analyze_schedule", "max_live_values"),
+    ".spec": ("ALL_VARIANTS", "COMPILED_VARIANT", "VARIANTS", "KernelSpec",
+              "get_kernel_spec"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(mod, __name__), name)
+    globals()[name] = value
+    return value

@@ -82,7 +82,7 @@ from .cbackend import (
     scratch_doubles,
     stencil_weights,
 )
-from .generators import COMPILED_VARIANT, get_kernel_spec
+from .spec import COMPILED_VARIANT, get_kernel_spec
 
 #: set when an "auto" request fell back to numpy (warn exactly once)
 _WARNED_FALLBACK = False

@@ -85,18 +85,15 @@ from repro.fd.stencils import (
     D2_CENTERED_6,
     KO_DISS_6,
 )
-from .generators import KernelSpec, schedule_digest
 from .lowering import Dialect, a_stage, classify_inputs
+from .spec import PARAM_NAMES, KernelSpec, schedule_digest
 
-#: layout of the ``params`` argument both kernels receive
-PARAM_ORDER = (
-    "p_eta", "p_gauge_f", "p_lambda1", "p_lambda2", "p_lambda3",
-    "p_lambda4", "p_lapse_c1", "p_lapse_c2",
-)
-IDX_CHI_FLOOR = len(PARAM_ORDER)       # 8
-IDX_KO_SIGMA = len(PARAM_ORDER) + 1    # 9
-IDX_USE_UPWIND = len(PARAM_ORDER) + 2  # 10
-NUM_PARAMS = len(PARAM_ORDER) + 3
+#: layout of the ``params`` argument both kernels receive: PARAM_NAMES,
+#: then these three
+IDX_CHI_FLOOR = len(PARAM_NAMES)       # 8
+IDX_KO_SIGMA = len(PARAM_NAMES) + 1    # 9
+IDX_USE_UPWIND = len(PARAM_NAMES) + 2  # 10
+NUM_PARAMS = len(PARAM_NAMES) + 3
 
 _GRAD_RE = re.compile(r"^grad_(\d)_(\w+)$")
 _AGRAD_RE = re.compile(r"^agrad_(\d)_(\w+)$")
@@ -138,7 +135,7 @@ def scratch_doubles(P: int, r: int) -> int:
 
 def pack_params(params, out: np.ndarray) -> np.ndarray:
     """Fill the length-``NUM_PARAMS`` parameter vector from BSSNParams."""
-    for j, name in enumerate(PARAM_ORDER):
+    for j, name in enumerate(PARAM_NAMES):
         out[j] = getattr(params, name[2:])
     out[IDX_CHI_FLOOR] = params.chi_floor
     out[IDX_KO_SIGMA] = params.ko_sigma
@@ -769,7 +766,7 @@ def emit_c_source(spec: KernelSpec) -> str:
     a("    const long NB = r * r * W, c0 = k * (PP + P + 1);")
     a(f"    static const long s2vars[{len(_S2)}] = "
       f"{{{', '.join(map(str, _S2))}}};")
-    for j, name in enumerate(PARAM_ORDER):
+    for j, name in enumerate(PARAM_NAMES):
         a(f"    const v8 {name} = bc(params[{j}]);")
     a(f"    const v8 p_chi_floor = bc(params[{IDX_CHI_FLOOR}]);")
     a(f"    const v8 p_ko_sigma = bc(params[{IDX_KO_SIGMA}]);")

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bssn import state as S
 from .cbackend import NativeLib, build_native_lib
-from .generators import KernelSpec
+from .spec import KernelSpec
 from .lowering import Dialect, a_stage, classify_inputs
 
 LAUNCH_BOUNDS = (343, 3)  # the paper's __launch_bounds__(343, 3)

@@ -13,11 +13,15 @@
 
 All three compile to NumPy kernels that are drop-in replacements for the
 reference ``evaluate_algebraic`` and must agree with it to roundoff.
+
+SymPy and NetworkX reach the run path only through this module: a
+solver loads the cached schedule through
+:func:`repro.codegen.spec.get_kernel_spec`, which imports this module
+only on a cache miss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,17 +30,9 @@ from sympy.printing.numpy import NumPyPrinter
 
 from repro.bssn import state as S
 from .equations import symbolic_rhs
-from .graph import ExprDag, build_dag, dfs_schedule
+from .graph import build_dag, dfs_schedule
 from .regalloc import Statement
-
-VARIANTS = ("sympygr", "binary-reduce", "staged-cse")
-
-#: the native-lowering variant: the staged-cse schedule re-registered as
-#: a first-class variant of its own, so the dataflow verifier, the CUDA
-#: emitter and the analysis CLI treat the lowered schedule exactly like
-#: the generated ones (see repro.codegen.backends)
-COMPILED_VARIANT = "compiled"
-ALL_VARIANTS = VARIANTS + (COMPILED_VARIANT,)
+from .spec import COMPILED_VARIANT, PARAM_NAMES, KernelSpec, get_kernel_spec
 
 _printer = NumPyPrinter({"fully_qualified_modules": False})
 
@@ -132,37 +128,12 @@ def _binarize(e: sp.Expr, target: str, prefix: str,
         )
 
 
-@dataclass
-class KernelSpec:
-    """A generated A-component kernel."""
-
-    variant: str
-    statements: list[Statement]
-    input_names: set[str]
-    source: str = ""
-    dag: ExprDag | None = None
-    #: how derivative inputs materialise in registers (see regalloc)
-    input_defs: str = "upfront"
-
-    @property
-    def num_temps(self) -> int:
-        """Statements that are not outputs."""
-        return sum(1 for s in self.statements if not s.is_output)
-
-    @property
-    def total_flops(self) -> int:
-        """Flops per grid point of the schedule."""
-        return sum(s.flops for s in self.statements)
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
 def _all_input_names(syms) -> set[str]:
-    from .symbols import PARAM_SYMBOLS
-
-    return set(syms) | set(PARAM_SYMBOLS)
+    return set(syms) | set(PARAM_NAMES)
 
 
 def generate_sympygr() -> KernelSpec:
@@ -261,6 +232,19 @@ def generate_staged_cse() -> KernelSpec:
                       input_defs="on-demand")
 
 
+def generate(variant: str) -> KernelSpec:
+    """Run one variant's generator (its ``source`` is left empty)."""
+    if variant == COMPILED_VARIANT:
+        # the native lowering reuses the staged-cse schedule verbatim —
+        # same statements, same digest inputs — under its own variant name
+        base = generate_staged_cse()
+        return KernelSpec(COMPILED_VARIANT, base.statements,
+                          set(base.input_names), input_defs=base.input_defs)
+    return {"sympygr": generate_sympygr,
+            "binary-reduce": generate_binary_reduce,
+            "staged-cse": generate_staged_cse}[variant]()
+
+
 # ---------------------------------------------------------------------------
 # emission & compilation
 # ---------------------------------------------------------------------------
@@ -290,132 +274,6 @@ def compile_kernel(spec: KernelSpec):
     ns: dict = {"numpy": np, "np": np}
     exec(compile(spec.source, f"<generated:{spec.variant}>", "exec"), ns)
     return ns["A_kernel"]
-
-
-def _cache_dir():
-    import pathlib
-
-    d = pathlib.Path(__file__).resolve().parent / "_generated_cache"
-    d.mkdir(exist_ok=True)
-    return d
-
-
-def _cache_key() -> str:
-    """Invalidate the on-disk cache when the symbolic equations or the
-    generators change."""
-    import hashlib
-    import inspect
-    import pathlib
-
-    from repro.bssn import rhs as _rhs_mod
-
-    h = hashlib.sha256()
-    h.update(inspect.getsource(_rhs_mod).encode())
-    h.update(pathlib.Path(__file__).read_bytes())
-    return h.hexdigest()[:16]
-
-
-def schedule_digest(statements: list[Statement]) -> str:
-    """Content hash of an instruction schedule.
-
-    Stored alongside every cached spec and folded into the native-artifact
-    cache keys (:mod:`repro.codegen.backends`), so a compiled ``.so`` can
-    never be loaded against a schedule other than the one it was lowered
-    from.
-    """
-    import hashlib
-
-    h = hashlib.sha256()
-    for st in statements:
-        h.update(
-            f"{st.target}={st.src}|{','.join(st.inputs)}|{st.flops}"
-            f"|{st.is_output}|{st.output_var}\n".encode()
-        )
-    return h.hexdigest()[:16]
-
-
-def _load_cached_spec(variant: str) -> KernelSpec | None:
-    """Load one variant's cached spec, validating its schedule digest.
-
-    A corrupt pickle, a payload missing the digest, or a digest that no
-    longer matches the stored statements is *evicted* (unlinked) rather
-    than silently regenerated around — the stale file would otherwise
-    shadow every future load at the same cache key (mirrors the
-    validate-then-discard semantics of ``checkpoint.find_latest_valid``).
-    """
-    import pickle
-
-    path = _cache_dir() / f"{variant}-{_cache_key()}.pkl"
-    if not path.exists():
-        return None
-    try:
-        with open(path, "rb") as f:
-            data = pickle.load(f)
-        statements = [Statement(**s) for s in data["statements"]]
-        if data["schedule_digest"] != schedule_digest(statements):
-            raise ValueError("schedule digest mismatch")
-        return KernelSpec(
-            variant=data["variant"],
-            statements=statements,
-            input_names=set(data["input_names"]),
-            source=data["source"],
-            input_defs=data["input_defs"],
-        )
-    except Exception:
-        path.unlink(missing_ok=True)  # evict: corrupt or stale entry
-        return None
-
-
-def _store_cached_spec(spec: KernelSpec) -> None:
-    import pickle
-    from dataclasses import asdict
-
-    cache = _cache_dir()
-    path = cache / f"{spec.variant}-{_cache_key()}.pkl"
-    data = {
-        "variant": spec.variant,
-        "statements": [asdict(s) for s in spec.statements],
-        "input_names": sorted(spec.input_names),
-        "source": spec.source,
-        "input_defs": spec.input_defs,
-        "schedule_digest": schedule_digest(spec.statements),
-    }
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as f:
-        pickle.dump(data, f)
-    tmp.replace(path)
-    # prune entries generated under older cache keys: they can never be
-    # loaded again and would otherwise accumulate forever
-    for old in cache.glob(f"{spec.variant}-*.pkl"):
-        if old != path:
-            old.unlink(missing_ok=True)
-
-
-@lru_cache(maxsize=None)
-def get_kernel_spec(variant: str) -> KernelSpec:
-    """Generate (or load from the disk cache) one variant's spec."""
-    cached = _load_cached_spec(variant)
-    if cached is not None:
-        return cached
-    if variant == "sympygr":
-        spec = generate_sympygr()
-    elif variant == "binary-reduce":
-        spec = generate_binary_reduce()
-    elif variant == "staged-cse":
-        spec = generate_staged_cse()
-    elif variant == COMPILED_VARIANT:
-        # the native lowering reuses the staged-cse schedule verbatim —
-        # same statements, same digest inputs — under its own variant name
-        base = generate_staged_cse()
-        spec = KernelSpec(COMPILED_VARIANT, base.statements,
-                          set(base.input_names), input_defs=base.input_defs)
-    else:
-        raise ValueError(
-            f"unknown variant {variant!r}; choose from {ALL_VARIANTS}"
-        )
-    spec.source = emit_source(spec)
-    _store_cached_spec(spec)
-    return spec
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@
 One schedule, two textual renderings: the C row-vector kernel
 (:mod:`repro.codegen.cbackend`) and the CUDA thread kernel
 (:mod:`repro.codegen.cuda_emit`) both lower the *same* dataflow-verified
-:class:`~repro.codegen.generators.KernelSpec` statement stream.  This
+:class:`~repro.codegen.spec.KernelSpec` statement stream.  This
 module holds what they share: input classification, the ``**``
 translation policies, and the one walk of the A stage, :func:`a_stage` —
 value loads, derivative loads, the lowered statements, output stores —
@@ -31,9 +31,8 @@ import re
 from typing import Callable, NamedTuple
 
 from repro.bssn import state as S
-from .generators import KernelSpec
 from .regalloc import is_register_input
-from .symbols import PARAM_SYMBOLS
+from .spec import PARAM_NAMES, KernelSpec
 
 _POW_RE = re.compile(r"(\w+) \*\* ([-\d.e]+)")
 
@@ -78,8 +77,8 @@ def classify_inputs(spec: KernelSpec) -> tuple[list[str], list[str], list[str]]:
     )
     derivs = [n for n in used if is_register_input(n)]
     values = [n for n in used
-              if not is_register_input(n) and n not in PARAM_SYMBOLS]
-    params = [n for n in used if n in PARAM_SYMBOLS]
+              if not is_register_input(n) and n not in PARAM_NAMES]
+    params = [n for n in used if n in PARAM_NAMES]
     return values, derivs, params
 
 

@@ -13,18 +13,10 @@ import sympy as sp
 
 from repro.bssn import state as S
 from repro.bssn.rhs import _SYM_PAIRS, BSSNParams, Derivs
+from .spec import PARAM_NAMES
 
 #: parameter symbols appearing in the generated kernels
-PARAM_SYMBOLS = {
-    "p_eta": sp.Symbol("p_eta"),
-    "p_gauge_f": sp.Symbol("p_gauge_f"),
-    "p_lambda1": sp.Symbol("p_lambda1"),
-    "p_lambda2": sp.Symbol("p_lambda2"),
-    "p_lambda3": sp.Symbol("p_lambda3"),
-    "p_lambda4": sp.Symbol("p_lambda4"),
-    "p_lapse_c1": sp.Symbol("p_lapse_c1"),
-    "p_lapse_c2": sp.Symbol("p_lapse_c2"),
-}
+PARAM_SYMBOLS = {name: sp.Symbol(name) for name in PARAM_NAMES}
 
 
 class SymbolicParams:
@@ -88,12 +80,6 @@ def bind_inputs(
     for v in S.SECOND_DERIV_VARS:
         for a, b in _SYM_PAIRS:
             env[grad2_name(v, a, b)] = derivs.second(v, a, b)
-    env["p_eta"] = params.eta
-    env["p_gauge_f"] = params.gauge_f
-    env["p_lambda1"] = params.lambda1
-    env["p_lambda2"] = params.lambda2
-    env["p_lambda3"] = params.lambda3
-    env["p_lambda4"] = params.lambda4
-    env["p_lapse_c1"] = params.lapse_c1
-    env["p_lapse_c2"] = params.lapse_c2
+    for name in PARAM_NAMES:
+        env[name] = getattr(params, name[2:])
     return env

@@ -294,12 +294,17 @@ async def write_frame_async(writer: asyncio.StreamWriter, obj) -> None:
     await writer.drain()
 
 
-def _close(sock: socket.socket) -> None:
-    """Wake any thread blocked on ``sock``, then close it."""
+def _shutdown(sock: socket.socket) -> None:
+    """Wake any thread blocked on ``sock`` with the end of stream."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass
+
+
+def _close(sock: socket.socket) -> None:
+    """Wake any thread blocked on ``sock``, then close it."""
+    _shutdown(sock)
     try:
         sock.close()
     except OSError:
@@ -494,9 +499,11 @@ class Listener:
         return self
 
     def stop(self) -> None:
-        """Stop serving: close the listener and every live connection
-        (no goodbye is sent — to a peer this is a crash), then join
-        the threads."""
+        """Stop serving: close the listener, shut every live connection
+        down (no goodbye is sent — to a peer this is a crash), join the
+        threads, then close the sockets their owners left open.  A
+        shut-down socket gives its handler the end of stream whenever it
+        next reads; a closed one would raise ``EBADF`` instead."""
         self._stop.set()
         if self._listener is not None:
             try:
@@ -504,11 +511,13 @@ class Listener:
             finally:
                 self._listener = None
         for _ in range(2):  # twice: the accept thread may track one
-            self.close_connections()  # more socket while the first runs
-            with self._mutex:
-                threads = list(self._threads)
+            with self._mutex:  # more socket while the first runs
+                socks, threads = list(self._socks), list(self._threads)
+            for s in socks:
+                _shutdown(s)
             for t in threads:
                 t.join(5.0)
+        self.close_connections()
 
     def __enter__(self):
         return self.start()

@@ -97,17 +97,30 @@ class Solver:
         chunk kernel, then the Sommerfeld condition on the chunk's faces.
         Padded patches exist for one chunk at a time, and ``u`` is read
         only where they need it."""
-        mesh, prof = self.mesh, self._prof
+        for a, b, patches in self._unzip_chunks(u, lo, hi, self.chunk,
+                                                self._prof):
+            self._chunk_rhs(patches, t, rhs, a, b, lo, hi)
+
+    def _unzip_chunks(self, u: np.ndarray, lo: int, hi: int, chunk: int,
+                      prof, arena: np.ndarray | None = None):
+        """Yield ``(a, b, patches)`` for every chunk of ``chunk`` octants
+        of ``lo:hi``: the coarse sources the range reads are prolonged
+        once, then each chunk's padded patches are unzipped, as the chunk
+        kernel's backend runs it, into a prefix of the flat ``arena``
+        (default: the workspace's ``solver.patch_chunk``), which the next
+        chunk overwrites; ``prof`` times it as the ``unzip`` phase."""
+        mesh = self.mesh
         pool = self.workspace().pool
         nv, P3 = u.shape[0], mesh.P**3
         with prof.phase("unzip"):
             up = prolong_sources(mesh.plan, u, lo, hi, pool=pool,
                                  tracer=prof.tracer,
                                  executor=self.kernel.prolong)
-            arena = pool.get("solver.patch_chunk", (
-                nv * min(self.chunk, mesh.num_octants) * P3,))
-        for a in range(lo, hi, self.chunk):
-            b = min(a + self.chunk, hi)
+            if arena is None:
+                arena = pool.get("solver.patch_chunk", (
+                    nv * min(chunk, mesh.num_octants) * P3,))
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
             # the tail chunk is a prefix of the same buffer
             patches = arena[:nv * (b - a) * P3].reshape(
                 (nv, b - a) + (mesh.P,) * 3)
@@ -115,7 +128,7 @@ class Solver:
                 mesh.unzip(u, out=patches, coalesce=True, tracer=prof.tracer,
                            executor=self.kernel.unzip_gather, up=up,
                            lo=a, hi=b)
-            self._chunk_rhs(patches, t, rhs, a, b, lo, hi)
+            yield a, b, patches
 
     def _sommerfeld(self, rhs: np.ndarray, patches: np.ndarray,
                     u_inf: np.ndarray, speed: float, lo: int, hi: int) -> None:

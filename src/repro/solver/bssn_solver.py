@@ -24,8 +24,9 @@ from repro.bssn import (
 )
 from repro.bssn import state as S
 from repro.bssn.sommerfeld import ASYMPTOTIC
+from repro.codegen.backends import NativeBSSNRHS, NumpyBSSNRHS, resolve_backend
 from repro.mesh import Mesh, regrid_flags, remesh, transfer_fields
-from repro.perf import StepProfiler
+from repro.perf import NO_PROFILER, StepProfiler
 from .base import Solver
 
 
@@ -108,13 +109,6 @@ class BSSNSolver(Solver):
         profiler: StepProfiler | None = None,
         backend: str = "numpy",
     ):
-        # imported here: repro.codegen pulls in sympy
-        from repro.codegen.backends import (
-            NativeBSSNRHS,
-            NumpyBSSNRHS,
-            resolve_backend,
-        )
-
         if resolve_backend(backend) == "numpy":
             kernel = NumpyBSSNRHS(algebra)
         elif algebra is not None:
@@ -228,17 +222,13 @@ class BSSNSolver(Solver):
             return self._constraints()
 
     def _constraints(self) -> dict[str, float]:
-        from repro.codegen.backends import NumpyBSSNRHS
-
-        mesh = self.mesh
-        patches = mesh.unzip(self.state)
-        k, r = mesh.k, mesh.r
-        norms: dict[str, float] = {}
-        acc: dict[str, list[np.ndarray]] = {}
+        mesh, k, r = self.mesh, self.mesh.k, self.mesh.r
         n, chunk = mesh.num_octants, NumpyBSSNRHS.chunk_octants  # NumPy work
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            pch = patches[:, lo:hi]
+        # one chunk of patches at a time, never the whole mesh's
+        arena = np.empty(S.NUM_VARS * min(chunk, n) * mesh.P**3)
+        acc: dict[str, list[np.ndarray]] = {}
+        chunks = self._unzip_chunks(self.state, 0, n, chunk, NO_PROFILER, arena)
+        for lo, hi, pch in chunks:
             derivs = compute_derivatives(pch, mesh.dx[lo:hi], self.params, self.pd)
             values = np.ascontiguousarray(pch[:, :, k : k + r, k : k + r, k : k + r])
             con = compute_constraints(values, derivs, self.params)
@@ -246,6 +236,7 @@ class BSSNSolver(Solver):
                 # flatten exactly once; the reduce below concatenates the
                 # already-flat parts directly
                 acc.setdefault(name, []).append(arr.reshape(-1))
+        norms: dict[str, float] = {}
         for name, parts in acc.items():
             flat = np.concatenate(parts)
             norms[f"{name}_l2"] = float(np.sqrt(np.mean(flat**2)))

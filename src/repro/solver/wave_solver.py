@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.codegen.backends import NativeWaveRHS, NumpyWaveRHS, resolve_backend
 from repro.mesh import Mesh, regrid_flags, remesh, transfer_fields
 from repro.perf import StepProfiler
 from .base import Solver
@@ -68,13 +69,6 @@ class WaveSolver(Solver):
         profiler: StepProfiler | None = None,
         backend: str = "numpy",
     ):
-        # imported here: repro.codegen pulls in sympy
-        from repro.codegen.backends import (
-            NativeWaveRHS,
-            NumpyWaveRHS,
-            resolve_backend,
-        )
-
         kernel = (NumpyWaveRHS() if resolve_backend(backend) == "numpy"
                   else NativeWaveRHS())
         super().__init__(mesh, kernel, courant=courant,

@@ -181,7 +181,7 @@ class TestScheduleDiskCache:
     (or silently regenerating around) them."""
 
     def test_roundtrip(self, tmp_path, monkeypatch):
-        from repro.codegen import generators as G
+        from repro.codegen import spec as G
 
         spec = get_kernel_spec("staged-cse")
         monkeypatch.setattr(G, "_cache_dir", lambda: tmp_path)
@@ -192,7 +192,7 @@ class TestScheduleDiskCache:
         assert back.input_defs == spec.input_defs
 
     def test_corrupt_pickle_evicted(self, tmp_path, monkeypatch):
-        from repro.codegen import generators as G
+        from repro.codegen import spec as G
 
         spec = get_kernel_spec("staged-cse")
         monkeypatch.setattr(G, "_cache_dir", lambda: tmp_path)
@@ -207,7 +207,7 @@ class TestScheduleDiskCache:
         (e.g. a partial write or a hand-edited file) is evicted."""
         import pickle
 
-        from repro.codegen import generators as G
+        from repro.codegen import spec as G
 
         spec = get_kernel_spec("staged-cse")
         monkeypatch.setattr(G, "_cache_dir", lambda: tmp_path)
@@ -222,7 +222,7 @@ class TestScheduleDiskCache:
     def test_store_prunes_other_keys(self, tmp_path, monkeypatch):
         """Old-generator-version artefacts at the same variant don't
         accumulate: storing under a new key removes superseded files."""
-        from repro.codegen import generators as G
+        from repro.codegen import spec as G
 
         spec = get_kernel_spec("staged-cse")
         monkeypatch.setattr(G, "_cache_dir", lambda: tmp_path)
@@ -231,6 +231,63 @@ class TestScheduleDiskCache:
         G._store_cached_spec(spec)
         assert not stale.exists()
         assert len(list(tmp_path.glob("staged-cse-*.pkl"))) == 1
+
+
+class TestRunPath:
+    """A process that finds the schedule in the cache runs without the
+    symbolic engine: SymPy and NetworkX are imported only to generate."""
+
+    def test_warm_run_path_imports_neither_sympy_nor_networkx(self):
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+        from repro.codegen import spec as G
+
+        G.get_kernel_spec.cache_clear()  # read (or fill) the disk cache
+        get_kernel_spec("compiled")
+        code = (
+            "import json, sys\n"
+            "import repro.io, repro.jobs, repro.serve\n"
+            "from repro.bssn import Puncture\n"
+            "from repro.mesh import Mesh\n"
+            "from repro.octree import Domain, LinearOctree\n"
+            "from repro.solver import BSSNSolver, WaveSolver\n"
+            "mesh = Mesh(LinearOctree.uniform(1, domain=Domain(-8.0, 8.0)))\n"
+            "bssn = BSSNSolver(mesh, backend='auto')\n"
+            "bssn.set_punctures([Puncture(1.0, [0.1, 0.2, 0.3])])\n"
+            "bssn.step()\n"
+            "WaveSolver(mesh, backend='auto').step()\n"
+            "print(json.dumps([bssn.backend, sorted(m for m in sys.modules\n"
+            "    if m.split('.')[0] in ('sympy', 'networkx'))]))\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                             check=True, capture_output=True, text=True,
+                             env=env).stdout
+        backend, loaded = json.loads(out.splitlines()[-1])
+        assert backend == ("compiled" if probe_cffi() else "numpy")
+        assert loaded == []
+
+    def test_cold_cache_regenerates_the_same_schedule(self, tmp_path,
+                                                      monkeypatch):
+        from repro.codegen import spec as G
+
+        warm = G.schedule_digest(get_kernel_spec("compiled").statements)
+        monkeypatch.setattr(G, "_cache_dir", lambda: tmp_path)
+        G.get_kernel_spec.cache_clear()
+        try:
+            cold = G.get_kernel_spec("compiled")
+            # a miss: generated here and stored in the empty cache
+            assert len(list(tmp_path.glob("compiled-*.pkl"))) == 1
+            assert G.schedule_digest(cold.statements) == warm
+        finally:
+            G.get_kernel_spec.cache_clear()
 
 
 class TestNativeBuildCache:

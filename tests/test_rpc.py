@@ -484,6 +484,36 @@ class TestListener:
         with pytest.raises(RuntimeError):
             server.address
 
+    def test_handler_reading_after_stop_sees_end_of_stream(self,
+                                                            thread_errors):
+        """stop() shuts connections down and leaves closing to after the
+        join: a handler that reaches recv only once stop() has begun
+        reads a clean EOF, not EBADF from a closed descriptor."""
+        entered, release = threading.Event(), threading.Event()
+        got = []
+
+        class Late(rpc.Listener):
+            def on_connect(self, sock):
+                entered.set()
+                release.wait(5.0)
+                got.append(sock.recv(1))
+
+        server = Late(name="late").start()
+        sock = socket.create_connection(server.address, timeout=5.0)
+        try:
+            assert entered.wait(5.0)
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            assert sock.recv(1) == b""  # the server side is shut down
+            time.sleep(0.2)  # stop() is joining the handler by now
+            release.set()
+            stopper.join(10.0)
+            assert not stopper.is_alive()
+        finally:
+            sock.close()
+        assert got == [b""]
+        assert thread_errors == []
+
 
 # -- malformed input against the three servers ---------------------------
 

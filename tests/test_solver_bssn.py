@@ -89,6 +89,39 @@ def puncture_solver():
     return s
 
 
+@pytest.mark.parametrize("backend", ["numpy", "auto"])
+def test_chunked_constraints_equal_whole_mesh_unzip(backend, monkeypatch):
+    """constraints() unzips one chunk at a time through the RHS's range
+    path; its norms equal, bit for bit, those of the patches of the whole
+    mesh unzipped at once, on a refined grid cut into several chunks."""
+    from repro.bssn import compute_constraints, compute_derivatives
+    from repro.codegen.backends import NumpyBSSNRHS
+
+    mesh = Mesh(bbh_grid(mass_ratio=2.0, max_level=3, base_level=2))
+    s = BSSNSolver(mesh, backend=backend)
+    s.set_punctures(binary_punctures(mass_ratio=2.0, separation=6.0))
+    chunk = 16
+    assert mesh.num_octants > 2 * chunk and mesh.num_octants % chunk
+    monkeypatch.setattr(NumpyBSSNRHS, "chunk_octants", chunk)
+    patches = mesh.unzip(s.state)
+    k, r, acc = mesh.k, mesh.r, {}
+    for lo in range(0, mesh.num_octants, chunk):
+        pch = patches[:, lo:lo + chunk]
+        derivs = compute_derivatives(pch, mesh.dx[lo:lo + chunk], s.params,
+                                     s.pd)
+        values = np.ascontiguousarray(pch[:, :, k:k + r, k:k + r, k:k + r])
+        for name, arr in compute_constraints(values, derivs,
+                                             s.params).items():
+            acc.setdefault(name, []).append(arr.reshape(-1))
+    whole = {}
+    for name, parts in acc.items():
+        flat = np.concatenate(parts)
+        whole[f"{name}_l2"] = float(np.sqrt(np.mean(flat**2)))
+        whole[f"{name}_linf"] = float(np.abs(flat).max())
+    assert s.constraints() == whole
+    assert whole["ham_linf"] > 0.0
+
+
 class TestPunctureEvolution:
     def test_short_evolution_stable(self, puncture_solver):
         """A few steps of a Schwarzschild puncture: finite state, lapse
