@@ -96,20 +96,16 @@ class WaveformCatalog:
 
     def interpolate(self, q: float, *,
                     max_mismatch: float | None = None) -> CatalogEntry:
-        """Linear parameter-space interpolation at mass ratio ``q``.
-
-        The interpolant is the distance-weighted blend of the two
-        bracketing waveforms on their (shared) time grid.  Its metadata
-        carries a *mismatch-bounded error estimate*:
-        ``interpolation_mismatch_bound`` is the time/phase-maximised
-        mismatch between the two bracket endpoints — for a family
-        varying smoothly in q the interpolant cannot disagree with the
-        true waveform by more than the bracket's own diameter (measured
-        0.0025 vs a bound of 0.024 for the model family at q = 1.5), so
-        the bound is conservative.  ``max_mismatch`` turns the bound
-        into an admission test: a bracket wider than the budget raises
-        :class:`InterpolationError` — the caller should treat the point
-        as a coverage gap and schedule a simulation instead.
+        """Linear parameter-space interpolation at mass ratio ``q``: the
+        :func:`blend` of the two bracketing waveforms, with the
+        time/phase-maximised mismatch of the bracket endpoints as its
+        ``interpolation_mismatch_bound``.  For a family varying smoothly
+        in q the interpolant cannot disagree with the true waveform by
+        more than the bracket's own diameter (measured 0.0025 vs a bound
+        of 0.024 for the model family at q = 1.5), so the bound is
+        conservative.  ``max_mismatch`` turns it into an admission test:
+        a wider bracket raises :class:`InterpolationError` — a coverage
+        gap, where a simulation should be scheduled instead.
         """
         lo, hi = self.bracket(q)
         if lo is hi:
@@ -118,30 +114,15 @@ class WaveformCatalog:
                 metadata={**lo.metadata, "interpolated": False,
                           "interpolation_mismatch_bound": 0.0},
             )
-        if len(lo.times) != len(hi.times) or not np.allclose(
-                lo.times, hi.times):
-            raise InterpolationError(
-                f"entries q = {lo.mass_ratio:g} and q = {hi.mass_ratio:g} "
-                "do not share a time grid"
-            )
-        dt = float(lo.times[1] - lo.times[0])
-        bound = float(mismatch(lo.h22, hi.h22, dt))
+        bound = float(mismatch(lo.h22, hi.h22,
+                               float(lo.times[1] - lo.times[0])))
         if max_mismatch is not None and bound > max_mismatch:
             raise InterpolationError(
                 f"bracket [{lo.mass_ratio:g}, {hi.mass_ratio:g}] mismatch "
                 f"{bound:.4f} exceeds budget {max_mismatch:.4f}"
             )
         w = (q - lo.mass_ratio) / (hi.mass_ratio - lo.mass_ratio)
-        h = (1.0 - w) * lo.h22 + w * hi.h22
-        return CatalogEntry(
-            mass_ratio=float(q), times=lo.times, h22=h,
-            metadata={
-                "interpolated": True,
-                "bracket": [float(lo.mass_ratio), float(hi.mass_ratio)],
-                "bracket_weight": float(w),
-                "interpolation_mismatch_bound": bound,
-            },
-        )
+        return blend(lo, hi, q, w, bound)
 
     def coverage_gaps(self, threshold: float = 0.03) -> list[tuple[float, float]]:
         """Adjacent mass-ratio pairs whose mutual mismatch exceeds the
@@ -218,6 +199,29 @@ class WaveformCatalog:
                 CatalogEntry(mass_ratio=q, times=t, h22=h, metadata=meta)
             )
         return cat
+
+
+def blend(lo: CatalogEntry, hi: CatalogEntry, q: float, weight: float,
+          bound: float) -> CatalogEntry:
+    """``(1 − weight)·lo + weight·hi`` at ``q`` on the pair's shared time
+    grid, with ``bound`` (the pair's mismatch) as its error estimate —
+    computed by :meth:`WaveformCatalog.interpolate`, read from the index
+    plan by the serve front."""
+    if len(lo.times) != len(hi.times) or not np.allclose(lo.times, hi.times):
+        raise InterpolationError(
+            f"entries q = {lo.mass_ratio:g} and q = {hi.mass_ratio:g} "
+            "do not share a time grid"
+        )
+    return CatalogEntry(
+        mass_ratio=float(q), times=lo.times,
+        h22=(1.0 - weight) * lo.h22 + weight * hi.h22,
+        metadata={
+            "interpolated": True,
+            "bracket": [float(lo.mass_ratio), float(hi.mass_ratio)],
+            "bracket_weight": float(weight),
+            "interpolation_mismatch_bound": float(bound),
+        },
+    )
 
 
 def build_model_catalog(

@@ -23,6 +23,9 @@ class ExtractionSphere:
 
     radius: float
     rule: SphereRule = field(default_factory=lambda: gauss_legendre_rule(12))
+    #: (l, m, s) → conjugate harmonic on the rule's fixed points
+    _basis: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def points(self) -> np.ndarray:
@@ -31,8 +34,10 @@ class ExtractionSphere:
 
     def mode(self, f_vals: np.ndarray, l: int, m: int, s: int = 0) -> complex:
         """Project samples onto one (l, m) mode."""
-        ylm = spin_weighted_ylm(s, l, m, self.rule.theta, self.rule.phi)
-        return self.rule.integrate(f_vals * np.conj(ylm))
+        if (l, m, s) not in self._basis:
+            self._basis[l, m, s] = np.conj(spin_weighted_ylm(
+                s, l, m, self.rule.theta, self.rule.phi))
+        return self.rule.integrate(f_vals * self._basis[l, m, s])
 
     def modes(self, f_vals: np.ndarray, l_max: int, s: int = 0) -> dict:
         """All modes with |s| <= l <= l_max."""

@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from repro.analysis.catalog import InterpolationError, WaveformCatalog
+from repro.analysis.catalog import InterpolationError, blend
 from repro.gw.detector import (
     aplus_asd,
     bandpass,
@@ -301,23 +301,19 @@ class ServeFront:
             times, h22 = arrays["times"], arrays["h22"]
             entry_meta = {**meta, "interpolated": False}
         else:  # interp
-            k_lo, k_hi = plan["keys"]
-            lo_arrays, hi_arrays = await asyncio.gather(
-                self._arrays(k_lo), self._arrays(k_hi))
-            lo_meta = self.store.entry_meta(k_lo)
-            hi_meta = self.store.entry_meta(k_hi)
-            cat = WaveformCatalog(entries=[
-                _entry(lo_meta, lo_arrays), _entry(hi_meta, hi_arrays)])
+            # weight and bound come from the plan: no FFT, so the blend
+            # runs on the loop (a cold key still decodes off-loop)
+            lo, hi = [self.store.catalog_entry(k, await self._arrays(k))
+                      for k in plan["keys"]]
             try:
-                # the blend + mismatch bound does FFT work — keep it
-                # off the event loop so hot traffic never queues on it
-                entry = await asyncio.to_thread(cat.interpolate, q)
+                entry = blend(lo, hi, q, plan["weight"],
+                              plan["mismatch_bound"])
             except InterpolationError as exc:
                 # planned from the index but the arrays disagree (e.g.
                 # torn grid) — report a miss rather than a 500
                 return await self._miss(q, {"outcome": "miss",
                                             "reason": str(exc),
-                                            "nearest": k_lo,
+                                            "nearest": plan["keys"][0],
                                             "q_range": plan.get("q_range")})
             times, h22 = entry.times, entry.h22
             entry_meta = {**entry.metadata, "keys": plan["keys"]}
@@ -407,14 +403,6 @@ class ServeFront:
             }),
             "metrics": self.metrics.snapshot(wall=time.time()),
         }
-
-
-def _entry(meta: dict, arrays: dict):
-    from repro.analysis.catalog import CatalogEntry
-
-    return CatalogEntry(mass_ratio=meta["mass_ratio"],
-                        times=arrays["times"], h22=arrays["h22"],
-                        metadata=meta)
 
 
 def _samples(values: np.ndarray, stride: int) -> np.ndarray:

@@ -321,10 +321,12 @@ class CatalogStore:
                              f"on disk vs {meta['samples']} indexed")
         return {"times": t, "h22": h}
 
-    def catalog_entry(self, key: str) -> CatalogEntry:
-        """One entry as a :class:`CatalogEntry` (decodes arrays)."""
+    def catalog_entry(self, key: str, arrays: dict | None = None) \
+            -> CatalogEntry:
+        """One entry as a :class:`CatalogEntry` (decodes its arrays
+        unless they are given, as the front's hot set holds them)."""
         meta = self.entry_meta(key)
-        arrays = self.load_arrays(key)
+        arrays = self.load_arrays(key) if arrays is None else arrays
         return CatalogEntry(mass_ratio=meta["mass_ratio"],
                             times=arrays["times"], h22=arrays["h22"],
                             metadata=meta)

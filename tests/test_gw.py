@@ -126,6 +126,23 @@ class TestExtractionSphere:
         assert set(modes) == {(l, m) for l in range(3) for m in range(-l, l + 1)}
         assert np.isclose(modes[(0, 0)], np.sqrt(4 * np.pi), atol=1e-10)
 
+    @pytest.mark.parametrize("s", [0, -2])
+    def test_modes_are_bitwise_the_per_call_projection(self, s):
+        """The cached conjugate basis projects exactly as evaluating
+        the harmonic at every call did, on every call."""
+        sph = ExtractionSphere(50.0, gauss_legendre_rule(8))
+        th, ph = sph.rule.theta, sph.rule.phi
+        rng = np.random.default_rng(7)
+        for _ in range(2):  # the second call reads the cached basis
+            f = (rng.standard_normal(len(sph.rule))
+                 + 1j * rng.standard_normal(len(sph.rule)))
+            got = sph.modes(f, l_max=3, s=s)
+            for (l, m), value in got.items():
+                ref = sph.rule.integrate(
+                    f * np.conj(spin_weighted_ylm(s, l, m, th, ph)))
+                assert value == ref, (l, m)
+        assert len(sph._basis) == 16 - s * s
+
     def test_points_radius(self):
         sph = ExtractionSphere(75.0)
         assert np.allclose(np.linalg.norm(sph.points, axis=1), 75.0)

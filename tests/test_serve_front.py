@@ -10,7 +10,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.analysis.catalog import build_model_catalog
+import repro.analysis.catalog
+import repro.gw.compare
+import repro.serve.store
+from repro.analysis.catalog import WaveformCatalog, build_model_catalog
+from repro.gw.compare import mismatch
+from repro.jobs.cache import ResultCache
 from repro.jobs.worker import worker_loop
 from repro.serve import (
     AsyncServeClient,
@@ -157,6 +162,127 @@ class TestQueries:
             assert r["hot_set"]["entries"] == 1
 
         run_front(store, scenario)
+
+
+class TestInterpFromIndex:
+    """An interp reply is the plan's blend of the two hot entries: the
+    weight and the bound come from the index, no FFT and no thread."""
+
+    @staticmethod
+    def with_cache_entry(store, tmp_path):
+        """Join a ``cache:``-ingested q = 3 entry to the model family,
+        splitting the [2, 4] bracket."""
+        (model,) = build_model_catalog((3.0,), samples=512,
+                                       duration=200.0).entries
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("d" * 64, {"physics": {"mass_ratio": 3.0, "max_level": 2,
+                                         "extraction_radii": [2.0]}},
+                  arrays={"times": model.times, "h22_r2": model.h22})
+        assert store.ingest_cache(cache)["ingested"] == 1
+        return store
+
+    def test_reply_is_bitwise_the_catalog_interpolation(self, store,
+                                                        tmp_path):
+        store = self.with_cache_entry(store, tmp_path)
+        (family,) = store._index["families"].values()
+        brackets = list(zip(family["keys"], family["keys"][1:]))
+        assert len(brackets) == 3
+        assert any(store.entry_meta(k)["source"].startswith("cache:")
+                   for pair in brackets for k in pair)
+
+        async def main():
+            front = ServeFront(store)
+            checked = 0
+            for k_lo, k_hi in brackets:
+                lo, hi = (store.catalog_entry(k) for k in (k_lo, k_hi))
+                ref_cat = WaveformCatalog(entries=[lo, hi])
+                span = hi.mass_ratio - lo.mass_ratio
+                for frac in (0.1, 0.37, 0.5, 0.9):
+                    q = lo.mass_ratio + frac * span
+                    r = await front.handle({"op": "query", "mass_ratio": q})
+                    ref = ref_cat.interpolate(q)
+                    assert r["outcome"] == "interp"
+                    assert r["entry"]["keys"] == [k_lo, k_hi]
+                    assert np.array_equal(r["times"], ref.times)
+                    assert np.array_equal(r["h_re"], ref.h22.real)
+                    assert np.array_equal(r["h_im"], ref.h22.imag)
+                    meta = r["entry"]
+                    assert (meta["bracket_weight"]
+                            == ref.metadata["bracket_weight"])
+                    gap = mismatch(lo.h22, hi.h22,
+                                   float(lo.times[1] - lo.times[0]))
+                    assert (meta["interpolation_mismatch_bound"]
+                            == r["mismatch_bound"]
+                            == ref.metadata["interpolation_mismatch_bound"]
+                            == gap)
+                    checked += 1
+            return checked
+
+        assert asyncio.run(main()) == 12
+
+    def test_hot_interp_runs_no_fft_and_no_thread(self, store, monkeypatch):
+        calls = {"mismatch": 0, "to_thread": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (repro.gw.compare, repro.analysis.catalog,
+                       repro.serve.store):
+            monkeypatch.setattr(module, "mismatch",
+                                counted("mismatch", module.mismatch))
+        monkeypatch.setattr(asyncio, "to_thread",
+                            counted("to_thread", asyncio.to_thread))
+        req = {"op": "query", "mass_ratio": 1.5, "max_samples": 32}
+
+        async def main():
+            front = ServeFront(store)
+            cold = await front.handle(dict(req))
+            assert cold["outcome"] == "interp"
+            # the counters see the calls: the cold pair decoded off-loop
+            assert calls == {"mismatch": 0, "to_thread": 2}
+            calls["to_thread"] = 0
+            hot = await front.handle(dict(req))
+            assert hot["outcome"] == "interp"
+            assert calls == {"mismatch": 0, "to_thread": 0}
+            assert front.metrics.counter("serve_decodes").value == 2
+
+        asyncio.run(main())
+        # the wrappers are live: the catalog's own path computes its bound
+        cat = WaveformCatalog(entries=[store.catalog_entry(k)
+                                       for k in store.entries()])
+        cat.interpolate(1.5)
+        assert calls["mismatch"] == 1
+
+    def test_torn_bracket_answers_a_miss(self, tmp_path):
+        """Two entries of one family signature (``n:t0:t1``) whose
+        interior times disagree: the plan says interp, the grid check
+        says no — the reply is a miss (with a ticket), not an error."""
+        store = CatalogStore(tmp_path / "torn")
+        t = np.linspace(0.0, 1.0, 16)
+        h = np.exp(4j * t)
+        for q, times in ((1.0, t), (2.0, t**2)):
+            store.add_waveform(q, times, h, source=f"test:q{q:g}")
+        assert len(store._index["families"]) == 1
+        assert store.query_plan(1.5)["outcome"] == "interp"
+        broker = SimulationBroker(tmp_path / "campaign",
+                                  template=tiny_template())
+
+        async def main():
+            for attached in (None, broker):
+                front = ServeFront(store, broker=attached)
+                r = await front.handle({"op": "query", "mass_ratio": 1.5})
+                assert r["ok"] and r["outcome"] == "miss"
+                assert "do not share a time grid" in r["reason"]
+                assert r["nearest"] == store.query_plan(1.5)["keys"][0]
+                if attached is None:
+                    assert r["ticket"] is None
+                else:
+                    assert r["ticket"]["mass_ratio"] == 1.5
+
+        asyncio.run(main())
 
 
 def tiny_template():
