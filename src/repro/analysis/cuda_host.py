@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bssn import state as S
+from repro.codegen.backends import bind_inputs, compile_kernel
 from repro.codegen.cuda_emit import LAUNCH_BOUNDS, build_on_host, run_on_host
-from repro.codegen.generators import compile_kernel
 from repro.codegen.lowering import is_bitwise_lowerable
 from repro.codegen.spec import KernelSpec
-from repro.codegen.symbols import bind_inputs
 
 
 def sample_env() -> dict:
@@ -41,8 +39,7 @@ def sample_env() -> dict:
                                  PatchDerivatives(k=mesh.k))
     core = slice(mesh.k, mesh.k + mesh.r)
     values = np.ascontiguousarray(patches[:, :, core, core, core])
-    return bind_inputs(values, derivs, params,
-                       np.maximum(values[S.CHI], params.chi_floor))
+    return bind_inputs(values, derivs, params)
 
 
 def check_cuda_on_host(spec: KernelSpec, cuda_src: str | None = None) -> dict:

@@ -10,16 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import state as S
-from .geometry import (
-    christoffel_conformal,
-    inverse_sym,
-    raise_two,
-    ricci_chi,
-    ricci_conformal,
-    sym3x3,
-)
-from .rhs import BSSNParams, Derivs, _SYM_PAIRS
+from .geometry import bssn_geometry, gamma_source, raise_two
+from .rhs import BSSNParams, Derivs, array_accessors
 
 
 def compute_constraints(
@@ -29,29 +21,9 @@ def compute_constraints(
 
     Returns ``{'ham': (n,r,r,r), 'mom': (3,n,r,r,r), 'gam': (3,n,r,r,r)}``.
     """
-    if params is None:
-        params = BSSNParams()
-    v, dv = values, derivs
-    chi = np.maximum(v[S.CHI], params.chi_floor)
-    Kt = v[S.K]
-    Gt = [v[i] for i in S.GT]
-    gt = sym3x3(v[S.GT_SYM, ...])
-    At = sym3x3(v[S.AT_SYM, ...])
-
-    dchi = [dv.first(S.CHI, d) for d in range(3)]
-    dK = [dv.first(S.K, d) for d in range(3)]
-    dgt = [sym3x3(np.stack([dv.first(m, d) for m in S.GT_SYM])) for d in range(3)]
-    dAt = [sym3x3(np.stack([dv.first(m, d) for m in S.AT_SYM])) for d in range(3)]
-    dGt = [[dv.first(S.GT[k], d) for k in range(3)] for d in range(3)]
-    d2chi = {p: dv.second(S.CHI, *p) for p in _SYM_PAIRS}
-    d2gt = {
-        p: sym3x3(np.stack([dv.second(m, *p) for m in S.GT_SYM])) for p in _SYM_PAIRS
-    }
-
-    gtu = inverse_sym(gt)
-    C2, C1 = christoffel_conformal(gt, gtu, dgt)
-    Rt = ricci_conformal(gt, gtu, Gt, dGt, d2gt, C1, C2)
-    Rc = ricci_chi(gt, gtu, Gt, chi, dchi, d2chi, C2)
+    get, d1, _, d2 = array_accessors(values, derivs, params or BSSNParams())
+    g = bssn_geometry(get, d1, d2)
+    gtu, At, dgt = g.gtu, g.At, g.dgt
 
     At_uu = raise_two(At, gtu)
     At2 = 0.0
@@ -63,12 +35,11 @@ def compute_constraints(
     Rscal = 0.0
     for i in range(3):
         for j in range(3):
-            Rscal = Rscal + gtu[i][j] * (Rt[i][j] + Rc[i][j])
-    ham = chi * Rscal + (2.0 / 3.0) * Kt * Kt - At2
+            Rscal = Rscal + gtu[i][j] * (g.Rt[i][j] + g.Rc[i][j])
+    ham = g.chi * Rscal + (2.0 / 3.0) * g.K * g.K - At2
 
-    # Momentum: M^i = ∂_j Ã^{ij} + Γ̃^i_jk Ã^{jk}
-    #                − (3/(2χ)) Ã^{ij} ∂_j χ − (2/3) gt^{ij} ∂_j K
-    # with ∂_j Ã^{ij} expanded by the product rule (∂ gt^{-1} = −gt^{-1}
+    # Momentum: M^i = ∂_j Ã^{ij} + the source term of Eq. 8, with
+    # ∂_j Ã^{ij} expanded by the product rule (∂ gt^{-1} = −gt^{-1}
     # ∂gt gt^{-1}).
     dgtu = [  # ∂_d gt^{ik}
         [
@@ -84,7 +55,7 @@ def compute_constraints(
         ]
         for d in range(3)
     ]
-    mom = np.zeros((3,) + ham.shape)
+    div = []
     for i in range(3):
         s = 0.0
         for j in range(3):
@@ -94,15 +65,10 @@ def compute_constraints(
                     s = s + (
                         dgtu[j][i][kk] * gtu[j][ll] * At[kk][ll]
                         + gtu[i][kk] * dgtu[j][j][ll] * At[kk][ll]
-                        + gtu[i][kk] * gtu[j][ll] * dAt[j][kk][ll]
+                        + gtu[i][kk] * gtu[j][ll] * g.dAt[j][kk][ll]
                     )
-        for j in range(3):
-            for kk in range(3):
-                s = s + C2[i][j][kk] * At_uu[j][kk]
-        for j in range(3):
-            s = s - 1.5 / chi * At_uu[i][j] * dchi[j]
-            s = s - (2.0 / 3.0) * gtu[i][j] * dK[j]
-        mom[i] = s
+        div.append(s)
+    mom = np.stack(gamma_source(g, At_uu, div))
 
     # Gamma constraint: G^i = Γ̃^i (evolved) − gt^{jk} Γ̃^i_jk (computed)
     gam = np.zeros((3,) + ham.shape)
@@ -110,8 +76,8 @@ def compute_constraints(
         cal = 0.0
         for j in range(3):
             for kk in range(3):
-                cal = cal + gtu[j][kk] * C2[i][j][kk]
-        gam[i] = Gt[i] - cal
+                cal = cal + gtu[j][kk] * g.C2[i][j][kk]
+        gam[i] = g.Gt[i] - cal
 
     return {"ham": ham, "mom": mom, "gam": gam}
 

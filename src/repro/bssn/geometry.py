@@ -1,6 +1,7 @@
 """Pointwise geometric quantities shared by the BSSN RHS, the constraint
 monitors, and the Ψ₄ extraction: inverse conformal metric, Christoffel
-symbols (Eqs. 12–13), and the Ricci tensor split (Eqs. 16–19).
+symbols (Eqs. 12–13), and the Ricci tensor split (Eqs. 16–19).  The three
+reach them through one prelude, :func:`bssn_geometry`.
 
 All functions are vectorised over grid points: every tensor component is
 an array of identical shape and tensors are nested Python lists indexed
@@ -11,8 +12,13 @@ readable and each temporary a flat contiguous array.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 
+from . import state as S
 from .state import SYM_IDX
+
+#: the index pairs (a ≤ b) of a symmetric 3×3 tensor, in storage order
+_SYM_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
 def sym3x3(arr6):
@@ -193,4 +199,57 @@ def raise_two(At, gtu):
             s = s + mixed[i][2] * gtu[j][2]
             out[i][j] = s
             out[j][i] = s
+    return out
+
+
+def bssn_geometry(get, d1, d2) -> SimpleNamespace:
+    """The tensor prelude the RHS, the constraints and Ψ₄ share, generic
+    over arrays and SymPy symbols like :func:`repro.bssn.rhs.algebraic_rhs_exprs`,
+    whose ``get`` / ``d1`` / ``d2`` accessors it takes (``get(S.CHI)``
+    already floored).
+
+    Returns the fields ``chi``, ``K``, ``Gt`` (Γ̃^i), ``gt``, ``At``; their
+    derivatives ``dchi[d]``, ``dK[d]``, ``dGt[d][k]``, ``dgt[d][i][j]``,
+    ``dAt[d][i][j]``, ``d2chi[(a, b)]``, ``d2gt[(a, b)][i][j]``; and
+    ``gtu`` (γ̃^ij), ``C1``/``C2`` (Eq. 12) and ``Rt``/``Rc`` (R̃_ij and
+    R^χ_ij, Eqs. 17–19).  Nothing else: what one caller alone needs
+    stays with it.
+    """
+    def sym(slots, fetch):
+        return [[fetch(slots[SYM_IDX[i, j]]) for j in range(3)] for i in range(3)]
+
+    chi, K = get(S.CHI), get(S.K)
+    Gt = [get(i) for i in S.GT]
+    gt, At = sym(S.GT_SYM, get), sym(S.AT_SYM, get)
+    dchi = [d1(S.CHI, d) for d in range(3)]
+    dK = [d1(S.K, d) for d in range(3)]
+    dGt = [[d1(S.GT[k], d) for k in range(3)] for d in range(3)]
+    dgt = [sym(S.GT_SYM, lambda m: d1(m, d)) for d in range(3)]
+    dAt = [sym(S.AT_SYM, lambda m: d1(m, d)) for d in range(3)]
+    d2chi = {p: d2(S.CHI, *p) for p in _SYM_PAIRS}
+    d2gt = {p: sym(S.GT_SYM, lambda m: d2(m, *p)) for p in _SYM_PAIRS}
+
+    gtu = inverse_sym(gt)
+    C2, C1 = christoffel_conformal(gt, gtu, dgt)
+    return SimpleNamespace(
+        chi=chi, K=K, Gt=Gt, gt=gt, At=At, dchi=dchi, dK=dK, dGt=dGt,
+        dgt=dgt, dAt=dAt, d2chi=d2chi, d2gt=d2gt, gtu=gtu, C1=C1, C2=C2,
+        Rt=ricci_conformal(gt, gtu, Gt, dGt, d2gt, C1, C2),
+        Rc=ricci_chi(gt, gtu, Gt, chi, dchi, d2chi, C2))
+
+
+def gamma_source(g: SimpleNamespace, At_uu, acc=(0.0, 0.0, 0.0)) -> list:
+    """Γ̃^i_jk Ã^{jk} − (3/2χ) Ã^{ij} ∂_j χ − (2/3) γ̃^{ij} ∂_j K, added
+    term by term onto ``acc[i]``: the source of Eq. 8 (from 0) and the
+    non-derivative part of the momentum constraint (onto ∂_j Ã^{ij})."""
+    out = []
+    for i in range(3):
+        t = acc[i]
+        for j in range(3):
+            for k in range(3):
+                t = t + g.C2[i][j][k] * At_uu[j][k]
+        for j in range(3):
+            t = t - 1.5 / g.chi * At_uu[i][j] * g.dchi[j]
+            t = t - (2.0 / 3.0) * g.gtu[i][j] * g.dK[j]
+        out.append(t)
     return out

@@ -17,16 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import state as S
-from .geometry import (
-    christoffel_conformal,
-    christoffel_full,
-    inverse_sym,
-    ricci_chi,
-    ricci_conformal,
-    sym3x3,
-)
-from .rhs import BSSNParams, Derivs, _SYM_PAIRS
+from .geometry import bssn_geometry, christoffel_full
+from .rhs import BSSNParams, Derivs, array_accessors
 
 _LEVI = np.zeros((3, 3, 3))
 _LEVI[0, 1, 2] = _LEVI[1, 2, 0] = _LEVI[2, 0, 1] = 1.0
@@ -64,30 +56,11 @@ def compute_psi4(
 
     ``coords``: grid-point coordinates (n, r, r, r, 3).
     """
-    if params is None:
-        params = BSSNParams()
-    v, dv = values, derivs
-    chi = np.maximum(v[S.CHI], params.chi_floor)
-    Kt = v[S.K]
-    Gt = [v[i] for i in S.GT]
-    gt = sym3x3(v[S.GT_SYM, ...])
-    At = sym3x3(v[S.AT_SYM, ...])
-
-    dchi = [dv.first(S.CHI, d) for d in range(3)]
-    dK = [dv.first(S.K, d) for d in range(3)]
-    dgt = [sym3x3(np.stack([dv.first(m, d) for m in S.GT_SYM])) for d in range(3)]
-    dAt = [sym3x3(np.stack([dv.first(m, d) for m in S.AT_SYM])) for d in range(3)]
-    dGt = [[dv.first(S.GT[kk], d) for kk in range(3)] for d in range(3)]
-    d2chi = {p: dv.second(S.CHI, *p) for p in _SYM_PAIRS}
-    d2gt = {
-        p: sym3x3(np.stack([dv.second(m, *p) for m in S.GT_SYM])) for p in _SYM_PAIRS
-    }
-
-    gtu = inverse_sym(gt)
-    C2, C1 = christoffel_conformal(gt, gtu, dgt)
-    C2f = christoffel_full(C2, gt, gtu, chi, dchi)
-    Rt = ricci_conformal(gt, gtu, Gt, dGt, d2gt, C1, C2)
-    Rc = ricci_chi(gt, gtu, Gt, chi, dchi, d2chi, C2)
+    get, d1, _, d2 = array_accessors(values, derivs, params or BSSNParams())
+    geo = bssn_geometry(get, d1, d2)
+    chi, Kt, gt, At, gtu = geo.chi, geo.K, geo.gt, geo.At, geo.gtu
+    dchi, dgt = geo.dchi, geo.dgt
+    C2f = christoffel_full(geo.C2, gt, gtu, chi, dchi)
 
     inv_chi = 1.0 / chi
     # physical metric and extrinsic curvature
@@ -109,7 +82,7 @@ def compute_psi4(
     E = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            s = Rt[i][j] + Rc[i][j] + Kt * Kij[i][j]
+            s = geo.Rt[i][j] + geo.Rc[i][j] + Kt * Kij[i][j]
             for k in range(3):
                 s = s - Kij[i][k] * Kud[k][j]
             E[i][j] = s
@@ -118,7 +91,7 @@ def compute_psi4(
     # ∂_k K_lj from the conformal pieces
     def dKij(k, l, j):
         return (
-            dAt[k][l][j] + dgt[k][l][j] * Kt / 3.0 + gt[l][j] * dK[k] / 3.0
+            geo.dAt[k][l][j] + dgt[k][l][j] * Kt / 3.0 + gt[l][j] * geo.dK[k] / 3.0
         ) * inv_chi - Kij[l][j] * dchi[k] * inv_chi
 
     # D_k K_lj (full covariant), then B_ij = ε_i^{kl} D_k K_lj with

@@ -23,13 +23,12 @@ from repro.fd import PatchDerivatives
 from repro.perf import NO_PROFILER
 from . import state as S
 from .geometry import (
-    christoffel_conformal,
+    _SYM_PAIRS,
+    bssn_geometry,
     christoffel_full,
-    inverse_sym,
+    gamma_source,
     raise_one,
     raise_two,
-    ricci_chi,
-    ricci_conformal,
     trace_free,
 )
 
@@ -56,7 +55,6 @@ class BSSNParams:
 #: second-derivative variable list and its position lookup
 _S2 = list(S.SECOND_DERIV_VARS)
 _S2_POS = {v: i for i, v in enumerate(_S2)}
-_SYM_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 _PAIR_POS = {p: i for i, p in enumerate(_SYM_PAIRS)}
 
 
@@ -154,46 +152,17 @@ def algebraic_rhs_exprs(get, d1, adv, d2, params) -> list:
     """
     rhs: list = [None] * S.NUM_VARS
 
+    g = bssn_geometry(get, d1, d2)
+    chi, Kt, Gt, gt, At, gtu = g.chi, g.K, g.Gt, g.gt, g.At, g.gtu
     a = get(S.ALPHA)
-    chi = get(S.CHI)
-    Kt = get(S.K)
     beta = [get(i) for i in S.BETA]
     Bv = [get(i) for i in S.B]
-    Gt = [get(i) for i in S.GT]
-    gt = [[get(S.GT_SYM[S.SYM_IDX[i, j]]) for j in range(3)] for i in range(3)]
-    At = [[get(S.AT_SYM[S.SYM_IDX[i, j]]) for j in range(3)] for i in range(3)]
-
     da = [d1(S.ALPHA, d) for d in range(3)]
-    dchi = [d1(S.CHI, d) for d in range(3)]
-    dK = [d1(S.K, d) for d in range(3)]
     dbeta = [[d1(S.BETA[i], d) for d in range(3)] for i in range(3)]
-    dGt = [[d1(S.GT[k], d) for k in range(3)] for d in range(3)]  # dGt[d][k]
-    # dgt[d][i][j] = ∂_d γ̃_ij ; dAt likewise
-    dgt = [
-        [[d1(S.GT_SYM[S.SYM_IDX[i, j]], d) for j in range(3)] for i in range(3)]
-        for d in range(3)
-    ]
-    dAt = [
-        [[d1(S.AT_SYM[S.SYM_IDX[i, j]], d) for j in range(3)] for i in range(3)]
-        for d in range(3)
-    ]
-
     d2a = {p: d2(S.ALPHA, *p) for p in _SYM_PAIRS}
-    d2chi = {p: d2(S.CHI, *p) for p in _SYM_PAIRS}
-    d2gt = {
-        p: [
-            [d2(S.GT_SYM[S.SYM_IDX[i, j]], *p) for j in range(3)]
-            for i in range(3)
-        ]
-        for p in _SYM_PAIRS
-    }
 
-    gtu = inverse_sym(gt)
-    C2, C1 = christoffel_conformal(gt, gtu, dgt)
-    C2f = christoffel_full(C2, gt, gtu, chi, dchi)
-    Rt = ricci_conformal(gt, gtu, Gt, dGt, d2gt, C1, C2)
-    Rc = ricci_chi(gt, gtu, Gt, chi, dchi, d2chi, C2)
-    R = [[Rt[i][j] + Rc[i][j] for j in range(3)] for i in range(3)]
+    C2f = christoffel_full(g.C2, gt, gtu, chi, g.dchi)
+    R = [[g.Rt[i][j] + g.Rc[i][j] for j in range(3)] for i in range(3)]
 
     At_ud = raise_one(At, gtu)  # At^i_j
     At_uu = raise_two(At, gtu)  # At^{ij}
@@ -269,6 +238,7 @@ def algebraic_rhs_exprs(get, d1, adv, d2, params) -> list:
 
     # --- Γ̃^i (Eq. 8)
     Gt_rhs = [None] * 3
+    src = gamma_source(g, At_uu)
     for i in range(3):
         s = 0.0
         # gt^{jk} ∂_j ∂_k β^i
@@ -290,14 +260,7 @@ def algebraic_rhs_exprs(get, d1, adv, d2, params) -> list:
         for j in range(3):
             s = s - 2.0 * At_uu[i][j] * da[j]
         # 2 α ( Γ̃^i_jk Ã^{jk} − (3/2χ) Ã^{ij} ∂_j χ − (2/3) gt^{ij} ∂_j K )
-        t = 0.0
-        for j in range(3):
-            for k in range(3):
-                t = t + C2[i][j][k] * At_uu[j][k]
-        for j in range(3):
-            t = t - 1.5 / chi * At_uu[i][j] * dchi[j]
-            t = t - (2.0 / 3.0) * gtu[i][j] * dK[j]
-        Gt_rhs[i] = s + 2.0 * a * t
+        Gt_rhs[i] = s + 2.0 * a * src[i]
         rhs[S.GT[i]] = Gt_rhs[i]
 
     # --- B^i (Eq. 3): ∂_t B^i = ∂_t Γ̃^i − η B^i + β^j ∂_j B^i − β^j ∂_j Γ̃^i
@@ -312,23 +275,27 @@ def algebraic_rhs_exprs(get, d1, adv, d2, params) -> list:
     return rhs
 
 
-def evaluate_algebraic(
-    values: np.ndarray, derivs: Derivs, params: BSSNParams
-) -> np.ndarray:
-    """Reference (hand-vectorised NumPy) evaluation of the A component.
-
-    ``values`` holds the 24 variables on patch interiors, shape
-    ``(24, n, r, r, r)``.  The expression evaluation allocates (it is
-    the readable reference; the generated kernels are the fused form).
-    """
+def array_accessors(values: np.ndarray, derivs: Derivs, params: BSSNParams):
+    """The ``(get, d1, adv, d2)`` accessors of :func:`algebraic_rhs_exprs`
+    over arrays: ``values`` the 24 variables on patch interiors, shape
+    ``(24, n, r, r, r)``, and their ``derivs``; ``get`` floors χ."""
     chi_floored = np.maximum(values[S.CHI], params.chi_floor)
 
     def get(var):
         return chi_floored if var == S.CHI else values[var]
 
-    exprs = algebraic_rhs_exprs(
-        get, derivs.first, derivs.advective, derivs.second, params
-    )
+    return get, derivs.first, derivs.advective, derivs.second
+
+
+def evaluate_algebraic(
+    values: np.ndarray, derivs: Derivs, params: BSSNParams
+) -> np.ndarray:
+    """Reference (hand-vectorised NumPy) evaluation of the A component on
+    :func:`array_accessors`.  The expression evaluation allocates (it is
+    the readable reference; the generated kernels are the fused form).
+    """
+    exprs = algebraic_rhs_exprs(*array_accessors(values, derivs, params),
+                                params)
     rhs = np.empty_like(values)
     for v, e in enumerate(exprs):
         rhs[v] = e

@@ -11,13 +11,13 @@ import importlib
 
 _EXPORTS = {
     ".backends": ("BackendUnavailableError", "NativeBSSNRHS", "NativeWaveRHS",
-                  "backend_info", "probe_cffi", "resolve_backend"),
+                  "backend_info", "compile_kernel", "emit_source",
+                  "get_algebra_kernel", "probe_cffi", "resolve_backend"),
     ".cbackend": ("ToolchainError", "build_native_lib", "emit_c_source"),
     ".cuda_emit": ("emit_cuda",),
     ".equations": ("symbolic_rhs",),
-    ".generators": ("compile_kernel", "emit_source", "generate_binary_reduce",
-                    "generate_staged_cse", "generate_sympygr",
-                    "get_algebra_kernel"),
+    ".generators": ("generate_binary_reduce", "generate_staged_cse",
+                    "generate_sympygr"),
     ".graph": ("ExprDag", "build_dag", "line_graph_schedule"),
     ".regalloc": ("DEFAULT_BUDGET", "SpillStats", "Statement",
                   "analyze_schedule", "max_live_values"),

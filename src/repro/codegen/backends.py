@@ -59,10 +59,12 @@ from __future__ import annotations
 
 import time
 import warnings
+from functools import lru_cache
+
 import numpy as np
 
 from repro.bssn import state as S
-from repro.bssn.rhs import bssn_rhs
+from repro.bssn.rhs import _SYM_PAIRS, BSSNParams, Derivs, array_accessors, bssn_rhs
 from repro.bssn.sommerfeld import sommerfeld_faces
 from repro.fd.derivatives import PatchDerivatives, _h_factor
 from repro.gpu.counters import publish_kernel_stats
@@ -82,7 +84,17 @@ from .cbackend import (
     scratch_doubles,
     stencil_weights,
 )
-from .spec import COMPILED_VARIANT, get_kernel_spec
+from .lowering import Dialect, a_stage, classify_inputs
+from .spec import (
+    COMPILED_VARIANT,
+    PARAM_NAMES,
+    KernelSpec,
+    agrad_name,
+    get_kernel_spec,
+    grad2_name,
+    grad_name,
+    value_name,
+)
 
 #: set when an "auto" request fell back to numpy (warn exactly once)
 _WARNED_FALLBACK = False
@@ -179,6 +191,76 @@ def resolve_backend(backend: str) -> str:
             )
         return "numpy"
     return "compiled"
+
+
+# ---------------------------------------------------------------------------
+# the NumPy execution of a schedule
+# ---------------------------------------------------------------------------
+
+#: the A stage as Python over NumPy arrays: every input read from the
+#: environment, ``**`` as the schedule spells it
+_PY_DIALECT = Dialect(
+    policy="py",
+    value=lambda name, idx: f"{name} = env[{name!r}]",
+    deriv=lambda name, i: f"{name} = env[{name!r}]",
+    decl=lambda tgt, expr: f"{tgt} = {expr}",
+    out=lambda var, expr: f"out[{var}] = {expr}",
+)
+
+
+def emit_source(spec: KernelSpec) -> str:
+    """Python source of ``A_kernel(env) -> list[24]``: the parameters,
+    then :func:`~repro.codegen.lowering.a_stage` in the Python dialect."""
+    lines = ["def A_kernel(env):", f"    out = [None] * {S.NUM_VARS}"]
+    lines += [f"    {p} = env[{p!r}]" for p in classify_inputs(spec)[2]]
+    lines += a_stage(spec, _PY_DIALECT, indent=4)
+    lines.append("    return out")
+    return "\n".join(lines) + "\n"
+
+
+def compile_kernel(spec: KernelSpec):
+    """Compile :func:`emit_source`; returns ``A_kernel(env) -> list[24]``."""
+    ns: dict = {"numpy": np, "np": np}
+    exec(compile(emit_source(spec), f"<generated:{spec.variant}>", "exec"), ns)
+    return ns["A_kernel"]
+
+
+def bind_inputs(values: np.ndarray, derivs: Derivs,
+                params: BSSNParams) -> dict[str, np.ndarray | float]:
+    """Runtime environment mapping every input name to its array, read
+    through the reference's :func:`~repro.bssn.rhs.array_accessors`
+    (χ floored)."""
+    get, d1, adv, d2 = array_accessors(values, derivs, params)
+    env: dict[str, np.ndarray | float] = {
+        name: getattr(params, name[2:]) for name in PARAM_NAMES}
+    for v in range(S.NUM_VARS):
+        env[value_name(v)] = get(v)
+        for d in range(3):
+            env[grad_name(v, d)] = d1(v, d)
+            env[agrad_name(v, d)] = adv(v, d)
+    for v in S.SECOND_DERIV_VARS:
+        for a, b in _SYM_PAIRS:
+            env[grad2_name(v, a, b)] = d2(v, a, b)
+    return env
+
+
+@lru_cache(maxsize=None)
+def get_algebra_kernel(variant: str):
+    """An ``algebra(values, derivs, params)`` callable compatible with
+    :func:`repro.bssn.rhs.bssn_rhs`'s ``algebra=`` hook: the NumPy
+    execution of the variant's cached schedule."""
+    spec = get_kernel_spec(variant)
+    fn = compile_kernel(spec)
+
+    def algebra(values, derivs, params):
+        rhs = np.empty_like(values)
+        for v, out in enumerate(fn(bind_inputs(values, derivs, params))):
+            rhs[v] = out
+        return rhs
+
+    algebra.variant = variant  # type: ignore[attr-defined]
+    algebra.spec = spec  # type: ignore[attr-defined]
+    return algebra
 
 
 # ---------------------------------------------------------------------------

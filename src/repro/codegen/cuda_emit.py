@@ -113,7 +113,7 @@ def build_on_host(spec: KernelSpec, cuda_src: str | None = None) -> NativeLib:
 def run_on_host(lib: NativeLib, spec: KernelSpec,
                 env: dict) -> tuple[np.ndarray, float]:
     """Launch the built kernel over the points of ``env`` — the
-    name → array environment :func:`~repro.codegen.generators.compile_kernel`
+    name → array environment :func:`~repro.codegen.backends.compile_kernel`
     kernels take.  Returns the ``(24, npts)`` outputs, NaN wherever the
     kernel stored nothing, and the seconds the launch took."""
     values, derivs, params = classify_inputs(spec)

@@ -14,14 +14,8 @@ from functools import lru_cache
 import sympy as sp
 
 from repro.bssn.rhs import algebraic_rhs_exprs
-from .symbols import (
-    SymbolicParams,
-    agrad_name,
-    grad2_name,
-    grad_name,
-    input_symbols,
-    value_name,
-)
+from .spec import agrad_name, grad2_name, grad_name, value_name
+from .symbols import SymbolicParams, input_symbols
 
 
 @lru_cache(maxsize=1)

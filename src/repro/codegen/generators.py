@@ -11,38 +11,25 @@
   completed independently ("compute the RHS of an equation as soon as its
   derivatives are ready"), so temporaries never live across equations.
 
-All three compile to NumPy kernels that are drop-in replacements for the
-reference ``evaluate_algebraic`` and must agree with it to roundoff.
+All three run as NumPy kernels (:func:`repro.codegen.backends.get_algebra_kernel`)
+that are drop-in replacements for the reference ``evaluate_algebraic``
+and must agree with it to roundoff.
 
 SymPy and NetworkX reach the run path only through this module: a
 solver loads the cached schedule through
 :func:`repro.codegen.spec.get_kernel_spec`, which imports this module
-only on a cache miss.
+only on a cache miss.  ``COMPILED_VARIANT`` and ``get_kernel_spec`` stay
+importable from here.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
 import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
 
-from repro.bssn import state as S
 from .equations import symbolic_rhs
 from .graph import build_dag, dfs_schedule
 from .regalloc import Statement
-from .spec import COMPILED_VARIANT, PARAM_NAMES, KernelSpec, get_kernel_spec
-
-_printer = NumPyPrinter({"fully_qualified_modules": False})
-
-
-def _src(e: sp.Expr) -> str:
-    return _printer.doprint(e)
-
-
-def _inputs_of(e: sp.Expr) -> tuple[str, ...]:
-    return tuple(sorted(s.name for s in e.free_symbols))
+from .spec import COMPILED_VARIANT, PARAM_NAMES, KernelSpec, get_kernel_spec  # noqa: F401
 
 
 def _binarize(e: sp.Expr, target: str, prefix: str,
@@ -233,7 +220,7 @@ def generate_staged_cse() -> KernelSpec:
 
 
 def generate(variant: str) -> KernelSpec:
-    """Run one variant's generator (its ``source`` is left empty)."""
+    """Run one variant's generator."""
     if variant == COMPILED_VARIANT:
         # the native lowering reuses the staged-cse schedule verbatim —
         # same statements, same digest inputs — under its own variant name
@@ -243,57 +230,3 @@ def generate(variant: str) -> KernelSpec:
     return {"sympygr": generate_sympygr,
             "binary-reduce": generate_binary_reduce,
             "staged-cse": generate_staged_cse}[variant]()
-
-
-# ---------------------------------------------------------------------------
-# emission & compilation
-# ---------------------------------------------------------------------------
-
-def emit_source(spec: KernelSpec) -> str:
-    """Python source of the kernel: env-bound inputs, one line per
-    statement, returns the 24 outputs."""
-    used: set[str] = set()
-    for st in spec.statements:
-        used.update(n for n in st.inputs if n in spec.input_names)
-    lines = ["def A_kernel(env):"]
-    for name in sorted(used):
-        lines.append(f"    {name} = env['{name}']")
-    out_names = ["None"] * S.NUM_VARS
-    for st in spec.statements:
-        lines.append(f"    {st.target} = {st.src}")
-        if st.is_output:
-            out_names[st.output_var] = st.target  # type: ignore[index]
-    lines.append("    return [" + ", ".join(out_names) + "]")
-    return "\n".join(lines) + "\n"
-
-
-def compile_kernel(spec: KernelSpec):
-    """Compile the emitted source; returns ``A_kernel(env) -> list[24]``."""
-    if not spec.source:
-        spec.source = emit_source(spec)
-    ns: dict = {"numpy": np, "np": np}
-    exec(compile(spec.source, f"<generated:{spec.variant}>", "exec"), ns)
-    return ns["A_kernel"]
-
-
-@lru_cache(maxsize=None)
-def get_algebra_kernel(variant: str):
-    """An ``algebra(values, derivs, params)`` callable compatible with
-    :func:`repro.bssn.rhs.bssn_rhs`'s ``algebra=`` hook."""
-    from .symbols import bind_inputs
-
-    spec = get_kernel_spec(variant)
-    fn = compile_kernel(spec)
-
-    def algebra(values, derivs, params):
-        chi_f = np.maximum(values[S.CHI], params.chi_floor)
-        env = bind_inputs(values, derivs, params, chi_f)
-        outs = fn(env)
-        rhs = np.empty_like(values)
-        for v in range(S.NUM_VARS):
-            rhs[v] = outs[v]
-        return rhs
-
-    algebra.variant = variant  # type: ignore[attr-defined]
-    algebra.spec = spec  # type: ignore[attr-defined]
-    return algebra

@@ -1,8 +1,9 @@
 """Shared scalar lowering of instruction schedules.
 
-One schedule, two textual renderings: the C row-vector kernel
-(:mod:`repro.codegen.cbackend`) and the CUDA thread kernel
-(:mod:`repro.codegen.cuda_emit`) both lower the *same* dataflow-verified
+One schedule, three textual renderings: the C row-vector kernel
+(:mod:`repro.codegen.cbackend`), the CUDA thread kernel
+(:mod:`repro.codegen.cuda_emit`) and the NumPy execution
+(:func:`repro.codegen.backends.emit_source`) all lower the *same* dataflow-verified
 :class:`~repro.codegen.spec.KernelSpec` statement stream.  This
 module holds what they share: input classification, the ``**``
 translation policies, and the one walk of the A stage, :func:`a_stage` —
@@ -10,7 +11,7 @@ value loads, derivative loads, the lowered statements, output stores —
 which each emitter parameterises with a :class:`Dialect` row saying how
 its language spells those four kinds of line (C: ``ld`` / ``const v8`` /
 ``bc()`` literals / ``st`` + KO add; CUDA: ``u[i][pp]`` / ``d[i][pp]`` /
-``out[i][pp]``).
+``out[i][pp]``; Python: ``env[name]`` / ``out[i]``).
 
 Bitwise contract
 ----------------
@@ -65,7 +66,12 @@ def _pow_exact(base: str, exp: float) -> str:
     return f"pow({base}, {exp})"
 
 
-_POLICIES = {"cuda": _pow_cuda, "c": _pow_exact}
+def _pow_py(base: str, exp: float) -> str:
+    """Python policy: NumPy's own ``**``, spelt as the schedule spells it."""
+    return f"{base} ** {exp!r}"
+
+
+_POLICIES = {"cuda": _pow_cuda, "c": _pow_exact, "py": _pow_py}
 
 
 def classify_inputs(spec: KernelSpec) -> tuple[list[str], list[str], list[str]]:

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from repro.bssn import state as S
 from .regalloc import Statement
 
 if TYPE_CHECKING:
@@ -39,6 +40,27 @@ PARAM_NAMES = (
 )
 
 
+def value_name(var: int) -> str:
+    """Input name of an evolution variable."""
+    return S.VAR_NAMES[var]
+
+
+def grad_name(var: int, d: int) -> str:
+    """Input name of a first derivative."""
+    return f"grad_{d}_{S.VAR_NAMES[var]}"
+
+
+def agrad_name(var: int, d: int) -> str:
+    """Input name of an advective derivative."""
+    return f"agrad_{d}_{S.VAR_NAMES[var]}"
+
+
+def grad2_name(var: int, a: int, b: int) -> str:
+    """Input name of a second derivative."""
+    a, b = min(a, b), max(a, b)
+    return f"grad2_{a}_{b}_{S.VAR_NAMES[var]}"
+
+
 @dataclass
 class KernelSpec:
     """A generated A-component kernel."""
@@ -46,7 +68,6 @@ class KernelSpec:
     variant: str
     statements: list[Statement]
     input_names: set[str]
-    source: str = ""
     dag: ExprDag | None = None
     #: how derivative inputs materialise in registers (see regalloc)
     input_defs: str = "upfront"
@@ -85,15 +106,24 @@ def _cache_dir() -> pathlib.Path:
     return d
 
 
+#: every source the generated schedules depend on: the equations, the
+#: geometry and the state layout they are written over, the symbols, the
+#: DAG order of binary-reduce, the statement type and the generators
+_GENERATION_SOURCES = (
+    "bssn/rhs.py", "bssn/geometry.py", "bssn/state.py",
+    "codegen/equations.py", "codegen/symbols.py", "codegen/graph.py",
+    "codegen/regalloc.py", "codegen/generators.py", "codegen/spec.py",
+)
+
+
 def _cache_key() -> str:
-    """Invalidate the on-disk cache when the symbolic equations, the
-    generators or this module change; the sources are read as bytes, so
-    keying the cache imports none of them."""
-    here = pathlib.Path(__file__).resolve().parent
+    """Invalidate the on-disk cache when any source of the generation
+    changes; the sources are read as bytes, so keying the cache imports
+    none of them."""
+    root = pathlib.Path(__file__).resolve().parents[1]
     h = hashlib.sha256()
-    for path in (here.parent / "bssn" / "rhs.py", here / "generators.py",
-                 here / "spec.py"):
-        h.update(path.read_bytes())
+    for name in _GENERATION_SOURCES:
+        h.update((root / name).read_bytes())
     return h.hexdigest()[:16]
 
 
@@ -119,7 +149,6 @@ def _load_cached_spec(variant: str) -> KernelSpec | None:
             variant=data["variant"],
             statements=statements,
             input_names=set(data["input_names"]),
-            source=data["source"],
             input_defs=data["input_defs"],
         )
     except Exception:
@@ -134,7 +163,6 @@ def _store_cached_spec(spec: KernelSpec) -> None:
         "variant": spec.variant,
         "statements": [asdict(s) for s in spec.statements],
         "input_names": sorted(spec.input_names),
-        "source": spec.source,
         "input_defs": spec.input_defs,
         "schedule_digest": schedule_digest(spec.statements),
     }
@@ -160,9 +188,8 @@ def get_kernel_spec(variant: str) -> KernelSpec:
     cached = _load_cached_spec(variant)
     if cached is not None:
         return cached
-    from .generators import emit_source, generate
+    from .generators import generate
 
     spec = generate(variant)
-    spec.source = emit_source(spec)
     _store_cached_spec(spec)
     return spec

@@ -97,28 +97,26 @@ class Solver:
         chunk kernel, then the Sommerfeld condition on the chunk's faces.
         Padded patches exist for one chunk at a time, and ``u`` is read
         only where they need it."""
-        for a, b, patches in self._unzip_chunks(u, lo, hi, self.chunk,
-                                                self._prof):
+        for a, b, patches in self._unzip_chunks(u, lo, hi, self._prof):
             self._chunk_rhs(patches, t, rhs, a, b, lo, hi)
 
-    def _unzip_chunks(self, u: np.ndarray, lo: int, hi: int, chunk: int,
-                      prof, arena: np.ndarray | None = None):
-        """Yield ``(a, b, patches)`` for every chunk of ``chunk`` octants
-        of ``lo:hi``: the coarse sources the range reads are prolonged
-        once, then each chunk's padded patches are unzipped, as the chunk
-        kernel's backend runs it, into a prefix of the flat ``arena``
-        (default: the workspace's ``solver.patch_chunk``), which the next
-        chunk overwrites; ``prof`` times it as the ``unzip`` phase."""
-        mesh = self.mesh
+    def _unzip_chunks(self, u: np.ndarray, lo: int, hi: int, prof):
+        """Yield ``(a, b, patches)`` for every chunk of ``self.chunk``
+        octants of ``lo:hi``: the coarse sources the range reads are
+        prolonged once, then each chunk's padded patches are unzipped, as
+        the chunk kernel's backend runs it, into a prefix of the
+        workspace's flat ``solver.patch_chunk``, which the next chunk
+        overwrites; ``prof`` times it as the ``unzip`` phase.  The RHS
+        and every diagnostic read the state this way."""
+        mesh, chunk = self.mesh, self.chunk
         pool = self.workspace().pool
         nv, P3 = u.shape[0], mesh.P**3
         with prof.phase("unzip"):
             up = prolong_sources(mesh.plan, u, lo, hi, pool=pool,
                                  tracer=prof.tracer,
                                  executor=self.kernel.prolong)
-            if arena is None:
-                arena = pool.get("solver.patch_chunk", (
-                    nv * min(chunk, mesh.num_octants) * P3,))
+            arena = pool.get("solver.patch_chunk", (
+                nv * min(chunk, mesh.num_octants) * P3,))
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
             # the tail chunk is a prefix of the same buffer

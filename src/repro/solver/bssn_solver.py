@@ -20,6 +20,7 @@ from repro.bssn import (
     compute_constraints,
     compute_derivatives,
     compute_psi4,
+    constraint_norms,
     mesh_puncture_state,
 )
 from repro.bssn import state as S
@@ -218,30 +219,38 @@ class BSSNSolver(Solver):
     # -- diagnostics ---------------------------------------------------------
     def constraints(self) -> dict[str, float]:
         """Constraint norms of the current state (chunked evaluation)."""
-        with self._prof.region("constraints"):
-            return self._constraints()
-
-    def _constraints(self) -> dict[str, float]:
-        mesh, k, r = self.mesh, self.mesh.k, self.mesh.r
-        n, chunk = mesh.num_octants, NumpyBSSNRHS.chunk_octants  # NumPy work
-        # one chunk of patches at a time, never the whole mesh's
-        arena = np.empty(S.NUM_VARS * min(chunk, n) * mesh.P**3)
         acc: dict[str, list[np.ndarray]] = {}
-        chunks = self._unzip_chunks(self.state, 0, n, chunk, NO_PROFILER, arena)
-        for lo, hi, pch in chunks:
-            derivs = compute_derivatives(pch, mesh.dx[lo:hi], self.params, self.pd)
-            values = np.ascontiguousarray(pch[:, :, k : k + r, k : k + r, k : k + r])
-            con = compute_constraints(values, derivs, self.params)
-            for name, arr in con.items():
-                # flatten exactly once; the reduce below concatenates the
-                # already-flat parts directly
-                acc.setdefault(name, []).append(arr.reshape(-1))
-        norms: dict[str, float] = {}
-        for name, parts in acc.items():
-            flat = np.concatenate(parts)
-            norms[f"{name}_l2"] = float(np.sqrt(np.mean(flat**2)))
-            norms[f"{name}_linf"] = float(np.abs(flat).max())
-        return norms
+        with self._prof.region("constraints"):
+            for _, values, derivs in self._diagnostic_chunks():
+                con = compute_constraints(values, derivs, self.params)
+                for name, arr in con.items():
+                    acc.setdefault(name, []).append(arr.reshape(-1))
+            return constraint_norms(
+                {name: np.concatenate(parts) for name, parts in acc.items()})
+
+    def _diagnostic_chunks(self, octants: np.ndarray | None = None):
+        """The one diagnostic loop: yield ``(pos, values, derivs)`` for
+        every chunk of ``self.chunk`` octants that holds one of
+        ``octants`` (default: every octant, in order) — ``pos`` the
+        positions in ``octants`` of the chunk's selected octants, whose
+        interior values and NumPy derivatives follow.  The chunk is
+        unzipped through :meth:`_unzip_chunks`, as the RHS's are, so
+        padded patches exist for one chunk at a time, never for the
+        whole mesh."""
+        mesh, k, r, chunk = self.mesh, self.mesh.k, self.mesh.r, self.chunk
+        n = mesh.num_octants
+        idx = np.arange(n) if octants is None else np.asarray(octants)
+        for lo in (np.unique(idx // chunk) * chunk).tolist():
+            pos = np.flatnonzero(idx // chunk == lo // chunk)
+            sel = idx[pos]
+            for a, b, pch in self._unzip_chunks(self.state, lo, min(lo + chunk, n),
+                                                NO_PROFILER):
+                if not np.array_equal(sel, np.arange(a, b)):
+                    pch = pch[:, sel - a]
+                derivs = compute_derivatives(pch, mesh.dx[sel], self.params,
+                                             self.pd)
+                yield pos, np.ascontiguousarray(
+                    pch[:, :, k:k + r, k:k + r, k:k + r]), derivs
 
     def attach_extractor(self, radii: list[float], *, l_max: int = 2,
                          extract_every: int = 16) -> "object":
@@ -293,14 +302,12 @@ class BSSNSolver(Solver):
         return self.evolve(t_end, on_step=sample, **kwargs)
 
     def psi4_field(self, octant_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Re, Im) Ψ₄ on the interiors of the selected octants."""
-        mesh = self.mesh
-        patches = mesh.unzip(self.state)
-        pch = patches[:, octant_indices]
-        derivs = compute_derivatives(
-            pch, mesh.dx[octant_indices], self.params, self.pd
-        )
-        k, r = mesh.k, mesh.r
-        values = np.ascontiguousarray(pch[:, :, k : k + r, k : k + r, k : k + r])
-        coords = self.mesh.coordinates(octant_indices)
-        return compute_psi4(values, derivs, coords, self.params)
+        """(Re, Im) Ψ₄ on the interiors of the selected octants, evaluated
+        only on the chunks that hold them."""
+        idx = np.asarray(octant_indices)
+        shape = (len(idx),) + (self.mesh.r,) * 3
+        re, im = np.empty(shape), np.empty(shape)
+        for pos, values, derivs in self._diagnostic_chunks(idx):
+            re[pos], im[pos] = compute_psi4(
+                values, derivs, self.mesh.coordinates(idx[pos]), self.params)
+        return re, im

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.codegen.backends import NativeWaveRHS, NumpyWaveRHS, resolve_backend
 from repro.mesh import Mesh, regrid_flags, remesh, transfer_fields
-from repro.perf import StepProfiler
+from repro.perf import NO_PROFILER, StepProfiler
 from .base import Solver
 
 PHI, PI = 0, 1
@@ -120,15 +120,18 @@ class WaveSolver(Solver):
 
     def energy(self) -> float:
         """Discrete energy ~ ∫ (π² + c²|∇φ|²)/2 (monitoring; decays only
-        through dissipation and the outer boundary)."""
+        through dissipation and the outer boundary), one chunk of
+        patches at a time."""
         mesh = self.mesh
-        patches = mesh.unzip(self.state)
-        h = mesh.dx
-        gx = self.pd.d1(patches[PHI], h, 0)
-        gy = self.pd.d1(patches[PHI], h, 1)
-        gz = self.pd.d1(patches[PHI], h, 2)
-        dens = 0.5 * (
-            self.state[PI] ** 2 + self.speed**2 * (gx**2 + gy**2 + gz**2)
-        )
+        dens = np.empty((mesh.num_octants,) + (mesh.r,) * 3)
+        for a, b, patches in self._unzip_chunks(self.state, 0, mesh.num_octants,
+                                                NO_PROFILER):
+            h = mesh.dx[a:b]
+            gx = self.pd.d1(patches[PHI], h, 0)
+            gy = self.pd.d1(patches[PHI], h, 1)
+            gz = self.pd.d1(patches[PHI], h, 2)
+            dens[a:b] = 0.5 * (
+                self.state[PI, a:b] ** 2 + self.speed**2 * (gx**2 + gy**2 + gz**2)
+            )
         w = (mesh.dx**3)[:, None, None, None]
         return float((dens * w).sum())

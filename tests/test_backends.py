@@ -37,11 +37,7 @@ from repro.codegen.backends import (
     NativeWaveRHS,
     resolve_backend,
 )
-from repro.codegen.generators import (
-    COMPILED_VARIANT,
-    get_algebra_kernel,
-    get_kernel_spec,
-)
+from repro.codegen import COMPILED_VARIANT, get_algebra_kernel, get_kernel_spec
 from repro.io.params import RunConfig
 from repro.jobs import state_digest
 from repro.mesh import Mesh

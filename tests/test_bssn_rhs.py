@@ -185,3 +185,49 @@ class TestRHSProperties:
             compute_derivatives(
                 np.zeros((5, 2, 13, 13, 13)), 0.1, BSSNParams()
             )
+
+
+class TestOneGeometry:
+    """The RHS, the constraints and Ψ₄ share one tensor prelude,
+    :func:`repro.bssn.geometry.bssn_geometry`; sharing it moved no bit.
+    The digests were recorded from the three separate derivations that
+    preceded it, on octants 0-15 of the q = 2 Bowen–York binary's grid."""
+
+    @staticmethod
+    def _sha(*arrays):
+        import hashlib
+
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    def test_arrays_keep_their_bits(self):
+        from repro.bssn import binary_punctures
+        from repro.octree import bbh_grid
+
+        mesh = Mesh(bbh_grid(mass_ratio=2.0, max_level=3, base_level=2))
+        u = mesh_puncture_state(mesh, binary_punctures(mass_ratio=2.0,
+                                                       separation=6.0))
+        p = mesh.unzip(u, lo=0, hi=16)
+        params = BSSNParams()
+        derivs = compute_derivatives(p, mesh.dx[:16], params)
+        values = _interior(p)
+        con = compute_constraints(values, derivs, params)
+        psi4 = compute_psi4(values, derivs, mesh.coordinates(np.arange(16)),
+                            params)
+        assert {name: self._sha(*arrays) for name, arrays in (
+            ("algebraic", [evaluate_algebraic(values, derivs, params)]),
+            ("ham", [con["ham"]]), ("mom", [con["mom"]]),
+            ("gam", [con["gam"]]), ("psi4", psi4))} == {
+            "algebraic": "8c9993b4817096ebcac5b8e0fb60935a"
+                         "fa7d400f21349098cb22d8f2d2b623c3",
+            "ham": "1669cf8cf740dedd490dde3edaf59b51"
+                   "b3e9e6e9dae24d79b1452301dcb77de9",
+            "mom": "ea873b2531e6bf1ccc9c276d4396000b"
+                   "b8a0d0a2737ca405f79d59b29fc7a187",
+            "gam": "4429af6dda471d18f86816b0d2624f3b"
+                   "3acc49f3050726dce92442d8e1f85d6c",
+            "psi4": "22ab2c0b278fa9504fb83b52865bfaf4"
+                    "d09a9c13e5c8adb8abb00ef0bbfae983",
+        }

@@ -232,10 +232,32 @@ class TestScheduleDiskCache:
         assert not stale.exists()
         assert len(list(tmp_path.glob("staged-cse-*.pkl"))) == 1
 
+    @pytest.mark.parametrize("source", [
+        "bssn/rhs.py", "bssn/geometry.py", "bssn/state.py",
+        "codegen/equations.py", "codegen/symbols.py", "codegen/graph.py",
+        "codegen/regalloc.py", "codegen/generators.py", "codegen/spec.py"])
+    def test_key_hashes_every_source_of_the_generation(self, source,
+                                                        monkeypatch):
+        """The schedule depends on the geometry, the state layout, the
+        symbols, binary-reduce's DAG order and the statement type as much
+        as on the equations: an edit to any of them must miss the cache,
+        not load the stale pickle its digest still vouches for."""
+        import pathlib
+
+        from repro.codegen import spec as G
+
+        key = G._cache_key()
+        edited = pathlib.Path(G.__file__).resolve().parents[1] / source
+        read = pathlib.Path.read_bytes
+        monkeypatch.setattr(pathlib.Path, "read_bytes", lambda path: (
+            read(path) + b"\n" if path == edited else read(path)))
+        assert G._cache_key() != key
+
 
 class TestRunPath:
     """A process that finds the schedule in the cache runs without the
-    symbolic engine: SymPy and NetworkX are imported only to generate."""
+    symbolic engine, the NumPy execution of the schedule included: SymPy
+    and NetworkX are imported only to generate."""
 
     def test_warm_run_path_imports_neither_sympy_nor_networkx(self):
         import json
@@ -261,6 +283,12 @@ class TestRunPath:
             "bssn.set_punctures([Puncture(1.0, [0.1, 0.2, 0.3])])\n"
             "bssn.step()\n"
             "WaveSolver(mesh, backend='auto').step()\n"
+            "from repro.bssn import BSSNParams, compute_derivatives\n"
+            "from repro.codegen import COMPILED_VARIANT, get_algebra_kernel\n"
+            "p = mesh.unzip(bssn.state, lo=0, hi=2)\n"
+            "d = compute_derivatives(p, mesh.dx[:2], BSSNParams())\n"
+            "get_algebra_kernel(COMPILED_VARIANT)(\n"
+            "    p[:, :, 3:10, 3:10, 3:10].copy(), d, BSSNParams())\n"
             "print(json.dumps([bssn.backend, sorted(m for m in sys.modules\n"
             "    if m.split('.')[0] in ('sympy', 'networkx'))]))\n"
         )

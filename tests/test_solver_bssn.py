@@ -6,12 +6,19 @@ import pytest
 from repro.bssn import BSSNParams, Puncture, binary_punctures, flat_metric_state
 from repro.bssn import state as S
 from repro.codegen.backends import native_impl
-from repro.codegen.generators import COMPILED_VARIANT, get_algebra_kernel
+from repro.codegen import COMPILED_VARIANT, get_algebra_kernel
 from repro.io import restore_solver, save_checkpoint
 from repro.jobs import state_digest
 from repro.mesh import Mesh
 from repro.octree import Domain, LinearOctree, balance, bbh_grid, puncture_refine_fn
-from repro.solver import BSSNSolver, PunctureTracker, enforce_algebraic_constraints
+from repro.solver import (
+    BSSNSolver,
+    PunctureTracker,
+    WaveSolver,
+    enforce_algebraic_constraints,
+)
+
+from .test_backends import _traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -90,27 +97,31 @@ def puncture_solver():
 
 
 @pytest.mark.parametrize("backend", ["numpy", "auto"])
-def test_chunked_constraints_equal_whole_mesh_unzip(backend, monkeypatch):
-    """constraints() unzips one chunk at a time through the RHS's range
-    path; its norms equal, bit for bit, those of the patches of the whole
-    mesh unzipped at once, on a refined grid cut into several chunks."""
-    from repro.bssn import compute_constraints, compute_derivatives
-    from repro.codegen.backends import NumpyBSSNRHS
+def test_chunked_constraints_equal_whole_mesh_unzip(backend):
+    """Every solver diagnostic unzips one chunk at a time through the
+    RHS's range path, and equals, bit for bit, its evaluation on the
+    patches of the whole mesh unzipped at once, on a refined grid cut
+    into several chunks: the constraints() norms, psi4_field on every
+    octant, on a shell subset and on every octant in reverse order, and
+    WaveSolver.energy."""
+    from repro.bssn import compute_constraints, compute_derivatives, compute_psi4
 
     mesh = Mesh(bbh_grid(mass_ratio=2.0, max_level=3, base_level=2))
-    s = BSSNSolver(mesh, backend=backend)
-    s.set_punctures(binary_punctures(mass_ratio=2.0, separation=6.0))
     chunk = 16
+    s = BSSNSolver(mesh, backend=backend, chunk_octants=chunk)
+    s.set_punctures(binary_punctures(mass_ratio=2.0, separation=6.0))
     assert mesh.num_octants > 2 * chunk and mesh.num_octants % chunk
-    monkeypatch.setattr(NumpyBSSNRHS, "chunk_octants", chunk)
     patches = mesh.unzip(s.state)
     k, r, acc = mesh.k, mesh.r, {}
+
+    def interior(pch):
+        return np.ascontiguousarray(pch[:, :, k:k + r, k:k + r, k:k + r])
+
     for lo in range(0, mesh.num_octants, chunk):
         pch = patches[:, lo:lo + chunk]
         derivs = compute_derivatives(pch, mesh.dx[lo:lo + chunk], s.params,
                                      s.pd)
-        values = np.ascontiguousarray(pch[:, :, k:k + r, k:k + r, k:k + r])
-        for name, arr in compute_constraints(values, derivs,
+        for name, arr in compute_constraints(interior(pch), derivs,
                                              s.params).items():
             acc.setdefault(name, []).append(arr.reshape(-1))
     whole = {}
@@ -120,6 +131,61 @@ def test_chunked_constraints_equal_whole_mesh_unzip(backend, monkeypatch):
         whole[f"{name}_linf"] = float(np.abs(flat).max())
     assert s.constraints() == whole
     assert whole["ham_linf"] > 0.0
+
+    # Ψ₄: all octants, the shell of octants centred 20.7 M out, and all
+    # octants reversed (the tail chunk selected whole but out of order)
+    shell = np.flatnonzero(np.abs(np.linalg.norm(s.coords()[:, 3, 3, 3], axis=-1)
+                                  - 20.0) < 2.0)
+    assert len(np.unique(shell // chunk)) > 1 and len(shell) % chunk
+    every = np.arange(mesh.num_octants)
+    for idx in (every, shell, every[::-1]):
+        derivs = compute_derivatives(patches[:, idx], mesh.dx[idx], s.params,
+                                     s.pd)
+        ref = compute_psi4(interior(patches[:, idx]), derivs,
+                           mesh.coordinates(idx), s.params)
+        for got, want in zip(s.psi4_field(idx), ref):
+            assert np.array_equal(got, want)
+    assert np.abs(ref[0]).max() > 0.0
+
+    w = WaveSolver(mesh, backend=backend, chunk_octants=chunk)
+    w.state[0] = np.exp(-(w.coords() ** 2).sum(axis=-1))
+    w.state[1] = 0.3 * w.state[0]
+    phi = mesh.unzip(w.state)[0]
+    grad2 = sum(w.pd.d1(phi, mesh.dx, d) ** 2 for d in range(3))
+    dens = 0.5 * (w.state[1] ** 2 + w.speed**2 * grad2)
+    assert w.energy() == float((dens * (mesh.dx**3)[:, None, None, None]).sum())
+
+
+class TestDiagnosticAllocations:
+    """No diagnostic allocates a patch array of the whole mesh: each
+    unzips one of the solver's chunks at a time.  Peak bytes
+    ``tracemalloc`` traces during a warm call on the 120-octant q = 2
+    grid, with chunks of 8 octants (the compiled BSSN kernel's), stay
+    below the bytes of the whole mesh's patches (50.6 MB for BSSN,
+    4.2 MB for the wave pair).  On a 2-vCPU x86-64 VM with CPython 3.11
+    the peaks read 14-16 MB and 0.8 MB; Ψ₄ and the energy off a
+    whole-mesh unzip read 259-274 MB and 9.1 MB."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return Mesh(bbh_grid(mass_ratio=2.0, max_level=3, base_level=2))
+
+    @pytest.mark.parametrize("diagnostic", ["constraints", "psi4_field",
+                                            "extract_now", "energy"])
+    def test_peak_below_a_whole_mesh_patch_array(self, mesh, diagnostic):
+        if diagnostic == "energy":
+            s = WaveSolver(mesh, backend="auto", chunk_octants=8)
+            s.state[0] = np.exp(-(s.coords() ** 2).sum(axis=-1))
+            run = s.energy
+        else:
+            s = BSSNSolver(mesh, backend="auto", chunk_octants=8)
+            s.set_punctures(binary_punctures(mass_ratio=2.0, separation=6.0))
+            s.attach_extractor([20.0])
+            run = {"constraints": s.constraints,
+                   "psi4_field": lambda: s.psi4_field(np.arange(mesh.num_octants)),
+                   "extract_now": s.extract_now}[diagnostic]
+        whole = s.state.shape[0] * mesh.num_octants * mesh.P**3 * 8
+        assert _traced_peak(run) < whole
 
 
 class TestPunctureEvolution:
